@@ -38,7 +38,6 @@ from crosscurv.ledger import (
 from crosscurv.models import (
     ModelValidationError,
     build_model,
-    frame_rule_audit,
     model_constants,
 )
 from crosscurv.report import ReportDocument
@@ -197,7 +196,7 @@ def _build_from_config(cfg: dict):
 
 def _constants_block(model) -> dict:
     block = model_constants(model)
-    audit = frame_rule_audit(model)
+    audit = model.audit
     block["frame_audit"] = {k: audit.residuals[k] for k in audit.gated}
     block["frame_audit_reported"] = {
         k: audit.residuals[k] for k in audit.reported

@@ -114,6 +114,7 @@ class CurvatureModel:
     lam: float = 0.0
     s: float = 0.0
     R_norm2: float = 0.0
+    audit: FrameAudit | None = field(default=None, repr=False)
 
     @property
     def compact(self) -> bool:
@@ -251,17 +252,19 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
 
-    # zero_three_coordinates: count distinct coordinate labels per component
-    idx = np.indices((n, n, n, n))
-    labels = coord[idx]  # (4, n, n, n, n)
-    ncoords = np.zeros((n, n, n, n), dtype=int)
+    # zero_three_coordinates: count distinct coordinate labels per nonzero
+    # component; the maximum of |R| over the mask is its maximum over the
+    # masked nonzeros
+    nz = np.nonzero(R)
+    labels = [coord[i] for i in nz]
+    ncoords = np.zeros(len(nz[0]), dtype=int)
     for a in range(4):
-        is_new = np.ones((n, n, n, n), dtype=bool)
+        is_new = np.ones(len(nz[0]), dtype=bool)
         for b in range(a):
             is_new &= labels[a] != labels[b]
         ncoords += is_new
-    mask3 = ncoords >= 3
-    res["zero_three_coordinates"] = float(np.max(np.abs(R[mask3]))) if mask3.any() else 0.0
+    hits = np.abs(R[nz][ncoords >= 3])
+    res["zero_three_coordinates"] = float(np.max(hits)) if hits.size else 0.0
 
     # single_line_round: per coordinate line, compare with 4c * round tensor
     worst = 0.0
@@ -385,7 +388,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
                            n=nn, tau=tau, c=float(c), R=R, J=J)
 
-    audit = frame_rule_audit(model)
+    audit = model.audit = frame_rule_audit(model)
     if not audit.passed(1e-12):
         worst = max(audit.gated, key=lambda k: audit.residuals[k])
         raise ModelValidationError(

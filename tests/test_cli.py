@@ -94,6 +94,32 @@ def test_eigensolver_failure_exits_5(monkeypatch):
     assert "eigensolver" in err
 
 
+def test_certify_at_large_scale_exits_0():
+    code, out, err = run(["certify", "--space", "hp", "--m", "2",
+                          "--c", "1e4", *FAST, "--format", "json"])
+    assert code == 0, err
+    notes = json.loads(out)["certification"]["discrepancy_notes"]
+    assert not any("rayleigh" in note for note in notes)
+
+
+def test_model_command_audits_once(monkeypatch):
+    import crosscurv.models as models
+    audit = models.frame_rule_audit
+    calls = []
+
+    def counted(model):
+        calls.append(model.label)
+        return audit(model)
+
+    monkeypatch.setattr(models, "frame_rule_audit", counted)
+    monkeypatch.setattr(cli, "frame_rule_audit", counted, raising=False)
+    code, out, _ = run(["model", "--space", "hp", "--m", "2",
+                        "--format", "json"])
+    assert code == 0
+    assert calls == ["hp2"]
+    assert json.loads(out)["model_constants"]["frame_audit"]
+
+
 def test_config_file_merge_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("space=hp\nm=2\ntrials=3\nseed=4\n")

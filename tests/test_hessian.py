@@ -8,6 +8,7 @@ minimal eigenvalues against pinned constants for every compact family.
 import numpy as np
 import pytest
 
+from crosscurv import hessian
 from crosscurv.models import NoSpectralDataError, build_model
 from crosscurv.hessian import (
     QuadForm,
@@ -188,6 +189,87 @@ def test_min_eigen_deterministic():
     b = min_eigen_tt(qf, samples=5_000, seed=3)
     assert a.rayleigh_min == b.rayleigh_min
     assert a.eig_min == b.eig_min
+
+
+def _dense_best_sample(M, samples, seed, batch=20_000):
+    """The normalise-then-GEMM sampling loop that the blockwise one
+    replaced, kept as its reference: the best unit sample."""
+    rng = np.random.default_rng(seed)
+    ray_min, best, done = np.inf, None, 0
+    while done < samples:
+        k = min(batch, samples - done)
+        V = rng.standard_normal((M.shape[0], k))
+        V /= np.linalg.norm(V, axis=0)
+        vals = np.einsum("ij,ij->j", V, M @ V)
+        j = int(np.argmin(vals))
+        if float(vals[j]) < ray_min:
+            ray_min, best = float(vals[j]), V[:, j].copy()
+        done += k
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+@pytest.mark.parametrize("key,samples", [("cp3", 20_000), ("hp3", 30_000),
+                                         ("op2", 50_000)])
+def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
+                                                 monkeypatch):
+    model = (build_model("quaternionic", 3, 1.0) if key == "hp3"
+             else _model(key))
+    qf = assemble_tt_remainder(model)
+    refine = hessian._refine_rayleigh
+    starts = []
+
+    def spy(M, x, **kw):
+        starts.append(x.copy())
+        return refine(M, x, **kw)
+
+    monkeypatch.setattr(hessian, "_refine_rayleigh", spy)
+    cert = min_eigen_tt(qf, samples=samples, seed=seed)
+    best = _dense_best_sample(qf.matrix, samples, seed)
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], best)
+    assert cert.rayleigh_min == refine(qf.matrix, best)[0]
+
+
+# curvature scales with the unit scale their certificate is compared to
+SCALES = [(1e-6, 1.0), (-1e-6, -1.0), (1e4, 1.0), (1e6, 1.0), (-1e6, -1.0)]
+
+
+@pytest.mark.parametrize("family,m", [("quaternionic", 2), ("complex", 4)])
+def test_certificate_scales_as_c_squared(family, m):
+    def cert_at(c):
+        qf = assemble_tt_remainder(build_model(family, m, c))
+        return min_eigen_tt(qf, samples=20_000, seed=1)
+
+    unit = {c: cert_at(c).eig_min for c in (1.0, -1.0)}
+    for c, base in SCALES:
+        cert = cert_at(c)
+        assert cert.consistent, c
+        want = c * c * unit[base]
+        assert abs(cert.eig_min - want) <= 1e-12 * abs(want), c
+
+
+@pytest.mark.parametrize("family,m,c", [("quaternionic", 2, 1.0),
+                                        ("quaternionic", 2, 1e4),
+                                        ("complex", 4, -1e6)])
+def test_non_minimal_eigenvalue_is_inconsistent(family, m, c, monkeypatch):
+    qf = assemble_tt_remainder(build_model(family, m, c))
+    honest = min_eigen_tt(qf, samples=2_000)
+    assert honest.consistent
+    solve = hessian.jacobi_eigs
+
+    def without_minimum(A, *args, **kwargs):
+        spec = solve(A, *args, **kwargs)
+        if A is qf.matrix:
+            ev = spec.eigenvalues
+            spec.eigenvalues = ev[ev > ev[0] + 1e-9 * np.max(np.abs(ev))]
+        return spec
+
+    monkeypatch.setattr(hessian, "jacobi_eigs", without_minimum)
+    cert = min_eigen_tt(qf, samples=2_000)
+    assert cert.eig_min > honest.eig_min
+    assert cert.rayleigh_min == honest.rayleigh_min
+    assert not cert.consistent
 
 
 def test_family_bound_forms():

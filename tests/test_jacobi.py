@@ -60,3 +60,81 @@ def test_convergence_error_when_starved():
     M = 0.5 * (A + A.T)
     with pytest.raises(JacobiConvergenceError):
         jacobi_eigs(M, max_sweeps=0)
+
+
+def _full_pair_sweep(M, tol=1e-12, max_sweeps=100):
+    """The cyclic sweep over every pair (p, q), kept as the reference for
+    the component-restricted sweep: eigenvalues and rotation count."""
+    A = 0.5 * (M + M.T)
+    n = A.shape[0]
+    norm = np.linalg.norm(A)
+    rotations = 0
+    for _ in range(max_sweeps):
+        off = np.linalg.norm(A - np.diag(np.diag(A)))
+        if off <= tol * norm:
+            break
+        small = off / (n * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) < 1e-4 * small:
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0 else 1.0
+                t = t / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.hypot(t, 1.0)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                A[[p, q], :] = rot.T @ A[[p, q], :]
+                A[:, [p, q]] = A[:, [p, q]] @ rot
+                A[p, q] = A[q, p] = 0.0
+                rotations += 1
+    return np.sort(np.diag(A), kind="stable"), rotations
+
+
+def _structured(kind):
+    """(matrix, number of connected components of its nonzero pattern)."""
+    rng = np.random.default_rng(11)
+    if kind == "permuted-blocks":
+        sizes = [1, 4, 4, 7, 1, 3, 4]
+        M = np.zeros((sum(sizes), sum(sizes)))
+        start = 0
+        for s in sizes:
+            A = rng.standard_normal((s, s))
+            M[start:start + s, start:start + s] = A + A.T
+            start += s
+        perm = rng.permutation(len(M))
+        return M[np.ix_(perm, perm)], len(sizes)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(9)), 9
+    A = rng.standard_normal((10, 10))
+    return A + A.T, 1
+
+
+@pytest.mark.parametrize("kind", ["permuted-blocks", "diagonal", "dense"])
+def test_structured_spectrum_and_components(kind):
+    M, ncomp = _structured(kind)
+    n = len(M)
+    spec = jacobi_eigs(M)
+    ref = np.linalg.eigvalsh(M)
+    assert np.max(np.abs(spec.eigenvalues - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the components partition range(n), ordered by smallest member
+    comps = spec.components
+    assert len(comps) == ncomp
+    assert np.array_equal(np.sort(np.concatenate(comps)), np.arange(n))
+    assert all(np.array_equal(c, np.sort(c)) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    # every nonzero links two indices of one component
+    label = np.empty(n, dtype=int)
+    for k, c in enumerate(comps):
+        label[c] = k
+    assert not np.any(M[label[:, None] != label[None, :]])
+
+
+@pytest.mark.parametrize("kind", ["permuted-blocks", "diagonal", "dense"])
+def test_component_sweep_matches_full_pair_sweep(kind):
+    M, _ = _structured(kind)
+    spec = jacobi_eigs(M)
+    evals, rotations = _full_pair_sweep(M)
+    assert spec.iterations == rotations
+    assert np.array_equal(spec.eigenvalues, evals)

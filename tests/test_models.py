@@ -92,6 +92,33 @@ def test_frame_rule_audit_gated(family, m):
     assert audit.passed()
 
 
+@pytest.mark.parametrize("family,m,nkw", [
+    ("sphere", 0, 5), ("complex", 3, None), ("quaternionic", 3, None),
+])
+def test_zero_three_coordinates_matches_dense_mask(family, m, nkw):
+    # plant entries at random positions, some touching three or more
+    # coordinate lines, and compare with the mask over all n^4 components
+    mod = build_model(family, m, 1.0, n=nkw)
+    R, n = mod.R.entries, mod.n
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        R[tuple(rng.integers(0, n, size=4))] = rng.uniform(0.1, 9.0)
+    coord = (np.arange(n) if mod.tau == 0
+             else np.tile(np.arange(n // (mod.tau + 1)), mod.tau + 1))
+    labels = coord[np.indices((n,) * 4)]
+    distinct = sum(np.all([labels[a] != labels[b] for b in range(a)], axis=0)
+                   for a in range(4))
+    want = np.max(np.abs(R[distinct >= 3]), initial=0.0)
+    assert want > 0
+    assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
+
+
+def test_build_model_keeps_its_audit():
+    mod = build_model("quaternionic", 2, 1.0)
+    assert mod.audit.residuals == frame_rule_audit(mod).residuals
+    assert "audit" not in repr(mod)
+
+
 def test_two_slot_pullback_by_family():
     # exact invariance for tau <= 1, exact defect formula always;
     # the pair-form reduction of the defect holds only with closure
