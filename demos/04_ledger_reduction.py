@@ -22,7 +22,7 @@ for row in tt.comparisons:
 # by one pairing term, and that term is exactly what moves NORM_HTILDE
 # from -24 c^2 to the printed -48 c^2
 v = a4_variants()
-diff = {k: e for k, e in v["difference"].coeffs.items() if sp.simplify(e) != 0}
+diff = {k: e for k, e in v["difference"].coeffs.items() if sp.cancel(e) != 0}
 print()
 print("a4 composed minus printed:", {k: sp.sstr(e) for k, e in diff.items()})
 tt2 = expand_theorem_tt(variant="printed", a4="composed")

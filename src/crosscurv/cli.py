@@ -19,6 +19,11 @@ A config file holds key=value lines ('#' starts a comment); command-line
 flags override file values.  Exit codes: 0 success, 2 config error,
 3 model-validation failure, 4 required-identity failure, 5 numeric failure.
 Reports with identical configs and seeds are byte-identical.
+
+Input budget: a model whose estimated peak memory (``memory_estimate``)
+exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is refused as a config
+error, exit 2, before anything is built.  The refusal sets in at dimension
+n = 79 (``--space sphere --n 79``, ``--space hp --m 20``).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from crosscurv.models import (
     ModelValidationError,
     build_model,
     model_constants,
+    reference_constants,
 )
 from crosscurv.report import ReportDocument
 
@@ -71,6 +77,9 @@ DEFAULTS = {
     "out": None,
 }
 
+#: refuse models whose ``memory_estimate`` exceeds this many bytes
+MEMORY_BUDGET_BYTES = 4 * 2**30
+
 _TYPES = {
     "space": str, "m": int, "n": int, "sign": str, "c": float, "p": float,
     "trials": int, "seed": int, "tol": float, "format": str, "out": str,
@@ -79,6 +88,21 @@ _TYPES = {
 
 class ConfigError(ValueError):
     pass
+
+
+def memory_estimate(n: int) -> int:
+    """Upper estimate, in bytes, of the peak memory of any command on a
+    model of dimension n.
+
+    Twelve float64 arrays of n^4 entries alive together: the curvature
+    tensor R, the n^2 x n^2 term matrices with their einsum temporaries
+    and accumulator, and the frame audit's index arrays (measured peaks at
+    n = 16..40 hold 8 to 11 of them at once); one Rayleigh sampling batch
+    of 20 000 vectors of the trace-free dimension n(n+1)/2 - 1; and
+    128 MiB for the interpreter, numpy, sympy and the small arrays.
+    """
+    dim = n * (n + 1) // 2 - 1
+    return 8 * (12 * n**4 + 20_000 * dim) + 128 * 2**20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +192,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError("hp needs m >= 1")
         if cfg["space"] == "op" and cfg["m"] != 2:
             raise ConfigError("op exists only for m = 2")
+        n = reference_constants(SPACE_TO_FAMILY[cfg["space"]], cfg["m"],
+                                cfg["n"])["n"]
+        need = memory_estimate(n)
+        if need > MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"a model of dimension {n} needs an estimated "
+                f"{need / 2**30:.1f} GiB, above the "
+                f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
+            )
     if cfg["sign"] not in ("compact", "noncompact"):
         raise ConfigError(f"unknown sign {cfg['sign']!r}")
     if cfg["c"] <= 0:

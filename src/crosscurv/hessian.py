@@ -26,7 +26,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-import sympy as sp
 
 from crosscurv.jacobi import jacobi_eigs
 from crosscurv.models import (
@@ -207,6 +206,8 @@ def family_bound_form(family: str, variant: str = "repaired") -> dict:
     """
     if variant not in ("literal", "repaired"):
         raise ValueError(f"unknown variant {variant!r}")
+    import sympy as sp
+
     nsym, csym, R2sym = sp.symbols("n c R2")
     scale = csym**2 if variant == "repaired" else sp.Integer(1)
     if family == "complex":
@@ -355,16 +356,21 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000, seed: int = 0,
 # conformal direction
 # ---------------------------------------------------------------------------
 
+def _exact_c(c) -> Fraction | None:
+    """c as an exact Fraction when it is rational or integral, else None."""
+    if isinstance(c, Rational):
+        return Fraction(c)
+    if float(c).is_integer():
+        return Fraction(int(c))
+    return None
+
+
 def _exact_norm2(model: CurvatureModel, norm_source: str):
     """|R|^2 as an exact Fraction when c is rational, else a float."""
     if norm_source not in ("claimed", "computed"):
         raise ValueError(f"unknown norm_source {norm_source!r}")
     c = model.c
-    exact_c = None
-    if isinstance(c, Rational):
-        exact_c = Fraction(c)
-    elif float(c).is_integer():
-        exact_c = Fraction(int(c))
+    exact_c = _exact_c(c)
     n, t = model.n, model.tau
     if exact_c is not None:
         c2 = exact_c * exact_c
@@ -394,12 +400,7 @@ def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
             "no spectral reference values are tabulated for other exponents"
         )
     n, t = model.n, model.tau
-    c = model.c
-    exact_c = None
-    if isinstance(c, Rational):
-        exact_c = Fraction(c)
-    elif float(c).is_integer():
-        exact_c = Fraction(int(c))
+    exact_c = _exact_c(model.c)
 
     if mu is None:
         if not model.compact:

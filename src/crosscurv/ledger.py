@@ -24,6 +24,28 @@ reference display it is checked against, with per-term match flags.  A
 mismatch is recorded as a finding; the derived set is never altered to
 force agreement.
 
+Every coefficient is a rational function of these symbols; in fact all of
+them are polynomials in c, tau, lam, mu, R2 and 1/n.  Two exact rules
+replace heuristic simplification:
+
+  zero test        sp.cancel(a - b) == 0.  cancel brings a rational function
+                   to numerator/denominator form with the common factors
+                   removed, and that form of the zero function is 0, so the
+                   test decides equality of rational functions exactly,
+                   which heuristic simplification does not.  It decides every
+                   MATCH/MISMATCH flag, the square completions and
+                   ``LedgerExpr.simplified``.
+  printed form     sp.expand: the sum of monomials with integer or rational
+                   coefficients, which sstr prints in sympy's fixed term
+                   order.  For polynomials in c, tau, lam, mu, R2 and 1/n
+                   it is canonical, so equal coefficients print equally.
+
+sympy is imported on the first symbolic call (``_symbolic``), not when this
+module is imported: the identity catalog is numeric, and ``import
+crosscurv`` or the ``model``, ``verify`` and ``certify`` commands never
+load sympy.  ``SYM`` and ``LAM_RULE`` are module attributes resolved
+through that same call.
+
 The identity catalog at the bottom pairs each named identity with an
 independent numeric evaluator on concrete models; ``verify_identity_numeric``
 drives random trials and reports PASS/FAIL without aborting on failure.
@@ -32,9 +54,10 @@ drives random trials and reports PASS/FAIL without aborting on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
-import sympy as sp
 
 from crosscurv.tensors import (
     CurvTensor4,
@@ -69,8 +92,38 @@ __all__ = [
     "quadratic_completion_checks",
 ]
 
-c, n, tau, lam, mu, R2 = sp.symbols("c n tau lam mu R2")
-SYM = {"c": c, "n": n, "tau": tau, "lam": lam, "mu": mu, "R2": R2}
+
+@lru_cache(maxsize=None)
+def _symbolic() -> SimpleNamespace:
+    """Import sympy and create the ledger symbols, ``SYM`` and ``LAM_RULE``.
+
+    Runs once, on the first symbolic call; ``symbols`` unpacks as
+    ``c, n, tau, lam, mu, R2``.
+    """
+    import sympy as sp
+
+    names = ("c", "n", "tau", "lam", "mu", "R2")
+    symbols = sp.symbols(names)
+    c, n, tau, lam, mu, R2 = symbols
+    return SimpleNamespace(
+        symbols=symbols,
+        SYM=dict(zip(names, symbols)),
+        LAM_RULE={lam: c * (3 * tau + n - 1)},
+    )
+
+
+def __getattr__(name: str):
+    if name in ("SYM", "LAM_RULE"):
+        return getattr(_symbolic(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _is_zero(expr) -> bool:
+    """Exact zero test for a rational function (see the module docstring)."""
+    import sympy as sp
+
+    return sp.cancel(expr) == 0
+
 
 # scalar quantities the reductions are expressed in.  A = rough Laplacian of
 # h, B = curvature action on h, ht = structure average of h, f = conformal
@@ -97,8 +150,6 @@ BASIS = (
     "NORM_F",          # |f|^2
 )
 
-LAM_RULE = {lam: c * (3 * tau + n - 1)}
-
 
 @dataclass
 class LedgerExpr:
@@ -107,6 +158,8 @@ class LedgerExpr:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        import sympy as sp
+
         clean = {}
         for k, v in self.coeffs.items():
             if k not in BASIS:
@@ -122,6 +175,8 @@ class LedgerExpr:
     def add_term(self, key: str, coeff) -> None:
         if key not in BASIS:
             raise KeyError(f"unknown basis id {key!r}")
+        import sympy as sp
+
         v = sp.expand(self.coeffs.get(key, 0) + sp.sympify(coeff))
         if v == 0:
             self.coeffs.pop(key, None)
@@ -129,28 +184,33 @@ class LedgerExpr:
             self.coeffs[key] = v
 
     def pop_term(self, key: str):
+        import sympy as sp
+
         return self.coeffs.pop(key, sp.Integer(0))
 
     def scaled(self, factor) -> "LedgerExpr":
+        import sympy as sp
+
         return LedgerExpr({k: sp.expand(sp.sympify(factor) * v)
                            for k, v in self.coeffs.items()})
 
     def substituted(self, rules) -> "LedgerExpr":
+        import sympy as sp
+
         return LedgerExpr({k: sp.expand(v.subs(rules))
                            for k, v in self.coeffs.items()})
 
     def simplified(self) -> "LedgerExpr":
-        return LedgerExpr({k: sp.simplify(v) for k, v in self.coeffs.items()})
+        """Canonical printed form of every coefficient; exact zeros drop."""
+        import sympy as sp
+
+        return LedgerExpr({k: sp.expand(v) for k, v in self.coeffs.items()
+                           if not _is_zero(v)})
 
     def coefficient(self, key: str):
-        return self.coeffs.get(key, sp.Integer(0))
+        import sympy as sp
 
-    def same_as(self, other: "LedgerExpr") -> bool:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            sp.simplify(self.coefficient(k) - other.coefficient(k)) == 0
-            for k in keys
-        )
+        return self.coeffs.get(key, sp.Integer(0))
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +228,7 @@ def _apply_integration_by_parts(e: LedgerExpr, log: list) -> None:
 def _apply_curvature_action(e: LedgerExpr, log: list) -> None:
     """A2: on trace-free h the curvature action is B = 3 c ht - c h, used
     only inside inner products against h and ht (never on NORM_RRING)."""
+    c = _symbolic().SYM["c"]
     k1 = e.pop_term("IP_RRING_H")
     if k1 != 0:
         e.add_term("IP_H_HTILDE", 3 * c * k1)
@@ -184,6 +245,7 @@ def _apply_kn_reduction(e: LedgerExpr, log: list) -> None:
     """A3: the claimed reduction of the exterior pairing; carried by the
     chain even though the identity fails numerically on every model (see
     the identity catalog entry kn-pairing-reduction)."""
+    c, n, tau, lam, mu, R2 = _symbolic().symbols
     k = e.pop_term("RR_KN")
     if k != 0:
         e.add_term("IP_RRING_H", k * c * (n + tau + 1))
@@ -199,6 +261,9 @@ def a4_variants() -> dict:
     printed set by exactly + c * IP_RRING_HTILDE (their NORM_H parts agree
     after expanding lam).
     """
+    import sympy as sp
+
+    c, n, tau, lam, mu, R2 = _symbolic().symbols
     printed = LedgerExpr({
         "NORM_DH": c / 2,
         "IP_RRING_HTILDE": c,
@@ -232,9 +297,11 @@ def _apply_composed_trace(e: LedgerExpr, a4: str, log: list) -> None:
 def _complete_square(e: LedgerExpr, log: list) -> None:
     """Exact rewrite NORM_DDH - 3 IP_DDH_RRING + 2 NORM_RRING
     = NORM_DDH_SHIFT - (1/4) NORM_RRING."""
+    import sympy as sp
+
     a = e.pop_term("NORM_DDH")
     b = e.pop_term("IP_DDH_RRING")
-    if sp.simplify(b + 3 * a) != 0:
+    if not _is_zero(b + 3 * a):
         raise ValueError("square completion expects the -3:1 bracket shape")
     e.add_term("NORM_DDH_SHIFT", a)
     e.add_term("NORM_RRING", -sp.Rational(9, 4) * a)
@@ -246,6 +313,9 @@ def quadratic_completion_checks() -> dict:
     """Exact verification of the two square completions over the abstract
     quadratic ring in (A, B, h).  Keys are monomials AA, AB, AH, BB, BH, HH.
     Returns both sides of each identity for test assertions."""
+    import sympy as sp
+
+    lam = _symbolic().SYM["lam"]
     bracket = {"AA": sp.Integer(1), "AB": sp.Integer(-3), "BB": sp.Integer(2),
                "AH": lam, "BH": -2 * lam}
     shift_sq = {"AA": sp.Integer(1), "AB": sp.Integer(-3),
@@ -277,22 +347,29 @@ def quadratic_completion_checks() -> dict:
 # ---------------------------------------------------------------------------
 
 def _compare(display: LedgerExpr, computed: LedgerExpr) -> list:
+    """One row per basis id in either set: both coefficients in the
+    canonical printed form and the exact MATCH flag."""
+    import sympy as sp
+
     rows = []
     for key in [k for k in BASIS if k in display.coeffs or k in computed.coeffs]:
-        d = sp.simplify(display.coefficient(key))
-        v = sp.simplify(computed.coefficient(key))
+        d = sp.expand(display.coefficient(key))
+        v = sp.expand(computed.coefficient(key))
         rows.append({
             "term": key,
             "display": sp.sstr(d),
             "claimed": d,
             "computed": v,
-            "match": sp.simplify(d - v) == 0,
+            "match": _is_zero(d - v),
         })
     return rows
 
 
 def tt_display_compact() -> LedgerExpr:
     """Reference coefficient display for the compact trace-free chain."""
+    import sympy as sp
+
+    c, n, tau, lam, mu, R2 = _symbolic().symbols
     return LedgerExpr({
         "NORM_DDH_SHIFT": 2,
         "NORM_DH": 2 * c * (n + 3 * tau - 3),
@@ -334,6 +411,10 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
         raise ValueError(f"unknown variant {variant!r}")
     if a4 not in ("printed", "composed"):
         raise ValueError(f"unknown a4 reading {a4!r}")
+    import sympy as sp
+
+    sym = _symbolic()
+    c, n, tau, lam, mu, R2 = sym.symbols
     rr_coeff = sp.Integer(1 if variant == "printed" else 2)
     steps: list[str] = [f"start: half expression, RR_KN coefficient {rr_coeff}"]
     e = LedgerExpr({
@@ -352,7 +433,7 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
     _apply_kn_reduction(e, steps)
     _apply_composed_trace(e, a4, steps)
     _apply_curvature_action(e, steps)
-    e = e.substituted(LAM_RULE).scaled(2).simplified()
+    e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
     steps.append("substitute lam -> c(3 tau + n - 1), double")
     display = tt_display_compact()
     return TTExpansion(variant=variant, a4=a4, reduced=e, display=display,
@@ -371,6 +452,9 @@ class ConformalExpansion:
     def polynomial(self):
         """Value as a quadratic in mu, using Laplace pairs
         NORM_DELTAF = mu^2 NORM_F, NORM_DF = mu NORM_F (unit NORM_F)."""
+        import sympy as sp
+
+        mu = _symbolic().SYM["mu"]
         co = self.coefficients
         return sp.expand(
             co.coefficient("NORM_DELTAF") * mu**2
@@ -395,6 +479,7 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
     """
     if assembly not in ("corrected", "printed"):
         raise ValueError(f"unknown assembly {assembly!r}")
+    c, n, tau, lam, mu, R2 = _symbolic().symbols
     notes = []
     # variation pieces for h = f g, recorded as (DELTAF, DF, F) coefficients
     pieces = {
@@ -460,6 +545,10 @@ def noncompact_chain() -> NoncompactChain:
     The derived remainder agrees with the reference display on NORM_RRING,
     K_PAIR and RR_KN and disagrees on all three h-term coefficients.
     """
+    import sympy as sp
+
+    sym = _symbolic()
+    c, n, tau, lam, mu, R2 = sym.symbols
     steps: list[str] = ["start: half expression, RR_KN kept unreduced"]
     e = LedgerExpr({
         "NORM_DDH": 1,
@@ -477,7 +566,7 @@ def noncompact_chain() -> NoncompactChain:
     expected = {"NORM_DDH": sp.Integer(1), "IP_DDH_RRING": sp.Integer(-3),
                 "IP_DDH_H": lam, "IP_RRING_H": -2 * lam}
     for key, want in expected.items():
-        if sp.simplify(e.pop_term(key) - want) != 0:
+        if not _is_zero(e.pop_term(key) - want):
             raise ValueError(f"Berger completion expects {key} = {want}")
     e.add_term("NORM_RRING", -2)  # 2 from the bracket is replaced
     e.add_term("NORM_RRING", sp.Rational(-1, 4))
@@ -504,7 +593,7 @@ def noncompact_chain() -> NoncompactChain:
     })
     steps.append("drop -2c NORM_DH (c < 0)")
     _apply_curvature_action(e, steps)
-    e = e.substituted(LAM_RULE).scaled(2).simplified()
+    e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
     steps.append("substitute lam -> c(3 tau + n - 1), double")
 
     claimed = LedgerExpr({

@@ -6,16 +6,21 @@ byte-identical: section order is fixed, floats are printed with one format
 strings, and symbolic coefficients as their string form.  No timestamps or
 other nondeterministic values belong in a document; timing is represented
 by deterministic work counters (rotation counts, sample counts) instead.
+
+Symbolic values are recognised only when sympy is already in sys.modules.
+That test is exact, not a shortcut: a sympy expression cannot exist before
+sympy is imported, so a document without ledger rows is rendered without
+ever loading it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 __all__ = ["ReportDocument", "emit_value", "render_json", "SCHEMA_VERSION"]
 
@@ -36,6 +41,14 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _sympy_str(obj) -> str | None:
+    """sstr form of a sympy expression, None for any other value."""
+    sp = sys.modules.get("sympy")
+    if sp is not None and isinstance(obj, sp.Basic):
+        return sp.sstr(obj)
+    return None
+
+
 def emit_value(obj) -> str:
     """Serialize one value to canonical JSON text."""
     if obj is None:
@@ -50,8 +63,8 @@ def emit_value(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if isinstance(obj, sp.Basic):
-        return json.dumps(sp.sstr(obj))
+    if (symbolic := _sympy_str(obj)) is not None:
+        return json.dumps(symbolic)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -74,8 +87,8 @@ def _csv_cell(v) -> str:
              else f"{v.numerator}/{v.denominator}")
     elif isinstance(v, (float, np.floating)):
         s = f"{float(v):.17g}"
-    elif isinstance(v, sp.Basic):
-        s = sp.sstr(v)
+    elif (symbolic := _sympy_str(v)) is not None:
+        s = symbolic
     elif v is None:
         s = "-"
     else:
@@ -104,11 +117,6 @@ class ReportDocument:
 
     def to_json(self) -> str:
         return render_json(self.payload())
-
-    @staticmethod
-    def parse_json(text: str) -> dict:
-        """Round-trip check helper; values come back as plain JSON types."""
-        return json.loads(text)
 
     def csv_rows(self) -> list:
         rows = [("kind", "id", "model", "value", "threshold", "outcome")]

@@ -193,3 +193,36 @@ def test_space_map_and_defaults():
                                    "op": "octonionic", "sphere": "sphere"}
     assert cli.DEFAULTS["p"] == 2.0
     assert cli.DEFAULTS["seed"] == 0
+
+
+def test_memory_budget_refuses_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_model called for a refused model")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    code, out, err = run(["model", "--space", "sphere", "--n", "400"])
+    assert code == 2
+    assert out == ""
+    assert "dimension 400" in err and "GiB" in err
+
+
+def test_memory_budget_admits_every_benchmarked_size():
+    # hp10 (n = 40) is the largest model the tests and the benchmark build
+    assert cli.memory_estimate(40) <= cli.MEMORY_BUDGET_BYTES
+    assert cli.memory_estimate(78) <= cli.MEMORY_BUDGET_BYTES
+    assert cli.memory_estimate(79) > cli.MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("args,n", [(["--space", "hp", "--m", "4"], 16),
+                                    (["--space", "sphere", "--n", "24"], 24)])
+def test_memory_estimate_bounds_traced_peak(args, n):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, _ = run(["certify", *args, *FAST])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= cli.memory_estimate(n)

@@ -5,8 +5,12 @@ remainder against hand-expanded coefficient values, and the certified
 minimal eigenvalues against pinned constants for every compact family.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosscurv import hessian
 from crosscurv.models import NoSpectralDataError, build_model
@@ -361,3 +365,32 @@ def test_stability_verdict_p4_scales_certificate():
     assert abs(sr.epsilon - 25.5 * 80.0) < 1e-6
     assert sr.tt_verdict == "stable-strict"
     assert "UNAVAILABLE" in sr.conformal["note"]
+
+
+@lru_cache(maxsize=None)
+def _unit_verdict(family, m, sign):
+    return stability_verdict(build_model(family, m, sign), seed=3)
+
+
+@settings(max_examples=16, deadline=None)
+@given(model=st.sampled_from([("quaternionic", 2), ("complex", 2)]),
+       sign=st.sampled_from([1.0, -1.0]),
+       exponent=st.floats(min_value=-6.0, max_value=6.0))
+def test_verdict_scales_as_c_squared(model, sign, exponent):
+    # |c| is log-uniform in [1e-6, 1e6]; the report at c must be c^2 times
+    # the report at c = sign, with the same verdict and a consistent
+    # certificate (no Rayleigh/Jacobi discrepancy note)
+    family, m = model
+    c = sign * 10.0**exponent
+    unit = _unit_verdict(family, m, sign)
+    rep = stability_verdict(build_model(family, m, c), seed=3)
+    want = c * c * unit.tt_min_eig
+    assert abs(rep.tt_min_eig - want) <= 1e-12 * abs(want)
+    assert rep.tt_verdict == unit.tt_verdict
+    assert "rayleigh sample fell below the jacobi minimum" not in \
+        rep.discrepancy_notes
+    if sign > 0:
+        for source in ("claimed", "computed"):
+            want = c * c * float(unit.conformal[source])
+            got = float(rep.conformal[source])
+            assert abs(got - want) <= 1e-12 * abs(want), source

@@ -5,9 +5,15 @@ pin both sides so any silent change in either the display constants or the
 reduction machinery trips a test.
 """
 
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import sympy as sp
 import pytest
 
+from crosscurv.cli import _ledger_rows, main
 from crosscurv.ledger import (
     BASIS,
     LAM_RULE,
@@ -250,3 +256,35 @@ def test_input_free_identities_run_once():
     out = verify_identity_numeric("norm-closed-form", _model("cp2"),
                                   trials=50, seed=5)
     assert out["trials"] == 1
+
+
+# ---------------------------------------------------------------- document
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ledger_json_document_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ledger", "--format", "json"]) == 0
+    golden = (ROOT / "tests" / "golden" / "ledger.json").read_text(
+        encoding="utf-8")
+    assert out.getvalue() == golden
+
+
+def test_ledger_flags_are_exact_and_unchanged():
+    expected = json.loads(
+        (ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    rows = _ledger_rows()
+    for r in rows:
+        assert r["match"] is (sp.cancel(r["claimed"] - r["computed"]) == 0)
+        # the printed form is the expanded one
+        for side in ("claimed", "computed"):
+            assert sp.expand(r[side]) == r[side], (r["term"], side)
+        assert r["display"] == sp.sstr(r["claimed"])
+    flags = {f"{r['chain']}:{r['term']}": r["match"] for r in rows}
+    assert flags == expected["ledger"]
+    chains = [r["chain"].split("-")[0] for r in rows]
+    assert (chains.count("tt"), chains.count("conformal"),
+            chains.count("noncompact")) == (7, 6, 6)
