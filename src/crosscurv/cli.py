@@ -16,8 +16,9 @@ Flags: --space {sphere,cp,hp,op} --m INT --n INT (sphere only)
 --config PATH.
 
 A config file holds key=value lines ('#' starts a comment); command-line
-flags override file values.  Exit codes: 0 success, 2 config error,
-3 model-validation failure, 4 required-identity failure, 5 numeric failure.
+flags override file values; a non-finite --c, --p or --tol is a config
+error.  Exit codes: 0 success, 2 config error, 3 model-validation failure,
+4 required-identity failure, 5 numeric failure.
 Reports with identical configs and seeds are byte-identical.
 
 Input budget: a model whose estimated peak memory (``memory_estimate``)
@@ -29,6 +30,7 @@ n = 79 (``--space sphere --n 79``, ``--space hp --m 20``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from crosscurv.hessian import stability_verdict
@@ -203,6 +205,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             )
     if cfg["sign"] not in ("compact", "noncompact"):
         raise ConfigError(f"unknown sign {cfg['sign']!r}")
+    for key in ("c", "p", "tol"):
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"--{key} must be finite, got {cfg[key]}")
     if cfg["c"] <= 0:
         raise ConfigError("--c is a positive magnitude; use --sign for "
                           "the non-compact dual")
@@ -314,11 +319,7 @@ def cmd_verify(cfg: dict) -> int:
 
 def cmd_certify(cfg: dict) -> int:
     model = _build_from_config(cfg)
-    try:
-        cert, timing = _certification_block(model, cfg)
-    except JacobiConvergenceError as exc:
-        sys.stderr.write(f"eigensolver failure: {exc}\n")
-        return EXIT_NUMERIC
+    cert, timing = _certification_block(model, cfg)
     doc = ReportDocument(
         config=_config_echo(cfg),
         model_constants=_constants_block(model),
@@ -343,11 +344,7 @@ def cmd_ledger(cfg: dict) -> int:
 def cmd_report(cfg: dict) -> int:
     model = _build_from_config(cfg)
     findings = _findings(model, cfg)
-    try:
-        cert, timing = _certification_block(model, cfg)
-    except JacobiConvergenceError as exc:
-        sys.stderr.write(f"eigensolver failure: {exc}\n")
-        return EXIT_NUMERIC
+    cert, timing = _certification_block(model, cfg)
     timing["identity_trials"] = cfg["trials"]
     doc = ReportDocument(
         config=_config_echo(cfg),
@@ -383,6 +380,9 @@ def main(argv=None) -> int:
     except ModelValidationError as exc:
         sys.stderr.write(f"model validation failed: {exc}\n")
         return EXIT_VALIDATION
+    except JacobiConvergenceError as exc:
+        sys.stderr.write(f"eigensolver failure: {exc}\n")
+        return EXIT_NUMERIC
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -11,12 +11,15 @@ Rayleigh-quotient sample, and evaluates the conformal-direction quadratic
 
 at the first Laplace eigenvalue of the compact model.
 
-The certified trace-free coefficients follow the reference display; the
-independent re-derivation disagrees with three of them (see the ledger
-module), and a certificate obtained here is therefore a statement about the
-displayed form.  The conformal value is reported for both the displayed
-norm closed form and the directly computed norm, which differ for the
-tau >= 3 families.
+The certified trace-free coefficients follow the reference display.
+``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
+``conformal_coefficients`` are the single source of those displays: the
+ledger audits the same functions called on sympy symbols.  The independent
+re-derivation disagrees with three of the trace-free coefficients (see the
+ledger module), and a certificate obtained here is therefore a statement
+about the displayed form.  The conformal value is reported for both the
+displayed norm closed form and the directly computed norm, which differ for
+the tau >= 3 families.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from crosscurv.jacobi import jacobi_eigs
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
+    einstein_constant,
     norm2_closed_claimed,
     norm2_closed_derived,
     reference_mu_over_lambda,
@@ -90,16 +94,11 @@ def term_matrix(model: CurvatureModel, key: str) -> np.ndarray:
     R = model.R.entries
     if key == "NORM_H":
         return np.eye(n * n)
-    if key == "IP_H_HTILDE":
+    if key in ("IP_H_HTILDE", "NORM_HTILDE"):
         G = np.zeros((n * n, n * n))
         for J in model.J.operators:
             G += np.kron(J.T, J.T)
-        return 0.5 * (G + G.T)
-    if key == "NORM_HTILDE":
-        M = np.zeros((n * n, n * n))
-        for J in model.J.operators:
-            M += np.kron(J.T, J.T)
-        return M.T @ M
+        return 0.5 * (G + G.T) if key == "IP_H_HTILDE" else G.T @ G
     if key == "NORM_RRING":
         # (action h)_xy = sum_ij R_ixjy h_ij
         L = np.einsum("ixjy->xyij", R).reshape(n * n, n * n)
@@ -148,30 +147,30 @@ def assemble_quadform(model: CurvatureModel, coeffs: dict,
 
 
 def compact_tt_coefficients(model: CurvatureModel) -> dict:
-    """Certified coefficient set for the compact trace-free remainder."""
+    """Displayed coefficient set for the compact trace-free remainder; reads
+    only n, tau, c and R_norm2, which the ledger passes as symbols."""
     n, t, c = model.n, model.tau, model.c
     R2 = model.R_norm2
     return {
-        "K_PAIR": 4.0,
-        "NORM_RRING": -0.5,
-        "NORM_H": 2.0 * R2 / n + 2.0 * c * c * (3 * t * t + n * t - 8 * t - 1),
-        "IP_H_HTILDE": 2.0 * c * c * (3 * n - 3 * t + 11),
-        "NORM_HTILDE": -48.0 * c * c,
+        "K_PAIR": 4,
+        "NORM_RRING": Fraction(-1, 2),
+        "NORM_H": 2 * R2 / n + 2 * c * c * (3 * t * t + n * t - 8 * t - 1),
+        "IP_H_HTILDE": 2 * c * c * (3 * n - 3 * t + 11),
+        "NORM_HTILDE": -48 * c * c,
     }
 
 
 def noncompact_tt_coefficients(model: CurvatureModel) -> dict:
-    """Certified coefficient set for the negative-scale remainder."""
+    """Displayed coefficient set for the negative-scale remainder."""
     n, t, c = model.n, model.tau, model.c
     R2 = model.R_norm2
     return {
-        "NORM_RRING": -0.5,
-        "K_PAIR": 4.0,
-        "RR_KN": 2.0,
-        "NORM_H": 2.0 * R2 / n
-        + 2.0 * c * c * (n * t - n + 3 * t * t - 7 * t + 5),
-        "IP_H_HTILDE": 2.0 * c * c * (14 - 3 * t),
-        "NORM_HTILDE": -12.0 * c * c,
+        "NORM_RRING": Fraction(-1, 2),
+        "K_PAIR": 4,
+        "RR_KN": 2,
+        "NORM_H": 2 * R2 / n + 2 * c * c * (n * t - n + 3 * t * t - 7 * t + 5),
+        "IP_H_HTILDE": 2 * c * c * (14 - 3 * t),
+        "NORM_HTILDE": -12 * c * c,
     }
 
 
@@ -369,23 +368,22 @@ def _exact_norm2(model: CurvatureModel, norm_source: str):
     """|R|^2 as an exact Fraction when c is rational, else a float."""
     if norm_source not in ("claimed", "computed"):
         raise ValueError(f"unknown norm_source {norm_source!r}")
-    c = model.c
-    exact_c = _exact_c(c)
-    n, t = model.n, model.tau
-    if exact_c is not None:
-        c2 = exact_c * exact_c
-        if norm_source == "claimed":
-            return 2 * c2 * n * (5 * t * t + 3 * n * t + 4 * t + n - 1)
-        return 2 * c2 * n * (n - 1 + 3 * n * t + 12 * t - 3 * t * t)
-    return (norm2_closed_claimed(n, t, c) if norm_source == "claimed"
-            else norm2_closed_derived(n, t, c))
+    exact_c = _exact_c(model.c)
+    form = (norm2_closed_claimed if norm_source == "claimed"
+            else norm2_closed_derived)
+    return form(model.n, model.tau, model.c if exact_c is None else exact_c)
+
+
+def conformal_coefficients(n, lam, R2) -> tuple:
+    """Coefficients of mu^2, mu and 1 in the conformal-direction quadratic
+    q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2."""
+    return 2 * (n - 1), -8 * lam, (4 - n) * R2
 
 
 def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
                     norm_source: str = "claimed"):
-    """Value of the conformal-direction quadratic at Laplace eigenvalue mu.
-
-        q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2
+    """Value of the conformal-direction quadratic q(mu)
+    (``conformal_coefficients``) at Laplace eigenvalue mu.
 
     mu defaults to the first positive Laplace eigenvalue of the compact
     model from the embedded reference table; passing mu explicitly is
@@ -399,8 +397,10 @@ def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
             "conformal certification is only available for exponent p = 2; "
             "no spectral reference values are tabulated for other exponents"
         )
-    n, t = model.n, model.tau
+    n = model.n
     exact_c = _exact_c(model.c)
+    lam = (model.lam if exact_c is None
+           else einstein_constant(n, model.tau, exact_c))
 
     if mu is None:
         if not model.compact:
@@ -409,18 +409,15 @@ def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
                 "pass mu explicitly"
             )
         ratio = reference_mu_over_lambda(model.family, model.m, n=n)
-        if exact_c is not None:
-            mu = ratio * exact_c * (3 * t + n - 1)
-        else:
-            mu = float(ratio) * model.lam
+        mu = ratio * lam if exact_c is not None else float(ratio) * lam
 
     R2 = _exact_norm2(model, norm_source)
     if exact_c is not None and isinstance(mu, Rational):
         mu = Fraction(mu)
-        lam = exact_c * (3 * t + n - 1)
-        return 2 * (n - 1) * mu * mu - 8 * lam * mu + (4 - n) * R2
-    mu = float(mu)
-    return 2.0 * (n - 1) * mu * mu - 8.0 * model.lam * mu + (4 - n) * float(R2)
+    else:
+        mu, lam, R2 = float(mu), model.lam, float(R2)
+    a, b, k = conformal_coefficients(n, lam, R2)
+    return a * mu * mu + b * mu + k
 
 
 def hp_scale(p: float, R_norm2: float) -> float:
@@ -440,9 +437,7 @@ def hp_scale(p: float, R_norm2: float) -> float:
 def _threshold_claim(model: CurvatureModel) -> str:
     if not model.compact:
         return f"p >= n/2 = {model.n / 2:g}"
-    if model.family == "sphere":
-        return "p >= 2"
-    if model.family == "complex":
+    if model.family in ("sphere", "complex"):
         return "p >= 2"
     if model.family == "quaternionic":
         return f"p >= 2m = {2 * model.m}"

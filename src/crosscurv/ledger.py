@@ -22,7 +22,9 @@ Three chains are implemented:
 Each chain returns the independently derived coefficient set next to the
 reference display it is checked against, with per-term match flags.  A
 mismatch is recorded as a finding; the derived set is never altered to
-force agreement.
+force agreement.  The reference displays are the coefficient functions
+``hessian`` certifies with, called on the symbols; ``LAM_RULE`` and the
+norm closed form are the ``models`` functions.
 
 Every coefficient is a rational function of these symbols; in fact all of
 them are polynomials in c, tau, lam, mu, R2 and 1/n.  Two exact rules
@@ -59,6 +61,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from crosscurv.hessian import (
+    compact_tt_coefficients,
+    conformal_coefficients,
+    noncompact_tt_coefficients,
+)
+from crosscurv.models import einstein_constant, norm2_closed_claimed
 from crosscurv.tensors import (
     CurvTensor4,
     compose_and_ricci,
@@ -98,7 +106,8 @@ def _symbolic() -> SimpleNamespace:
     """Import sympy and create the ledger symbols, ``SYM`` and ``LAM_RULE``.
 
     Runs once, on the first symbolic call; ``symbols`` unpacks as
-    ``c, n, tau, lam, mu, R2``.
+    ``c, n, tau, lam, mu, R2``, and ``model`` carries them as a model's
+    n, tau, c and R_norm2 for the ``hessian`` coefficient functions.
     """
     import sympy as sp
 
@@ -108,7 +117,8 @@ def _symbolic() -> SimpleNamespace:
     return SimpleNamespace(
         symbols=symbols,
         SYM=dict(zip(names, symbols)),
-        LAM_RULE={lam: c * (3 * tau + n - 1)},
+        LAM_RULE={lam: einstein_constant(n, tau, c)},
+        model=SimpleNamespace(n=n, tau=tau, c=c, R_norm2=R2),
     )
 
 
@@ -365,19 +375,32 @@ def _compare(display: LedgerExpr, computed: LedgerExpr) -> list:
     return rows
 
 
-def tt_display_compact() -> LedgerExpr:
-    """Reference coefficient display for the compact trace-free chain."""
-    import sympy as sp
-
+def _half_expression(rr_coeff) -> LedgerExpr:
+    """The trace-free half expression both trace-free chains start from,
+    with exterior-pairing coefficient ``rr_coeff``."""
     c, n, tau, lam, mu, R2 = _symbolic().symbols
+    return LedgerExpr({
+        "NORM_DDH": 1,
+        "IP_DDH_RRING": -3,
+        "NORM_RRING": 2,
+        "IP_DDH_H": lam,
+        "IP_RRING_H": -2 * lam,
+        "NORM_H": R2 / n,
+        "RR_KN": rr_coeff,
+        "K_PAIR": 2,
+        "R_RBAR": -4,
+    })
+
+
+def tt_display_compact() -> LedgerExpr:
+    """Reference coefficient display for the compact trace-free chain: two
+    derivative terms plus the certified remainder set."""
+    sym = _symbolic()
+    c, n, tau = sym.symbols[:3]
     return LedgerExpr({
         "NORM_DDH_SHIFT": 2,
         "NORM_DH": 2 * c * (n + 3 * tau - 3),
-        "NORM_RRING": sp.Rational(-1, 2),
-        "K_PAIR": 4,
-        "IP_H_HTILDE": 2 * c**2 * (3 * n - 3 * tau + 11),
-        "NORM_H": 2 * R2 / n + 2 * c**2 * (3 * tau**2 + n * tau - 8 * tau - 1),
-        "NORM_HTILDE": -48 * c**2,
+        **compact_tt_coefficients(sym.model),
     })
 
 
@@ -414,20 +437,9 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
     import sympy as sp
 
     sym = _symbolic()
-    c, n, tau, lam, mu, R2 = sym.symbols
     rr_coeff = sp.Integer(1 if variant == "printed" else 2)
     steps: list[str] = [f"start: half expression, RR_KN coefficient {rr_coeff}"]
-    e = LedgerExpr({
-        "NORM_DDH": 1,
-        "IP_DDH_RRING": -3,
-        "NORM_RRING": 2,
-        "IP_DDH_H": lam,
-        "IP_RRING_H": -2 * lam,
-        "NORM_H": R2 / n,
-        "RR_KN": rr_coeff,
-        "K_PAIR": 2,
-        "R_RBAR": -4,
-    })
+    e = _half_expression(rr_coeff)
     _complete_square(e, steps)
     _apply_integration_by_parts(e, steps)
     _apply_kn_reduction(e, steps)
@@ -469,13 +481,10 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
 
     assembly='corrected' uses the exterior-pairing coefficient 4 in the
     unbracketed display (the value forced by self-consistency); the result
-    reproduces the reference polynomial
-
-        2 (n - 1) mu^2 - 8 lam mu + (4 - n) R2
-
-    exactly.  assembly='printed' keeps the displayed coefficient 2 and
-    lands on -4 lam and (3 - n) R2 instead; the comparison rows record the
-    two mismatches as a finding.
+    reproduces the reference polynomial q(mu)
+    (``hessian.conformal_coefficients``) exactly.  assembly='printed' keeps
+    the displayed coefficient 2 and lands on -4 lam and (3 - n) R2 instead;
+    the comparison rows record the two mismatches as a finding.
     """
     if assembly not in ("corrected", "printed"):
         raise ValueError(f"unknown assembly {assembly!r}")
@@ -513,11 +522,8 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
         for k, v in p.coeffs.items():
             total.add_term(k, v)
     total = total.simplified()
-    reference = LedgerExpr({
-        "NORM_DELTAF": 2 * (n - 1),
-        "NORM_DF": -8 * lam,
-        "NORM_F": (4 - n) * R2,
-    })
+    reference = LedgerExpr(dict(zip(("NORM_DELTAF", "NORM_DF", "NORM_F"),
+                                    conformal_coefficients(n, lam, R2))))
     return ConformalExpansion(
         assembly=assembly,
         coefficients=total,
@@ -548,19 +554,9 @@ def noncompact_chain() -> NoncompactChain:
     import sympy as sp
 
     sym = _symbolic()
-    c, n, tau, lam, mu, R2 = sym.symbols
+    lam = sym.SYM["lam"]
     steps: list[str] = ["start: half expression, RR_KN kept unreduced"]
-    e = LedgerExpr({
-        "NORM_DDH": 1,
-        "IP_DDH_RRING": -3,
-        "NORM_RRING": 2,
-        "IP_DDH_H": lam,
-        "IP_RRING_H": -2 * lam,
-        "NORM_H": R2 / n,
-        "RR_KN": 1,
-        "K_PAIR": 2,
-        "R_RBAR": -4,
-    })
+    e = _half_expression(1)
     # Berger completion: bracket + lam terms
     #   = SHIFT2 - lam BERGER_IP - (1/4) NORM_RRING   (exact)
     expected = {"NORM_DDH": sp.Integer(1), "IP_DDH_RRING": sp.Integer(-3),
@@ -596,15 +592,7 @@ def noncompact_chain() -> NoncompactChain:
     e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
     steps.append("substitute lam -> c(3 tau + n - 1), double")
 
-    claimed = LedgerExpr({
-        "NORM_RRING": sp.Rational(-1, 2),
-        "K_PAIR": 4,
-        "RR_KN": 2,
-        "NORM_H": 2 * R2 / n
-        + 2 * c**2 * (n * tau - n + 3 * tau**2 - 7 * tau + 5),
-        "IP_H_HTILDE": 2 * c**2 * (14 - 3 * tau),
-        "NORM_HTILDE": -12 * c**2,
-    })
+    claimed = LedgerExpr(noncompact_tt_coefficients(sym.model))
     return NoncompactChain(
         claimed=claimed,
         derived=e,
@@ -687,8 +675,7 @@ def _ev_compose_self_structure(model, rng):
 
 
 def _ev_norm_closed_form(model, rng):
-    nn, t = model.n, model.tau
-    claimed = 2.0 * model.c**2 * nn * (5 * t * t + 3 * nn * t + 4 * t + nn - 1)
+    claimed = norm2_closed_claimed(model.n, model.tau, model.c)
     direct = model.R_norm2
     return {
         "residual": abs(direct - claimed) / max(1.0, abs(direct)),

@@ -27,6 +27,7 @@ runs over the algebra units 0..tau and i over the coordinates 0..m-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -379,8 +380,8 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     (self-contraction proportional to g), and agreement of the three ways of
     computing |R|^2.
     """
-    if c == 0:
-        raise ValueError("curvature scale c must be nonzero")
+    if c == 0 or not math.isfinite(c):
+        raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
     J = build_j_structure(family, m, n=n)
     nn = J.n
     tau = J.tau
@@ -395,13 +396,16 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
             f"frame audit failed: rule {worst} residual {audit.residuals[worst]:.3e}"
         )
 
-    lam = c * (3 * tau + nn - 1)
+    lam = einstein_constant(nn, tau, c)
     ric = ricci(R).entries
     eres = float(np.max(np.abs(ric - lam * np.eye(nn))))
     if eres > 1e-12 * max(1.0, abs(lam)):
         raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
 
-    norm_direct = R.norm2()
+    with np.errstate(over="ignore"):
+        norm_direct = R.norm2()
+    if not math.isfinite(norm_direct):
+        raise ModelValidationError(f"|R|^2 overflows: {norm_direct}")
     chk = check_tensor(R).entries
     crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(nn))))
     if crit > 1e-10 * max(1.0, norm_direct / nn):
@@ -428,10 +432,18 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
 # ---------------------------------------------------------------------------
 # closed forms and reference data
 # ---------------------------------------------------------------------------
+# Each closed form is written once with integer literals, so floats, exact
+# Fractions and sympy symbols all go through the same arithmetic.  Keep the
+# float evaluation order (2 * c * c, not c ** 2): the documents pin its bits.
+
+def einstein_constant(n, tau, c):
+    """Einstein constant lam = c (3 tau + n - 1) of the model tensor."""
+    return c * (3 * tau + n - 1)
+
 
 def norm2_closed_claimed(n: int, tau: int, c: float = 1.0) -> float:
     """The claimed closed form 2 c^2 n (5 tau^2 + 3 n tau + 4 tau + n - 1)."""
-    return 2.0 * c * c * n * (5 * tau * tau + 3 * n * tau + 4 * tau + n - 1)
+    return 2 * c * c * n * (5 * tau * tau + 3 * n * tau + 4 * tau + n - 1)
 
 
 def norm2_closed_derived(n: int, tau: int, c: float = 1.0) -> float:
@@ -442,7 +454,7 @@ def norm2_closed_derived(n: int, tau: int, c: float = 1.0) -> float:
     Agrees with the claimed form exactly when tau <= 1 and differs by
     16 c^2 n tau (tau - 1) for the quaternionic and octonionic families.
     """
-    return 2.0 * c * c * n * (n - 1 + 3 * n * tau + 12 * tau - 3 * tau * tau)
+    return 2 * c * c * n * (n - 1 + 3 * n * tau + 12 * tau - 3 * tau * tau)
 
 
 def _ratio_table(family: str, m: int, n: int) -> Fraction:
@@ -454,19 +466,6 @@ def _ratio_table(family: str, m: int, n: int) -> Fraction:
     if family == "quaternionic":
         return Fraction(4 * m * (5 * m + 7), (m + 2) ** 2)
     return Fraction(416, 27)
-
-
-def _ratio_closed(family: str, m: int, n: int) -> Fraction:
-    """Ratio implied by the claimed norm closed form."""
-    tau = _TAU[family]
-    num = 2 * n * (5 * tau * tau + 3 * n * tau + 4 * tau + n - 1)
-    return Fraction(num, (3 * tau + n - 1) ** 2)
-
-
-def _ratio_derived(family: str, m: int, n: int) -> Fraction:
-    tau = _TAU[family]
-    num = 2 * n * (n - 1 + 3 * n * tau + 12 * tau - 3 * tau * tau)
-    return Fraction(num, (3 * tau + n - 1) ** 2)
 
 
 def reference_mu_over_lambda(family: str, m: int, n: int | None = None) -> Fraction:
@@ -499,9 +498,11 @@ def reference_constants(family: str, m: int, n: int | None = None) -> dict:
     if family == "sphere" and n is None:
         raise ValueError("sphere needs n")
     nn = {"sphere": n, "complex": 2 * m, "quaternionic": 4 * m, "octonionic": 16}[family]
-    closed = _ratio_closed(family, m, nn)
+    tau = _TAU[family]
+    lam2 = einstein_constant(nn, tau, 1) ** 2
+    closed = Fraction(norm2_closed_claimed(nn, tau, 1), lam2)
     table = _ratio_table(family, m, nn)
-    derived = _ratio_derived(family, m, nn)
+    derived = Fraction(norm2_closed_derived(nn, tau, 1), lam2)
     table_flag = None
     computed_flag = None
     if table != closed:
@@ -518,7 +519,7 @@ def reference_constants(family: str, m: int, n: int | None = None) -> dict:
         "family": family,
         "m": m,
         "n": nn,
-        "tau": _TAU[family],
+        "tau": tau,
         "ratio_closed_form": closed,
         "ratio_table": table,
         "ratio_derived": derived,

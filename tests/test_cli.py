@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,11 @@ CONFIG_ERRORS = [
     ["model", "--config", "/nonexistent/path.cfg"],
     ["model", "--space", "cp", "--m", "2", "--format", "xml"],
     ["bogus"],
+    ["model", "--space", "hp", "--m", "1", "--c", "nan"],
+    ["model", "--space", "hp", "--m", "1", "--c", "inf"],
+    ["certify", "--space", "cp", "--m", "2", "--p", "nan"],
+    ["certify", "--space", "cp", "--m", "2", "--p", "inf"],
+    ["verify", "--space", "cp", "--m", "2", "--tol", "nan"],
 ]
 
 
@@ -85,11 +91,12 @@ def test_validation_gate_exits_3(monkeypatch):
     assert "validation" in err
 
 
-def test_eigensolver_failure_exits_5(monkeypatch):
+@pytest.mark.parametrize("command", ["certify", "report"])
+def test_eigensolver_failure_exits_5(monkeypatch, command):
     def boom(*a, **k):
         raise JacobiConvergenceError("synthetic divergence")
     monkeypatch.setattr(cli, "stability_verdict", boom)
-    code, _, err = run(["certify", "--space", "cp", "--m", "2", *FAST])
+    code, _, err = run([command, "--space", "cp", "--m", "2", *FAST])
     assert code == 5
     assert "eigensolver" in err
 
@@ -226,3 +233,18 @@ def test_memory_estimate_bounds_traced_peak(args, n):
         tracemalloc.stop()
     assert code == 0
     assert peak <= cli.memory_estimate(n)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("command", ["model", "certify"])
+@pytest.mark.parametrize("name,args", [
+    ("op2", ["--space", "op", "--m", "2"]),
+    ("hp2_dual", ["--space", "hp", "--m", "2", "--sign", "noncompact"]),
+])
+def test_numeric_documents_are_pinned(command, name, args):
+    code, out, err = run([command, *args, "--format", "json", "--seed", "3"])
+    assert code == 0, err
+    golden = (GOLDEN / f"{command}_{name}.json").read_text(encoding="utf-8")
+    assert out == golden

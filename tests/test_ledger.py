@@ -27,7 +27,16 @@ from crosscurv.ledger import (
     quadratic_completion_checks,
     verify_identity_numeric,
 )
-from crosscurv.models import build_model
+from crosscurv.hessian import (
+    compact_tt_coefficients,
+    conformal_value,
+    noncompact_tt_coefficients,
+)
+from crosscurv.models import (
+    build_model,
+    norm2_closed_claimed,
+    reference_mu_over_lambda,
+)
 
 c, n, tau, lam, mu, R2 = (SYM[k] for k in ("c", "n", "tau", "lam", "mu", "R2"))
 
@@ -288,3 +297,51 @@ def test_ledger_flags_are_exact_and_unchanged():
     chains = [r["chain"].split("-")[0] for r in rows]
     assert (chains.count("tt"), chains.count("conformal"),
             chains.count("noncompact")) == (7, 6, 6)
+
+
+# ------------------------------------------- ledger against the certificate
+
+
+@pytest.mark.parametrize("family,m,scale,nkw", [
+    ("complex", 2, 1.0, None), ("complex", 3, 1.0, None),
+    ("quaternionic", 2, 1.0, None), ("octonionic", 2, 1.0, None),
+    ("sphere", 0, 1.0, 5),
+    ("quaternionic", 2, -1.0, None), ("complex", 2, -1.0, None),
+])
+def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
+    """The rows the ledger audits, evaluated at a model, are the numbers the
+    certificate of that model uses."""
+    model = build_model(family, m, scale, n=nkw)
+    at = {c: model.c, n: model.n, tau: model.tau, R2: model.R_norm2}
+    assert LAM_RULE[lam].subs(at) == model.lam
+
+    if model.compact:
+        rows = _coeff_map(expand_theorem_tt().comparisons)
+        certified = compact_tt_coefficients(model)
+        assert len(certified) == 5
+    else:
+        rows = _coeff_map(noncompact_chain().comparisons)
+        certified = noncompact_tt_coefficients(model)
+        assert len(certified) == 6
+    for key, want in certified.items():
+        got = float(rows[key]["claimed"].subs(at))
+        assert abs(got - float(want)) <= 1e-15 * abs(float(want)), key
+
+    # conformal reference rows at the model's lambda, mu and claimed |R|^2
+    exact_lam = sp.Rational(int(model.lam))
+    if model.compact:
+        ratio = reference_mu_over_lambda(model.family, model.m, n=model.n)
+        mu_arg, mu_value = None, sp.Rational(ratio.numerator,
+                                             ratio.denominator) * exact_lam
+    else:
+        mu_arg, mu_value = 3, sp.Integer(3)
+    want = conformal_value(model, mu=mu_arg, norm_source="claimed")
+    claimed_R2 = sp.Rational(int(norm2_closed_claimed(model.n, model.tau,
+                                                      model.c)))
+    exact = {n: model.n, lam: exact_lam, R2: claimed_R2}
+    for assembly in ("corrected", "printed"):
+        ref = _coeff_map(expand_theorem_conformal(assembly).comparisons)
+        got = (ref["NORM_DELTAF"]["claimed"] * mu_value**2
+               + ref["NORM_DF"]["claimed"] * mu_value
+               + ref["NORM_F"]["claimed"]).subs(exact)
+        assert got == sp.Rational(want.numerator, want.denominator), assembly

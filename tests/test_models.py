@@ -224,6 +224,18 @@ def test_validation_errors():
         build_model("nonsense", 2, 1.0)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scale_is_refused(c):
+    with pytest.raises(ValueError):
+        build_model("quaternionic", 1, c)
+
+
+def test_overflowing_norm_is_refused():
+    # R itself is finite at c = 1e200; its squared norm is not
+    with pytest.raises(ModelValidationError):
+        build_model("quaternionic", 1, 1e200)
+
+
 def test_scale_covariance():
     a = build_model("complex", 2, 1.0)
     b = build_model("complex", 2, 0.5)
