@@ -17,8 +17,9 @@ Flags: --space {sphere,cp,hp,op} --m INT --n INT (sphere only)
 
 A config file holds key=value lines ('#' starts a comment); command-line
 flags override file values; a non-finite --c, --p or --tol is a config
-error.  Exit codes: 0 success, 2 config error, 3 model-validation failure,
-4 required-identity failure, 5 numeric failure.
+error.  Exit codes: 0 success, 2 config error, 3 model-validation failure
+(also a scale |c| outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4
+required-identity failure, 5 numeric failure.
 Reports with identical configs and seeds are byte-identical.
 
 Input budget: a model whose estimated peak memory (``memory_estimate``)
@@ -45,8 +46,8 @@ from crosscurv.ledger import (
 from crosscurv.models import (
     ModelValidationError,
     build_model,
+    family_dimension,
     model_constants,
-    reference_constants,
 )
 from crosscurv.report import ReportDocument
 
@@ -181,21 +182,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError("--space is required")
         if cfg["space"] not in SPACE_TO_FAMILY:
             raise ConfigError(f"unknown space {cfg['space']!r}")
-        if cfg["space"] == "sphere":
-            if cfg["n"] is None:
-                raise ConfigError("--space sphere requires --n")
-            if cfg["n"] < 3:
-                raise ConfigError("sphere dimension must be at least 3")
-        elif cfg["n"] is not None:
-            raise ConfigError("--n applies to --space sphere only")
-        if cfg["space"] == "cp" and cfg["m"] < 2:
-            raise ConfigError("cp needs m >= 2")
-        if cfg["space"] == "hp" and cfg["m"] < 1:
-            raise ConfigError("hp needs m >= 1")
-        if cfg["space"] == "op" and cfg["m"] != 2:
-            raise ConfigError("op exists only for m = 2")
-        n = reference_constants(SPACE_TO_FAMILY[cfg["space"]], cfg["m"],
-                                cfg["n"])["n"]
+        try:
+            n = family_dimension(SPACE_TO_FAMILY[cfg["space"]], cfg["m"],
+                                 cfg["n"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         need = memory_estimate(n)
         if need > MEMORY_BUDGET_BYTES:
             raise ConfigError(

@@ -119,7 +119,6 @@ class QuadForm:
     n: int
     dim: int
     matrix: np.ndarray = field(repr=False)
-    coefficients: dict = field(default_factory=dict)
     provenance: str = ""
     basis: np.ndarray = field(default=None, repr=False)
 
@@ -141,9 +140,8 @@ def assemble_quadform(model: CurvatureModel, coeffs: dict,
     B = tt_basis(n)
     M = B.T @ G @ B
     M = 0.5 * (M + M.T)
-    return QuadForm(n=n, dim=B.shape[1], matrix=M,
-                    coefficients={k: float(v) for k, v in coeffs.items()},
-                    provenance=provenance, basis=B)
+    return QuadForm(n=n, dim=B.shape[1], matrix=M, provenance=provenance,
+                    basis=B)
 
 
 def compact_tt_coefficients(model: CurvatureModel) -> dict:
@@ -174,25 +172,14 @@ def noncompact_tt_coefficients(model: CurvatureModel) -> dict:
     }
 
 
-def assemble_tt_remainder(model: CurvatureModel, regime: str | None = None) -> QuadForm:
-    """Trace-free remainder form for the model's curvature sign.
-
-    regime may be passed explicitly ('compact' or 'noncompact') but must
-    agree with the sign of the model's curvature scale.
-    """
-    actual = "compact" if model.compact else "noncompact"
-    if regime is None:
-        regime = actual
-    if regime not in ("compact", "noncompact"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if regime != actual:
-        raise ValueError(
-            f"regime {regime!r} conflicts with curvature scale c = {model.c}"
-        )
-    coeffs = (compact_tt_coefficients(model) if regime == "compact"
-              else noncompact_tt_coefficients(model))
-    return assemble_quadform(model, coeffs,
-                             provenance=f"tt-remainder/{regime}")
+def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
+    """Trace-free remainder form for the sign of the model's curvature
+    scale."""
+    if model.compact:
+        return assemble_quadform(model, compact_tt_coefficients(model),
+                                 provenance="tt-remainder/compact")
+    return assemble_quadform(model, noncompact_tt_coefficients(model),
+                             provenance="tt-remainder/noncompact")
 
 
 def family_bound_form(family: str, variant: str = "repaired") -> dict:

@@ -19,6 +19,15 @@ Three chains are implemented:
   expand_theorem_conformal pure-trace (conformal) variations
   noncompact_chain         trace-free variations, negative curvature scale
 
+Each chain starts from the half expression and applies named rewrites
+from one table (``_rewrites``): integration by parts A1, the curvature
+action A2, the exterior-pairing reduction A3, the two readings of the
+composed trace A4, and the square and Berger completions.  One function,
+``_rewrite``, applies an entry.  The checks read the same table:
+``quadratic_completion_checks`` verifies both completions from their
+entries, and the catalog evaluators of A2 and A3 call the coefficient
+functions the table is built from, so a checked rule is the applied rule.
+
 Each chain returns the independently derived coefficient set next to the
 reference display it is checked against, with per-term match flags.  A
 mismatch is recorded as a finding; the derived set is never altered to
@@ -224,43 +233,20 @@ class LedgerExpr:
 
 
 # ---------------------------------------------------------------------------
-# rewrite axioms
+# rewrite table
 # ---------------------------------------------------------------------------
 
-def _apply_integration_by_parts(e: LedgerExpr, log: list) -> None:
-    """A1: <A, h> integrates to the gradient norm of h."""
-    k = e.pop_term("IP_DDH_H")
-    if k != 0:
-        e.add_term("NORM_DH", k)
-        log.append("A1: IP_DDH_H -> NORM_DH")
+def _curvature_action_coefficients(c):
+    """A2: on a symmetric h the curvature action is the affine combination
+    B = 3c ht - c h + c tr(h) g; returns the coefficients of ht, h and
+    tr(h) g.  On trace-free h the last term drops."""
+    return 3 * c, -c, c
 
 
-def _apply_curvature_action(e: LedgerExpr, log: list) -> None:
-    """A2: on trace-free h the curvature action is B = 3 c ht - c h, used
-    only inside inner products against h and ht (never on NORM_RRING)."""
-    c = _symbolic().SYM["c"]
-    k1 = e.pop_term("IP_RRING_H")
-    if k1 != 0:
-        e.add_term("IP_H_HTILDE", 3 * c * k1)
-        e.add_term("NORM_H", -c * k1)
-        log.append("A2: IP_RRING_H -> 3c IP_H_HTILDE - c NORM_H")
-    k2 = e.pop_term("IP_RRING_HTILDE")
-    if k2 != 0:
-        e.add_term("NORM_HTILDE", 3 * c * k2)
-        e.add_term("IP_H_HTILDE", -c * k2)
-        log.append("A2: IP_RRING_HTILDE -> 3c NORM_HTILDE - c IP_H_HTILDE")
-
-
-def _apply_kn_reduction(e: LedgerExpr, log: list) -> None:
-    """A3: the claimed reduction of the exterior pairing; carried by the
-    chain even though the identity fails numerically on every model (see
-    the identity catalog entry kn-pairing-reduction)."""
-    c, n, tau, lam, mu, R2 = _symbolic().symbols
-    k = e.pop_term("RR_KN")
-    if k != 0:
-        e.add_term("IP_RRING_H", k * c * (n + tau + 1))
-        e.add_term("NORM_H", k * 4 * c**2 * n)
-        log.append("A3: RR_KN -> c(n+tau+1) IP_RRING_H + 4c^2 n NORM_H")
+def _kn_reduction_coefficients(n, tau, c):
+    """A3: the claimed reduction <R o R, h ^ h> = c (n + tau + 1) <B, h>
+    + 4 c^2 n |h|^2; returns the coefficients of <B, h> and |h|^2."""
+    return c * (n + tau + 1), 4 * c**2 * n
 
 
 def a4_variants() -> dict:
@@ -293,63 +279,107 @@ def a4_variants() -> dict:
     return {"printed": printed, "composed": composed, "difference": diff}
 
 
-def _apply_composed_trace(e: LedgerExpr, a4: str, log: list) -> None:
-    """A4: reduce the composed-trace pairing R_RBAR."""
-    k = e.pop_term("R_RBAR")
-    if k == 0:
-        return
-    expansion = a4_variants()[a4]
-    for key, v in expansion.coeffs.items():
-        e.add_term(key, k * v)
-    log.append(f"A4[{a4}]: R_RBAR expanded")
+def _bracket() -> dict:
+    """The bracket NORM_DDH - 3 IP_DDH_RRING + 2 NORM_RRING + lam IP_DDH_H
+    - 2 lam IP_RRING_H that opens the half expression."""
+    lam = _symbolic().SYM["lam"]
+    return {"NORM_DDH": 1, "IP_DDH_RRING": -3, "NORM_RRING": 2,
+            "IP_DDH_H": lam, "IP_RRING_H": -2 * lam}
 
 
-def _complete_square(e: LedgerExpr, log: list) -> None:
-    """Exact rewrite NORM_DDH - 3 IP_DDH_RRING + 2 NORM_RRING
-    = NORM_DDH_SHIFT - (1/4) NORM_RRING."""
+@lru_cache(maxsize=None)
+def _rewrites() -> dict:
+    """The rewrite table: name -> (lhs, rhs), each a dict of basis id ->
+    coefficient, read as lhs = rhs.  The first lhs term has coefficient 1.
+
+    The chains apply these entries through ``_rewrite`` and
+    ``quadratic_completion_checks`` verifies the two completions from the
+    same entries.  A2 is used only inside inner products against h and ht,
+    never on NORM_RRING.  A3 fails numerically on every model (catalog entry
+    kn-pairing-reduction) and is carried by the chain anyway.
+    """
     import sympy as sp
 
-    a = e.pop_term("NORM_DDH")
-    b = e.pop_term("IP_DDH_RRING")
-    if not _is_zero(b + 3 * a):
-        raise ValueError("square completion expects the -3:1 bracket shape")
-    e.add_term("NORM_DDH_SHIFT", a)
-    e.add_term("NORM_RRING", -sp.Rational(9, 4) * a)
-    log.append("square completion: NORM_DDH - 3 IP_DDH_RRING "
-               "-> NORM_DDH_SHIFT - (9/4) NORM_RRING")
+    c, n, tau, lam, mu, R2 = _symbolic().symbols
+    on_ht, on_h, _ = _curvature_action_coefficients(c)
+    on_b, on_norm = _kn_reduction_coefficients(n, tau, c)
+    a4 = a4_variants()
+    return {
+        "A1": ({"IP_DDH_H": 1}, {"NORM_DH": 1}),
+        "A2[h]": ({"IP_RRING_H": 1}, {"IP_H_HTILDE": on_ht, "NORM_H": on_h}),
+        "A2[ht]": ({"IP_RRING_HTILDE": 1},
+                   {"NORM_HTILDE": on_ht, "IP_H_HTILDE": on_h}),
+        "A3": ({"RR_KN": 1}, {"IP_RRING_H": on_b, "NORM_H": on_norm}),
+        "A4[printed]": ({"R_RBAR": 1}, a4["printed"].coeffs),
+        "A4[composed]": ({"R_RBAR": 1}, a4["composed"].coeffs),
+        "square completion": ({"NORM_DDH": 1, "IP_DDH_RRING": -3},
+                              {"NORM_DDH_SHIFT": 1,
+                               "NORM_RRING": sp.Rational(-9, 4)}),
+        "Berger completion": (_bracket(),
+                              {"SHIFT2": 1, "BERGER_IP": -lam,
+                               "NORM_RRING": sp.Rational(-1, 4)}),
+    }
 
 
-def quadratic_completion_checks() -> dict:
-    """Exact verification of the two square completions over the abstract
-    quadratic ring in (A, B, h).  Keys are monomials AA, AB, AH, BB, BH, HH.
-    Returns both sides of each identity for test assertions."""
+def _rewrite(e: LedgerExpr, name: str, log: list) -> None:
+    """Apply table entry ``name`` to e in place.
+
+    k is e's coefficient of the first lhs term; every other lhs term of e
+    must be exactly k times its lhs coefficient.  The lhs terms are removed
+    and k times the rhs is added; nothing is logged when k is 0.
+    """
+    lhs, rhs = _rewrites()[name]
+    first, *rest = lhs
+    k = e.coefficient(first)
+    for key in rest:
+        if not _is_zero(e.coefficient(key) - k * lhs[key]):
+            raise ValueError(f"{name} expects {key} = {k * lhs[key]}")
+    for key in lhs:
+        e.pop_term(key)
+    if k != 0:
+        for key, v in rhs.items():
+            e.add_term(key, k * v)
+        log.append(f"{name}: {', '.join(lhs)} -> {', '.join(rhs)}")
+
+
+def _over_ring(e: LedgerExpr) -> dict:
+    """e expanded over the abstract quadratic ring in (A, B, h), by the
+    definitions of the basis quantities; keys are the monomials AA, AB, AH,
+    BB, BH, HH, and zero monomials drop."""
     import sympy as sp
 
     lam = _symbolic().SYM["lam"]
-    bracket = {"AA": sp.Integer(1), "AB": sp.Integer(-3), "BB": sp.Integer(2),
-               "AH": lam, "BH": -2 * lam}
-    shift_sq = {"AA": sp.Integer(1), "AB": sp.Integer(-3),
-                "BB": sp.Rational(9, 4)}
-    completion1 = dict(shift_sq)
-    completion1["BB"] = completion1["BB"] - sp.Rational(1, 4)
-    completion1["AH"] = lam
-    completion1["BH"] = -2 * lam
-
-    shift2_sq = {"AA": sp.Integer(1), "AB": sp.Integer(-3),
-                 "BB": sp.Rational(9, 4), "AH": 2 * lam, "BH": -3 * lam,
-                 "HH": lam**2}
-    berger = {"AH": lam, "BH": -lam, "HH": lam**2}
-    completion2 = {}
-    for key in set(shift2_sq) | set(berger):
-        completion2[key] = sp.expand(
-            shift2_sq.get(key, 0) - berger.get(key, 0)
-        )
-    completion2["BB"] = sp.expand(completion2.get("BB", 0) - sp.Rational(1, 4))
-    return {
-        "bracket": bracket,
-        "completion_compact": {k: sp.expand(v) for k, v in completion1.items()},
-        "completion_berger": {k: v for k, v in completion2.items() if v != 0},
+    shift = {"AA": 1, "AB": -3, "BB": sp.Rational(9, 4)}  # |A - (3/2) B|^2
+    ring = {
+        "NORM_DDH": {"AA": 1},
+        "IP_DDH_RRING": {"AB": 1},
+        "NORM_RRING": {"BB": 1},
+        "IP_DDH_H": {"AH": 1},
+        "IP_RRING_H": {"BH": 1},
+        "NORM_DDH_SHIFT": shift,
+        "SHIFT2": {**shift, "AH": 2 * lam, "BH": -3 * lam, "HH": lam**2},
+        "BERGER_IP": {"AH": 1, "BH": -1, "HH": lam},
     }
+    out: dict = {}
+    for key, k in e.coeffs.items():
+        for mono, v in ring[key].items():
+            out[mono] = out.get(mono, 0) + k * v
+    return {mono: sp.expand(v) for mono, v in out.items() if not _is_zero(v)}
+
+
+def quadratic_completion_checks() -> dict:
+    """Exact verification of the two square completions of the rewrite
+    table: each is applied to the bracket of the half expression and both
+    sides are expanded over the quadratic ring in (A, B, h) (``_over_ring``).
+    Returns the bracket and both completions for test assertions."""
+    bracket = LedgerExpr(_bracket())
+    out = {"bracket": _over_ring(bracket)}
+    for key, name in (("completion_compact", "square completion"),
+                      ("completion_berger", "Berger completion")):
+        e = bracket.copy()
+        _rewrite(e, name, [])
+        out[key] = _over_ring(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +410,7 @@ def _half_expression(rr_coeff) -> LedgerExpr:
     with exterior-pairing coefficient ``rr_coeff``."""
     c, n, tau, lam, mu, R2 = _symbolic().symbols
     return LedgerExpr({
-        "NORM_DDH": 1,
-        "IP_DDH_RRING": -3,
-        "NORM_RRING": 2,
-        "IP_DDH_H": lam,
-        "IP_RRING_H": -2 * lam,
+        **_bracket(),
         "NORM_H": R2 / n,
         "RR_KN": rr_coeff,
         "K_PAIR": 2,
@@ -440,11 +466,9 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
     rr_coeff = sp.Integer(1 if variant == "printed" else 2)
     steps: list[str] = [f"start: half expression, RR_KN coefficient {rr_coeff}"]
     e = _half_expression(rr_coeff)
-    _complete_square(e, steps)
-    _apply_integration_by_parts(e, steps)
-    _apply_kn_reduction(e, steps)
-    _apply_composed_trace(e, a4, steps)
-    _apply_curvature_action(e, steps)
+    for name in ("square completion", "A1", "A3", f"A4[{a4}]", "A2[h]",
+                 "A2[ht]"):
+        _rewrite(e, name, steps)
     e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
     steps.append("substitute lam -> c(3 tau + n - 1), double")
     display = tt_display_compact()
@@ -554,41 +578,23 @@ def noncompact_chain() -> NoncompactChain:
     import sympy as sp
 
     sym = _symbolic()
-    lam = sym.SYM["lam"]
     steps: list[str] = ["start: half expression, RR_KN kept unreduced"]
     e = _half_expression(1)
-    # Berger completion: bracket + lam terms
-    #   = SHIFT2 - lam BERGER_IP - (1/4) NORM_RRING   (exact)
-    expected = {"NORM_DDH": sp.Integer(1), "IP_DDH_RRING": sp.Integer(-3),
-                "IP_DDH_H": lam, "IP_RRING_H": -2 * lam}
-    for key, want in expected.items():
-        if not _is_zero(e.pop_term(key) - want):
-            raise ValueError(f"Berger completion expects {key} = {want}")
-    e.add_term("NORM_RRING", -2)  # 2 from the bracket is replaced
-    e.add_term("NORM_RRING", sp.Rational(-1, 4))
-    e.add_term("SHIFT2", 1)
-    e.add_term("BERGER_IP", -lam)
-    steps.append("Berger completion: bracket -> SHIFT2 - lam BERGER_IP "
-                 "- (1/4) NORM_RRING")
-
-    inequality_log = [
-        {"term": "SHIFT2", "coefficient": sp.Integer(2),
-         "dropped": True, "needs": "none (a square)"},
-        {"term": "BERGER_IP", "coefficient": -2 * lam, "dropped": True,
-         "needs": "c < 0 and nonnegativity of the completed pairing"},
-    ]
-    e.pop_term("SHIFT2")
-    e.pop_term("BERGER_IP")
-    steps.append("drop SHIFT2 (square) and -lam BERGER_IP (c < 0)")
-
-    _apply_composed_trace(e, "printed", steps)
-    k_dh = e.pop_term("NORM_DH")
-    inequality_log.append({
-        "term": "NORM_DH", "coefficient": sp.expand(2 * k_dh),
-        "dropped": True, "needs": "c < 0 (coefficient -4c is then positive)",
-    })
-    steps.append("drop -2c NORM_DH (c < 0)")
-    _apply_curvature_action(e, steps)
+    _rewrite(e, "Berger completion", steps)
+    _rewrite(e, "A4[printed]", steps)
+    inequality_log = []
+    for term, needs in (
+        ("SHIFT2", "none (a square)"),
+        ("BERGER_IP", "c < 0 and nonnegativity of the completed pairing"),
+        ("NORM_DH", "c < 0 (coefficient -4c is then positive)"),
+    ):
+        inequality_log.append({
+            "term": term, "coefficient": sp.expand(2 * e.pop_term(term)),
+            "dropped": True, "needs": needs,
+        })
+        steps.append(f"drop {term}: {needs}")
+    for name in ("A2[h]", "A2[ht]"):
+        _rewrite(e, name, steps)
     e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
     steps.append("substitute lam -> c(3 tau + n - 1), double")
 
@@ -643,8 +649,9 @@ def _ev_curvature_action_affine(model, rng):
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
     h = h.entries / np.sqrt(h.norm2())
     lhs = r_ring(model.R, h).entries
-    rhs = (3 * model.c * tilde(h, model.J).entries - model.c * h
-           + model.c * np.trace(h) * np.eye(nn))
+    on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
+    rhs = (on_ht * tilde(h, model.J).entries + on_h * h
+           + on_trace * np.trace(h) * np.eye(nn))
     scale = max(1.0, float(np.max(np.abs(lhs))))
     return {"residual": float(np.max(np.abs(lhs - rhs))) / scale}
 
@@ -688,8 +695,8 @@ def _ev_kn_pairing_reduction(model, rng):
     nn = model.n
     h = _unit_tt(nn, rng)
     lhs = rr_kn_pairing(model.R, h)
-    rhs = (model.c * (nn + model.tau + 1) * sym_inner(r_ring(model.R, h).entries, h)
-           + 4.0 * model.c**2 * nn)
+    on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
+    rhs = on_b * sym_inner(r_ring(model.R, h).entries, h) + on_norm  # |h|^2 = 1
     return {"residual": abs(lhs - rhs) / max(1.0, abs(lhs)),
             "lhs": lhs, "rhs": rhs}
 

@@ -57,6 +57,7 @@ __all__ = [
     "NoSpectralDataError",
     "build_j_structure",
     "build_model",
+    "family_dimension",
     "frame_rule_audit",
     "model_constants",
     "norm2_closed_claimed",
@@ -68,6 +69,10 @@ __all__ = [
 FAMILIES = ("sphere", "complex", "quaternionic", "octonionic")
 
 _TAU = {"sphere": 0, "complex": 1, "quaternionic": 3, "octonionic": 7}
+
+#: the curvature scales |c| the certificates are verified for; outside it
+#: the Frobenius norms of the forms over- or underflow
+SCALE_RANGE = (1e-6, 1e6)
 
 
 class ModelValidationError(RuntimeError):
@@ -151,46 +156,59 @@ def _structure_from_table(idx: np.ndarray, sgn: np.ndarray, m: int,
     return ops
 
 
-def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
-    """Construct the structure family; validates all operator invariants.
+def family_dimension(family: str, m: int, n: int | None = None) -> int:
+    """Dimension of one family member; ValueError if it does not exist.
 
-    sphere: tau=0, any n >= 3 (m ignored).  complex: n=2m, m >= 2.
-    quaternionic: n=4m, m >= 1.  octonionic: n=16, m=2 only.
+    sphere: any n >= 3 (m ignored).  complex: n = 2m, m >= 2.
+    quaternionic: n = 4m, m >= 1.  octonionic: n = 16, m = 2 only.  An
+    explicit n is accepted for the sphere only.
     """
     if family == "sphere":
         if n is None or n < 3:
             raise ValueError("sphere needs an explicit dimension n >= 3")
-        return JStructure(n=n, tau=0, operators=[], family=family)
-    if family == "complex":
-        if m < 2:
-            raise ValueError("complex family needs m >= 2")
-        ops = _structure_from_table(*complex_table(), m=m, side="right")
-    elif family == "quaternionic":
-        if m < 1:
-            raise ValueError("quaternionic family needs m >= 1")
-        ops = _structure_from_table(*quaternion_table(), m=m, side="right")
-    elif family == "octonionic":
-        if m != 2:
-            raise ValueError("octonionic family exists only for m = 2")
-        ops = _structure_from_table(*octonion_table(), m=m, side="left")
-    else:
+        return n
+    if family not in _TAU:
         raise ValueError(f"unknown family {family!r}")
+    if n is not None:
+        raise ValueError("an explicit dimension n applies to the sphere only")
+    if family == "complex" and m < 2:
+        raise ValueError("complex family needs m >= 2")
+    if family == "quaternionic" and m < 1:
+        raise ValueError("quaternionic family needs m >= 1")
+    if family == "octonionic" and m != 2:
+        raise ValueError("octonionic family exists only for m = 2")
+    return (_TAU[family] + 1) * m
 
-    J = JStructure(n=ops[0].shape[0], tau=len(ops), operators=ops, family=family)
+
+def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
+    """Construct the structure family of a member that ``family_dimension``
+    admits; validates all operator invariants."""
+    nn = family_dimension(family, m, n)
+    if family == "sphere":
+        return JStructure(n=nn, tau=0, operators=[], family=family)
+    table, side = {"complex": (complex_table, "right"),
+                   "quaternionic": (quaternion_table, "right"),
+                   "octonionic": (octonion_table, "left")}[family]
+    ops = _structure_from_table(*table(), m=m, side=side)
+    J = JStructure(n=nn, tau=len(ops), operators=ops, family=family)
     res = J.max_structure_residual()
     if res > 1e-12:
         raise ModelValidationError(f"structure operator invariants fail: {res:.3e}")
     return J
 
 
+def _aform(K: np.ndarray) -> np.ndarray:
+    """A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> on basis vectors, where
+    <K x, e_a> = K[a, index(x)]."""
+    return np.einsum("zx,wy->xyzw", K, K) - np.einsum("wx,zy->xyzw", K, K)
+
+
 def _curvature_from_structure(J: JStructure, c: float) -> CurvTensor4:
-    n = J.n
-    eye = np.eye(n)
-    T = np.einsum("xz,yw->xyzw", eye, eye) - np.einsum("xw,yz->xyzw", eye, eye)
+    # _aform's einsum returns a transposed layout; R is kept in C order,
+    # which fixes the summation order (and the bits) of |R|^2
+    T = np.ascontiguousarray(_aform(np.eye(J.n)))
     for Jm in J.operators:
-        # <J x, e_a> = J[a, index(x)] for basis vectors
-        T += np.einsum("zx,wy->xyzw", Jm, Jm)
-        T -= np.einsum("wx,zy->xyzw", Jm, Jm)
+        T += _aform(Jm)
         T += 2.0 * np.einsum("yx,wz->xyzw", Jm, Jm)
     return CurvTensor4(c * T)
 
@@ -272,53 +290,27 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     for i in range(m):
         sel = np.flatnonzero(coord == i)
         block = R[np.ix_(sel, sel, sel, sel)]
-        d = len(sel)
-        eye = np.eye(d)
-        round4c = 4.0 * c * (
-            np.einsum("xz,yw->xyzw", eye, eye) - np.einsum("xw,yz->xyzw", eye, eye)
-        )
+        round4c = 4.0 * c * _aform(np.eye(len(sel)))
         worst = max(worst, float(np.max(np.abs(block - round4c))))
         if tau == 0:
             break  # all lines are 1-dimensional and identical
     res["single_line_round"] = worst
 
-    def _basis(alpha: int, i: int) -> int:
-        return alpha * m + i
+    # the four entry rules on the grid of unit labels a, b and coordinates
+    # i, j; basis index (alpha, i) -> alpha * m + i
+    a, b, i, j = np.indices((tau + 1, tau + 1, m, m))
+    ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
 
-    worst4, worstc, worst2, worstq = 0.0, 0.0, 0.0, 0.0
-    for a in range(tau + 1):
-        for b in range(tau + 1):
-            for i in range(m):
-                x, y = _basis(a, i), _basis(b, i)
-                if a != b:
-                    worst4 = max(worst4, abs(R[x, y, x, y] - 4.0 * c))
-                for j in range(m):
-                    if i == j:
-                        continue
-                    u, v = _basis(a, i), _basis(b, j)
-                    worstc = max(worstc, abs(R[u, v, u, v] - c))
-                    if a != b:
-                        worst2 = max(
-                            worst2,
-                            abs(R[_basis(a, i), _basis(b, i),
-                                  _basis(a, j), _basis(b, j)] - 2.0 * c),
-                        )
-                        worstq = max(
-                            worstq,
-                            abs(R[_basis(a, i), _basis(a, j),
-                                  _basis(b, i), _basis(b, j)] - c),
-                        )
-    res["same_coordinate_4c"] = worst4 if tau > 0 else 0.0
-    res["cross_line_sectional_c"] = worstc if m > 1 else 0.0
-    res["paired_plane_2c"] = worst2 if (tau > 0 and m > 1) else 0.0
-    res["cross_quad_c"] = worstq if (tau > 0 and m > 1) else 0.0
+    def deviation(entries, want, mask):
+        return float(np.max(np.abs(entries[mask] - want), initial=0.0))
+
+    res["same_coordinate_4c"] = deviation(R[ai, bi, ai, bi], 4.0 * c, a != b)
+    res["cross_line_sectional_c"] = deviation(R[ai, bj, ai, bj], c, i != j)
+    res["paired_plane_2c"] = deviation(R[ai, bi, aj, bj], 2.0 * c,
+                                       (a != b) & (i != j))
+    res["cross_quad_c"] = deviation(R[ai, aj, bi, bj], c, (a != b) & (i != j))
 
     # invariance rules
-    def _aform(K: np.ndarray) -> np.ndarray:
-        # A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z>
-        return (np.einsum("zx,wy->xyzw", K, K)
-                - np.einsum("wx,zy->xyzw", K, K))
-
     worst4s, worst2s, worstdef, worstpair = 0.0, 0.0, 0.0, 0.0
     for g, Jm in enumerate(J.operators):
         R4 = np.einsum("ax,by,cz,dw,abcd->xyzw", Jm, Jm, Jm, Jm, R, optimize=True)
@@ -373,15 +365,21 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
 def build_model(family: str, m: int, c: float, n: int | None = None) -> CurvatureModel:
     """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
 
-    Validation gates, any failure raises ModelValidationError:
-    structure-operator invariants, curvature symmetries and Bianchi (checked
-    by the CurvTensor4 constructor), the adapted-frame audit, the Einstein
-    identity r = c(3 tau + n - 1) g, the criticality identity
-    (self-contraction proportional to g), and agreement of the three ways of
-    computing |R|^2.
+    Validation gates, any failure raises ModelValidationError: the scale
+    range |c| in SCALE_RANGE, structure-operator invariants, curvature
+    symmetries and Bianchi (checked by the CurvTensor4 constructor), the
+    adapted-frame audit, the Einstein identity r = c(3 tau + n - 1) g, the
+    criticality identity (self-contraction proportional to g), and
+    agreement of the three ways of computing |R|^2.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
+    low, high = SCALE_RANGE
+    if not low <= abs(c) <= high:
+        raise ModelValidationError(
+            f"curvature scale |c| = {abs(c):g} is outside the certified "
+            f"range [{low:g}, {high:g}]"
+        )
     J = build_j_structure(family, m, n=n)
     nn = J.n
     tau = J.tau
@@ -402,10 +400,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     if eres > 1e-12 * max(1.0, abs(lam)):
         raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
 
-    with np.errstate(over="ignore"):
-        norm_direct = R.norm2()
-    if not math.isfinite(norm_direct):
-        raise ModelValidationError(f"|R|^2 overflows: {norm_direct}")
+    norm_direct = R.norm2()
     chk = check_tensor(R).entries
     crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(nn))))
     if crit > 1e-10 * max(1.0, norm_direct / nn):
@@ -495,9 +490,7 @@ def reference_constants(family: str, m: int, n: int | None = None) -> dict:
     tau >= 3 families the closed form itself disagrees with the directly
     computed tensor norm.
     """
-    if family == "sphere" and n is None:
-        raise ValueError("sphere needs n")
-    nn = {"sphere": n, "complex": 2 * m, "quaternionic": 4 * m, "octonionic": 16}[family]
+    nn = family_dimension(family, m, n)
     tau = _TAU[family]
     lam2 = einstein_constant(nn, tau, 1) ** 2
     closed = Fraction(norm2_closed_claimed(nn, tau, 1), lam2)
@@ -535,7 +528,8 @@ def model_constants(model: CurvatureModel) -> dict:
     mu fields are None for non-compact models; use
     ``reference_mu_over_lambda`` directly to get the explicit error."""
     n, tau, c = model.n, model.tau, model.c
-    ref = reference_constants(model.family, model.m, n=n)
+    ref = reference_constants(model.family, model.m,
+                              n=n if model.family == "sphere" else None)
     lam2 = model.lam * model.lam
     out = {
         "family": model.family,

@@ -109,6 +109,17 @@ def test_certify_at_large_scale_exits_0():
     assert not any("rayleigh" in note for note in notes)
 
 
+@pytest.mark.parametrize("args", [
+    ["model", "--space", "hp", "--m", "2", "--c", "1e-200"],
+    ["certify", "--space", "hp", "--m", "2", "--c", "1e76", *FAST],
+], ids=["model-1e-200", "certify-1e76"])
+def test_scale_outside_the_certified_range_exits_3(args):
+    code, out, err = run(args)
+    assert code == 3
+    assert err.startswith("model validation failed")
+    assert "Traceback" not in err and out == ""
+
+
 def test_model_command_audits_once(monkeypatch):
     import crosscurv.models as models
     audit = models.frame_rule_audit

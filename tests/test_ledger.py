@@ -13,6 +13,7 @@ from pathlib import Path
 import sympy as sp
 import pytest
 
+import crosscurv.ledger as ledger
 from crosscurv.cli import _ledger_rows, main
 from crosscurv.ledger import (
     BASIS,
@@ -345,3 +346,54 @@ def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
                + ref["NORM_DF"]["claimed"] * mu_value
                + ref["NORM_F"]["claimed"]).subs(exact)
         assert got == sp.Rational(want.numerator, want.denominator), assembly
+
+
+# ------------------------------------- the checks read the applied rewrites
+
+
+@pytest.fixture
+def rewrites():
+    """The ledger's rewrite table, rebuilt before and after the test."""
+    ledger._rewrites.cache_clear()
+    yield ledger._rewrites
+    ledger._rewrites.cache_clear()
+
+
+def test_completion_check_reads_the_applied_square_completion(monkeypatch,
+                                                              rewrites):
+    qc = quadratic_completion_checks()
+    assert qc["completion_compact"] == qc["bracket"]
+    before = _coeff_map(expand_theorem_tt().comparisons)["NORM_RRING"]
+    lhs, rhs = rewrites()["square completion"]
+    assert rhs["NORM_RRING"] == sp.Rational(-9, 4)
+    monkeypatch.setitem(rewrites(), "square completion",
+                        (lhs, {**rhs, "NORM_RRING": -2}))
+
+    qc = quadratic_completion_checks()
+    assert qc["completion_compact"] != qc["bracket"]
+    assert qc["completion_berger"] == qc["bracket"]
+    after = _coeff_map(expand_theorem_tt().comparisons)["NORM_RRING"]
+    assert before["match"] and not after["match"]
+    assert sp.cancel(after["computed"] - before["computed"]) != 0
+
+
+def test_a2_evaluator_and_chains_share_coefficients(monkeypatch, rewrites):
+    model = _model("cp2")
+
+    def outcome():
+        return verify_identity_numeric("curvature-action-affine", model,
+                                       trials=4, seed=11)["outcome"]
+
+    h_rows = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE")
+    assert outcome() == "PASS"
+    before = _coeff_map(expand_theorem_tt().comparisons)
+    monkeypatch.setattr(ledger, "_curvature_action_coefficients",
+                        lambda c: (4 * c, -2 * c, c))
+    rewrites.cache_clear()
+
+    assert outcome() == "FAIL"
+    after = _coeff_map(expand_theorem_tt().comparisons)
+    assert sorted(after) == sorted(before)
+    for term, row in after.items():
+        moved = sp.cancel(row["computed"] - before[term]["computed"]) != 0
+        assert moved is (term in h_rows), term

@@ -16,6 +16,7 @@ from crosscurv.models import (
     ModelValidationError,
     build_j_structure,
     build_model,
+    family_dimension,
     frame_rule_audit,
     model_constants,
     norm2_closed_claimed,
@@ -111,6 +112,15 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw):
     want = np.max(np.abs(R[distinct >= 3]), initial=0.0)
     assert want > 0
     assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
+
+
+@pytest.mark.parametrize("family,m,nkw", [
+    ("sphere", 0, 5), ("complex", 2, None), ("octonionic", 2, None),
+])
+def test_curvature_tensor_is_c_contiguous(family, m, nkw):
+    # the summation order of |R|^2, and so the bits of every document,
+    # follow the memory layout of R
+    assert build_model(family, m, 0.3, n=nkw).R.entries.flags.c_contiguous
 
 
 def test_build_model_keeps_its_audit():
@@ -242,3 +252,93 @@ def test_scale_covariance():
     assert np.allclose(b.R.entries, 0.5 * a.R.entries, atol=1e-12)
     assert b.lam == 3.0
     assert abs(b.R_norm2 - 0.25 * a.R_norm2) < 1e-9
+
+
+@pytest.mark.parametrize("c", [1e-7, -1e-7, 1e7, 1e76, 1e-200])
+def test_scale_outside_the_certified_range_is_refused(c):
+    with pytest.raises(ModelValidationError, match="certified range"):
+        build_model("quaternionic", 2, c)
+
+
+@pytest.mark.parametrize("c", [1e-6, -1e-6, 1e6, -1e6])
+def test_scale_range_ends_are_admitted(c):
+    assert build_model("quaternionic", 1, c).c == c
+
+
+@pytest.mark.parametrize("family,m,n,dim", [
+    ("sphere", 0, 3, 3), ("sphere", 7, 5, 5), ("complex", 2, None, 4),
+    ("complex", 3, None, 6), ("quaternionic", 1, None, 4),
+    ("quaternionic", 5, None, 20), ("octonionic", 2, None, 16),
+])
+def test_family_dimension(family, m, n, dim):
+    assert family_dimension(family, m, n) == dim
+    assert build_j_structure(family, m, n).n == dim
+    assert reference_constants(family, m, n)["n"] == dim
+
+
+@pytest.mark.parametrize("family,m,n", [
+    ("sphere", 0, None), ("sphere", 0, 2), ("complex", 1, None),
+    ("complex", 2, 4), ("quaternionic", 0, None), ("octonionic", 3, None),
+    ("octonionic", 2, 16), ("nonsense", 2, None),
+])
+def test_family_dimension_refuses_missing_members(family, m, n):
+    with pytest.raises(ValueError):
+        family_dimension(family, m, n)
+    with pytest.raises(ValueError):
+        build_j_structure(family, m, n)
+    with pytest.raises(ValueError):
+        reference_constants(family, m, n)
+
+
+def _entry_rules_by_loops(R, n, tau, c):
+    """The entry rules, one component at a time (the reference loops)."""
+    m = n // (tau + 1)
+    coord = np.arange(n) if tau == 0 else np.tile(np.arange(m), tau + 1)
+    worst = 0.0
+    for i in range(m):
+        sel = np.flatnonzero(coord == i)
+        eye = np.eye(len(sel))
+        round4c = 4.0 * c * (np.einsum("xz,yw->xyzw", eye, eye)
+                             - np.einsum("xw,yz->xyzw", eye, eye))
+        block = R[np.ix_(sel, sel, sel, sel)]
+        worst = max(worst, float(np.max(np.abs(block - round4c))))
+        if tau == 0:
+            break
+    w4 = wc = w2 = wq = 0.0
+    for a in range(tau + 1):
+        for b in range(tau + 1):
+            for i in range(m):
+                if a != b:
+                    x, y = a * m + i, b * m + i
+                    w4 = max(w4, abs(R[x, y, x, y] - 4.0 * c))
+                for j in range(m):
+                    if i == j:
+                        continue
+                    u, v = a * m + i, b * m + j
+                    wc = max(wc, abs(R[u, v, u, v] - c))
+                    if a != b:
+                        w2 = max(w2, abs(R[a * m + i, b * m + i,
+                                           a * m + j, b * m + j] - 2.0 * c))
+                        wq = max(wq, abs(R[a * m + i, a * m + j,
+                                           b * m + i, b * m + j] - c))
+    return {"single_line_round": worst, "same_coordinate_4c": w4,
+            "cross_line_sectional_c": wc, "paired_plane_2c": w2,
+            "cross_quad_c": wq}
+
+
+@pytest.mark.parametrize("family,m,nkw,c", [
+    ("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
+    ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0),
+])
+def test_entry_rules_read_their_own_components(family, m, nkw, c):
+    # distinct random values in every component: a rule that reads other
+    # components than the loops do returns another maximum
+    mod = build_model(family, m, c, n=nkw)
+    R = mod.R.entries
+    R += np.random.default_rng(9).uniform(-1.0, 1.0, R.shape)
+    want = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
+    got = frame_rule_audit(mod).residuals
+    for rule, value in want.items():
+        assert got[rule] == value, rule
+    if mod.tau > 0:
+        assert min(want.values()) > 0
