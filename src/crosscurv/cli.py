@@ -6,9 +6,11 @@ Subcommands:
   verify   run the identity catalog on one model (exit 4 if a required
            identity fails)
   certify  spectral certification of the trace-free remainder plus the
-           conformal value (exit 5 on eigensolver failure)
+           conformal value (exit 5 on eigensolver failure, or when the
+           Rayleigh samples contradict the Jacobi minimum)
   ledger   symbolic coefficient reductions vs the reference displays
-  report   everything above in one document
+  report   everything above in one document; failed identities and an
+           inconsistent certificate are recorded in it, not in the exit code
 
 Flags: --space {sphere,cp,hp,op} --m INT --n INT (sphere only)
 --sign {compact,noncompact} --c FLOAT (positive magnitude) --p FLOAT
@@ -16,10 +18,12 @@ Flags: --space {sphere,cp,hp,op} --m INT --n INT (sphere only)
 --config PATH.
 
 A config file holds key=value lines ('#' starts a comment); command-line
-flags override file values; a non-finite --c, --p or --tol is a config
-error.  Exit codes: 0 success, 2 config error, 3 model-validation failure
-(also a scale |c| outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4
-required-identity failure, 5 numeric failure.
+flags override file values.  File values are checked like flags, against
+the type and allowed values in ``OPTIONS``; a non-finite --c, --p or --tol
+is a config error.  Exit codes: 0 success, 2 config error (also an --out
+path that cannot be written), 3 model-validation failure (also a scale |c|
+outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4 required-identity failure,
+5 numeric failure.  ``exit_status`` decides 4 and 5 from the findings.
 Reports with identical configs and seeds are byte-identical.
 
 Input budget: a model whose estimated peak memory (``memory_estimate``)
@@ -66,27 +70,38 @@ SPACE_TO_FAMILY = {
     "op": "octonionic",
 }
 
-DEFAULTS = {
-    "space": None,
-    "m": 2,
-    "n": None,
-    "sign": "compact",
-    "c": 1.0,
-    "p": 2.0,
-    "trials": 16,
-    "seed": 0,
-    "tol": 1e-8,
-    "format": "text",
-    "out": None,
+#: option -> (type, default, allowed values); argparse, the config file
+#: and the config echo all read this one table
+OPTIONS = {
+    "space": (str, None, sorted(SPACE_TO_FAMILY)),
+    "m": (int, 2, None),
+    "n": (int, None, None),
+    "sign": (str, "compact", ["compact", "noncompact"]),
+    "c": (float, 1.0, None),
+    "p": (float, 2.0, None),
+    "trials": (int, 16, None),
+    "seed": (int, 0, None),
+    "tol": (float, 1e-8, None),
+    "format": (str, "text", ["json", "csv", "text"]),
+    "out": (str, None, None),
+}
+DEFAULTS = {key: default for key, (_, default, _) in OPTIONS.items()}
+
+#: subcommand -> (help, the sections its document holds)
+SUBCOMMANDS = {
+    "model": ("build a model and print its constants", ("constants",)),
+    "verify": ("run the identity catalog on a model",
+               ("constants", "findings")),
+    "certify": ("certify stability of the quadratic remainder",
+                ("constants", "certificate")),
+    "ledger": ("symbolic coefficient reductions vs reference displays",
+               ("ledger",)),
+    "report": ("full document: constants, findings, ledger, certificates",
+               ("constants", "findings", "certificate", "ledger")),
 }
 
 #: refuse models whose ``memory_estimate`` exceeds this many bytes
 MEMORY_BUDGET_BYTES = 4 * 2**30
-
-_TYPES = {
-    "space": str, "m": int, "n": int, "sign": str, "c": float, "p": float,
-    "trials": int, "seed": int, "tol": float, "format": str, "out": str,
-}
 
 
 class ConfigError(ValueError):
@@ -115,27 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "and stability certification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("model", "build a model and print its constants"),
-        ("verify", "run the identity catalog on a model"),
-        ("certify", "certify stability of the quadratic remainder"),
-        ("ledger", "symbolic coefficient reductions vs reference displays"),
-        ("report", "full document: constants, findings, ledger, certificates"),
-    ]:
+    for name, (helptext, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--space", choices=sorted(SPACE_TO_FAMILY))
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--sign", choices=["compact", "noncompact"])
-        p.add_argument("--c", type=float, default=None,
-                       help="positive curvature-scale magnitude")
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default=None)
-        p.add_argument("--out", default=None)
+        for key, (kind, _, allowed) in OPTIONS.items():
+            p.add_argument(f"--{key}", type=kind, choices=allowed,
+                           help="positive curvature-scale magnitude"
+                           if key == "c" else None)
         p.add_argument("--config", default=None,
                        help="key=value file; flags override it")
     return ap
@@ -156,10 +156,10 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in DEFAULTS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _TYPES[key](val)
+            values[key] = OPTIONS[key][0](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}"
                               ) from exc
@@ -171,17 +171,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(_read_config_file(args.config))
-    for key in DEFAULTS:
+    for key, (_, _, allowed) in OPTIONS.items():
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+        if allowed and cfg[key] is not None and cfg[key] not in allowed:
+            raise ConfigError(f"unknown {key} {cfg[key]!r}")
     cfg["command"] = args.command
 
     if cfg["command"] != "ledger":
         if cfg["space"] is None:
             raise ConfigError("--space is required")
-        if cfg["space"] not in SPACE_TO_FAMILY:
-            raise ConfigError(f"unknown space {cfg['space']!r}")
         try:
             n = family_dimension(SPACE_TO_FAMILY[cfg["space"]], cfg["m"],
                                  cfg["n"])
@@ -194,8 +194,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 f"{need / 2**30:.1f} GiB, above the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
             )
-    if cfg["sign"] not in ("compact", "noncompact"):
-        raise ConfigError(f"unknown sign {cfg['sign']!r}")
     for key in ("c", "p", "tol"):
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"--{key} must be finite, got {cfg[key]}")
@@ -211,18 +209,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _config_echo(cfg: dict) -> dict:
-    keys = ("command", "space", "m", "n", "sign", "c", "p", "trials",
-            "seed", "tol", "format")
-    return {k: cfg[k] for k in keys}
-
-
-def _build_from_config(cfg: dict):
-    family = SPACE_TO_FAMILY[cfg["space"]]
-    c = cfg["c"] if cfg["sign"] == "compact" else -cfg["c"]
-    return build_model(family, cfg["m"], c, n=cfg["n"])
-
-
 def _constants_block(model) -> dict:
     block = model_constants(model)
     audit = model.audit
@@ -235,148 +221,103 @@ def _constants_block(model) -> dict:
     return block
 
 
-def _findings(model, cfg: dict) -> list:
-    return [
-        verify_identity_numeric(name, model, trials=cfg["trials"],
-                                seed=cfg["seed"], tol=cfg["tol"])
-        for name in identity_catalog()
-    ]
-
-
 def _ledger_rows() -> list:
-    rows = []
-    tt = expand_theorem_tt()
-    for r in tt.comparisons:
-        rows.append({"chain": "tt-compact", **r})
-    for assembly in ("corrected", "printed"):
-        conf = expand_theorem_conformal(assembly)
-        for r in conf.comparisons:
-            rows.append({"chain": f"conformal-{assembly}", **r})
-    nc = noncompact_chain()
-    for r in nc.comparisons:
-        rows.append({"chain": "noncompact", **r})
-    return rows
-
-
-def _certification_block(model, cfg: dict) -> tuple[dict, dict]:
-    rep = stability_verdict(model, p=cfg["p"], seed=cfg["seed"])
-    cert = {
-        "tt_min_eig": rep.tt_min_eig,
-        "rayleigh_min": rep.rayleigh_min,
-        "epsilon": rep.epsilon,
-        "conformal_value": rep.conformal,
-        "tt_verdict": rep.tt_verdict,
-        "threshold_claim": rep.threshold_claim,
-        "verdict_flags": rep.verdict_flags,
-        "discrepancy_notes": rep.discrepancy_notes,
-    }
-    timing = {"jacobi_rotations": rep.rotations,
-              "rayleigh_samples": rep.samples}
-    return cert, timing
+    chains = [("tt-compact", expand_theorem_tt()),
+              *((f"conformal-{assembly}", expand_theorem_conformal(assembly))
+                for assembly in ("corrected", "printed")),
+              ("noncompact", noncompact_chain())]
+    return [{"chain": name, **row}
+            for name, chain in chains for row in chain.comparisons]
 
 
 def _emit(doc: ReportDocument, cfg: dict) -> None:
     text = doc.render(cfg["format"])
-    if cfg["out"]:
+    if not cfg["out"]:
+        sys.stdout.write(text)
+        return
+    try:
         with open(cfg["out"], "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg['out']}: {exc}") from exc
 
 
-def cmd_model(cfg: dict) -> int:
-    model = _build_from_config(cfg)
-    doc = ReportDocument(config=_config_echo(cfg),
-                         model_constants=_constants_block(model))
-    _emit(doc, cfg)
-    return EXIT_OK
-
-
-def cmd_verify(cfg: dict) -> int:
-    model = _build_from_config(cfg)
-    findings = _findings(model, cfg)
-    doc = ReportDocument(
-        config=_config_echo(cfg),
-        model_constants=_constants_block(model),
-        lemma_findings=findings,
-        timing={"identity_trials": cfg["trials"]},
-    )
-    _emit(doc, cfg)
-    required_failed = any(
+def exit_status(command: str, findings: list, consistent: bool) -> int:
+    """Exit code of ``command`` from its findings: verify exits 4 when a
+    required identity fails, certify exits 5 when its certificate is
+    inconsistent; every other case, report included, exits 0."""
+    if command == "verify" and any(
         f["tier"] == "required" and f["outcome"] == "FAIL" for f in findings
-    )
-    return EXIT_REQUIRED if required_failed else EXIT_OK
-
-
-def cmd_certify(cfg: dict) -> int:
-    model = _build_from_config(cfg)
-    cert, timing = _certification_block(model, cfg)
-    doc = ReportDocument(
-        config=_config_echo(cfg),
-        model_constants=_constants_block(model),
-        certification=cert,
-        timing=timing,
-    )
-    _emit(doc, cfg)
-    if "rayleigh sample fell below the jacobi minimum" in cert["discrepancy_notes"]:
-        sys.stderr.write("numeric inconsistency: rayleigh sample below "
-                         "eigenvalue minimum\n")
+    ):
+        return EXIT_REQUIRED
+    if command == "certify" and not consistent:
         return EXIT_NUMERIC
     return EXIT_OK
 
 
-def cmd_ledger(cfg: dict) -> int:
-    doc = ReportDocument(config=_config_echo(cfg),
-                         ledger_comparisons=_ledger_rows())
+def run(cfg: dict) -> int:
+    """Compute the sections the subcommand prints, emit the document and
+    return its exit status.
+
+    The ledger is computed last, so that sympy is not resident while the
+    certificate's arrays are.
+    """
+    sections = SUBCOMMANDS[cfg["command"]][1]
+    # the echo leaves out --out: a document is the same wherever it goes
+    doc = ReportDocument(config={"command": cfg["command"], **{
+        key: cfg[key] for key in OPTIONS if key != "out"}})
+    consistent = True
+    if "constants" in sections:
+        c = cfg["c"] if cfg["sign"] == "compact" else -cfg["c"]
+        model = build_model(SPACE_TO_FAMILY[cfg["space"]], cfg["m"], c,
+                            n=cfg["n"])
+        doc.model_constants = _constants_block(model)
+    if "findings" in sections:
+        doc.lemma_findings = [
+            verify_identity_numeric(name, model, trials=cfg["trials"],
+                                    seed=cfg["seed"], tol=cfg["tol"])
+            for name in identity_catalog()
+        ]
+    if "certificate" in sections:
+        rep = stability_verdict(model, p=cfg["p"], seed=cfg["seed"])
+        consistent = rep.consistent
+        doc.certification = {
+            "tt_min_eig": rep.tt_min_eig,
+            "rayleigh_min": rep.rayleigh_min,
+            "epsilon": rep.epsilon,
+            "conformal_value": rep.conformal,
+            "tt_verdict": rep.tt_verdict,
+            "threshold_claim": rep.threshold_claim,
+            "verdict_flags": rep.verdict_flags,
+            "discrepancy_notes": rep.discrepancy_notes,
+        }
+        doc.timing = {"jacobi_rotations": rep.rotations,
+                      "rayleigh_samples": rep.samples}
+    if "findings" in sections:  # listed after the certificate's counters
+        doc.timing["identity_trials"] = cfg["trials"]
+    if "ledger" in sections:
+        doc.ledger_comparisons = _ledger_rows()
     _emit(doc, cfg)
-    return EXIT_OK
-
-
-def cmd_report(cfg: dict) -> int:
-    model = _build_from_config(cfg)
-    findings = _findings(model, cfg)
-    cert, timing = _certification_block(model, cfg)
-    timing["identity_trials"] = cfg["trials"]
-    doc = ReportDocument(
-        config=_config_echo(cfg),
-        model_constants=_constants_block(model),
-        lemma_findings=findings,
-        ledger_comparisons=_ledger_rows(),
-        certification=cert,
-        timing=timing,
-    )
-    _emit(doc, cfg)
-    return EXIT_OK
-
-
-COMMANDS = {
-    "model": cmd_model,
-    "verify": cmd_verify,
-    "certify": cmd_certify,
-    "ledger": cmd_ledger,
-    "report": cmd_report,
-}
+    status = exit_status(cfg["command"], doc.lemma_findings, consistent)
+    if status == EXIT_NUMERIC:
+        sys.stderr.write("numeric inconsistency: rayleigh sample below "
+                         "eigenvalue minimum\n")
+    return status
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        return run(resolve_config(args))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    try:
-        return COMMANDS[cfg["command"]](cfg)
     except ModelValidationError as exc:
         sys.stderr.write(f"model validation failed: {exc}\n")
         return EXIT_VALIDATION
     except JacobiConvergenceError as exc:
         sys.stderr.write(f"eigensolver failure: {exc}\n")
         return EXIT_NUMERIC
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

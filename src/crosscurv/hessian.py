@@ -447,6 +447,7 @@ class StabilityReport:
     rotations: int
     samples: int
     seed: int
+    consistent: bool  # ``SpectralCertificate.consistent`` of the trace-free form
 
 
 def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
@@ -528,4 +529,5 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
         rotations=cert.rotations,
         samples=cert.samples,
         seed=seed,
+        consistent=cert.consistent,
     )

@@ -439,10 +439,6 @@ class TTExpansion:
     comparisons: list
     steps: list
 
-    @property
-    def mismatches(self) -> list:
-        return [r for r in self.comparisons if not r["match"]]
-
 
 def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpansion:
     """Reduce the trace-free second-variation expression to display form.

@@ -35,18 +35,11 @@ import numpy as np
 
 from crosscurv.division_algebras import (
     complex_table,
+    imaginary_left_mult_matrices,
     quaternion_table,
     octonion_table,
 )
-from crosscurv.tensors import (
-    CurvTensor4,
-    SymTensor2,
-    check_tensor,
-    lambda2_pushforward,
-    pair_vector,
-    ricci,
-    to_lambda2,
-)
+from crosscurv.tensors import CurvTensor4, check_tensor, ricci, to_lambda2
 
 __all__ = [
     "FAMILIES",
@@ -133,29 +126,6 @@ class CurvatureModel:
         return base if self.compact else base + "-dual"
 
 
-def _structure_from_table(idx: np.ndarray, sgn: np.ndarray, m: int,
-                          side: str) -> list[np.ndarray]:
-    """Unit multiplications of a division algebra acting per coordinate.
-
-    side="right": J_b e_{a i} = e_a e_b  (per coordinate i)
-    side="left":  J_b e_{a i} = e_b e_a
-    """
-    dim = idx.shape[0]
-    n = dim * m
-    ops = []
-    for b in range(1, dim):
-        J = np.zeros((n, n))
-        for a in range(dim):
-            if side == "right":
-                target, sign = idx[a, b], sgn[a, b]
-            else:
-                target, sign = idx[b, a], sgn[b, a]
-            for i in range(m):
-                J[target * m + i, a * m + i] = sign
-        ops.append(J)
-    return ops
-
-
 def family_dimension(family: str, m: int, n: int | None = None) -> int:
     """Dimension of one family member; ValueError if it does not exist.
 
@@ -189,7 +159,10 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     table, side = {"complex": (complex_table, "right"),
                    "quaternionic": (quaternion_table, "right"),
                    "octonionic": (octonion_table, "left")}[family]
-    ops = _structure_from_table(*table(), m=m, side=side)
+    idx, sgn = table()
+    if side == "right":  # x e_b is left multiplication in the transposed table
+        idx, sgn = idx.T, sgn.T
+    ops = [np.kron(L, np.eye(m)) for L in imaginary_left_mult_matrices(idx, sgn)]
     J = JStructure(n=nn, tau=len(ops), operators=ops, family=family)
     res = J.max_structure_residual()
     if res > 1e-12:

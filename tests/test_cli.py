@@ -101,6 +101,41 @@ def test_eigensolver_failure_exits_5(monkeypatch, command):
     assert "eigensolver" in err
 
 
+def _inconsistent_certificates(monkeypatch):
+    import dataclasses
+
+    import crosscurv.hessian as hessian
+    certify = hessian.min_eigen_tt
+
+    def inconsistent(*args, **kwargs):
+        return dataclasses.replace(certify(*args, **kwargs), consistent=False)
+
+    monkeypatch.setattr(hessian, "min_eigen_tt", inconsistent)
+
+
+RAYLEIGH_NOTE = "rayleigh sample fell below the jacobi minimum"
+
+
+def test_inconsistent_certificate_exits_5_after_the_document(monkeypatch):
+    _inconsistent_certificates(monkeypatch)
+    code, out, err = run(["certify", "--space", "cp", "--m", "2", *FAST,
+                          "--format", "json"])
+    assert code == 5
+    assert err == ("numeric inconsistency: rayleigh sample below "
+                   "eigenvalue minimum\n")
+    assert RAYLEIGH_NOTE in json.loads(out)["certification"][
+        "discrepancy_notes"]
+
+
+def test_report_records_an_inconsistent_certificate(monkeypatch):
+    _inconsistent_certificates(monkeypatch)
+    code, out, err = run(["report", "--space", "cp", "--m", "2", *FAST,
+                          "--format", "json"])
+    assert code == 0, err
+    assert RAYLEIGH_NOTE in json.loads(out)["certification"][
+        "discrepancy_notes"]
+
+
 def test_certify_at_large_scale_exits_0():
     code, out, err = run(["certify", "--space", "hp", "--m", "2",
                           "--c", "1e4", *FAST, "--format", "json"])
@@ -157,6 +192,19 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,text", [
+    ("model", "space=cp\nm=2\nformat=xml\n"),
+    ("ledger", "space=xx\n"),
+    ("ledger", "sign=both\n"),
+], ids=["format", "ledger-space", "ledger-sign"])
+def test_config_file_values_are_checked_like_flags(tmp_path, command, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run([command, "--config", str(cfg)])
+    assert code == 2
+    assert err.startswith("config error: unknown ") and out == ""
+
+
 def test_out_flag_writes_same_bytes(tmp_path):
     target = tmp_path / "doc.json"
     args = ["certify", "--space", "cp", "--m", "2", *FAST, "--format", "json"]
@@ -164,6 +212,23 @@ def test_out_flag_writes_same_bytes(tmp_path):
     code, piped, _ = run([*args, "--out", str(target)])
     assert code == 0
     assert target.read_text() == stdout_doc
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_unwritable_out_exits_2(tmp_path, via):
+    target = tmp_path / "missing" / "doc.json"
+    args = ["model", "--space", "cp", "--m", "2"]
+    if via == "flag":
+        args += ["--out", str(target)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={target}\n")
+        args += ["--config", str(cfg)]
+    code, out, err = run(args)
+    assert code == 2
+    assert err.startswith(f"config error: cannot write {target}")
+    assert "Traceback" not in err and out == ""
+    assert not target.exists()
 
 
 def test_csv_schema():
@@ -249,13 +314,14 @@ def test_memory_estimate_bounds_traced_peak(args, n):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("command", ["model", "certify"])
+@pytest.mark.parametrize("command", ["model", "certify", "verify", "report"])
 @pytest.mark.parametrize("name,args", [
     ("op2", ["--space", "op", "--m", "2"]),
     ("hp2_dual", ["--space", "hp", "--m", "2", "--sign", "noncompact"]),
 ])
 def test_numeric_documents_are_pinned(command, name, args):
     code, out, err = run([command, *args, "--format", "json", "--seed", "3"])
-    assert code == 0, err
+    # verify exits 4 on every model: the required tier holds false displays
+    assert code == (4 if command == "verify" else 0), err
     golden = (GOLDEN / f"{command}_{name}.json").read_text(encoding="utf-8")
     assert out == golden
