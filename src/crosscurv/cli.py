@@ -21,7 +21,8 @@ A config file holds key=value lines ('#' starts a comment); command-line
 flags override file values.  File values are checked like flags, against
 the type and allowed values in ``OPTIONS``; a non-finite --c, --p or --tol
 is a config error.  Exit codes: 0 success, 2 config error (also an --out
-path that cannot be written), 3 model-validation failure (also a scale |c|
+path that cannot be written; a missing or read-only directory is refused
+before anything is built), 3 model-validation failure (also a scale |c|
 outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4 required-identity failure,
 5 numeric failure.  ``exit_status`` decides 4 and 5 from the findings.
 Reports with identical configs and seeds are byte-identical.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from crosscurv.hessian import stability_verdict
@@ -112,12 +114,15 @@ def memory_estimate(n: int) -> int:
     """Upper estimate, in bytes, of the peak memory of any command on a
     model of dimension n.
 
-    Twelve float64 arrays of n^4 entries alive together: the curvature
-    tensor R, the n^2 x n^2 term matrices with their einsum temporaries
-    and accumulator, and the frame audit's index arrays (measured peaks at
-    n = 16..40 hold 8 to 11 of them at once); one Rayleigh sampling batch
-    of 20 000 vectors of the trace-free dimension n(n+1)/2 - 1; and
-    128 MiB for the interpreter, numpy, sympy and the small arrays.
+    Three terms: twelve float64 arrays of n^4 entries; one Rayleigh
+    sampling batch of 20 000 vectors of the trace-free dimension
+    n(n+1)/2 - 1; and 128 MiB for the interpreter, numpy, sympy and the
+    small arrays.  The n^4 term is headroom over the measured stages (at
+    n = 16..40): the curvature build and the frame audit hold at most
+    about four n^4 arrays at once (R, the two-slot pullback and the
+    defect's GEMM products), the assembly about three (R, the summed form
+    G and its entry lists), and the sampling holds R beside its batch.
+    Keeping twelve fixes the refusal point at n = 79.
     """
     dim = n * (n + 1) // 2 - 1
     return 8 * (12 * n**4 + 20_000 * dim) + 128 * 2**20
@@ -206,6 +211,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError("--trials must be positive")
     if cfg["tol"] <= 0:
         raise ConfigError("--tol must be positive")
+    if cfg["out"]:
+        folder = os.path.dirname(os.path.abspath(cfg["out"]))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"cannot write {cfg['out']}: {folder} is not "
+                              "a writable directory")
     return cfg
 
 

@@ -170,20 +170,75 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     return J
 
 
-def _aform(K: np.ndarray) -> np.ndarray:
-    """A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> on basis vectors, where
-    <K x, e_a> = K[a, index(x)]."""
-    return np.einsum("zx,wy->xyzw", K, K) - np.einsum("wx,zy->xyzw", K, K)
+def _pair_gram(Ks, weights, n: int) -> np.ndarray:
+    """sum_t w_t k_t (x) k_t for the pair forms k_t(x, y) = <K_t x, y>, as
+    one GEMM of the columns vec(K_t^T): entry [x, y, z, w] is
+    sum_t w_t K_t[y, x] K_t[w, z]."""
+    U = np.zeros((n * n, len(Ks)))
+    for t, K in enumerate(Ks):
+        U[:, t] = K.T.reshape(-1)
+    return ((U * weights) @ U.T).reshape(n, n, n, n)
+
+
+def _asum(Ks, weights, n: int) -> np.ndarray:
+    """sum_t w_t A_{K_t}, A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> on
+    basis vectors, where <K x, e_a> = K[a, index(x)].
+
+    The pair gram S has S[x, z, y, w] = sum_t w_t <K_t x, z><K_t y, w>, so
+    the sum is two slot exchanges of S; the result is C-contiguous.
+    """
+    S = _pair_gram(Ks, weights, n)
+    return np.subtract(S.transpose(0, 2, 1, 3), S.transpose(0, 2, 3, 1),
+                       out=np.empty_like(S))
 
 
 def _curvature_from_structure(J: JStructure, c: float) -> CurvTensor4:
-    # _aform's einsum returns a transposed layout; R is kept in C order,
-    # which fixes the summation order (and the bits) of |R|^2
-    T = np.ascontiguousarray(_aform(np.eye(J.n)))
-    for Jm in J.operators:
-        T += _aform(Jm)
-        T += 2.0 * np.einsum("yx,wz->xyzw", Jm, Jm)
-    return CurvTensor4(c * T)
+    # the unit-scale tensor T has small integer entries, so any summation
+    # order gives it exactly; R is kept in C order, which fixes the
+    # summation order (and the bits) of |R|^2
+    ops = J.operators
+    T = _asum([np.eye(J.n), *ops], np.ones(len(ops) + 1), J.n)
+    if ops:
+        T += _pair_gram(ops, np.full(len(ops), 2.0), J.n)
+    T *= c
+    return CurvTensor4(T)
+
+
+def _max_gap(E: np.ndarray, D: np.ndarray, c: float) -> float:
+    """max |E - c D|, computed in the buffer of D."""
+    D *= c
+    np.subtract(E, D, out=D)
+    return float(np.max(np.abs(D, out=D)))
+
+
+def _invariance_gaps(R: np.ndarray, Jg: np.ndarray, others: list,
+                     c: float) -> np.ndarray:
+    """Residuals of the pullbacks by J_g: four-slot invariance, two-slot
+    invariance, the two-slot defect and its pair-form part.
+
+    The two-slot pullback E = R(., ., J_g ., J_g .) - R is compared with
+    zero, with its exact defect and with the defect's pair-form part.  The
+    exact defect is c times the unit-scale integer tensor
+
+        sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
+
+    one GEMM for the A terms and one for the pair forms.  For the
+    associative families -J_g J_a is (up to sign) another member of the
+    family and the A terms cancel pairwise, leaving the pair-form part
+    alone; for the octonionic family they do not.
+    """
+    n, k = R.shape[0], len(others)
+    four = _max_gap(R, np.einsum("ax,by,cz,dw,abcd->xyzw", Jg, Jg, Jg, Jg, R,
+                                 optimize=True), 1.0)
+    E = np.einsum("cz,dw,abcd->abzw", Jg, Jg, R, optimize=True)
+    E -= R
+    two = float(np.max(np.abs(E)))
+    defect = _asum([-(Jg @ Ja) for Ja in others] + others,
+                   np.repeat([1.0, -1.0], k), n)
+    pairform = _pair_gram(others, np.full(k, -4.0), n)
+    defect += pairform
+    return np.array([four, two, _max_gap(E, defect, c),
+                     _max_gap(E, pairform, c)])
 
 
 @dataclass(eq=False)
@@ -247,7 +302,7 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     # zero_three_coordinates: count distinct coordinate labels per nonzero
     # component; the maximum of |R| over the mask is its maximum over the
     # masked nonzeros
-    nz = np.nonzero(R)
+    nz = np.unravel_index(np.flatnonzero(R), R.shape)
     labels = [coord[i] for i in nz]
     ncoords = np.zeros(len(nz[0]), dtype=int)
     for a in range(4):
@@ -263,7 +318,7 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     for i in range(m):
         sel = np.flatnonzero(coord == i)
         block = R[np.ix_(sel, sel, sel, sel)]
-        round4c = 4.0 * c * _aform(np.eye(len(sel)))
+        round4c = 4.0 * c * _asum([np.eye(len(sel))], np.ones(1), len(sel))
         worst = max(worst, float(np.max(np.abs(block - round4c))))
         if tau == 0:
             break  # all lines are 1-dimensional and identical
@@ -283,29 +338,12 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                                        (a != b) & (i != j))
     res["cross_quad_c"] = deviation(R[ai, aj, bi, bj], c, (a != b) & (i != j))
 
-    # invariance rules
-    worst4s, worst2s, worstdef, worstpair = 0.0, 0.0, 0.0, 0.0
+    # invariance rules, one pass per structure operator
+    worst = np.zeros(4)
     for g, Jm in enumerate(J.operators):
-        R4 = np.einsum("ax,by,cz,dw,abcd->xyzw", Jm, Jm, Jm, Jm, R, optimize=True)
-        worst4s = max(worst4s, float(np.max(np.abs(R4 - R))))
-        R2 = np.einsum("cz,dw,abcd->abzw", Jm, Jm, R, optimize=True)
-        worst2s = max(worst2s, float(np.max(np.abs(R2 - R))))
-        # exact defect of the two-slot pullback:
-        #   c sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4c sum_{a != g} w_a (x) w_a
-        # For the associative families -J_g J_a is (up to sign) another
-        # member of the family and the A terms cancel pairwise, leaving the
-        # pair-form part alone; for the octonionic family they do not.
-        defect = np.zeros_like(R)
-        pairform = np.zeros_like(R)
-        for a, Ja in enumerate(J.operators):
-            if a == g:
-                continue
-            w = Ja.T  # w(x, y) = <J x, y> = J[y, x]
-            pairform -= 4.0 * c * np.einsum("xy,zw->xyzw", w, w)
-            defect += c * (_aform(-(Jm @ Ja)) - _aform(Ja))
-        defect += pairform
-        worstdef = max(worstdef, float(np.max(np.abs((R2 - R) - defect))))
-        worstpair = max(worstpair, float(np.max(np.abs((R2 - R) - pairform))))
+        others = [Ja for a, Ja in enumerate(J.operators) if a != g]
+        worst = np.maximum(worst, _invariance_gaps(R, Jm, others, c))
+    worst4s, worst2s, worstdef, worstpair = map(float, worst)
     res["four_slot_invariance"] = worst4s
     res["two_slot_invariance"] = worst2s
     res["two_slot_defect"] = worstdef

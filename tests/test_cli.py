@@ -231,6 +231,29 @@ def test_unwritable_out_exits_2(tmp_path, via):
     assert not target.exists()
 
 
+def test_unwritable_out_is_refused_before_building(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_model called for an unwritable --out")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    target = tmp_path / "missing" / "doc.json"
+    code, out, err = run(["report", "--space", "hp", "--m", "3",
+                          "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: cannot write {target}")
+
+
+def test_rayleigh_refinement_converges_at_small_scale():
+    # the stop rules of the refinement scale with the form, so at
+    # c = 1e-6 it ends as close to the Jacobi minimum as at c = 1
+    code, out, _ = run(["certify", "--space", "op", "--m", "2", "--c", "1e-6",
+                        "--seed", "7", "--format", "json"])
+    assert code == 0
+    cert = json.loads(out)["certification"]
+    gap = abs(cert["rayleigh_min"] - cert["tt_min_eig"])
+    assert gap <= 1e-12 * abs(cert["tt_min_eig"])
+
+
 def test_csv_schema():
     code, out, _ = run(["verify", "--space", "cp", "--m", "2", *FAST,
                         "--format", "csv"])

@@ -127,6 +127,64 @@ def test_assemble_quadform_is_weighted_sum():
     assert abs(qf.value(h) - want) < 1e-9 * max(1.0, abs(want))
 
 
+def _dense_form(model):
+    """The per-term dense assembly that ``assemble_quadform`` replaced: one
+    n^2 x n^2 ``term_matrix`` per basis quantity, summed in order."""
+    coeffs = (compact_tt_coefficients(model) if model.compact
+              else noncompact_tt_coefficients(model))
+    n = model.n
+    G = np.zeros((n * n, n * n))
+    for key, w in coeffs.items():
+        if w != 0:
+            G += float(w) * term_matrix(model, key)
+    B = tt_basis(n)
+    M = B.T @ G @ B
+    return 0.5 * (M + M.T)
+
+
+FORM_MODELS = [("sphere", 0, 5), ("complex", 2, None), ("complex", 3, None),
+               *(("quaternionic", m, None) for m in range(1, 7)),
+               ("octonionic", 2, None)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("family,m,nkw", FORM_MODELS)
+def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
+        family, m, nkw, sign):
+    # at c = +-1 every entry of G is an integer or a half-integer, so the
+    # order in which the terms are summed cannot change a bit of the form
+    model = build_model(family, m, sign, n=nkw)
+    assert np.array_equal(assemble_tt_remainder(model).matrix,
+                          _dense_form(model))
+
+
+@pytest.mark.parametrize("c", [0.3, 2.5, 1e-6, 1e6, -0.3, -2.5, -1e-6, -1e6])
+@pytest.mark.parametrize("family,m", [("complex", 2), ("quaternionic", 3),
+                                      ("octonionic", 2)])
+def test_assembly_from_nonzeros_matches_dense_terms_at_any_scale(family, m,
+                                                                 c):
+    model = build_model(family, m, c)
+    dense = _dense_form(model)
+    gap = np.max(np.abs(assemble_tt_remainder(model).matrix - dense))
+    assert gap <= 1e-15 * np.max(np.abs(dense))
+
+
+def test_build_and_assembly_hold_few_n4_arrays():
+    # hp6, n = 24: the curvature build, the frame audit and the assembly
+    # peak at about four float64 arrays of n^4 entries; the per-term dense
+    # path peaked above eight
+    import tracemalloc
+
+    n = 24
+    tracemalloc.start()
+    try:
+        assemble_tt_remainder(build_model("quaternionic", 6, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n**4
+
+
 def test_compact_coefficients_cp2():
     qf = compact_tt_coefficients(build_model("complex", 2, 1.0))
     assert qf == {"K_PAIR": 4.0, "NORM_RRING": -0.5, "NORM_H": 92.0,

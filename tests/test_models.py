@@ -104,14 +104,19 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw):
     rng = np.random.default_rng(5)
     for _ in range(6):
         R[tuple(rng.integers(0, n, size=4))] = rng.uniform(0.1, 9.0)
-    coord = (np.arange(n) if mod.tau == 0
-             else np.tile(np.arange(n // (mod.tau + 1)), mod.tau + 1))
+    want = _zero_three_by_mask(R, n, mod.tau)
+    assert want > 0
+    assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
+
+
+def _zero_three_by_mask(R, n, tau):
+    """zero_three_coordinates from the mask over all n^4 components."""
+    coord = np.arange(n) if tau == 0 else np.tile(np.arange(n // (tau + 1)),
+                                                  tau + 1)
     labels = coord[np.indices((n,) * 4)]
     distinct = sum(np.all([labels[a] != labels[b] for b in range(a)], axis=0)
                    for a in range(4))
-    want = np.max(np.abs(R[distinct >= 3]), initial=0.0)
-    assert want > 0
-    assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
+    return np.max(np.abs(R[distinct >= 3]), initial=0.0)
 
 
 @pytest.mark.parametrize("family,m,nkw", [
@@ -326,19 +331,76 @@ def _entry_rules_by_loops(R, n, tau, c):
             "cross_quad_c": wq}
 
 
-@pytest.mark.parametrize("family,m,nkw,c", [
-    ("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
-    ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0),
-])
-def test_entry_rules_read_their_own_components(family, m, nkw, c):
-    # distinct random values in every component: a rule that reads other
-    # components than the loops do returns another maximum
+def _invariance_rules_by_dense_loop(R, ops, c):
+    """The invariance rules as the audit first computed them: every A_K
+    and every pair form of the two-slot defect is its own n^4 array."""
+    def aform(K):
+        return (np.einsum("zx,wy->xyzw", K, K)
+                - np.einsum("wx,zy->xyzw", K, K))
+
+    w4 = w2 = wd = wp = 0.0
+    for g, Jm in enumerate(ops):
+        R4 = np.einsum("ax,by,cz,dw,abcd->xyzw", Jm, Jm, Jm, Jm, R,
+                       optimize=True)
+        w4 = max(w4, float(np.max(np.abs(R4 - R))))
+        R2 = np.einsum("cz,dw,abcd->abzw", Jm, Jm, R, optimize=True)
+        w2 = max(w2, float(np.max(np.abs(R2 - R))))
+        defect = np.zeros_like(R)
+        pairform = np.zeros_like(R)
+        for a, Ja in enumerate(ops):
+            if a == g:
+                continue
+            w = Ja.T
+            pairform -= 4.0 * c * np.einsum("xy,zw->xyzw", w, w)
+            defect += c * (aform(-(Jm @ Ja)) - aform(Ja))
+        defect += pairform
+        wd = max(wd, float(np.max(np.abs((R2 - R) - defect))))
+        wp = max(wp, float(np.max(np.abs((R2 - R) - pairform))))
+    return {"four_slot_invariance": w4, "two_slot_invariance": w2,
+            "two_slot_defect": wd, "two_slot_defect_pairform": wp}
+
+
+PLANTED = [("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
+           ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0)]
+
+
+def _planted(family, m, nkw, c):
+    """A model whose tensor holds distinct random values in every
+    component: a rule that reads other components than its reference
+    returns another maximum."""
     mod = build_model(family, m, c, n=nkw)
-    R = mod.R.entries
-    R += np.random.default_rng(9).uniform(-1.0, 1.0, R.shape)
-    want = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
+    mod.R.entries += np.random.default_rng(9).uniform(-1.0, 1.0,
+                                                      mod.R.entries.shape)
+    return mod
+
+
+@pytest.mark.parametrize("family,m,nkw,c", PLANTED)
+def test_entry_rules_read_their_own_components(family, m, nkw, c):
+    mod = _planted(family, m, nkw, c)
+    want = _entry_rules_by_loops(mod.R.entries, mod.n, mod.tau, mod.c)
     got = frame_rule_audit(mod).residuals
     for rule, value in want.items():
         assert got[rule] == value, rule
     if mod.tau > 0:
         assert min(want.values()) > 0
+
+
+@pytest.mark.parametrize("family,m,nkw,c", PLANTED)
+def test_every_audit_residual_equals_its_reference(family, m, nkw, c):
+    mod = _planted(family, m, nkw, c)
+    R = mod.R.entries
+    want = {"zero_three_coordinates": _zero_three_by_mask(R, mod.n, mod.tau),
+            **_entry_rules_by_loops(R, mod.n, mod.tau, mod.c),
+            **_invariance_rules_by_dense_loop(R, mod.J.operators, mod.c)}
+    assert frame_rule_audit(mod).residuals == want
+
+
+@pytest.mark.parametrize("family,m", [("complex", 2), ("quaternionic", 2),
+                                      ("octonionic", 2)])
+def test_planted_entry_moves_two_slot_defect_by_its_size(family, m):
+    # the pullback by J_g moves the entry to another position, so the
+    # deviation from the exact defect is the planted value, twice
+    mod = build_model(family, m, 1.0)
+    assert frame_rule_audit(mod).residuals["two_slot_defect"] == 0.0
+    mod.R.entries[0, 1, 2, 3] += 0.375
+    assert frame_rule_audit(mod).residuals["two_slot_defect"] == 0.375
