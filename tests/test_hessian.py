@@ -128,8 +128,8 @@ def test_assemble_quadform_is_weighted_sum():
 
 
 def _dense_form(model):
-    """The per-term dense assembly that ``assemble_quadform`` replaced: one
-    n^2 x n^2 ``term_matrix`` per basis quantity, summed in order."""
+    """The dense reference for ``assemble_quadform``: one n^2 x n^2
+    ``term_matrix`` per basis quantity, summed in order."""
     coeffs = (compact_tt_coefficients(model) if model.compact
               else noncompact_tt_coefficients(model))
     n = model.n

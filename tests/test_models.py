@@ -332,8 +332,9 @@ def _entry_rules_by_loops(R, n, tau, c):
 
 
 def _invariance_rules_by_dense_loop(R, ops, c):
-    """The invariance rules as the audit first computed them: every A_K
-    and every pair form of the two-slot defect is its own n^4 array."""
+    """The invariance rules with every A_K and every pair form of the
+    two-slot defect in its own n^4 array: the reference for the audit's
+    one GEMM per structure operator."""
     def aform(K):
         return (np.einsum("zx,wy->xyzw", K, K)
                 - np.einsum("wx,zy->xyzw", K, K))
@@ -360,39 +361,24 @@ def _invariance_rules_by_dense_loop(R, ops, c):
             "two_slot_defect": wd, "two_slot_defect_pairform": wp}
 
 
-PLANTED = [("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
-           ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0)]
-
-
-def _planted(family, m, nkw, c):
-    """A model whose tensor holds distinct random values in every
-    component: a rule that reads other components than its reference
-    returns another maximum."""
-    mod = build_model(family, m, c, n=nkw)
-    mod.R.entries += np.random.default_rng(9).uniform(-1.0, 1.0,
-                                                      mod.R.entries.shape)
-    return mod
-
-
-@pytest.mark.parametrize("family,m,nkw,c", PLANTED)
+@pytest.mark.parametrize("family,m,nkw,c", [
+    ("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
+    ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0),
+])
 def test_entry_rules_read_their_own_components(family, m, nkw, c):
-    mod = _planted(family, m, nkw, c)
-    want = _entry_rules_by_loops(mod.R.entries, mod.n, mod.tau, mod.c)
-    got = frame_rule_audit(mod).residuals
-    for rule, value in want.items():
-        assert got[rule] == value, rule
-    if mod.tau > 0:
-        assert min(want.values()) > 0
-
-
-@pytest.mark.parametrize("family,m,nkw,c", PLANTED)
-def test_every_audit_residual_equals_its_reference(family, m, nkw, c):
-    mod = _planted(family, m, nkw, c)
+    # distinct random values in every component: a rule that reads other
+    # components than its reference returns another maximum; every
+    # residual of the audit must equal its reference exactly
+    mod = build_model(family, m, c, n=nkw)
     R = mod.R.entries
+    R += np.random.default_rng(9).uniform(-1.0, 1.0, R.shape)
+    entry = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
     want = {"zero_three_coordinates": _zero_three_by_mask(R, mod.n, mod.tau),
-            **_entry_rules_by_loops(R, mod.n, mod.tau, mod.c),
+            **entry,
             **_invariance_rules_by_dense_loop(R, mod.J.operators, mod.c)}
     assert frame_rule_audit(mod).residuals == want
+    if mod.tau > 0:
+        assert min(entry.values()) > 0
 
 
 @pytest.mark.parametrize("family,m", [("complex", 2), ("quaternionic", 2),
