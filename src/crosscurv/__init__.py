@@ -82,63 +82,7 @@ from crosscurv.report import ReportDocument
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CurvTensor4",
-    "Lambda2Operator",
-    "SymTensor2",
-    "bianchi_residual",
-    "check_tensor",
-    "compose_and_ricci",
-    "from_lambda2",
-    "k_pairing",
-    "kn_product",
-    "lambda2_pushforward",
-    "pair_vector",
-    "r_ring",
-    "random_curvature",
-    "random_symtensor",
-    "ricci",
-    "rr_kn_pairing",
-    "sym_inner",
-    "tilde",
-    "to_lambda2",
-    "JacobiConvergenceError",
-    "Spectrum",
-    "jacobi_eigs",
-    "CurvatureModel",
-    "FrameAudit",
-    "JStructure",
-    "ModelValidationError",
-    "NoSpectralDataError",
-    "build_j_structure",
-    "build_model",
-    "frame_rule_audit",
-    "model_constants",
-    "norm2_closed_claimed",
-    "norm2_closed_derived",
-    "reference_constants",
-    "reference_mu_over_lambda",
-    "IdentityCheck",
-    "LedgerExpr",
-    "a4_variants",
-    "expand_theorem_conformal",
-    "expand_theorem_tt",
-    "identity_catalog",
-    "noncompact_chain",
-    "quadratic_completion_checks",
-    "verify_identity_numeric",
-    "QuadForm",
-    "SpectralCertificate",
-    "StabilityReport",
-    "UnsupportedExponentError",
-    "assemble_quadform",
-    "assemble_tt_remainder",
-    "conformal_value",
-    "family_bound_form",
-    "hp_scale",
-    "min_eigen_tt",
-    "stability_verdict",
-    "tt_basis",
-    "ReportDocument",
-    "__version__",
-]
+# every name imported above, for ``from crosscurv import *``
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", "").startswith("crosscurv.")]
+__all__.append("__version__")

@@ -40,7 +40,7 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import stability_verdict
+from crosscurv.hessian import RAYLEIGH_BATCH, stability_verdict
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -115,8 +115,8 @@ def memory_estimate(n: int) -> int:
     model of dimension n.
 
     Three terms: twelve float64 arrays of n^4 entries; one Rayleigh
-    sampling batch of 20 000 vectors of the trace-free dimension
-    n(n+1)/2 - 1; and 128 MiB for the interpreter, numpy, sympy and the
+    sampling batch of ``RAYLEIGH_BATCH`` (20 000) vectors of the trace-free
+    dimension n(n+1)/2 - 1; and 128 MiB for the interpreter, numpy, sympy and the
     small arrays.  The n^4 term is headroom over the measured stages (at
     n = 16..40): the curvature build and the frame audit hold at most
     about four n^4 arrays at once (R, the two-slot pullback and the
@@ -125,7 +125,7 @@ def memory_estimate(n: int) -> int:
     Keeping twelve fixes the refusal point at n = 79.
     """
     dim = n * (n + 1) // 2 - 1
-    return 8 * (12 * n**4 + 20_000 * dim) + 128 * 2**20
+    return 8 * (12 * n**4 + RAYLEIGH_BATCH * dim) + 128 * 2**20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,6 +209,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise ConfigError("--p must be at least 2")
     if cfg["trials"] < 1:
         raise ConfigError("--trials must be positive")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"--seed must be non-negative, got {cfg['seed']}")
     if cfg["tol"] <= 0:
         raise ConfigError("--tol must be positive")
     if cfg["out"]:

@@ -36,6 +36,7 @@ the tau >= 3 families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -72,6 +73,13 @@ __all__ = [
 #: basis quantities that have a quadratic-form realization on variations
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "NORM_RRING",
              "K_PAIR", "RR_KN")
+
+#: Rayleigh samples drawn per batch by ``min_eigen_tt``; with the seed it
+#: fixes which normals make up each sample
+RAYLEIGH_BATCH = 20_000
+
+#: step budget of ``_refine_rayleigh``
+REFINE_MAX_ITER = 2000
 
 
 class UnsupportedExponentError(ValueError):
@@ -215,11 +223,10 @@ class QuadForm:
     dim: int
     matrix: np.ndarray = field(repr=False)
     provenance: str = ""
-    basis: np.ndarray = field(default=None, repr=False)
 
     def value(self, h: np.ndarray) -> float:
         """Evaluate on a trace-free symmetric matrix via the basis."""
-        b = self.basis.T @ np.asarray(h, dtype=float).reshape(-1)
+        b = tt_basis(self.n).T @ np.asarray(h, dtype=float).reshape(-1)
         return float(b @ self.matrix @ b)
 
 
@@ -239,8 +246,7 @@ def assemble_quadform(model: CurvatureModel, coeffs: dict,
     B = tt_basis(n)
     M = B.T @ G @ B
     M = 0.5 * (M + M.T)
-    return QuadForm(n=n, dim=B.shape[1], matrix=M, provenance=provenance,
-                    basis=B)
+    return QuadForm(n=n, dim=B.shape[1], matrix=M, provenance=provenance)
 
 
 def compact_tt_coefficients(model: CurvatureModel) -> dict:
@@ -328,8 +334,7 @@ class SpectralCertificate:
     residual_bound: float
 
 
-def _refine_rayleigh(M: np.ndarray, x: np.ndarray,
-                     max_iter: int = 2000) -> tuple:
+def _refine_rayleigh(M: np.ndarray, x: np.ndarray) -> tuple:
     """Drive a unit vector down the Rayleigh quotient.
 
     Each step minimizes the quotient exactly over span{x, residual, previous
@@ -349,7 +354,7 @@ def _refine_rayleigh(M: np.ndarray, x: np.ndarray,
     x = x / np.linalg.norm(x)
     rho = float(x @ M @ x)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(REFINE_MAX_ITER):
         grad = M @ x - rho * x
         if float(np.linalg.norm(grad)) < 1e-14 * max(floor, abs(rho)):
             break
@@ -377,8 +382,8 @@ def _refine_rayleigh(M: np.ndarray, x: np.ndarray,
     return rho, x
 
 
-def min_eigen_tt(qf: QuadForm, samples: int = 100_000, seed: int = 0,
-                 batch: int = 20_000) -> SpectralCertificate:
+def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
+                 seed: int = 0) -> SpectralCertificate:
     """Minimal eigenvalue with a two-sided sanity certificate.
 
     The Jacobi solver gives the spectrum.  Independently, a seeded batch of
@@ -386,10 +391,10 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000, seed: int = 0,
     refined by projected descent (``_refine_rayleigh``).
 
     Sampling: each batch fills one preallocated buffer with
-    ``rng.standard_normal`` in a (dim, k) draw, k = batch except for a
-    shorter last batch, so column j of a batch is sample j and the seed,
-    the batch size and the draw shape together fix which normals make up
-    each sample; changing any of them changes every certificate.  The
+    ``rng.standard_normal`` in a (dim, k) draw, k = ``RAYLEIGH_BATCH``
+    except for a shorter last batch, so column j of a batch is sample j and
+    the seed, the batch size and the draw shape together fix which normals
+    make up each sample; changing any of them changes every certificate.  The
     quotient of each column is evaluated block by block over the connected
     components of the form that the Jacobi spectrum records: the forms are
     exactly block-diagonal up to a permutation, so v^T M v is the sum over
@@ -411,12 +416,12 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000, seed: int = 0,
     eig_max = float(spec.eigenvalues[-1])
     blocks = [(idx, M[np.ix_(idx, idx)]) for idx in spec.components]
     rng = np.random.default_rng(seed)
-    buf = np.empty(qf.dim * min(batch, samples))
+    buf = np.empty(qf.dim * min(RAYLEIGH_BATCH, samples))
     ray_min = np.inf
     best = None
     done = 0
     while done < samples:
-        k = min(batch, samples - done)
+        k = min(RAYLEIGH_BATCH, samples - done)
         V = buf[:qf.dim * k].reshape(qf.dim, k)
         rng.standard_normal(out=V)
         quad = np.zeros(k)
@@ -516,12 +521,16 @@ def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
 
 def hp_scale(p: float, R_norm2: float) -> float:
     """Scale factor (p/2) |R|^(p-2) relating the exponent-p form to the
-    exponent-2 form at a critical model; defined for p >= 2."""
+    exponent-2 form at a critical model; defined for p >= 2.  A factor
+    beyond the double range is inf, not an OverflowError."""
     if p < 2:
         raise ValueError("scale factor is defined for p >= 2 only")
     if R_norm2 <= 0:
         raise ValueError("need a positive squared norm")
-    return (p / 2.0) * R_norm2 ** ((p - 2) / 2.0)
+    try:
+        return (p / 2.0) * R_norm2 ** ((p - 2) / 2.0)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

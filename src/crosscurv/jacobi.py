@@ -79,8 +79,7 @@ def jacobi_eigs(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Spe
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("jacobi_eigs needs a square matrix")
     n = A.shape[0]
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if np.max(np.abs(A - A.T)) > 1e-12 * scale:
+    if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("jacobi_eigs needs a symmetric matrix")
     A = 0.5 * (A + A.T)
     comps = _components(A)

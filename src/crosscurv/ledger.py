@@ -60,6 +60,10 @@ through that same call.
 The identity catalog at the bottom pairs each named identity with an
 independent numeric evaluator on concrete models; ``verify_identity_numeric``
 drives random trials and reports PASS/FAIL without aborting on failure.
+Both sides of an identity of degree k in c scale as |c|^k, and its residual
+is relative to max(|c|^k, max |lhs|) (``_residual``), so residuals and
+outcomes are the same at every curvature scale.  The one exception is the
+literal k-pairing display, which pairs a degree-2 side with a degree-0 one.
 """
 
 from __future__ import annotations
@@ -640,6 +644,17 @@ def _omega_pair(model, a: int, b: int) -> np.ndarray:
     return pair_vector(W)
 
 
+def _residual(lhs, rhs, scale: float) -> float:
+    """max |lhs - rhs| relative to max(scale, max |lhs|).
+
+    ``scale`` is the natural size of an identity of degree k in c, |c|^k,
+    so a residual, and with it the outcome, is the same at every curvature
+    scale; at c = +-1 the divisor is max(1, max |lhs|).
+    """
+    gap = float(np.max(np.abs(np.subtract(lhs, rhs))))
+    return gap / max(scale, float(np.max(np.abs(lhs))))
+
+
 def _ev_curvature_action_affine(model, rng):
     nn = model.n
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
@@ -648,8 +663,7 @@ def _ev_curvature_action_affine(model, rng):
     on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
     rhs = (on_ht * tilde(h, model.J).entries + on_h * h
            + on_trace * np.trace(h) * np.eye(nn))
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    return {"residual": float(np.max(np.abs(lhs - rhs))) / scale}
+    return {"residual": _residual(lhs, rhs, abs(model.c))}
 
 
 def _ev_compose_structure(model, rng):
@@ -660,9 +674,7 @@ def _ev_compose_structure(model, rng):
     for J, om in zip(model.J.operators, _pair_vectors(model)):
         rhs = rhs + lambda2_pushforward(J) @ P1 + 2.0 * np.outer(om, om @ P1)
     rhs *= model.c
-    lhs = P @ P1
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    return {"residual": float(np.max(np.abs(lhs - rhs))) / scale}
+    return {"residual": _residual(P @ P1, rhs, abs(model.c))}
 
 
 def _ev_compose_self_structure(model, rng):
@@ -673,15 +685,14 @@ def _ev_compose_self_structure(model, rng):
             om = _omega_pair(model, a, b)
             rhs = rhs + np.outer(om, om @ P)
     rhs *= model.c * (model.tau + 1)
-    scale = max(1.0, float(np.max(np.abs(P @ P))))
-    return {"residual": float(np.max(np.abs(P @ P - rhs))) / scale}
+    return {"residual": _residual(P @ P, rhs, model.c**2)}
 
 
 def _ev_norm_closed_form(model, rng):
     claimed = norm2_closed_claimed(model.n, model.tau, model.c)
     direct = model.R_norm2
     return {
-        "residual": abs(direct - claimed) / max(1.0, abs(direct)),
+        "residual": _residual(direct, claimed, model.c**2),
         "direct": direct,
         "closed_form": claimed,
     }
@@ -693,7 +704,7 @@ def _ev_kn_pairing_reduction(model, rng):
     lhs = rr_kn_pairing(model.R, h)
     on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
     rhs = on_b * sym_inner(r_ring(model.R, h).entries, h) + on_norm  # |h|^2 = 1
-    return {"residual": abs(lhs - rhs) / max(1.0, abs(lhs)),
+    return {"residual": _residual(lhs, rhs, model.c**2),
             "lhs": lhs, "rhs": rhs}
 
 
@@ -717,8 +728,8 @@ def _ev_compose_ricci_trace(model, rng):
     rhs = base + model.c * (sum1 + 0.5 * sum2)
     rhs_corrected = base + model.c * (sum1 + sum2)
     return {
-        "residual": abs(lhs - rhs) / max(1.0, abs(lhs)),
-        "residual_corrected": abs(lhs - rhs_corrected) / max(1.0, abs(lhs)),
+        "residual": _residual(lhs, rhs, abs(model.c)),
+        "residual_corrected": _residual(lhs, rhs_corrected, abs(model.c)),
     }
 
 
@@ -729,9 +740,11 @@ def _ev_k_pairing_closed_form(model, rng):
     hplus = tilde(h, model.J).entries + h
     base = ((nn + 10 * (model.tau + 1)) * sym_inner(hplus, hplus)
             + 4.0 * np.trace(hplus) ** 2)
+    # lhs has degree 2 in c and the literal display degree 0, so only the
+    # rescaled residual is the same at every scale
     return {
-        "residual": abs(lhs - base) / max(1.0, abs(lhs)),
-        "residual_rescaled": abs(lhs - model.c**2 * base) / max(1.0, abs(lhs)),
+        "residual": _residual(lhs, base, model.c**2),
+        "residual_rescaled": _residual(lhs, model.c**2 * base, model.c**2),
         "lhs": lhs,
     }
 

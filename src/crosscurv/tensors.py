@@ -44,12 +44,14 @@ __all__ = [
     "bianchi_residual",
 ]
 
-#: absolute tolerance for structural residuals on unit-scale entries
+#: tolerance for structural residuals, relative to the largest entry
 STRUCT_TOL = 1e-12
 
 
 def _scale(a: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    """Largest absolute entry (0 for an empty array): the natural size of
+    a structural residual, whatever the curvature scale."""
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 @dataclass(eq=False)
@@ -57,8 +59,8 @@ class SymTensor2:
     """A symmetric bilinear form given by its matrix in the frame.
 
     With ``trace_free=True`` the constructor additionally insists that the
-    trace vanishes to 1e-12; tensors produced by the random generator with
-    that flag satisfy this exactly.
+    trace vanishes to 1e-12 of the largest entry; tensors produced by the
+    random generator with that flag satisfy this exactly.
     """
 
     entries: np.ndarray
@@ -87,7 +89,8 @@ class SymTensor2:
 @dataclass(eq=False)
 class CurvTensor4:
     """A rank-4 tensor; with ``algebraic=True`` (default) it must satisfy the
-    curvature symmetries and the first Bianchi identity as residuals <= 1e-12.
+    curvature symmetries and the first Bianchi identity as residuals of at
+    most 1e-12 of the largest entry.
 
     Non-algebraic instances (``algebraic=False``) are plain containers; they
     carry compositions and other intermediates that lack pair symmetry.

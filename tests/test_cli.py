@@ -72,6 +72,7 @@ CONFIG_ERRORS = [
     ["certify", "--space", "cp", "--m", "2", "--p", "nan"],
     ["certify", "--space", "cp", "--m", "2", "--p", "inf"],
     ["verify", "--space", "cp", "--m", "2", "--tol", "nan"],
+    ["certify", "--space", "hp", "--m", "1", "--seed", "-1"],
 ]
 
 
@@ -144,6 +145,34 @@ def test_certify_at_large_scale_exits_0():
     assert not any("rayleigh" in note for note in notes)
 
 
+@pytest.mark.parametrize("p", ["42", "44"])
+def test_epsilon_beyond_the_double_range_reads_inf(p):
+    # (p/2) |R|^(p-2) eig_min overflows at p = 42 and |R|^(p-2) alone at
+    # p = 44; both print inf and exit 0
+    code, out, err = run(["certify", "--space", "hp", "--m", "2", "--c", "1e6",
+                          "--p", p, *FAST, "--format", "json"])
+    assert code == 0, err
+    cert = json.loads(out)["certification"]
+    assert cert["epsilon"] == "inf"
+    assert cert["tt_verdict"] == "stable-strict"
+
+
+def test_verify_outcomes_do_not_depend_on_the_scale():
+    # at c = 1e-6 an absolute floor used to pass compose-self-structure,
+    # norm-closed-form and kn-pairing-reduction, which fail at c = 1
+    docs = {}
+    for c in ("1", "1e-6"):
+        code, out, _ = run(["verify", "--space", "hp", "--m", "2", "--c", c,
+                            "--seed", "7", "--trials", "4", "--format", "json"])
+        assert code == 4
+        docs[c] = {f["id"]: f["outcome"]
+                   for f in json.loads(out)["lemma_findings"]}
+    assert docs["1e-6"] == docs["1"]
+    for lemma in ("compose-self-structure", "norm-closed-form",
+                  "kn-pairing-reduction"):
+        assert docs["1e-6"][lemma] == "FAIL"
+
+
 @pytest.mark.parametrize("args", [
     ["model", "--space", "hp", "--m", "2", "--c", "1e-200"],
     ["certify", "--space", "hp", "--m", "2", "--c", "1e76", *FAST],
@@ -203,6 +232,18 @@ def test_config_file_values_are_checked_like_flags(tmp_path, command, text):
     code, out, err = run([command, "--config", str(cfg)])
     assert code == 2
     assert err.startswith("config error: unknown ") and out == ""
+
+
+def test_negative_seed_in_a_file_is_refused_before_building(tmp_path,
+                                                            monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("built a model for a refused seed")
+    monkeypatch.setattr(cli, "build_model", boom)
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("space=hp\nm=1\nseed=-1\n")
+    code, out, err = run(["verify", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --seed")
 
 
 def test_out_flag_writes_same_bytes(tmp_path):

@@ -1,0 +1,107 @@
+"""Verdicts do not depend on the curvature scale.
+
+The models at scale c are homothetic: an identity of degree k in c has both
+sides scaled by |c|^k, and every tolerance is relative to the natural size
+of the quantity it bounds.  So every catalog outcome and every construction
+gate decision at c equals its value at c = sign(c), and every residual
+equals its value there up to rounding.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crosscurv.models as models
+from crosscurv.ledger import identity_catalog, verify_identity_numeric
+from crosscurv.models import ModelValidationError, build_model
+
+MODELS = {"hp2": ("quaternionic", 2), "cp2": ("complex", 2),
+          "op2": ("octonionic", 2)}
+
+#: the literal k-pairing display pairs a degree-2 side with a degree-0 one:
+#: its residual, and with it the trial whose details are kept, moves with c,
+#: so only its outcome is compared
+LITERAL = "k-pairing-closed-form"
+
+
+def _plant(monkeypatch, defect: float) -> None:
+    """Make the builder add defect * c times the round tensor to R."""
+    build = models._curvature_from_structure
+
+    def planted(J, c):
+        R = build(J, c).entries
+        R += defect * c * models._asum([np.eye(J.n)], np.ones(1), J.n)
+        return models.CurvTensor4(R)
+
+    monkeypatch.setattr(models, "_curvature_from_structure", planted)
+
+
+def _gate_decision(family: str, m: int, c: float) -> str:
+    """'admitted', or the refusing gate's message up to its residual."""
+    try:
+        build_model(family, m, c)
+    except ModelValidationError as exc:
+        return str(exc).split(":")[0]
+    return "admitted"
+
+
+def _findings(key: str, c: float) -> list:
+    model = build_model(*MODELS[key], c)
+    return [verify_identity_numeric(name, model, trials=2, seed=3)
+            for name in identity_catalog()]
+
+
+@lru_cache(maxsize=None)
+def _unit_findings(key: str, sign: float) -> tuple:
+    return tuple(_findings(key, sign))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(MODELS)),
+       exponent=st.floats(-6.0, 6.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_catalog_is_the_same_at_every_scale(key, exponent, sign):
+    c = sign * 10.0**exponent
+    for got, ref in zip(_findings(key, c), _unit_findings(key, sign)):
+        assert got["outcome"] == ref["outcome"], (got["id"], c)
+        if got["id"] == LITERAL:
+            continue
+        pairs = [(got["residual"], ref["residual"])]
+        if "residual_corrected" in ref.get("details", {}):
+            pairs.append((got["details"]["residual_corrected"],
+                          ref["details"]["residual_corrected"]))
+        for g, r in pairs:
+            assert abs(g - r) <= 1e-12 * max(1.0, r), (got["id"], c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(MODELS)),
+       exponent=st.floats(-6.0, 6.0),
+       sign=st.sampled_from([1.0, -1.0]),
+       defect=st.sampled_from([0.0, 1e-14, 1e-9]),
+       audit=st.booleans())
+def test_gate_decisions_are_the_same_at_every_scale(key, exponent, sign,
+                                                    defect, audit):
+    # without the frame audit the planted defect reaches the Einstein gate
+    if defect < 1e-12:
+        want = "admitted"
+    else:
+        want = "frame audit failed" if audit else "Einstein identity fails"
+    with pytest.MonkeyPatch.context() as mp:
+        _plant(mp, defect)
+        if not audit:
+            mp.setattr(models.FrameAudit, "passed", lambda self, tol: True)
+        for c in (sign * 10.0**exponent, sign):
+            assert _gate_decision(*MODELS[key], c) == want, c
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0, 1e-6, -1e-6])
+def test_relative_defect_is_refused_at_small_scale(monkeypatch, c):
+    # 1e-9 of the model's own size fails the frame audit at every scale;
+    # an absolute 1e-12 gate let it through at |c| = 1e-6
+    _plant(monkeypatch, 1e-9)
+    with pytest.raises(ModelValidationError, match="frame audit failed"):
+        build_model("quaternionic", 2, c)

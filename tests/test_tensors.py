@@ -67,6 +67,16 @@ def test_curvtensor_validation():
     assert bianchi_residual(R.entries) < 1e-12
 
 
+def test_curvtensor_tolerance_is_relative_to_its_entries():
+    # entries of about 1e-6: a defect of 1e-7 of that size is refused, as
+    # a defect of 1e-7 is refused at entries of about 1
+    T = build_model("quaternionic", 1, 1e-6).R.entries.copy()
+    CurvTensor4(T)
+    T[0, 1, 2, 3] += 1e-7 * np.max(np.abs(T))
+    with pytest.raises(ValueError):
+        CurvTensor4(T)
+
+
 def test_random_curvature_projection_is_idempotent():
     n = 4
     R = _rand_R(n)
