@@ -19,9 +19,11 @@ structure products P for the structure terms.  One bincount sums the
 weighted entries of every term into the single n^2 x n^2 matrix G, and
 B^T G B compresses it to the trace-free basis B.  No per-term matrix and
 no O(n^6) product is formed; ``term_matrix`` keeps the dense realization
-of each term as the reference the tests compare with.  At c = +-1 every
-entry of G is an integer or a half-integer, so G, and with it every bit of
-the form, does not depend on the order of summation.
+of each term as the reference the tests compare with.  G is built at unit
+scale, from R / |c| and the coefficients at c = sign(c), and the form is
+multiplied by c^2 once.  Every entry of G is then an integer or a
+half-integer, so G, and with it every bit of the form before the c^2, does
+not depend on the order of summation or on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -37,9 +39,11 @@ the tau >= 3 families.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,9 +78,13 @@ __all__ = [
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "NORM_RRING",
              "K_PAIR", "RR_KN")
 
-#: Rayleigh samples drawn per batch by ``min_eigen_tt``; with the seed it
-#: fixes which normals make up each sample
+#: Rayleigh samples in flight at once in ``min_eigen_tt``: its pool runs
+#: RAYLEIGH_BATCH // RAYLEIGH_CHUNK threads with one chunk of draws each
 RAYLEIGH_BATCH = 20_000
+
+#: Rayleigh samples per chunk of ``min_eigen_tt``; with the seed it fixes
+#: which normals make up each sample
+RAYLEIGH_CHUNK = 5_000
 
 #: step budget of ``_refine_rayleigh``
 REFINE_MAX_ITER = 2000
@@ -202,11 +210,8 @@ def _stack(parts: list) -> tuple:
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _form_entries(model: CurvatureModel, coeffs: dict) -> tuple:
+def _form_entries(model: CurvatureModel, coeffs: dict, nz: tuple) -> tuple:
     """The entries of every weighted term of ``coeffs``, concatenated."""
-    R = model.R.entries
-    idx = np.unravel_index(np.flatnonzero(R), R.shape)
-    nz = (*idx, R[idx])
     parts = []
     for key, w in coeffs.items():
         if w != 0:
@@ -230,22 +235,41 @@ class QuadForm:
         return float(b @ self.matrix @ b)
 
 
-def assemble_quadform(model: CurvatureModel, coeffs: dict,
+def assemble_quadform(model: CurvatureModel, coeffs,
                       provenance: str = "") -> QuadForm:
     """Weighted sum of the basis quantities, compressed to the trace-free
     basis.
 
+    The form is assembled at unit scale and multiplied by c^2 once.  The
+    curvature terms read the unit-scale nonzeros R / |c| (the small
+    integers of the tensor at c = sign(c); the division is exact at every
+    scale tested), and ``coeffs`` gives the weights at c = sign(c): either
+    a coefficient set, a function of a model's n, tau, c and R_norm2 such
+    as ``compact_tt_coefficients``, evaluated there with the unit-scale
+    |R|^2, or a dict of those weights.  The coefficient sets are
+    homogeneous of degree 2 in c, so this is the form at c; its nonzero
+    pattern is the one at c = sign(c).
+
     The entries of every term (``_term_entries``) are weighted and summed
     into one n^2 x n^2 matrix G by a single bincount; no per-term matrix is
-    formed.  At c = +-1 every entry is an integer or a half-integer, so G
-    is exact and equals the sum of the dense ``term_matrix`` terms.
+    formed.  Every entry of G is an integer or a half-integer, so G is
+    exact and equals the sum of the dense ``term_matrix`` terms at
+    c = sign(c).
     """
     n = model.n
-    G = np.bincount(*_form_entries(model, coeffs),
+    R = model.R.entries
+    idx = np.unravel_index(np.flatnonzero(R), R.shape)
+    nz = (*idx, R[idx] / abs(model.c))
+    if callable(coeffs):
+        coeffs = coeffs(SimpleNamespace(
+            n=n, tau=model.tau, c=math.copysign(1.0, model.c),
+            R_norm2=float(nz[-1] @ nz[-1])))
+    G = np.bincount(*_form_entries(model, coeffs, nz),
                     minlength=n**4).reshape(n * n, n * n)
     B = tt_basis(n)
     M = B.T @ G @ B
     M = 0.5 * (M + M.T)
+    M *= model.c * model.c
     return QuadForm(n=n, dim=B.shape[1], matrix=M, provenance=provenance)
 
 
@@ -281,9 +305,9 @@ def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
     scale."""
     if model.compact:
-        return assemble_quadform(model, compact_tt_coefficients(model),
+        return assemble_quadform(model, compact_tt_coefficients,
                                  provenance="tt-remainder/compact")
-    return assemble_quadform(model, noncompact_tt_coefficients(model),
+    return assemble_quadform(model, noncompact_tt_coefficients,
                              provenance="tt-remainder/noncompact")
 
 
@@ -386,21 +410,31 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
                  seed: int = 0) -> SpectralCertificate:
     """Minimal eigenvalue with a two-sided sanity certificate.
 
-    The Jacobi solver gives the spectrum.  Independently, a seeded batch of
-    random directions samples Rayleigh quotients and the best sample is
-    refined by projected descent (``_refine_rayleigh``).
+    The Jacobi solver gives the spectrum.  Independently, seeded random
+    directions sample Rayleigh quotients and the best sample is refined by
+    projected descent (``_refine_rayleigh``).
 
-    Sampling: each batch fills one preallocated buffer with
-    ``rng.standard_normal`` in a (dim, k) draw, k = ``RAYLEIGH_BATCH``
-    except for a shorter last batch, so column j of a batch is sample j and
-    the seed, the batch size and the draw shape together fix which normals
-    make up each sample; changing any of them changes every certificate.  The
-    quotient of each column is evaluated block by block over the connected
-    components of the form that the Jacobi spectrum records: the forms are
-    exactly block-diagonal up to a permutation, so v^T M v is the sum over
-    components b of v_b^T M_b v_b and no dense product with M is formed.
-    Squared column norms are taken in one pass; only the winning column is
-    normalised.
+    Sampling: the samples are split into chunks of ``RAYLEIGH_CHUNK``
+    columns (the last one shorter).  Chunk j draws a (dim, k) block of
+    normals from its own child stream,
+    ``SeedSequence(seed).spawn(chunks)[j]`` through PCG64, with its rows
+    in component order: row r is coordinate
+    ``np.concatenate(spec.components)[r]`` of the form, so every connected
+    component of the Jacobi spectrum is a contiguous slice of rows.  The
+    forms are exactly block-diagonal up to that permutation, so v^T M v is
+    the sum over components b of v_b^T M_b v_b; each chunk accumulates
+    that sum and the squared column norms (row by row, in row order) in one
+    pass over its blocks, and returns its smallest quotient with its unit
+    column.  The chunks run on a fixed pool of
+    ``RAYLEIGH_BATCH // RAYLEIGH_CHUNK`` threads (numpy releases the GIL
+    in the draws and in BLAS).  Each thread reuses one slot of
+    (dim + largest block) x ``RAYLEIGH_CHUNK`` floats for the draws and
+    the block products, so at most ``RAYLEIGH_BATCH`` samples are held at
+    once, as ``cli.memory_estimate`` charges.  The
+    results are reduced in chunk order with a strict ``<`` and only the
+    winning column is put back in the form's own order: the certificate
+    depends on ``seed`` and ``samples`` alone, not on scheduling or on
+    the number of cores.
 
     Consistency: for the refined unit vector x with quotient rho, some
     eigenvalue lies within ||M x - rho x|| of rho (Parlett, The Symmetric
@@ -410,32 +444,62 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     rule holds at every curvature scale; the bound is stored as
     ``residual_bound``.
     """
+    # imported here: the pool is the only user, and a cold import of the
+    # package would pay a few milliseconds for it
+    from concurrent.futures import ThreadPoolExecutor
+
     M = qf.matrix
     spec = jacobi_eigs(M)
     eig_min = float(spec.eigenvalues[0])
     eig_max = float(spec.eigenvalues[-1])
-    blocks = [(idx, M[np.ix_(idx, idx)]) for idx in spec.components]
-    rng = np.random.default_rng(seed)
-    buf = np.empty(qf.dim * min(RAYLEIGH_BATCH, samples))
-    ray_min = np.inf
-    best = None
-    done = 0
-    while done < samples:
-        k = min(RAYLEIGH_BATCH, samples - done)
-        V = buf[:qf.dim * k].reshape(qf.dim, k)
-        rng.standard_normal(out=V)
+    order = np.concatenate(spec.components)
+    sizes = [idx.size for idx in spec.components]
+    starts = np.cumsum([0] + sizes)
+    blocks = [(int(s), M[np.ix_(idx, idx)])
+              for s, idx in zip(starts, spec.components)]
+    chunks = -(-samples // RAYLEIGH_CHUNK)
+    streams = np.random.SeedSequence(seed).spawn(chunks)
+    threads = RAYLEIGH_BATCH // RAYLEIGH_CHUNK
+    width = min(RAYLEIGH_CHUNK, samples)
+    # each pool thread works in one slot: the draws, then the product of a
+    # block with its rows.  The slots are allocated here at once, so worker
+    # threads do not grow heaps of their own
+    slots = iter(np.empty((min(threads, chunks),
+                           (qf.dim + max(sizes)) * width)))
+    local = threading.local()
+
+    def best_in_chunk(j: int) -> tuple:
+        k = min(RAYLEIGH_CHUNK, samples - j * RAYLEIGH_CHUNK)
+        if not hasattr(local, "slot"):
+            local.slot = next(slots)
+        V = local.slot[:qf.dim * k].reshape(qf.dim, k)
+        np.random.Generator(np.random.PCG64(streams[j])).standard_normal(
+            out=V)
         quad = np.zeros(k)
-        for idx, block in blocks:
-            Vb = V[idx]
-            quad += np.einsum("ij,ij->j", Vb, block @ Vb)
-        norm2 = np.einsum("ij,ij->j", V, V)
+        norm2 = np.zeros(k)
+        for s, block in blocks:
+            Vb = V[s:s + block.shape[0]]
+            P = np.matmul(block, Vb,
+                          out=local.slot[-Vb.size:].reshape(Vb.shape))
+            quad += np.einsum("ij,ij->j", Vb, P)
+            # fold the running sum into the block's first row: each column
+            # norm is then one in-order sum over all rows, as a dense norm
+            np.multiply(Vb, Vb, out=P)
+            P[0] += norm2
+            np.add.reduce(P, axis=0, out=norm2)
         vals = quad / norm2
-        j = int(np.argmin(vals))
-        if float(vals[j]) < ray_min:
-            ray_min = float(vals[j])
-            best = V[:, j] / np.sqrt(norm2[j])
-        done += k
-    ray_min, x = _refine_rayleigh(M, best)
+        i = int(np.argmin(vals))
+        return float(vals[i]), V[:, i] / np.sqrt(norm2[i])
+
+    with ThreadPoolExecutor(threads) as pool:
+        found = list(pool.map(best_in_chunk, range(chunks)))
+    ray_min, best = np.inf, None
+    for val, col in found:
+        if val < ray_min:
+            ray_min, best = val, col
+    x = np.empty(qf.dim)
+    x[order] = best
+    ray_min, x = _refine_rayleigh(M, x)
     bound = (float(np.linalg.norm(M @ x - ray_min * x))
              + 1e-12 * float(np.linalg.norm(M)))
     return SpectralCertificate(

@@ -833,6 +833,9 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
 
     Returns a finding dict with the worst residual, PASS/FAIL outcome, and
     trial bookkeeping.  A FAIL is a recorded finding, never an exception.
+    The details are those of the trial with the largest scale-free
+    residual: ``residual_rescaled`` where the evaluator returns one, else
+    ``residual``, so the trial they describe does not depend on c.
     """
     catalog = identity_catalog()
     if lemma_id not in catalog:
@@ -840,12 +843,14 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     entry = catalog[lemma_id]
     rng = np.random.default_rng(seed)
     runs = 1 if entry.input_free else max(1, trials)
-    worst = 0.0
+    worst = worst_free = 0.0
     details: dict = {}
     for _ in range(runs):
         out = entry.evaluate(model, rng)
-        if out["residual"] > worst:
-            worst = out["residual"]
+        worst = max(worst, out["residual"])
+        free = out.get("residual_rescaled", out["residual"])
+        if free > worst_free:
+            worst_free = free
             details = {k: v for k, v in out.items() if k != "residual"}
     finding = {
         "id": lemma_id,

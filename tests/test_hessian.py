@@ -249,26 +249,32 @@ def test_min_eigen_deterministic():
     assert a.eig_min == b.eig_min
 
 
-def _dense_best_sample(M, samples, seed, batch=20_000):
-    """The normalise-then-GEMM sampling loop that the blockwise one
-    replaced, kept as its reference: the best unit sample."""
-    rng = np.random.default_rng(seed)
-    ray_min, best, done = np.inf, None, 0
-    while done < samples:
-        k = min(batch, samples - done)
-        V = rng.standard_normal((M.shape[0], k))
-        V /= np.linalg.norm(V, axis=0)
+def _dense_best_sample(M, samples, seed):
+    """The dense reference for the chunked, blockwise sampling: the same
+    child streams and the same component-ordered rows, every column
+    normalised and put back in the form's order, then one GEMM with M.
+    Returns the best unit sample."""
+    chunk = hessian.RAYLEIGH_CHUNK
+    order = np.concatenate(hessian.jacobi_eigs(M).components)
+    chunks = -(-samples // chunk)
+    ray_min, best = np.inf, None
+    for j, stream in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
+        k = min(chunk, samples - j * chunk)
+        drawn = np.random.Generator(np.random.PCG64(stream)).standard_normal(
+            (M.shape[0], k))
+        drawn /= np.linalg.norm(drawn, axis=0)
+        V = np.empty_like(drawn)
+        V[order] = drawn
         vals = np.einsum("ij,ij->j", V, M @ V)
-        j = int(np.argmin(vals))
-        if float(vals[j]) < ray_min:
-            ray_min, best = float(vals[j]), V[:, j].copy()
-        done += k
+        i = int(np.argmin(vals))
+        if float(vals[i]) < ray_min:
+            ray_min, best = float(vals[i]), V[:, i].copy()
     return best
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123456789])
 @pytest.mark.parametrize("key,samples", [("cp3", 20_000), ("hp3", 30_000),
-                                         ("op2", 50_000)])
+                                         ("op2", 50_000), ("hp3", 12_345)])
 def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
                                                  monkeypatch):
     model = (build_model("quaternionic", 3, 1.0) if key == "hp3"
@@ -287,6 +293,64 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
     assert len(starts) == 1
     assert np.array_equal(starts[0], best)
     assert cert.rayleigh_min == refine(qf.matrix, best)[0]
+
+
+class _SerialReverse:
+    """Stands in for the thread pool: runs every chunk on the calling
+    thread, the last chunk first, and returns the results in chunk order
+    as ``map`` does."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        done = {i: fn(i) for i in reversed(items)}
+        return [done[i] for i in items]
+
+
+@pytest.mark.parametrize("key,samples", [("op2", 12_345), ("hp3", 20_000)])
+def test_certificate_does_not_depend_on_scheduling(key, samples,
+                                                   monkeypatch):
+    import concurrent.futures
+
+    model = (build_model("quaternionic", 3, 1.0) if key == "hp3"
+             else _model(key))
+    qf = assemble_tt_remainder(model)
+    pooled = min_eigen_tt(qf, samples=samples, seed=5)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        _SerialReverse)
+    serial = min_eigen_tt(qf, samples=samples, seed=5)
+    assert repr(serial) == repr(pooled)
+
+
+def test_sampling_holds_at_most_one_batch():
+    # the pool's draws hold RAYLEIGH_BATCH samples in all, the amount
+    # cli.memory_estimate charges for sampling.  On top come the blocks of
+    # the form and a small slack: per thread, the product of the largest
+    # block with a chunk and sixteen chunk-long vectors; once, eight
+    # dim x dim arrays for Jacobi and the refinement.
+    import tracemalloc
+
+    qf = assemble_tt_remainder(_model("op2"))
+    sizes = [idx.size for idx in hessian.jacobi_eigs(qf.matrix).components]
+    chunk = hessian.RAYLEIGH_CHUNK
+    threads = hessian.RAYLEIGH_BATCH // chunk
+    slack = threads * 8 * (max(sizes) + 16) * chunk + 8 * 8 * qf.dim**2
+    tracemalloc.start()
+    try:
+        min_eigen_tt(qf, samples=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = sum(8 * size**2 for size in sizes)
+    assert peak <= 8 * qf.dim * hessian.RAYLEIGH_BATCH + blocks + slack
 
 
 # curvature scales with the unit scale their certificate is compared to

@@ -4,7 +4,9 @@ The models at scale c are homothetic: an identity of degree k in c has both
 sides scaled by |c|^k, and every tolerance is relative to the natural size
 of the quantity it bounds.  So every catalog outcome and every construction
 gate decision at c equals its value at c = sign(c), and every residual
-equals its value there up to rounding.
+equals its value there up to rounding.  The trace-free form is assembled at
+unit scale and multiplied by c^2, so its nonzero pattern is that at
+c = sign(c) and its spectrum is c^2 times the one there.
 """
 
 from functools import lru_cache
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crosscurv.models as models
+from crosscurv.hessian import assemble_tt_remainder
+from crosscurv.jacobi import jacobi_eigs
 from crosscurv.ledger import identity_catalog, verify_identity_numeric
 from crosscurv.models import ModelValidationError, build_model
 
@@ -22,8 +26,8 @@ MODELS = {"hp2": ("quaternionic", 2), "cp2": ("complex", 2),
           "op2": ("octonionic", 2)}
 
 #: the literal k-pairing display pairs a degree-2 side with a degree-0 one:
-#: its residual, and with it the trial whose details are kept, moves with c,
-#: so only its outcome is compared
+#: its residual moves with c, so its outcome and the rescaled residual of
+#: the trial whose details are kept are compared
 LITERAL = "k-pairing-closed-form"
 
 
@@ -68,8 +72,10 @@ def test_catalog_is_the_same_at_every_scale(key, exponent, sign):
     for got, ref in zip(_findings(key, c), _unit_findings(key, sign)):
         assert got["outcome"] == ref["outcome"], (got["id"], c)
         if got["id"] == LITERAL:
-            continue
-        pairs = [(got["residual"], ref["residual"])]
+            pairs = [(got["details"]["residual_rescaled"],
+                      ref["details"]["residual_rescaled"])]
+        else:
+            pairs = [(got["residual"], ref["residual"])]
         if "residual_corrected" in ref.get("details", {}):
             pairs.append((got["details"]["residual_corrected"],
                           ref["details"]["residual_corrected"]))
@@ -105,3 +111,27 @@ def test_relative_defect_is_refused_at_small_scale(monkeypatch, c):
     _plant(monkeypatch, 1e-9)
     with pytest.raises(ModelValidationError, match="frame audit failed"):
         build_model("quaternionic", 2, c)
+
+
+@lru_cache(maxsize=None)
+def _unit_form(key: str, sign: float) -> tuple:
+    M = assemble_tt_remainder(build_model(*MODELS[key], sign)).matrix
+    return M != 0, jacobi_eigs(M), float(np.linalg.norm(M))
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(["hp2", "op2"]),
+       exponent=st.floats(-6.0, 6.0),
+       sign=st.sampled_from([1.0, -1.0]))
+def test_form_is_c_squared_times_the_unit_form(key, exponent, sign):
+    # no entry that is zero at c = sign(c) picks up an ulp at c, so Jacobi
+    # sees the same components and makes the same number of rotations;
+    # the eigenvalues agree to 1e-15 of the form's Frobenius norm
+    c = sign * 10.0**exponent
+    pattern, unit, norm = _unit_form(key, sign)
+    M = assemble_tt_remainder(build_model(*MODELS[key], c)).matrix
+    spec = jacobi_eigs(M)
+    assert np.array_equal(M != 0, pattern)
+    assert spec.iterations == unit.iterations
+    gap = np.max(np.abs(spec.eigenvalues - c * c * unit.eigenvalues))
+    assert gap <= 1e-15 * c * c * norm
