@@ -17,13 +17,15 @@ vec(h): products of two nonzeros of R that share the contracted slots for
 the curvature terms, entries of kron(P, P) over the nonzeros of the
 structure products P for the structure terms.  One bincount sums the
 weighted entries of every term into the single n^2 x n^2 matrix G, and
-B^T G B compresses it to the trace-free basis B.  No per-term matrix and
-no O(n^6) product is formed; ``term_matrix`` keeps the dense realization
-of each term as the reference the tests compare with.  G is built at unit
-scale, from R / |c| and the coefficients at c = sign(c), and the form is
-multiplied by c^2 once.  Every entry of G is then an integer or a
-half-integer, so G, and with it every bit of the form before the c^2, does
-not depend on the order of summation or on the scale.
+the dense product B^T G B compresses it to the trace-free basis B.  No
+per-term matrix is formed, but that product is an O(n^6) GEMM over a G
+whose entries are almost all zero (99.5 % at n = 48).  ``term_matrix``
+keeps the dense realization of each term as the reference the tests
+compare with.  G is built at unit scale, from R / |c| and the coefficients
+at c = sign(c), and the form is kept at that scale beside the factor c^2,
+which the certificate applies to its results.  Every entry of G is an
+integer or a half-integer, so G, and with it every bit of the unit form,
+does not depend on the order of summation or on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -222,17 +224,26 @@ def _form_entries(model: CurvatureModel, coeffs: dict, nz: tuple) -> tuple:
 
 @dataclass(eq=False)
 class QuadForm:
-    """Quadratic form on the trace-free symmetric basis of one model."""
+    """Quadratic form on the trace-free symmetric basis of one model, held
+    as its matrix at c = sign(c), ``unit``, and the factor ``scale`` = c^2
+    that takes it to the model's scale."""
 
     n: int
     dim: int
-    matrix: np.ndarray = field(repr=False)
+    unit: np.ndarray = field(repr=False)
+    scale: float = 1.0
     provenance: str = ""
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The form at the model's scale, ``scale * unit``; a new array on
+        every call."""
+        return self.scale * self.unit
 
     def value(self, h: np.ndarray) -> float:
         """Evaluate on a trace-free symmetric matrix via the basis."""
         b = tt_basis(self.n).T @ np.asarray(h, dtype=float).reshape(-1)
-        return float(b @ self.matrix @ b)
+        return self.scale * float(b @ self.unit @ b)
 
 
 def assemble_quadform(model: CurvatureModel, coeffs,
@@ -240,15 +251,15 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     """Weighted sum of the basis quantities, compressed to the trace-free
     basis.
 
-    The form is assembled at unit scale and multiplied by c^2 once.  The
-    curvature terms read the unit-scale nonzeros R / |c| (the small
-    integers of the tensor at c = sign(c); the division is exact at every
-    scale tested), and ``coeffs`` gives the weights at c = sign(c): either
-    a coefficient set, a function of a model's n, tau, c and R_norm2 such
-    as ``compact_tt_coefficients``, evaluated there with the unit-scale
-    |R|^2, or a dict of those weights.  The coefficient sets are
-    homogeneous of degree 2 in c, so this is the form at c; its nonzero
-    pattern is the one at c = sign(c).
+    The form is assembled at unit scale and kept there, with c^2 as its
+    ``scale``.  The curvature terms read the unit-scale nonzeros R / |c|
+    (the small integers of the tensor at c = sign(c); the division is
+    exact at every scale tested), and ``coeffs`` gives the weights at
+    c = sign(c): either a coefficient set, a function of a model's n, tau,
+    c and R_norm2 such as ``compact_tt_coefficients``, evaluated there with
+    the unit-scale |R|^2, or a dict of those weights.  The coefficient sets
+    are homogeneous of degree 2 in c, so c^2 times the unit form is the
+    form at c; its nonzero pattern is the one at c = sign(c).
 
     The entries of every term (``_term_entries``) are weighted and summed
     into one n^2 x n^2 matrix G by a single bincount; no per-term matrix is
@@ -269,8 +280,8 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     B = tt_basis(n)
     M = B.T @ G @ B
     M = 0.5 * (M + M.T)
-    M *= model.c * model.c
-    return QuadForm(n=n, dim=B.shape[1], matrix=M, provenance=provenance)
+    return QuadForm(n=n, dim=B.shape[1], unit=M, scale=model.c * model.c,
+                    provenance=provenance)
 
 
 def compact_tt_coefficients(model: CurvatureModel) -> dict:
@@ -412,20 +423,33 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
 
     The Jacobi solver gives the spectrum.  Independently, seeded random
     directions sample Rayleigh quotients and the best sample is refined by
-    projected descent (``_refine_rayleigh``).
+    projected descent (``_refine_rayleigh``).  All of it runs on the unit
+    form ``qf.unit``; the eigenvalues, the refined quotient and the
+    residual bound are then multiplied by ``qf.scale`` = c^2, so the
+    certificate at c is exactly c^2 times the one at c = sign(c), with the
+    same rotation count and the same consistency decision.
 
     Sampling: the samples are split into chunks of ``RAYLEIGH_CHUNK``
     columns (the last one shorter).  Chunk j draws a (dim, k) block of
-    normals from its own child stream,
-    ``SeedSequence(seed).spawn(chunks)[j]`` through PCG64, with its rows
-    in component order: row r is coordinate
+    centred uniforms, ``Generator.random`` minus 0.5, from its own child
+    stream, ``SeedSequence(seed).spawn(chunks)[j]`` through PCG64, with its
+    rows in component order: row r is coordinate
     ``np.concatenate(spec.components)[r]`` of the form, so every connected
-    component of the Jacobi spectrum is a contiguous slice of rows.  The
-    forms are exactly block-diagonal up to that permutation, so v^T M v is
-    the sum over components b of v_b^T M_b v_b; each chunk accumulates
-    that sum and the squared column norms (row by row, in row order) in one
-    pass over its blocks, and returns its smallest quotient with its unit
-    column.  The chunks run on a fixed pool of
+    component of the Jacobi spectrum is a contiguous slice of rows.  A
+    sample only picks the start of the refinement, which needs a nonzero
+    component in the bottom eigenspace.  The cube's law has a positive
+    density on every direction, so, as with normals, the best sample has
+    one with probability one; a uniform costs a fraction of a normal.
+    Discrete draws (random signs, small integers) would not do: they can
+    all be orthogonal to an integer eigenvector such as (e_1 - e_2)/sqrt 2.
+    Where the next eigenvalue lies within about 1e-7 of the form's norm
+    of the bottom one, the refinement keeps roughly the sample's angle
+    between the two, and the certificate can read inconsistent.
+    The forms are exactly block-diagonal up to the row permutation, so
+    v^T M v is the sum over components b of v_b^T M_b v_b; each chunk
+    accumulates that sum and the squared column norms (row by row, in row
+    order) in one pass over its blocks, and returns its smallest quotient
+    with its unit column.  The chunks run on a fixed pool of
     ``RAYLEIGH_BATCH // RAYLEIGH_CHUNK`` threads (numpy releases the GIL
     in the draws and in BLAS).  Each thread reuses one slot of
     (dim + largest block) x ``RAYLEIGH_CHUNK`` floats for the draws and
@@ -440,18 +464,20 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     eigenvalue lies within ||M x - rho x|| of rho (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4).  The certificate is consistent when
     |rho - eig_min| <= ||M x - rho x|| + 1e-12 ||M||_F, the second term
-    being the Jacobi stopping tolerance.  Both terms scale with M, so the
-    rule holds at every curvature scale; the bound is stored as
-    ``residual_bound``.
+    being the Jacobi stopping tolerance.  The rule is decided on the unit
+    form, and the bound, times c^2, is stored as ``residual_bound``.
+
+    ``samples`` below 1 raises ValueError before any work is done.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     # imported here: the pool is the only user, and a cold import of the
     # package would pay a few milliseconds for it
     from concurrent.futures import ThreadPoolExecutor
 
-    M = qf.matrix
+    M = qf.unit
     spec = jacobi_eigs(M)
     eig_min = float(spec.eigenvalues[0])
-    eig_max = float(spec.eigenvalues[-1])
     order = np.concatenate(spec.components)
     sizes = [idx.size for idx in spec.components]
     starts = np.cumsum([0] + sizes)
@@ -473,8 +499,8 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
         if not hasattr(local, "slot"):
             local.slot = next(slots)
         V = local.slot[:qf.dim * k].reshape(qf.dim, k)
-        np.random.Generator(np.random.PCG64(streams[j])).standard_normal(
-            out=V)
+        np.random.Generator(np.random.PCG64(streams[j])).random(out=V)
+        V -= 0.5
         quad = np.zeros(k)
         norm2 = np.zeros(k)
         for s, block in blocks:
@@ -502,15 +528,16 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     ray_min, x = _refine_rayleigh(M, x)
     bound = (float(np.linalg.norm(M @ x - ray_min * x))
              + 1e-12 * float(np.linalg.norm(M)))
+    c2 = qf.scale
     return SpectralCertificate(
-        eig_min=eig_min,
-        eig_max=eig_max,
-        rayleigh_min=ray_min,
+        eig_min=c2 * eig_min,
+        eig_max=c2 * float(spec.eigenvalues[-1]),
+        rayleigh_min=c2 * ray_min,
         rotations=spec.iterations,
         samples=samples,
         seed=seed,
         consistent=abs(ray_min - eig_min) <= bound,
-        residual_bound=bound,
+        residual_bound=c2 * bound,
     )
 
 
@@ -645,6 +672,8 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     """
     if p < 2:
         raise ValueError("verdicts are tabulated for p >= 2 only")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     regime = "compact" if model.compact else "noncompact"
     qf = assemble_tt_remainder(model)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)
