@@ -120,8 +120,9 @@ def memory_estimate(n: int) -> int:
     small arrays.  The n^4 term is headroom over the measured stages (at
     n = 16..40): the curvature build and the frame audit hold at most
     about four n^4 arrays at once (R, the two-slot pullback and the
-    defect's GEMM products), the assembly about three (R, the summed form
-    G and its entry lists), and the sampling holds R beside its batch.
+    defect's GEMM products), the assembly R beside one term's entry lists
+    and their sum over the pair and diagonal places (1.64 n^4 more at hp6,
+    1.02 at hp10), and the sampling holds R beside its batch.
     Keeping twelve fixes the refusal point at n = 79.  The sampling
     pool's threads add resident memory that tracemalloc does not see: on
     the hp16 form (n = 64) the sampling raises the resident set by

@@ -1,31 +1,36 @@
 """Fiberwise quadratic forms for the second-variation analysis.
 
-On a model tensor the trace-free part of the second variation reduces (after
-dropping manifestly nonnegative derivative terms) to an algebraic quadratic
-form in the variation h.  This module assembles that form as a dense matrix
-on an orthonormal basis of trace-free symmetric 2-tensors, certifies its
-minimal eigenvalue with the in-house Jacobi solver plus a large seeded
-Rayleigh-quotient sample, and evaluates the conformal-direction quadratic
+On a model tensor the trace-free part of the second variation reduces
+(after dropping manifestly nonnegative derivative terms) to an algebraic
+quadratic form in the variation h.  This module assembles that form as its
+distinct blocks on an orthonormal basis of trace-free symmetric 2-tensors,
+certifies its minimal eigenvalue with the in-house Jacobi solver plus a
+large seeded Rayleigh-quotient sample, and evaluates the
+conformal-direction quadratic
 
     q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2
 
 at the first Laplace eigenvalue of the compact model.
 
-Assembly works on the nonzeros (0.6 % of R at n = 40).  Each basis
-quantity is a list of (position, value) entries of its n^2 x n^2 matrix on
+Assembly works on the nonzeros (0.6 % of R at n = 40).  Each basis quantity
+is a list of (row, column, value) entries of its n^2 x n^2 matrix on
 vec(h): products of two nonzeros of R that share the contracted slots for
 the curvature terms, entries of kron(P, P) over the nonzeros of the
-structure products P for the structure terms.  One bincount sums the
-weighted entries of every term into the single n^2 x n^2 matrix G, and
-the dense product B^T G B compresses it to the trace-free basis B.  No
-per-term matrix is formed, but that product is an O(n^6) GEMM over a G
-whose entries are almost all zero (99.5 % at n = 48).  ``term_matrix``
-keeps the dense realization of each term as the reference the tests
-compare with.  G is built at unit scale, from R / |c| and the coefficients
-at c = sign(c), and the form is kept at that scale beside the factor c^2,
-which the certificate applies to its results.  Every entry of G is an
-integer or a half-integer, so G, and with it every bit of the unit form,
-does not depend on the order of summation or on the scale.
+structure products P for the structure terms.  Each vec position lies on
+one pair coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
+diagonal, and one bincount per term adds its weighted entries into an array
+C on those n(n-1)/2 + n places.  The form on the pairs is exactly C / 2
+there, and the ladder block is L^T D L, D the part of C on the diagonal
+places.  No model has an entry of C between the diagonal and a pair.  By
+the isotypic splitting of the trace-free tensors under the isotropy group
+(Koiso, Osaka J. Math. 17, 1980; Besse, Einstein Manifolds, 12.H) the pairs
+fall into blocks of tau + 1 or of one, only a handful of them distinct, and
+the form is held as its distinct blocks and the places where each occurs.
+C is built at unit scale, from R / |c| and the coefficients at c = sign(c),
+and the form is kept at that scale beside the factor c^2, which the
+certificate applies to its results.  Every entry of C is an integer or a
+half-integer, so the unit form does not depend on the order of summation or
+on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -65,7 +70,6 @@ __all__ = [
     "StabilityReport",
     "UnsupportedExponentError",
     "tt_basis",
-    "term_matrix",
     "assemble_quadform",
     "assemble_tt_remainder",
     "family_bound_form",
@@ -96,52 +100,31 @@ class UnsupportedExponentError(ValueError):
     """Conformal reference values exist only for exponent 2."""
 
 
+def _ladder(n: int) -> np.ndarray:
+    """The diagonal ladder of the trace-free basis as an n x (n-1) array:
+    column k - 1 is diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k (k+1)), k = 1..n-1.
+    """
+    k = np.arange(1, n)
+    s = np.sqrt(k * (k + 1.0))
+    L = np.triu(np.ones((n, n - 1))) / s
+    L[k, k - 1] = -k / s
+    return L
+
+
 def tt_basis(n: int) -> np.ndarray:
     """Orthonormal basis of trace-free symmetric 2-tensors, vectorized.
 
     Columns are row-major vec's: first the off-diagonal pair tensors
     (E_ij + E_ji)/sqrt(2) for i < j, then the diagonal ladder
-    diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k (k+1)) for k = 1..n-1.
-    Shape (n^2, n(n+1)/2 - 1).
+    (``_ladder``).  Shape (n^2, n(n+1)/2 - 1).
     """
     off = n * (n - 1) // 2
     B = np.zeros((n * n, off + n - 1))
     i, j = np.triu_indices(n, k=1)
     pos = np.arange(off)
     B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
-    for k in range(1, n):
-        s = np.sqrt(k * (k + 1.0))
-        B[np.arange(k) * (n + 1), off + k - 1] = 1.0 / s
-        B[k * (n + 1), off + k - 1] = -float(k) / s
+    B[np.arange(n) * (n + 1), off:] = _ladder(n)
     return B
-
-
-def term_matrix(model: CurvatureModel, key: str) -> np.ndarray:
-    """n^2 x n^2 matrix realizing one basis quantity on vec(h), row-major.
-
-    The dense reference for ``assemble_quadform``, which builds the same
-    entries from the nonzeros of R.
-    """
-    n = model.n
-    R = model.R.entries
-    if key == "NORM_H":
-        return np.eye(n * n)
-    if key in ("IP_H_HTILDE", "NORM_HTILDE"):
-        G = np.zeros((n * n, n * n))
-        for J in model.J.operators:
-            G += np.kron(J.T, J.T)
-        return 0.5 * (G + G.T) if key == "IP_H_HTILDE" else G.T @ G
-    if key == "NORM_RRING":
-        # (action h)_xy = sum_ij R_ixjy h_ij
-        L = np.einsum("ixjy->xyij", R).reshape(n * n, n * n)
-        return L.T @ L
-    if key == "K_PAIR":
-        G = np.einsum("pimj,qinj->pqmn", R, R, optimize=True)
-        return G.reshape(n * n, n * n)
-    if key == "RR_KN":
-        G = 0.5 * np.einsum("pmij,qnij->pqmn", R, R, optimize=True)
-        return G.reshape(n * n, n * n)
-    raise KeyError(f"no quadratic-form realization for {key!r}")
 
 
 def _group_pairs(key: np.ndarray) -> tuple:
@@ -158,17 +141,18 @@ def _group_pairs(key: np.ndarray) -> tuple:
 
 
 def _kron_entries(P: np.ndarray, n: int) -> tuple:
-    """Flat positions in an n^2 x n^2 matrix, and values, of the nonzeros
-    of kron(P, P)."""
+    """Rows, columns and values in an n^2 x n^2 matrix of the nonzeros of
+    kron(P, P)."""
     r, c = np.nonzero(P)
     v = P[r, c]
     rows, cols = r[:, None] * n + r, c[:, None] * n + c
-    return (rows * (n * n) + cols).ravel(), np.outer(v, v).ravel()
+    return rows.ravel(), cols.ravel(), np.outer(v, v).ravel()
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
-    """Flat positions in an n^2 x n^2 matrix, and values, whose sum is
-    ``term_matrix(model, key)``; repeated positions add up.
+    """Rows, columns and values of the entries of the n^2 x n^2 matrix that
+    realizes one basis quantity on vec(h), row-major; repeated positions
+    add up.
 
     The structure terms come from the nonzeros of the J operators, the
     curvature terms from products of two nonzeros of R that share the
@@ -179,12 +163,13 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     n = model.n
     ops = model.J.operators
     if key == "NORM_H":
-        return np.arange(n * n) * (n * n + 1), np.ones(n * n)
+        diag = np.arange(n * n)
+        return diag, diag, np.ones(n * n)
     if key == "IP_H_HTILDE":
         # (G + G^T) / 2 with G = sum_a kron(J_a^T, J_a^T), whose transpose
         # is sum_a kron(J_a, J_a)
-        return _stack([(flat, 0.5 * v) for J in ops
-                       for flat, v in (_kron_entries(J.T, n),
+        return _stack([(r, c, 0.5 * v) for J in ops
+                       for r, c, v in (_kron_entries(J.T, n),
                                        _kron_entries(J, n))])
     if key == "NORM_HTILDE":  # G^T G = sum_ab kron(J_a J_b^T, J_a J_b^T)
         return _stack([_kron_entries(Ja @ Jb.T, n) for Ja in ops
@@ -202,42 +187,63 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     else:
         raise KeyError(f"no quadratic-form realization for {key!r}")
     vals = v[s] * v[t]
-    return rows * (n * n) + cols, (0.5 * vals if key == "RR_KN" else vals)
+    return rows, cols, (0.5 * vals if key == "RR_KN" else vals)
 
 
 def _stack(parts: list) -> tuple:
-    """Concatenate (flat positions, values) pairs."""
+    """Concatenate (rows, columns, values) triples."""
     if not parts:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0)
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _form_entries(model: CurvatureModel, coeffs: dict, nz: tuple) -> tuple:
-    """The entries of every weighted term of ``coeffs``, concatenated."""
-    parts = []
-    for key, w in coeffs.items():
-        if w != 0:
-            flat, v = _term_entries(model, key, nz)
-            parts.append((flat, float(w) * v))
-    return _stack(parts)
+def _distinct_blocks(O: np.ndarray) -> list:
+    """The connected components of the nonzero pattern of O, grouped by
+    bit-identical block: (block, index array of shape occurrences x size)
+    in the order of first occurrence, each component's indices ascending."""
+    r, c = np.nonzero(O)
+    label = np.arange(len(O))
+    while True:  # each label falls to the smallest index of its component
+        low = label.copy()
+        np.minimum.at(low, r, label[c])
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    groups: dict = {}
+    for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
+        block = O[np.ix_(idx, idx)]
+        groups.setdefault(block.tobytes(), (block, []))[1].append(idx)
+    return [(block, np.array(occ)) for block, occ in groups.values()]
 
 
 @dataclass(eq=False)
 class QuadForm:
-    """Quadratic form on the trace-free symmetric basis of one model, held
-    as its matrix at c = sign(c), ``unit``, and the factor ``scale`` = c^2
-    that takes it to the model's scale."""
+    """Quadratic form on the trace-free symmetric basis of one model: its
+    distinct blocks at c = sign(c) and the factor ``scale`` = c^2 that
+    takes it to the model's scale.  Each (block, idx) of ``blocks`` puts
+    ``block`` on the rows and columns ``idx[k]`` of each occurrence k; the
+    rows of all occurrences partition range(dim)."""
 
     n: int
     dim: int
-    unit: np.ndarray = field(repr=False)
+    blocks: list = field(repr=False)
     scale: float = 1.0
     provenance: str = ""
 
     @property
+    def unit(self) -> np.ndarray:
+        """The dense form at c = sign(c); a new array on every call."""
+        U = np.zeros((self.dim, self.dim))
+        for block, idx in self.blocks:
+            U[idx[:, :, None], idx[:, None, :]] = block
+        return U
+
+    @property
     def matrix(self) -> np.ndarray:
-        """The form at the model's scale, ``scale * unit``; a new array on
-        every call."""
+        """The dense form at the model's scale, ``scale * unit``; a new
+        array on every call."""
         return self.scale * self.unit
 
     def value(self, h: np.ndarray) -> float:
@@ -261,11 +267,9 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     are homogeneous of degree 2 in c, so c^2 times the unit form is the
     form at c; its nonzero pattern is the one at c = sign(c).
 
-    The entries of every term (``_term_entries``) are weighted and summed
-    into one n^2 x n^2 matrix G by a single bincount; no per-term matrix is
-    formed.  Every entry of G is an integer or a half-integer, so G is
-    exact and equals the sum of the dense ``term_matrix`` terms at
-    c = sign(c).
+    Each term's weighted entries (``_term_entries``) are added into C
+    (see the module docstring), one term at a time.  An entry of C that
+    couples the diagonal with a pair raises ValueError.
     """
     n = model.n
     R = model.R.entries
@@ -275,12 +279,33 @@ def assemble_quadform(model: CurvatureModel, coeffs,
         coeffs = coeffs(SimpleNamespace(
             n=n, tau=model.tau, c=math.copysign(1.0, model.c),
             R_norm2=float(nz[-1] @ nz[-1])))
-    G = np.bincount(*_form_entries(model, coeffs, nz),
-                    minlength=n**4).reshape(n * n, n * n)
-    B = tt_basis(n)
-    M = B.T @ G @ B
-    M = 0.5 * (M + M.T)
-    return QuadForm(n=n, dim=B.shape[1], unit=M, scale=model.c * model.c,
+    off = n * (n - 1) // 2
+    size = off + n
+    # the place of each vec position: its pair, or off + a on the diagonal
+    place = np.empty((n, n), dtype=np.intp)
+    i, j = np.triu_indices(n, k=1)
+    place[i, j] = place[j, i] = np.arange(off)
+    place[np.diag_indices(n)] = off + np.arange(n)
+    place = place.ravel()
+    C = np.zeros(size * size)
+    for key, w in coeffs.items():
+        if w != 0:
+            rows, cols, v = _term_entries(model, key, nz)
+            flat = place[rows]
+            flat *= size
+            flat += place[cols]
+            v *= float(w)
+            C += np.bincount(flat, weights=v, minlength=C.size)
+            del rows, cols, v, flat  # before the next term's entries
+    C = C.reshape(size, size)
+    if np.any(C[:off, off:]) or np.any(C[off:, :off]):
+        raise ValueError(f"{model.label}: the form couples the diagonal with "
+                         "an off-diagonal pair")
+    L = _ladder(n)
+    ladder = L.T @ C[off:, off:] @ L
+    blocks = _distinct_blocks(0.5 * C[:off, :off])
+    blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
+    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c,
                     provenance=provenance)
 
 
@@ -421,21 +446,22 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
                  seed: int = 0) -> SpectralCertificate:
     """Minimal eigenvalue with a two-sided sanity certificate.
 
-    The Jacobi solver gives the spectrum.  Independently, seeded random
-    directions sample Rayleigh quotients and the best sample is refined by
-    projected descent (``_refine_rayleigh``).  All of it runs on the unit
-    form ``qf.unit``; the eigenvalues, the refined quotient and the
-    residual bound are then multiplied by ``qf.scale`` = c^2, so the
-    certificate at c is exactly c^2 times the one at c = sign(c), with the
-    same rotation count and the same consistency decision.
+    The Jacobi solver runs once per distinct block of the form, and
+    ``rotations`` sums the rotations it performs on them.  Independently,
+    seeded random directions sample Rayleigh quotients and the best sample
+    is refined by projected descent (``_refine_rayleigh``) on ``qf.unit``.
+    All of it runs at unit scale; the eigenvalues, the refined quotient
+    and the residual bound are then multiplied by ``qf.scale`` = c^2, so
+    the certificate at c is exactly c^2 times the one at c = sign(c), with
+    the same rotation count and the same consistency decision.
 
     Sampling: the samples are split into chunks of ``RAYLEIGH_CHUNK``
     columns (the last one shorter).  Chunk j draws a (dim, k) block of
     centred uniforms, ``Generator.random`` minus 0.5, from its own child
     stream, ``SeedSequence(seed).spawn(chunks)[j]`` through PCG64, with its
-    rows in component order: row r is coordinate
-    ``np.concatenate(spec.components)[r]`` of the form, so every connected
-    component of the Jacobi spectrum is a contiguous slice of rows.  A
+    rows in the form's block order: row r is coordinate
+    ``np.concatenate([idx.ravel() for _, idx in qf.blocks])[r]`` of the
+    form, so every occurrence of a block is a contiguous slice of rows.  A
     sample only picks the start of the refinement, which needs a nonzero
     component in the bottom eigenspace.  The cube's law has a positive
     density on every direction, so, as with normals, the best sample has
@@ -445,11 +471,11 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     Where the next eigenvalue lies within about 1e-7 of the form's norm
     of the bottom one, the refinement keeps roughly the sample's angle
     between the two, and the certificate can read inconsistent.
-    The forms are exactly block-diagonal up to the row permutation, so
-    v^T M v is the sum over components b of v_b^T M_b v_b; each chunk
-    accumulates that sum and the squared column norms (row by row, in row
-    order) in one pass over its blocks, and returns its smallest quotient
-    with its unit column.  The chunks run on a fixed pool of
+    The form is block-diagonal up to the row permutation, so v^T M v is
+    the sum of v_b^T M_b v_b over the occurrences b of its blocks; each
+    chunk accumulates that sum and the squared column norms (row by row,
+    in row order) in one pass over the occurrences, and returns its
+    smallest quotient with its unit column.  The chunks run on a fixed pool of
     ``RAYLEIGH_BATCH // RAYLEIGH_CHUNK`` threads (numpy releases the GIL
     in the draws and in BLAS).  Each thread reuses one slot of
     (dim + largest block) x ``RAYLEIGH_CHUNK`` floats for the draws and
@@ -475,14 +501,14 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     # package would pay a few milliseconds for it
     from concurrent.futures import ThreadPoolExecutor
 
-    M = qf.unit
-    spec = jacobi_eigs(M)
-    eig_min = float(spec.eigenvalues[0])
-    order = np.concatenate(spec.components)
-    sizes = [idx.size for idx in spec.components]
-    starts = np.cumsum([0] + sizes)
-    blocks = [(int(s), M[np.ix_(idx, idx)])
-              for s, idx in zip(starts, spec.components)]
+    spectra = [jacobi_eigs(block) for block, _ in qf.blocks]
+    eigenvalues = np.concatenate([spec.eigenvalues for spec in spectra])
+    eig_min, eig_max = float(eigenvalues.min()), float(eigenvalues.max())
+    order = np.concatenate([idx.ravel() for _, idx in qf.blocks])
+    # (first row, block) of every occurrence, in row order
+    placed = [block for block, idx in qf.blocks for _ in idx]
+    starts = np.cumsum([0] + [len(block) for block in placed])
+    blocks = list(zip(starts.tolist(), placed))
     chunks = -(-samples // RAYLEIGH_CHUNK)
     streams = np.random.SeedSequence(seed).spawn(chunks)
     threads = RAYLEIGH_BATCH // RAYLEIGH_CHUNK
@@ -491,7 +517,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     # block with its rows.  The slots are allocated here at once, so worker
     # threads do not grow heaps of their own
     slots = iter(np.empty((min(threads, chunks),
-                           (qf.dim + max(sizes)) * width)))
+                           (qf.dim + max(map(len, placed))) * width)))
     local = threading.local()
 
     def best_in_chunk(j: int) -> tuple:
@@ -525,15 +551,16 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
             ray_min, best = val, col
     x = np.empty(qf.dim)
     x[order] = best
+    M = qf.unit
     ray_min, x = _refine_rayleigh(M, x)
     bound = (float(np.linalg.norm(M @ x - ray_min * x))
              + 1e-12 * float(np.linalg.norm(M)))
     c2 = qf.scale
     return SpectralCertificate(
         eig_min=c2 * eig_min,
-        eig_max=c2 * float(spec.eigenvalues[-1]),
+        eig_max=c2 * eig_max,
         rayleigh_min=c2 * ray_min,
-        rotations=spec.iterations,
+        rotations=sum(spec.iterations for spec in spectra),
         samples=samples,
         seed=seed,
         consistent=abs(ray_min - eig_min) <= bound,

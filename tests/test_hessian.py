@@ -1,8 +1,9 @@
 """Trace-free quadratic forms, spectral certificates, conformal values.
 
-Term matrices are checked against explicit loop sums, the assembled
-remainder against hand-expanded coefficient values, and the certified
-minimal eigenvalues against pinned constants for every compact family.
+The dense term matrices are checked against explicit loop sums, the
+assembled remainder against them and against hand-expanded coefficient
+values, and the certified minimal eigenvalues against pinned constants for
+every compact family.
 """
 
 from functools import lru_cache
@@ -27,7 +28,6 @@ from crosscurv.hessian import (
     min_eigen_tt,
     noncompact_tt_coefficients,
     stability_verdict,
-    term_matrix,
     tt_basis,
 )
 
@@ -98,6 +98,32 @@ def _term_oracle(model, key, h):
     raise KeyError(key)
 
 
+def term_matrix(model, key):
+    """n^2 x n^2 matrix realizing one basis quantity on vec(h), row-major:
+    the dense reference for ``assemble_quadform``, which builds the same
+    entries from the nonzeros of R."""
+    n = model.n
+    R = model.R.entries
+    if key == "NORM_H":
+        return np.eye(n * n)
+    if key in ("IP_H_HTILDE", "NORM_HTILDE"):
+        G = np.zeros((n * n, n * n))
+        for J in model.J.operators:
+            G += np.kron(J.T, J.T)
+        return 0.5 * (G + G.T) if key == "IP_H_HTILDE" else G.T @ G
+    if key == "NORM_RRING":
+        # (action h)_xy = sum_ij R_ixjy h_ij
+        L = np.einsum("ixjy->xyij", R).reshape(n * n, n * n)
+        return L.T @ L
+    if key == "K_PAIR":
+        G = np.einsum("pimj,qinj->pqmn", R, R, optimize=True)
+        return G.reshape(n * n, n * n)
+    if key == "RR_KN":
+        G = 0.5 * np.einsum("pmij,qnij->pqmn", R, R, optimize=True)
+        return G.reshape(n * n, n * n)
+    raise KeyError(key)
+
+
 @pytest.mark.parametrize("key", TERM_KEYS)
 def test_term_matrix_matches_loop_oracle(key):
     model = build_model("complex", 2, 1.0)
@@ -112,8 +138,8 @@ def test_term_matrix_matches_loop_oracle(key):
 
 def test_term_matrix_unknown_key():
     model = build_model("complex", 2, 1.0)
-    with pytest.raises(KeyError):
-        term_matrix(model, "NORM_DDH")
+    with pytest.raises(KeyError, match="NORM_DDH"):
+        assemble_quadform(model, {"NORM_DDH": 1.0})
 
 
 def test_assemble_quadform_is_weighted_sum():
@@ -127,9 +153,9 @@ def test_assemble_quadform_is_weighted_sum():
     assert abs(qf.value(h) - want) < 1e-9 * max(1.0, abs(want))
 
 
-def _dense_form(model):
-    """The dense reference for ``assemble_quadform``: one n^2 x n^2
-    ``term_matrix`` per basis quantity, summed in order."""
+def _dense_terms(model):
+    """G: one n^2 x n^2 ``term_matrix`` per basis quantity of the model's
+    remainder, weighted and summed in order."""
     coeffs = (compact_tt_coefficients(model) if model.compact
               else noncompact_tt_coefficients(model))
     n = model.n
@@ -137,8 +163,14 @@ def _dense_form(model):
     for key, w in coeffs.items():
         if w != 0:
             G += float(w) * term_matrix(model, key)
-    B = tt_basis(n)
-    M = B.T @ G @ B
+    return G
+
+
+def _dense_form(model):
+    """The dense reference for ``assemble_quadform``: G compressed to the
+    trace-free basis B."""
+    B = tt_basis(model.n)
+    M = B.T @ _dense_terms(model) @ B
     return 0.5 * (M + M.T)
 
 
@@ -151,11 +183,37 @@ FORM_MODELS = [("sphere", 0, 5), ("complex", 2, None), ("complex", 3, None),
 @pytest.mark.parametrize("family,m,nkw", FORM_MODELS)
 def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
         family, m, nkw, sign):
-    # at c = +-1 every entry of G is an integer or a half-integer, so the
-    # order in which the terms are summed cannot change a bit of the form
     model = build_model(family, m, sign, n=nkw)
-    assert np.array_equal(assemble_tt_remainder(model).matrix,
-                          _dense_form(model))
+    qf = assemble_tt_remainder(model)
+    M = qf.unit
+    n, dim = model.n, qf.dim
+    G = _dense_terms(model)
+    # at c = +-1 every entry of G is an integer or a half-integer, so the
+    # pair entries are exact: half the sum of G at the four positions of
+    # the two pairs.  (B^T G B multiplies by (1/sqrt 2)^2 =
+    # 0.4999999999999999 instead.)
+    i, j = np.triu_indices(n, k=1)
+    G4 = G.reshape(n, n, n, n)
+    p, q = (i[:, None], j[:, None]), (i[None], j[None])
+    four = sum(G4[a + b] for a in (p, p[::-1]) for b in (q, q[::-1]))
+    assert np.array_equal(M[:i.size, :i.size], 0.5 * four)
+    dense = _dense_form(model)
+    assert np.linalg.norm(M - dense) <= 1e-15 * np.linalg.norm(dense)
+    # the blocks: their occurrences partition range(dim), each in
+    # ascending order, and carry every nonzero of the form, bit for bit
+    assert sum(idx.size for _, idx in qf.blocks) == dim
+    places = np.concatenate([idx.ravel() for _, idx in qf.blocks])
+    assert np.array_equal(np.sort(places), np.arange(dim))
+    label = np.empty(dim, dtype=int)
+    for k, rows in enumerate(idx for _, occ in qf.blocks for idx in occ):
+        label[rows] = k
+    for block, idx in qf.blocks:
+        assert idx.ndim == 2 and idx.shape[1] == len(block)
+        assert np.all(np.diff(idx, axis=1) > 0)
+        assert np.all(np.diff(idx[:, 0]) > 0)
+        for rows in idx:
+            assert np.array_equal(M[np.ix_(rows, rows)], block)
+    assert not np.any(M[label[:, None] != label[None, :]])
 
 
 @pytest.mark.parametrize("c", [0.3, 2.5, 1e-6, 1e6, -0.3, -2.5, -1e-6, -1e6])
@@ -183,6 +241,42 @@ def test_build_and_assembly_hold_few_n4_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 8 * n**4
+
+
+def test_assembly_holds_under_one_and_a_half_n4_arrays():
+    # hp10, n = 40: the assembly adds each term into an array on the pair
+    # and diagonal places, about n^4 / 4 entries; summing the n^2 x n^2 G
+    # and compressing it with B^T G B peaked at 2.32 n^4
+    import tracemalloc
+
+    model = build_model("quaternionic", 10, 1.0)
+    n = model.n
+    tracemalloc.start()
+    try:
+        assemble_tt_remainder(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n**4
+
+
+def test_coupling_of_diagonal_and_pair_is_refused(monkeypatch):
+    # one entry between the diagonal position (0, 0) and the pair (0, 1)
+    # breaks the split into pair blocks and the ladder block
+    model = build_model("complex", 2, 1.0)
+    n = model.n
+    entries = hessian._term_entries
+
+    def coupled(model, key, nz):
+        rows, cols, v = entries(model, key, nz)
+        if key != "NORM_H":
+            return rows, cols, v
+        return (np.append(rows, 0), np.append(cols, 0 * n + 1),
+                np.append(v, 1.0))
+
+    monkeypatch.setattr(hessian, "_term_entries", coupled)
+    with pytest.raises(ValueError, match="couples the diagonal"):
+        assemble_tt_remainder(model)
 
 
 def test_compact_coefficients_cp2():
@@ -249,13 +343,14 @@ def test_min_eigen_deterministic():
     assert a.eig_min == b.eig_min
 
 
-def _dense_best_sample(M, samples, seed):
+def _dense_best_sample(qf, samples, seed):
     """The dense reference for the chunked, blockwise sampling: the same
-    centred uniforms from the same child streams in the same
-    component-ordered rows, every column normalised and put back in the
-    form's order, then one GEMM with M.  Returns the best unit sample."""
+    centred uniforms from the same child streams in the same block-ordered
+    rows, every column normalised and put back in the form's order, then
+    one GEMM with the unit form.  Returns the best unit sample."""
     chunk = hessian.RAYLEIGH_CHUNK
-    order = np.concatenate(hessian.jacobi_eigs(M).components)
+    M = qf.unit
+    order = np.concatenate([idx.ravel() for _, idx in qf.blocks])
     chunks = -(-samples // chunk)
     ray_min, best = np.inf, None
     for j, stream in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
@@ -289,7 +384,7 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
 
     monkeypatch.setattr(hessian, "_refine_rayleigh", spy)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)
-    best = _dense_best_sample(qf.unit, samples, seed)
+    best = _dense_best_sample(qf, samples, seed)
     assert len(starts) == 1
     assert np.array_equal(starts[0], best)
     assert cert.rayleigh_min == qf.scale * refine(qf.unit, best)[0]
@@ -339,7 +434,7 @@ def test_sampling_holds_at_most_one_batch():
     import tracemalloc
 
     qf = assemble_tt_remainder(_model("op2"))
-    sizes = [idx.size for idx in hessian.jacobi_eigs(qf.unit).components]
+    sizes = [len(block) for block, idx in qf.blocks for _ in idx]
     chunk = hessian.RAYLEIGH_CHUNK
     threads = hessian.RAYLEIGH_BATCH // chunk
     slack = threads * 8 * (max(sizes) + 16) * chunk + 8 * 8 * qf.dim**2
@@ -379,12 +474,15 @@ def test_non_minimal_eigenvalue_is_inconsistent(family, m, c, monkeypatch):
     honest = min_eigen_tt(qf, samples=2_000)
     assert honest.consistent
     solve = hessian.jacobi_eigs
+    lowest = honest.eig_min / qf.scale
+    floor = lowest + 1e-9 * np.max(np.abs(qf.unit))
 
     def without_minimum(A, *args, **kwargs):
+        # every block of the form loses its eigenvalues at the minimum
         spec = solve(A, *args, **kwargs)
-        if A is qf.unit:
+        if any(A is block for block, _ in qf.blocks):
             ev = spec.eigenvalues
-            spec.eigenvalues = ev[ev > ev[0] + 1e-9 * np.max(np.abs(ev))]
+            spec.eigenvalues = ev[ev > floor]
         return spec
 
     monkeypatch.setattr(hessian, "jacobi_eigs", without_minimum)
@@ -414,7 +512,9 @@ def _planted_form(rel_gap: float) -> QuadForm:
         return 0.5 * (M + M.T)
 
     unit = form(rel_gap * float(np.linalg.norm(form(0.0))))
-    return QuadForm(n=4, dim=9, unit=unit, provenance="planted")
+    blocks = [(unit[np.ix_(idx, idx)], idx[None])
+              for idx in (np.arange(3), np.arange(3, 5), np.arange(5, 9))]
+    return QuadForm(n=4, dim=9, blocks=blocks, provenance="planted")
 
 
 #: the refinement cannot separate a pair 1e-8 of the form apart: it keeps
