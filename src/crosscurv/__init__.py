@@ -72,7 +72,6 @@ from crosscurv.hessian import (
     assemble_quadform,
     assemble_tt_remainder,
     conformal_value,
-    family_bound_form,
     hp_scale,
     min_eigen_tt,
     stability_verdict,

@@ -30,7 +30,7 @@ Reports with identical configs and seeds are byte-identical.
 Input budget: a model whose estimated peak memory (``memory_estimate``)
 exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is refused as a config
 error, exit 2, before anything is built.  The refusal sets in at dimension
-n = 79 (``--space sphere --n 79``, ``--space hp --m 20``).
+n = 82 (``--space sphere --n 82``, ``--space hp --m 21``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import RAYLEIGH_BATCH, stability_verdict
+from crosscurv.hessian import RAYLEIGH_CHUNK, stability_verdict
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -114,22 +114,19 @@ def memory_estimate(n: int) -> int:
     """Upper estimate, in bytes, of the peak memory of any command on a
     model of dimension n.
 
-    Three terms: twelve float64 arrays of n^4 entries; one Rayleigh
-    sampling batch of ``RAYLEIGH_BATCH`` (20 000) vectors of the trace-free
-    dimension n(n+1)/2 - 1; and 128 MiB for the interpreter, numpy, sympy and the
+    Three terms: twelve float64 arrays of n^4 entries; the two arrays of
+    ``RAYLEIGH_CHUNK`` (5 000) x n that the Rayleigh sampling holds, one
+    chunk of draws for a block of size at most n - 1 and its product with
+    the block; and 128 MiB for the interpreter, numpy, sympy and the
     small arrays.  The n^4 term is headroom over the measured stages (at
     n = 16..40): the curvature build and the frame audit hold at most
     about four n^4 arrays at once (R, the two-slot pullback and the
     defect's GEMM products), the assembly R beside one term's entry lists
     and their sum over the pair and diagonal places (1.64 n^4 more at hp6,
-    1.02 at hp10), and the sampling holds R beside its batch.
-    Keeping twelve fixes the refusal point at n = 79.  The sampling
-    pool's threads add resident memory that tracemalloc does not see: on
-    the hp16 form (n = 64) the sampling raises the resident set by
-    372 MB against a traced peak of 362 MB.  The n^4 headroom covers it.
+    1.02 at hp10), and the sampling holds R beside its chunk.
+    Keeping twelve fixes the refusal point at n = 82.
     """
-    dim = n * (n + 1) // 2 - 1
-    return 8 * (12 * n**4 + RAYLEIGH_BATCH * dim) + 128 * 2**20
+    return 8 * (12 * n**4 + 2 * RAYLEIGH_CHUNK * n) + 128 * 2**20
 
 
 def build_parser() -> argparse.ArgumentParser:

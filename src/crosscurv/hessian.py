@@ -4,8 +4,8 @@ On a model tensor the trace-free part of the second variation reduces
 (after dropping manifestly nonnegative derivative terms) to an algebraic
 quadratic form in the variation h.  This module assembles that form as its
 distinct blocks on an orthonormal basis of trace-free symmetric 2-tensors,
-certifies its minimal eigenvalue with the in-house Jacobi solver plus a
-large seeded Rayleigh-quotient sample, and evaluates the
+certifies its minimal eigenvalue block by block with the in-house Jacobi
+solver plus a large seeded Rayleigh-quotient sample, and evaluates the
 conformal-direction quadratic
 
     q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2
@@ -46,7 +46,6 @@ the tau >= 3 families.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
@@ -72,7 +71,6 @@ __all__ = [
     "tt_basis",
     "assemble_quadform",
     "assemble_tt_remainder",
-    "family_bound_form",
     "min_eigen_tt",
     "conformal_value",
     "hp_scale",
@@ -84,12 +82,7 @@ __all__ = [
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "NORM_RRING",
              "K_PAIR", "RR_KN")
 
-#: Rayleigh samples in flight at once in ``min_eigen_tt``: its pool runs
-#: RAYLEIGH_BATCH // RAYLEIGH_CHUNK threads with one chunk of draws each
-RAYLEIGH_BATCH = 20_000
-
-#: Rayleigh samples per chunk of ``min_eigen_tt``; with the seed it fixes
-#: which normals make up each sample
+#: Rayleigh samples drawn at once for one block in ``min_eigen_tt``
 RAYLEIGH_CHUNK = 5_000
 
 #: step budget of ``_refine_rayleigh``
@@ -347,41 +340,6 @@ def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
                              provenance="tt-remainder/noncompact")
 
 
-def family_bound_form(family: str, variant: str = "repaired") -> dict:
-    """Per-family displayed lower-bound coefficient set, symbolic in n, c,
-    and the squared norm symbol R2.
-
-    variant='literal' keeps the polynomial parts dimensionless exactly as
-    displayed; variant='repaired' multiplies them by c^2, the scaling
-    forced by homogeneity.  There is no displayed set for the sphere.
-    """
-    if variant not in ("literal", "repaired"):
-        raise ValueError(f"unknown variant {variant!r}")
-    import sympy as sp
-
-    nsym, csym, R2sym = sp.symbols("n c R2")
-    scale = csym**2 if variant == "repaired" else sp.Integer(1)
-    if family == "complex":
-        return {
-            "K_PAIR": sp.Integer(4),
-            "NORM_H": 2 * R2sym / nsym + (2 * nsym - 65) * scale,
-        }
-    if family == "quaternionic":
-        return {
-            "K_PAIR": sp.Integer(4),
-            "NORM_H": 2 * R2sym / nsym + 3 * (nsym + 1) * scale,
-            "NORM_HTILDE": (nsym - 53) * scale,
-        }
-    if family == "octonionic":
-        return {
-            "NORM_HTILDE": (2 * nsym + 76) * scale,
-            "NORM_H": (11 * nsym + 188) * scale + 2 * R2sym / nsym,
-        }
-    if family == "sphere":
-        raise ValueError("no displayed family bound exists for the sphere")
-    raise ValueError(f"unknown family {family!r}")
-
-
 @dataclass
 class SpectralCertificate:
     eig_min: float
@@ -444,117 +402,69 @@ def _refine_rayleigh(M: np.ndarray, x: np.ndarray) -> tuple:
 
 def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
                  seed: int = 0) -> SpectralCertificate:
-    """Minimal eigenvalue with a two-sided sanity certificate.
+    """Minimal eigenvalue with a two-sided sanity certificate, block by
+    block.
 
-    The Jacobi solver runs once per distinct block of the form, and
-    ``rotations`` sums the rotations it performs on them.  Independently,
-    seeded random directions sample Rayleigh quotients and the best sample
-    is refined by projected descent (``_refine_rayleigh``) on ``qf.unit``.
-    All of it runs at unit scale; the eigenvalues, the refined quotient
-    and the residual bound are then multiplied by ``qf.scale`` = c^2, so
-    the certificate at c is exactly c^2 times the one at c = sign(c), with
-    the same rotation count and the same consistency decision.
+    Each distinct block k of ``qf.blocks`` is certified on its own.  The
+    Jacobi solver finds its eigenvalues, and independently ``samples``
+    seeded random directions of the block's size sample its Rayleigh
+    quotient; the best sample is refined by projected descent
+    (``_refine_rayleigh``) on the block.  ``rotations`` sums the Jacobi
+    rotations, ``eig_min`` and ``eig_max`` are taken over all block
+    eigenvalues, and ``rayleigh_min`` is the smallest refined quotient.
+    Every occurrence of a block has the block's spectrum, so these are
+    those of the whole form; no dense form is built.  All of it runs at
+    unit scale; the eigenvalues, the refined quotient and the residual
+    bound are then multiplied by ``qf.scale`` = c^2, so the certificate at
+    c is exactly c^2 times the one at c = sign(c), with the same rotation
+    count and the same consistency decision.
 
-    Sampling: the samples are split into chunks of ``RAYLEIGH_CHUNK``
-    columns (the last one shorter).  Chunk j draws a (dim, k) block of
-    centred uniforms, ``Generator.random`` minus 0.5, from its own child
-    stream, ``SeedSequence(seed).spawn(chunks)[j]`` through PCG64, with its
-    rows in the form's block order: row r is coordinate
-    ``np.concatenate([idx.ravel() for _, idx in qf.blocks])[r]`` of the
-    form, so every occurrence of a block is a contiguous slice of rows.  A
-    sample only picks the start of the refinement, which needs a nonzero
-    component in the bottom eigenspace.  The cube's law has a positive
-    density on every direction, so, as with normals, the best sample has
-    one with probability one; a uniform costs a fraction of a normal.
-    Discrete draws (random signs, small integers) would not do: they can
-    all be orthogonal to an integer eigenvector such as (e_1 - e_2)/sqrt 2.
-    Where the next eigenvalue lies within about 1e-7 of the form's norm
-    of the bottom one, the refinement keeps roughly the sample's angle
-    between the two, and the certificate can read inconsistent.
-    The form is block-diagonal up to the row permutation, so v^T M v is
-    the sum of v_b^T M_b v_b over the occurrences b of its blocks; each
-    chunk accumulates that sum and the squared column norms (row by row,
-    in row order) in one pass over the occurrences, and returns its
-    smallest quotient with its unit column.  The chunks run on a fixed pool of
-    ``RAYLEIGH_BATCH // RAYLEIGH_CHUNK`` threads (numpy releases the GIL
-    in the draws and in BLAS).  Each thread reuses one slot of
-    (dim + largest block) x ``RAYLEIGH_CHUNK`` floats for the draws and
-    the block products, so at most ``RAYLEIGH_BATCH`` samples are held at
-    once, as ``cli.memory_estimate`` charges.  The
-    results are reduced in chunk order with a strict ``<`` and only the
-    winning column is put back in the form's own order: the certificate
-    depends on ``seed`` and ``samples`` alone, not on scheduling or on
-    the number of cores.
+    Sampling: block k draws its centred uniforms, ``Generator.random``
+    minus 0.5, from its own stream, ``SeedSequence(seed).spawn(len(
+    qf.blocks))[k]`` through PCG64, one sample per row, in chunks of
+    ``RAYLEIGH_CHUNK`` rows (the last one shorter), serially; the best
+    quotient is kept with a strict ``<``.  At most a chunk of draws and
+    its product with the block are held at once, and the certificate
+    depends on ``seed`` and ``samples`` alone.  A sample only picks the
+    start of the refinement, which needs a nonzero component in the
+    block's bottom eigenspace.  The cube's law has a positive density on
+    every direction, so, as with normals, the best sample has one with
+    probability one; a uniform costs a fraction of a normal.  Discrete
+    draws (random signs, small integers) would not do: they can all be
+    orthogonal to an integer eigenvector such as (e_1 - e_2)/sqrt 2.
 
-    Consistency: for the refined unit vector x with quotient rho, some
-    eigenvalue lies within ||M x - rho x|| of rho (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4).  The certificate is consistent when
-    |rho - eig_min| <= ||M x - rho x|| + 1e-12 ||M||_F, the second term
-    being the Jacobi stopping tolerance.  The rule is decided on the unit
-    form, and the bound, times c^2, is stored as ``residual_bound``.
+    Consistency: for the refined unit vector x with quotient rho on the
+    winning block B, some eigenvalue of B lies within ||B x - rho x|| of
+    rho (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
+    certificate is consistent when |rho - eig_min| <= ||B x - rho x|| +
+    1e-12 ||B||_F, the second term being the Jacobi stopping tolerance.
+    The rule is decided at unit scale, and the bound, times c^2, is stored
+    as ``residual_bound``.
 
     ``samples`` below 1 raises ValueError before any work is done.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    # imported here: the pool is the only user, and a cold import of the
-    # package would pay a few milliseconds for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    spectra = [jacobi_eigs(block) for block, _ in qf.blocks]
+    spectra, refined = [], []
+    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
+    for (block, _), stream in zip(qf.blocks, streams):
+        spectra.append(jacobi_eigs(block))
+        rng = np.random.Generator(np.random.PCG64(stream))
+        best_val, best = np.inf, None
+        for done in range(0, samples, RAYLEIGH_CHUNK):
+            V = rng.random((min(RAYLEIGH_CHUNK, samples - done), len(block)))
+            V -= 0.5
+            vals = (np.einsum("ij,ij->i", V, V @ block)
+                    / np.einsum("ij,ij->i", V, V))
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best = vals[i], V[i].copy()
+        rho, x = _refine_rayleigh(block, best)
+        refined.append((rho, float(np.linalg.norm(block @ x - rho * x))
+                        + 1e-12 * float(np.linalg.norm(block))))
+    ray_min, bound = min(refined, key=lambda found: found[0])
     eigenvalues = np.concatenate([spec.eigenvalues for spec in spectra])
     eig_min, eig_max = float(eigenvalues.min()), float(eigenvalues.max())
-    order = np.concatenate([idx.ravel() for _, idx in qf.blocks])
-    # (first row, block) of every occurrence, in row order
-    placed = [block for block, idx in qf.blocks for _ in idx]
-    starts = np.cumsum([0] + [len(block) for block in placed])
-    blocks = list(zip(starts.tolist(), placed))
-    chunks = -(-samples // RAYLEIGH_CHUNK)
-    streams = np.random.SeedSequence(seed).spawn(chunks)
-    threads = RAYLEIGH_BATCH // RAYLEIGH_CHUNK
-    width = min(RAYLEIGH_CHUNK, samples)
-    # each pool thread works in one slot: the draws, then the product of a
-    # block with its rows.  The slots are allocated here at once, so worker
-    # threads do not grow heaps of their own
-    slots = iter(np.empty((min(threads, chunks),
-                           (qf.dim + max(map(len, placed))) * width)))
-    local = threading.local()
-
-    def best_in_chunk(j: int) -> tuple:
-        k = min(RAYLEIGH_CHUNK, samples - j * RAYLEIGH_CHUNK)
-        if not hasattr(local, "slot"):
-            local.slot = next(slots)
-        V = local.slot[:qf.dim * k].reshape(qf.dim, k)
-        np.random.Generator(np.random.PCG64(streams[j])).random(out=V)
-        V -= 0.5
-        quad = np.zeros(k)
-        norm2 = np.zeros(k)
-        for s, block in blocks:
-            Vb = V[s:s + block.shape[0]]
-            P = np.matmul(block, Vb,
-                          out=local.slot[-Vb.size:].reshape(Vb.shape))
-            quad += np.einsum("ij,ij->j", Vb, P)
-            # fold the running sum into the block's first row: each column
-            # norm is then one in-order sum over all rows, as a dense norm
-            np.multiply(Vb, Vb, out=P)
-            P[0] += norm2
-            np.add.reduce(P, axis=0, out=norm2)
-        vals = quad / norm2
-        i = int(np.argmin(vals))
-        return float(vals[i]), V[:, i] / np.sqrt(norm2[i])
-
-    with ThreadPoolExecutor(threads) as pool:
-        found = list(pool.map(best_in_chunk, range(chunks)))
-    ray_min, best = np.inf, None
-    for val, col in found:
-        if val < ray_min:
-            ray_min, best = val, col
-    x = np.empty(qf.dim)
-    x[order] = best
-    M = qf.unit
-    ray_min, x = _refine_rayleigh(M, x)
-    bound = (float(np.linalg.norm(M @ x - ray_min * x))
-             + 1e-12 * float(np.linalg.norm(M)))
     c2 = qf.scale
     return SpectralCertificate(
         eig_min=c2 * eig_min,

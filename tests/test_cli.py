@@ -356,8 +356,8 @@ def test_memory_budget_refuses_before_building(monkeypatch):
 def test_memory_budget_admits_every_benchmarked_size():
     # hp10 (n = 40) is the largest model the tests and the benchmark build
     assert cli.memory_estimate(40) <= cli.MEMORY_BUDGET_BYTES
-    assert cli.memory_estimate(78) <= cli.MEMORY_BUDGET_BYTES
-    assert cli.memory_estimate(79) > cli.MEMORY_BUDGET_BYTES
+    assert cli.memory_estimate(81) <= cli.MEMORY_BUDGET_BYTES
+    assert cli.memory_estimate(82) > cli.MEMORY_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("args,n", [(["--space", "hp", "--m", "4"], 16),

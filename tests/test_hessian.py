@@ -23,7 +23,6 @@ from crosscurv.hessian import (
     assemble_tt_remainder,
     compact_tt_coefficients,
     conformal_value,
-    family_bound_form,
     hp_scale,
     min_eigen_tt,
     noncompact_tt_coefficients,
@@ -343,27 +342,19 @@ def test_min_eigen_deterministic():
     assert a.eig_min == b.eig_min
 
 
-def _dense_best_sample(qf, samples, seed):
-    """The dense reference for the chunked, blockwise sampling: the same
-    centred uniforms from the same child streams in the same block-ordered
-    rows, every column normalised and put back in the form's order, then
-    one GEMM with the unit form.  Returns the best unit sample."""
-    chunk = hessian.RAYLEIGH_CHUNK
-    M = qf.unit
-    order = np.concatenate([idx.ravel() for _, idx in qf.blocks])
-    chunks = -(-samples // chunk)
-    ray_min, best = np.inf, None
-    for j, stream in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
-        k = min(chunk, samples - j * chunk)
-        drawn = np.random.Generator(np.random.PCG64(stream)).random(
-            (M.shape[0], k)) - 0.5
-        drawn /= np.linalg.norm(drawn, axis=0)
-        V = np.empty_like(drawn)
-        V[order] = drawn
-        vals = np.einsum("ij,ij->j", V, M @ V)
-        i = int(np.argmin(vals))
-        if float(vals[i]) < ray_min:
-            ray_min, best = float(vals[i]), V[:, i].copy()
+def _best_block_samples(qf, samples, seed):
+    """The reference for the chunked sampling: for each distinct block, its
+    child stream drawn at once, one sample per row (so the chunks are
+    consecutive slices of this draw), every quotient from one GEMM, and the
+    first best sample."""
+    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
+    best = []
+    for (block, _), stream in zip(qf.blocks, streams):
+        V = np.random.Generator(np.random.PCG64(stream)).random(
+            (samples, len(block))) - 0.5
+        vals = np.einsum("ij,ij->i", V, V @ block) / np.einsum("ij,ij->i",
+                                                               V, V)
+        best.append(V[np.argmin(vals)])
     return best
 
 
@@ -379,73 +370,41 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
     starts = []
 
     def spy(M, x, **kw):
-        starts.append(x.copy())
+        starts.append((M, x.copy()))
         return refine(M, x, **kw)
 
     monkeypatch.setattr(hessian, "_refine_rayleigh", spy)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)
-    best = _dense_best_sample(qf, samples, seed)
-    assert len(starts) == 1
-    assert np.array_equal(starts[0], best)
-    assert cert.rayleigh_min == qf.scale * refine(qf.unit, best)[0]
+    best = _best_block_samples(qf, samples, seed)
+    assert len(starts) == len(qf.blocks)
+    for (M, x), (block, _), want in zip(starts, qf.blocks, best):
+        assert M is block
+        assert np.array_equal(x, want)
+    assert cert.rayleigh_min == qf.scale * min(
+        refine(block, x)[0] for (block, _), x in zip(qf.blocks, best))
 
 
-class _SerialReverse:
-    """Stands in for the thread pool: runs every chunk on the calling
-    thread, the last chunk first, and returns the results in chunk order
-    as ``map`` does."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        done = {i: fn(i) for i in reversed(items)}
-        return [done[i] for i in items]
-
-
-@pytest.mark.parametrize("key,samples", [("op2", 12_345), ("hp3", 20_000)])
-def test_certificate_does_not_depend_on_scheduling(key, samples,
-                                                   monkeypatch):
-    import concurrent.futures
-
-    model = (build_model("quaternionic", 3, 1.0) if key == "hp3"
-             else _model(key))
-    qf = assemble_tt_remainder(model)
-    pooled = min_eigen_tt(qf, samples=samples, seed=5)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        _SerialReverse)
-    serial = min_eigen_tt(qf, samples=samples, seed=5)
-    assert repr(serial) == repr(pooled)
-
-
-def test_sampling_holds_at_most_one_batch():
-    # the pool's draws hold RAYLEIGH_BATCH samples in all, the amount
-    # cli.memory_estimate charges for sampling.  On top come the blocks of
-    # the form and a small slack: per thread, the product of the largest
-    # block with a chunk and sixteen chunk-long vectors; once, eight
-    # dim x dim arrays for Jacobi and the refinement.
+def test_sampling_holds_no_form_sized_array():
+    # hp10, dim 819: the sampling holds one chunk of draws for one block
+    # and its product with the block, at most RAYLEIGH_CHUNK x (n - 1)
+    # floats each, beside a few chunk-long vectors and the small arrays of
+    # Jacobi and the refinement on the block.  That is below one dim x dim
+    # array, and far below one dim x chunk array.
     import tracemalloc
 
-    qf = assemble_tt_remainder(_model("op2"))
-    sizes = [len(block) for block, idx in qf.blocks for _ in idx]
+    qf = assemble_tt_remainder(build_model("quaternionic", 10, 1.0))
+    largest = max(len(block) for block, _ in qf.blocks)
     chunk = hessian.RAYLEIGH_CHUNK
-    threads = hessian.RAYLEIGH_BATCH // chunk
-    slack = threads * 8 * (max(sizes) + 16) * chunk + 8 * 8 * qf.dim**2
+    bound = 8 * ((2 * largest + 8) * chunk + 16 * largest**2)
+    min_eigen_tt(qf, samples=1)  # first-call module imports are not arrays
     tracemalloc.start()
     try:
         min_eigen_tt(qf, samples=100_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    blocks = sum(8 * size**2 for size in sizes)
-    assert peak <= 8 * qf.dim * hessian.RAYLEIGH_BATCH + blocks + slack
+    assert bound < 8 * qf.dim**2 < 8 * qf.dim * chunk
+    assert peak <= bound
 
 
 # curvature scales with the unit scale their certificate is compared to
@@ -517,17 +476,8 @@ def _planted_form(rel_gap: float) -> QuadForm:
     return QuadForm(n=4, dim=9, blocks=blocks, provenance="planted")
 
 
-#: the refinement cannot separate a pair 1e-8 of the form apart: it keeps
-#: about the best sample's angle inside the pair, and the certificate is
-#: consistent only where that angle is nearer the bottom eigenvector
-UNRESOLVED = pytest.mark.xfail(strict=True, reason=(
-    "a pair 1e-8 apart is below what the Rayleigh refinement resolves; "
-    "inconsistent on 38 of 101 seeds with centred uniforms, 9 with normals"))
-
-
 @pytest.mark.parametrize("rel_gap,seed", [
-    *((gap, seed) for gap in (0.1, 1e-6) for seed in (0, 7, 123456789)),
-    (1e-8, 0), (1e-8, 7), pytest.param(1e-8, 123456789, marks=UNRESOLVED)])
+    (gap, seed) for gap in (0.1, 1e-6, 1e-8) for seed in (0, 7, 123456789)])
 def test_sampling_reaches_an_integer_bottom_eigenvector(rel_gap, seed):
     # the samples must have a component along every direction: random
     # signs all miss (e_1 - e_2)/sqrt 2 in their best sample, and the
@@ -551,25 +501,6 @@ def test_samples_below_one_are_refused_before_jacobi(samples, monkeypatch):
         min_eigen_tt(qf, samples=samples)
     with pytest.raises(ValueError, match="samples"):
         stability_verdict(model, samples=samples)
-
-
-def test_family_bound_forms():
-    import sympy as sp
-    R2, n, c = sp.symbols("R2 n c")
-    fb = family_bound_form("complex")
-    assert sp.simplify(fb["NORM_H"] - (2 * R2 / n + c**2 * (2 * n - 65))) == 0
-    assert fb["K_PAIR"] == 4
-    lit = family_bound_form("complex", variant="literal")
-    # the literal display drops the scale factor on the constant block
-    assert sp.simplify(lit["NORM_H"] - (2 * R2 / n + 2 * n - 65)) == 0
-    fq = family_bound_form("quaternionic")
-    assert sp.simplify(fq["NORM_HTILDE"] - c**2 * (n - 53)) == 0
-    fo = family_bound_form("octonionic")
-    assert sp.simplify(fo["NORM_H"] - (2 * R2 / n + c**2 * (11 * n + 188))) == 0
-    with pytest.raises(ValueError):
-        family_bound_form("sphere")
-    with pytest.raises(ValueError):
-        family_bound_form("complex", variant="bogus")
 
 
 def test_conformal_values_claimed_and_computed():
