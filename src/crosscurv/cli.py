@@ -27,10 +27,13 @@ outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4 required-identity failure,
 5 numeric failure.  ``exit_status`` decides 4 and 5 from the findings.
 Reports with identical configs and seeds are byte-identical.
 
-Input budget: a model whose estimated peak memory (``memory_estimate``)
-exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is refused as a config
-error, exit 2, before anything is built.  The refusal sets in at dimension
-n = 82 (``--space sphere --n 82``, ``--space hp --m 21``).
+Input budget: a model whose estimated peak memory for the command
+(``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
+refused as a config error, exit 2, before anything is built.  ``model`` and
+``certify`` hold the nonzeros of R and no n^4 array, and are refused from
+dimension n = 1141 and n = 1116; ``verify`` and ``report`` also hold the
+dense R and the identity catalog's n^4 contractions, and are refused from
+n = 90 (``--space sphere --n 90``, ``--space hp --m 23``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import RAYLEIGH_CHUNK, stability_verdict
+from crosscurv.hessian import PAIR_BATCH, RAYLEIGH_CHUNK, stability_verdict
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -105,28 +108,44 @@ SUBCOMMANDS = {
 #: refuse models whose ``memory_estimate`` exceeds this many bytes
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
+#: ``memory_estimate``: the interpreter, numpy, sympy and small arrays
+BASE_BYTES = 128 * 2**20
+#: ``memory_estimate``: float64 words per n^2 of the nonzero stages
+LIST_WORDS = 400
+#: ``memory_estimate``: float64 words per n^4 of the identity catalog
+CATALOG_WORDS = 8
+
 
 class ConfigError(ValueError):
     pass
 
 
-def memory_estimate(n: int) -> int:
-    """Upper estimate, in bytes, of the peak memory of any command on a
-    model of dimension n.
+def memory_estimate(command: str, n: int) -> int:
+    """Upper estimate, in bytes, of the peak memory of ``command`` on a
+    model of dimension n, charged for the stages the command runs, in
+    float64 words:
 
-    Three terms: twelve float64 arrays of n^4 entries; the two arrays of
-    ``RAYLEIGH_CHUNK`` (5 000) x n that the Rayleigh sampling holds, one
-    chunk of draws for a block of size at most n - 1 and its product with
-    the block; and 128 MiB for the interpreter, numpy, sympy and the
-    small arrays.  The n^4 term is headroom over the measured stages (at
-    n = 16..40): the curvature build and the frame audit hold at most
-    about four n^4 arrays at once (R, the two-slot pullback and the
-    defect's GEMM products), the assembly R beside one term's entry lists
-    and their sum over the pair and diagonal places (1.64 n^4 more at hp6,
-    1.02 at hp10), and the sampling holds R beside its chunk.
-    Keeping twelve fixes the refusal point at n = 82.
+    - every command that builds a model: ``LIST_WORDS`` n^2 for the
+      nonzeros of R (about 10 n^2 of them) and what the build, the frame
+      audit and the gates hold beside them (about 300 n^2 at n = 16..128);
+    - ``certify`` and ``report``: one batch of the assembly, at most
+      ``PAIR_BATCH`` nonzeros with fewer than n partners each, about ten
+      words per pair, and the two arrays of ``RAYLEIGH_CHUNK`` x n that
+      the sampling holds (a chunk of draws for a block of size at most
+      n - 1 and its product with the block);
+    - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the dense R
+      and the identity catalog's dense contractions beside it (about
+      6 n^4 at n = 16..24);
+
+    and ``BASE_BYTES`` for the interpreter, numpy, sympy and the small
+    arrays.
     """
-    return 8 * (12 * n**4 + 2 * RAYLEIGH_CHUNK * n) + 128 * 2**20
+    words = LIST_WORDS * n**2
+    if command in ("certify", "report"):
+        words += 10 * PAIR_BATCH * n + 2 * RAYLEIGH_CHUNK * n
+    if command in ("verify", "report"):
+        words += CATALOG_WORDS * n**4
+    return 8 * words + BASE_BYTES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +212,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
                                  cfg["n"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        need = memory_estimate(n)
+        need = memory_estimate(cfg["command"], n)
         if need > MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"a model of dimension {n} needs an estimated "

@@ -12,16 +12,20 @@ conformal-direction quadratic
 
 at the first Laplace eigenvalue of the compact model.
 
-Assembly works on the nonzeros (0.6 % of R at n = 40).  Each basis quantity
-is a list of (row, column, value) entries of its n^2 x n^2 matrix on
-vec(h): products of two nonzeros of R that share the contracted slots for
-the curvature terms, entries of kron(P, P) over the nonzeros of the
-structure products P for the structure terms.  Each vec position lies on
-one pair coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
-diagonal, and one bincount per term adds its weighted entries into an array
-C on those n(n-1)/2 + n places.  The form on the pairs is exactly C / 2
-there, and the ladder block is L^T D L, D the part of C on the diagonal
-places.  No model has an entry of C between the diagonal and a pair.  By
+Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
+n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
+of (row, column, value) entries of its n^2 x n^2 matrix on vec(h):
+products of two nonzeros of R that share the contracted slots for the
+curvature terms, entries of kron(P, P) over the nonzeros of the structure
+products P for the structure terms.  Each vec position lies on one pair
+coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
+diagonal, and the weighted entries are summed per place pair into the
+nonzeros of a form C on those n(n-1)/2 + n places.  The curvature terms
+run in batches of nonzeros that share their last slot, which every pair
+they form shares, so at most one batch of pairs is held at once.  The
+form on the pairs is exactly C / 2 there, and the ladder block is
+L^T D L, D the part of C on the diagonal places.  No model has an entry
+of C between the diagonal and a pair.  By
 the isotypic splitting of the trace-free tensors under the isotropy group
 (Koiso, Osaka J. Math. 17, 1980; Besse, Einstein Manifolds, 12.H) the pairs
 fall into blocks of tau + 1 or of one, only a handful of them distinct, and
@@ -54,6 +58,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from crosscurv.jacobi import jacobi_eigs
+from crosscurv.tensors import pairs_by_key, sum_by_key
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
@@ -81,6 +86,12 @@ __all__ = [
 #: basis quantities that have a quadratic-form realization on variations
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "NORM_RRING",
              "K_PAIR", "RR_KN")
+
+#: the basis quantities that pair nonzeros of R
+CURVATURE_TERMS = ("NORM_RRING", "K_PAIR", "RR_KN")
+
+#: nonzeros of R whose pairs one batch of ``assemble_quadform`` forms
+PAIR_BATCH = 1_024
 
 #: Rayleigh samples drawn at once for one block in ``min_eigen_tt``
 RAYLEIGH_CHUNK = 5_000
@@ -120,19 +131,6 @@ def tt_basis(n: int) -> np.ndarray:
     return B
 
 
-def _group_pairs(key: np.ndarray) -> tuple:
-    """Positions (s, t) of every ordered pair of entries with key[s] ==
-    key[t]."""
-    order = np.argsort(key, kind="stable")
-    _, start, count = np.unique(key[order], return_index=True,
-                                return_counts=True)
-    size = np.repeat(count, count)  # the group size of each sorted entry
-    head = np.repeat(np.repeat(start, count), size)  # its group's start
-    first = np.repeat(np.arange(key.size), size)
-    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
-    return order[first], order[head + offset]
-
-
 def _kron_entries(P: np.ndarray, n: int) -> tuple:
     """Rows, columns and values in an n^2 x n^2 matrix of the nonzeros of
     kron(P, P)."""
@@ -143,15 +141,19 @@ def _kron_entries(P: np.ndarray, n: int) -> tuple:
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
-    """Rows, columns and values of the entries of the n^2 x n^2 matrix that
-    realizes one basis quantity on vec(h), row-major; repeated positions
-    add up.
+    """Rows, columns and values of the entries of an n^2 x n^2 matrix that
+    realizes one basis quantity on vec(h) of a symmetric h, row-major;
+    repeated positions add up.
 
     The structure terms come from the nonzeros of the J operators, the
     curvature terms from products of two nonzeros of R that share the
     contracted slots: K_PAIR[(p, q), (m, n)] sums R[p,i,m,j] R[q,i,n,j]
-    over the pairs of nonzeros with equal slots (i, j).  ``nz`` holds the
-    four index arrays of the nonzeros of R and their values.
+    over the pairs of nonzeros with equal slots (i, j).  For K_PAIR and
+    RR_KN the pairs (s, t) and (t, s) sit at transposed positions, (p, q)
+    against (q, p) and (m, n) against (n, m), which a symmetric h does
+    not tell apart: each unordered pair is taken once, at twice the
+    weight.  ``nz`` holds the four index arrays of the nonzeros of R and
+    their values.
     """
     n = model.n
     ops = model.J.operators
@@ -169,18 +171,19 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
                        for Jb in ops])
     i0, i1, i2, i3, v = nz
     if key == "NORM_RRING":  # L^T L, L[(x, y), (i, j)] = R[i, x, j, y]
-        s, t = _group_pairs(i1 * n + i3)
-        rows, cols = i0[s] * n + i2[s], i0[t] * n + i2[t]
-    elif key == "K_PAIR":
-        s, t = _group_pairs(i1 * n + i3)
+        s, t = pairs_by_key(i1 * n + i3)
+        return i0[s] * n + i2[s], i0[t] * n + i2[t], v[s] * v[t]
+    if key == "K_PAIR":
+        s, t = pairs_by_key(i1 * n + i3, unordered=True)
         rows, cols = i0[s] * n + i0[t], i2[s] * n + i2[t]
+        weight = 1.0
     elif key == "RR_KN":  # (1/2) sum_ij R[p,m,i,j] R[q,n,i,j]
-        s, t = _group_pairs(i2 * n + i3)
+        s, t = pairs_by_key(i2 * n + i3, unordered=True)
         rows, cols = i0[s] * n + i0[t], i1[s] * n + i1[t]
+        weight = 0.5
     else:
         raise KeyError(f"no quadratic-form realization for {key!r}")
-    vals = v[s] * v[t]
-    return rows, cols, (0.5 * vals if key == "RR_KN" else vals)
+    return rows, cols, np.where(s == t, weight, 2 * weight) * (v[s] * v[t])
 
 
 def _stack(parts: list) -> tuple:
@@ -191,22 +194,32 @@ def _stack(parts: list) -> tuple:
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _distinct_blocks(O: np.ndarray) -> list:
-    """The connected components of the nonzero pattern of O, grouped by
-    bit-identical block: (block, index array of shape occurrences x size)
-    in the order of first occurrence, each component's indices ascending."""
-    r, c = np.nonzero(O)
-    label = np.arange(len(O))
+def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
+                     vals: np.ndarray) -> list:
+    """The connected components of the pattern of a size x size form given
+    by its nonzero entries, grouped by bit-identical block: (block, index
+    array of shape occurrences x size) in the order of first occurrence,
+    each component's indices ascending."""
+    label = np.arange(size)
     while True:  # each label falls to the smallest index of its component
         low = label.copy()
-        np.minimum.at(low, r, label[c])
+        np.minimum.at(low, rows, label[cols])
         if np.array_equal(low, label):
             break
         label = low
     order = np.argsort(label, kind="stable")
+    start = np.diff(label[order], prepend=-1) != 0
+    comp = np.empty(size, dtype=np.intp)  # component number of each index
+    comp[order] = np.cumsum(start) - 1
+    pos = np.empty(size, dtype=np.intp)  # its place in the component
+    pos[order] = np.arange(size) - np.flatnonzero(start)[comp[order]]
+    by_comp = np.argsort(comp[rows], kind="stable")
+    counts = np.bincount(comp[rows], minlength=np.count_nonzero(start))
     groups: dict = {}
-    for idx in np.split(order, np.flatnonzero(np.diff(label[order])) + 1):
-        block = O[np.ix_(idx, idx)]
+    for idx, at in zip(np.split(order, np.flatnonzero(start)[1:]),
+                       np.split(by_comp, np.cumsum(counts)[:-1])):
+        block = np.zeros((idx.size, idx.size))
+        block[pos[rows[at]], pos[cols[at]]] = vals[at]
         groups.setdefault(block.tobytes(), (block, []))[1].append(idx)
     return [(block, np.array(occ)) for block, occ in groups.values()]
 
@@ -260,14 +273,13 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     are homogeneous of degree 2 in c, so c^2 times the unit form is the
     form at c; its nonzero pattern is the one at c = sign(c).
 
-    Each term's weighted entries (``_term_entries``) are added into C
-    (see the module docstring), one term at a time.  An entry of C that
-    couples the diagonal with a pair raises ValueError.
+    Each term's weighted entries (``_term_entries``) are summed into the
+    nonzeros of C (see the module docstring), one term, or one batch of a
+    curvature term, at a time.  An entry of C that couples the diagonal
+    with a pair raises ValueError.
     """
     n = model.n
-    R = model.R.entries
-    idx = np.unravel_index(np.flatnonzero(R), R.shape)
-    nz = (*idx, R[idx] / abs(model.c))
+    nz = (*model.R_slots, model.R_values / abs(model.c))
     if callable(coeffs):
         coeffs = coeffs(SimpleNamespace(
             n=n, tau=model.tau, c=math.copysign(1.0, model.c),
@@ -280,23 +292,38 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     place[i, j] = place[j, i] = np.arange(off)
     place[np.diag_indices(n)] = off + np.arange(n)
     place = place.ravel()
-    C = np.zeros(size * size)
+    # the curvature terms pair nonzeros that share their last slot, so
+    # they run over batches of last-slot values, PAIR_BATCH nonzeros each
+    by_last = np.argsort(nz[3], kind="stable")
+    step = max(1, n * PAIR_BATCH // max(1, nz[3].size))
+    cuts = np.searchsorted(nz[3][by_last], np.arange(step, n, step))
+    batches = [tuple(a[at] for a in nz) for at in np.split(by_last, cuts)]
+    C_keys, C_vals = np.zeros(0, dtype=np.intp), np.zeros(0)
     for key, w in coeffs.items():
-        if w != 0:
-            rows, cols, v = _term_entries(model, key, nz)
+        if w == 0:
+            continue
+        for part in (batches if key in CURVATURE_TERMS else [nz]):
+            rows, cols, v = _term_entries(model, key, part)
             flat = place[rows]
             flat *= size
             flat += place[cols]
             v *= float(w)
-            C += np.bincount(flat, weights=v, minlength=C.size)
-            del rows, cols, v, flat  # before the next term's entries
-    C = C.reshape(size, size)
-    if np.any(C[:off, off:]) or np.any(C[off:, :off]):
+            C_keys, C_vals = sum_by_key(np.concatenate([C_keys, flat]),
+                                        np.concatenate([C_vals, v]))
+            del rows, cols, v, flat  # before the next batch's entries
+    keep = C_vals != 0
+    rows, cols = np.divmod(C_keys[keep], size)
+    vals = C_vals[keep]
+    on_pairs = rows < off
+    if np.any(on_pairs != (cols < off)):
         raise ValueError(f"{model.label}: the form couples the diagonal with "
                          "an off-diagonal pair")
+    D = np.zeros((n, n))
+    D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
     L = _ladder(n)
-    ladder = L.T @ C[off:, off:] @ L
-    blocks = _distinct_blocks(0.5 * C[:off, :off])
+    ladder = L.T @ D @ L
+    blocks = _distinct_blocks(off, rows[on_pairs], cols[on_pairs],
+                              0.5 * vals[on_pairs])
     blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
     return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c,
                     provenance=provenance)

@@ -21,6 +21,16 @@ The curvature tensor itself comes from one closed formula,
 and every constructed model is gated on an adapted-frame audit plus the
 Einstein and criticality identities before it is returned.
 
+Every structure operator is a signed permutation, J e_x = s_x e_pi(x), so
+each term of the formula is a list of n^2 entries, and R is built, checked
+and audited as its nonzeros: the C-order flat indices of its nonzero
+entries and their values, about 10 n^2 of the n^4 entries (0.6 % at
+n = 40).  The pullbacks the audit takes are signed permutations of those
+lists, and every residual is a per-key sum in the order of the dense
+arithmetic, so it has the bits of the dense computation.  The dense R is
+scattered from the lists on first use (``CurvatureModel.R``), for the
+identity catalog and the tensors API.
+
 Adapted basis convention: index (alpha, i) -> alpha * m + i, where alpha
 runs over the algebra units 0..tau and i over the coordinates 0..m-1.
 """
@@ -30,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +50,15 @@ from crosscurv.division_algebras import (
     quaternion_table,
     octonion_table,
 )
-from crosscurv.tensors import CurvTensor4, check_tensor, ricci, to_lambda2
+from crosscurv.tensors import (
+    CurvTensor4,
+    align,
+    check_curvature_rules,
+    flat_index,
+    gather,
+    pairs_by_key,
+    sum_by_key,
+)
 
 __all__ = [
     "FAMILIES",
@@ -63,8 +82,9 @@ FAMILIES = ("sphere", "complex", "quaternionic", "octonionic")
 
 _TAU = {"sphere": 0, "complex": 1, "quaternionic": 3, "octonionic": 7}
 
-#: the curvature scales |c| the certificates are verified for; outside it
-#: the Frobenius norms of the forms over- or underflow
+#: the curvature scales |c| the certificates are verified for: the range
+#: over which the tests check that every gate decision and catalog outcome
+#: is the one at c = sign(c) and the form is c^2 times the unit form
 SCALE_RANGE = (1e-6, 1e6)
 
 
@@ -101,19 +121,40 @@ class JStructure:
 
 @dataclass(eq=False)
 class CurvatureModel:
-    """A validated model tensor with its derived constants."""
+    """A validated model tensor with its derived constants.
+
+    The tensor is held as its nonzeros: ``R_keys``, the C-order flat
+    indices of its nonzero entries in ascending order, and ``R_values``.
+    """
 
     family: str
     m: int
     n: int
     tau: int
     c: float
-    R: CurvTensor4 = field(repr=False)
+    R_keys: np.ndarray = field(repr=False)
+    R_values: np.ndarray = field(repr=False)
     J: JStructure = field(repr=False)
     lam: float = 0.0
     s: float = 0.0
     R_norm2: float = 0.0
     audit: FrameAudit | None = field(default=None, repr=False)
+
+    @cached_property
+    def R(self) -> CurvTensor4:
+        """The dense tensor, scattered from the nonzeros on first use."""
+        T = np.zeros(self.n**4)
+        T[self.R_keys] = self.R_values
+        return CurvTensor4(T.reshape((self.n,) * 4))
+
+    @property
+    def R_slots(self) -> tuple:
+        """The four slot index arrays of the nonzeros."""
+        return np.unravel_index(self.R_keys, (self.n,) * 4)
+
+    def R_at(self, slots) -> np.ndarray:
+        """Entries of R at four slot arrays."""
+        return gather(self.R_keys, self.R_values, flat_index(self.n, slots))
 
     @property
     def compact(self) -> bool:
@@ -170,75 +211,112 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     return J
 
 
-def _pair_gram(Ks, weights, n: int) -> np.ndarray:
-    """sum_t w_t k_t (x) k_t for the pair forms k_t(x, y) = <K_t x, y>, as
-    one GEMM of the columns vec(K_t^T): entry [x, y, z, w] is
-    sum_t w_t K_t[y, x] K_t[w, z]."""
-    U = np.zeros((n * n, len(Ks)))
-    for t, K in enumerate(Ks):
-        U[:, t] = K.T.reshape(-1)
-    return ((U * weights) @ U.T).reshape(n, n, n, n)
+def _signed_permutation(K: np.ndarray) -> tuple:
+    """(pi, s) with K e_x = s[x] e_pi[x]; ModelValidationError unless K is
+    a signed permutation matrix."""
+    n = len(K)
+    pi = np.argmax(np.abs(K), axis=0)
+    s = K[pi, np.arange(n)]
+    if (np.count_nonzero(K) != n or np.any(np.abs(s) != 1)
+            or np.unique(pi).size != n):
+        raise ModelValidationError(
+            "structure operator is not a signed permutation")
+    return pi, s
 
 
-def _asum(Ks, weights, n: int) -> np.ndarray:
-    """sum_t w_t A_{K_t}, A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> on
-    basis vectors, where <K x, e_a> = K[a, index(x)].
+def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray) -> tuple:
+    """A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> for K = (pi, s) as an
+    entry list: s_x s_y at (x, y, pi x, pi y), -s_x s_y at (x, y, pi y,
+    pi x); the two cancel where x = y."""
+    x, y = np.divmod(np.arange(n * n), n)
+    v = s[x] * s[y]
+    return (np.concatenate([flat_index(n, (x, y, pi[x], pi[y])),
+                            flat_index(n, (x, y, pi[y], pi[x]))]),
+            np.concatenate([v, -v]))
 
-    The pair gram S has S[x, z, y, w] = sum_t w_t <K_t x, z><K_t y, w>, so
-    the sum is two slot exchanges of S; the result is C-contiguous.
+
+def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
+                      weight: float) -> tuple:
+    """weight k (x) k for the pair form k(x, y) = <K x, y> of K = (pi, s)
+    as an entry list: weight s_x s_z at (x, pi x, z, pi z)."""
+    x, z = np.divmod(np.arange(n * n), n)
+    return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
+
+
+def _entry_sum(parts: list) -> tuple:
+    """Sum of entry lists per key (``sum_by_key``), exact zeros dropped."""
+    if not parts:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    keys, vals = sum_by_key(*(np.concatenate(col) for col in zip(*parts)))
+    keep = vals != 0
+    return keys[keep], vals[keep]
+
+
+def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
+    """Flat indices and values of the nonzeros of R: the entry lists of
+    A_I, A_{J_a} and 2 w_a (x) w_a summed per key at unit scale, exact
+    zeros dropped, then times c.
+
+    The unit-scale entries are small integers, so every sum is exact and
+    the values are those of the dense tensor, bit for bit.
     """
-    S = _pair_gram(Ks, weights, n)
-    return np.subtract(S.transpose(0, 2, 1, 3), S.transpose(0, 2, 3, 1),
-                       out=np.empty_like(S))
+    n = J.n
+    perms = [_signed_permutation(K) for K in (np.eye(n), *J.operators)]
+    keys, vals = _entry_sum(
+        [_aform_entries(n, *p) for p in perms]
+        + [_pairform_entries(n, *p, 2.0) for p in perms[1:]])
+    return keys, vals * c
 
 
-def _curvature_from_structure(J: JStructure, c: float) -> CurvTensor4:
-    # the unit-scale tensor T has small integer entries, so any summation
-    # order gives it exactly; R is kept in C order, which fixes the
-    # summation order (and the bits) of |R|^2
-    ops = J.operators
-    T = _asum([np.eye(J.n), *ops], np.ones(len(ops) + 1), J.n)
-    if ops:
-        T += _pair_gram(ops, np.full(len(ops), 2.0), J.n)
-    T *= c
-    return CurvTensor4(T)
-
-
-def _max_gap(E: np.ndarray, D: np.ndarray, c: float) -> float:
-    """max |E - c D|, computed in the buffer of D."""
-    D *= c
-    np.subtract(E, D, out=D)
-    return float(np.max(np.abs(D, out=D)))
-
-
-def _invariance_gaps(R: np.ndarray, Jg: np.ndarray, others: list,
-                     c: float) -> np.ndarray:
+def _invariance_gaps(model: "CurvatureModel", slots: tuple, perms: list,
+                     g: int) -> np.ndarray:
     """Residuals of the pullbacks by J_g: four-slot invariance, two-slot
     invariance, the two-slot defect and its pair-form part.
 
-    The two-slot pullback E = R(., ., J_g ., J_g .) - R is compared with
-    zero, with its exact defect and with the defect's pair-form part.  The
-    exact defect is c times the unit-scale integer tensor
+    ``slots`` are the slot arrays of the nonzeros of R and ``perms`` the
+    (pi, s) of each structure operator, J e_x = s_x e_pi(x).  The
+    pullbacks are signed permutations of the nonzeros: R(J x, J y, J z,
+    J w) is s_x s_y s_z s_w R(pi x, pi y, pi z, pi w).  The two-slot
+    pullback E = R(., ., J_g ., J_g .) - R is compared with zero, with its
+    exact defect and with the defect's pair-form part.  The exact defect
+    is c times the unit-scale integer tensor
 
         sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
 
-    one GEMM for the A terms and one for the pair forms.  For the
-    associative families -J_g J_a is (up to sign) another member of the
-    family and the A terms cancel pairwise, leaving the pair-form part
-    alone; for the octonionic family they do not.
+    summed from its entry lists.  For the associative families -J_g J_a is
+    (up to sign) another member of the family and the A terms cancel
+    pairwise, leaving the pair-form part alone; for the octonionic family
+    they do not.  Each residual is taken on the union of the keys, in the
+    dense order: R - P for the four-slot pullback P, E - c D for a defect
+    D; entries that are 0 on both sides give 0 and are left out.
     """
-    n, k = R.shape[0], len(others)
-    four = _max_gap(R, np.einsum("ax,by,cz,dw,abcd->xyzw", Jg, Jg, Jg, Jg, R,
-                                 optimize=True), 1.0)
-    E = np.einsum("cz,dw,abcd->abzw", Jg, Jg, R, optimize=True)
-    E -= R
-    two = float(np.max(np.abs(E)))
-    defect = _asum([-(Jg @ Ja) for Ja in others] + others,
-                   np.repeat([1.0, -1.0], k), n)
-    pairform = _pair_gram(others, np.full(k, -4.0), n)
-    defect += pairform
-    return np.array([four, two, _max_gap(E, defect, c),
-                     _max_gap(E, pairform, c)])
+    n, c = model.n, model.c
+    R = (model.R_keys, model.R_values)
+    pi, s = perms[g]
+    inv = np.argsort(pi)  # the entry at a moves to inv[a]
+    moved = [inv[a] for a in slots]
+    sign = s[moved[2]] * s[moved[3]]
+    _, (r, p) = align(R, (flat_index(n, moved),
+                          R[1] * (s[moved[0]] * s[moved[1]] * sign)))
+    four = np.max(np.abs(r - p), initial=0.0)
+    keys, (r, p) = align(R, (flat_index(n, (*slots[:2], *moved[2:])),
+                             R[1] * sign))
+    del moved, sign
+    E = p - r
+    keep = E != 0
+    E = (keys[keep], E[keep])
+    others = [p for a, p in enumerate(perms) if a != g]
+    # -J_g J_a e_x = -s_a[x] s_g[pi_a x] e_{pi_g pi_a x}
+    composed = [(pi[pa], -sa * s[pa]) for pa, sa in others]
+    pairform = _entry_sum([_pairform_entries(n, *p, -4.0) for p in others])
+    defect = _entry_sum([_aform_entries(n, *p) for p in composed]
+                        + [(k, -v) for k, v in (_aform_entries(n, *p)
+                                                for p in others)]
+                        + [pairform])
+    _, (e, d, f) = align(E, defect, pairform)
+    return np.array([four, np.max(np.abs(E[1]), initial=0.0),
+                     np.max(np.abs(e - d * c), initial=0.0),
+                     np.max(np.abs(e - f * c), initial=0.0)])
 
 
 @dataclass(eq=False)
@@ -262,6 +340,43 @@ class FrameAudit:
         return self.max_gated_residual() <= tol
 
 
+def _line_rules(model: "CurvatureModel", coord: np.ndarray,
+                slots: tuple) -> tuple:
+    """zero_three_coordinates and single_line_round from the nonzeros;
+    ``coord`` is the coordinate line of each basis index."""
+    tau, m, c = model.tau, len(coord) // (model.tau + 1), model.c
+    vals = model.R_values
+    # zero_three_coordinates: count distinct coordinate labels per nonzero
+    # component; the maximum of |R| over the mask is its maximum over the
+    # masked nonzeros
+    labels = [coord[i] for i in slots]
+    ncoords = np.zeros(vals.size, dtype=int)
+    for a in range(4):
+        is_new = np.ones(vals.size, dtype=bool)
+        for b in range(a):
+            is_new &= labels[a] != labels[b]
+        ncoords += is_new
+    hits = np.abs(vals[ncoords >= 3])
+    zero_three = float(np.max(hits)) if hits.size else 0.0
+
+    # single_line_round: on each coordinate line, R against 4c times the
+    # round tensor, 4c (d_xz d_yw - d_xw d_yz), at the nonzeros of either.
+    # On the sphere all lines are 1-dimensional and identical: line 0 only
+    lines = m if tau else 1
+    a, b, i = (g.ravel() for g in np.indices((tau + 1, tau + 1, lines)))
+    x, y = (a * m + i)[a != b], (b * m + i)[a != b]
+    on_line = ((labels[0] == labels[1]) & (labels[0] == labels[2])
+               & (labels[0] == labels[3]) & (labels[0] < lines))
+    s0, s1, s2, s3 = (slot[on_line] for slot in slots)
+    rnd = 4.0 * c * (((s0 == s2) & (s1 == s3)).astype(float)
+                     - ((s0 == s3) & (s1 == s2)).astype(float))
+    single = float(np.max(np.concatenate([
+        np.abs(vals[on_line] - rnd),
+        np.abs(model.R_at((x, y, x, y)) - 4.0 * c),
+        np.abs(model.R_at((x, y, y, x)) - 4.0 * c * -1.0)]), initial=0.0))
+    return zero_three, single
+
+
 def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     """Check the adapted-frame component rules of the model tensor.
 
@@ -283,61 +398,38 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                                exact when tau <= 1, fails with the predicted
                                defect for the tau >= 3 families
     """
-    R = model.R.entries
-    J = model.J
     n, tau, c = model.n, model.tau, model.c
     m = n // (tau + 1)
     # coordinate label of each basis index under (alpha, i) -> alpha*m + i;
     # on the sphere m = n and every direction is its own line
     coord = np.tile(np.arange(m), tau + 1)
+    slots = model.R_slots
 
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
-
-    # zero_three_coordinates: count distinct coordinate labels per nonzero
-    # component; the maximum of |R| over the mask is its maximum over the
-    # masked nonzeros
-    nz = np.unravel_index(np.flatnonzero(R), R.shape)
-    labels = [coord[i] for i in nz]
-    ncoords = np.zeros(len(nz[0]), dtype=int)
-    for a in range(4):
-        is_new = np.ones(len(nz[0]), dtype=bool)
-        for b in range(a):
-            is_new &= labels[a] != labels[b]
-        ncoords += is_new
-    hits = np.abs(R[nz][ncoords >= 3])
-    res["zero_three_coordinates"] = float(np.max(hits)) if hits.size else 0.0
-
-    # single_line_round: per coordinate line, compare with 4c * round tensor
-    worst = 0.0
-    for i in range(m):
-        sel = np.flatnonzero(coord == i)
-        block = R[np.ix_(sel, sel, sel, sel)]
-        round4c = 4.0 * c * _asum([np.eye(len(sel))], np.ones(1), len(sel))
-        worst = max(worst, float(np.max(np.abs(block - round4c))))
-        if tau == 0:
-            break  # all lines are 1-dimensional and identical
-    res["single_line_round"] = worst
+    res["zero_three_coordinates"], res["single_line_round"] = _line_rules(
+        model, coord, slots)
 
     # the four entry rules on the grid of unit labels a, b and coordinates
     # i, j; basis index (alpha, i) -> alpha * m + i
     a, b, i, j = np.indices((tau + 1, tau + 1, m, m))
     ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
 
-    def deviation(entries, want, mask):
+    def deviation(at, want, mask):
+        entries = model.R_at(at)
         return float(np.max(np.abs(entries[mask] - want), initial=0.0))
 
-    res["same_coordinate_4c"] = deviation(R[ai, bi, ai, bi], 4.0 * c, a != b)
-    res["cross_line_sectional_c"] = deviation(R[ai, bj, ai, bj], c, i != j)
-    res["paired_plane_2c"] = deviation(R[ai, bi, aj, bj], 2.0 * c,
+    res["same_coordinate_4c"] = deviation((ai, bi, ai, bi), 4.0 * c, a != b)
+    res["cross_line_sectional_c"] = deviation((ai, bj, ai, bj), c, i != j)
+    res["paired_plane_2c"] = deviation((ai, bi, aj, bj), 2.0 * c,
                                        (a != b) & (i != j))
-    res["cross_quad_c"] = deviation(R[ai, aj, bi, bj], c, (a != b) & (i != j))
+    res["cross_quad_c"] = deviation((ai, aj, bi, bj), c, (a != b) & (i != j))
 
     # invariance rules, one pass per structure operator
+    perms = [_signed_permutation(K) for K in model.J.operators]
     worst = np.zeros(4)
-    for g, Jm in enumerate(J.operators):
-        others = [Ja for a, Ja in enumerate(J.operators) if a != g]
-        worst = np.maximum(worst, _invariance_gaps(R, Jm, others, c))
+    for g in range(tau):
+        worst = np.maximum(worst, _invariance_gaps(model, slots, perms, g))
     worst4s, worst2s, worstdef, worstpair = map(float, worst)
     res["four_slot_invariance"] = worst4s
     res["two_slot_invariance"] = worst2s
@@ -372,9 +464,10 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
 
     Validation gates, any failure raises ModelValidationError: the scale
-    range |c| in SCALE_RANGE, structure-operator invariants, curvature
-    symmetries and Bianchi (checked by the CurvTensor4 constructor, relative
-    to the largest entry), and four gates relative to the size of what they
+    range |c| in SCALE_RANGE, structure-operator invariants, structure
+    operators that are signed permutations, curvature symmetries and
+    Bianchi (``check_curvature_rules`` on the nonzeros, relative to the
+    largest entry), and four gates relative to the size of what they
     bound, so that each decision is the same at every scale:
 
       adapted-frame audit    gated residuals <= 1e-12 |c|
@@ -383,6 +476,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
                              1e-10 |R|^2 / n
       norm consistency       the three ways of computing |R|^2 agree to
                              1e-10 |R|^2
+
+    Every gate reads the nonzeros; no n^4 array is made.  ``R_norm2`` is
+    the sum of the squared values in key order, exact at c = +-1.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
@@ -395,9 +491,16 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     J = build_j_structure(family, m, n=n)
     nn = J.n
     tau = J.tau
-    R = _curvature_from_structure(J, c)
+    keys, vals = _curvature_nonzeros(J, c)
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
-                           n=nn, tau=tau, c=float(c), R=R, J=J)
+                           n=nn, tau=tau, c=float(c), R_keys=keys,
+                           R_values=vals, J=J)
+    slots = model.R_slots
+    try:
+        check_curvature_rules(vals, lambda order: model.R_at(
+            tuple(slots[k] for k in order)))
+    except ValueError as exc:
+        raise ModelValidationError(f"curvature rules fail: {exc}") from exc
 
     audit = model.audit = frame_rule_audit(model)
     if not audit.passed(1e-12 * abs(c)):
@@ -406,20 +509,31 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
             f"frame audit failed: rule {worst} residual {audit.residuals[worst]:.3e}"
         )
 
+    # the contractions from the nonzeros: Ricci r(a, b) = sum_i R(a,i,b,i),
+    # and the self-contraction from the pairs of nonzeros that share their
+    # last three slots
+    i0, i1, i2, i3 = slots
     lam = einstein_constant(nn, tau, c)
-    ric = ricci(R).entries
+    on = i1 == i3
+    ric = np.bincount(i0[on] * nn + i2[on], weights=vals[on],
+                      minlength=nn * nn).reshape(nn, nn)
     eres = float(np.max(np.abs(ric - lam * np.eye(nn))))
     if eres > 1e-12 * abs(lam):
         raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
 
-    norm_direct = R.norm2()
-    chk = check_tensor(R).entries
+    norm_direct = float(np.sum(vals * vals))
+    s, t = pairs_by_key(keys % nn**3)
+    chk = np.bincount(i0[s] * nn + i0[t], weights=vals[s] * vals[t],
+                      minlength=nn * nn).reshape(nn, nn)
     crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(nn))))
     if crit > 1e-10 * norm_direct / nn:
         raise ModelValidationError(f"criticality identity fails: residual {crit:.3e}")
 
-    P = to_lambda2(R).matrix
-    norm_operator = 4.0 * float(np.trace(P @ P))
+    # 4 tr(P^2) for the operator P on 2-vectors: the nonzeros with i0 < i1
+    # and i2 < i3 against their pair exchange
+    pair = (i0 < i1) & (i2 < i3)
+    exchanged = model.R_at((i2[pair], i3[pair], i0[pair], i1[pair]))
+    norm_operator = 4.0 * float(np.sum(vals[pair] * exchanged))
     norm_trace = float(np.trace(chk))
     if max(abs(norm_operator - norm_direct),
            abs(norm_trace - norm_direct)) > 1e-10 * norm_direct:

@@ -1,10 +1,17 @@
-"""Dense multilinear algebra at a single tangent space in an orthonormal frame.
+"""Multilinear algebra at a single tangent space in an orthonormal frame.
 
 Everything here is pointwise: symmetric 2-tensors, rank-4 curvature-type
 tensors, their standard contractions (Ricci, self-contraction, the action on
 symmetric 2-tensors), the Kulkarni-Nomizu product, the identification of a
 curvature tensor with a symmetric operator on the space of 2-vectors, and
 seeded random generators that project onto the algebraic curvature class.
+
+A rank-4 tensor is held either as a dense n^4 array or as its nonzeros: the
+C-order flat indices of its nonzero entries, ascending, and their values.
+The curvature symmetries and the first Bianchi identity are checked once,
+on the nonzeros (``check_curvature_rules``), whichever way the tensor is
+held; ``sum_by_key``, ``gather``, ``align`` and ``pairs_by_key`` are the
+list operations the model build, its audit and the form assembly share.
 
 Conventions, fixed once:
 
@@ -42,6 +49,7 @@ __all__ = [
     "random_symtensor",
     "random_curvature",
     "bianchi_residual",
+    "check_curvature_rules",
 ]
 
 #: tolerance for structural residuals, relative to the largest entry
@@ -104,16 +112,7 @@ class CurvTensor4:
         if self.entries.ndim != 4 or len(set(self.entries.shape)) != 1:
             raise ValueError("CurvTensor4 needs an n^4 array")
         if self.algebraic:
-            tol = STRUCT_TOL * _scale(self.entries)
-            T = self.entries
-            if np.max(np.abs(T + np.einsum("xyzw->yxzw", T))) > tol:
-                raise ValueError("not antisymmetric in the first pair")
-            if np.max(np.abs(T + np.einsum("xyzw->xywz", T))) > tol:
-                raise ValueError("not antisymmetric in the second pair")
-            if np.max(np.abs(T - np.einsum("xyzw->zwxy", T))) > tol:
-                raise ValueError("pair exchange symmetry fails")
-            if bianchi_residual(T) > tol:
-                raise ValueError("first Bianchi identity fails")
+            check_curvature_rules(*_dense_terms(self.entries))
 
     @property
     def n(self) -> int:
@@ -149,10 +148,111 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+#: the algebraic curvature rules: the message of a failure and the terms
+#: combined with T in turn, each a ufunc and the slot order in which the
+#: term reads T, T'(x) = T(x[order]); the residual is the largest entry of
+#: |(T op_1 T_1) op_2 T_2|
+CURVATURE_RULES = (
+    ("not antisymmetric in the first pair", ((np.add, (1, 0, 2, 3)),)),
+    ("not antisymmetric in the second pair", ((np.add, (0, 1, 3, 2)),)),
+    ("pair exchange symmetry fails", ((np.subtract, (2, 3, 0, 1)),)),
+    ("first Bianchi identity fails", ((np.add, (0, 2, 3, 1)),
+                                      (np.add, (0, 3, 1, 2)))),
+)
+
+
+def _rule_residual(terms, values, term_at) -> float:
+    """Residual of one rule of ``CURVATURE_RULES`` from the nonzero
+    entries ``values`` of T; ``term_at(order)`` gives T(x[order]) at the
+    same nonzeros x, in the same order.
+
+    The residual is evaluated at the nonzeros alone, and that is its
+    maximum over all n^4 entries.  Each rule's slot orders form a group
+    (an involution, or the cyclic shift of the last three slots), and
+    wherever the residual is nonzero off the nonzeros of T some entry of
+    its orbit is a nonzero of T, where the residual has the same size:
+    the terms that are 0 there add exactly.
+    """
+    total = values
+    for op, order in terms:
+        total = op(total, term_at(order))
+    return float(np.max(np.abs(total), initial=0.0))
+
+
+def check_curvature_rules(values, term_at) -> None:
+    """ValueError, with the rule's message, unless the tensor with the
+    nonzero entries ``values`` meets every rule of ``CURVATURE_RULES`` to
+    1e-12 of its largest entry; ``term_at`` as in ``_rule_residual``.  The
+    rules run in order and the first one that fails is reported."""
+    tol = STRUCT_TOL * _scale(values)
+    for message, terms in CURVATURE_RULES:
+        if _rule_residual(terms, values, term_at) > tol:
+            raise ValueError(message)
+
+
+def _dense_terms(T: np.ndarray) -> tuple:
+    """The nonzero entries of a dense T and their ``term_at``: each term
+    is a transpose of T read through the same mask."""
+    mask = T != 0
+    return T[mask], lambda order: np.transpose(T, np.argsort(order))[mask]
+
+
 def bianchi_residual(T: np.ndarray) -> float:
     """Max norm of the cyclic sum over the last three slots."""
-    B = T + np.einsum("xzwy->xyzw", T) + np.einsum("xwyz->xyzw", T)
-    return float(np.max(np.abs(B)))
+    return _rule_residual(CURVATURE_RULES[-1][1], *_dense_terms(T))
+
+
+def flat_index(n: int, slots) -> np.ndarray:
+    """C-order flat indices in an n^4 array of four slot arrays."""
+    i0, i1, i2, i3 = slots
+    return ((i0 * n + i1) * n + i2) * n + i3
+
+
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The distinct keys, ascending, and the sum of the values at each:
+    one sort and ``np.add.reduceat``."""
+    order = np.argsort(keys)
+    keys, values = keys[order], values[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[start], np.add.reduceat(values, start)
+
+
+def gather(keys: np.ndarray, values: np.ndarray, query) -> np.ndarray:
+    """The values of a list with ascending distinct ``keys`` at ``query``,
+    0 where a key is absent."""
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return np.where(keys[at] == query, values[at], 0.0)
+
+
+def align(*lists) -> tuple:
+    """The union of the keys of several (keys, values) lists, each with
+    distinct keys, ascending, and a row per list of its values on the
+    union, 0 where the list has no entry."""
+    keys = np.sort(np.concatenate([k for k, _ in lists]))
+    union = keys[np.diff(keys, prepend=-1) != 0]
+    del keys
+    out = np.zeros((len(lists), union.size))
+    for row, (keys, values) in zip(out, lists):
+        order = np.argsort(keys)
+        row[np.searchsorted(union, keys[order])] = values[order]
+    return union, out
+
+
+def pairs_by_key(key: np.ndarray, unordered: bool = False) -> tuple:
+    """Positions (s, t) of every ordered pair of entries with key[s] ==
+    key[t]; with ``unordered``, of every such pair once, s before or at t
+    in the sort of ``key``."""
+    order = np.argsort(key)
+    _, start, count = np.unique(key[order], return_index=True,
+                                return_counts=True)
+    # the first partner of each sorted entry, and how many it has
+    head = np.repeat(start, count)
+    if unordered:
+        head = np.arange(key.size)
+    size = np.repeat(start + count, count) - head
+    first = np.repeat(np.arange(key.size), size)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
+    return order[first], order[np.repeat(head, size) + offset]
 
 
 def _as_matrix(h) -> np.ndarray:

@@ -347,32 +347,59 @@ def test_memory_budget_refuses_before_building(monkeypatch):
         raise AssertionError("build_model called for a refused model")
 
     monkeypatch.setattr(cli, "build_model", no_build)
-    code, out, err = run(["model", "--space", "sphere", "--n", "400"])
-    assert code == 2
-    assert out == ""
-    assert "dimension 400" in err and "GiB" in err
+    for command, n in (("model", "2000"), ("verify", "400")):
+        code, out, err = run([command, "--space", "sphere", "--n", n])
+        assert code == 2
+        assert out == ""
+        assert f"dimension {n}" in err and "GiB" in err
+
+
+#: the first dimension each command refuses
+REFUSAL = {"model": 1141, "certify": 1116, "verify": 90, "report": 90}
 
 
 def test_memory_budget_admits_every_benchmarked_size():
-    # hp10 (n = 40) is the largest model the tests and the benchmark build
-    assert cli.memory_estimate(40) <= cli.MEMORY_BUDGET_BYTES
-    assert cli.memory_estimate(81) <= cli.MEMORY_BUDGET_BYTES
-    assert cli.memory_estimate(82) > cli.MEMORY_BUDGET_BYTES
+    # hp10 (n = 40) is the largest model the tests and the benchmark
+    # build; only verify and report hold n^4 arrays, so they are refused
+    # at a far smaller dimension than model and certify
+    for command, n in REFUSAL.items():
+        assert cli.memory_estimate(command, 40) <= cli.MEMORY_BUDGET_BYTES
+        assert cli.memory_estimate(command, n - 1) <= cli.MEMORY_BUDGET_BYTES
+        assert cli.memory_estimate(command, n) > cli.MEMORY_BUDGET_BYTES
+
+
+def test_memory_budget_follows_the_command(monkeypatch):
+    # one dimension below its refusal point a command reaches the build
+    # (patched to refuse, exit 3); at the point it is refused, exit 2
+    def refuse(*args, **kwargs):
+        raise ModelValidationError("not built")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    for command, n in REFUSAL.items():
+        for dim, want in ((n - 1, 3), (n, 2)):
+            code, _, err = run([command, "--space", "sphere", "--n",
+                                str(dim)])
+            assert code == want, (command, dim, err)
 
 
 @pytest.mark.parametrize("args,n", [(["--space", "hp", "--m", "4"], 16),
                                     (["--space", "sphere", "--n", "24"], 24)])
 def test_memory_estimate_bounds_traced_peak(args, n):
+    # the arrays alone: the estimate less its allowance for the
+    # interpreter, after one untraced run for the one-time allocations
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        code, _, _ = run(["certify", *args, *FAST])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak <= cli.memory_estimate(n)
+    for command in ("model", "certify", "verify"):
+        argv = [command, *args, *FAST]
+        run(argv)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == (4 if command == "verify" else 0)
+        assert peak <= cli.memory_estimate(command, n) - cli.BASE_BYTES, command
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -227,9 +227,9 @@ def test_assembly_from_nonzeros_matches_dense_terms_at_any_scale(family, m,
 
 
 def test_build_and_assembly_hold_few_n4_arrays():
-    # hp6, n = 24: the curvature build, the frame audit and the assembly
-    # peak at about four float64 arrays of n^4 entries; the per-term dense
-    # path peaked above eight
+    # hp6, n = 24: the dense curvature build and frame audit peaked at
+    # about four float64 arrays of n^4 entries and the per-term dense path
+    # above eight; the build from the nonzeros holds none
     import tracemalloc
 
     n = 24
@@ -243,9 +243,10 @@ def test_build_and_assembly_hold_few_n4_arrays():
 
 
 def test_assembly_holds_under_one_and_a_half_n4_arrays():
-    # hp10, n = 40: the assembly adds each term into an array on the pair
-    # and diagonal places, about n^4 / 4 entries; summing the n^2 x n^2 G
-    # and compressing it with B^T G B peaked at 2.32 n^4
+    # hp10, n = 40: the assembly sums each term's entries per place pair,
+    # a batch at a time; adding them into a dense array on the pair and
+    # diagonal places peaked at 1.02 n^4, and summing the n^2 x n^2 G and
+    # compressing it with B^T G B at 2.32 n^4
     import tracemalloc
 
     model = build_model("quaternionic", 10, 1.0)

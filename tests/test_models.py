@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crosscurv.models as models
 from crosscurv.models import (
     CurvatureModel,
     ModelValidationError,
@@ -24,7 +25,7 @@ from crosscurv.models import (
     reference_constants,
     reference_mu_over_lambda,
 )
-from crosscurv.tensors import check_tensor, ricci
+from crosscurv.tensors import check_tensor, ricci, sum_by_key
 
 # family, m, n kw, n, tau, lambda, s, |R|^2, claimed closed form
 CONSTANTS = [
@@ -100,10 +101,11 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw):
     # plant entries at random positions, some touching three or more
     # coordinate lines, and compare with the mask over all n^4 components
     mod = build_model(family, m, 1.0, n=nkw)
-    R, n = mod.R.entries, mod.n
+    R, n = mod.R.entries.copy(), mod.n
     rng = np.random.default_rng(5)
     for _ in range(6):
         R[tuple(rng.integers(0, n, size=4))] = rng.uniform(0.1, 9.0)
+    _load(mod, R)
     want = _zero_three_by_mask(R, n, mod.tau)
     assert want > 0
     assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
@@ -119,13 +121,119 @@ def _zero_three_by_mask(R, n, tau):
     return np.max(np.abs(R[distinct >= 3]), initial=0.0)
 
 
+def _load(mod, R):
+    """Make the nonzeros of the dense R the lists the model's audit reads."""
+    mod.R_keys = np.flatnonzero(R)
+    mod.R_values = R.ravel()[mod.R_keys]
+
+
+def _plant(mod, index, value):
+    """Add value to the entry at a four-slot index of the model's lists."""
+    mod.R_keys, mod.R_values = sum_by_key(
+        np.append(mod.R_keys, np.ravel_multi_index(index, (mod.n,) * 4)),
+        np.append(mod.R_values, value))
+
+
+def _pair_gram(Ks, weights, n):
+    """sum_t w_t k_t (x) k_t for the pair forms k_t(x, y) = <K_t x, y>:
+    entry [x, y, z, w] is sum_t w_t K_t[y, x] K_t[w, z]."""
+    U = np.zeros((n * n, len(Ks)))
+    for t, K in enumerate(Ks):
+        U[:, t] = K.T.reshape(-1)
+    return ((U * weights) @ U.T).reshape(n, n, n, n)
+
+
+def _asum(Ks, weights, n):
+    """sum_t w_t A_{K_t}, A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z>."""
+    S = _pair_gram(Ks, weights, n)
+    return S.transpose(0, 2, 1, 3) - S.transpose(0, 2, 3, 1)
+
+
+def _dense_curvature(J, c):
+    """The model tensor as one C-order n^4 array, from the structure
+    operators as matrices: the dense reference for the nonzeros."""
+    ops = J.operators
+    T = _asum([np.eye(J.n), *ops], np.ones(len(ops) + 1), J.n)
+    if ops:
+        T += _pair_gram(ops, np.full(len(ops), 2.0), J.n)
+    T *= c
+    return T
+
+
+NONZERO_MODELS = [*(("sphere", 0, n) for n in range(3, 9)),
+                  *(("complex", m, None) for m in range(2, 7)),
+                  *(("quaternionic", m, None) for m in range(1, 7)),
+                  ("octonionic", 2, None)]
+
+
+@pytest.mark.parametrize("family,m,nkw", NONZERO_MODELS)
+def test_nonzeros_equal_the_dense_tensor(family, m, nkw):
+    # the lists are the flat indices and values of the nonzeros of the
+    # dense construction, bit for bit, at every scale and sign
+    for c in (1.0, -1.0, 0.3, -0.3, 2.5, -2.5):
+        mod = build_model(family, m, c, n=nkw)
+        T = _dense_curvature(mod.J, c)
+        assert np.array_equal(mod.R_keys, np.flatnonzero(T)), c
+        assert np.array_equal(mod.R_values, T.ravel()[mod.R_keys]), c
+        assert np.array_equal(mod.R.entries, T), c
+
+
 @pytest.mark.parametrize("family,m,nkw", [
     ("sphere", 0, 5), ("complex", 2, None), ("octonionic", 2, None),
+    ("quaternionic", 3, None),
 ])
-def test_curvature_tensor_is_c_contiguous(family, m, nkw):
-    # the summation order of |R|^2, and so the bits of every document,
-    # follow the memory layout of R
-    assert build_model(family, m, 0.3, n=nkw).R.entries.flags.c_contiguous
+def test_norm_is_the_sum_over_the_nonzeros(family, m, nkw):
+    # |R|^2 sums the squared values in key order; at c = +-1 they are
+    # integers, so it is the dense square sum exactly
+    for c in (1.0, -1.0, 0.3, -2.5):
+        mod = build_model(family, m, c, n=nkw)
+        assert mod.R_norm2 == float(np.sum(mod.R_values * mod.R_values))
+    for c in (1.0, -1.0):
+        T = _dense_curvature(build_j_structure(family, m, nkw), c)
+        assert build_model(family, m, c, n=nkw).R_norm2 == np.sum(T * T)
+
+
+def test_structure_operator_must_be_a_signed_permutation(monkeypatch):
+    # a rotated complex structure is still skew, orthogonal and squares
+    # to -Id, but it is no signed permutation, and no dense path takes it
+    J = build_j_structure("complex", 2)
+    t = np.pi / 4
+    Q = np.eye(J.n)
+    Q[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    J.operators = [Q @ K @ Q.T for K in J.operators]
+    assert J.max_structure_residual() < 1e-12
+    monkeypatch.setattr(models, "build_j_structure", lambda *a, **k: J)
+    with pytest.raises(ModelValidationError, match="signed permutation"):
+        build_model("complex", 2, 1.0)
+
+
+def test_build_and_verdict_never_make_the_dense_tensor(monkeypatch):
+    from crosscurv.hessian import stability_verdict
+
+    def refuse(self):
+        raise AssertionError("dense R materialised")
+
+    monkeypatch.setattr(CurvatureModel, "R", property(refuse))
+    for family, m, c in (("octonionic", 2, 1.0), ("quaternionic", 3, -1.0)):
+        rep = stability_verdict(build_model(family, m, c), samples=200)
+        assert rep.consistent
+
+
+def test_build_and_assembly_stay_under_a_quarter_n4_array():
+    # hp10, n = 40: no n^4 array on the build, the audit, the gates or
+    # the assembly; the dense build and audit peaked at about 4 n^4
+    import tracemalloc
+
+    from crosscurv.hessian import assemble_tt_remainder
+
+    n = 40
+    tracemalloc.start()
+    try:
+        assemble_tt_remainder(build_model("quaternionic", 10, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 8 * n**4
 
 
 def test_build_model_keeps_its_audit():
@@ -370,8 +478,9 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c):
     # components than its reference returns another maximum; every
     # residual of the audit must equal its reference exactly
     mod = build_model(family, m, c, n=nkw)
-    R = mod.R.entries
-    R += np.random.default_rng(9).uniform(-1.0, 1.0, R.shape)
+    R = mod.R.entries + np.random.default_rng(9).uniform(-1.0, 1.0,
+                                                         (mod.n,) * 4)
+    _load(mod, R)
     entry = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
     want = {"zero_three_coordinates": _zero_three_by_mask(R, mod.n, mod.tau),
             **entry,
@@ -388,5 +497,5 @@ def test_planted_entry_moves_two_slot_defect_by_its_size(family, m):
     # deviation from the exact defect is the planted value, twice
     mod = build_model(family, m, 1.0)
     assert frame_rule_audit(mod).residuals["two_slot_defect"] == 0.0
-    mod.R.entries[0, 1, 2, 3] += 0.375
+    _plant(mod, (0, 1, 2, 3), 0.375)
     assert frame_rule_audit(mod).residuals["two_slot_defect"] == 0.375

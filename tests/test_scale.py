@@ -20,6 +20,7 @@ import crosscurv.models as models
 from crosscurv.hessian import assemble_tt_remainder, min_eigen_tt
 from crosscurv.ledger import identity_catalog, verify_identity_numeric
 from crosscurv.models import ModelValidationError, build_model
+from crosscurv.tensors import sum_by_key
 
 MODELS = {"hp2": ("quaternionic", 2), "cp2": ("complex", 2),
           "op2": ("octonionic", 2)}
@@ -31,15 +32,17 @@ LITERAL = "k-pairing-closed-form"
 
 
 def _plant(monkeypatch, defect: float) -> None:
-    """Make the builder add defect * c times the round tensor to R."""
-    build = models._curvature_from_structure
+    """Make the builder add defect * c times the round tensor to the
+    nonzeros of R."""
+    build = models._curvature_nonzeros
 
     def planted(J, c):
-        R = build(J, c).entries
-        R += defect * c * models._asum([np.eye(J.n)], np.ones(1), J.n)
-        return models.CurvTensor4(R)
+        keys, vals = build(J, c)
+        rk, rv = models._aform_entries(J.n, np.arange(J.n), np.ones(J.n))
+        return sum_by_key(np.concatenate([keys, rk]),
+                          np.concatenate([vals, defect * c * rv]))
 
-    monkeypatch.setattr(models, "_curvature_from_structure", planted)
+    monkeypatch.setattr(models, "_curvature_nonzeros", planted)
 
 
 def _gate_decision(family: str, m: int, c: float) -> str:
