@@ -1,4 +1,4 @@
-"""Normed division algebra multiplication tables and left-multiplication matrices.
+"""Normed division algebra multiplication tables.
 
 Builds the real, complex, quaternion and octonion basis tables by repeated
 Cayley-Dickson doubling.  Every basis product in these algebras is a signed
@@ -6,11 +6,12 @@ basis element, so a table is stored as an integer pair ``(idx, sgn)`` with
 
     e_i * e_j = sgn[i, j] * e_{idx[i, j]}
 
-which keeps the whole construction exact.  The left-multiplication matrices
-of the imaginary units are the raw material for the almost-complex structure
-families used by the curvature models: they square to -Id and anticommute
-pairwise (Clifford relations), which the tests certify directly from the
-tables.
+which keeps the whole construction exact.  Row u of a table is left
+multiplication by e_u as a signed permutation, x -> e_u x sending e_j to
+sgn[u, j] e_{idx[u, j]}; the rows of the imaginary units square to -Id
+and anticommute pairwise (Clifford relations), which the tests certify
+directly from the tables.  The structure operators of the curvature
+models are these rows, repeated over the coordinates.
 
 Doubling rule on pairs, with x* the standard conjugation:
 
@@ -27,8 +28,6 @@ __all__ = [
     "complex_table",
     "quaternion_table",
     "octonion_table",
-    "left_mult_matrix",
-    "imaginary_left_mult_matrices",
     "multiply",
 ]
 
@@ -85,22 +84,6 @@ def quaternion_table() -> tuple[np.ndarray, np.ndarray]:
 
 def octonion_table() -> tuple[np.ndarray, np.ndarray]:
     return cayley_dickson_double(*quaternion_table())
-
-
-def left_mult_matrix(idx: np.ndarray, sgn: np.ndarray, u: int) -> np.ndarray:
-    """Matrix of x -> e_u * x in the basis (e_0, ..., e_{n-1})."""
-    n = idx.shape[0]
-    mat = np.zeros((n, n))
-    for q in range(n):
-        mat[idx[u, q], q] = sgn[u, q]
-    return mat
-
-
-def imaginary_left_mult_matrices(
-    idx: np.ndarray, sgn: np.ndarray
-) -> list[np.ndarray]:
-    """Left multiplication by e_1, ..., e_{n-1} (the imaginary units)."""
-    return [left_mult_matrix(idx, sgn, u) for u in range(1, idx.shape[0])]
 
 
 def multiply(

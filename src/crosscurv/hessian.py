@@ -16,14 +16,15 @@ Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
 n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
 of (row, column, value) entries of its n^2 x n^2 matrix on vec(h):
 products of two nonzeros of R that share the contracted slots for the
-curvature terms, entries of kron(P, P) over the nonzeros of the structure
-products P for the structure terms.  Each vec position lies on one pair
-coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
-diagonal, and the weighted entries are summed per place pair into the
-nonzeros of a form C on those n(n-1)/2 + n places.  The curvature terms
-run in batches of nonzeros that share their last slot, which every pair
-they form shares, so at most one batch of pairs is held at once.  The
-form on the pairs is exactly C / 2 there, and the ladder block is
+curvature terms, entries of kron(P, P) read from the signed permutation
+(pi, s) of P for the structure terms, P a structure operator or a
+product of two.  Each vec position lies on one pair coordinate
+(E_ij + E_ji)/sqrt 2 of the trace-free basis or on the diagonal, and
+the weighted entries are summed per place pair into the nonzeros of a
+form C on those n(n-1)/2 + n places.  The curvature terms run in
+batches of nonzeros that share their last slot, which every pair they
+form shares, so at most one batch of pairs is held at once.  The form
+on the pairs is exactly C / 2 there, and the ladder block is
 L^T D L, D the part of C on the diagonal places.  No model has an entry
 of C between the diagonal and a pair.  By
 the isotypic splitting of the trace-free tensors under the isotropy group
@@ -62,6 +63,7 @@ from crosscurv.tensors import pairs_by_key, sum_by_key
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
+    compose_signed,
     einstein_constant,
     norm2_closed_claimed,
     norm2_closed_derived,
@@ -131,13 +133,13 @@ def tt_basis(n: int) -> np.ndarray:
     return B
 
 
-def _kron_entries(P: np.ndarray, n: int) -> tuple:
+def _kron_entries(pi: np.ndarray, s: np.ndarray) -> tuple:
     """Rows, columns and values in an n^2 x n^2 matrix of the nonzeros of
-    kron(P, P)."""
-    r, c = np.nonzero(P)
-    v = P[r, c]
-    rows, cols = r[:, None] * n + r, c[:, None] * n + c
-    return rows.ravel(), cols.ravel(), np.outer(v, v).ravel()
+    kron(P, P) for the signed permutation P e_x = s[x] e_pi[x]: s_x s_y
+    at row pi_x n + pi_y, column x n + y."""
+    n = len(pi)
+    rows = pi[:, None] * n + pi
+    return rows.ravel(), np.arange(n * n), np.outer(s, s).ravel()
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
@@ -145,7 +147,7 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     realizes one basis quantity on vec(h) of a symmetric h, row-major;
     repeated positions add up.
 
-    The structure terms come from the nonzeros of the J operators, the
+    The structure terms come from the structure operators' (pi, s), the
     curvature terms from products of two nonzeros of R that share the
     contracted slots: K_PAIR[(p, q), (m, n)] sums R[p,i,m,j] R[q,i,n,j]
     over the pairs of nonzeros with equal slots (i, j).  For K_PAIR and
@@ -156,19 +158,17 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     their values.
     """
     n = model.n
-    ops = model.J.operators
+    perms = model.J.perms
     if key == "NORM_H":
         diag = np.arange(n * n)
         return diag, diag, np.ones(n * n)
+    # G = sum_a kron(J_a^T, J_a^T) = sum_a kron(J_a, J_a), as J^T = -J, so
+    # G is symmetric and is its own (G + G^T) / 2
     if key == "IP_H_HTILDE":
-        # (G + G^T) / 2 with G = sum_a kron(J_a^T, J_a^T), whose transpose
-        # is sum_a kron(J_a, J_a)
-        return _stack([(r, c, 0.5 * v) for J in ops
-                       for r, c, v in (_kron_entries(J.T, n),
-                                       _kron_entries(J, n))])
-    if key == "NORM_HTILDE":  # G^T G = sum_ab kron(J_a J_b^T, J_a J_b^T)
-        return _stack([_kron_entries(Ja @ Jb.T, n) for Ja in ops
-                       for Jb in ops])
+        return _stack([_kron_entries(*p) for p in perms])
+    if key == "NORM_HTILDE":  # G^T G = sum_ab kron(J_a J_b, J_a J_b)
+        return _stack([_kron_entries(*compose_signed(a, b)) for a in perms
+                       for b in perms])
     i0, i1, i2, i3, v = nz
     if key == "NORM_RRING":  # L^T L, L[(x, y), (i, j)] = R[i, x, j, y]
         s, t = pairs_by_key(i1 * n + i3)
@@ -236,7 +236,6 @@ class QuadForm:
     dim: int
     blocks: list = field(repr=False)
     scale: float = 1.0
-    provenance: str = ""
 
     @property
     def unit(self) -> np.ndarray:
@@ -258,8 +257,7 @@ class QuadForm:
         return self.scale * float(b @ self.unit @ b)
 
 
-def assemble_quadform(model: CurvatureModel, coeffs,
-                      provenance: str = "") -> QuadForm:
+def assemble_quadform(model: CurvatureModel, coeffs) -> QuadForm:
     """Weighted sum of the basis quantities, compressed to the trace-free
     basis.
 
@@ -325,8 +323,7 @@ def assemble_quadform(model: CurvatureModel, coeffs,
     blocks = _distinct_blocks(off, rows[on_pairs], cols[on_pairs],
                               0.5 * vals[on_pairs])
     blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
-    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c,
-                    provenance=provenance)
+    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c)
 
 
 def compact_tt_coefficients(model: CurvatureModel) -> dict:
@@ -360,11 +357,8 @@ def noncompact_tt_coefficients(model: CurvatureModel) -> dict:
 def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
     scale."""
-    if model.compact:
-        return assemble_quadform(model, compact_tt_coefficients,
-                                 provenance="tt-remainder/compact")
-    return assemble_quadform(model, noncompact_tt_coefficients,
-                             provenance="tt-remainder/noncompact")
+    return assemble_quadform(model, compact_tt_coefficients if model.compact
+                             else noncompact_tt_coefficients)
 
 
 @dataclass

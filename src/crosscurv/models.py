@@ -9,8 +9,10 @@ The structure operators J_1..J_tau are built from division-algebra
 multiplication: the complex and quaternionic families act by right unit
 multiplication per coordinate, the octonionic family by left multiplication
 with the seven imaginary units acting diagonally on two octonion
-coordinates.  All of them are skew orthogonal matrices squaring to -Id and
-anticommuting pairwise, which the constructor certifies numerically.
+coordinates.  Each is a signed permutation, J e_x = s_x e_pi(x), read
+straight from a row of the multiplication table and kept as (pi, s).  All
+of them square to -Id and anticommute pairwise, which the constructor
+certifies exactly on the permutations and signs.
 
 The curvature tensor itself comes from one closed formula,
 
@@ -21,12 +23,12 @@ The curvature tensor itself comes from one closed formula,
 and every constructed model is gated on an adapted-frame audit plus the
 Einstein and criticality identities before it is returned.
 
-Every structure operator is a signed permutation, J e_x = s_x e_pi(x), so
-each term of the formula is a list of n^2 entries, and R is built, checked
-and audited as its nonzeros: the C-order flat indices of its nonzero
-entries and their values, about 10 n^2 of the n^4 entries (0.6 % at
-n = 40).  The pullbacks the audit takes are signed permutations of those
-lists, and every residual is a per-key sum in the order of the dense
+Since every J_a is a signed permutation, each term of the formula is a
+list of n^2 entries, and R is built, checked and audited as its
+nonzeros: the C-order flat indices of its nonzero entries and their
+values, about 10 n^2 of the n^4 entries (0.6 % at n = 40).  The
+pullbacks the audit takes are signed permutations of those lists, and
+every residual is a per-key sum in the order of the dense
 arithmetic, so it has the bits of the dense computation.  The dense R is
 scattered from the lists on first use (``CurvatureModel.R``), for the
 identity catalog and the tensors API.
@@ -46,7 +48,6 @@ import numpy as np
 
 from crosscurv.division_algebras import (
     complex_table,
-    imaginary_left_mult_matrices,
     quaternion_table,
     octonion_table,
 )
@@ -96,27 +97,41 @@ class NoSpectralDataError(LookupError):
     """No spectral reference data exists for the requested model."""
 
 
+def compose_signed(p: tuple, q: tuple) -> tuple:
+    """The signed permutation of J_p J_q for J_p = (pi_p, s_p) and
+    J_q = (pi_q, s_q): J_p J_q e_x = s_q[x] s_p[pi_q x] e_{pi_p pi_q x}."""
+    (pp, sp), (pq, sq) = p, q
+    return pp[pq], sq * sp[pq]
+
+
 @dataclass(eq=False)
 class JStructure:
-    """Family of anticommuting skew orthogonal complex structures."""
+    """Family of anticommuting complex structures, each a signed
+    permutation: ``perms[a]`` is (pi, s), an index array and float signs,
+    with J_a e_x = s[x] e_pi[x]."""
 
     n: int
     tau: int
-    operators: list = field(repr=False)
+    perms: list = field(repr=False)
     family: str = "sphere"
 
+    @cached_property
+    def operators(self) -> list:
+        """The dense matrices, J_a[pi[x], x] = s[x], for the identity
+        catalog."""
+        return [np.diag(s)[np.argsort(pi)] for pi, s in self.perms]
+
     def max_structure_residual(self) -> float:
-        """Worst residual over orthogonality, skewness, J^2 = -Id and
-        pairwise anticommutation."""
-        worst = 0.0
-        eye = np.eye(self.n)
-        for a, Ja in enumerate(self.operators):
-            worst = max(worst, np.max(np.abs(Ja.T @ Ja - eye)))
-            worst = max(worst, np.max(np.abs(Ja.T + Ja)))
-            worst = max(worst, np.max(np.abs(Ja @ Ja + eye)))
-            for Jb in self.operators[a + 1 :]:
-                worst = max(worst, np.max(np.abs(Ja @ Jb + Jb @ Ja)))
-        return float(worst)
+        """Largest entry of J_a^2 + Id and of J_a J_b + J_b J_a, exact on
+        the permutations: 0 when the relations hold, else 1 or 2.  A signed
+        permutation is orthogonal, so J^2 = -Id also makes it skew."""
+        eye = (np.arange(self.n), np.ones(self.n))
+        sums = [(compose_signed(Ja, Ja), eye) for Ja in self.perms] + [
+            (compose_signed(Ja, Jb), compose_signed(Jb, Ja))
+            for a, Ja in enumerate(self.perms) for Jb in self.perms[a + 1:]]
+        # J_p + J_q has |s_p + s_q| in a column where pi_p and pi_q agree
+        return max((float(np.max(np.where(pp == pq, np.abs(sp + sq), 1.0)))
+                    for (pp, sp), (pq, sq) in sums), default=0.0)
 
 
 @dataclass(eq=False)
@@ -196,32 +211,21 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     admits; validates all operator invariants."""
     nn = family_dimension(family, m, n)
     if family == "sphere":
-        return JStructure(n=nn, tau=0, operators=[], family=family)
+        return JStructure(n=nn, tau=0, perms=[], family=family)
     table, side = {"complex": (complex_table, "right"),
                    "quaternionic": (quaternion_table, "right"),
                    "octonionic": (octonion_table, "left")}[family]
     idx, sgn = table()
     if side == "right":  # x e_b is left multiplication in the transposed table
         idx, sgn = idx.T, sgn.T
-    ops = [np.kron(L, np.eye(m)) for L in imaginary_left_mult_matrices(idx, sgn)]
-    J = JStructure(n=nn, tau=len(ops), operators=ops, family=family)
+    # unit u acts as row u on the unit label alpha of (alpha, i) -> alpha m + i
+    perms = [((idx[u][:, None] * m + np.arange(m)).ravel(),
+              np.repeat(sgn[u], m).astype(float)) for u in range(1, len(idx))]
+    J = JStructure(n=nn, tau=len(perms), perms=perms, family=family)
     res = J.max_structure_residual()
-    if res > 1e-12:
+    if res != 0:
         raise ModelValidationError(f"structure operator invariants fail: {res:.3e}")
     return J
-
-
-def _signed_permutation(K: np.ndarray) -> tuple:
-    """(pi, s) with K e_x = s[x] e_pi[x]; ModelValidationError unless K is
-    a signed permutation matrix."""
-    n = len(K)
-    pi = np.argmax(np.abs(K), axis=0)
-    s = K[pi, np.arange(n)]
-    if (np.count_nonzero(K) != n or np.any(np.abs(s) != 1)
-            or np.unique(pi).size != n):
-        raise ModelValidationError(
-            "structure operator is not a signed permutation")
-    return pi, s
 
 
 def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray) -> tuple:
@@ -261,25 +265,25 @@ def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
     the values are those of the dense tensor, bit for bit.
     """
     n = J.n
-    perms = [_signed_permutation(K) for K in (np.eye(n), *J.operators)]
+    perms = [(np.arange(n), np.ones(n)), *J.perms]
     keys, vals = _entry_sum(
         [_aform_entries(n, *p) for p in perms]
         + [_pairform_entries(n, *p, 2.0) for p in perms[1:]])
     return keys, vals * c
 
 
-def _invariance_gaps(model: "CurvatureModel", slots: tuple, perms: list,
+def _invariance_gaps(model: "CurvatureModel", slots: tuple,
                      g: int) -> np.ndarray:
     """Residuals of the pullbacks by J_g: four-slot invariance, two-slot
     invariance, the two-slot defect and its pair-form part.
 
-    ``slots`` are the slot arrays of the nonzeros of R and ``perms`` the
-    (pi, s) of each structure operator, J e_x = s_x e_pi(x).  The
-    pullbacks are signed permutations of the nonzeros: R(J x, J y, J z,
-    J w) is s_x s_y s_z s_w R(pi x, pi y, pi z, pi w).  The two-slot
-    pullback E = R(., ., J_g ., J_g .) - R is compared with zero, with its
-    exact defect and with the defect's pair-form part.  The exact defect
-    is c times the unit-scale integer tensor
+    ``slots`` are the slot arrays of the nonzeros of R, and J_g is its
+    (pi, s) in ``model.J.perms``.  The pullbacks are signed permutations
+    of the nonzeros: R(J x, J y, J z, J w) is s_x s_y s_z s_w R(pi x,
+    pi y, pi z, pi w).  The two-slot pullback E = R(., ., J_g ., J_g .) -
+    R is compared with zero, with its exact defect and with the defect's
+    pair-form part.  The exact defect is c times the unit-scale integer
+    tensor
 
         sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
 
@@ -291,7 +295,7 @@ def _invariance_gaps(model: "CurvatureModel", slots: tuple, perms: list,
     D; entries that are 0 on both sides give 0 and are left out.
     """
     n, c = model.n, model.c
-    R = (model.R_keys, model.R_values)
+    R, perms = (model.R_keys, model.R_values), model.J.perms
     pi, s = perms[g]
     inv = np.argsort(pi)  # the entry at a moves to inv[a]
     moved = [inv[a] for a in slots]
@@ -306,8 +310,7 @@ def _invariance_gaps(model: "CurvatureModel", slots: tuple, perms: list,
     keep = E != 0
     E = (keys[keep], E[keep])
     others = [p for a, p in enumerate(perms) if a != g]
-    # -J_g J_a e_x = -s_a[x] s_g[pi_a x] e_{pi_g pi_a x}
-    composed = [(pi[pa], -sa * s[pa]) for pa, sa in others]
+    composed = [compose_signed((pi, -s), p) for p in others]  # -J_g J_a
     pairform = _entry_sum([_pairform_entries(n, *p, -4.0) for p in others])
     defect = _entry_sum([_aform_entries(n, *p) for p in composed]
                         + [(k, -v) for k, v in (_aform_entries(n, *p)
@@ -336,7 +339,7 @@ class FrameAudit:
     def max_gated_residual(self) -> float:
         return max(self.residuals[k] for k in self.gated)
 
-    def passed(self, tol: float = 1e-12) -> bool:
+    def passed(self, tol: float) -> bool:
         return self.max_gated_residual() <= tol
 
 
@@ -426,10 +429,9 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     res["cross_quad_c"] = deviation((ai, aj, bi, bj), c, (a != b) & (i != j))
 
     # invariance rules, one pass per structure operator
-    perms = [_signed_permutation(K) for K in model.J.operators]
     worst = np.zeros(4)
     for g in range(tau):
-        worst = np.maximum(worst, _invariance_gaps(model, slots, perms, g))
+        worst = np.maximum(worst, _invariance_gaps(model, slots, g))
     worst4s, worst2s, worstdef, worstpair = map(float, worst)
     res["four_slot_invariance"] = worst4s
     res["two_slot_invariance"] = worst2s
@@ -464,10 +466,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
 
     Validation gates, any failure raises ModelValidationError: the scale
-    range |c| in SCALE_RANGE, structure-operator invariants, structure
-    operators that are signed permutations, curvature symmetries and
-    Bianchi (``check_curvature_rules`` on the nonzeros, relative to the
-    largest entry), and four gates relative to the size of what they
+    range |c| in SCALE_RANGE, structure-operator invariants (exact),
+    curvature symmetries and Bianchi (``check_curvature_rules`` on the
+    nonzeros, relative to the largest entry), and four gates relative to the size of what they
     bound, so that each decision is the same at every scale:
 
       adapted-frame audit    gated residuals <= 1e-12 |c|

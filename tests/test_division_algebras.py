@@ -6,13 +6,12 @@ import pytest
 from crosscurv.division_algebras import (
     cayley_dickson_double,
     complex_table,
-    imaginary_left_mult_matrices,
-    left_mult_matrix,
     multiply,
     octonion_table,
     quaternion_table,
     real_table,
 )
+from crosscurv.models import build_j_structure
 
 TABLES = {
     1: real_table,
@@ -114,6 +113,16 @@ def test_norm_multiplicative(dim, maker):
         assert int(z @ z) == int(x @ x) * int(y @ y)
 
 
+def _row_matrix(idx, sgn, u):
+    """Dense matrix of row u of a table, e_j -> sgn[u, j] e_{idx[u, j]}:
+    left multiplication by e_u, built entry by entry."""
+    n = idx.shape[0]
+    mat = np.zeros((n, n))
+    for q in range(n):
+        mat[idx[u, q], q] = sgn[u, q]
+    return mat
+
+
 @pytest.mark.parametrize("dim,maker", [(2, complex_table), (4, quaternion_table),
                                        (8, octonion_table)])
 def test_left_mult_matrix_matches_multiply(dim, maker):
@@ -123,8 +132,10 @@ def test_left_mult_matrix_matches_multiply(dim, maker):
     for u in range(dim):
         x = np.zeros(dim, dtype=np.int64)
         x[u] = 1
-        L = left_mult_matrix(idx, sgn, u)
-        assert np.array_equal(L @ y, multiply(x, y, idx, sgn))
+        assert np.array_equal(_row_matrix(idx, sgn, u) @ y,
+                              multiply(x, y, idx, sgn))
+        # the row is a signed permutation
+        assert np.array_equal(np.sort(idx[u]), np.arange(dim))
 
 
 @pytest.mark.parametrize("maker", [complex_table, quaternion_table, octonion_table])
@@ -132,11 +143,29 @@ def test_imaginary_left_mults_are_clifford(maker):
     # L_i^T = -L_i, L_i^2 = -Id, L_i L_j + L_j L_i = 0 for i != j.
     # This is what the curvature construction actually relies on.
     idx, sgn = maker()
-    mats = imaginary_left_mult_matrices(idx, sgn)
     dim = idx.shape[0]
+    mats = [_row_matrix(idx, sgn, u) for u in range(1, dim)]
     eye = np.eye(dim)
     for i, L in enumerate(mats):
         assert np.array_equal(L.T, -L)
         assert np.array_equal(L @ L, -eye)
         for Lj in mats[i + 1:]:
             assert np.array_equal(L @ Lj + Lj @ L, np.zeros((dim, dim)))
+
+
+@pytest.mark.parametrize("family,m", [
+    *(("complex", m) for m in range(2, 7)),
+    *(("quaternionic", m) for m in range(1, 7)), ("octonionic", 2)])
+def test_structure_operators_are_the_table_rows_per_coordinate(family, m):
+    # the dense operators are kron(L_u, I_m) for the imaginary rows L_u of
+    # the table, transposed for the right-multiplying families
+    idx, sgn = {"complex": complex_table, "quaternionic": quaternion_table,
+                "octonionic": octonion_table}[family]()
+    if family != "octonionic":
+        idx, sgn = idx.T, sgn.T
+    want = [np.kron(_row_matrix(idx, sgn, u), np.eye(m))
+            for u in range(1, idx.shape[0])]
+    got = build_j_structure(family, m).operators
+    assert len(got) == len(want)
+    for J, K in zip(got, want):
+        assert np.array_equal(J, K)

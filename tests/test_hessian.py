@@ -144,8 +144,7 @@ def test_term_matrix_unknown_key():
 def test_assemble_quadform_is_weighted_sum():
     model = build_model("quaternionic", 1, 1.0)
     coeffs = {"NORM_H": 1.5, "K_PAIR": -2.0, "NORM_RRING": 0.25}
-    qf = assemble_quadform(model, coeffs, provenance="probe")
-    assert qf.provenance == "probe"
+    qf = assemble_quadform(model, coeffs)
     assert qf.dim == model.n * (model.n + 1) // 2 - 1
     h = _random_tt(model.n)
     want = sum(w * _term_oracle(model, k, h) for k, w in coeffs.items())
@@ -291,11 +290,23 @@ def test_noncompact_coefficients_hp2_dual():
                   "NORM_H": 406.0, "IP_H_HTILDE": 10.0, "NORM_HTILDE": -12.0}
 
 
+def _same_blocks(qf, other):
+    return len(qf.blocks) == len(other.blocks) and all(
+        np.array_equal(b, b2) and np.array_equal(i, i2)
+        for (b, i), (b2, i2) in zip(qf.blocks, other.blocks))
+
+
 def test_remainder_regime_guard():
-    m = build_model("complex", 2, 1.0)
-    assert assemble_tt_remainder(m).provenance == "tt-remainder/compact"
-    d = build_model("quaternionic", 2, -1.0)
-    assert assemble_tt_remainder(d).provenance == "tt-remainder/noncompact"
+    # the remainder takes the compact display for c > 0 and the
+    # non-compact one for c < 0, and the two give different forms
+    for model, want, other in (
+            (build_model("complex", 2, 1.0), compact_tt_coefficients,
+             noncompact_tt_coefficients),
+            (build_model("quaternionic", 2, -1.0), noncompact_tt_coefficients,
+             compact_tt_coefficients)):
+        qf = assemble_tt_remainder(model)
+        assert _same_blocks(qf, assemble_quadform(model, want))
+        assert not _same_blocks(qf, assemble_quadform(model, other))
 
 
 # model key -> (pinned minimal eigenvalue of the displayed remainder form)
@@ -474,7 +485,7 @@ def _planted_form(rel_gap: float) -> QuadForm:
     unit = form(rel_gap * float(np.linalg.norm(form(0.0))))
     blocks = [(unit[np.ix_(idx, idx)], idx[None])
               for idx in (np.arange(3), np.arange(3, 5), np.arange(5, 9))]
-    return QuadForm(n=4, dim=9, blocks=blocks, provenance="planted")
+    return QuadForm(n=4, dim=9, blocks=blocks)
 
 
 @pytest.mark.parametrize("rel_gap,seed", [

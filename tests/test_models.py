@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import crosscurv.models as models
+from crosscurv.division_algebras import quaternion_table
 from crosscurv.models import (
     CurvatureModel,
     ModelValidationError,
@@ -91,7 +92,7 @@ def test_frame_rule_audit_gated(family, m):
     assert audit.gated == GATED
     for rule in GATED:
         assert audit.residuals[rule] <= 1e-12, rule
-    assert audit.passed()
+    assert audit.passed(1e-12 * abs(mod.c))
 
 
 @pytest.mark.parametrize("family,m,nkw", [
@@ -193,18 +194,23 @@ def test_norm_is_the_sum_over_the_nonzeros(family, m, nkw):
         assert build_model(family, m, c, n=nkw).R_norm2 == np.sum(T * T)
 
 
-def test_structure_operator_must_be_a_signed_permutation(monkeypatch):
-    # a rotated complex structure is still skew, orthogonal and squares
-    # to -Id, but it is no signed permutation, and no dense path takes it
-    J = build_j_structure("complex", 2)
-    t = np.pi / 4
-    Q = np.eye(J.n)
-    Q[:2, :2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
-    J.operators = [Q @ K @ Q.T for K in J.operators]
-    assert J.max_structure_residual() < 1e-12
-    monkeypatch.setattr(models, "build_j_structure", lambda *a, **k: J)
-    with pytest.raises(ModelValidationError, match="signed permutation"):
-        build_model("complex", 2, 1.0)
+@pytest.mark.parametrize("breakage", ["flip-sign", "swap-products"])
+def test_broken_table_row_fails_the_structure_gate(monkeypatch, breakage):
+    # a quaternion table with one wrong product gives operators that break
+    # J^2 = -Id or anticommutation; the swap also leaves a column of the
+    # transposed table that is no permutation
+    def broken_table():
+        idx, sgn = quaternion_table()
+        if breakage == "flip-sign":
+            sgn[2, 3] *= -1
+        else:
+            idx[2, [1, 3]] = idx[2, [3, 1]]
+        return idx, sgn
+
+    monkeypatch.setattr(models, "quaternion_table", broken_table)
+    with pytest.raises(ModelValidationError,
+                       match="structure operator invariants fail"):
+        build_model("quaternionic", 2, 1.0)
 
 
 def test_build_and_verdict_never_make_the_dense_tensor(monkeypatch):
