@@ -6,8 +6,6 @@ each display step by step in exact arithmetic and compares every
 coefficient with an independent re-derivation.
 """
 
-import sympy as sp
-
 from crosscurv.ledger import (a4_variants, expand_theorem_conformal,
                               expand_theorem_tt, noncompact_chain)
 
@@ -15,25 +13,25 @@ tt = expand_theorem_tt(variant="printed", a4="printed")
 print("trace-free chain, printed ingredients:")
 for row in tt.comparisons:
     mark = "MATCH   " if row["match"] else "MISMATCH"
-    print(f"  {mark} {row['term']:<16} claimed {sp.sstr(row['claimed']):<40}"
-          f" computed {sp.sstr(row['computed'])}")
+    print(f"  {mark} {row['term']:<16} claimed {row['claimed']!s:<40}"
+          f" computed {row['computed']}")
 
 # the quadratic-in-curvature display has two printable forms; they differ
 # by one pairing term, and that term is exactly what moves NORM_HTILDE
 # from -24 c^2 to the printed -48 c^2
 v = a4_variants()
-diff = {k: e for k, e in v["difference"].coeffs.items() if sp.cancel(e) != 0}
+diff = {k: e for k, e in v["difference"].coeffs.items() if e}
 print()
-print("a4 composed minus printed:", {k: sp.sstr(e) for k, e in diff.items()})
+print("a4 composed minus printed:", {k: str(e) for k, e in diff.items()})
 tt2 = expand_theorem_tt(variant="printed", a4="composed")
 row = [r for r in tt2.comparisons if r["term"] == "NORM_HTILDE"][0]
 print(f"with the composed a4 the NORM_HTILDE row becomes:"
       f" {'MATCH' if row['match'] else 'MISMATCH'}"
-      f" ({sp.sstr(row['computed'])})")
+      f" ({row['computed']})")
 
 print()
 ce = expand_theorem_conformal(assembly="corrected")
-print("conformal polynomial:", sp.sstr(sp.expand(ce.polynomial())))
+print("conformal polynomial:", ce.polynomial())
 print("rows:", ", ".join(
     f"{r['term']}={'MATCH' if r['match'] else 'MISMATCH'}"
     for r in ce.comparisons))
@@ -43,7 +41,7 @@ nc = noncompact_chain()
 print("non-compact bound chain rows:")
 for row in nc.comparisons:
     mark = "MATCH   " if row["match"] else "MISMATCH"
-    print(f"  {mark} {row['term']:<16} claimed {sp.sstr(row['claimed']):<34}"
-          f" computed {sp.sstr(row['computed'])}")
+    print(f"  {mark} {row['term']:<16} claimed {row['claimed']!s:<34}"
+          f" computed {row['computed']}")
 for entry in nc.inequality_log:
     print("  dropped nonnegative piece:", entry)

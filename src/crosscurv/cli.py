@@ -108,7 +108,7 @@ SUBCOMMANDS = {
 #: refuse models whose ``memory_estimate`` exceeds this many bytes
 MEMORY_BUDGET_BYTES = 4 * 2**30
 
-#: ``memory_estimate``: the interpreter, numpy, sympy and small arrays
+#: ``memory_estimate``: the interpreter, numpy and small arrays
 BASE_BYTES = 128 * 2**20
 #: ``memory_estimate``: float64 words per n^2 of the nonzero stages
 LIST_WORDS = 400
@@ -137,8 +137,7 @@ def memory_estimate(command: str, n: int) -> int:
       and the identity catalog's dense contractions beside it (about
       6 n^4 at n = 16..24);
 
-    and ``BASE_BYTES`` for the interpreter, numpy, sympy and the small
-    arrays.
+    and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """
     words = LIST_WORDS * n**2
     if command in ("certify", "report"):
@@ -290,9 +289,6 @@ def exit_status(command: str, findings: list, consistent: bool) -> int:
 def run(cfg: dict) -> int:
     """Compute the sections the subcommand prints, emit the document and
     return its exit status.
-
-    The ledger is computed last, so that sympy is not resident while the
-    certificate's arrays are.
     """
     sections = SUBCOMMANDS[cfg["command"]][1]
     # the echo leaves out --out: a document is the same wherever it goes

@@ -40,7 +40,7 @@ on the scale.
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
 ``conformal_coefficients`` are the single source of those displays: the
-ledger audits the same functions called on sympy symbols.  The independent
+ledger audits the same functions called on its exact symbols.  The independent
 re-derivation disagrees with three of the trace-free coefficients (see the
 ledger module), and a certificate obtained here is therefore a statement
 about the displayed form.  The conformal value is reported for both the

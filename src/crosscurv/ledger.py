@@ -4,7 +4,7 @@ numerically checkable identities.
 The reduction engine works over a fixed basis of scalar quantities built
 from a trace-free symmetric variation h on one of the curvature models
 (norms, inner products, and curvature pairings).  A reduction is a linear
-combination of basis ids with exact sympy coefficients in the symbols
+combination of basis ids with exact coefficients in the symbols
 
     c    curvature scale
     n    dimension
@@ -35,27 +35,21 @@ force agreement.  The reference displays are the coefficient functions
 ``hessian`` certifies with, called on the symbols; ``LAM_RULE`` and the
 norm closed form are the ``models`` functions.
 
-Every coefficient is a rational function of these symbols; in fact all of
-them are polynomials in c, tau, lam, mu, R2 and 1/n.  Two exact rules
-replace heuristic simplification:
+Every coefficient is a polynomial in c, tau, lam, mu, R2 and 1/n with
+rational coefficients, and is held as one: a ``laurent.Laurent``, a dict
+from exponent tuples to non-zero Fractions.  The symbols in ``SYM`` are its
+generators, and ``LAM_RULE`` substitutes the ``models`` Einstein constant
+for lam.  That form is canonical, which gives two exact rules:
 
-  zero test        sp.cancel(a - b) == 0.  cancel brings a rational function
-                   to numerator/denominator form with the common factors
-                   removed, and that form of the zero function is 0, so the
-                   test decides equality of rational functions exactly,
-                   which heuristic simplification does not.  It decides every
-                   MATCH/MISMATCH flag, the square completions and
-                   ``LedgerExpr.simplified``.
-  printed form     sp.expand: the sum of monomials with integer or rational
-                   coefficients, which sstr prints in sympy's fixed term
-                   order.  For polynomials in c, tau, lam, mu, R2 and 1/n
-                   it is canonical, so equal coefficients print equally.
+  zero test        a coefficient is zero exactly when its dict is empty, so
+                   a == b decides equality exactly.  It decides every
+                   MATCH/MISMATCH flag, the rewrite checks and the square
+                   completions.
+  printed form     str: the sum of monomials with integer or rational
+                   coefficients, in sympy's ``sstr`` order and spelling, so
+                   equal coefficients print equally.
 
-sympy is imported on the first symbolic call (``_symbolic``), not when this
-module is imported: the identity catalog is numeric, and ``import
-crosscurv`` or the ``model``, ``verify`` and ``certify`` commands never
-load sympy.  ``SYM`` and ``LAM_RULE`` are module attributes resolved
-through that same call.
+Only stdlib ``fractions`` is imported for this: no command loads sympy.
 
 The identity catalog at the bottom pairs each named identity with an
 independent numeric evaluator on concrete models; ``verify_identity_numeric``
@@ -69,6 +63,7 @@ literal k-pairing display, which pairs a degree-2 side with a degree-0 one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -79,6 +74,7 @@ from crosscurv.hessian import (
     conformal_coefficients,
     noncompact_tt_coefficients,
 )
+from crosscurv.laurent import GENERATORS, Laurent
 from crosscurv.models import einstein_constant, norm2_closed_claimed
 from crosscurv.tensors import (
     CurvTensor4,
@@ -114,38 +110,15 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _symbolic() -> SimpleNamespace:
-    """Import sympy and create the ledger symbols, ``SYM`` and ``LAM_RULE``.
-
-    Runs once, on the first symbolic call; ``symbols`` unpacks as
-    ``c, n, tau, lam, mu, R2``, and ``model`` carries them as a model's
-    n, tau, c and R_norm2 for the ``hessian`` coefficient functions.
-    """
-    import sympy as sp
-
-    names = ("c", "n", "tau", "lam", "mu", "R2")
-    symbols = sp.symbols(names)
-    c, n, tau, lam, mu, R2 = symbols
-    return SimpleNamespace(
-        symbols=symbols,
-        SYM=dict(zip(names, symbols)),
-        LAM_RULE={lam: einstein_constant(n, tau, c)},
-        model=SimpleNamespace(n=n, tau=tau, c=c, R_norm2=R2),
-    )
-
-
-def __getattr__(name: str):
-    if name in ("SYM", "LAM_RULE"):
-        return getattr(_symbolic(), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _is_zero(expr) -> bool:
-    """Exact zero test for a rational function (see the module docstring)."""
-    import sympy as sp
-
-    return sp.cancel(expr) == 0
+SYM = {name: Laurent.generator(name) for name in GENERATORS}
+#: the ledger symbols, unpacked as ``c, n, tau, lam, mu, R2``
+_SYMBOLS = tuple(SYM[k] for k in ("c", "n", "tau", "lam", "mu", "R2"))
+LAM_RULE = {SYM["lam"]: einstein_constant(SYM["n"], SYM["tau"], SYM["c"])}
+#: the symbols as a model's n, tau, c and R_norm2, for the ``hessian``
+#: coefficient functions
+_MODEL = SimpleNamespace(n=SYM["n"], tau=SYM["tau"], c=SYM["c"],
+                         R_norm2=SYM["R2"])
+_ZERO = Laurent()
 
 
 # scalar quantities the reductions are expressed in.  A = rough Laplacian of
@@ -176,19 +149,18 @@ BASIS = (
 
 @dataclass
 class LedgerExpr:
-    """Linear combination of basis quantities with exact coefficients."""
+    """Linear combination of basis quantities with exact coefficients:
+    ``Laurent`` polynomials, into which int and Fraction values convert
+    (any other value raises TypeError); zero coefficients drop."""
 
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        import sympy as sp
-
         clean = {}
         for k, v in self.coeffs.items():
             if k not in BASIS:
                 raise KeyError(f"unknown basis id {k!r}")
-            v = sp.sympify(v)
-            if v != 0:
+            if v := Laurent.of(v):
                 clean[k] = v
         self.coeffs = clean
 
@@ -198,42 +170,23 @@ class LedgerExpr:
     def add_term(self, key: str, coeff) -> None:
         if key not in BASIS:
             raise KeyError(f"unknown basis id {key!r}")
-        import sympy as sp
-
-        v = sp.expand(self.coeffs.get(key, 0) + sp.sympify(coeff))
-        if v == 0:
-            self.coeffs.pop(key, None)
-        else:
+        if v := self.coefficient(key) + Laurent.of(coeff):
             self.coeffs[key] = v
+        else:
+            self.coeffs.pop(key, None)
 
-    def pop_term(self, key: str):
-        import sympy as sp
-
-        return self.coeffs.pop(key, sp.Integer(0))
+    def pop_term(self, key: str) -> Laurent:
+        return self.coeffs.pop(key, _ZERO)
 
     def scaled(self, factor) -> "LedgerExpr":
-        import sympy as sp
-
-        return LedgerExpr({k: sp.expand(sp.sympify(factor) * v)
-                           for k, v in self.coeffs.items()})
+        factor = Laurent.of(factor)
+        return LedgerExpr({k: factor * v for k, v in self.coeffs.items()})
 
     def substituted(self, rules) -> "LedgerExpr":
-        import sympy as sp
+        return LedgerExpr({k: v.subs(rules) for k, v in self.coeffs.items()})
 
-        return LedgerExpr({k: sp.expand(v.subs(rules))
-                           for k, v in self.coeffs.items()})
-
-    def simplified(self) -> "LedgerExpr":
-        """Canonical printed form of every coefficient; exact zeros drop."""
-        import sympy as sp
-
-        return LedgerExpr({k: sp.expand(v) for k, v in self.coeffs.items()
-                           if not _is_zero(v)})
-
-    def coefficient(self, key: str):
-        import sympy as sp
-
-        return self.coeffs.get(key, sp.Integer(0))
+    def coefficient(self, key: str) -> Laurent:
+        return self.coeffs.get(key, _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +214,7 @@ def a4_variants() -> dict:
     printed set by exactly + c * IP_RRING_HTILDE (their NORM_H parts agree
     after expanding lam).
     """
-    import sympy as sp
-
-    c, n, tau, lam, mu, R2 = _symbolic().symbols
+    c, n, tau, lam, mu, R2 = _SYMBOLS
     printed = LedgerExpr({
         "NORM_DH": c / 2,
         "IP_RRING_HTILDE": c,
@@ -277,7 +228,7 @@ def a4_variants() -> dict:
         "NORM_H": c * lam + (c / 2) * ((n + 1) * c - tau * lam),
     })
     diff = LedgerExpr({
-        k: sp.expand(composed.coefficient(k) - printed.coefficient(k))
+        k: composed.coefficient(k) - printed.coefficient(k)
         for k in set(printed.coeffs) | set(composed.coeffs)
     })
     return {"printed": printed, "composed": composed, "difference": diff}
@@ -286,7 +237,7 @@ def a4_variants() -> dict:
 def _bracket() -> dict:
     """The bracket NORM_DDH - 3 IP_DDH_RRING + 2 NORM_RRING + lam IP_DDH_H
     - 2 lam IP_RRING_H that opens the half expression."""
-    lam = _symbolic().SYM["lam"]
+    lam = SYM["lam"]
     return {"NORM_DDH": 1, "IP_DDH_RRING": -3, "NORM_RRING": 2,
             "IP_DDH_H": lam, "IP_RRING_H": -2 * lam}
 
@@ -302,9 +253,7 @@ def _rewrites() -> dict:
     never on NORM_RRING.  A3 fails numerically on every model (catalog entry
     kn-pairing-reduction) and is carried by the chain anyway.
     """
-    import sympy as sp
-
-    c, n, tau, lam, mu, R2 = _symbolic().symbols
+    c, n, tau, lam, mu, R2 = _SYMBOLS
     on_ht, on_h, _ = _curvature_action_coefficients(c)
     on_b, on_norm = _kn_reduction_coefficients(n, tau, c)
     a4 = a4_variants()
@@ -318,10 +267,10 @@ def _rewrites() -> dict:
         "A4[composed]": ({"R_RBAR": 1}, a4["composed"].coeffs),
         "square completion": ({"NORM_DDH": 1, "IP_DDH_RRING": -3},
                               {"NORM_DDH_SHIFT": 1,
-                               "NORM_RRING": sp.Rational(-9, 4)}),
+                               "NORM_RRING": Fraction(-9, 4)}),
         "Berger completion": (_bracket(),
                               {"SHIFT2": 1, "BERGER_IP": -lam,
-                               "NORM_RRING": sp.Rational(-1, 4)}),
+                               "NORM_RRING": Fraction(-1, 4)}),
     }
 
 
@@ -336,11 +285,11 @@ def _rewrite(e: LedgerExpr, name: str, log: list) -> None:
     first, *rest = lhs
     k = e.coefficient(first)
     for key in rest:
-        if not _is_zero(e.coefficient(key) - k * lhs[key]):
+        if e.coefficient(key) != k * lhs[key]:
             raise ValueError(f"{name} expects {key} = {k * lhs[key]}")
     for key in lhs:
         e.pop_term(key)
-    if k != 0:
+    if k:
         for key, v in rhs.items():
             e.add_term(key, k * v)
         log.append(f"{name}: {', '.join(lhs)} -> {', '.join(rhs)}")
@@ -350,10 +299,8 @@ def _over_ring(e: LedgerExpr) -> dict:
     """e expanded over the abstract quadratic ring in (A, B, h), by the
     definitions of the basis quantities; keys are the monomials AA, AB, AH,
     BB, BH, HH, and zero monomials drop."""
-    import sympy as sp
-
-    lam = _symbolic().SYM["lam"]
-    shift = {"AA": 1, "AB": -3, "BB": sp.Rational(9, 4)}  # |A - (3/2) B|^2
+    lam = SYM["lam"]
+    shift = {"AA": 1, "AB": -3, "BB": Fraction(9, 4)}  # |A - (3/2) B|^2
     ring = {
         "NORM_DDH": {"AA": 1},
         "IP_DDH_RRING": {"AB": 1},
@@ -368,7 +315,7 @@ def _over_ring(e: LedgerExpr) -> dict:
     for key, k in e.coeffs.items():
         for mono, v in ring[key].items():
             out[mono] = out.get(mono, 0) + k * v
-    return {mono: sp.expand(v) for mono, v in out.items() if not _is_zero(v)}
+    return {mono: v for mono, v in out.items() if v}
 
 
 def quadratic_completion_checks() -> dict:
@@ -391,20 +338,18 @@ def quadratic_completion_checks() -> dict:
 # ---------------------------------------------------------------------------
 
 def _compare(display: LedgerExpr, computed: LedgerExpr) -> list:
-    """One row per basis id in either set: both coefficients in the
-    canonical printed form and the exact MATCH flag."""
-    import sympy as sp
-
+    """One row per basis id in either set: both coefficients, the
+    displayed one printed, and the exact MATCH flag."""
     rows = []
     for key in [k for k in BASIS if k in display.coeffs or k in computed.coeffs]:
-        d = sp.expand(display.coefficient(key))
-        v = sp.expand(computed.coefficient(key))
+        d = display.coefficient(key)
+        v = computed.coefficient(key)
         rows.append({
             "term": key,
-            "display": sp.sstr(d),
+            "display": str(d),
             "claimed": d,
             "computed": v,
-            "match": _is_zero(d - v),
+            "match": d == v,
         })
     return rows
 
@@ -412,7 +357,7 @@ def _compare(display: LedgerExpr, computed: LedgerExpr) -> list:
 def _half_expression(rr_coeff) -> LedgerExpr:
     """The trace-free half expression both trace-free chains start from,
     with exterior-pairing coefficient ``rr_coeff``."""
-    c, n, tau, lam, mu, R2 = _symbolic().symbols
+    c, n, tau, lam, mu, R2 = _SYMBOLS
     return LedgerExpr({
         **_bracket(),
         "NORM_H": R2 / n,
@@ -425,12 +370,11 @@ def _half_expression(rr_coeff) -> LedgerExpr:
 def tt_display_compact() -> LedgerExpr:
     """Reference coefficient display for the compact trace-free chain: two
     derivative terms plus the certified remainder set."""
-    sym = _symbolic()
-    c, n, tau = sym.symbols[:3]
+    c, n, tau = _SYMBOLS[:3]
     return LedgerExpr({
         "NORM_DDH_SHIFT": 2,
         "NORM_DH": 2 * c * (n + 3 * tau - 3),
-        **compact_tt_coefficients(sym.model),
+        **compact_tt_coefficients(_MODEL),
     })
 
 
@@ -460,16 +404,13 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
         raise ValueError(f"unknown variant {variant!r}")
     if a4 not in ("printed", "composed"):
         raise ValueError(f"unknown a4 reading {a4!r}")
-    import sympy as sp
-
-    sym = _symbolic()
-    rr_coeff = sp.Integer(1 if variant == "printed" else 2)
+    rr_coeff = 1 if variant == "printed" else 2
     steps: list[str] = [f"start: half expression, RR_KN coefficient {rr_coeff}"]
     e = _half_expression(rr_coeff)
     for name in ("square completion", "A1", "A3", f"A4[{a4}]", "A2[h]",
                  "A2[ht]"):
         _rewrite(e, name, steps)
-    e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
+    e = e.substituted(LAM_RULE).scaled(2)
     steps.append("substitute lam -> c(3 tau + n - 1), double")
     display = tt_display_compact()
     return TTExpansion(variant=variant, a4=a4, reduced=e, display=display,
@@ -488,15 +429,11 @@ class ConformalExpansion:
     def polynomial(self):
         """Value as a quadratic in mu, using Laplace pairs
         NORM_DELTAF = mu^2 NORM_F, NORM_DF = mu NORM_F (unit NORM_F)."""
-        import sympy as sp
-
-        mu = _symbolic().SYM["mu"]
+        mu = SYM["mu"]
         co = self.coefficients
-        return sp.expand(
-            co.coefficient("NORM_DELTAF") * mu**2
-            + co.coefficient("NORM_DF") * mu
-            + co.coefficient("NORM_F")
-        )
+        return (co.coefficient("NORM_DELTAF") * mu**2
+                + co.coefficient("NORM_DF") * mu
+                + co.coefficient("NORM_F"))
 
 
 def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
@@ -512,7 +449,7 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
     """
     if assembly not in ("corrected", "printed"):
         raise ValueError(f"unknown assembly {assembly!r}")
-    c, n, tau, lam, mu, R2 = _symbolic().symbols
+    c, n, tau, lam, mu, R2 = _SYMBOLS
     notes = []
     # variation pieces for h = f g, recorded as (DELTAF, DF, F) coefficients
     pieces = {
@@ -545,7 +482,6 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
     for p in pieces.values():
         for k, v in p.coeffs.items():
             total.add_term(k, v)
-    total = total.simplified()
     reference = LedgerExpr(dict(zip(("NORM_DELTAF", "NORM_DF", "NORM_F"),
                                     conformal_coefficients(n, lam, R2))))
     return ConformalExpansion(
@@ -575,9 +511,6 @@ def noncompact_chain() -> NoncompactChain:
     The derived remainder agrees with the reference display on NORM_RRING,
     K_PAIR and RR_KN and disagrees on all three h-term coefficients.
     """
-    import sympy as sp
-
-    sym = _symbolic()
     steps: list[str] = ["start: half expression, RR_KN kept unreduced"]
     e = _half_expression(1)
     _rewrite(e, "Berger completion", steps)
@@ -589,16 +522,16 @@ def noncompact_chain() -> NoncompactChain:
         ("NORM_DH", "c < 0 (coefficient -4c is then positive)"),
     ):
         inequality_log.append({
-            "term": term, "coefficient": sp.expand(2 * e.pop_term(term)),
+            "term": term, "coefficient": 2 * e.pop_term(term),
             "dropped": True, "needs": needs,
         })
         steps.append(f"drop {term}: {needs}")
     for name in ("A2[h]", "A2[ht]"):
         _rewrite(e, name, steps)
-    e = e.substituted(sym.LAM_RULE).scaled(2).simplified()
+    e = e.substituted(LAM_RULE).scaled(2)
     steps.append("substitute lam -> c(3 tau + n - 1), double")
 
-    claimed = LedgerExpr(noncompact_tt_coefficients(sym.model))
+    claimed = LedgerExpr(noncompact_tt_coefficients(_MODEL))
     return NoncompactChain(
         claimed=claimed,
         derived=e,

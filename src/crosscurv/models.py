@@ -553,7 +553,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
 # closed forms and reference data
 # ---------------------------------------------------------------------------
 # Each closed form is written once with integer literals, so floats, exact
-# Fractions and sympy symbols all go through the same arithmetic.  Keep the
+# Fractions and the ledger's symbols all go through the same arithmetic.  Keep the
 # float evaluation order (2 * c * c, not c ** 2): the documents pin its bits.
 
 def einstein_constant(n, tau, c):

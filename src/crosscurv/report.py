@@ -3,24 +3,21 @@
 The JSON emitter is hand-rolled so that reruns with identical inputs are
 byte-identical: section order is fixed, floats are printed with one format
 (%.17g, which round-trips doubles), exact rationals are emitted as "p/q"
-strings, and symbolic coefficients as their string form.  No timestamps or
-other nondeterministic values belong in a document; timing is represented
-by deterministic work counters (rotation counts, sample counts) instead.
-
-Symbolic values are recognised only when sympy is already in sys.modules.
-That test is exact, not a shortcut: a sympy expression cannot exist before
-sympy is imported, so a document without ledger rows is rendered without
-ever loading it.
+strings, and the ledger's symbolic coefficients (``laurent.Laurent``) as
+their string form, the expanded sum of monomials.  No timestamps or other
+nondeterministic values belong in a document; timing is represented by
+deterministic work counters (rotation counts, sample counts) instead.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from crosscurv.laurent import Laurent
 
 __all__ = ["ReportDocument", "emit_value", "render_json", "SCHEMA_VERSION"]
 
@@ -41,14 +38,6 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sympy_str(obj) -> str | None:
-    """sstr form of a sympy expression, None for any other value."""
-    sp = sys.modules.get("sympy")
-    if sp is not None and isinstance(obj, sp.Basic):
-        return sp.sstr(obj)
-    return None
-
-
 def emit_value(obj) -> str:
     """Serialize one value to canonical JSON text."""
     if obj is None:
@@ -63,10 +52,8 @@ def emit_value(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
-    if (symbolic := _sympy_str(obj)) is not None:
-        return json.dumps(symbolic)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, (str, Laurent)):
+        return json.dumps(str(obj))
     if isinstance(obj, np.ndarray):
         return emit_value(obj.tolist())
     if isinstance(obj, dict):
@@ -87,8 +74,6 @@ def _csv_cell(v) -> str:
              else f"{v.numerator}/{v.denominator}")
     elif isinstance(v, (float, np.floating)):
         s = f"{float(v):.17g}"
-    elif (symbolic := _sympy_str(v)) is not None:
-        s = symbolic
     elif v is None:
         s = "-"
     else:

@@ -28,7 +28,6 @@ from crosscurv.hessian import (
     stability_verdict,
 )
 from crosscurv.ledger import (
-    SYM,
     expand_theorem_conformal,
     expand_theorem_tt,
     identity_catalog,
@@ -41,7 +40,8 @@ from crosscurv.models import (
     reference_constants,
 )
 
-c, n, tau, lam, mu, R2 = (SYM[k] for k in ("c", "n", "tau", "lam", "mu", "R2"))
+# sympy checks the ledger's exact values (converted with sp.sympify)
+c, n, tau, lam, mu, R2 = sp.symbols("c n tau lam mu R2")
 
 # every supported model with m <= 4 at unit scale
 ALL_SPECS = ([("sphere", 0, nn) for nn in (4, 5, 8, 16)]
@@ -263,13 +263,13 @@ def test_c5_symbolic_ledger(verdict):
     tt = expand_theorem_tt(variant="printed", a4="printed")
     rows = {r["term"]: r for r in tt.comparisons}
     assert rows["NORM_DH"]["match"]
-    assert sp.simplify(rows["NORM_DH"]["computed"]
+    assert sp.simplify(sp.sympify(rows["NORM_DH"]["computed"])
                        - 2 * c * (n + 3 * tau - 3)) == 0
     assert rows["NORM_RRING"]["match"]
-    assert sp.simplify(rows["NORM_RRING"]["computed"]
+    assert sp.simplify(sp.sympify(rows["NORM_RRING"]["computed"])
                        + sp.Rational(1, 2)) == 0
     ce = expand_theorem_conformal(assembly="corrected")
-    poly = sp.expand(ce.polynomial())
+    poly = sp.expand(sp.sympify(ce.polynomial()))
     assert sp.simplify(poly.coeff(mu, 2) - (2 * n - 2)) == 0
     assert sp.simplify(poly.coeff(mu, 1) + 8 * lam) == 0
     assert sp.simplify(poly.coeff(mu, 0) - (4 - n) * R2) == 0
@@ -277,7 +277,8 @@ def test_c5_symbolic_ledger(verdict):
     for chain in (tt, ce):
         for r in chain.comparisons:
             assert isinstance(r["match"], bool)
-            assert sp.simplify(r["claimed"] - r["computed"]) == 0 or \
+            assert sp.simplify(sp.sympify(r["claimed"])
+                               - sp.sympify(r["computed"])) == 0 or \
                 not r["match"]
     verdict("ACCEPTANCE C5: PASS -- derivative-term and curvature-action "
             "coefficients reproduced exactly, conformal polynomial "

@@ -1,8 +1,11 @@
 """Symbolic reduction chains and the numeric identity harness.
 
-Coefficient values asserted here are exact sympy expressions; MISMATCH rows
-pin both sides so any silent change in either the display constants or the
-reduction machinery trips a test.
+The ledger computes in its own exact type (``laurent.Laurent``); the
+expected values asserted here are sympy expressions in sympy symbols, and
+each ledger value is converted with ``sp.sympify`` before sympy compares
+it, so sympy is an independent oracle.  MISMATCH rows pin both sides so any
+silent change in either the display constants or the reduction machinery
+trips a test.
 """
 
 import contextlib
@@ -39,7 +42,8 @@ from crosscurv.models import (
     reference_mu_over_lambda,
 )
 
-c, n, tau, lam, mu, R2 = (SYM[k] for k in ("c", "n", "tau", "lam", "mu", "R2"))
+c, n, tau, lam, mu, R2 = sp.symbols("c n tau lam mu R2")
+S = sp.sympify
 
 
 def _coeff_map(comparisons):
@@ -47,12 +51,12 @@ def _coeff_map(comparisons):
 
 
 def test_ledger_expr_mechanics():
-    e = LedgerExpr({"NORM_H": 2 * c})
-    e.add_term("NORM_H", c)
-    assert sp.simplify(e.coefficient("NORM_H") - 3 * c) == 0
+    e = LedgerExpr({"NORM_H": 2 * SYM["c"]})
+    e.add_term("NORM_H", SYM["c"])
+    assert sp.simplify(S(e.coefficient("NORM_H")) - 3 * c) == 0
     assert e.coefficient("K_PAIR") == 0
     popped = e.pop_term("NORM_H")
-    assert sp.simplify(popped - 3 * c) == 0
+    assert sp.simplify(S(popped) - 3 * c) == 0
     assert e.coefficient("NORM_H") == 0
     with pytest.raises(KeyError):
         LedgerExpr({"NOT_A_BASIS_KEY": 1})
@@ -60,7 +64,7 @@ def test_ledger_expr_mechanics():
 
 
 def test_lam_rule():
-    assert sp.simplify(LAM_RULE[lam] - c * (3 * tau + n - 1)) == 0
+    assert sp.simplify(S(LAM_RULE[SYM["lam"]]) - c * (3 * tau + n - 1)) == 0
 
 
 def test_tt_chain_printed_matches():
@@ -71,7 +75,7 @@ def test_tt_chain_printed_matches():
                       ("NORM_RRING", sp.Rational(-1, 2)),
                       ("K_PAIR", sp.Integer(4))):
         assert rows[term]["match"], term
-        assert sp.simplify(rows[term]["computed"] - val) == 0
+        assert sp.simplify(S(rows[term]["computed"]) - val) == 0
 
 
 def test_tt_chain_printed_mismatches_pinned():
@@ -81,33 +85,33 @@ def test_tt_chain_printed_mismatches_pinned():
     assert bad == ["IP_H_HTILDE", "NORM_H", "NORM_HTILDE"]
 
     r = rows["IP_H_HTILDE"]
-    assert sp.simplify(r["claimed"] - c**2 * (6 * n - 6 * tau + 22)) == 0
-    assert sp.simplify(r["computed"] - c**2 * (34 - 6 * n - 42 * tau)) == 0
+    assert sp.simplify(S(r["claimed"]) - c**2 * (6 * n - 6 * tau + 22)) == 0
+    assert sp.simplify(S(r["computed"]) - c**2 * (34 - 6 * n - 42 * tau)) == 0
 
     r = rows["NORM_HTILDE"]
-    assert sp.simplify(r["claimed"] + 48 * c**2) == 0
-    assert sp.simplify(r["computed"] + 24 * c**2) == 0
+    assert sp.simplify(S(r["claimed"]) + 48 * c**2) == 0
+    assert sp.simplify(S(r["computed"]) + 24 * c**2) == 0
 
     r = rows["NORM_H"]
     want_claimed = 2 * R2 / n + 2 * c**2 * (n * tau + 3 * tau**2 - 8 * tau - 1)
     want_computed = 2 * R2 / n + 2 * c**2 * (
         2 * n * tau - n + 6 * tau**2 - 9 * tau - 1)
-    assert sp.simplify(r["claimed"] - want_claimed) == 0
-    assert sp.simplify(r["computed"] - want_computed) == 0
+    assert sp.simplify(S(r["claimed"]) - want_claimed) == 0
+    assert sp.simplify(S(r["computed"]) - want_computed) == 0
 
 
 def test_tt_chain_composed_a4_repairs_htilde_only():
     tt = expand_theorem_tt(variant="printed", a4="composed")
     rows = _coeff_map(tt.comparisons)
     assert rows["NORM_HTILDE"]["match"]
-    assert sp.simplify(rows["NORM_HTILDE"]["computed"] + 48 * c**2) == 0
+    assert sp.simplify(S(rows["NORM_HTILDE"]["computed"]) + 48 * c**2) == 0
     assert not rows["IP_H_HTILDE"]["match"]
     assert sp.simplify(
-        rows["IP_H_HTILDE"]["computed"] - c**2 * (42 - 6 * n - 42 * tau)) == 0
+        S(rows["IP_H_HTILDE"]["computed"]) - c**2 * (42 - 6 * n - 42 * tau)) == 0
     # the NORM_H row is a4-independent
     printed = expand_theorem_tt(variant="printed", a4="printed")
-    assert sp.simplify(rows["NORM_H"]["computed"]
-                       - _coeff_map(printed.comparisons)["NORM_H"]["computed"]) == 0
+    assert sp.simplify(S(rows["NORM_H"]["computed"])
+                       - S(_coeff_map(printed.comparisons)["NORM_H"]["computed"])) == 0
 
 
 def test_tt_chain_match_rows_are_variant_independent():
@@ -121,20 +125,20 @@ def test_tt_chain_match_rows_are_variant_independent():
 
 def test_a4_variants_differ_by_one_pairing_term():
     v = a4_variants()
-    diff = {k: sp.simplify(x) for k, x in v["difference"].coeffs.items()}
+    diff = {k: sp.simplify(S(x)) for k, x in v["difference"].coeffs.items()}
     nonzero = {k: x for k, x in diff.items() if x != 0}
     assert nonzero == {"IP_RRING_HTILDE": c}
     # NORM_H parts agree once lam is expanded
-    gap = (v["composed"].coefficient("NORM_H")
-           - v["printed"].coefficient("NORM_H"))
-    assert sp.simplify(gap.subs(LAM_RULE)) == 0
+    gap = (S(v["composed"].coefficient("NORM_H"))
+           - S(v["printed"].coefficient("NORM_H")))
+    assert sp.simplify(gap.subs(lam, S(LAM_RULE[SYM["lam"]]))) == 0
 
 
 def test_quadratic_completions_are_exact():
     qc = quadratic_completion_checks()
 
     def same(a, b):
-        return all(sp.simplify(a.get(k, 0) - b.get(k, 0)) == 0
+        return all(sp.simplify(S(a.get(k, 0)) - S(b.get(k, 0))) == 0
                    for k in set(a) | set(b))
 
     assert same(qc["completion_compact"], qc["bracket"])
@@ -145,10 +149,10 @@ def test_conformal_chain_corrected_matches_reference():
     ce = expand_theorem_conformal(assembly="corrected")
     rows = _coeff_map(ce.comparisons)
     assert all(r["match"] for r in ce.comparisons)
-    assert sp.simplify(rows["NORM_DELTAF"]["computed"] - (2 * n - 2)) == 0
-    assert sp.simplify(rows["NORM_DF"]["computed"] + 8 * lam) == 0
-    assert sp.simplify(rows["NORM_F"]["computed"] - R2 * (4 - n)) == 0
-    poly = ce.polynomial()
+    assert sp.simplify(S(rows["NORM_DELTAF"]["computed"]) - (2 * n - 2)) == 0
+    assert sp.simplify(S(rows["NORM_DF"]["computed"]) + 8 * lam) == 0
+    assert sp.simplify(S(rows["NORM_F"]["computed"]) - R2 * (4 - n)) == 0
+    poly = S(ce.polynomial())
     want = 2 * (n - 1) * mu**2 - 8 * lam * mu + (4 - n) * R2
     assert sp.simplify(poly - want) == 0
 
@@ -159,8 +163,8 @@ def test_conformal_chain_printed_weight_disagrees():
     assert rows["NORM_DELTAF"]["match"]
     assert not rows["NORM_DF"]["match"]
     assert not rows["NORM_F"]["match"]
-    assert sp.simplify(rows["NORM_DF"]["computed"] + 4 * lam) == 0
-    assert sp.simplify(rows["NORM_F"]["computed"] - R2 * (3 - n)) == 0
+    assert sp.simplify(S(rows["NORM_DF"]["computed"]) + 4 * lam) == 0
+    assert sp.simplify(S(rows["NORM_F"]["computed"]) - R2 * (3 - n)) == 0
 
 
 def test_noncompact_chain_pinned():
@@ -168,17 +172,17 @@ def test_noncompact_chain_pinned():
     rows = _coeff_map(nc.comparisons)
     matches = sorted(t for t, r in rows.items() if r["match"])
     assert matches == ["K_PAIR", "NORM_RRING", "RR_KN"]
-    assert sp.simplify(rows["NORM_RRING"]["computed"] + sp.Rational(1, 2)) == 0
-    assert sp.simplify(rows["K_PAIR"]["computed"] - 4) == 0
-    assert sp.simplify(rows["RR_KN"]["computed"] - 2) == 0
-    assert sp.simplify(rows["NORM_HTILDE"]["claimed"] + 12 * c**2) == 0
-    assert sp.simplify(rows["NORM_HTILDE"]["computed"] + 24 * c**2) == 0
-    assert sp.simplify(rows["IP_H_HTILDE"]["claimed"] - 2 * c**2 * (14 - 3 * tau)) == 0
-    assert sp.simplify(rows["IP_H_HTILDE"]["computed"] - c**2 * (16 - 12 * tau)) == 0
+    assert sp.simplify(S(rows["NORM_RRING"]["computed"]) + sp.Rational(1, 2)) == 0
+    assert sp.simplify(S(rows["K_PAIR"]["computed"]) - 4) == 0
+    assert sp.simplify(S(rows["RR_KN"]["computed"]) - 2) == 0
+    assert sp.simplify(S(rows["NORM_HTILDE"]["claimed"]) + 12 * c**2) == 0
+    assert sp.simplify(S(rows["NORM_HTILDE"]["computed"]) + 24 * c**2) == 0
+    assert sp.simplify(S(rows["IP_H_HTILDE"]["claimed"]) - 2 * c**2 * (14 - 3 * tau)) == 0
+    assert sp.simplify(S(rows["IP_H_HTILDE"]["computed"]) - c**2 * (16 - 12 * tau)) == 0
     want_claimed = 2 * R2 / n + 2 * c**2 * (n * tau - n + 3 * tau**2 - 7 * tau + 5)
     want_computed = 2 * R2 / n + 4 * c**2 * (3 * tau**2 + n * tau - 7 * tau - 3 * n + 1)
-    assert sp.simplify(rows["NORM_H"]["claimed"] - want_claimed) == 0
-    assert sp.simplify(rows["NORM_H"]["computed"] - want_computed) == 0
+    assert sp.simplify(S(rows["NORM_H"]["claimed"]) - want_claimed) == 0
+    assert sp.simplify(S(rows["NORM_H"]["computed"]) - want_computed) == 0
     # the chain drops three nonnegative pieces; each drop is logged
     assert len(nc.inequality_log) == 3
 
@@ -288,11 +292,12 @@ def test_ledger_flags_are_exact_and_unchanged():
         (ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
     rows = _ledger_rows()
     for r in rows:
-        assert r["match"] is (sp.cancel(r["claimed"] - r["computed"]) == 0)
+        assert r["match"] is (sp.cancel(S(r["claimed"]) - S(r["computed"])) == 0)
         # the printed form is the expanded one
         for side in ("claimed", "computed"):
-            assert sp.expand(r[side]) == r[side], (r["term"], side)
-        assert r["display"] == sp.sstr(r["claimed"])
+            assert str(r[side]) == sp.sstr(sp.expand(S(r[side]))), (
+                r["term"], side)
+        assert r["display"] == sp.sstr(S(r["claimed"]))
     flags = {f"{r['chain']}:{r['term']}": r["match"] for r in rows}
     assert flags == expected["ledger"]
     chains = [r["chain"].split("-")[0] for r in rows]
@@ -314,7 +319,7 @@ def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
     certificate of that model uses."""
     model = build_model(family, m, scale, n=nkw)
     at = {c: model.c, n: model.n, tau: model.tau, R2: model.R_norm2}
-    assert LAM_RULE[lam].subs(at) == model.lam
+    assert S(LAM_RULE[SYM["lam"]]).subs(at) == model.lam
 
     if model.compact:
         rows = _coeff_map(expand_theorem_tt().comparisons)
@@ -325,7 +330,7 @@ def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
         certified = noncompact_tt_coefficients(model)
         assert len(certified) == 6
     for key, want in certified.items():
-        got = float(rows[key]["claimed"].subs(at))
+        got = float(S(rows[key]["claimed"]).subs(at))
         assert abs(got - float(want)) <= 1e-15 * abs(float(want)), key
 
     # conformal reference rows at the model's lambda, mu and claimed |R|^2
@@ -342,9 +347,9 @@ def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
     exact = {n: model.n, lam: exact_lam, R2: claimed_R2}
     for assembly in ("corrected", "printed"):
         ref = _coeff_map(expand_theorem_conformal(assembly).comparisons)
-        got = (ref["NORM_DELTAF"]["claimed"] * mu_value**2
-               + ref["NORM_DF"]["claimed"] * mu_value
-               + ref["NORM_F"]["claimed"]).subs(exact)
+        got = (S(ref["NORM_DELTAF"]["claimed"]) * mu_value**2
+               + S(ref["NORM_DF"]["claimed"]) * mu_value
+               + S(ref["NORM_F"]["claimed"])).subs(exact)
         assert got == sp.Rational(want.numerator, want.denominator), assembly
 
 
@@ -374,7 +379,7 @@ def test_completion_check_reads_the_applied_square_completion(monkeypatch,
     assert qc["completion_berger"] == qc["bracket"]
     after = _coeff_map(expand_theorem_tt().comparisons)["NORM_RRING"]
     assert before["match"] and not after["match"]
-    assert sp.cancel(after["computed"] - before["computed"]) != 0
+    assert sp.cancel(S(after["computed"]) - S(before["computed"])) != 0
 
 
 def test_a2_evaluator_and_chains_share_coefficients(monkeypatch, rewrites):
@@ -395,5 +400,5 @@ def test_a2_evaluator_and_chains_share_coefficients(monkeypatch, rewrites):
     after = _coeff_map(expand_theorem_tt().comparisons)
     assert sorted(after) == sorted(before)
     for term, row in after.items():
-        moved = sp.cancel(row["computed"] - before[term]["computed"]) != 0
+        moved = sp.cancel(S(row["computed"]) - S(before[term]["computed"])) != 0
         assert moved is (term in h_rows), term
