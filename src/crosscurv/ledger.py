@@ -70,6 +70,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from crosscurv.hessian import (
+    _term_entries,
     compact_tt_coefficients,
     conformal_coefficients,
     noncompact_tt_coefficients,
@@ -77,18 +78,11 @@ from crosscurv.hessian import (
 from crosscurv.laurent import GENERATORS, Laurent
 from crosscurv.models import einstein_constant, norm2_closed_claimed
 from crosscurv.tensors import (
-    CurvTensor4,
-    compose_and_ricci,
-    k_pairing,
-    lambda2_pushforward,
-    pair_vector,
-    r_ring,
+    _pair_index,
+    _pair_lookup,
     random_curvature,
     random_symtensor,
-    ricci,
-    rr_kn_pairing,
     sym_inner,
-    tilde,
     to_lambda2,
 )
 
@@ -560,21 +554,119 @@ def _unit_tt(nn: int, rng: np.random.Generator):
 
 
 def _unit_curvature(nn: int, rng: np.random.Generator):
+    """A random curvature tensor of unit norm, as its pair-basis matrix."""
     R1 = random_curvature(nn, seed=int(rng.integers(0, 2**31)))
-    return R1.entries / np.sqrt(R1.norm2())
+    return to_lambda2(R1).matrix / np.sqrt(R1.norm2())
 
 
-def _pair_vectors(model) -> list:
-    return [pair_vector(J.T) for J in model.J.operators]
+def _wedge_columns(x: np.ndarray) -> np.ndarray:
+    """The N x n matrix whose column a is x ^ e_a in the pair basis:
+    x_i at the pair (i, a) for i < a, -x_j at the pair (a, j) for a < j."""
+    n = x.size
+    ii, jj = _pair_index(n)
+    out = np.zeros((ii.size, n))
+    at = np.arange(ii.size)
+    out[at, jj] = x[ii]
+    out[at, ii] = -x[jj]
+    return out
 
 
-def _omega_pair(model, a: int, b: int) -> np.ndarray:
-    nn, m = model.n, model.n // (model.tau + 1)
-    W = np.zeros((nn, nn))
-    for i in range(m):
-        W[a * m + i, b * m + i] = 1.0
-        W[b * m + i, a * m + i] = -1.0
-    return pair_vector(W)
+@lru_cache(maxsize=1)
+def _catalog_arrays(model) -> SimpleNamespace:
+    """What the identity catalog reads of a model, built once per model
+    from the nonzeros of R (``R_slots``, ``R_values``) and the (pi, s) of
+    the structure operators (``J.perms``), so that a trial does at most
+    O(n^4) work on its random input and no n^4 array is made:
+
+    rring    (key, at, v): the curvature action sum_ij R[i,x,j,y] h[i,j]
+             adds v h.flat[at] at the flat position key of (x, y);
+    K_PAIR, RR_KN
+             the entry lists (rows, columns, weights) of those pairings as
+             quadratic forms on vec(h), those the form is assembled from
+             (``hessian._term_entries``), at the model's scale;
+    P, P_rank
+             the pair-basis matrix of R, dense, and its nonzeros as
+             (rows, columns, values) groups with distinct rows, for
+             products with P (``_times_P``);
+    push     per J, the pushforward on 2-vectors, a signed permutation of
+             the pairs, as (src, sign): (Lambda^2 J) X = sign X[src] by rows;
+    omega    the N x tau matrix of the pair vectors of the J^T;
+    omega_pairs
+             the N x tau (tau + 1) / 2 matrix of the unit-pair forms of
+             compose-self-structure;
+    tilde    per J, (pi, s_x s_y): the pullback J^T h J is s_x s_y h[pi x,
+             pi y].
+    """
+    n = model.n
+    nz = (*model.R_slots, model.R_values)
+    i0, i1, i2, i3, v = nz
+    ii, jj = _pair_index(n)
+    N = ii.size
+    pair = _pair_lookup(n)
+    upper = (i0 < i1) & (i2 < i3)
+    rows, cols, vals = pair[i0[upper], i1[upper]], pair[i2[upper], i3[upper]], v[upper]
+    P = np.zeros((N, N))
+    P[rows, cols] = vals
+    order = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    start = np.flatnonzero(np.diff(rows, prepend=-1))
+    rank = np.arange(rows.size) - np.repeat(start, np.diff(start, append=rows.size))
+    P_rank = [(rows[rank == r], cols[rank == r], vals[rank == r])
+              for r in range(int(rank.max(initial=-1)) + 1)]
+    push, omega, tilde_ops = [], np.zeros((N, model.tau)), []
+    for a, (pi, s) in enumerate(model.J.perms):
+        src, sign = np.empty(N, dtype=np.intp), np.empty(N)
+        dest = pair[pi[ii], pi[jj]]
+        src[dest] = np.arange(N)
+        sign[dest] = s[ii] * s[jj] * np.where(pi[ii] < pi[jj], 1.0, -1.0)
+        push.append((src, sign))
+        W = np.zeros((n, n))
+        W[np.arange(n), pi] = s  # J^T[x, pi x] = s_x
+        omega[:, a] = W[ii, jj]
+        tilde_ops.append((pi, np.outer(s, s)))
+    m = n // (model.tau + 1)
+    units = [(a, b) for a in range(model.tau + 1) for b in range(a + 1, model.tau + 1)]
+    omega_pairs = np.zeros((N, len(units)))
+    for k, (a, b) in enumerate(units):
+        omega_pairs[pair[a * m + np.arange(m), b * m + np.arange(m)], k] = 1.0
+    return SimpleNamespace(
+        N=N, rring=(i1 * n + i3, i0 * n + i2, v),
+        K_PAIR=_term_entries(model, "K_PAIR", nz),
+        RR_KN=_term_entries(model, "RR_KN", nz),
+        P=P, P_rank=P_rank, push=push, omega=omega, omega_pairs=omega_pairs,
+        tilde=tilde_ops)
+
+
+def _times_P(arrays, X: np.ndarray) -> np.ndarray:
+    """P X for the pair-basis matrix P of R, from its nonzeros."""
+    out = np.zeros((arrays.N, X.shape[1]))
+    for rows, cols, vals in arrays.P_rank:
+        out[rows] += vals[:, None] * X[cols]
+    return out
+
+
+def _r_ring(arrays, h: np.ndarray) -> np.ndarray:
+    """The curvature action on h, symmetrized, as ``tensors.r_ring``."""
+    key, at, v = arrays.rring
+    n = h.shape[0]
+    out = np.bincount(key, weights=v * h.ravel()[at], minlength=n * n)
+    out = out.reshape(n, n)
+    return 0.5 * (out + out.T)
+
+
+def _pairing(arrays, key: str, h: np.ndarray) -> float:
+    """The K_PAIR or RR_KN pairing of h with itself, from its entry list."""
+    rows, cols, w = getattr(arrays, key)
+    flat = h.ravel()
+    return float(w @ (flat[rows] * flat[cols]))
+
+
+def _tilde(arrays, h: np.ndarray) -> np.ndarray:
+    """Sum of the pullbacks J^T h J over the structure operators."""
+    out = np.zeros_like(h)
+    for pi, ss in arrays.tilde:
+        out += ss * h[pi[:, None], pi]
+    return out
 
 
 def _residual(lhs, rhs, scale: float) -> float:
@@ -590,35 +682,32 @@ def _residual(lhs, rhs, scale: float) -> float:
 
 def _ev_curvature_action_affine(model, rng):
     nn = model.n
+    arrays = _catalog_arrays(model)
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
     h = h.entries / np.sqrt(h.norm2())
-    lhs = r_ring(model.R, h).entries
+    lhs = _r_ring(arrays, h)
     on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
-    rhs = (on_ht * tilde(h, model.J).entries + on_h * h
+    rhs = (on_ht * _tilde(arrays, h) + on_h * h
            + on_trace * np.trace(h) * np.eye(nn))
     return {"residual": _residual(lhs, rhs, abs(model.c))}
 
 
 def _ev_compose_structure(model, rng):
-    P = to_lambda2(model.R).matrix
+    arrays = _catalog_arrays(model)
     P1 = to_lambda2(random_curvature(model.n, seed=int(rng.integers(0, 2**31)))).matrix
     P1 = P1 / max(1.0, np.linalg.norm(P1))
-    rhs = P1.copy()
-    for J, om in zip(model.J.operators, _pair_vectors(model)):
-        rhs = rhs + lambda2_pushforward(J) @ P1 + 2.0 * np.outer(om, om @ P1)
+    rhs = P1 + 2.0 * arrays.omega @ (arrays.omega.T @ P1)
+    for src, sign in arrays.push:
+        rhs += sign[:, None] * P1[src]
     rhs *= model.c
-    return {"residual": _residual(P @ P1, rhs, abs(model.c))}
+    return {"residual": _residual(_times_P(arrays, P1), rhs, abs(model.c))}
 
 
 def _ev_compose_self_structure(model, rng):
-    P = to_lambda2(model.R).matrix
-    rhs = P.copy()
-    for a in range(model.tau + 1):
-        for b in range(a + 1, model.tau + 1):
-            om = _omega_pair(model, a, b)
-            rhs = rhs + np.outer(om, om @ P)
-    rhs *= model.c * (model.tau + 1)
-    return {"residual": _residual(P @ P, rhs, model.c**2)}
+    arrays = _catalog_arrays(model)
+    P, om = arrays.P, arrays.omega_pairs
+    rhs = model.c * (model.tau + 1) * (P + om @ (om.T @ P))
+    return {"residual": _residual(_times_P(arrays, P), rhs, model.c**2)}
 
 
 def _ev_norm_closed_form(model, rng):
@@ -633,12 +722,39 @@ def _ev_norm_closed_form(model, rng):
 
 def _ev_kn_pairing_reduction(model, rng):
     nn = model.n
+    arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
-    lhs = rr_kn_pairing(model.R, h)
+    lhs = _pairing(arrays, "RR_KN", h)
     on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
-    rhs = on_b * sym_inner(r_ring(model.R, h).entries, h) + on_norm  # |h|^2 = 1
+    rhs = on_b * float(np.sum(_r_ring(arrays, h) * h)) + on_norm  # |h|^2 = 1
     return {"residual": _residual(lhs, rhs, model.c**2),
             "lhs": lhs, "rhs": rhs}
+
+
+def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
+    """The terms of compose-ricci-trace for the curvature tensor R1 with
+    the pair-basis matrix P1 and a vector x: x Ric(R o R1) x, x Ric(R1) x,
+    sum_J sum_a R1(x, e_a, J x, J e_a) and sum_J sum_a R1(x, J x, e_a,
+    J e_a).
+
+    Each is a contraction of P1.  With X the columns x ^ e_a
+    (``_wedge_columns``) the first two are sum_a (x ^ e_a) P P1 (x ^ e_a)
+    and sum_a (x ^ e_a) P1 (x ^ e_a); in the first J-sum y ^ J e_a is
+    s_a y ^ e_{pi a} for y = J x, and the second is 2 (x ^ y) P1 omega_J.
+    """
+    arrays = _catalog_arrays(model)
+    ii, jj = _pair_index(model.n)
+    X = _wedge_columns(x)
+    Z = P1 @ X
+    P1_omega = P1 @ arrays.omega
+    sum1 = sum2 = 0.0
+    for a, (pi, s) in enumerate(model.J.perms):
+        y = np.empty_like(x)
+        y[pi] = s * x
+        sum1 += float(np.sum(_wedge_columns(y)[:, pi] * s * Z))
+        sum2 += 2.0 * float((x[ii] * y[jj] - x[jj] * y[ii]) @ P1_omega[:, a])
+    return (float(np.sum(_times_P(arrays, X) * Z)), float(np.sum(X * Z)),
+            sum1, sum2)
 
 
 def _ev_compose_ricci_trace(model, rng):
@@ -646,18 +762,11 @@ def _ev_compose_ricci_trace(model, rng):
     # (verified) composition identity instead gives weight 1.  Both residuals
     # are reported; the outcome follows the display.
     nn = model.n
-    R1 = _unit_curvature(nn, rng)
+    P1 = _unit_curvature(nn, rng)
     x = rng.standard_normal(nn)
     x /= np.linalg.norm(x)
-    R1c = CurvTensor4(R1, algebraic=False)
-    _, composed = compose_and_ricci(model.R, R1c)
-    lhs = x @ composed.entries @ x
-    base = model.c * (x @ ricci(R1c).entries @ x)
-    sum1 = sum2 = 0.0
-    for J in model.J.operators:
-        y = J @ x
-        sum1 += np.einsum("i,k,la,iakl->", x, y, J, R1, optimize=True)
-        sum2 += np.einsum("i,j,la,ijal->", x, y, J, R1, optimize=True)
+    lhs, ricci1, sum1, sum2 = _ricci_trace_terms(model, P1, x)
+    base = model.c * ricci1
     rhs = base + model.c * (sum1 + 0.5 * sum2)
     rhs_corrected = base + model.c * (sum1 + sum2)
     return {
@@ -668,10 +777,11 @@ def _ev_compose_ricci_trace(model, rng):
 
 def _ev_k_pairing_closed_form(model, rng):
     nn = model.n
+    arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
-    lhs = k_pairing(model.R, h)
-    hplus = tilde(h, model.J).entries + h
-    base = ((nn + 10 * (model.tau + 1)) * sym_inner(hplus, hplus)
+    lhs = _pairing(arrays, "K_PAIR", h)
+    hplus = _tilde(arrays, h) + h
+    base = ((nn + 10 * (model.tau + 1)) * float(np.sum(hplus * hplus))
             + 4.0 * np.trace(hplus) ** 2)
     # lhs has degree 2 in c and the literal display degree 0, so only the
     # rescaled residual is the same at every scale
@@ -684,7 +794,7 @@ def _ev_k_pairing_closed_form(model, rng):
 
 def _ev_tilde_norm_relation(model, rng):
     h = _unit_tt(model.n, rng)
-    ht = tilde(h, model.J)
+    ht = _tilde(_catalog_arrays(model), h)
     t = model.tau
     lhs = t * sym_inner(h, h) + 2 * t * sym_inner(h, ht)
     rhs = sym_inner(ht, ht)

@@ -148,6 +148,16 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+@lru_cache(maxsize=None)
+def _pair_lookup(n: int) -> np.ndarray:
+    """The n x n array of pair numbers: [i, j] and [j, i] hold the place
+    of the pair i<j in the lexicographic basis (the diagonal holds 0)."""
+    ii, jj = _pair_index(n)
+    out = np.zeros((n, n), dtype=np.intp)
+    out[ii, jj] = out[jj, ii] = np.arange(ii.size)
+    return out
+
+
 #: the algebraic curvature rules: the message of a failure and the terms
 #: combined with T in turn, each a ufunc and the slot order in which the
 #: term reads T, T'(x) = T(x[order]); the residual is the largest entry of
