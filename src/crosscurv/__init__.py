@@ -30,6 +30,7 @@ from crosscurv.tensors import (
     pair_vector,
     r_ring,
     random_curvature,
+    random_curvature_lambda2,
     random_symtensor,
     ricci,
     rr_kn_pairing,

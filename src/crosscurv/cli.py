@@ -32,8 +32,8 @@ Input budget: a model whose estimated peak memory for the command
 refused as a config error, exit 2, before anything is built.  ``model`` and
 ``certify`` hold the nonzeros of R and no n^4 array, and are refused from
 dimension n = 1141 and n = 1116; ``verify`` and ``report`` also hold the
-dense R and the identity catalog's n^4 contractions, and are refused from
-n = 90 (``--space sphere --n 90``, ``--space hp --m 23``).
+identity catalog's pair-basis matrices, each of n^4 / 4 entries, and are
+refused from n = 127 (``--space sphere --n 127``, ``--space hp --m 32``).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ BASE_BYTES = 128 * 2**20
 #: ``memory_estimate``: float64 words per n^2 of the nonzero stages
 LIST_WORDS = 400
 #: ``memory_estimate``: float64 words per n^4 of the identity catalog
-CATALOG_WORDS = 8
+CATALOG_WORDS = 2
 
 
 class ConfigError(ValueError):
@@ -133,9 +133,12 @@ def memory_estimate(command: str, n: int) -> int:
       words per pair, and the two arrays of ``RAYLEIGH_CHUNK`` x n that
       the sampling holds (a chunk of draws for a block of size at most
       n - 1 and its product with the block);
-    - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the dense R
-      and the identity catalog's dense contractions beside it (about
-      6 n^4 at n = 16..24);
+    - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
+      catalog, which holds a few N x N pair-basis matrices of n^4 / 4
+      entries (R's, a random draw, a product and its comparand and their
+      temporaries), the index arrays of the 4-subsets the draw's Bianchi
+      projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
+      lists (of order tau n^3); about 1.5 to 1.8 n^4 at n = 24..56;
 
     and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """

@@ -31,7 +31,7 @@ pullbacks the audit takes are signed permutations of those lists, and
 every residual is a per-key sum in the order of the dense
 arithmetic, so it has the bits of the dense computation.  The dense R is
 scattered from the lists on first use (``CurvatureModel.R``), for the
-identity catalog and the tensors API.
+tensors API and the tests; no command makes it.
 
 Adapted basis convention: index (alpha, i) -> alpha * m + i, where alpha
 runs over the algebra units 0..tau and i over the coordinates 0..m-1.
@@ -117,8 +117,8 @@ class JStructure:
 
     @cached_property
     def operators(self) -> list:
-        """The dense matrices, J_a[pi[x], x] = s[x], for the identity
-        catalog."""
+        """The dense matrices, J_a[pi[x], x] = s[x], for the tensors API
+        and the tests; no command makes them."""
         return [np.diag(s)[np.argsort(pi)] for pi, s in self.perms]
 
     def max_structure_residual(self) -> float:

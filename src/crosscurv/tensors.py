@@ -4,7 +4,9 @@ Everything here is pointwise: symmetric 2-tensors, rank-4 curvature-type
 tensors, their standard contractions (Ricci, self-contraction, the action on
 symmetric 2-tensors), the Kulkarni-Nomizu product, the identification of a
 curvature tensor with a symmetric operator on the space of 2-vectors, and
-seeded random generators that project onto the algebraic curvature class.
+seeded random generators that project onto the algebraic curvature class
+(a random curvature tensor is drawn in the pair basis,
+``random_curvature_lambda2``).
 
 A rank-4 tensor is held either as a dense n^4 array or as its nonzeros: the
 C-order flat indices of its nonzero entries, ascending, and their values.
@@ -48,6 +50,7 @@ __all__ = [
     "pair_vector",
     "random_symtensor",
     "random_curvature",
+    "random_curvature_lambda2",
     "bianchi_residual",
     "check_curvature_rules",
 ]
@@ -431,24 +434,94 @@ def random_symtensor(n: int, seed: int, trace_free: bool = False) -> SymTensor2:
     return SymTensor2(s, trace_free=trace_free)
 
 
-def _project_curvature(T: np.ndarray) -> np.ndarray:
-    T = 0.5 * (T - np.einsum("xyzw->yxzw", T))
-    T = 0.5 * (T - np.einsum("xyzw->xywz", T))
-    T = 0.5 * (T + np.einsum("xyzw->zwxy", T))
-    # Bianchi part: the cyclic average lands in the fully antisymmetric
-    # class, and removing it stays inside the pair-symmetric class
-    B = (T + np.einsum("xzwy->xyzw", T) + np.einsum("xwyz->xyzw", T)) / 3.0
-    return T - B
+@lru_cache(maxsize=1)
+def _bianchi_entries(n: int) -> np.ndarray:
+    """Flat positions in the N x N pair-basis matrix of the entries that
+    the first Bianchi identity ties together, one column per 4-subset
+    a<b<c<d: rows 0, 1, 2 hold [ab,cd], [ac,bd], [ad,bc] and rows 3, 4, 5
+    their transposes.  The subsets come from extending each index by a
+    larger one, three times."""
+    sub = np.arange(n)[:, None]
+    for _ in range(3):
+        last = sub[:, -1]
+        count = n - 1 - last
+        rows = np.repeat(np.arange(len(sub)), count)
+        first = np.repeat(np.cumsum(count) - count, count)
+        step = np.arange(rows.size) - first
+        sub = np.column_stack([sub[rows], last[rows] + 1 + step])
+    pair, N = _pair_lookup(n), n * (n - 1) // 2
+    a, b, c, d = sub.T
+    left = (pair[a, b], pair[a, c], pair[a, d])
+    right = (pair[c, d], pair[b, d], pair[b, c])
+    return np.array([p * N + q for p, q in zip(left, right)]
+                    + [q * N + p for p, q in zip(left, right)])
 
 
-def random_curvature(n: int, seed: int) -> CurvTensor4:
-    """Seeded random algebraic curvature tensor by symmetry projection.
+#: the signs of the entries of ``_bianchi_entries`` in the cyclic sum
+_BIANCHI_SIGNS = (1.0, -1.0, 1.0, 1.0, -1.0, 1.0)
 
-    A standard-normal 4-array is antisymmetrized in both pairs, symmetrized
-    under pair exchange, and projected onto the kernel of the first Bianchi
-    cyclic sum.  The projection is idempotent.
+
+def _bianchi_sum(flat: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The cyclic sum P[ab,cd] - P[ac,bd] + P[ad,bc] of each 4-subset."""
+    return flat[e[0]] - flat[e[1]] + flat[e[2]]
+
+
+def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
+    """A symmetric pair-basis matrix with the first Bianchi sum removed.
+
+    The sum ties together only the three entries P[ab,cd], P[ac,bd],
+    P[ad,bc] of each 4-subset a<b<c<d (and their transposes); with two
+    equal indices it vanishes by the pair symmetries.  Removing t (1, -1,
+    1), t = sum / 3, from each triple is the orthogonal projection in the
+    flat n^4 inner product, where each of those off-diagonal entries
+    counts 8 times, and it keeps the matrix exactly symmetric.
+    """
+    out = np.array(P, dtype=float)
+    flat, e = out.reshape(-1), _bianchi_entries(n)
+    t = _bianchi_sum(flat, e) / 3.0
+    for row, sign in zip(e, _BIANCHI_SIGNS):
+        flat[row] -= sign * t
+    return out
+
+
+def _check_lambda2_curvature(P: Lambda2Operator) -> None:
+    """ValueError unless a pair-basis operator is an algebraic curvature
+    tensor: pair exchange symmetry and the first Bianchi identity to 1e-12
+    of its largest entry.  The antisymmetries hold in the pair basis by
+    construction, so this is the check of ``CurvTensor4``."""
+    M = P.matrix
+    tol = STRUCT_TOL * _scale(M)
+    if _scale(M - M.T) > tol:
+        raise ValueError("pair exchange symmetry fails")
+    if _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(P.n))) > tol:
+        raise ValueError("first Bianchi identity fails")
+
+
+def random_curvature_lambda2(n: int, seed) -> Lambda2Operator:
+    """Seeded random algebraic curvature tensor as its pair-basis operator.
+
+    The law is the standard Gaussian on the algebraic curvature tensors in
+    the flat n^4 inner product.  In the pair basis an off-diagonal entry
+    stands for 8 of the n^4 entries and a diagonal one for 4, so a
+    symmetric matrix is drawn with variance 1/8 off the diagonal and 1/4
+    on it, (G + G^T) / 4 for a standard-normal G, and projected onto the
+    kernel of the first Bianchi sum (``_project_bianchi``).  Every draw is
+    checked (``_check_lambda2_curvature``).
     """
     if n < 3:
         raise ValueError("need n >= 3")
     rng = np.random.default_rng(seed)
-    return CurvTensor4(_project_curvature(rng.standard_normal((n, n, n, n))))
+    N = n * (n - 1) // 2
+    G = rng.standard_normal((N, N))
+    S = G + G.T
+    del G
+    S *= 0.25
+    P = Lambda2Operator(n, _project_bianchi(n, S))
+    _check_lambda2_curvature(P)
+    return P
+
+
+def random_curvature(n: int, seed) -> CurvTensor4:
+    """Seeded random algebraic curvature tensor: the 4-index array of
+    ``random_curvature_lambda2``."""
+    return CurvTensor4(from_lambda2(random_curvature_lambda2(n, seed)).entries)

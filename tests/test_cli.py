@@ -355,7 +355,7 @@ def test_memory_budget_refuses_before_building(monkeypatch):
 
 
 #: the first dimension each command refuses
-REFUSAL = {"model": 1141, "certify": 1116, "verify": 90, "report": 90}
+REFUSAL = {"model": 1141, "certify": 1116, "verify": 127, "report": 127}
 
 
 def test_memory_budget_admits_every_benchmarked_size():
@@ -389,7 +389,7 @@ def test_memory_estimate_bounds_traced_peak(args, n):
     # interpreter, after one untraced run for the one-time allocations
     import tracemalloc
 
-    for command in ("model", "certify", "verify"):
+    for command in ("model", "certify", "verify", "report"):
         argv = [command, *args, *FAST]
         run(argv)
         tracemalloc.start()

@@ -4,9 +4,9 @@ A floor such as ``max(1.0, |x|)`` makes a tolerance absolute below |x| = 1,
 so at small curvature scales it bounds a quantity that scales with c by a
 fixed number, and verdicts start to depend on c.  This scans the syntax tree
 of every library module for ``max`` calls with a literal 1.0 among their
-arguments (an integer 1 floors a count, such as the number of trials).  The
-one allowed floor normalises a random operator drawn without reference
-to c.
+arguments (an integer 1 floors a count, such as the number of trials).
+No function is allowed one: the random operators the catalog draws are
+normalised to unit norm, not floored.
 """
 
 import ast
@@ -20,7 +20,7 @@ PACKAGE = Path(crosscurv.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 #: module -> functions allowed to floor at 1: c-free normalisations only
-ALLOWED = {"ledger": {"_ev_compose_structure"}}
+ALLOWED: dict = {}
 
 
 def unit_floors(source: str) -> list:

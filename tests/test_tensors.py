@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 
 from crosscurv.models import build_model
 from crosscurv.tensors import (
+    _check_lambda2_curvature,
+    _dense_terms,
+    _project_bianchi,
     CurvTensor4,
     Lambda2Operator,
     SymTensor2,
     bianchi_residual,
+    check_curvature_rules,
     check_tensor,
     compose_and_ricci,
     from_lambda2,
@@ -25,6 +29,7 @@ from crosscurv.tensors import (
     pair_vector,
     r_ring,
     random_curvature,
+    random_curvature_lambda2,
     random_symtensor,
     ricci,
     rr_kn_pairing,
@@ -280,3 +285,59 @@ def test_trace_free_sampler_is_trace_free(seed):
     rng = np.random.default_rng(seed)
     h = random_symtensor(5, rng, trace_free=True)
     assert abs(np.trace(h.entries)) < 1e-12
+
+
+def _project_curvature(T: np.ndarray) -> np.ndarray:
+    """Oracle: the orthogonal projection of an n^4 array onto the
+    algebraic curvature tensors, one symmetry at a time."""
+    T = 0.5 * (T - np.einsum("xyzw->yxzw", T))
+    T = 0.5 * (T - np.einsum("xyzw->xywz", T))
+    T = 0.5 * (T + np.einsum("xyzw->zwxy", T))
+    # Bianchi part: the cyclic average lands in the fully antisymmetric
+    # class, and removing it stays inside the pair-symmetric class
+    B = (T + np.einsum("xzwy->xyzw", T) + np.einsum("xwyz->xyzw", T)) / 3.0
+    return T - B
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9])
+def test_pair_basis_bianchi_projection(n):
+    # it is the projection of the n^4 array, it is idempotent, and the
+    # 4-index array of a draw meets every curvature rule
+    N = n * (n - 1) // 2
+    G = np.random.default_rng(n).standard_normal((N, N))
+    S = G + G.T
+    P = _project_bianchi(n, S)
+    assert np.array_equal(P, P.T)
+    want = to_lambda2(_project_curvature(from_lambda2(
+        Lambda2Operator(n, S)).entries)).matrix
+    assert np.max(np.abs(P - want)) <= 1e-15 * np.max(np.abs(S))
+    again = _project_bianchi(n, P)
+    assert np.max(np.abs(again - P)) <= 1e-15 * np.max(np.abs(P))
+    draw = random_curvature_lambda2(n, seed=n)
+    check_curvature_rules(*_dense_terms(from_lambda2(draw).entries))
+
+
+def test_pair_basis_draw_is_checked():
+    n = 6
+    P = random_curvature_lambda2(n, seed=1).matrix
+    _check_lambda2_curvature(Lambda2Operator(n, P))
+    skew = P.copy()
+    skew[0, 1] += 1e-9 * np.max(np.abs(P))
+    with pytest.raises(ValueError, match="pair exchange"):
+        _check_lambda2_curvature(Lambda2Operator(n, skew))
+    # [01,23] is one entry of the Bianchi triple of the subset {0, 1, 2, 3}
+    bad = P.copy()
+    bad[0, 9] += 1e-9 * np.max(np.abs(P))
+    bad[9, 0] = bad[0, 9]
+    with pytest.raises(ValueError, match="Bianchi"):
+        _check_lambda2_curvature(Lambda2Operator(n, bad))
+
+
+def test_pair_basis_draw_is_the_standard_gaussian():
+    # a standard Gaussian on the curvature tensors of dimension n^2 (n^2 -
+    # 1) / 12 has E |R|^2 equal to that dimension and variance twice it
+    n, draws = 5, 400
+    dim = n * n * (n * n - 1) // 12
+    norms = [4.0 * np.sum(random_curvature_lambda2(n, seed=k).matrix ** 2)
+             for k in range(draws)]
+    assert abs(np.mean(norms) - dim) <= 5.0 * np.sqrt(2.0 * dim / draws)
