@@ -57,9 +57,9 @@ drives random trials and reports PASS/FAIL without aborting on failure.
 The evaluators read a model only through the nonzeros of R and the (pi, s)
 of its structure operators, from arrays built once per model
 (``_catalog_arrays``), and work in the pair basis of 2-vectors: a random
-curvature tensor is drawn there (``tensors.random_curvature_lambda2``), so
-no trial makes an n^4 array or takes an n^6 product: the O(n^4) draw is
-the largest step of a trial.
+curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
+So no trial makes an n^4 array or takes an n^6 product, and the O(n^4)
+draw is the largest step of a trial.
 Both sides of an identity of degree k in c scale as |c|^k, and its residual
 is relative to max(|c|^k, max |lhs|) (``_residual``), so residuals and
 outcomes are the same at every curvature scale.  The one exception is the
@@ -583,7 +583,9 @@ def _catalog_arrays(model) -> SimpleNamespace:
     """What the identity catalog reads of a model, built once per model
     from the nonzeros of R (``R_slots``, ``R_values``) and the (pi, s) of
     the structure operators (``J.perms``), so that no trial makes an n^4
-    array or takes an n^6 product:
+    array or takes an n^6 product.  The cache is keyed on the model
+    object, so a model must not be changed in place after its catalog
+    runs.  The arrays:
 
     rring    (key, at, v): the curvature action sum_ij R[i,x,j,y] h[i,j]
              adds v h.flat[at] at the flat position key of (x, y);
