@@ -63,6 +63,7 @@ from crosscurv.ledger import (
     identity_catalog,
     noncompact_chain,
     quadratic_completion_checks,
+    verify_catalog,
     verify_identity_numeric,
 )
 from crosscurv.hessian import (

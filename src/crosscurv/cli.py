@@ -48,9 +48,8 @@ from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
     expand_theorem_tt,
-    identity_catalog,
     noncompact_chain,
-    verify_identity_numeric,
+    verify_catalog,
 )
 from crosscurv.models import (
     ModelValidationError,
@@ -138,7 +137,9 @@ def memory_estimate(command: str, n: int) -> int:
       entries (R's, a random draw, a product and its comparand and their
       temporaries), the index arrays of the 4-subsets the draw's Bianchi
       projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
-      lists (of order tau n^3); about 1.5 to 1.8 n^4 at n = 24..56;
+      lists (of order tau n^3).  With every cache empty the catalog
+      traced 1.44 n^4 at n = 40, 56 and 64, and a whole ``verify``, model
+      included, 1.7 to 2.0 n^4 at n = 24..56;
 
     and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """
@@ -304,11 +305,8 @@ def run(cfg: dict) -> int:
                             n=cfg["n"])
         doc.model_constants = _constants_block(model)
     if "findings" in sections:
-        doc.lemma_findings = [
-            verify_identity_numeric(name, model, trials=cfg["trials"],
-                                    seed=cfg["seed"], tol=cfg["tol"])
-            for name in identity_catalog()
-        ]
+        doc.lemma_findings = verify_catalog(model, trials=cfg["trials"],
+                                            seed=cfg["seed"], tol=cfg["tol"])
     if "certificate" in sections:
         rep = stability_verdict(model, p=cfg["p"], seed=cfg["seed"])
         consistent = rep.consistent

@@ -58,8 +58,9 @@ The evaluators read a model only through the nonzeros of R and the (pi, s)
 of its structure operators, from arrays built once per model
 (``_catalog_arrays``), and work in the pair basis of 2-vectors: a random
 curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
-So no trial makes an n^4 array or takes an n^6 product, and the O(n^4)
-draw is the largest step of a trial.
+So no trial makes an n^4 array.  The products with R's pair-basis matrix
+P are dense GEMMs of about n^6 / 8 steps; at n = 16, 40 and 64 each took
+less time than one O(n^4) draw.
 Both sides of an identity of degree k in c scale as |c|^k, and its residual
 is relative to max(|c|^k, max |lhs|) (``_residual``), so residuals and
 outcomes are the same at every curvature scale.  The one exception is the
@@ -84,6 +85,7 @@ from crosscurv.hessian import (
 from crosscurv.laurent import GENERATORS, Laurent
 from crosscurv.models import einstein_constant, norm2_closed_claimed
 from crosscurv.tensors import (
+    _bianchi_entries,
     _pair_index,
     _pair_lookup,
     random_curvature_lambda2,
@@ -105,6 +107,7 @@ __all__ = [
     "a4_variants",
     "identity_catalog",
     "verify_identity_numeric",
+    "verify_catalog",
     "quadratic_completion_checks",
 ]
 
@@ -583,7 +586,7 @@ def _catalog_arrays(model) -> SimpleNamespace:
     """What the identity catalog reads of a model, built once per model
     from the nonzeros of R (``R_slots``, ``R_values``) and the (pi, s) of
     the structure operators (``J.perms``), so that no trial makes an n^4
-    array or takes an n^6 product.  The cache is keyed on the model
+    array.  The cache is keyed on the model
     object, so a model must not be changed in place after its catalog
     runs.  The arrays:
 
@@ -593,10 +596,7 @@ def _catalog_arrays(model) -> SimpleNamespace:
              the entry lists (rows, columns, weights) of those pairings as
              quadratic forms on vec(h), those the form is assembled from
              (``hessian._term_entries``), at the model's scale;
-    P, P_rank
-             the pair-basis matrix of R, dense, and its nonzeros as
-             (rows, columns, values) groups with distinct rows, for
-             products with P (``_times_P``);
+    P        the pair-basis matrix of R, scattered from its nonzeros;
     push     per J, the pushforward on 2-vectors, a signed permutation of
              the pairs, as (src, sign): (Lambda^2 J) X = sign X[src] by rows;
     omega    the N x tau matrix of the pair vectors of the J^T;
@@ -617,13 +617,6 @@ def _catalog_arrays(model) -> SimpleNamespace:
     vals = v[upper]
     P = np.zeros((N, N))
     P[rows, cols] = vals
-    order = np.argsort(rows, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    start = np.flatnonzero(np.diff(rows, prepend=-1))
-    rank = np.arange(rows.size) - np.repeat(start,
-                                            np.diff(start, append=rows.size))
-    P_rank = [(rows[rank == r], cols[rank == r], vals[rank == r])
-              for r in range(int(rank.max(initial=-1)) + 1)]
     push, omega, tilde_ops = [], np.zeros((N, model.tau)), []
     for a, (pi, s) in enumerate(model.J.perms):
         src, sign = np.empty(N, dtype=np.intp), np.empty(N)
@@ -645,24 +638,8 @@ def _catalog_arrays(model) -> SimpleNamespace:
         N=N, rring=(i1 * n + i3, i0 * n + i2, v),
         K_PAIR=_term_entries(model, "K_PAIR", nz),
         RR_KN=_term_entries(model, "RR_KN", nz),
-        P=P, P_rank=P_rank, push=push, omega=omega, omega_pairs=omega_pairs,
+        P=P, push=push, omega=omega, omega_pairs=omega_pairs,
         tilde=tilde_ops)
-
-
-def _times_P(arrays, X: np.ndarray) -> np.ndarray:
-    """P X for the pair-basis matrix P of R, from its nonzeros: one row
-    gather of X per rank of the nonzeros in their rows, about 1.25 n^4
-    entries in all, where the dense product takes n^6 / 8 steps."""
-    out = np.zeros((arrays.N, X.shape[1]))
-    buf = np.empty_like(out)
-    for rows, cols, vals in arrays.P_rank:
-        part = np.take(X, cols, axis=0, out=buf[:rows.size])
-        part *= vals[:, None]
-        if rows.size == arrays.N:  # every row: rows is arange(N)
-            out += part
-        else:
-            out[rows] += part
-    return out
 
 
 def _r_ring(arrays, h: np.ndarray) -> np.ndarray:
@@ -719,14 +696,14 @@ def _ev_compose_structure(model, rng):
     for src, sign in arrays.push:
         rhs += sign[:, None] * P1[src]
     rhs *= model.c
-    return {"residual": _residual(_times_P(arrays, P1), rhs, abs(model.c))}
+    return {"residual": _residual(arrays.P @ P1, rhs, abs(model.c))}
 
 
 def _ev_compose_self_structure(model, rng):
     arrays = _catalog_arrays(model)
     P, om = arrays.P, arrays.omega_pairs
     rhs = model.c * (model.tau + 1) * (P + om @ (om.T @ P))
-    return {"residual": _residual(_times_P(arrays, P), rhs, model.c**2)}
+    return {"residual": _residual(P @ P, rhs, model.c**2)}
 
 
 def _ev_norm_closed_form(model, rng):
@@ -772,7 +749,7 @@ def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
         y[pi] = s * x
         sum1 += float(np.sum(_wedge_columns(y)[:, pi] * s * Z))
         sum2 += 2.0 * float((x[ii] * y[jj] - x[jj] * y[ii]) @ P1_omega[:, a])
-    return (float(np.sum(_times_P(arrays, X) * Z)), float(np.sum(X * Z)),
+    return (float(np.sum(arrays.P @ X * Z)), float(np.sum(X * Z)),
             sum1, sum2)
 
 
@@ -927,3 +904,18 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     if details:
         finding["details"] = details
     return finding
+
+
+def verify_catalog(model, trials: int = 16, seed: int = 0,
+                   tol: float = 1e-8) -> list:
+    """The findings of every catalog identity on a model, in catalog order
+    (``verify_identity_numeric``).  The model's catalog arrays and the
+    draw's 4-subset index arrays are released at the end, so a caller that
+    goes on to other work does not hold them."""
+    try:
+        return [verify_identity_numeric(name, model, trials=trials,
+                                        seed=seed, tol=tol)
+                for name in identity_catalog()]
+    finally:
+        _catalog_arrays.cache_clear()
+        _bianchi_entries.cache_clear()

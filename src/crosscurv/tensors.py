@@ -438,23 +438,26 @@ def random_symtensor(n: int, seed: int, trace_free: bool = False) -> SymTensor2:
 def _bianchi_entries(n: int) -> np.ndarray:
     """Flat positions in the N x N pair-basis matrix of the entries that
     the first Bianchi identity ties together, one column per 4-subset
-    a<b<c<d: rows 0, 1, 2 hold [ab,cd], [ac,bd], [ad,bc] and rows 3, 4, 5
-    their transposes.  The subsets come from extending each index by a
-    larger one, three times."""
-    sub = np.arange(n)[:, None]
-    for _ in range(3):
-        last = sub[:, -1]
-        count = n - 1 - last
-        rows = np.repeat(np.arange(len(sub)), count)
-        first = np.repeat(np.cumsum(count) - count, count)
-        step = np.arange(rows.size) - first
-        sub = np.column_stack([sub[rows], last[rows] + 1 + step])
+    a<b<c<d in lexicographic order: rows 0, 1, 2 hold [ab,cd], [ac,bd],
+    [ad,bc] and rows 3, 4, 5 their transposes.  The columns of each a are
+    filled from the 3-subsets b<c<d above it, a suffix of the 3-subsets in
+    lexicographic order, so beside the result only O(n^3) words are
+    held."""
+    ar = np.arange(n)
+    b, c, d = np.nonzero((ar[:, None, None] < ar[:, None]) & (ar[:, None] < ar))
     pair, N = _pair_lookup(n), n * (n - 1) // 2
-    a, b, c, d = sub.T
-    left = (pair[a, b], pair[a, c], pair[a, d])
-    right = (pair[c, d], pair[b, d], pair[b, c])
-    return np.array([p * N + q for p, q in zip(left, right)]
-                    + [q * N + p for p, q in zip(left, right)])
+    start = np.searchsorted(b, ar + 1)
+    out = np.empty((6, int(np.sum(b.size - start))), dtype=np.intp)
+    at = 0
+    for a in range(n):
+        tb, tc, td = b[start[a]:], c[start[a]:], d[start[a]:]
+        left = (pair[a, tb], pair[a, tc], pair[a, td])
+        right = (pair[tc, td], pair[tb, td], pair[tb, tc])
+        for row, (p, q) in enumerate(zip(left, right)):
+            out[row, at:at + tb.size] = p * N + q
+            out[row + 3, at:at + tb.size] = q * N + p
+        at += tb.size
+    return out
 
 
 #: the signs of the entries of ``_bianchi_entries`` in the cyclic sum

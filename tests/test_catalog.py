@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import crosscurv
-from crosscurv import ledger
+from crosscurv import ledger, tensors
 from crosscurv.models import build_model
 from crosscurv.tensors import (
     Lambda2Operator,
@@ -75,8 +75,6 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
                   c * c)
     P = to_lambda2(R).matrix
     assert np.array_equal(arrays.P, P)
-    assert _close(ledger._times_P(arrays, X), P @ X, abs(c))
-    assert _close(ledger._times_P(arrays, P), P @ P, c * c)
     assert _close(ledger._tilde(arrays, h), tilde(h, model.J).entries, 1.0)
     for J, (src, sign), om in zip(model.J.operators, arrays.push,
                                   arrays.omega.T):
@@ -97,6 +95,19 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
     got = ledger._ricci_trace_terms(model, P1, x)
     for g, w, scale in zip(got, want, (abs(c), 1.0, 1.0, 1.0)):
         assert _close(g, w, scale)
+
+
+def test_the_catalog_releases_its_arrays():
+    # the per-identity findings in catalog order, with nothing of the
+    # model left cached, so that report's certificate does not run beside
+    # the catalog's arrays
+    model = _model("hp2", 1.0)
+    want = [ledger.verify_identity_numeric(name, model, trials=2, seed=5)
+            for name in ledger.identity_catalog()]
+    assert ledger._catalog_arrays.cache_info().currsize == 1
+    assert ledger.verify_catalog(model, trials=2, seed=5) == want
+    assert ledger._catalog_arrays.cache_info().currsize == 0
+    assert tensors._bianchi_entries.cache_info().currsize == 0
 
 
 SRC = str(Path(crosscurv.__file__).resolve().parents[1])
