@@ -20,7 +20,6 @@ from crosscurv.tensors import (
     CurvTensor4,
     Lambda2Operator,
     SymTensor2,
-    bianchi_residual,
     check_tensor,
     compose_and_ricci,
     from_lambda2,
@@ -34,7 +33,6 @@ from crosscurv.tensors import (
     random_symtensor,
     ricci,
     rr_kn_pairing,
-    sym_inner,
     tilde,
     to_lambda2,
 )

@@ -10,7 +10,9 @@ conformal-direction quadratic
 
     q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2
 
-at the first Laplace eigenvalue of the compact model.
+at the first Laplace eigenvalue of the compact model.  q is evaluated in
+rationals from the exact value of c, so it is exact at every scale (0 on
+the round sphere); off integral c it is returned as the nearest float.
 
 Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
 n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
@@ -503,25 +505,6 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
 # conformal direction
 # ---------------------------------------------------------------------------
 
-def _exact_c(c) -> Fraction | None:
-    """c as an exact Fraction when it is rational or integral, else None."""
-    if isinstance(c, Rational):
-        return Fraction(c)
-    if float(c).is_integer():
-        return Fraction(int(c))
-    return None
-
-
-def _exact_norm2(model: CurvatureModel, norm_source: str):
-    """|R|^2 as an exact Fraction when c is rational, else a float."""
-    if norm_source not in ("claimed", "computed"):
-        raise ValueError(f"unknown norm_source {norm_source!r}")
-    exact_c = _exact_c(model.c)
-    form = (norm2_closed_claimed if norm_source == "claimed"
-            else norm2_closed_derived)
-    return form(model.n, model.tau, model.c if exact_c is None else exact_c)
-
-
 def conformal_coefficients(n, lam, R2) -> tuple:
     """Coefficients of mu^2, mu and 1 in the conformal-direction quadratic
     q(mu) = 2 (n - 1) mu^2 - 8 lam mu + (4 - n) |R|^2."""
@@ -537,35 +520,37 @@ def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
     model from the embedded reference table; passing mu explicitly is
     required for non-compact models (NoSpectralDataError otherwise).
     Exponents other than 2 have no tabulated spectral reference, so p != 2
-    raises UnsupportedExponentError.  When c and mu are rational the value
-    is exact (a Fraction); the round sphere gives exactly 0.
+    raises UnsupportedExponentError.  The value is computed exactly, in
+    rationals, from the exact value of the float c at every scale, so its
+    sign is exact and the round sphere gives exactly 0.  It is returned as
+    a Fraction when c is integral and mu is the reference or rational, and
+    otherwise as the float nearest the exact value.
     """
     if p != 2:
         raise UnsupportedExponentError(
             "conformal certification is only available for exponent p = 2; "
             "no spectral reference values are tabulated for other exponents"
         )
-    n = model.n
-    exact_c = _exact_c(model.c)
-    lam = (model.lam if exact_c is None
-           else einstein_constant(n, model.tau, exact_c))
-
+    if norm_source not in ("claimed", "computed"):
+        raise ValueError(f"unknown norm_source {norm_source!r}")
+    n, tau, c = model.n, model.tau, Fraction(model.c)
+    lam = einstein_constant(n, tau, c)
     if mu is None:
         if not model.compact:
             raise NoSpectralDataError(
                 "no spectral reference data for non-compact duals; "
                 "pass mu explicitly"
             )
-        ratio = reference_mu_over_lambda(model.family, model.m, n=n)
-        mu = ratio * lam if exact_c is not None else float(ratio) * lam
-
-    R2 = _exact_norm2(model, norm_source)
-    if exact_c is not None and isinstance(mu, Rational):
-        mu = Fraction(mu)
+        mu_exact = reference_mu_over_lambda(model.family, model.m, n=n) * lam
     else:
-        mu, lam, R2 = float(mu), model.lam, float(R2)
-    a, b, k = conformal_coefficients(n, lam, R2)
-    return a * mu * mu + b * mu + k
+        mu_exact = Fraction(mu)
+    form = (norm2_closed_claimed if norm_source == "claimed"
+            else norm2_closed_derived)
+    a, b, k = conformal_coefficients(n, lam, form(n, tau, c))
+    q = a * mu_exact * mu_exact + b * mu_exact + k
+    if c.denominator == 1 and (mu is None or isinstance(mu, Rational)):
+        return q
+    return float(q)
 
 
 def hp_scale(p: float, R_norm2: float) -> float:
@@ -658,14 +643,14 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
                 "mu_over_lambda": reference_mu_over_lambda(
                     model.family, model.m, n=model.n),
             }
-            if float(claimed) * float(computed) < 0:
+            if claimed * computed < 0:
                 flags.append("conformal sign depends on the norm source")
-            if float(computed) < 0:
+            if computed < 0:
                 flags.append(
                     "conformal direction negative at p = 2: consistent with "
                     "the claimed instability range below the threshold"
                 )
-            elif float(computed) == 0:
+            elif computed == 0:
                 flags.append("conformal direction exactly neutral")
             if claimed != computed:
                 notes.append(

@@ -35,7 +35,6 @@ __all__ = [
     "SymTensor2",
     "CurvTensor4",
     "Lambda2Operator",
-    "sym_inner",
     "kn_product",
     "to_lambda2",
     "from_lambda2",
@@ -51,7 +50,6 @@ __all__ = [
     "random_symtensor",
     "random_curvature",
     "random_curvature_lambda2",
-    "bianchi_residual",
     "check_curvature_rules",
 ]
 
@@ -210,11 +208,6 @@ def _dense_terms(T: np.ndarray) -> tuple:
     return T[mask], lambda order: np.transpose(T, np.argsort(order))[mask]
 
 
-def bianchi_residual(T: np.ndarray) -> float:
-    """Max norm of the cyclic sum over the last three slots."""
-    return _rule_residual(CURVATURE_RULES[-1][1], *_dense_terms(T))
-
-
 def flat_index(n: int, slots) -> np.ndarray:
     """C-order flat indices in an n^4 array of four slot arrays."""
     i0, i1, i2, i3 = slots
@@ -274,14 +267,6 @@ def _as_matrix(h) -> np.ndarray:
 
 def _as_array4(R) -> np.ndarray:
     return R.entries if isinstance(R, CurvTensor4) else np.asarray(R, dtype=float)
-
-
-def sym_inner(a: SymTensor2, b: SymTensor2) -> float:
-    """Full double-sum inner product of two symmetric 2-tensors."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError("dimension mismatch in sym_inner")
-    return float(np.sum(am * bm))
 
 
 def kn_product(h1: SymTensor2, h2: SymTensor2) -> CurvTensor4:

@@ -157,6 +157,16 @@ def test_epsilon_beyond_the_double_range_reads_inf(p):
     assert cert["tt_verdict"] == "stable-strict"
 
 
+def test_sphere_conformal_direction_is_neutral_off_integral_scale():
+    # q(mu_1) is exactly 0 on the round sphere (Obata's equality case); at
+    # c = 0.3 it is evaluated from the exact value of the float c
+    code, out, err = run(["certify", "--space", "sphere", "--n", "9",
+                          "--c", "0.3", *FAST, "--format", "text"])
+    assert code == 0, err
+    assert "flag: conformal direction exactly neutral" in out
+    assert "conformal direction negative" not in out
+
+
 def test_verify_outcomes_do_not_depend_on_the_scale():
     # at c = 1e-6 an absolute floor used to pass compose-self-structure,
     # norm-closed-form and kn-pairing-reduction, which fail at c = 1

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosscurv import hessian
@@ -588,25 +588,31 @@ def test_stability_verdict_p4_scales_certificate():
 
 
 @lru_cache(maxsize=None)
-def _unit_verdict(family, m, sign):
-    return stability_verdict(build_model(family, m, sign), seed=3)
+def _unit_verdict(family, m, n, sign):
+    return stability_verdict(build_model(family, m, sign, n=n), seed=3)
 
 
-@settings(max_examples=16, deadline=None)
-@given(model=st.sampled_from([("quaternionic", 2), ("complex", 2)]),
+@settings(max_examples=24, deadline=None)
+@given(model=st.sampled_from([("quaternionic", 2, None), ("complex", 2, None),
+                              ("sphere", 0, 5), ("sphere", 0, 9),
+                              ("sphere", 0, 12)]),
        sign=st.sampled_from([1.0, -1.0]),
        exponent=st.floats(min_value=-6.0, max_value=6.0))
+@example(model=("sphere", 0, 9), sign=1.0, exponent=0.5)
 def test_verdict_scales_as_c_squared(model, sign, exponent):
     # |c| is log-uniform in [1e-6, 1e6]; the report at c must be c^2 times
-    # the report at c = sign, with the same verdict and a consistent
-    # certificate (no Rayleigh/Jacobi discrepancy note)
-    family, m = model
+    # the report at c = sign, with the same verdict, flags and notes and a
+    # consistent certificate (no Rayleigh/Jacobi discrepancy note).  On the
+    # sphere the conformal value is exactly 0 at every scale
+    family, m, n = model
     c = sign * 10.0**exponent
-    unit = _unit_verdict(family, m, sign)
-    rep = stability_verdict(build_model(family, m, c), seed=3)
+    unit = _unit_verdict(family, m, n, sign)
+    rep = stability_verdict(build_model(family, m, c, n=n), seed=3)
     want = c * c * unit.tt_min_eig
     assert abs(rep.tt_min_eig - want) <= 1e-12 * abs(want)
     assert rep.tt_verdict == unit.tt_verdict
+    assert rep.verdict_flags == unit.verdict_flags
+    assert rep.discrepancy_notes == unit.discrepancy_notes
     assert "rayleigh sample fell below the jacobi minimum" not in \
         rep.discrepancy_notes
     if sign > 0:

@@ -13,6 +13,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import sympy as sp
 import pytest
 
@@ -264,6 +265,22 @@ def test_identity_runs_are_deterministic():
     b = verify_identity_numeric("kn-pairing-reduction", _model("cp2"),
                                 trials=12, seed=5)
     assert a["residual"] == b["residual"]
+
+
+def test_tied_trials_report_the_first_trials_details():
+    # the rescaled k-pairing residual is 19/7 on every cp3 trial in exact
+    # arithmetic; the trials differ in its last bits only, so the details
+    # are those of the first trial, not of the one rounding favours
+    model, rng = _model("cp3"), np.random.default_rng(5)
+    evaluate = identity_catalog()["k-pairing-closed-form"].evaluate
+    trials = [evaluate(model, rng) for _ in range(8)]
+    free = [t["residual_rescaled"] for t in trials]
+    assert max(free) - min(free) <= 1e-14 * max(free)
+    assert len({t["lhs"] for t in trials}) == 8
+    out = verify_identity_numeric("k-pairing-closed-form", model, trials=8,
+                                  seed=5)
+    assert out["details"] == {"residual_rescaled": free[0],
+                              "lhs": trials[0]["lhs"]}
 
 
 def test_input_free_identities_run_once():
