@@ -423,14 +423,20 @@ def test_memory_estimate_bounds_traced_peak(args, n):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("command", ["model", "certify", "verify", "report"])
+@pytest.mark.parametrize("command,fmt", [
+    *(pytest.param(c, "json", id=c)
+      for c in ("model", "certify", "verify", "report")),
+    pytest.param("report", "text", id="report-text"),
+    pytest.param("report", "csv", id="report-csv"),
+])
 @pytest.mark.parametrize("name,args", [
     ("op2", ["--space", "op", "--m", "2"]),
     ("hp2_dual", ["--space", "hp", "--m", "2", "--sign", "noncompact"]),
 ])
-def test_numeric_documents_are_pinned(command, name, args):
-    code, out, err = run([command, *args, "--format", "json", "--seed", "3"])
+def test_numeric_documents_are_pinned(command, fmt, name, args):
+    code, out, err = run([command, *args, "--format", fmt, "--seed", "3"])
     # verify exits 4 on every model: the required tier holds false displays
     assert code == (4 if command == "verify" else 0), err
-    golden = (GOLDEN / f"{command}_{name}.json").read_text(encoding="utf-8")
+    suffix = {"text": "txt"}.get(fmt, fmt)
+    golden = (GOLDEN / f"{command}_{name}.{suffix}").read_text(encoding="utf-8")
     assert out == golden
