@@ -68,7 +68,6 @@ from crosscurv.hessian import (
     QuadForm,
     SpectralCertificate,
     StabilityReport,
-    UnsupportedExponentError,
     assemble_quadform,
     assemble_tt_remainder,
     conformal_value,

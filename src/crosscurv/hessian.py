@@ -56,12 +56,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from types import SimpleNamespace
 
 import numpy as np
 
 from crosscurv.jacobi import jacobi_eigs
-from crosscurv.tensors import pairs_by_key, sum_by_key
+from crosscurv.tensors import (_pair_index, _pair_lookup, pairs_by_key,
+                               sum_by_key)
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
@@ -76,7 +76,6 @@ __all__ = [
     "QuadForm",
     "SpectralCertificate",
     "StabilityReport",
-    "UnsupportedExponentError",
     "tt_basis",
     "assemble_quadform",
     "assemble_tt_remainder",
@@ -104,10 +103,6 @@ RAYLEIGH_CHUNK = 5_000
 REFINE_MAX_ITER = 2000
 
 
-class UnsupportedExponentError(ValueError):
-    """Conformal reference values exist only for exponent 2."""
-
-
 def _ladder(n: int) -> np.ndarray:
     """The diagonal ladder of the trace-free basis as an n x (n-1) array:
     column k - 1 is diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k (k+1)), k = 1..n-1.
@@ -128,7 +123,7 @@ def tt_basis(n: int) -> np.ndarray:
     """
     off = n * (n - 1) // 2
     B = np.zeros((n * n, off + n - 1))
-    i, j = np.triu_indices(n, k=1)
+    i, j = _pair_index(n)
     pos = np.arange(off)
     B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
     B[np.arange(n) * (n + 1), off:] = _ladder(n)
@@ -259,19 +254,17 @@ class QuadForm:
         return self.scale * float(b @ self.unit @ b)
 
 
-def assemble_quadform(model: CurvatureModel, coeffs) -> QuadForm:
+def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     """Weighted sum of the basis quantities, compressed to the trace-free
     basis.
 
     The form is assembled at unit scale and kept there, with c^2 as its
     ``scale``.  The curvature terms read the unit-scale nonzeros R / |c|
     (the small integers of the tensor at c = sign(c); the division is
-    exact at every scale tested), and ``coeffs`` gives the weights at
-    c = sign(c): either a coefficient set, a function of a model's n, tau,
-    c and R_norm2 such as ``compact_tt_coefficients``, evaluated there with
-    the unit-scale |R|^2, or a dict of those weights.  The coefficient sets
-    are homogeneous of degree 2 in c, so c^2 times the unit form is the
-    form at c; its nonzero pattern is the one at c = sign(c).
+    exact at every scale tested), and ``weights`` maps basis quantities to
+    their weights at c = sign(c).  The coefficient sets are homogeneous of
+    degree 2 in c, so c^2 times the unit form is the form at c; its
+    nonzero pattern is the one at c = sign(c).
 
     Each term's weighted entries (``_term_entries``) are summed into the
     nonzeros of C (see the module docstring), one term, or one batch of a
@@ -280,16 +273,10 @@ def assemble_quadform(model: CurvatureModel, coeffs) -> QuadForm:
     """
     n = model.n
     nz = (*model.R_slots, model.R_values / abs(model.c))
-    if callable(coeffs):
-        coeffs = coeffs(SimpleNamespace(
-            n=n, tau=model.tau, c=math.copysign(1.0, model.c),
-            R_norm2=float(nz[-1] @ nz[-1])))
     off = n * (n - 1) // 2
     size = off + n
     # the place of each vec position: its pair, or off + a on the diagonal
-    place = np.empty((n, n), dtype=np.intp)
-    i, j = np.triu_indices(n, k=1)
-    place[i, j] = place[j, i] = np.arange(off)
+    place = _pair_lookup(n).copy()
     place[np.diag_indices(n)] = off + np.arange(n)
     place = place.ravel()
     # the curvature terms pair nonzeros that share their last slot, so
@@ -299,7 +286,7 @@ def assemble_quadform(model: CurvatureModel, coeffs) -> QuadForm:
     cuts = np.searchsorted(nz[3][by_last], np.arange(step, n, step))
     batches = [tuple(a[at] for a in nz) for at in np.split(by_last, cuts)]
     C_keys, C_vals = np.zeros(0, dtype=np.intp), np.zeros(0)
-    for key, w in coeffs.items():
+    for key, w in weights.items():
         if w == 0:
             continue
         for part in (batches if key in CURVATURE_TERMS else [nz]):
@@ -328,39 +315,39 @@ def assemble_quadform(model: CurvatureModel, coeffs) -> QuadForm:
     return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c)
 
 
-def compact_tt_coefficients(model: CurvatureModel) -> dict:
-    """Displayed coefficient set for the compact trace-free remainder; reads
-    only n, tau, c and R_norm2, which the ledger passes as symbols."""
-    n, t, c = model.n, model.tau, model.c
-    R2 = model.R_norm2
+def compact_tt_coefficients(n, tau, c, R2) -> dict:
+    """Displayed coefficient set for the compact trace-free remainder."""
     return {
         "K_PAIR": 4,
         "NORM_RRING": Fraction(-1, 2),
-        "NORM_H": 2 * R2 / n + 2 * c * c * (3 * t * t + n * t - 8 * t - 1),
-        "IP_H_HTILDE": 2 * c * c * (3 * n - 3 * t + 11),
+        "NORM_H": 2 * R2 / n + 2 * c * c * (3 * tau * tau + n * tau
+                                            - 8 * tau - 1),
+        "IP_H_HTILDE": 2 * c * c * (3 * n - 3 * tau + 11),
         "NORM_HTILDE": -48 * c * c,
     }
 
 
-def noncompact_tt_coefficients(model: CurvatureModel) -> dict:
+def noncompact_tt_coefficients(n, tau, c, R2) -> dict:
     """Displayed coefficient set for the negative-scale remainder."""
-    n, t, c = model.n, model.tau, model.c
-    R2 = model.R_norm2
     return {
         "NORM_RRING": Fraction(-1, 2),
         "K_PAIR": 4,
         "RR_KN": 2,
-        "NORM_H": 2 * R2 / n + 2 * c * c * (n * t - n + 3 * t * t - 7 * t + 5),
-        "IP_H_HTILDE": 2 * c * c * (14 - 3 * t),
+        "NORM_H": 2 * R2 / n + 2 * c * c * (n * tau - n + 3 * tau * tau
+                                            - 7 * tau + 5),
+        "IP_H_HTILDE": 2 * c * c * (14 - 3 * tau),
         "NORM_HTILDE": -12 * c * c,
     }
 
 
 def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
-    scale."""
-    return assemble_quadform(model, compact_tt_coefficients if model.compact
-                             else noncompact_tt_coefficients)
+    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|."""
+    display = (compact_tt_coefficients if model.compact
+               else noncompact_tt_coefficients)
+    unit = model.R_values / abs(model.c)
+    return assemble_quadform(model, display(
+        model.n, model.tau, math.copysign(1.0, model.c), float(unit @ unit)))
 
 
 @dataclass
@@ -511,26 +498,21 @@ def conformal_coefficients(n, lam, R2) -> tuple:
     return 2 * (n - 1), -8 * lam, (4 - n) * R2
 
 
-def conformal_value(model: CurvatureModel, mu=None, p: int = 2,
+def conformal_value(model: CurvatureModel, mu=None,
                     norm_source: str = "claimed"):
     """Value of the conformal-direction quadratic q(mu)
-    (``conformal_coefficients``) at Laplace eigenvalue mu.
+    (``conformal_coefficients``) of exponent p = 2 at Laplace eigenvalue mu.
 
     mu defaults to the first positive Laplace eigenvalue of the compact
     model from the embedded reference table; passing mu explicitly is
     required for non-compact models (NoSpectralDataError otherwise).
-    Exponents other than 2 have no tabulated spectral reference, so p != 2
-    raises UnsupportedExponentError.  The value is computed exactly, in
-    rationals, from the exact value of the float c at every scale, so its
-    sign is exact and the round sphere gives exactly 0.  It is returned as
-    a Fraction when c is integral and mu is the reference or rational, and
-    otherwise as the float nearest the exact value.
+    No other exponent has tabulated spectral reference values, so
+    ``stability_verdict`` calls this at p = 2 only.  The value is computed
+    exactly, in rationals, from the exact value of the float c at every
+    scale, so its sign is exact and the round sphere gives exactly 0.  It
+    is returned as a Fraction when c is integral and mu is the reference or
+    rational, and otherwise as the float nearest the exact value.
     """
-    if p != 2:
-        raise UnsupportedExponentError(
-            "conformal certification is only available for exponent p = 2; "
-            "no spectral reference values are tabulated for other exponents"
-        )
     if norm_source not in ("claimed", "computed"):
         raise ValueError(f"unknown norm_source {norm_source!r}")
     n, tau, c = model.n, model.tau, Fraction(model.c)
@@ -635,8 +617,8 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     conformal: dict = {}
     if p == 2:
         if model.compact:
-            claimed = conformal_value(model, p=2, norm_source="claimed")
-            computed = conformal_value(model, p=2, norm_source="computed")
+            claimed = conformal_value(model, norm_source="claimed")
+            computed = conformal_value(model, norm_source="computed")
             conformal = {
                 "claimed": claimed,
                 "computed": computed,

@@ -115,10 +115,6 @@ SYM = {name: Laurent.generator(name) for name in GENERATORS}
 #: the ledger symbols, unpacked as ``c, n, tau, lam, mu, R2``
 _SYMBOLS = tuple(SYM[k] for k in ("c", "n", "tau", "lam", "mu", "R2"))
 LAM_RULE = {SYM["lam"]: einstein_constant(SYM["n"], SYM["tau"], SYM["c"])}
-#: the symbols as a model's n, tau, c and R_norm2, for the ``hessian``
-#: coefficient functions
-_MODEL = SimpleNamespace(n=SYM["n"], tau=SYM["tau"], c=SYM["c"],
-                         R_norm2=SYM["R2"])
 _ZERO = Laurent()
 
 
@@ -371,11 +367,11 @@ def _half_expression(rr_coeff) -> LedgerExpr:
 def tt_display_compact() -> LedgerExpr:
     """Reference coefficient display for the compact trace-free chain: two
     derivative terms plus the certified remainder set."""
-    c, n, tau = _SYMBOLS[:3]
+    c, n, tau, _, _, R2 = _SYMBOLS
     return LedgerExpr({
         "NORM_DDH_SHIFT": 2,
         "NORM_DH": 2 * c * (n + 3 * tau - 3),
-        **compact_tt_coefficients(_MODEL),
+        **compact_tt_coefficients(n, tau, c, R2),
     })
 
 
@@ -532,7 +528,8 @@ def noncompact_chain() -> NoncompactChain:
     e = e.substituted(LAM_RULE).scaled(2)
     steps.append("substitute lam -> c(3 tau + n - 1), double")
 
-    claimed = LedgerExpr(noncompact_tt_coefficients(_MODEL))
+    c, n, tau, _, _, R2 = _SYMBOLS
+    claimed = LedgerExpr(noncompact_tt_coefficients(n, tau, c, R2))
     return NoncompactChain(
         claimed=claimed,
         derived=e,
@@ -876,13 +873,17 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     ``residual``) is within a relative 1e-12 of the largest, so neither c
     nor rounding noise between tied trials picks the trial they describe;
     there are none when every scale-free residual is 0.
+
+    ``trials`` below 1 raises ValueError before any draw is made.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     catalog = identity_catalog()
     if lemma_id not in catalog:
         raise KeyError(f"unknown identity {lemma_id!r}")
     entry = catalog[lemma_id]
     rng = np.random.default_rng(seed)
-    runs = 1 if entry.input_free else max(1, trials)
+    runs = 1 if entry.input_free else trials
     outs = [entry.evaluate(model, rng) for _ in range(runs)]
     worst = max(out["residual"] for out in outs)
     free = [out.get("residual_rescaled", out["residual"]) for out in outs]

@@ -145,8 +145,7 @@ class Lambda2Operator:
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """First and second index arrays of the lexicographic pairs i<j."""
-    ii, jj = np.triu_indices(n, k=1)
-    return ii, jj
+    return np.triu_indices(n, k=1)
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +230,10 @@ def gather(keys: np.ndarray, values: np.ndarray, query) -> np.ndarray:
 
 
 def align(*lists) -> tuple:
-    """The union of the keys of several (keys, values) lists, each with
-    distinct keys, ascending, and a row per list of its values on the
-    union, 0 where the list has no entry."""
+    """The union of the keys of several (keys, values) lists, ascending,
+    and a row per list of its values on the union, 0 where the list has no
+    entry.  The keys of one list must be distinct but may come in any
+    order."""
     keys = np.sort(np.concatenate([k for k, _ in lists]))
     union = keys[np.diff(keys, prepend=-1) != 0]
     del keys
@@ -372,16 +372,12 @@ def compose_and_ricci(R: CurvTensor4, R1: CurvTensor4) -> tuple[CurvTensor4, Sym
 
 
 def tilde(h: SymTensor2, J) -> SymTensor2:
-    """Sum of pullbacks of h under the nonidentity structure operators.
-
-    ``J`` may be a structure family object (anything with an ``operators``
-    attribute) or a plain list of matrices.  For the empty family the result
-    is zero.
+    """Sum of pullbacks of h under the nonidentity structure operators of
+    the structure family ``J``.  For the empty family the result is zero.
     """
-    ops = getattr(J, "operators", J)
     hm = _as_matrix(h)
     out = np.zeros_like(hm)
-    for Jm in ops:
+    for Jm in J.operators:
         out += Jm.T @ hm @ Jm
     return SymTensor2(out)
 

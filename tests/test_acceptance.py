@@ -349,7 +349,8 @@ def test_c8_exponent_scaling(verdict):
     # scaling the coefficient set scales the assembled form exactly,
     # so the minimizing direction set is unchanged
     model = _model("cp2")
-    coeffs = compact_tt_coefficients(model)
+    coeffs = compact_tt_coefficients(model.n, model.tau, model.c,
+                                     model.R_norm2)
     factor = hp_scale(4, model.R_norm2)
     base = assemble_quadform(model, coeffs)
     scaled = assemble_quadform(model,

@@ -18,7 +18,6 @@ from crosscurv.models import NoSpectralDataError, build_model
 from crosscurv.hessian import (
     QuadForm,
     TERM_KEYS,
-    UnsupportedExponentError,
     assemble_quadform,
     assemble_tt_remainder,
     compact_tt_coefficients,
@@ -154,8 +153,9 @@ def test_assemble_quadform_is_weighted_sum():
 def _dense_terms(model):
     """G: one n^2 x n^2 ``term_matrix`` per basis quantity of the model's
     remainder, weighted and summed in order."""
-    coeffs = (compact_tt_coefficients(model) if model.compact
-              else noncompact_tt_coefficients(model))
+    display = (compact_tt_coefficients if model.compact
+               else noncompact_tt_coefficients)
+    coeffs = display(model.n, model.tau, model.c, model.R_norm2)
     n = model.n
     G = np.zeros((n * n, n * n))
     for key, w in coeffs.items():
@@ -279,13 +279,16 @@ def test_coupling_of_diagonal_and_pair_is_refused(monkeypatch):
 
 
 def test_compact_coefficients_cp2():
-    qf = compact_tt_coefficients(build_model("complex", 2, 1.0))
+    model = build_model("complex", 2, 1.0)
+    qf = compact_tt_coefficients(model.n, model.tau, model.c, model.R_norm2)
     assert qf == {"K_PAIR": 4.0, "NORM_RRING": -0.5, "NORM_H": 92.0,
                   "IP_H_HTILDE": 40.0, "NORM_HTILDE": -48.0}
 
 
 def test_noncompact_coefficients_hp2_dual():
-    qf = noncompact_tt_coefficients(build_model("quaternionic", 2, -1.0))
+    model = build_model("quaternionic", 2, -1.0)
+    qf = noncompact_tt_coefficients(model.n, model.tau, model.c,
+                                    model.R_norm2)
     assert qf == {"NORM_RRING": -0.5, "K_PAIR": 4.0, "RR_KN": 2.0,
                   "NORM_H": 406.0, "IP_H_HTILDE": 10.0, "NORM_HTILDE": -12.0}
 
@@ -305,8 +308,9 @@ def test_remainder_regime_guard():
             (build_model("quaternionic", 2, -1.0), noncompact_tt_coefficients,
              compact_tt_coefficients)):
         qf = assemble_tt_remainder(model)
-        assert _same_blocks(qf, assemble_quadform(model, want))
-        assert not _same_blocks(qf, assemble_quadform(model, other))
+        symbols = (model.n, model.tau, model.c, model.R_norm2)
+        assert _same_blocks(qf, assemble_quadform(model, want(*symbols)))
+        assert not _same_blocks(qf, assemble_quadform(model, other(*symbols)))
 
 
 # model key -> (pinned minimal eigenvalue of the displayed remainder form)
@@ -531,8 +535,6 @@ def test_conformal_explicit_mu_and_errors():
     assert conformal_value(_model("hp2"), mu=0) == -8704
     with pytest.raises(NoSpectralDataError):
         conformal_value(build_model("quaternionic", 2, -1.0))
-    with pytest.raises(UnsupportedExponentError):
-        conformal_value(_model("cp2"), p=4)
 
 
 def test_hp_scale():

@@ -145,6 +145,7 @@ def test_division_only_by_a_rational_or_a_monomial():
 def test_a_float_never_reaches_a_match_flag(monkeypatch):
     original = ledger.compact_tt_coefficients
     monkeypatch.setattr(ledger, "compact_tt_coefficients",
-                        lambda model: {**original(model), "K_PAIR": 4.0})
+                        lambda *symbols: {**original(*symbols),
+                                          "K_PAIR": 4.0})
     with pytest.raises(TypeError):
         expand_theorem_tt()

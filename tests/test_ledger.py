@@ -283,10 +283,16 @@ def test_tied_trials_report_the_first_trials_details():
                               "lhs": trials[0]["lhs"]}
 
 
-def test_input_free_identities_run_once():
+def test_input_free_identities_run_once(monkeypatch):
     out = verify_identity_numeric("norm-closed-form", _model("cp2"),
                                   trials=50, seed=5)
     assert out["trials"] == 1
+    # fewer than one trial is refused before the catalog is even read
+    monkeypatch.setattr(ledger, "identity_catalog", None)
+    for lemma in ("norm-closed-form", "kn-pairing-reduction"):
+        for trials in (0, -3):
+            with pytest.raises(ValueError, match="trials"):
+                verify_identity_numeric(lemma, _model("cp2"), trials=trials)
 
 
 # ---------------------------------------------------------------- document
@@ -340,11 +346,13 @@ def test_ledger_displays_are_the_certified_coefficients(family, m, scale, nkw):
 
     if model.compact:
         rows = _coeff_map(expand_theorem_tt().comparisons)
-        certified = compact_tt_coefficients(model)
+        certified = compact_tt_coefficients(model.n, model.tau, model.c,
+                                            model.R_norm2)
         assert len(certified) == 5
     else:
         rows = _coeff_map(noncompact_chain().comparisons)
-        certified = noncompact_tt_coefficients(model)
+        certified = noncompact_tt_coefficients(model.n, model.tau, model.c,
+                                               model.R_norm2)
         assert len(certified) == 6
     for key, want in certified.items():
         got = float(S(rows[key]["claimed"]).subs(at))
