@@ -16,11 +16,13 @@ the round sphere); off integral c it is returned as the nearest float.
 
 Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
 n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
-of (row, column, value) entries of its n^2 x n^2 matrix on vec(h):
-products of two nonzeros of R that share the contracted slots for the
-curvature terms, entries of kron(P, P) read from the signed permutation
-(pi, s) of P for the structure terms, P a structure operator or a
-product of two.  Each vec position lies on one pair coordinate
+of (row, column, value) entries of its n^2 x n^2 matrix on vec(h): the
+structure average G: h -> ht from the signed permutations (pi, s) of the
+structure operators, the curvature action L: h -> B from the nonzeros of
+R, their Grams G^T G and L^T L for |ht|^2 and |B|^2, and products of two
+nonzeros of R that share the contracted slots for K_PAIR and RR_KN.  The
+identity catalog applies the same G and L.  Each vec position lies on one
+pair coordinate
 (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the diagonal, and
 the weighted entries are summed per place pair into the nonzeros of a
 form C on those n(n-1)/2 + n places.  The curvature terms run in
@@ -65,7 +67,6 @@ from crosscurv.tensors import (_pair_index, _pair_lookup, pairs_by_key,
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
-    compose_signed,
     einstein_constant,
     norm2_closed_claimed,
     norm2_closed_derived,
@@ -87,8 +88,8 @@ __all__ = [
 ]
 
 #: basis quantities that have a quadratic-form realization on variations
-TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "NORM_RRING",
-             "K_PAIR", "RR_KN")
+TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "IP_RRING_H",
+             "NORM_RRING", "K_PAIR", "RR_KN")
 
 #: the basis quantities that pair nonzeros of R
 CURVATURE_TERMS = ("NORM_RRING", "K_PAIR", "RR_KN")
@@ -130,13 +131,8 @@ def tt_basis(n: int) -> np.ndarray:
     return B
 
 
-def _kron_entries(pi: np.ndarray, s: np.ndarray) -> tuple:
-    """Rows, columns and values in an n^2 x n^2 matrix of the nonzeros of
-    kron(P, P) for the signed permutation P e_x = s[x] e_pi[x]: s_x s_y
-    at row pi_x n + pi_y, column x n + y."""
-    n = len(pi)
-    rows = pi[:, None] * n + pi
-    return rows.ravel(), np.arange(n * n), np.outer(s, s).ravel()
+#: the Gram G^T G of each map's entry list, by the map's basis quantity
+GRAMS = {"NORM_HTILDE": "IP_H_HTILDE", "NORM_RRING": "IP_RRING_H"}
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
@@ -144,32 +140,37 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     realizes one basis quantity on vec(h) of a symmetric h, row-major;
     repeated positions add up.
 
-    The structure terms come from the structure operators' (pi, s), the
-    curvature terms from products of two nonzeros of R that share the
-    contracted slots: K_PAIR[(p, q), (m, n)] sums R[p,i,m,j] R[q,i,n,j]
-    over the pairs of nonzeros with equal slots (i, j).  For K_PAIR and
-    RR_KN the pairs (s, t) and (t, s) sit at transposed positions, (p, q)
-    against (q, p) and (m, n) against (n, m), which a symmetric h does
-    not tell apart: each unordered pair is taken once, at twice the
-    weight.  ``nz`` holds the four index arrays of the nonzeros of R and
-    their values.
+    IP_H_HTILDE is the structure average G: h -> sum_J J^T h J, s_x s_y
+    at (pi_x n + pi_y, x n + y) for each J e_x = s_x e_pi_x, operator by
+    operator (G is symmetric, as J^T = -J); IP_RRING_H is the curvature
+    action L: h -> B, one entry per nonzero of R.  The identity catalog
+    applies both maps, and NORM_HTILDE and NORM_RRING are their Grams
+    (``GRAMS``), from the pairs of entries that share a row.  K_PAIR[(p,
+    q), (m, n)] sums R[p,i,m,j] R[q,i,n,j] over the pairs of nonzeros with
+    equal slots (i, j).  For K_PAIR and RR_KN the pairs (s, t) and (t, s)
+    sit at transposed positions, (p, q) against (q, p) and (m, n) against
+    (n, m), which a symmetric h does not tell apart: each unordered pair
+    is taken once, at twice the weight.  ``nz`` holds the four index
+    arrays of the nonzeros of R and their values.
     """
     n = model.n
-    perms = model.J.perms
+    if key in GRAMS:
+        rows, cols, v = _term_entries(model, GRAMS[key], nz)
+        s, t = pairs_by_key(rows)
+        return cols[s], cols[t], v[s] * v[t]
     if key == "NORM_H":
         diag = np.arange(n * n)
         return diag, diag, np.ones(n * n)
-    # G = sum_a kron(J_a^T, J_a^T) = sum_a kron(J_a, J_a), as J^T = -J, so
-    # G is symmetric and is its own (G + G^T) / 2
     if key == "IP_H_HTILDE":
-        return _stack([_kron_entries(*p) for p in perms])
-    if key == "NORM_HTILDE":  # G^T G = sum_ab kron(J_a J_b, J_a J_b)
-        return _stack([_kron_entries(*compose_signed(a, b)) for a in perms
-                       for b in perms])
+        tau, perms = model.tau, model.J.perms
+        pi = np.array([p for p, _ in perms], dtype=np.intp).reshape(tau, n, 1)
+        sign = np.array([q for _, q in perms]).reshape(tau, n, 1)
+        rows = pi * n + pi.reshape(tau, 1, n)
+        return (rows.ravel(), np.tile(np.arange(n * n), tau),
+                (sign * sign.reshape(tau, 1, n)).ravel())
     i0, i1, i2, i3, v = nz
-    if key == "NORM_RRING":  # L^T L, L[(x, y), (i, j)] = R[i, x, j, y]
-        s, t = pairs_by_key(i1 * n + i3)
-        return i0[s] * n + i2[s], i0[t] * n + i2[t], v[s] * v[t]
+    if key == "IP_RRING_H":
+        return i1 * n + i3, i0 * n + i2, v.copy()  # scaled in place later
     if key == "K_PAIR":
         s, t = pairs_by_key(i1 * n + i3, unordered=True)
         rows, cols = i0[s] * n + i0[t], i2[s] * n + i2[t]
@@ -181,14 +182,6 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     else:
         raise KeyError(f"no quadratic-form realization for {key!r}")
     return rows, cols, np.where(s == t, weight, 2 * weight) * (v[s] * v[t])
-
-
-def _stack(parts: list) -> tuple:
-    """Concatenate (rows, columns, values) triples."""
-    if not parts:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(0)
-    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,

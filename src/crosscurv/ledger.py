@@ -56,7 +56,8 @@ independent numeric evaluator on concrete models; ``verify_identity_numeric``
 drives random trials and reports PASS/FAIL without aborting on failure.
 The evaluators read a model only through the nonzeros of R and the (pi, s)
 of its structure operators, from arrays built once per model
-(``_catalog_arrays``), and work in the pair basis of 2-vectors: a random
+(``_catalog_arrays``; the curvature action and structure average are the
+trace-free form's maps), and work in the pair basis of 2-vectors: a random
 curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
 So no trial makes an n^4 array.  The products with R's pair-basis matrix
 P are dense GEMMs of about n^6 / 8 steps; at n = 16, 40 and 64 each took
@@ -586,21 +587,18 @@ def _catalog_arrays(model) -> SimpleNamespace:
     object, so a model must not be changed in place after its catalog
     runs.  The arrays:
 
-    rring    (key, at, v): the curvature action sum_ij R[i,x,j,y] h[i,j]
-             adds v h.flat[at] at the flat position key of (x, y);
-    K_PAIR, RR_KN
-             the entry lists (rows, columns, weights) of those pairings as
-             quadratic forms on vec(h), those the form is assembled from
-             (``hessian._term_entries``), at the model's scale;
+    terms    the entry lists (rows, columns, values) on vec(h) that the
+             trace-free form is assembled from (``hessian._term_entries``),
+             at the model's scale: the curvature action L (IP_RRING_H) and
+             the structure average G (IP_H_HTILDE), which ``_apply``
+             applies to h, and the K_PAIR and RR_KN pairings;
     P        the pair-basis matrix of R, scattered from its nonzeros;
     push     per J, the pushforward on 2-vectors, a signed permutation of
              the pairs, as (src, sign): (Lambda^2 J) X = sign X[src] by rows;
     omega    the N x tau matrix of the pair vectors of the J^T;
     omega_pairs
              the N x tau (tau + 1) / 2 matrix of the unit-pair forms of
-             compose-self-structure;
-    tilde    per J, (pi, s_x s_y): the pullback J^T h J is s_x s_y h[pi x,
-             pi y].
+             compose-self-structure.
     """
     n = model.n
     nz = (*model.R_slots, model.R_values)
@@ -613,7 +611,7 @@ def _catalog_arrays(model) -> SimpleNamespace:
     vals = v[upper]
     P = np.zeros((N, N))
     P[rows, cols] = vals
-    push, omega, tilde_ops = [], np.zeros((N, model.tau)), []
+    push, omega = [], np.zeros((N, model.tau))
     for a, (pi, s) in enumerate(model.J.perms):
         src, sign = np.empty(N, dtype=np.intp), np.empty(N)
         dest = pair[pi[ii], pi[jj]]
@@ -623,43 +621,34 @@ def _catalog_arrays(model) -> SimpleNamespace:
         W = np.zeros((n, n))
         W[np.arange(n), pi] = s  # J^T[x, pi x] = s_x
         omega[:, a] = W[ii, jj]
-        tilde_ops.append((pi, np.outer(s, s)))
     m = n // (model.tau + 1)
     units = [(a, b) for a in range(model.tau + 1)
              for b in range(a + 1, model.tau + 1)]
     omega_pairs = np.zeros((N, len(units)))
     for k, (a, b) in enumerate(units):
         omega_pairs[pair[a * m + np.arange(m), b * m + np.arange(m)], k] = 1.0
-    return SimpleNamespace(
-        N=N, rring=(i1 * n + i3, i0 * n + i2, v),
-        K_PAIR=_term_entries(model, "K_PAIR", nz),
-        RR_KN=_term_entries(model, "RR_KN", nz),
-        P=P, push=push, omega=omega, omega_pairs=omega_pairs,
-        tilde=tilde_ops)
+    terms = {key: _term_entries(model, key, nz)
+             for key in ("IP_RRING_H", "IP_H_HTILDE", "K_PAIR", "RR_KN")}
+    return SimpleNamespace(N=N, terms=terms, P=P, push=push, omega=omega,
+                           omega_pairs=omega_pairs)
 
 
-def _r_ring(arrays, h: np.ndarray) -> np.ndarray:
-    """The curvature action on h, symmetrized, as ``tensors.r_ring``."""
-    key, at, v = arrays.rring
+def _apply(arrays, key: str, h: np.ndarray) -> np.ndarray:
+    """The map whose entry list is ``key``'s applied to a symmetric h,
+    symmetrized: the curvature action B (IP_RRING_H, ``tensors.r_ring``)
+    or the structure average ht (IP_H_HTILDE, ``tensors.tilde``)."""
+    rows, cols, w = arrays.terms[key]
     n = h.shape[0]
-    out = np.bincount(key, weights=v * h.ravel()[at], minlength=n * n)
+    out = np.bincount(rows, weights=w * h.ravel()[cols], minlength=n * n)
     out = out.reshape(n, n)
     return 0.5 * (out + out.T)
 
 
 def _pairing(arrays, key: str, h: np.ndarray) -> float:
     """The K_PAIR or RR_KN pairing of h with itself, from its entry list."""
-    rows, cols, w = getattr(arrays, key)
+    rows, cols, w = arrays.terms[key]
     flat = h.ravel()
     return float(w @ (flat[rows] * flat[cols]))
-
-
-def _tilde(arrays, h: np.ndarray) -> np.ndarray:
-    """Sum of the pullbacks J^T h J over the structure operators."""
-    out = np.zeros_like(h)
-    for pi, ss in arrays.tilde:
-        out += ss * h[pi[:, None], pi]
-    return out
 
 
 def _residual(lhs, rhs, scale: float) -> float:
@@ -678,9 +667,9 @@ def _ev_curvature_action_affine(model, rng):
     arrays = _catalog_arrays(model)
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
     h = h.entries / np.sqrt(h.norm2())
-    lhs = _r_ring(arrays, h)
+    lhs = _apply(arrays, "IP_RRING_H", h)
     on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
-    rhs = (on_ht * _tilde(arrays, h) + on_h * h
+    rhs = (on_ht * _apply(arrays, "IP_H_HTILDE", h) + on_h * h
            + on_trace * np.trace(h) * np.eye(nn))
     return {"residual": _residual(lhs, rhs, abs(model.c))}
 
@@ -718,7 +707,8 @@ def _ev_kn_pairing_reduction(model, rng):
     h = _unit_tt(nn, rng)
     lhs = _pairing(arrays, "RR_KN", h)
     on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
-    rhs = on_b * float(np.sum(_r_ring(arrays, h) * h)) + on_norm  # |h|^2 = 1
+    B = _apply(arrays, "IP_RRING_H", h)
+    rhs = on_b * float(np.sum(B * h)) + on_norm  # |h|^2 = 1
     return {"residual": _residual(lhs, rhs, model.c**2),
             "lhs": lhs, "rhs": rhs}
 
@@ -772,7 +762,7 @@ def _ev_k_pairing_closed_form(model, rng):
     arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
     lhs = _pairing(arrays, "K_PAIR", h)
-    hplus = _tilde(arrays, h) + h
+    hplus = _apply(arrays, "IP_H_HTILDE", h) + h
     base = ((nn + 10 * (model.tau + 1)) * float(np.sum(hplus * hplus))
             + 4.0 * np.trace(hplus) ** 2)
     # lhs has degree 2 in c and the literal display degree 0, so only the
@@ -786,7 +776,7 @@ def _ev_k_pairing_closed_form(model, rng):
 
 def _ev_tilde_norm_relation(model, rng):
     h = _unit_tt(model.n, rng)
-    ht = _tilde(_catalog_arrays(model), h)
+    ht = _apply(_catalog_arrays(model), "IP_H_HTILDE", h)
     t = model.tau
     lhs = t * float(np.sum(h * h)) + 2 * t * float(np.sum(h * ht))
     rhs = float(np.sum(ht * ht))

@@ -4,10 +4,12 @@ The catalog reads a model only through the nonzeros of R and the (pi, s)
 of the structure operators.  Each of its contractions is pinned here to
 1e-13 relative against the dense ``tensors`` function it replaces, on the
 dense R and the dense structure operators, at c = +-1 and at c = 1e3.  The
-K_PAIR and RR_KN pairings read the entry lists the trace-free form is
-assembled from, so a fault in those lists cannot hide in both the form and
-the catalog.  No ``verify`` or ``report`` process makes the dense R or the
-dense structure operators.
+catalog reads the entry lists the trace-free form is assembled from: its
+curvature action and structure average are the form's maps L and G, and
+the K_PAIR and RR_KN pairings sum their own lists, so a fault in those
+lists cannot hide in both the form and the catalog; a planted one fails
+curvature-action-affine.  No ``verify`` or ``report`` process makes the
+dense R or the dense structure operators.
 """
 
 import os
@@ -69,13 +71,15 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
     P1 = ledger._unit_curvature(n, rng)
     X = rng.standard_normal((P1.shape[0], 3))
 
-    assert _close(ledger._r_ring(arrays, h), r_ring(R, h).entries, abs(c))
+    assert _close(ledger._apply(arrays, "IP_RRING_H", h), r_ring(R, h).entries,
+                  abs(c))
     assert _close(ledger._pairing(arrays, "K_PAIR", h), k_pairing(R, h), c * c)
     assert _close(ledger._pairing(arrays, "RR_KN", h), rr_kn_pairing(R, h),
                   c * c)
     P = to_lambda2(R).matrix
     assert np.array_equal(arrays.P, P)
-    assert _close(ledger._tilde(arrays, h), tilde(h, model.J).entries, 1.0)
+    assert _close(ledger._apply(arrays, "IP_H_HTILDE", h),
+                  tilde(h, model.J).entries, 1.0)
     for J, (src, sign), om in zip(model.J.operators, arrays.push,
                                   arrays.omega.T):
         assert np.array_equal(sign[:, None] * X[src],
@@ -108,6 +112,33 @@ def test_the_catalog_releases_its_arrays():
     assert ledger.verify_catalog(model, trials=2, seed=5) == want
     assert ledger._catalog_arrays.cache_info().currsize == 0
     assert tensors._bianchi_entries.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("dropped", ["IP_H_HTILDE", "IP_RRING_H"])
+def test_the_catalog_checks_the_forms_own_maps(monkeypatch, dropped):
+    # curvature-action-affine applies the structure average G and the
+    # curvature action L from the entry lists the form is assembled from,
+    # so one entry lost from either list fails it
+    model = _model("hp2", 1.0)
+    entries = ledger._term_entries
+
+    def lossy(model, key, nz):
+        rows, cols, v = entries(model, key, nz)
+        if key == dropped:
+            return rows[1:], cols[1:], v[1:]
+        return rows, cols, v
+
+    def outcome():
+        ledger._catalog_arrays.cache_clear()
+        return ledger.verify_identity_numeric(
+            "curvature-action-affine", model, trials=4, seed=5)["outcome"]
+
+    assert outcome() == "PASS"
+    monkeypatch.setattr(ledger, "_term_entries", lossy)
+    try:
+        assert outcome() == "FAIL"
+    finally:
+        ledger._catalog_arrays.cache_clear()
 
 
 SRC = str(Path(crosscurv.__file__).resolve().parents[1])

@@ -66,13 +66,14 @@ def _term_oracle(model, key, h):
             ht += J.T @ h @ J
         return float(np.sum(h * ht) if key == "IP_H_HTILDE"
                      else np.sum(ht * ht))
-    if key == "NORM_RRING":
+    if key in ("IP_RRING_H", "NORM_RRING"):
         act = np.zeros((n, n))
         for x in range(n):
             for y in range(n):
                 act[x, y] = sum(R[i, x, j, y] * h[i, j]
                                 for i in range(n) for j in range(n))
-        return float(np.sum(act * act))
+        return float(np.sum(act * h) if key == "IP_RRING_H"
+                     else np.sum(act * act))
     if key == "K_PAIR":
         tot = 0.0
         for p in range(n):
@@ -109,10 +110,10 @@ def term_matrix(model, key):
         for J in model.J.operators:
             G += np.kron(J.T, J.T)
         return 0.5 * (G + G.T) if key == "IP_H_HTILDE" else G.T @ G
-    if key == "NORM_RRING":
+    if key in ("IP_RRING_H", "NORM_RRING"):
         # (action h)_xy = sum_ij R_ixjy h_ij
         L = np.einsum("ixjy->xyij", R).reshape(n * n, n * n)
-        return L.T @ L
+        return L if key == "IP_RRING_H" else L.T @ L
     if key == "K_PAIR":
         G = np.einsum("pimj,qinj->pqmn", R, R, optimize=True)
         return G.reshape(n * n, n * n)
@@ -142,7 +143,8 @@ def test_term_matrix_unknown_key():
 
 def test_assemble_quadform_is_weighted_sum():
     model = build_model("quaternionic", 1, 1.0)
-    coeffs = {"NORM_H": 1.5, "K_PAIR": -2.0, "NORM_RRING": 0.25}
+    coeffs = {"NORM_H": 1.5, "IP_RRING_H": 0.75, "K_PAIR": -2.0,
+              "NORM_RRING": 0.25}
     qf = assemble_quadform(model, coeffs)
     assert qf.dim == model.n * (model.n + 1) // 2 - 1
     h = _random_tt(model.n)
