@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -187,8 +188,12 @@ def family_dimension(family: str, m: int, n: int | None = None) -> int:
 
     sphere: any n >= 3 (m ignored).  complex: n = 2m, m >= 2.
     quaternionic: n = 4m, m >= 1.  octonionic: n = 16, m = 2 only.  An
-    explicit n is accepted for the sphere only.
+    explicit n is accepted for the sphere only.  m (but for the sphere)
+    and an explicit n must be integers, not bools.
     """
+    sizes = ([] if family == "sphere" else [m]) + ([] if n is None else [n])
+    if any(isinstance(k, bool) or not isinstance(k, Integral) for k in sizes):
+        raise ValueError(f"m and n must be integers, got m={m!r}, n={n!r}")
     if family == "sphere":
         if n is None or n < 3:
             raise ValueError("sphere needs an explicit dimension n >= 3")

@@ -144,17 +144,21 @@ class Lambda2Operator:
 
 @lru_cache(maxsize=None)
 def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second index arrays of the lexicographic pairs i<j."""
-    return np.triu_indices(n, k=1)
+    """Read-only first and second indices of the lexicographic pairs i<j."""
+    ii, jj = np.triu_indices(n, k=1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
 
 
 @lru_cache(maxsize=None)
 def _pair_lookup(n: int) -> np.ndarray:
-    """The n x n array of pair numbers: [i, j] and [j, i] hold the place
-    of the pair i<j in the lexicographic basis (the diagonal holds 0)."""
+    """The read-only n x n array of pair numbers: [i, j] and [j, i] hold
+    the place of the pair i<j in the lexicographic basis (the diagonal
+    holds 0)."""
     ii, jj = _pair_index(n)
     out = np.zeros((n, n), dtype=np.intp)
     out[ii, jj] = out[jj, ii] = np.arange(ii.size)
+    out.flags.writeable = False
     return out
 
 
@@ -423,7 +427,7 @@ def _bianchi_entries(n: int) -> np.ndarray:
     [ad,bc] and rows 3, 4, 5 their transposes.  The columns of each a are
     filled from the 3-subsets b<c<d above it, a suffix of the 3-subsets in
     lexicographic order, so beside the result only O(n^3) words are
-    held."""
+    held.  Read-only."""
     ar = np.arange(n)
     b, c, d = np.nonzero((ar[:, None, None] < ar[:, None]) & (ar[:, None] < ar))
     pair, N = _pair_lookup(n), n * (n - 1) // 2
@@ -438,6 +442,7 @@ def _bianchi_entries(n: int) -> np.ndarray:
             out[row, at:at + tb.size] = p * N + q
             out[row + 3, at:at + tb.size] = q * N + p
         at += tb.size
+    out.flags.writeable = False
     return out
 
 

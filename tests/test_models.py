@@ -399,6 +399,8 @@ def test_family_dimension(family, m, n, dim):
     ("sphere", 0, None), ("sphere", 0, 2), ("complex", 1, None),
     ("complex", 2, 4), ("quaternionic", 0, None), ("octonionic", 3, None),
     ("octonionic", 2, 16), ("nonsense", 2, None),
+    ("quaternionic", True, None), ("complex", 2.0, None),
+    ("sphere", 0, 5.0), ("sphere", 0, True),
 ])
 def test_family_dimension_refuses_missing_members(family, m, n):
     with pytest.raises(ValueError):

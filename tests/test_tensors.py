@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from crosscurv.models import build_model
 from crosscurv.tensors import (
+    _bianchi_entries,
     _check_lambda2_curvature,
     _dense_terms,
+    _pair_index,
+    _pair_lookup,
     _project_bianchi,
     CurvTensor4,
     Lambda2Operator,
@@ -328,3 +331,11 @@ def test_pair_basis_draw_is_the_standard_gaussian():
     norms = [4.0 * np.sum(random_curvature_lambda2(n, seed=k).matrix ** 2)
              for k in range(draws)]
     assert abs(np.mean(norms) - dim) <= 5.0 * np.sqrt(2.0 * dim / draws)
+
+
+def test_cached_index_arrays_are_read_only():
+    # the caches hand the same arrays to every caller, so a write into one
+    # would change every later model and form of that dimension
+    for arr in (*_pair_index(5), _pair_lookup(5), _bianchi_entries(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 3
