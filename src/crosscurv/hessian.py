@@ -63,7 +63,7 @@ import numpy as np
 
 from crosscurv.jacobi import jacobi_eigs
 from crosscurv.tensors import (_pair_index, _pair_lookup, pairs_by_key,
-                               sum_by_key)
+                               sum_entries)
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
@@ -278,7 +278,7 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     step = max(1, n * PAIR_BATCH // max(1, nz[3].size))
     cuts = np.searchsorted(nz[3][by_last], np.arange(step, n, step))
     batches = [tuple(a[at] for a in nz) for at in np.split(by_last, cuts)]
-    C_keys, C_vals = np.zeros(0, dtype=np.intp), np.zeros(0)
+    C = sum_entries([])
     for key, w in weights.items():
         if w == 0:
             continue
@@ -288,12 +288,9 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
             flat *= size
             flat += place[cols]
             v *= float(w)
-            C_keys, C_vals = sum_by_key(np.concatenate([C_keys, flat]),
-                                        np.concatenate([C_vals, v]))
+            C = sum_entries([C, (flat, v)])
             del rows, cols, v, flat  # before the next batch's entries
-    keep = C_vals != 0
-    rows, cols = np.divmod(C_keys[keep], size)
-    vals = C_vals[keep]
+    (rows, cols), vals = np.divmod(C[0], size), C[1]
     on_pairs = rows < off
     if np.any(on_pairs != (cols < off)):
         raise ValueError(f"{model.label}: the form couples the diagonal with "

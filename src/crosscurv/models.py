@@ -28,8 +28,8 @@ list of n^2 entries, and R is built, checked and audited as its
 nonzeros: the C-order flat indices of its nonzero entries and their
 values, about 10 n^2 of the n^4 entries (0.6 % at n = 40).  The
 pullbacks the audit takes are signed permutations of those lists, and
-every residual is a per-key sum in the order of the dense
-arithmetic, so it has the bits of the dense computation.  The dense R is
+every residual is the largest entry of one per-key sum of lists
+(``tensors.sum_entries``), with the bits of the dense computation.  The dense R is
 scattered from the lists on first use (``CurvatureModel.R``), for the
 tensors API and the tests; no command makes it.
 
@@ -54,12 +54,11 @@ from crosscurv.division_algebras import (
 )
 from crosscurv.tensors import (
     CurvTensor4,
-    align,
     check_curvature_rules,
     flat_index,
     gather,
     pairs_by_key,
-    sum_by_key,
+    sum_entries,
 )
 
 __all__ = [
@@ -252,15 +251,6 @@ def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
     return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
 
 
-def _entry_sum(parts: list) -> tuple:
-    """Sum of entry lists per key (``sum_by_key``), exact zeros dropped."""
-    if not parts:
-        return np.zeros(0, dtype=np.intp), np.zeros(0)
-    keys, vals = sum_by_key(*(np.concatenate(col) for col in zip(*parts)))
-    keep = vals != 0
-    return keys[keep], vals[keep]
-
-
 def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
     """Flat indices and values of the nonzeros of R: the entry lists of
     A_I, A_{J_a} and 2 w_a (x) w_a summed per key at unit scale, exact
@@ -271,10 +261,15 @@ def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
     """
     n = J.n
     perms = [(np.arange(n), np.ones(n)), *J.perms]
-    keys, vals = _entry_sum(
+    keys, vals = sum_entries(
         [_aform_entries(n, *p) for p in perms]
         + [_pairform_entries(n, *p, 2.0) for p in perms[1:]])
     return keys, vals * c
+
+
+def _largest_sum(parts: list) -> float:
+    """Largest |value| of the per-key sum of entry lists (0 for none)."""
+    return float(np.max(np.abs(sum_entries(parts)[1]), initial=0.0))
 
 
 def _invariance_gaps(model: "CurvatureModel", slots: tuple,
@@ -295,36 +290,34 @@ def _invariance_gaps(model: "CurvatureModel", slots: tuple,
     summed from its entry lists.  For the associative families -J_g J_a is
     (up to sign) another member of the family and the A terms cancel
     pairwise, leaving the pair-form part alone; for the octonionic family
-    they do not.  Each residual is taken on the union of the keys, in the
-    dense order: R - P for the four-slot pullback P, E - c D for a defect
-    D; entries that are 0 on both sides give 0 and are left out.
+    they do not.  Each residual is the largest |value| of one
+    ``sum_entries`` of two lists, the second negated: P - R for the
+    four-slot pullback P, E - c D for a defect D.  No key sums more than
+    two values, so these are the bits of the dense differences.
     """
     n, c = model.n, model.c
-    R, perms = (model.R_keys, model.R_values), model.J.perms
+    vals, perms = model.R_values, model.J.perms
+    minus_R = (model.R_keys, -vals)
     pi, s = perms[g]
     inv = np.argsort(pi)  # the entry at a moves to inv[a]
     moved = [inv[a] for a in slots]
     sign = s[moved[2]] * s[moved[3]]
-    _, (r, p) = align(R, (flat_index(n, moved),
-                          R[1] * (s[moved[0]] * s[moved[1]] * sign)))
-    four = np.max(np.abs(r - p), initial=0.0)
-    keys, (r, p) = align(R, (flat_index(n, (*slots[:2], *moved[2:])),
-                             R[1] * sign))
+    four = _largest_sum([(flat_index(n, moved),
+                          vals * (s[moved[0]] * s[moved[1]] * sign)),
+                         minus_R])
+    E = sum_entries([(flat_index(n, (*slots[:2], *moved[2:])), vals * sign),
+                     minus_R])
     del moved, sign
-    E = p - r
-    keep = E != 0
-    E = (keys[keep], E[keep])
     others = [p for a, p in enumerate(perms) if a != g]
     composed = [compose_signed((pi, -s), p) for p in others]  # -J_g J_a
-    pairform = _entry_sum([_pairform_entries(n, *p, -4.0) for p in others])
-    defect = _entry_sum([_aform_entries(n, *p) for p in composed]
-                        + [(k, -v) for k, v in (_aform_entries(n, *p)
-                                                for p in others)]
-                        + [pairform])
-    _, (e, d, f) = align(E, defect, pairform)
-    return np.array([four, np.max(np.abs(E[1]), initial=0.0),
-                     np.max(np.abs(e - d * c), initial=0.0),
-                     np.max(np.abs(e - f * c), initial=0.0)])
+    pairform = sum_entries([_pairform_entries(n, *p, -4.0) for p in others])
+    defect = sum_entries([_aform_entries(n, *p) for p in composed]
+                         + [(k, -v) for k, v in (_aform_entries(n, *p)
+                                                 for p in others)]
+                         + [pairform])
+    return np.array([four, _largest_sum([E])]
+                    + [_largest_sum([E, (k, -c * v)])
+                       for k, v in (defect, pairform)])
 
 
 @dataclass(eq=False)
@@ -348,40 +341,31 @@ class FrameAudit:
         return self.max_gated_residual() <= tol
 
 
-def _line_rules(model: "CurvatureModel", coord: np.ndarray,
-                slots: tuple) -> tuple:
-    """zero_three_coordinates and single_line_round from the nonzeros;
-    ``coord`` is the coordinate line of each basis index."""
-    tau, m, c = model.tau, len(coord) // (model.tau + 1), model.c
-    vals = model.R_values
-    # zero_three_coordinates: count distinct coordinate labels per nonzero
-    # component; the maximum of |R| over the mask is its maximum over the
-    # masked nonzeros
-    labels = [coord[i] for i in slots]
-    ncoords = np.zeros(vals.size, dtype=int)
-    for a in range(4):
-        is_new = np.ones(vals.size, dtype=bool)
-        for b in range(a):
-            is_new &= labels[a] != labels[b]
-        ncoords += is_new
-    hits = np.abs(vals[ncoords >= 3])
-    zero_three = float(np.max(hits)) if hits.size else 0.0
+def _line_rules(model: "CurvatureModel", slots: tuple) -> tuple:
+    """zero_three_coordinates and single_line_round from the nonzeros."""
+    n, tau, c, vals = model.n, model.tau, model.c, model.R_values
+    m = n // (tau + 1)
+    # coord[x] is the coordinate line of basis index x under (alpha, i) ->
+    # alpha m + i (on the sphere m = n: each direction is its own line).
+    # The four labels of each nonzero, sorted, give their distinct count
+    # and whether all four lie on one line; off the nonzeros |R| is 0
+    coord = np.tile(np.arange(m), tau + 1)
+    labels = np.sort([coord[i] for i in slots], axis=0)
+    distinct = 1 + np.count_nonzero(labels[1:] != labels[:-1], axis=0)
+    zero_three = float(np.max(np.abs(vals[distinct >= 3]), initial=0.0))
 
     # single_line_round: on each coordinate line, R against 4c times the
-    # round tensor, 4c (d_xz d_yw - d_xw d_yz), at the nonzeros of either.
-    # On the sphere all lines are 1-dimensional and identical: line 0 only
+    # round tensor, 4c (d_xz d_yw - d_xw d_yz), which is 4c at (x, y, x, y)
+    # and -4c at (x, y, y, x), x != y.  On the sphere all lines are
+    # 1-dimensional and identical: line 0 only
     lines = m if tau else 1
     a, b, i = (g.ravel() for g in np.indices((tau + 1, tau + 1, lines)))
     x, y = (a * m + i)[a != b], (b * m + i)[a != b]
-    on_line = ((labels[0] == labels[1]) & (labels[0] == labels[2])
-               & (labels[0] == labels[3]) & (labels[0] < lines))
-    s0, s1, s2, s3 = (slot[on_line] for slot in slots)
-    rnd = 4.0 * c * (((s0 == s2) & (s1 == s3)).astype(float)
-                     - ((s0 == s3) & (s1 == s2)).astype(float))
-    single = float(np.max(np.concatenate([
-        np.abs(vals[on_line] - rnd),
-        np.abs(model.R_at((x, y, x, y)) - 4.0 * c),
-        np.abs(model.R_at((x, y, y, x)) - 4.0 * c * -1.0)]), initial=0.0))
+    on_line = (labels[0] == labels[3]) & (labels[0] < lines)
+    rnd = np.full(x.size, 4.0 * c)
+    single = _largest_sum([(model.R_keys[on_line], vals[on_line]),
+                           (flat_index(n, (x, y, x, y)), -rnd),
+                           (flat_index(n, (x, y, y, x)), rnd)])
     return zero_three, single
 
 
@@ -408,15 +392,12 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     """
     n, tau, c = model.n, model.tau, model.c
     m = n // (tau + 1)
-    # coordinate label of each basis index under (alpha, i) -> alpha*m + i;
-    # on the sphere m = n and every direction is its own line
-    coord = np.tile(np.arange(m), tau + 1)
     slots = model.R_slots
 
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
     res["zero_three_coordinates"], res["single_line_round"] = _line_rules(
-        model, coord, slots)
+        model, slots)
 
     # the four entry rules on the grid of unit labels a, b and coordinates
     # i, j; basis index (alpha, i) -> alpha * m + i

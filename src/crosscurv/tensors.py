@@ -12,8 +12,9 @@ A rank-4 tensor is held either as a dense n^4 array or as its nonzeros: the
 C-order flat indices of its nonzero entries, ascending, and their values.
 The curvature symmetries and the first Bianchi identity are checked once,
 on the nonzeros (``check_curvature_rules``), whichever way the tensor is
-held; ``sum_by_key``, ``gather``, ``align`` and ``pairs_by_key`` are the
-list operations the model build, its audit and the form assembly share.
+held.  The model build, its audit and the form assembly add and compare
+entry lists through one sum, ``sum_entries``; ``gather`` reads a list at
+given keys and ``pairs_by_key`` pairs the entries that share a key.
 
 Conventions, fixed once:
 
@@ -226,26 +227,22 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple:
     return keys[start], np.add.reduceat(values, start)
 
 
+def sum_entries(parts) -> tuple:
+    """The per-key sum of a list of (keys, values) entry lists, keys
+    ascending and exact zeros dropped (empty for no parts); two lists
+    compare by the largest |value| of the sum of one and minus the other."""
+    if not parts:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    keys, values = sum_by_key(*(np.concatenate(col) for col in zip(*parts)))
+    keep = values != 0
+    return keys[keep], values[keep]
+
+
 def gather(keys: np.ndarray, values: np.ndarray, query) -> np.ndarray:
     """The values of a list with ascending distinct ``keys`` at ``query``,
     0 where a key is absent."""
     at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
     return np.where(keys[at] == query, values[at], 0.0)
-
-
-def align(*lists) -> tuple:
-    """The union of the keys of several (keys, values) lists, ascending,
-    and a row per list of its values on the union, 0 where the list has no
-    entry.  The keys of one list must be distinct but may come in any
-    order."""
-    keys = np.sort(np.concatenate([k for k, _ in lists]))
-    union = keys[np.diff(keys, prepend=-1) != 0]
-    del keys
-    out = np.zeros((len(lists), union.size))
-    for row, (keys, values) in zip(out, lists):
-        order = np.argsort(keys)
-        row[np.searchsorted(union, keys[order])] = values[order]
-    return union, out
 
 
 def pairs_by_key(key: np.ndarray, unordered: bool = False) -> tuple:
