@@ -11,8 +11,9 @@ minimal eigenvalues and the conformal-direction polynomial.
 
 Layout: ``tensors`` (frame-level multilinear algebra), ``division_algebras``
 (exact multiplication tables), ``jacobi`` (cyclic eigensolver), ``models``
-(validated model construction), ``ledger`` (exact symbolic reductions and
-the identity catalog), ``hessian`` (quadratic forms and certificates),
+(validated model construction), ``laurent`` (exact Laurent polynomials
+for the ledger), ``ledger`` (exact symbolic reductions and the identity
+catalog), ``hessian`` (quadratic forms and certificates),
 ``report``/``cli`` (deterministic documents and the command-line tool).
 """
 

@@ -21,11 +21,12 @@ A config file holds key=value lines ('#' starts a comment); command-line
 flags override file values.  File values are checked like flags, against
 the type and allowed values in ``OPTIONS``; a non-finite --c, --p or --tol
 is a config error.  Exit codes: 0 success, 2 config error (also an --out
-path that cannot be written; a missing or read-only directory is refused
-before anything is built), 3 model-validation failure (also a scale |c|
-outside [1e-6, 1e6], ``models.SCALE_RANGE``), 4 required-identity failure,
-5 numeric failure.  ``exit_status`` decides 4 and 5 from the findings.
-Reports with identical configs and seeds are byte-identical.
+path that cannot be written; a missing or read-only directory, or a path
+that is a directory, is refused before anything is built), 3
+model-validation failure (also a scale |c| outside [1e-6, 1e6],
+``models.SCALE_RANGE``), 4 required-identity failure, 5 numeric failure.
+``exit_status`` decides 4 and 5 from the findings.  Reports with identical
+configs and seeds are byte-identical.
 
 Input budget: a model whose estimated peak memory for the command
 (``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
@@ -241,6 +242,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"cannot write {cfg['out']}: {folder} is not "
                               "a writable directory")
+        if os.path.isdir(cfg["out"]):
+            raise ConfigError(f"cannot write {cfg['out']}: it is a directory")
     return cfg
 
 

@@ -19,11 +19,13 @@ Three chains are implemented:
   expand_theorem_conformal pure-trace (conformal) variations
   noncompact_chain         trace-free variations, negative curvature scale
 
-Each chain starts from the half expression and applies named rewrites
-from one table (``_rewrites``): integration by parts A1, the curvature
-action A2, the exterior-pairing reduction A3, the two readings of the
-composed trace A4, and the square and Berger completions.  One function,
-``_rewrite``, applies an entry.  The checks read the same table:
+The two trace-free chains start from the half expression and apply named
+rewrites from one table (``_rewrites``): integration by parts A1, the
+curvature action A2, the exterior-pairing reduction A3, the two readings
+of the composed trace A4, and the square and Berger completions.  One
+function, ``_rewrite``, applies an entry.  The conformal chain applies no
+rewrite: it sums its variation pieces, with the curvature-derivative
+pairing A7 written inline.  The checks read the same table:
 ``quadratic_completion_checks`` verifies both completions from their
 entries, and the catalog evaluators of A2 and A3 call the coefficient
 functions the table is built from, so a checked rule is the applied rule.

@@ -28,7 +28,7 @@ list of n^2 entries, and R is built, checked and audited as its
 nonzeros: the C-order flat indices of its nonzero entries and their
 values, about 10 n^2 of the n^4 entries (0.6 % at n = 40).  The
 pullbacks the audit takes are signed permutations of those lists, and
-every residual is the largest entry of one per-key sum of lists
+each of their residuals is the largest entry of one per-key sum of lists
 (``tensors.sum_entries``), with the bits of the dense computation.  The dense R is
 scattered from the lists on first use (``CurvatureModel.R``), for the
 tensors API and the tests; no command makes it.

@@ -282,12 +282,16 @@ def test_unwritable_out_exits_2(tmp_path, via):
     assert not target.exists()
 
 
-def test_unwritable_out_is_refused_before_building(tmp_path, monkeypatch):
+@pytest.mark.parametrize("path", ["missing/doc.json", "."],
+                         ids=["missing-folder", "directory"])
+def test_unwritable_out_is_refused_before_building(tmp_path, monkeypatch,
+                                                   path):
+    # a missing directory, or an existing directory as the path itself
     def no_build(*args, **kwargs):
         raise AssertionError("build_model called for an unwritable --out")
 
     monkeypatch.setattr(cli, "build_model", no_build)
-    target = tmp_path / "missing" / "doc.json"
+    target = tmp_path / path
     code, out, err = run(["report", "--space", "hp", "--m", "3",
                           "--out", str(target)])
     assert code == 2 and out == ""

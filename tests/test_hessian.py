@@ -227,6 +227,29 @@ def test_assembly_from_nonzeros_matches_dense_terms_at_any_scale(family, m,
     assert gap <= 1e-15 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("family,m,c", [
+    ("quaternionic", 3, 1.0), ("quaternionic", 2, -0.3),
+    ("octonionic", 2, 1.0), ("octonionic", 2, -1.0), ("complex", 4, -2.5),
+])
+def test_assembly_does_not_depend_on_the_pair_batch(family, m, c,
+                                                    monkeypatch):
+    # the curvature terms are summed a batch of nonzeros at a time, and
+    # every entry of the unit form is an integer or a half-integer, so the
+    # blocks have the same bits for the default batch, for one nonzero a
+    # batch, for 7 and for all of them
+    model = build_model(family, m, c)
+    forms = []
+    for batch in (hessian.PAIR_BATCH, 1, 7, 10**9):
+        monkeypatch.setattr(hessian, "PAIR_BATCH", batch)
+        forms.append(assemble_tt_remainder(model))
+    first = forms[0]
+    for qf in forms[1:]:
+        assert qf.scale == first.scale and len(qf.blocks) == len(first.blocks)
+        for (block, idx), (block0, idx0) in zip(qf.blocks, first.blocks):
+            assert block.tobytes() == block0.tobytes()
+            assert np.array_equal(idx, idx0)
+
+
 def test_build_and_assembly_hold_few_n4_arrays():
     # hp6, n = 24: the dense curvature build and frame audit peaked at
     # about four float64 arrays of n^4 entries and the per-term dense path

@@ -477,17 +477,27 @@ def _invariance_rules_by_dense_loop(R, ops, c):
             "two_slot_defect": wd, "two_slot_defect_pairform": wp}
 
 
+@pytest.mark.parametrize("fill", ["dense", "sparse"])
 @pytest.mark.parametrize("family,m,nkw,c", [
     ("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
     ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0),
 ])
-def test_entry_rules_read_their_own_components(family, m, nkw, c):
-    # distinct random values in every component: a rule that reads other
-    # components than its reference returns another maximum; every
+def test_entry_rules_read_their_own_components(family, m, nkw, c, fill):
+    # dense: distinct random values in every component, so a rule that
+    # reads other components than its reference returns another maximum;
+    # sparse: a tenth of the nonzeros dropped and 20 entries planted, so a
+    # rule that reads only the nonzeros misses the dropped ones.  Every
     # residual of the audit must equal its reference exactly
     mod = build_model(family, m, c, n=nkw)
-    R = mod.R.entries + np.random.default_rng(9).uniform(-1.0, 1.0,
-                                                         (mod.n,) * 4)
+    rng = np.random.default_rng(9)
+    if fill == "dense":
+        R = mod.R.entries + rng.uniform(-1.0, 1.0, (mod.n,) * 4)
+    else:
+        R = mod.R.entries.copy()
+        flat = R.reshape(-1)
+        flat[rng.choice(mod.R_keys, mod.R_keys.size // 10,
+                        replace=False)] = 0.0
+        flat[rng.integers(0, flat.size, 20)] = rng.uniform(-1.0, 1.0, 20)
     _load(mod, R)
     entry = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
     want = {"zero_three_coordinates": _zero_three_by_mask(R, mod.n, mod.tau),
