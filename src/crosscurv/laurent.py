@@ -19,7 +19,9 @@ polynomial: terms in descending lex order of their exponent tuples, joined
 by " + " and " - "; each term is its numerator (the coefficient's numerator
 and the positive powers) over its denominator (the coefficient's
 denominator and the negative powers), parenthesised when that has more than
-one factor, as in ``3*c/(2*n)``.  ``repr`` is the same string.
+one factor, as in ``3*c/(2*n)``; a term that is 1 over one generator at a
+power k >= 2 prints as sstr prints it, ``tau**(-2)``.  ``repr`` is the
+same string.
 ``_sympy_`` is the hook through which ``sympy.sympify`` converts a
 polynomial, for tests that use sympy as an oracle; this module never
 imports sympy.
@@ -61,6 +63,9 @@ def _term_str(q: Fraction, exps: tuple) -> str:
     if not den:
         return sign + top
     if len(den) == 1:
+        name, _, k = den[0].partition("**")
+        if k and not sign and top == "1":  # sstr: tau**(-2), not 1/tau**2
+            return f"{name}**(-{k})"
         return f"{sign}{top}/{den[0]}"
     return f"{sign}{top}/({'*'.join(den)})"
 

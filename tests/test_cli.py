@@ -427,15 +427,28 @@ def test_memory_estimate_bounds_traced_peak(args, n):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("command,fmt", [
-    *(pytest.param(c, "json", id=c)
-      for c in ("model", "certify", "verify", "report")),
-    pytest.param("report", "text", id="report-text"),
-    pytest.param("report", "csv", id="report-csv"),
-])
-@pytest.mark.parametrize("name,args", [
-    ("op2", ["--space", "op", "--m", "2"]),
-    ("hp2_dual", ["--space", "hp", "--m", "2", "--sign", "noncompact"]),
+#: every document a command renders: (command, format, id)
+EVERY_DOCUMENT = [*((c, "json", c) for c in ("model", "certify", "verify",
+                                             "report")),
+                  ("report", "text", "report-text"),
+                  ("report", "csv", "report-csv")]
+
+
+# op2 and hp2-dual pin every document; hp5 and cp4-dual, with m >= 3
+# lines, pin the json certificate and report
+@pytest.mark.parametrize("command,fmt,name,args", [
+    *(pytest.param(command, fmt, name, args, id=f"{name}-args{k}-{tag}")
+      for k, (name, args) in enumerate([
+          ("op2", ["--space", "op", "--m", "2"]),
+          ("hp2_dual", ["--space", "hp", "--m", "2", "--sign", "noncompact"]),
+      ])
+      for command, fmt, tag in EVERY_DOCUMENT),
+    *(pytest.param(command, "json", name, args, id=f"{name}-{command}")
+      for name, args in [
+          ("hp5", ["--space", "hp", "--m", "5"]),
+          ("cp4_dual", ["--space", "cp", "--m", "4", "--sign", "noncompact"]),
+      ]
+      for command in ("certify", "report")),
 ])
 def test_numeric_documents_are_pinned(command, fmt, name, args):
     code, out, err = run([command, *args, "--format", fmt, "--seed", "3"])
