@@ -32,7 +32,7 @@ Input budget: a model whose estimated peak memory for the command
 (``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
 refused as a config error, exit 2, before anything is built.  ``model`` and
 ``certify`` hold the nonzeros of R and no n^4 array, and are refused from
-dimension n = 1141 and n = 1116; ``verify`` and ``report`` also hold the
+dimension n = 1141 and n = 1031; ``verify`` and ``report`` also hold the
 identity catalog's pair-basis matrices, each of n^4 / 4 entries, and are
 refused from n = 127 (``--space sphere --n 127``, ``--space hp --m 32``).
 """
@@ -44,7 +44,7 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import PAIR_BATCH, RAYLEIGH_CHUNK, stability_verdict
+from crosscurv.hessian import RAYLEIGH_CHUNK, stability_verdict
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -112,6 +112,8 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 BASE_BYTES = 128 * 2**20
 #: ``memory_estimate``: float64 words per n^2 of the nonzero stages
 LIST_WORDS = 400
+#: ``memory_estimate``: float64 words per n^2 of the form assembly
+ASSEMBLY_WORDS = 80
 #: ``memory_estimate``: float64 words per n^4 of the identity catalog
 CATALOG_WORDS = 2
 
@@ -128,11 +130,13 @@ def memory_estimate(command: str, n: int) -> int:
     - every command that builds a model: ``LIST_WORDS`` n^2 for the
       nonzeros of R (about 10 n^2 of them) and what the build, the frame
       audit and the gates hold beside them (about 300 n^2 at n = 16..128);
-    - ``certify`` and ``report``: one batch of the assembly, at most
-      ``PAIR_BATCH`` nonzeros with fewer than n partners each, about ten
-      words per pair, and the two arrays of ``RAYLEIGH_CHUNK`` x n that
-      the sampling holds (a chunk of draws for a block of size at most
-      n - 1 and its product with the block);
+    - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` n^2 for the
+      assembly, which holds the four slot arrays of R's nonzeros while it
+      picks those it reads, then the form C relabelled onto every line
+      (about 3 n^2 entries) and its index arithmetic, traced at 61 n^2
+      at n = 64 and n = 96, compact and dual; and the two arrays of
+      ``RAYLEIGH_CHUNK`` x n that the sampling holds (a chunk of draws for
+      a block of size at most n - 1 and its product with the block);
     - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
       catalog, which holds a few N x N pair-basis matrices of n^4 / 4
       entries (R's, a random draw, a product and its comparand and their
@@ -146,7 +150,7 @@ def memory_estimate(command: str, n: int) -> int:
     """
     words = LIST_WORDS * n**2
     if command in ("certify", "report"):
-        words += 10 * PAIR_BATCH * n + 2 * RAYLEIGH_CHUNK * n
+        words += ASSEMBLY_WORDS * n**2 + 2 * RAYLEIGH_CHUNK * n
     if command in ("verify", "report"):
         words += CATALOG_WORDS * n**4
     return 8 * words + BASE_BYTES

@@ -22,21 +22,30 @@ structure operators, the curvature action L: h -> B from the nonzeros of
 R, their Grams G^T G and L^T L for |ht|^2 and |B|^2, and products of two
 nonzeros of R that share the contracted slots for K_PAIR and RR_KN.  The
 identity catalog applies the same G and L.  Each vec position lies on one
-pair coordinate
-(E_ij + E_ji)/sqrt 2 of the trace-free basis or on the diagonal, and
-the weighted entries are summed per place pair into the nonzeros of a
-form C on those n(n-1)/2 + n places.  The curvature terms run in
-batches of nonzeros that share their last slot, which every pair they
-form shares, so at most one batch of pairs is held at once.  The form
-on the pairs is exactly C / 2 there, and the ladder block is
-L^T D L, D the part of C on the diagonal places.  No model has an entry
-of C between the diagonal and a pair.  By
-the isotypic splitting of the trace-free tensors under the isotropy group
-(Koiso, Osaka J. Math. 17, 1980; Besse, Einstein Manifolds, 12.H) the pairs
-fall into blocks of tau + 1 or of one, only a handful of them distinct, and
-the form is held as its distinct blocks and the places where each occurs.
-C is built at unit scale, from R / |c| and the coefficients at c = sign(c),
-and the form is kept at that scale beside the factor c^2, which the
+pair coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
+diagonal, and the weighted entries are summed per place pair into the
+nonzeros of a form C on those n(n-1)/2 + n places.
+
+C is summed only between the places on two lines.  Coordinate (alpha, i)
+lies on line i of the m lines (each coordinate of the sphere is a line).
+Each structure operator is one division-algebra row repeated over the
+lines, so a permutation of the lines commutes with every J_a and keeps
+R and C: the symmetry-adapted reduction of Faessler and Stiefel (Group
+Theoretical Methods and Their Applications, 1992, ch. 5).  No entry of C
+couples more than two lines, which the tests check against the sum over
+every pair of nonzeros.  The terms pair only the nonzeros of R whose
+free slots lie on lines 0 and 1, while the contracted slots range over
+every line, and the entries of C between places on those two lines are
+relabelled onto every line and every pair of lines by index arithmetic.
+The form on the pairs is exactly C / 2, and the ladder block is L^T D L,
+D the part of C on the diagonal places.  No model has an entry of C
+between the diagonal and a pair.  By the isotypic splitting of the
+trace-free tensors under the isotropy group (Koiso, Osaka J. Math. 17,
+1980; Besse, Einstein Manifolds, 12.H) the pairs fall into blocks of
+tau + 1 or of one, only a handful of them distinct, and the form is held
+as its distinct blocks and the places where each occurs.  C is built at
+unit scale, from R / |c| and the coefficients at c = sign(c), and the
+form is kept at that scale beside the factor c^2, which the
 certificate applies to its results.  Every entry of C is an integer or a
 half-integer, so the unit form does not depend on the order of summation or
 on the scale.
@@ -91,12 +100,6 @@ __all__ = [
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "IP_RRING_H",
              "NORM_RRING", "K_PAIR", "RR_KN")
 
-#: the basis quantities that pair nonzeros of R
-CURVATURE_TERMS = ("NORM_RRING", "K_PAIR", "RR_KN")
-
-#: nonzeros of R whose pairs one batch of ``assemble_quadform`` forms
-PAIR_BATCH = 1_024
-
 #: Rayleigh samples drawn at once for one block in ``min_eigen_tt``
 RAYLEIGH_CHUNK = 5_000
 
@@ -135,7 +138,8 @@ def tt_basis(n: int) -> np.ndarray:
 GRAMS = {"NORM_HTILDE": "IP_H_HTILDE", "NORM_RRING": "IP_RRING_H"}
 
 
-def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
+def _term_entries(model: CurvatureModel, key: str, nz: tuple,
+                  near: np.ndarray | None = None) -> tuple:
     """Rows, columns and values of the entries of an n^2 x n^2 matrix that
     realizes one basis quantity on vec(h) of a symmetric h, row-major;
     repeated positions add up.
@@ -152,36 +156,54 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple) -> tuple:
     (n, m), which a symmetric h does not tell apart: each unordered pair
     is taken once, at twice the weight.  ``nz`` holds the four index
     arrays of the nonzeros of R and their values.
+
+    ``near``, a boolean mask of the coordinates (all of them by default),
+    keeps the entries whose row and column x n + y have x and y near.
+    K_PAIR and RR_KN then pair only the nonzeros whose free slots, those
+    that make the rows and columns, are near, and a Gram only the entries
+    of its map with near columns; the contracted slots range over every
+    coordinate.
     """
     n = model.n
+    near = np.ones(n, dtype=bool) if near is None else near
+
+    def kept(at):  # the vec positions at with both coordinates near
+        return near[at // n] & near[at % n]
+
     if key in GRAMS:
         rows, cols, v = _term_entries(model, GRAMS[key], nz)
-        s, t = pairs_by_key(rows)
+        at = np.flatnonzero(kept(cols))
+        s, t = pairs_by_key(rows[at])
+        s, t = at[s], at[t]
         return cols[s], cols[t], v[s] * v[t]
     if key == "NORM_H":
-        diag = np.arange(n * n)
-        return diag, diag, np.ones(n * n)
+        diag = np.flatnonzero(kept(np.arange(n * n)))
+        return diag, diag, np.ones(diag.size)
+    i0, i1, i2, i3, v = nz
     if key == "IP_H_HTILDE":
         tau, perms = model.tau, model.J.perms
         pi = np.array([p for p, _ in perms], dtype=np.intp).reshape(tau, n, 1)
         sign = np.array([q for _, q in perms]).reshape(tau, n, 1)
-        rows = pi * n + pi.reshape(tau, 1, n)
-        return (rows.ravel(), np.tile(np.arange(n * n), tau),
-                (sign * sign.reshape(tau, 1, n)).ravel())
-    i0, i1, i2, i3, v = nz
-    if key == "IP_RRING_H":
-        return i1 * n + i3, i0 * n + i2, v.copy()  # scaled in place later
-    if key == "K_PAIR":
-        s, t = pairs_by_key(i1 * n + i3, unordered=True)
-        rows, cols = i0[s] * n + i0[t], i2[s] * n + i2[t]
-        weight = 1.0
-    elif key == "RR_KN":  # (1/2) sum_ij R[p,m,i,j] R[q,n,i,j]
-        s, t = pairs_by_key(i2 * n + i3, unordered=True)
-        rows, cols = i0[s] * n + i0[t], i1[s] * n + i1[t]
-        weight = 0.5
+        rows = (pi * n + pi.reshape(tau, 1, n)).ravel()
+        cols = np.tile(np.arange(n * n), tau)
+        v = (sign * sign.reshape(tau, 1, n)).ravel()
+    elif key == "IP_RRING_H":
+        rows, cols = i1 * n + i3, i0 * n + i2
+    elif key in ("K_PAIR", "RR_KN"):
+        # the free slots, the contracted ones and the weight; RR_KN is
+        # (1/2) sum_ij R[p,m,i,j] R[q,n,i,j]
+        (a, b), shared, weight = (((i0, i2), i1 * n + i3, 1.0)
+                                  if key == "K_PAIR"
+                                  else ((i0, i1), i2 * n + i3, 0.5))
+        at = np.flatnonzero(near[a] & near[b])
+        s, t = pairs_by_key(shared[at], unordered=True)
+        s, t = at[s], at[t]
+        return (a[s] * n + a[t], b[s] * n + b[t],
+                np.where(s == t, weight, 2 * weight) * (v[s] * v[t]))
     else:
         raise KeyError(f"no quadratic-form realization for {key!r}")
-    return rows, cols, np.where(s == t, weight, 2 * weight) * (v[s] * v[t])
+    at = kept(rows) & kept(cols)
+    return rows[at], cols[at], v[at]  # a copy, scaled in place later
 
 
 def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
@@ -247,6 +269,49 @@ class QuadForm:
         return self.scale * float(b @ self.unit @ b)
 
 
+def _onto_every_line(model: CurvatureModel, place: np.ndarray,
+                     keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """The entries of C, keys place * size + place, from its entries
+    between the places on lines 0 and 1 (see the module docstring).
+
+    An entry on line 0 alone is moved onto every line a, and one on lines
+    0 and 1 onto every pair of lines a < b (line 0 to a, line 1 to b);
+    each moved coordinate keeps its unit alpha.  The entries on line 1
+    alone are the image of those on line 0 and are dropped once that is
+    checked.  An entry that reaches another line raises ValueError, and so
+    do entries on line 1 that are not that image.
+    """
+    n = model.n
+    size = place.max() + 1
+    lines = n // (model.tau + 1)
+    ii, jj = _pair_index(n)
+    ends = (np.concatenate([ii, np.arange(n)]),
+            np.concatenate([jj, np.arange(n)]))
+    xyzw = np.stack([end[p] for p in np.divmod(keys, size) for end in ends])
+    on = xyzw % lines
+    touched = np.bitwise_or.reduce(1 << np.minimum(on, 2), axis=0)
+    if np.any(touched > 3):
+        raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
+                         "with a third line")
+
+    def moved(sel, a, b):  # the entries sel with lines 0, 1 moved to a, b
+        x = xyzw[:, sel] + np.where(on[:, sel] == 0, a, b - 1)
+        return ((place[x[:, 0] * n + x[:, 1]] * size
+                 + place[x[:, 2] * n + x[:, 3]]).ravel(),
+                np.tile(vals[sel], len(a)))
+
+    one, both = touched == 1, touched == 3
+    zero = np.zeros((1, 1, 1), dtype=np.intp)
+    if lines > 1 and sum_entries([moved(touched == 2, zero, zero),
+                                  (keys[one], -vals[one])])[0].size:
+        raise ValueError(f"{model.label}: the form on line 1 is not its "
+                         "image of line 0")
+    every = np.arange(lines).reshape(-1, 1, 1)
+    a, b = (end.reshape(-1, 1, 1) for end in np.triu_indices(lines, 1))
+    return tuple(np.concatenate(col) for col in zip(
+        moved(one, every, every), moved(both, a, b)))
+
+
 def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     """Weighted sum of the basis quantities, compressed to the trace-free
     basis.
@@ -259,38 +324,40 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     degree 2 in c, so c^2 times the unit form is the form at c; its
     nonzero pattern is the one at c = sign(c).
 
-    Each term's weighted entries (``_term_entries``) are summed into the
-    nonzeros of C (see the module docstring), one term, or one batch of a
-    curvature term, at a time.  An entry of C that couples the diagonal
-    with a pair raises ValueError.
+    Each term's weighted entries between the places on lines 0 and 1
+    (``_term_entries`` on those coordinates) are summed into the nonzeros
+    of C there, and ``_onto_every_line`` relabels them onto every line and
+    every pair of lines (see the module docstring).  An entry of C that
+    couples the diagonal with a pair raises ValueError.
     """
     n = model.n
-    nz = (*model.R_slots, model.R_values / abs(model.c))
     off = n * (n - 1) // 2
     size = off + n
     # the place of each vec position: its pair, or off + a on the diagonal
     place = _pair_lookup(n).copy()
     place[np.diag_indices(n)] = off + np.arange(n)
     place = place.ravel()
-    # the curvature terms pair nonzeros that share their last slot, so
-    # they run over batches of last-slot values, PAIR_BATCH nonzeros each
-    by_last = np.argsort(nz[3], kind="stable")
-    step = max(1, n * PAIR_BATCH // max(1, nz[3].size))
-    cuts = np.searchsorted(nz[3][by_last], np.arange(step, n, step))
-    batches = [tuple(a[at] for a in nz) for at in np.split(by_last, cuts)]
+    near = np.arange(n) % (n // (model.tau + 1)) < 2  # lines 0 and 1
+    # the terms read only the nonzeros whose free slots are near: (i0, i1)
+    # for RR_KN, (i0, i2) for K_PAIR and the columns of L
+    i0, i1, i2, i3 = model.R_slots
+    at = np.flatnonzero(near[i0] & (near[i1] | near[i2]))
+    nz = (i0[at], i1[at], i2[at], i3[at], model.R_values[at] / abs(model.c))
+    del i0, i1, i2, i3, at  # R's slot arrays, before the relabelling
     C = sum_entries([])
     for key, w in weights.items():
         if w == 0:
             continue
-        for part in (batches if key in CURVATURE_TERMS else [nz]):
-            rows, cols, v = _term_entries(model, key, part)
-            flat = place[rows]
-            flat *= size
-            flat += place[cols]
-            v *= float(w)
-            C = sum_entries([C, (flat, v)])
-            del rows, cols, v, flat  # before the next batch's entries
-    (rows, cols), vals = np.divmod(C[0], size), C[1]
+        rows, cols, v = _term_entries(model, key, nz, near)
+        flat = place[rows]
+        flat *= size
+        flat += place[cols]
+        v *= float(w)
+        del rows, cols
+        C = sum_entries([C, (flat, v)])  # one term's entries at a time
+        del flat, v
+    keys, vals = _onto_every_line(model, place, *C)
+    rows, cols = np.divmod(keys, size)
     on_pairs = rows < off
     if np.any(on_pairs != (cols < off)):
         raise ValueError(f"{model.label}: the form couples the diagonal with "

@@ -1,11 +1,13 @@
 """Trace-free quadratic forms, spectral certificates, conformal values.
 
 The dense term matrices are checked against explicit loop sums, the
-assembled remainder against them and against hand-expanded coefficient
-values, and the certified minimal eigenvalues against pinned constants for
-every compact family.
+assembled remainder against them, against hand-expanded coefficient values
+and, bit for bit, against the full assembly over every pair of R's
+nonzeros (``full_assembly``), and the certified minimal eigenvalues against
+pinned constants for every compact family.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosscurv import hessian
+from crosscurv import hessian, tensors
 from crosscurv.models import NoSpectralDataError, build_model
+from crosscurv.tensors import _pair_lookup, sum_entries
 from crosscurv.hessian import (
     QuadForm,
     TERM_KEYS,
@@ -227,27 +230,154 @@ def test_assembly_from_nonzeros_matches_dense_terms_at_any_scale(family, m,
     assert gap <= 1e-15 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("family,m,c", [
-    ("quaternionic", 3, 1.0), ("quaternionic", 2, -0.3),
-    ("octonionic", 2, 1.0), ("octonionic", 2, -1.0), ("complex", 4, -2.5),
+#: nonzeros of R whose pairs one batch of ``full_assembly`` forms
+PAIR_BATCH = 1_024
+
+#: the basis quantities that pair nonzeros of R
+CURVATURE_TERMS = ("NORM_RRING", "K_PAIR", "RR_KN")
+
+
+def full_assembly(model, weights):
+    """The oracle for ``assemble_quadform``: C summed from every pair of
+    R's nonzeros, on every line, with no relabelling.  The curvature terms
+    run in batches of nonzeros that share their last slot, which every
+    pair they form shares, PAIR_BATCH nonzeros each."""
+    n = model.n
+    nz = (*model.R_slots, model.R_values / abs(model.c))
+    off = n * (n - 1) // 2
+    size = off + n
+    place = _pair_lookup(n).copy()
+    place[np.diag_indices(n)] = off + np.arange(n)
+    place = place.ravel()
+    by_last = np.argsort(nz[3], kind="stable")
+    step = max(1, n * PAIR_BATCH // max(1, nz[3].size))
+    cuts = np.searchsorted(nz[3][by_last], np.arange(step, n, step))
+    batches = [tuple(a[at] for a in nz) for at in np.split(by_last, cuts)]
+    C = sum_entries([])
+    for key, w in weights.items():
+        if w == 0:
+            continue
+        for part in (batches if key in CURVATURE_TERMS else [nz]):
+            rows, cols, v = hessian._term_entries(model, key, part)
+            flat = place[rows]
+            flat *= size
+            flat += place[cols]
+            v *= float(w)
+            C = sum_entries([C, (flat, v)])
+            del rows, cols, v, flat  # before the next batch's entries
+    (rows, cols), vals = np.divmod(C[0], size), C[1]
+    on_pairs = rows < off
+    if np.any(on_pairs != (cols < off)):
+        raise ValueError(f"{model.label}: the form couples the diagonal with "
+                         "an off-diagonal pair")
+    D = np.zeros((n, n))
+    D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
+    L = hessian._ladder(n)
+    ladder = L.T @ D @ L
+    blocks = hessian._distinct_blocks(off, rows[on_pairs], cols[on_pairs],
+                                      0.5 * vals[on_pairs])
+    blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
+    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c)
+
+
+def _display(model):
+    """The weights ``assemble_tt_remainder`` passes to the assembly."""
+    display = (compact_tt_coefficients if model.compact
+               else noncompact_tt_coefficients)
+    unit = model.R_values / abs(model.c)
+    return display(model.n, model.tau, math.copysign(1.0, model.c),
+                   float(unit @ unit))
+
+
+def _assert_same_bits(qf, want):
+    assert qf.n == want.n and qf.dim == want.dim and qf.scale == want.scale
+    assert len(qf.blocks) == len(want.blocks)
+    for (block, idx), (block0, idx0) in zip(qf.blocks, want.blocks):
+        assert block.tobytes() == block0.tobytes()
+        assert np.array_equal(idx, idx0)
+
+
+#: the models of the oracle grid: sphere3-12, cp2-cp12, hp1-hp16 and op2
+GRID = [*(("sphere", 0, n) for n in range(3, 13)),
+        *(("complex", m, None) for m in range(2, 13)),
+        *(("quaternionic", m, None) for m in range(1, 17)),
+        ("octonionic", 2, None)]
+
+
+#: the models of the oracle's other scales and of its single terms
+FOUR = [("sphere", 0, 5), ("complex", 3, None), ("quaternionic", 3, None),
+        ("octonionic", 2, None)]
+
+
+@pytest.mark.parametrize("family,m,nkw,c,term", [
+    *((*model, c, None) for model in GRID for c in (1.0, -1.0)),
+    *((*model, c, None) for model in FOUR for c in (0.3, -2.5e-5)),
+    *((*model, c, key) for model in FOUR for c in (1.0, -1.0)
+      for key in TERM_KEYS),
 ])
-def test_assembly_does_not_depend_on_the_pair_batch(family, m, c,
-                                                    monkeypatch):
-    # the curvature terms are summed a batch of nonzeros at a time, and
-    # every entry of the unit form is an integer or a half-integer, so the
-    # blocks have the same bits for the default batch, for one nonzero a
-    # batch, for 7 and for all of them
-    model = build_model(family, m, c)
-    forms = []
-    for batch in (hessian.PAIR_BATCH, 1, 7, 10**9):
-        monkeypatch.setattr(hessian, "PAIR_BATCH", batch)
-        forms.append(assemble_tt_remainder(model))
-    first = forms[0]
-    for qf in forms[1:]:
-        assert qf.scale == first.scale and len(qf.blocks) == len(first.blocks)
-        for (block, idx), (block0, idx0) in zip(qf.blocks, first.blocks):
-            assert block.tobytes() == block0.tobytes()
-            assert np.array_equal(idx, idx0)
+def test_assembly_equals_the_full_assembly_bit_for_bit(family, m, nkw, c,
+                                                       term):
+    # the entries on lines 0 and 1, relabelled onto every line and pair of
+    # lines, are the entries the full assembly sums, so the blocks, their
+    # order and their places carry the same bits: for the remainder, and
+    # for each basis quantity on its own
+    model = build_model(family, m, c, n=nkw)
+    if term is None:
+        qf, weights = assemble_tt_remainder(model), _display(model)
+    else:
+        weights = {term: 1.0}
+        qf = assemble_quadform(model, weights)
+    _assert_same_bits(qf, full_assembly(model, weights))
+
+
+def _with_entry(monkeypatch, x, y, z, w):
+    """``_term_entries`` with one more NORM_H entry, between the places of
+    the coordinates (x, y) and (z, w)."""
+    entries = hessian._term_entries
+
+    def planted(model, key, nz, *near):
+        rows, cols, v = entries(model, key, nz, *near)
+        if key != "NORM_H":
+            return rows, cols, v
+        n = model.n
+        return (np.append(rows, x * n + y), np.append(cols, z * n + w),
+                np.append(v, 1.0))
+
+    monkeypatch.setattr(hessian, "_term_entries", planted)
+
+
+def test_coupling_to_a_third_line_is_refused(monkeypatch):
+    # hp3: coordinate (alpha, i) = 3 alpha + i lies on line i; the pair
+    # (0, 3) lies on line 0 and the pair (2, 5) on line 2
+    model = build_model("quaternionic", 3, 1.0)
+    _with_entry(monkeypatch, 0, 3, 2, 5)
+    with pytest.raises(ValueError, match="third line"):
+        assemble_tt_remainder(model)
+
+
+def test_line_one_that_is_not_the_image_of_line_zero_is_refused(
+        monkeypatch):
+    # one more entry on the diagonal place of coordinate 1, on line 1 alone
+    model = build_model("quaternionic", 3, 1.0)
+    _with_entry(monkeypatch, 1, 1, 1, 1)
+    with pytest.raises(ValueError, match="image of line 0"):
+        assemble_tt_remainder(model)
+
+
+def test_assembly_pairs_only_the_nonzeros_on_two_lines(monkeypatch):
+    # hp10: the full assembly forms 155,880 K_PAIR pairs; on lines 0 and 1
+    # every pairing term together forms under an eighth of that
+    model = build_model("quaternionic", 10, 1.0)
+    pairs = []
+
+    def counted(key, unordered=False):
+        s, t = tensors.pairs_by_key(key, unordered)
+        pairs.append(s.size)
+        return s, t
+
+    monkeypatch.setattr(hessian, "pairs_by_key", counted)
+    assemble_tt_remainder(model)
+    assert pairs and sum(pairs) < 155_880 / 8
 
 
 def test_build_and_assembly_hold_few_n4_arrays():
@@ -267,10 +397,10 @@ def test_build_and_assembly_hold_few_n4_arrays():
 
 
 def test_assembly_holds_under_one_and_a_half_n4_arrays():
-    # hp10, n = 40: the assembly sums each term's entries per place pair,
-    # a batch at a time; adding them into a dense array on the pair and
-    # diagonal places peaked at 1.02 n^4, and summing the n^2 x n^2 G and
-    # compressing it with B^T G B at 2.32 n^4
+    # hp10, n = 40: the assembly sums each term's entries per place pair
+    # on two lines and relabels them; adding them into a dense array on
+    # the pair and diagonal places peaked at 1.02 n^4, and summing the
+    # n^2 x n^2 G and compressing it with B^T G B at 2.32 n^4
     import tracemalloc
 
     model = build_model("quaternionic", 10, 1.0)
@@ -287,20 +417,9 @@ def test_assembly_holds_under_one_and_a_half_n4_arrays():
 def test_coupling_of_diagonal_and_pair_is_refused(monkeypatch):
     # one entry between the diagonal position (0, 0) and the pair (0, 1)
     # breaks the split into pair blocks and the ladder block
-    model = build_model("complex", 2, 1.0)
-    n = model.n
-    entries = hessian._term_entries
-
-    def coupled(model, key, nz):
-        rows, cols, v = entries(model, key, nz)
-        if key != "NORM_H":
-            return rows, cols, v
-        return (np.append(rows, 0), np.append(cols, 0 * n + 1),
-                np.append(v, 1.0))
-
-    monkeypatch.setattr(hessian, "_term_entries", coupled)
+    _with_entry(monkeypatch, 0, 0, 0, 1)
     with pytest.raises(ValueError, match="couples the diagonal"):
-        assemble_tt_remainder(model)
+        assemble_tt_remainder(build_model("complex", 2, 1.0))
 
 
 def test_compact_coefficients_cp2():

@@ -58,7 +58,8 @@ def _same(p: Laurent, expr) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(terms)
 @example([(Fraction(1), (0, 0, 0, 0, 0, -2))])
-@example([(Fraction(1), (0, 0, 0, 0, 0, 0)), (Fraction(1), (0, 0, 0, 0, 0, -2))])
+@example([(Fraction(1), (0, 0, 0, 0, 0, 0)),
+          (Fraction(1), (0, 0, 0, 0, 0, -2))])
 def test_printed_form_is_sympy_sstr_of_the_expanded_expression(pairs):
     p, expr = _both(pairs)
     assert _same(p, expr)
