@@ -9,34 +9,16 @@ patched), re-derives the displayed coefficient reductions in exact
 arithmetic, and certifies stability of the resulting quadratic forms via
 minimal eigenvalues and the conformal-direction polynomial.
 
-Layout: ``tensors`` (frame-level multilinear algebra), ``division_algebras``
-(exact multiplication tables), ``jacobi`` (cyclic eigensolver), ``models``
-(validated model construction), ``laurent`` (exact Laurent polynomials
-for the ledger), ``ledger`` (exact symbolic reductions and the identity
-catalog), ``hessian`` (quadratic forms and certificates),
-``report``/``cli`` (deterministic documents and the command-line tool).
+Layout: ``tensors`` (entry lists, the curvature checks and the random
+draws at a tangent space; the dense contractions are the tests' oracle,
+``tests/dense_oracle.py``), ``division_algebras`` (exact multiplication
+tables), ``jacobi`` (cyclic eigensolver), ``models`` (validated model
+construction), ``laurent`` (exact Laurent polynomials for the ledger),
+``ledger`` (exact symbolic reductions and the identity catalog),
+``hessian`` (quadratic forms and certificates), ``report``/``cli``
+(deterministic documents and the command-line tool).
 """
 
-from crosscurv.tensors import (
-    CurvTensor4,
-    Lambda2Operator,
-    SymTensor2,
-    check_tensor,
-    compose_and_ricci,
-    from_lambda2,
-    k_pairing,
-    kn_product,
-    lambda2_pushforward,
-    pair_vector,
-    r_ring,
-    random_curvature,
-    random_curvature_lambda2,
-    random_symtensor,
-    ricci,
-    rr_kn_pairing,
-    tilde,
-    to_lambda2,
-)
 from crosscurv.jacobi import JacobiConvergenceError, Spectrum, jacobi_eigs
 from crosscurv.models import (
     CurvatureModel,

@@ -557,14 +557,14 @@ class IdentityCheck:
 
 def _unit_tt(nn: int, rng: np.random.Generator):
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=True)
-    return h.entries / np.sqrt(h.norm2())
+    return h / np.sqrt(np.sum(h * h))
 
 
 def _unit_curvature(nn: int, rng: np.random.Generator):
     """The pair-basis matrix P1 of a random curvature tensor R1 of unit
     norm: |R1|^2 = 4 |P1|^2."""
     seed = int(rng.integers(0, 2**31))
-    P1 = random_curvature_lambda2(nn, seed=seed).matrix
+    P1 = random_curvature_lambda2(nn, seed=seed)
     return P1 / (2.0 * np.linalg.norm(P1))
 
 
@@ -637,8 +637,9 @@ def _catalog_arrays(model) -> SimpleNamespace:
 
 def _apply(arrays, key: str, h: np.ndarray) -> np.ndarray:
     """The map whose entry list is ``key``'s applied to a symmetric h,
-    symmetrized: the curvature action B (IP_RRING_H, ``tensors.r_ring``)
-    or the structure average ht (IP_H_HTILDE, ``tensors.tilde``)."""
+    symmetrized: the curvature action B (IP_RRING_H) or the structure
+    average ht (IP_H_HTILDE), whose dense copies are ``r_ring`` and
+    ``tilde`` in the tests' oracle (``tests/dense_oracle.py``)."""
     rows, cols, w = arrays.terms[key]
     n = h.shape[0]
     out = np.bincount(rows, weights=w * h.ravel()[cols], minlength=n * n)
@@ -668,7 +669,7 @@ def _ev_curvature_action_affine(model, rng):
     nn = model.n
     arrays = _catalog_arrays(model)
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
-    h = h.entries / np.sqrt(h.norm2())
+    h = h / np.sqrt(np.sum(h * h))
     lhs = _apply(arrays, "IP_RRING_H", h)
     on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
     rhs = (on_ht * _apply(arrays, "IP_H_HTILDE", h) + on_h * h

@@ -29,9 +29,11 @@ nonzeros: the C-order flat indices of its nonzero entries and their
 values, about 10 n^2 of the n^4 entries (0.6 % at n = 40).  The
 pullbacks the audit takes are signed permutations of those lists, and
 each of their residuals is the largest entry of one per-key sum of lists
-(``tensors.sum_entries``), with the bits of the dense computation.  The dense R is
-scattered from the lists on first use (``CurvatureModel.R``), for the
-tensors API and the tests; no command makes it.
+(``tensors.sum_entries``), with the bits of the dense computation.  The
+dense R is scattered from the lists on first use (``CurvatureModel.R``)
+for the tests and the benchmark; the dense structure operators and the
+dense contractions are the tests' oracle (``tests/dense_oracle.py``).  No
+command makes either.
 
 Adapted basis convention: index (alpha, i) -> alpha * m + i, where alpha
 runs over the algebra units 0..tau and i over the coordinates 0..m-1.
@@ -115,12 +117,6 @@ class JStructure:
     perms: list = field(repr=False)
     family: str = "sphere"
 
-    @cached_property
-    def operators(self) -> list:
-        """The dense matrices, J_a[pi[x], x] = s[x], for the tensors API
-        and the tests; no command makes them."""
-        return [np.diag(s)[np.argsort(pi)] for pi, s in self.perms]
-
     def max_structure_residual(self) -> float:
         """Largest entry of J_a^2 + Id and of J_a J_b + J_b J_a, exact on
         the permutations: 0 when the relations hold, else 1 or 2.  A signed
@@ -157,7 +153,8 @@ class CurvatureModel:
 
     @cached_property
     def R(self) -> CurvTensor4:
-        """The dense tensor, scattered from the nonzeros on first use."""
+        """The dense tensor, scattered from the nonzeros on first use.
+        Only the tests and the benchmark read it; no command makes it."""
         T = np.zeros(self.n**4)
         T[self.R_keys] = self.R_values
         return CurvTensor4(T.reshape((self.n,) * 4))

@@ -1,20 +1,22 @@
 """Multilinear algebra at a single tangent space in an orthonormal frame.
 
-Everything here is pointwise: symmetric 2-tensors, rank-4 curvature-type
-tensors, their standard contractions (Ricci, self-contraction, the action on
-symmetric 2-tensors), the Kulkarni-Nomizu product, the identification of a
-curvature tensor with a symmetric operator on the space of 2-vectors, and
-seeded random generators that project onto the algebraic curvature class
-(a random curvature tensor is drawn in the pair basis,
-``random_curvature_lambda2``).
+The library holds a rank-4 tensor as its nonzeros: the C-order flat
+indices of its nonzero entries, ascending, and their values.  The
+curvature symmetries and the first Bianchi identity are checked once, on
+the nonzeros (``check_curvature_rules``); ``CurvTensor4`` applies that
+check to a dense n^4 array.  The model build, its audit and the form
+assembly add and compare entry lists through one sum, ``sum_entries``;
+``gather`` reads a list at given keys and ``pairs_by_key`` pairs the
+entries that share a key.  The seeded random generators draw a symmetric
+2-tensor and an algebraic curvature tensor, the latter in the pair basis
+(``random_curvature_lambda2``).
 
-A rank-4 tensor is held either as a dense n^4 array or as its nonzeros: the
-C-order flat indices of its nonzero entries, ascending, and their values.
-The curvature symmetries and the first Bianchi identity are checked once,
-on the nonzeros (``check_curvature_rules``), whichever way the tensor is
-held.  The model build, its audit and the form assembly add and compare
-entry lists through one sum, ``sum_entries``; ``gather`` reads a list at
-given keys and ``pairs_by_key`` pairs the entries that share a key.
+The dense contractions are not here.  Those the second variation is
+built from (the curvature action, the structure average, the K and
+exterior pairings) are computed once, as entry lists
+(``hessian._term_entries``); their dense copies, with the Ricci and
+check-tensor contractions, the Kulkarni-Nomizu product and the pair-basis
+conversions, are the tests' oracle, ``tests/dense_oracle.py``.
 
 Conventions, fixed once:
 
@@ -27,31 +29,16 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SymTensor2",
     "CurvTensor4",
-    "Lambda2Operator",
-    "kn_product",
-    "to_lambda2",
-    "from_lambda2",
-    "ricci",
-    "check_tensor",
-    "r_ring",
-    "k_pairing",
-    "rr_kn_pairing",
-    "compose_and_ricci",
-    "tilde",
-    "lambda2_pushforward",
-    "pair_vector",
-    "random_symtensor",
-    "random_curvature",
-    "random_curvature_lambda2",
     "check_curvature_rules",
+    "random_symtensor",
+    "random_curvature_lambda2",
 ]
 
 #: tolerance for structural residuals, relative to the largest entry
@@ -65,82 +52,18 @@ def _scale(a: np.ndarray) -> float:
 
 
 @dataclass(eq=False)
-class SymTensor2:
-    """A symmetric bilinear form given by its matrix in the frame.
-
-    With ``trace_free=True`` the constructor additionally insists that the
-    trace vanishes to 1e-12 of the largest entry; tensors produced by the
-    random generator with that flag satisfy this exactly.
-    """
-
-    entries: np.ndarray
-    trace_free: bool = False
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("SymTensor2 needs a square matrix")
-        if np.max(np.abs(self.entries - self.entries.T)) > STRUCT_TOL * _scale(self.entries):
-            raise ValueError("SymTensor2 entries are not symmetric")
-        if self.trace_free and abs(np.trace(self.entries)) > 1e-12 * _scale(self.entries):
-            raise ValueError("tensor flagged trace-free has nonzero trace")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-    def norm2(self) -> float:
-        return float(np.sum(self.entries * self.entries))
-
-
-@dataclass(eq=False)
 class CurvTensor4:
-    """A rank-4 tensor; with ``algebraic=True`` (default) it must satisfy the
-    curvature symmetries and the first Bianchi identity as residuals of at
-    most 1e-12 of the largest entry.
-
-    Non-algebraic instances (``algebraic=False``) are plain containers; they
-    carry compositions and other intermediates that lack pair symmetry.
-    """
+    """A dense rank-4 tensor that satisfies the curvature symmetries and
+    the first Bianchi identity as residuals of at most 1e-12 of its largest
+    entry."""
 
     entries: np.ndarray
-    algebraic: bool = True
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 4 or len(set(self.entries.shape)) != 1:
             raise ValueError("CurvTensor4 needs an n^4 array")
-        if self.algebraic:
-            check_curvature_rules(*_dense_terms(self.entries))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def norm2(self) -> float:
-        """Flat square sum over all four indices."""
-        return float(np.sum(self.entries * self.entries))
-
-
-@dataclass(eq=False)
-class Lambda2Operator:
-    """A symmetric operator on 2-vectors in the lexicographic pair basis."""
-
-    n: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        N = self.n * (self.n - 1) // 2
-        if self.matrix.shape != (N, N):
-            raise ValueError("operator matrix has the wrong shape")
-
-    @property
-    def N(self) -> int:
-        return self.n * (self.n - 1) // 2
+        check_curvature_rules(*_dense_terms(self.entries))
 
 
 @lru_cache(maxsize=None)
@@ -262,148 +185,10 @@ def pairs_by_key(key: np.ndarray, unordered: bool = False) -> tuple:
     return order[first], order[np.repeat(head, size) + offset]
 
 
-def _as_matrix(h) -> np.ndarray:
-    return h.entries if isinstance(h, SymTensor2) else np.asarray(h, dtype=float)
-
-
-def _as_array4(R) -> np.ndarray:
-    return R.entries if isinstance(R, CurvTensor4) else np.asarray(R, dtype=float)
-
-
-def kn_product(h1: SymTensor2, h2: SymTensor2) -> CurvTensor4:
-    """Kulkarni-Nomizu product of two symmetric 2-tensors.
-
-    (h1 ^ h2)(x,y,z,w) = h1(x,z)h2(y,w) + h1(y,w)h2(x,z)
-                         - h1(x,w)h2(y,z) - h1(y,z)h2(x,w)
-    """
-    a, b = _as_matrix(h1), _as_matrix(h2)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch in kn_product")
-    T = (
-        np.einsum("xz,yw->xyzw", a, b)
-        + np.einsum("yw,xz->xyzw", a, b)
-        - np.einsum("xw,yz->xyzw", a, b)
-        - np.einsum("yz,xw->xyzw", a, b)
-    )
-    return CurvTensor4(T)
-
-
-def to_lambda2(R: CurvTensor4) -> Lambda2Operator:
-    """View a curvature-type tensor as an operator on 2-vectors."""
-    T = _as_array4(R)
-    n = T.shape[0]
-    ii, jj = _pair_index(n)
-    P = T[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
-    return Lambda2Operator(n, P)
-
-
-def from_lambda2(P: Lambda2Operator) -> CurvTensor4:
-    """Rebuild the 4-index array from a pair-basis operator.
-
-    The result is antisymmetric in both index pairs by construction; it is
-    pair symmetric (hence a CurvTensor4 candidate) only when the operator
-    matrix is symmetric, so the container is returned unflagged.
-    """
-    n, M = P.n, P.matrix
-    ii, jj = _pair_index(n)
-    T = np.zeros((n, n, n, n))
-    T[ii[:, None], jj[:, None], ii[None, :], jj[None, :]] = M
-    T[jj[:, None], ii[:, None], ii[None, :], jj[None, :]] = -M
-    T[ii[:, None], jj[:, None], jj[None, :], ii[None, :]] = -M
-    T[jj[:, None], ii[:, None], jj[None, :], ii[None, :]] = M
-    return CurvTensor4(T, algebraic=False)
-
-
-def ricci(R: CurvTensor4) -> SymTensor2:
-    """Ricci contraction r(x,y) = sum_i R(x, v_i, y, v_i)."""
-    return SymTensor2(np.einsum("aibi->ab", _as_array4(R)))
-
-
-def check_tensor(R: CurvTensor4) -> SymTensor2:
-    """Self-contraction (x,y) -> sum R(x,i,j,k) R(y,i,j,k).
-
-    Its trace is |R|^2; for the model tensors it is proportional to the
-    metric, which is the criticality condition certified by the builders.
-    """
-    T = _as_array4(R)
-    return SymTensor2(np.einsum("aijk,bijk->ab", T, T, optimize=True))
-
-
-def r_ring(R: CurvTensor4, h: SymTensor2) -> SymTensor2:
-    """Curvature action (x,y) -> sum_ij R(v_i, x, v_j, y) h(v_i, v_j)."""
-    out = np.einsum("ixjy,ij->xy", _as_array4(R), _as_matrix(h), optimize=True)
-    return SymTensor2(0.5 * (out + out.T))
-
-
-def k_pairing(R: CurvTensor4, h: SymTensor2) -> float:
-    """Pair the symmetrized quadratic-in-R 4-tensor against h (x) h.
-
-    Builds K(x,y,z,w) = (1/2) sum_ij [R(x,i,z,j)R(y,i,w,j)
-    + R(x,i,w,j)R(y,i,z,j)] and contracts slots (1,2) with the first copy
-    of h and (3,4) with the second.  Equals the quadruple sum
-    sum h_pq h_mn R_pimj R_qinj, which the tests use as an oracle.
-    """
-    T = _as_array4(R)
-    hm = _as_matrix(h)
-    K = 0.5 * (
-        np.einsum("xizj,yiwj->xyzw", T, T, optimize=True)
-        + np.einsum("xiwj,yizj->xyzw", T, T, optimize=True)
-    )
-    return float(np.einsum("xyzw,xy,zw->", K, hm, hm, optimize=True))
-
-
-def rr_kn_pairing(R: CurvTensor4, h: SymTensor2) -> float:
-    """Pairing of the operator square of R with h ^ h: tr(P_R^2 P_{h^h})."""
-    P = to_lambda2(R).matrix
-    Q = to_lambda2(kn_product(h, h)).matrix
-    return float(np.trace(P @ P @ Q))
-
-
-def compose_and_ricci(R: CurvTensor4, R1: CurvTensor4) -> tuple[CurvTensor4, SymTensor2]:
-    """Operator product of two curvature tensors and its symmetrized Ricci.
-
-    The product is formed on 2-vectors and mapped back to four indices; it
-    is generally not pair symmetric, so the Ricci-type contraction is
-    symmetrized:  r(x,y) = (1/2) sum_i [P(x,i,y,i) + P(y,i,x,i)].
-    """
-    P = to_lambda2(R).matrix @ to_lambda2(R1).matrix
-    comp = from_lambda2(Lambda2Operator(_as_array4(R).shape[0], P))
-    raw = np.einsum("aibi->ab", comp.entries)
-    return comp, SymTensor2(0.5 * (raw + raw.T))
-
-
-def tilde(h: SymTensor2, J) -> SymTensor2:
-    """Sum of pullbacks of h under the nonidentity structure operators of
-    the structure family ``J``.  For the empty family the result is zero.
-    """
-    hm = _as_matrix(h)
-    out = np.zeros_like(hm)
-    for Jm in J.operators:
-        out += Jm.T @ hm @ Jm
-    return SymTensor2(out)
-
-
-def lambda2_pushforward(A: np.ndarray) -> np.ndarray:
-    """Matrix of the induced map on 2-vectors: e_i ^ e_j -> A e_i ^ A e_j."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    ii, jj = _pair_index(n)
-    # entry [(a,b),(c,d)] = A[a,c] A[b,d] - A[b,c] A[a,d]
-    return (
-        A[ii[:, None], ii[None, :]] * A[jj[:, None], jj[None, :]]
-        - A[jj[:, None], ii[None, :]] * A[ii[:, None], jj[None, :]]
-    )
-
-
-def pair_vector(w: np.ndarray) -> np.ndarray:
-    """Coordinates of an antisymmetric matrix in the lexicographic pair basis."""
-    w = np.asarray(w, dtype=float)
-    ii, jj = _pair_index(w.shape[0])
-    return w[ii, jj]
-
-
-def random_symtensor(n: int, seed: int, trace_free: bool = False) -> SymTensor2:
-    """Seeded random symmetric 2-tensor, optionally with the trace removed."""
+def random_symtensor(n: int, seed: int, trace_free: bool = False) -> np.ndarray:
+    """Seeded random symmetric 2-tensor as its matrix in the frame,
+    optionally with the trace removed.  ValueError unless the matrix is
+    symmetric, and trace-free when asked, to 1e-12 of its largest entry."""
     if n < 3:
         raise ValueError("need n >= 3")
     rng = np.random.default_rng(seed)
@@ -413,7 +198,11 @@ def random_symtensor(n: int, seed: int, trace_free: bool = False) -> SymTensor2:
         s -= np.trace(s) / n * np.eye(n)
         # re-subtract once; exact up to one rounding step
         s -= np.trace(s) / n * np.eye(n)
-    return SymTensor2(s, trace_free=trace_free)
+    if np.max(np.abs(s - s.T)) > STRUCT_TOL * _scale(s):
+        raise ValueError("random symmetric tensor is not symmetric")
+    if trace_free and abs(np.trace(s)) > 1e-12 * _scale(s):
+        raise ValueError("tensor drawn trace-free has nonzero trace")
+    return s
 
 
 @lru_cache(maxsize=1)
@@ -470,21 +259,22 @@ def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_lambda2_curvature(P: Lambda2Operator) -> None:
-    """ValueError unless a pair-basis operator is an algebraic curvature
-    tensor: pair exchange symmetry and the first Bianchi identity to 1e-12
-    of its largest entry.  The antisymmetries hold in the pair basis by
-    construction, so this is the check of ``CurvTensor4``."""
-    M = P.matrix
+def _check_lambda2_curvature(n: int, M: np.ndarray) -> None:
+    """ValueError unless the pair-basis matrix M of an n-dimensional
+    operator is an algebraic curvature tensor: pair exchange symmetry and
+    the first Bianchi identity to 1e-12 of its largest entry.  The
+    antisymmetries hold in the pair basis by construction, so this is the
+    check of ``CurvTensor4``."""
     tol = STRUCT_TOL * _scale(M)
     if _scale(M - M.T) > tol:
         raise ValueError("pair exchange symmetry fails")
-    if _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(P.n))) > tol:
+    if _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(n))) > tol:
         raise ValueError("first Bianchi identity fails")
 
 
-def random_curvature_lambda2(n: int, seed) -> Lambda2Operator:
-    """Seeded random algebraic curvature tensor as its pair-basis operator.
+def random_curvature_lambda2(n: int, seed) -> np.ndarray:
+    """Seeded random algebraic curvature tensor as the matrix of its
+    pair-basis operator.
 
     The law is the standard Gaussian on the algebraic curvature tensors in
     the flat n^4 inner product.  In the pair basis an off-diagonal entry
@@ -502,12 +292,6 @@ def random_curvature_lambda2(n: int, seed) -> Lambda2Operator:
     S = G + G.T
     del G
     S *= 0.25
-    P = Lambda2Operator(n, _project_bianchi(n, S))
-    _check_lambda2_curvature(P)
+    P = _project_bianchi(n, S)
+    _check_lambda2_curvature(n, P)
     return P
-
-
-def random_curvature(n: int, seed) -> CurvTensor4:
-    """Seeded random algebraic curvature tensor: the 4-index array of
-    ``random_curvature_lambda2``."""
-    return CurvTensor4(from_lambda2(random_curvature_lambda2(n, seed)).entries)

@@ -2,14 +2,15 @@
 
 The catalog reads a model only through the nonzeros of R and the (pi, s)
 of the structure operators.  Each of its contractions is pinned here to
-1e-13 relative against the dense ``tensors`` function it replaces, on the
-dense R and the dense structure operators, at c = +-1 and at c = 1e3.  The
-catalog reads the entry lists the trace-free form is assembled from: its
-curvature action and structure average are the form's maps L and G, and
-the K_PAIR and RR_KN pairings sum their own lists, so a fault in those
-lists cannot hide in both the form and the catalog; a planted one fails
-curvature-action-affine.  No ``verify`` or ``report`` process makes the
-dense R or the dense structure operators.
+1e-13 relative against its dense copy in the tests' oracle
+(``dense_oracle``), on the dense R and the dense structure operators, at
+c = +-1 and at c = 1e3.  The catalog reads the entry lists the
+trace-free form is assembled from: its curvature action and structure
+average are the form's maps L and G, and the K_PAIR and RR_KN pairings
+sum their own lists, so a fault in those lists cannot hide in both the
+form and the catalog; a planted one fails curvature-action-affine.  No
+``model``, ``verify``, ``certify`` or ``report`` process makes the dense
+R, and the library has no dense structure operators to make.
 """
 
 import os
@@ -24,15 +25,15 @@ import pytest
 import crosscurv
 from crosscurv import ledger, tensors
 from crosscurv.models import build_model
-from crosscurv.tensors import (
-    Lambda2Operator,
+from crosscurv.tensors import random_symtensor
+from dense_oracle import (
     compose_and_ricci,
+    dense_operators,
     from_lambda2,
     k_pairing,
     lambda2_pushforward,
     pair_vector,
     r_ring,
-    random_symtensor,
     ricci,
     rr_kn_pairing,
     tilde,
@@ -63,24 +64,24 @@ def _close(got, want, scale: float) -> bool:
 @pytest.mark.parametrize("key", sorted(MODELS))
 def test_sparse_contractions_equal_the_dense_ones(key, c):
     model = _model(key, c)
-    n, R = model.n, model.R
+    n, R = model.n, model.R.entries
     arrays = ledger._catalog_arrays(model)
     rng = np.random.default_rng(17)
-    h = random_symtensor(n, rng).entries
+    h = random_symtensor(n, rng)
     h /= np.linalg.norm(h)
     P1 = ledger._unit_curvature(n, rng)
     X = rng.standard_normal((P1.shape[0], 3))
 
-    assert _close(ledger._apply(arrays, "IP_RRING_H", h), r_ring(R, h).entries,
+    assert _close(ledger._apply(arrays, "IP_RRING_H", h), r_ring(R, h),
                   abs(c))
     assert _close(ledger._pairing(arrays, "K_PAIR", h), k_pairing(R, h), c * c)
     assert _close(ledger._pairing(arrays, "RR_KN", h), rr_kn_pairing(R, h),
                   c * c)
-    P = to_lambda2(R).matrix
+    P = to_lambda2(R)
     assert np.array_equal(arrays.P, P)
     assert _close(ledger._apply(arrays, "IP_H_HTILDE", h),
-                  tilde(h, model.J).entries, 1.0)
-    for J, (src, sign), om in zip(model.J.operators, arrays.push,
+                  tilde(h, model.J), 1.0)
+    for J, (src, sign), om in zip(dense_operators(model.J), arrays.push,
                                   arrays.omega.T):
         assert np.array_equal(sign[:, None] * X[src],
                               lambda2_pushforward(J) @ X)
@@ -88,14 +89,14 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
 
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
-    R1 = from_lambda2(Lambda2Operator(n, P1))
+    R1 = from_lambda2(n, P1)
     _, composed = compose_and_ricci(R, R1)
     sum1 = sum2 = 0.0
-    for J in model.J.operators:
+    for J in dense_operators(model.J):
         y = J @ x
-        sum1 += np.einsum("i,k,la,iakl->", x, y, J, R1.entries)
-        sum2 += np.einsum("i,j,la,ijal->", x, y, J, R1.entries)
-    want = (x @ composed.entries @ x, x @ ricci(R1).entries @ x, sum1, sum2)
+        sum1 += np.einsum("i,k,la,iakl->", x, y, J, R1)
+        sum2 += np.einsum("i,j,la,ijal->", x, y, J, R1)
+    want = (x @ composed @ x, x @ ricci(R1) @ x, sum1, sum2)
     got = ledger._ricci_trace_terms(model, P1, x)
     for g, w, scale in zip(got, want, (abs(c), 1.0, 1.0, 1.0)):
         assert _close(g, w, scale)
@@ -143,8 +144,8 @@ def test_the_catalog_checks_the_forms_own_maps(monkeypatch, dropped):
 
 SRC = str(Path(crosscurv.__file__).resolve().parents[1])
 
-#: run one command in a fresh interpreter in which the dense R and the
-#: dense structure operators raise
+#: run one command in a fresh interpreter in which the dense R raises and
+#: the structure operators have no dense form
 NO_DENSE = """
 import contextlib, io, sys
 from crosscurv import cli, models
@@ -152,15 +153,16 @@ from crosscurv import cli, models
 def dense(self):
     raise AssertionError("dense tensor made")
 
+assert not hasattr(models.JStructure, "operators")
 models.CurvatureModel.R = property(dense)
-models.JStructure.operators = property(dense)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(code)
 """
 
 
-@pytest.mark.parametrize("command,code", [("verify", 4), ("report", 0)])
+@pytest.mark.parametrize("command,code", [("model", 0), ("verify", 4),
+                                          ("certify", 0), ("report", 0)])
 @pytest.mark.parametrize("space", ["hp", "op"])
 def test_no_command_makes_the_dense_tensor(command, code, space):
     env = dict(os.environ)

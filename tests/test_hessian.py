@@ -31,6 +31,7 @@ from crosscurv.hessian import (
     stability_verdict,
     tt_basis,
 )
+from dense_oracle import dense_operators
 
 RNG = np.random.default_rng(7)
 
@@ -65,7 +66,7 @@ def _term_oracle(model, key, h):
         return float(np.sum(h * h))
     if key in ("IP_H_HTILDE", "NORM_HTILDE"):
         ht = np.zeros((n, n))
-        for J in model.J.operators:
+        for J in dense_operators(model.J):
             ht += J.T @ h @ J
         return float(np.sum(h * ht) if key == "IP_H_HTILDE"
                      else np.sum(ht * ht))
@@ -110,7 +111,7 @@ def term_matrix(model, key):
         return np.eye(n * n)
     if key in ("IP_H_HTILDE", "NORM_HTILDE"):
         G = np.zeros((n * n, n * n))
-        for J in model.J.operators:
+        for J in dense_operators(model.J):
             G += np.kron(J.T, J.T)
         return 0.5 * (G + G.T) if key == "IP_H_HTILDE" else G.T @ G
     if key in ("IP_RRING_H", "NORM_RRING"):
