@@ -37,18 +37,20 @@ every pair of nonzeros.  The terms pair only the nonzeros of R whose
 free slots lie on lines 0 and 1, while the contracted slots range over
 every line, and the entries of C between places on those two lines are
 relabelled onto every line and every pair of lines by index arithmetic.
-The form on the pairs is exactly C / 2, and the ladder block is L^T D L,
-D the part of C on the diagonal places.  No model has an entry of C
-between the diagonal and a pair.  By the isotypic splitting of the
-trace-free tensors under the isotropy group (Koiso, Osaka J. Math. 17,
-1980; Besse, Einstein Manifolds, 12.H) the pairs fall into blocks of
-tau + 1 or of one, only a handful of them distinct, and the form is held
-as its distinct blocks and the places where each occurs.  C is built at
-unit scale, from R / |c| and the coefficients at c = sign(c), and the
-form is kept at that scale beside the factor c^2, which the
-certificate applies to its results.  Every entry of C is an integer or a
-half-integer, so the unit form does not depend on the order of summation or
-on the scale.
+The form on the pairs is exactly C / 2.  D, the part of C on the
+diagonal places, is then the same on every line and between every two
+lines, and on the diagonal columns of ``tt_basis``, the ladder over the
+lines times the units, it is m - 1 copies of one block and a tau x tau
+block (``_diagonal_entries``).  No model has an entry of C between the
+diagonal and a pair.  By the isotypic splitting of the trace-free tensors
+under the isotropy group (Koiso, Osaka J. Math. 17, 1980; Besse,
+Einstein Manifolds, 12.H) the form falls into blocks of at most tau + 1
+rows, only a handful of them distinct, and it is held as its distinct
+blocks and the places where each occurs.  C is built at unit scale, from
+R / |c| and the coefficients at c = sign(c), and the form is kept at that
+scale beside the factor c^2, which the certificate applies to its
+results.  Every entry of C is an integer or a half-integer, so the unit
+form does not depend on the order of summation or on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -108,8 +110,9 @@ REFINE_MAX_ITER = 2000
 
 
 def _ladder(n: int) -> np.ndarray:
-    """The diagonal ladder of the trace-free basis as an n x (n-1) array:
-    column k - 1 is diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k (k+1)), k = 1..n-1.
+    """The ladder on n entries as an n x (n-1) array, orthonormal columns
+    orthogonal to the ones: column k - 1 is (1, ..., 1, -k, 0, ..., 0) /
+    sqrt(k (k+1)), k = 1..n-1.
     """
     k = np.arange(1, n)
     s = np.sqrt(k * (k + 1.0))
@@ -118,19 +121,30 @@ def _ladder(n: int) -> np.ndarray:
     return L
 
 
-def tt_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of trace-free symmetric 2-tensors, vectorized.
+def tt_basis(n: int, tau: int) -> np.ndarray:
+    """Orthonormal basis of trace-free symmetric 2-tensors, vectorized, for
+    a model of dimension n with tau structure operators.
 
     Columns are row-major vec's: first the off-diagonal pair tensors
-    (E_ij + E_ji)/sqrt(2) for i < j, then the diagonal ladder
-    (``_ladder``).  Shape (n^2, n(n+1)/2 - 1).
+    (E_ij + E_ji)/sqrt(2) for i < j, then the diagonal ones.  Coordinate
+    (alpha, i), on line i of m = n / (tau + 1), is alpha m + i; with w =
+    (1/sqrt m, ``_ladder(m)``) over the lines and u = ``_ladder(tau + 1)``
+    over the units, the diagonal columns are e_alpha (x) w_b for b =
+    1..m-1, alpha = 0..tau, and then u_a (x) w_0 for a = 1..tau.  For the
+    sphere (tau = 0) they are ``_ladder(n)``, bit for bit.  Shape (n^2,
+    n(n+1)/2 - 1).
     """
     off = n * (n - 1) // 2
     B = np.zeros((n * n, off + n - 1))
     i, j = _pair_index(n)
     pos = np.arange(off)
     B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
-    B[np.arange(n) * (n + 1), off:] = _ladder(n)
+    lines = n // (tau + 1)
+    per_line = np.kron(np.eye(tau + 1), _ladder(lines))
+    per_line = per_line.reshape(n, tau + 1, lines - 1).transpose(0, 2, 1)
+    B[np.arange(n) * (n + 1), off:] = np.hstack([
+        per_line.reshape(n, -1),
+        np.kron(_ladder(tau + 1), np.full((lines, 1), 1 / np.sqrt(lines)))])
     return B
 
 
@@ -238,13 +252,14 @@ def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
 
 @dataclass(eq=False)
 class QuadForm:
-    """Quadratic form on the trace-free symmetric basis of one model: its
-    distinct blocks at c = sign(c) and the factor ``scale`` = c^2 that
-    takes it to the model's scale.  Each (block, idx) of ``blocks`` puts
-    ``block`` on the rows and columns ``idx[k]`` of each occurrence k; the
-    rows of all occurrences partition range(dim)."""
+    """Quadratic form on the trace-free symmetric basis ``tt_basis(n,
+    tau)`` of one model: its distinct blocks at c = sign(c) and the factor
+    ``scale`` = c^2 that takes it to the model's scale.  Each (block, idx)
+    of ``blocks`` puts ``block`` on the rows and columns ``idx[k]`` of each
+    occurrence k; the rows of all occurrences partition range(dim)."""
 
     n: int
+    tau: int
     dim: int
     blocks: list = field(repr=False)
     scale: float = 1.0
@@ -265,7 +280,7 @@ class QuadForm:
 
     def value(self, h: np.ndarray) -> float:
         """Evaluate on a trace-free symmetric matrix via the basis."""
-        b = tt_basis(self.n).T @ np.asarray(h, dtype=float).reshape(-1)
+        b = tt_basis(self.n, self.tau).T @ np.ravel(np.asarray(h, float))
         return self.scale * float(b @ self.unit @ b)
 
 
@@ -358,18 +373,63 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
         del flat, v
     keys, vals = _onto_every_line(model, place, *C)
     rows, cols = np.divmod(keys, size)
+    return _split_form(model, rows, cols, vals)
+
+
+def _diagonal_entries(tau: int, D: np.ndarray) -> tuple:
+    """Rows, columns (from the first diagonal column of ``tt_basis``) and
+    values of the nonzeros of the form on the diagonal columns, from D, the
+    part of C on the diagonal places, symmetrized.
+
+    With m lines, D is A (x) I_m + B (x) (J_m - I_m): A is D on line 0 and
+    B is D between lines 0 and 1, both (tau + 1) x (tau + 1).  Each column
+    e_alpha (x) w_b, b >= 1, is orthogonal to the ones of J_m, so those of
+    one b carry the block A - B, exact where D is, and the columns u_a (x)
+    w_0 carry U^T (A + (m - 1) B) U, U = ``_ladder(tau + 1)``; no entry
+    joins two of these blocks.  B must be symmetric, as the swap of lines 0
+    and 1 keeps C; otherwise ValueError.
+    """
+    n = len(D)
+    lines = n // (tau + 1)
+    D = 0.5 * (D + D.T)
+    A = D[::lines, ::lines]
+    B = D[::lines, 1::lines] if lines > 1 else np.zeros_like(A)
+    if not np.array_equal(B, B.T):
+        raise ValueError("the diagonal part between lines 0 and 1 is not "
+                         "symmetric")
+    U = _ladder(tau + 1)
+    top = U.T @ (A + (lines - 1) * B) @ U
+    p, q = np.nonzero(A - B)
+    at = (tau + 1) * np.arange(lines - 1)[:, None]
+    r, s = np.nonzero(top)
+    last = (tau + 1) * (lines - 1)
+    return (np.concatenate([(at + p).ravel(), last + r]),
+            np.concatenate([(at + q).ravel(), last + s]),
+            np.concatenate([np.tile((A - B)[p, q], lines - 1),
+                            0.5 * (top + top.T)[r, s]]))
+
+
+def _split_form(model: CurvatureModel, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> QuadForm:
+    """The form from the nonzeros (rows, cols, vals) of C, on the place
+    pairs: C / 2 on the pairs and ``_diagonal_entries`` on the diagonal
+    columns, split into ``_distinct_blocks`` together.  An entry of C that
+    couples the diagonal with a pair raises ValueError."""
+    n = model.n
+    off = n * (n - 1) // 2
     on_pairs = rows < off
     if np.any(on_pairs != (cols < off)):
         raise ValueError(f"{model.label}: the form couples the diagonal with "
                          "an off-diagonal pair")
     D = np.zeros((n, n))
     D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
-    L = _ladder(n)
-    ladder = L.T @ D @ L
-    blocks = _distinct_blocks(off, rows[on_pairs], cols[on_pairs],
-                              0.5 * vals[on_pairs])
-    blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
-    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c)
+    r, s, v = _diagonal_entries(model.tau, D)
+    blocks = _distinct_blocks(
+        off + n - 1, np.concatenate([rows[on_pairs], off + r]),
+        np.concatenate([cols[on_pairs], off + s]),
+        np.concatenate([0.5 * vals[on_pairs], v]))
+    return QuadForm(n=n, tau=model.tau, dim=off + n - 1, blocks=blocks,
+                    scale=model.c * model.c)
 
 
 def compact_tt_coefficients(n, tau, c, R2) -> dict:

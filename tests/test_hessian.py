@@ -42,9 +42,11 @@ def _random_tt(n):
     return h - np.trace(h) / n * np.eye(n)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 16])
-def test_tt_basis_orthonormal_symmetric_tracefree(n):
-    B = tt_basis(n)
+@pytest.mark.parametrize("n,tau", [(3, 0), (4, 0), (5, 0), (16, 0), (4, 1),
+                                   (6, 1), (12, 1), (4, 3), (12, 3), (24, 3),
+                                   (16, 7)])
+def test_tt_basis_orthonormal_symmetric_tracefree(n, tau):
+    B = tt_basis(n, tau)
     dim = n * (n + 1) // 2 - 1
     assert B.shape == (n * n, dim)
     assert np.allclose(B.T @ B, np.eye(dim), atol=1e-14)
@@ -54,9 +56,22 @@ def test_tt_basis_orthonormal_symmetric_tracefree(n):
         assert abs(np.trace(h)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 33])
+def test_tt_basis_of_the_sphere_is_the_diagonal_ladder(n):
+    # each coordinate of the sphere is a line: the diagonal columns are the
+    # ladder diag(1, ..., 1, -k, 0, ..., 0)/sqrt(k (k+1)), bit for bit
+    off = n * (n - 1) // 2
+    want = np.zeros((n * n, off + n - 1))
+    i, j = np.triu_indices(n, k=1)
+    want[i * n + j, np.arange(off)] = want[j * n + i, np.arange(off)] = \
+        1.0 / np.sqrt(2.0)
+    want[np.arange(n) * (n + 1), off:] = hessian._ladder(n)
+    assert tt_basis(n, 0).tobytes() == want.tobytes()
+
+
 def test_tt_dimension_octonionic_plane():
     # n = 16 gives 16*17/2 - 1 = 135 trace-free directions
-    assert tt_basis(16).shape[1] == 135
+    assert tt_basis(16, 7).shape[1] == 135
 
 
 def _term_oracle(model, key, h):
@@ -173,7 +188,7 @@ def _dense_terms(model):
 def _dense_form(model):
     """The dense reference for ``assemble_quadform``: G compressed to the
     trace-free basis B."""
-    B = tt_basis(model.n)
+    B = tt_basis(model.n, model.tau)
     M = B.T @ _dense_terms(model) @ B
     return 0.5 * (M + M.T)
 
@@ -238,11 +253,11 @@ PAIR_BATCH = 1_024
 CURVATURE_TERMS = ("NORM_RRING", "K_PAIR", "RR_KN")
 
 
-def full_assembly(model, weights):
-    """The oracle for ``assemble_quadform``: C summed from every pair of
-    R's nonzeros, on every line, with no relabelling.  The curvature terms
-    run in batches of nonzeros that share their last slot, which every
-    pair they form shares, PAIR_BATCH nonzeros each."""
+def full_entries(model, weights):
+    """The nonzeros of C summed from every pair of R's nonzeros, on every
+    line, with no relabelling, as rows, columns and values on the places.
+    The curvature terms run in batches of nonzeros that share their last
+    slot, which every pair they form shares, PAIR_BATCH nonzeros each."""
     n = model.n
     nz = (*model.R_slots, model.R_values / abs(model.c))
     off = n * (n - 1) // 2
@@ -266,19 +281,13 @@ def full_assembly(model, weights):
             v *= float(w)
             C = sum_entries([C, (flat, v)])
             del rows, cols, v, flat  # before the next batch's entries
-    (rows, cols), vals = np.divmod(C[0], size), C[1]
-    on_pairs = rows < off
-    if np.any(on_pairs != (cols < off)):
-        raise ValueError(f"{model.label}: the form couples the diagonal with "
-                         "an off-diagonal pair")
-    D = np.zeros((n, n))
-    D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
-    L = hessian._ladder(n)
-    ladder = L.T @ D @ L
-    blocks = hessian._distinct_blocks(off, rows[on_pairs], cols[on_pairs],
-                                      0.5 * vals[on_pairs])
-    blocks.append((0.5 * (ladder + ladder.T), np.arange(off, size - 1)[None]))
-    return QuadForm(n=n, dim=size - 1, blocks=blocks, scale=model.c * model.c)
+    return (*np.divmod(C[0], size), C[1])
+
+
+def full_assembly(model, weights):
+    """The oracle for ``assemble_quadform``: the form split into its
+    blocks from ``full_entries``."""
+    return hessian._split_form(model, *full_entries(model, weights))
 
 
 def _display(model):
@@ -329,6 +338,52 @@ def test_assembly_equals_the_full_assembly_bit_for_bit(family, m, nkw, c,
         weights = {term: 1.0}
         qf = assemble_quadform(model, weights)
     _assert_same_bits(qf, full_assembly(model, weights))
+    assert max(len(block) for block, _ in qf.blocks) <= model.tau + 1
+
+
+def _diagonal_spectrum(qf):
+    """The eigenvalues of the form on the diagonal columns of the basis,
+    each block's repeated by its occurrences there, ascending."""
+    off = qf.n * (qf.n - 1) // 2
+    return np.sort(np.concatenate([
+        np.repeat(np.linalg.eigvalsh(block),
+                  np.count_nonzero(idx[:, 0] >= off))
+        for block, idx in qf.blocks]))
+
+
+@pytest.mark.parametrize("family,m,nkw,c", [
+    (*model, c) for model in GRID for c in (1.0, -1.0, 0.3, -2.5e-5)])
+def test_diagonal_blocks_have_the_spectrum_of_the_dense_ladder(family, m,
+                                                               nkw, c):
+    # D, the part of C on the n diagonal places, summed from every pair of
+    # nonzeros; on the ladder L of those places the diagonal part of the
+    # form is the dense L^T D L, and the blocks on the diagonal columns,
+    # none wider than tau + 1, have its eigenvalues
+    model = build_model(family, m, c, n=nkw)
+    qf = assemble_tt_remainder(model)
+    assert max(len(block) for block, _ in qf.blocks) <= model.tau + 1
+    n, off = model.n, model.n * (model.n - 1) // 2
+    rows, cols, vals = full_entries(model, _display(model))
+    diag = rows >= off
+    D = np.zeros((n, n))
+    D[rows[diag] - off, cols[diag] - off] = vals[diag]
+    L = hessian._ladder(n)
+    ladder = L.T @ D @ L
+    want = np.linalg.eigvalsh(0.5 * (ladder + ladder.T))
+    gap = np.max(np.abs(_diagonal_spectrum(qf) - want))
+    assert gap <= 1e-12 * np.linalg.norm(D)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("family,m,nkw", FORM_MODELS)
+def test_value_is_the_dense_form_on_the_basis(family, m, nkw, sign):
+    # h^T (B^T G B) h on the coordinates of h in the same basis B
+    model = build_model(family, m, sign, n=nkw)
+    dense = _dense_form(model)
+    b = tt_basis(model.n, model.tau).T @ _random_tt(model.n).reshape(-1)
+    h = (tt_basis(model.n, model.tau) @ b).reshape(model.n, model.n)
+    got = assemble_tt_remainder(model).value(h)
+    assert abs(got - b @ dense @ b) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
 
 
 def _with_entry(monkeypatch, x, y, z, w):
@@ -362,6 +417,17 @@ def test_line_one_that_is_not_the_image_of_line_zero_is_refused(
     model = build_model("quaternionic", 3, 1.0)
     _with_entry(monkeypatch, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="image of line 0"):
+        assemble_tt_remainder(model)
+
+
+def test_diagonal_that_is_not_symmetric_between_two_lines_is_refused(
+        monkeypatch):
+    # hp3: one more entry from the diagonal place of coordinate 0 (unit 0,
+    # line 0) to that of coordinate 4 (unit 1, line 1), and none from
+    # coordinate 3 (unit 1, line 0) to coordinate 1 (unit 0, line 1)
+    model = build_model("quaternionic", 3, 1.0)
+    _with_entry(monkeypatch, 0, 0, 4, 4)
+    with pytest.raises(ValueError, match="not symmetric"):
         assemble_tt_remainder(model)
 
 
@@ -417,7 +483,7 @@ def test_assembly_holds_under_one_and_a_half_n4_arrays():
 
 def test_coupling_of_diagonal_and_pair_is_refused(monkeypatch):
     # one entry between the diagonal position (0, 0) and the pair (0, 1)
-    # breaks the split into pair blocks and the ladder block
+    # breaks the split into pair blocks and diagonal blocks
     _with_entry(monkeypatch, 0, 0, 0, 1)
     with pytest.raises(ValueError, match="couples the diagonal"):
         assemble_tt_remainder(build_model("complex", 2, 1.0))
@@ -547,7 +613,7 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
 
 def test_sampling_holds_no_form_sized_array():
     # hp10, dim 819: the sampling holds one chunk of draws for one block
-    # and its product with the block, at most RAYLEIGH_CHUNK x (n - 1)
+    # and its product with the block, at most RAYLEIGH_CHUNK x (tau + 1)
     # floats each, beside a few chunk-long vectors and the small arrays of
     # Jacobi and the refinement on the block.  That is below one dim x dim
     # array, and far below one dim x chunk array.
@@ -634,7 +700,7 @@ def _planted_form(rel_gap: float) -> QuadForm:
     unit = form(rel_gap * float(np.linalg.norm(form(0.0))))
     blocks = [(unit[np.ix_(idx, idx)], idx[None])
               for idx in (np.arange(3), np.arange(3, 5), np.arange(5, 9))]
-    return QuadForm(n=4, dim=9, blocks=blocks)
+    return QuadForm(n=4, tau=0, dim=9, blocks=blocks)
 
 
 @pytest.mark.parametrize("rel_gap,seed", [
