@@ -32,7 +32,7 @@ Input budget: a model whose estimated peak memory for the command
 (``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
 refused as a config error, exit 2, before anything is built.  ``model`` and
 ``certify`` hold the nonzeros of R and no n^4 array, and are refused from
-dimension n = 1141 and n = 1031; ``verify`` and ``report`` also hold the
+dimension n = 1141 and n = 1041; ``verify`` and ``report`` also hold the
 identity catalog's pair-basis matrices, each of n^4 / 4 entries, and are
 refused from n = 127 (``--space sphere --n 127``, ``--space hp --m 32``).
 """
@@ -135,8 +135,9 @@ def memory_estimate(command: str, n: int) -> int:
       picks those it reads, then the form C relabelled onto every line
       (about 3 n^2 entries) and its index arithmetic, traced at 61 n^2
       at n = 64 and n = 96, compact and dual; and the two arrays of
-      ``RAYLEIGH_CHUNK`` x n that the sampling holds (a chunk of draws for
-      a block of size at most n - 1 and its product with the block);
+      ``RAYLEIGH_CHUNK`` x 8 that the sampling holds (a chunk of draws for
+      a block, of at most tau + 1 <= 8 rows, and its product with the
+      block);
     - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
       catalog, which holds a few N x N pair-basis matrices of n^4 / 4
       entries (R's, a random draw, a product and its comparand and their
@@ -150,7 +151,7 @@ def memory_estimate(command: str, n: int) -> int:
     """
     words = LIST_WORDS * n**2
     if command in ("certify", "report"):
-        words += ASSEMBLY_WORDS * n**2 + 2 * RAYLEIGH_CHUNK * n
+        words += ASSEMBLY_WORDS * n**2 + 2 * RAYLEIGH_CHUNK * 8
     if command in ("verify", "report"):
         words += CATALOG_WORDS * n**4
     return 8 * words + BASE_BYTES

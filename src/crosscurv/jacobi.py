@@ -2,9 +2,8 @@
 
 Self-contained rotation-based solver: no LAPACK call decides a certificate.
 The matrices are the distinct blocks of the trace-free forms
-(``hessian.QuadForm``), the largest of which is the diagonal ladder of size
-n - 1 (39 x 39 for hp10, n = 40), and the 3 x 3 Rayleigh-Ritz problems of
-the Rayleigh refinement.  Sweeping to a 1e-12 off-diagonal norm takes a
+(``hessian.QuadForm``), none of more than tau + 1 <= 8 rows at any n, and
+the 3 x 3 Rayleigh-Ritz problems of the Rayleigh refinement.  Sweeping to a 1e-12 off-diagonal norm takes a
 handful of sweeps.
 ``numpy.linalg.eigh`` appears only in the test suite as an independent
 oracle.

@@ -369,7 +369,7 @@ def test_memory_budget_refuses_before_building(monkeypatch):
 
 
 #: the first dimension each command refuses
-REFUSAL = {"model": 1141, "certify": 1031, "verify": 127, "report": 127}
+REFUSAL = {"model": 1141, "certify": 1041, "verify": 127, "report": 127}
 
 
 def test_memory_budget_admits_every_benchmarked_size():
