@@ -280,7 +280,8 @@ class QuadForm:
 
     def value(self, h: np.ndarray) -> float:
         """Evaluate on a trace-free symmetric matrix via the basis."""
-        b = tt_basis(self.n, self.tau).T @ np.ravel(np.asarray(h, float))
+        b = (tt_basis(self.n, self.tau).T
+             @ np.asarray(h, dtype=float).reshape(-1))
         return self.scale * float(b @ self.unit @ b)
 
 
@@ -376,7 +377,7 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     return _split_form(model, rows, cols, vals)
 
 
-def _diagonal_entries(tau: int, D: np.ndarray) -> tuple:
+def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
     """Rows, columns (from the first diagonal column of ``tt_basis``) and
     values of the nonzeros of the form on the diagonal columns, from D, the
     part of C on the diagonal places, symmetrized.
@@ -389,24 +390,25 @@ def _diagonal_entries(tau: int, D: np.ndarray) -> tuple:
     joins two of these blocks.  B must be symmetric, as the swap of lines 0
     and 1 keeps C; otherwise ValueError.
     """
-    n = len(D)
-    lines = n // (tau + 1)
+    units = model.tau + 1
+    lines = model.n // units
     D = 0.5 * (D + D.T)
     A = D[::lines, ::lines]
     B = D[::lines, 1::lines] if lines > 1 else np.zeros_like(A)
     if not np.array_equal(B, B.T):
-        raise ValueError("the diagonal part between lines 0 and 1 is not "
-                         "symmetric")
-    U = _ladder(tau + 1)
+        raise ValueError(f"{model.label}: the diagonal part between lines 0 "
+                         "and 1 is not symmetric")
+    each = A - B
+    U = _ladder(units)
     top = U.T @ (A + (lines - 1) * B) @ U
-    p, q = np.nonzero(A - B)
-    at = (tau + 1) * np.arange(lines - 1)[:, None]
+    top = 0.5 * (top + top.T)
+    p, q = np.nonzero(each)
+    at = units * np.arange(lines - 1)[:, None]
     r, s = np.nonzero(top)
-    last = (tau + 1) * (lines - 1)
+    last = units * (lines - 1)
     return (np.concatenate([(at + p).ravel(), last + r]),
             np.concatenate([(at + q).ravel(), last + s]),
-            np.concatenate([np.tile((A - B)[p, q], lines - 1),
-                            0.5 * (top + top.T)[r, s]]))
+            np.concatenate([np.tile(each[p, q], lines - 1), top[r, s]]))
 
 
 def _split_form(model: CurvatureModel, rows: np.ndarray, cols: np.ndarray,
@@ -423,7 +425,7 @@ def _split_form(model: CurvatureModel, rows: np.ndarray, cols: np.ndarray,
                          "an off-diagonal pair")
     D = np.zeros((n, n))
     D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
-    r, s, v = _diagonal_entries(model.tau, D)
+    r, s, v = _diagonal_entries(model, D)
     blocks = _distinct_blocks(
         off + n - 1, np.concatenate([rows[on_pairs], off + r]),
         np.concatenate([cols[on_pairs], off + s]),

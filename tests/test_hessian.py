@@ -42,18 +42,18 @@ def _random_tt(n):
     return h - np.trace(h) / n * np.eye(n)
 
 
-@pytest.mark.parametrize("n,tau", [(3, 0), (4, 0), (5, 0), (16, 0), (4, 1),
-                                   (6, 1), (12, 1), (4, 3), (12, 3), (24, 3),
-                                   (16, 7)])
-def test_tt_basis_orthonormal_symmetric_tracefree(n, tau):
-    B = tt_basis(n, tau)
+@pytest.mark.parametrize("n", [3, 4, 5, 16])
+def test_tt_basis_orthonormal_symmetric_tracefree(n):
+    # for every family of dimension n: sphere, cp, hp and op
     dim = n * (n + 1) // 2 - 1
-    assert B.shape == (n * n, dim)
-    assert np.allclose(B.T @ B, np.eye(dim), atol=1e-14)
-    for col in B.T:
-        h = col.reshape(n, n)
-        assert np.allclose(h, h.T, atol=1e-15)
-        assert abs(np.trace(h)) < 1e-14
+    for tau in (t for t in (0, 1, 3, 7) if n % (t + 1) == 0):
+        B = tt_basis(n, tau)
+        assert B.shape == (n * n, dim)
+        assert np.allclose(B.T @ B, np.eye(dim), atol=1e-14)
+        for col in B.T:
+            h = col.reshape(n, n)
+            assert np.allclose(h, h.T, atol=1e-15)
+            assert abs(np.trace(h)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 33])
@@ -218,6 +218,10 @@ def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
     assert np.array_equal(M[:i.size, :i.size], 0.5 * four)
     dense = _dense_form(model)
     assert np.linalg.norm(M - dense) <= 1e-15 * np.linalg.norm(dense)
+    # value(h) is h^T (B^T G B) h on the coordinates b of h in the same B
+    b = tt_basis(n, model.tau).T @ _random_tt(n).reshape(-1)
+    assert abs(qf.value((tt_basis(n, model.tau) @ b).reshape(n, n))
+               - b @ dense @ b) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
     # the blocks: their occurrences partition range(dim), each in
     # ascending order, and carry every nonzero of the form, bit for bit
     assert sum(idx.size for _, idx in qf.blocks) == dim
@@ -374,16 +378,22 @@ def test_diagonal_blocks_have_the_spectrum_of_the_dense_ladder(family, m,
     assert gap <= 1e-12 * np.linalg.norm(D)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("family,m,nkw", FORM_MODELS)
-def test_value_is_the_dense_form_on_the_basis(family, m, nkw, sign):
-    # h^T (B^T G B) h on the coordinates of h in the same basis B
-    model = build_model(family, m, sign, n=nkw)
-    dense = _dense_form(model)
-    b = tt_basis(model.n, model.tau).T @ _random_tt(model.n).reshape(-1)
-    h = (tt_basis(model.n, model.tau) @ b).reshape(model.n, model.n)
-    got = assemble_tt_remainder(model).value(h)
-    assert abs(got - b @ dense @ b) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
+@pytest.mark.parametrize("family,m", [("complex", 3), ("quaternionic", 1),
+                                      ("quaternionic", 4), ("octonionic", 2)])
+def test_diagonal_split_of_any_line_symmetric_part(family, m):
+    # on every model B is a multiple of the ones, which U^T B U = 0 hides;
+    # random integer A and B check each block against the dense form on
+    # the diagonal columns P of the basis
+    model = build_model(family, m, 1.0)
+    n, units = model.n, model.tau + 1
+    lines = n // units
+    A, B = (x + x.T for x in RNG.integers(-5, 6, (2, units, units)))
+    D = np.kron(A - B, np.eye(lines)) + np.kron(B, np.ones((lines, lines)))
+    r, s, v = hessian._diagonal_entries(model, D)
+    got = np.zeros((n - 1, n - 1))
+    got[r, s] = v
+    P = tt_basis(n, model.tau)[np.arange(n) * (n + 1), n * (n - 1) // 2:]
+    assert np.linalg.norm(got - P.T @ D @ P) <= 1e-14 * np.linalg.norm(D)
 
 
 def _with_entry(monkeypatch, x, y, z, w):
