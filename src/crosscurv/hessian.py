@@ -16,13 +16,15 @@ the round sphere); off integral c it is returned as the nearest float.
 
 Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
 n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
-of (row, column, value) entries of its n^2 x n^2 matrix on vec(h): the
-structure average G: h -> ht from the signed permutations (pi, s) of the
-structure operators, the curvature action L: h -> B from the nonzeros of
-R, their Grams G^T G and L^T L for |ht|^2 and |B|^2, and products of two
-nonzeros of R that share the contracted slots for K_PAIR and RR_KN.  The
-identity catalog applies the same G and L.  Each vec position lies on one
-pair coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
+of (row, column, value) entries of its n^2 x n^2 matrix on vec(h), of
+three kinds: sums of K (x) K over signed permutations (pi, s), namely the
+identity for |h|^2, the structure operators for the structure average G:
+h -> ht and their products for |ht|^2 = |G h|^2; the curvature action L:
+h -> B from the nonzeros of R; and products of two nonzeros of R that
+share the contracted slots for K_PAIR, RR_KN and |B|^2, which is K_PAIR
+read in another index layout.  The identity catalog applies the same G
+and L and the same pairings.  Each vec position lies on one pair
+coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
 diagonal, and the weighted entries are summed per place pair into the
 nonzeros of a form C on those n(n-1)/2 + n places.
 
@@ -78,6 +80,7 @@ from crosscurv.tensors import (_pair_index, _pair_lookup, pairs_by_key,
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
+    compose_signed,
     einstein_constant,
     norm2_closed_claimed,
     norm2_closed_derived,
@@ -148,76 +151,71 @@ def tt_basis(n: int, tau: int) -> np.ndarray:
     return B
 
 
-#: the Gram G^T G of each map's entry list, by the map's basis quantity
-GRAMS = {"NORM_HTILDE": "IP_H_HTILDE", "NORM_RRING": "IP_RRING_H"}
-
-
 def _term_entries(model: CurvatureModel, key: str, nz: tuple,
                   near: np.ndarray | None = None) -> tuple:
     """Rows, columns and values of the entries of an n^2 x n^2 matrix that
     realizes one basis quantity on vec(h) of a symmetric h, row-major;
     repeated positions add up.
 
-    IP_H_HTILDE is the structure average G: h -> sum_J J^T h J, s_x s_y
-    at (pi_x n + pi_y, x n + y) for each J e_x = s_x e_pi_x, operator by
-    operator (G is symmetric, as J^T = -J); IP_RRING_H is the curvature
-    action L: h -> B, one entry per nonzero of R.  The identity catalog
-    applies both maps, and NORM_HTILDE and NORM_RRING are their Grams
-    (``GRAMS``), from the pairs of entries that share a row.  K_PAIR[(p,
-    q), (m, n)] sums R[p,i,m,j] R[q,i,n,j] over the pairs of nonzeros with
-    equal slots (i, j).  For K_PAIR and RR_KN the pairs (s, t) and (t, s)
-    sit at transposed positions, (p, q) against (q, p) and (m, n) against
-    (n, m), which a symmetric h does not tell apart: each unordered pair
-    is taken once, at twice the weight.  ``nz`` holds the four index
+    Three kinds of list realize the seven quantities.  A sum of K (x) K
+    over signed permutations K e_x = s_x e_pi_x, s_x s_y at (pi_x n +
+    pi_y, x n + y): the identity for NORM_H, the structure operators J_a
+    for IP_H_HTILDE (the structure average G: h -> sum_J J^T h J; G is
+    symmetric, as J^T = -J) and their products J_a J_b
+    (``compose_signed``) for NORM_HTILDE, as G^T G = G G.  The curvature
+    action L: h -> B, one entry per nonzero of R, for IP_RRING_H.  And one
+    pairing of the nonzeros of R with equal contracted slots: K_PAIR[(p,
+    q), (m, n)] sums R[p,i,m,j] R[q,i,n,j] over the pairs that share (i,
+    j), and RR_KN is (1/2) sum_ij R[p,m,i,j] R[q,n,i,j].  The pairs (s, t)
+    and (t, s) sit at transposed positions, (p, q) against (q, p) and (m,
+    n) against (n, m), which a symmetric h does not tell apart: each pair
+    is taken once, at twice the weight off s = t.  NORM_RRING, |B|^2 = L^T
+    L[(p, m), (q, n)], reads the K_PAIR entries at ((p, m), (q, n)), each
+    pair in both orders at half its weight.  The identity catalog applies
+    G and L and the K_PAIR and RR_KN lists.  ``nz`` holds the four index
     arrays of the nonzeros of R and their values.
 
     ``near``, a boolean mask of the coordinates (all of them by default),
-    keeps the entries whose row and column x n + y have x and y near.
-    K_PAIR and RR_KN then pair only the nonzeros whose free slots, those
-    that make the rows and columns, are near, and a Gram only the entries
-    of its map with near columns; the contracted slots range over every
-    coordinate.
+    keeps the entries whose row and column x n + y have x and y near.  The
+    permutation lists are built only there (each J_a keeps the lines, so
+    its rows are near too), and the pairing pairs only the nonzeros whose
+    free slots, those that make the rows and columns, are near; the
+    contracted slots range over every coordinate.
     """
     n = model.n
     near = np.ones(n, dtype=bool) if near is None else near
-
-    def kept(at):  # the vec positions at with both coordinates near
-        return near[at // n] & near[at % n]
-
-    if key in GRAMS:
-        rows, cols, v = _term_entries(model, GRAMS[key], nz)
-        at = np.flatnonzero(kept(cols))
-        s, t = pairs_by_key(rows[at])
-        s, t = at[s], at[t]
-        return cols[s], cols[t], v[s] * v[t]
-    if key == "NORM_H":
-        diag = np.flatnonzero(kept(np.arange(n * n)))
-        return diag, diag, np.ones(diag.size)
+    if key in ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE"):
+        perms = model.J.perms
+        if key == "NORM_H":
+            perms = [(np.arange(n), np.ones(n))]
+        elif key == "NORM_HTILDE":
+            perms = [compose_signed(p, q) for p in perms for q in perms]
+        x = np.flatnonzero(near)
+        pi = np.array([p[x] for p, _ in perms], dtype=np.intp)
+        pi = pi.reshape(len(perms), x.size, 1)
+        sign = np.array([q[x] for _, q in perms]).reshape(pi.shape)
+        return ((pi * n + pi.transpose(0, 2, 1)).ravel(),
+                np.tile((x[:, None] * n + x).ravel(), len(perms)),
+                (sign * sign.transpose(0, 2, 1)).ravel())
     i0, i1, i2, i3, v = nz
-    if key == "IP_H_HTILDE":
-        tau, perms = model.tau, model.J.perms
-        pi = np.array([p for p, _ in perms], dtype=np.intp).reshape(tau, n, 1)
-        sign = np.array([q for _, q in perms]).reshape(tau, n, 1)
-        rows = (pi * n + pi.reshape(tau, 1, n)).ravel()
-        cols = np.tile(np.arange(n * n), tau)
-        v = (sign * sign.reshape(tau, 1, n)).ravel()
-    elif key == "IP_RRING_H":
-        rows, cols = i1 * n + i3, i0 * n + i2
-    elif key in ("K_PAIR", "RR_KN"):
-        # the free slots, the contracted ones and the weight; RR_KN is
-        # (1/2) sum_ij R[p,m,i,j] R[q,n,i,j]
-        (a, b), shared, weight = (((i0, i2), i1 * n + i3, 1.0)
-                                  if key == "K_PAIR"
-                                  else ((i0, i1), i2 * n + i3, 0.5))
-        at = np.flatnonzero(near[a] & near[b])
-        s, t = pairs_by_key(shared[at], unordered=True)
-        s, t = at[s], at[t]
-        return (a[s] * n + a[t], b[s] * n + b[t],
-                np.where(s == t, weight, 2 * weight) * (v[s] * v[t]))
-    else:
+    if key == "IP_RRING_H":
+        at = near[i0] & near[i1] & near[i2] & near[i3]
+        return i1[at] * n + i3[at], i0[at] * n + i2[at], v[at]
+    if key not in ("K_PAIR", "RR_KN", "NORM_RRING"):
         raise KeyError(f"no quadratic-form realization for {key!r}")
-    at = kept(rows) & kept(cols)
-    return rows[at], cols[at], v[at]  # a copy, scaled in place later
+    # the free slots, the contracted ones and the weight
+    (a, b), shared, weight = (((i0, i1), i2 * n + i3, 0.5) if key == "RR_KN"
+                              else ((i0, i2), i1 * n + i3, 1.0))
+    at = np.flatnonzero(near[a] & near[b])
+    s, t = pairs_by_key(shared[at])
+    s, t = at[s], at[t]
+    w = np.where(s == t, weight, 2 * weight) * (v[s] * v[t])
+    if key != "NORM_RRING":
+        return a[s] * n + a[t], b[s] * n + b[t], w
+    ps, qt = a[s] * n + b[s], a[t] * n + b[t]
+    w *= 0.5
+    return (np.concatenate([ps, qt]), np.concatenate([qt, ps]),
+            np.concatenate([w, w]))
 
 
 def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
@@ -656,10 +654,10 @@ def conformal_value(model: CurvatureModel, mu=None,
 
 def hp_scale(p: float, R_norm2: float) -> float:
     """Scale factor (p/2) |R|^(p-2) relating the exponent-p form to the
-    exponent-2 form at a critical model; defined for p >= 2.  A factor
-    beyond the double range is inf, not an OverflowError."""
-    if p < 2:
-        raise ValueError("scale factor is defined for p >= 2 only")
+    exponent-2 form at a critical model; defined for finite p >= 2.  A
+    factor beyond the double range is inf, not an OverflowError."""
+    if not 2 <= p < math.inf:
+        raise ValueError("scale factor is defined for finite p >= 2 only")
     if R_norm2 <= 0:
         raise ValueError("need a positive squared norm")
     try:
@@ -714,8 +712,8 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     absence of tabulated reference data is recorded rather than silently
     skipped.
     """
-    if p < 2:
-        raise ValueError("verdicts are tabulated for p >= 2 only")
+    if not 2 <= p < math.inf:
+        raise ValueError("verdicts are tabulated for finite p >= 2 only")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     regime = "compact" if model.compact else "noncompact"

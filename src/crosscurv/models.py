@@ -312,7 +312,7 @@ def _invariance_gaps(model: "CurvatureModel", slots: tuple,
                          + [(k, -v) for k, v in (_aform_entries(n, *p)
                                                  for p in others)]
                          + [pairform])
-    return np.array([four, _largest_sum([E])]
+    return np.array([four, float(np.max(np.abs(E[1]), initial=0.0))]
                     + [_largest_sum([E, (k, -c * v)])
                        for k, v in (defect, pairform)])
 
@@ -495,7 +495,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
 
     # the contractions from the nonzeros: Ricci r(a, b) = sum_i R(a,i,b,i),
     # and the self-contraction from the pairs of nonzeros that share their
-    # last three slots
+    # last three slots, each pair once and then with its transpose
     i0, i1, i2, i3 = slots
     lam = einstein_constant(nn, tau, c)
     on = i1 == i3
@@ -509,6 +509,8 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     s, t = pairs_by_key(keys % nn**3)
     chk = np.bincount(i0[s] * nn + i0[t], weights=vals[s] * vals[t],
                       minlength=nn * nn).reshape(nn, nn)
+    # the pairs s = t, each nonzero with itself, lie on the diagonal once
+    chk += chk.T - np.diag(np.bincount(i0, weights=vals * vals, minlength=nn))
     crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(nn))))
     if crit > 1e-10 * norm_direct / nn:
         raise ModelValidationError(f"criticality identity fails: residual {crit:.3e}")

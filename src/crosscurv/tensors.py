@@ -168,21 +168,18 @@ def gather(keys: np.ndarray, values: np.ndarray, query) -> np.ndarray:
     return np.where(keys[at] == query, values[at], 0.0)
 
 
-def pairs_by_key(key: np.ndarray, unordered: bool = False) -> tuple:
-    """Positions (s, t) of every ordered pair of entries with key[s] ==
-    key[t]; with ``unordered``, of every such pair once, s before or at t
-    in the sort of ``key``."""
+def pairs_by_key(key: np.ndarray) -> tuple:
+    """Positions (s, t) of every pair of entries with key[s] == key[t],
+    once: s before or at t in the sort of ``key``, so s = t is a pair and
+    (t, s) is not another one."""
     order = np.argsort(key)
     _, start, count = np.unique(key[order], return_index=True,
                                 return_counts=True)
-    # the first partner of each sorted entry, and how many it has
-    head = np.repeat(start, count)
-    if unordered:
-        head = np.arange(key.size)
-    size = np.repeat(start + count, count) - head
+    # how many partners each sorted entry has from itself to its key's end
+    size = np.repeat(start + count, count) - np.arange(key.size)
     first = np.repeat(np.arange(key.size), size)
     offset = np.arange(first.size) - np.repeat(np.cumsum(size) - size, size)
-    return order[first], order[np.repeat(head, size) + offset]
+    return order[first], order[first + offset]
 
 
 def random_symtensor(n: int, seed: int, trace_free: bool = False) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Trace-free quadratic forms, spectral certificates, conformal values.
 
 The dense term matrices are checked against explicit loop sums, the
-assembled remainder against them, against hand-expanded coefficient values
-and, bit for bit, against the full assembly over every pair of R's
-nonzeros (``full_assembly``), and the certified minimal eigenvalues against
-pinned constants for every compact family.
+assembled remainder and each basis quantity alone against them, the
+remainder against hand-expanded coefficient values and, bit for bit,
+against the full assembly over every pair of R's nonzeros
+(``full_assembly``), and the certified minimal eigenvalues against pinned
+constants for every compact family.
 """
 
 import math
@@ -171,25 +172,26 @@ def test_assemble_quadform_is_weighted_sum():
     assert abs(qf.value(h) - want) < 1e-9 * max(1.0, abs(want))
 
 
-def _dense_terms(model):
-    """G: one n^2 x n^2 ``term_matrix`` per basis quantity of the model's
-    remainder, weighted and summed in order."""
-    display = (compact_tt_coefficients if model.compact
-               else noncompact_tt_coefficients)
-    coeffs = display(model.n, model.tau, model.c, model.R_norm2)
+def _dense_terms(model, weights=None):
+    """G: one n^2 x n^2 ``term_matrix`` per basis quantity of ``weights``
+    (by default the model's remainder), weighted and summed in order."""
+    if weights is None:
+        display = (compact_tt_coefficients if model.compact
+                   else noncompact_tt_coefficients)
+        weights = display(model.n, model.tau, model.c, model.R_norm2)
     n = model.n
     G = np.zeros((n * n, n * n))
-    for key, w in coeffs.items():
+    for key, w in weights.items():
         if w != 0:
             G += float(w) * term_matrix(model, key)
     return G
 
 
-def _dense_form(model):
+def _dense_form(model, weights=None):
     """The dense reference for ``assemble_quadform``: G compressed to the
     trace-free basis B."""
     B = tt_basis(model.n, model.tau)
-    M = B.T @ _dense_terms(model) @ B
+    M = B.T @ _dense_terms(model, weights) @ B
     return 0.5 * (M + M.T)
 
 
@@ -198,15 +200,20 @@ FORM_MODELS = [("sphere", 0, 5), ("complex", 2, None), ("complex", 3, None),
                ("octonionic", 2, None)]
 
 
+@pytest.mark.parametrize("term", [None, *TERM_KEYS])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("family,m,nkw", FORM_MODELS)
 def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
-        family, m, nkw, sign):
+        family, m, nkw, sign, term):
+    # the remainder (term None), or one basis quantity at weight 1 against
+    # its own dense ``term_matrix``
     model = build_model(family, m, sign, n=nkw)
-    qf = assemble_tt_remainder(model)
+    weights = None if term is None else {term: 1.0}
+    qf = (assemble_tt_remainder(model) if term is None
+          else assemble_quadform(model, weights))
     M = qf.unit
     n, dim = model.n, qf.dim
-    G = _dense_terms(model)
+    G = _dense_terms(model, weights)
     # at c = +-1 every entry of G is an integer or a half-integer, so the
     # pair entries are exact: half the sum of G at the four positions of
     # the two pairs.  (B^T G B multiplies by (1/sqrt 2)^2 =
@@ -216,7 +223,7 @@ def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
     p, q = (i[:, None], j[:, None]), (i[None], j[None])
     four = sum(G4[a + b] for a in (p, p[::-1]) for b in (q, q[::-1]))
     assert np.array_equal(M[:i.size, :i.size], 0.5 * four)
-    dense = _dense_form(model)
+    dense = _dense_form(model, weights)
     assert np.linalg.norm(M - dense) <= 1e-15 * np.linalg.norm(dense)
     # value(h) is h^T (B^T G B) h on the coordinates b of h in the same B
     b = tt_basis(n, model.tau).T @ _random_tt(n).reshape(-1)
@@ -447,8 +454,8 @@ def test_assembly_pairs_only_the_nonzeros_on_two_lines(monkeypatch):
     model = build_model("quaternionic", 10, 1.0)
     pairs = []
 
-    def counted(key, unordered=False):
-        s, t = tensors.pairs_by_key(key, unordered)
+    def counted(key):
+        s, t = tensors.pairs_by_key(key)
         pairs.append(s.size)
         return s, t
 
@@ -738,6 +745,22 @@ def test_samples_below_one_are_refused_before_jacobi(samples, monkeypatch):
         min_eigen_tt(qf, samples=samples)
     with pytest.raises(ValueError, match="samples"):
         stability_verdict(model, samples=samples)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_non_finite_p_is_refused_before_assembly(p, monkeypatch):
+    # nan passed every p < 2 check and read "stable-strict" with epsilon
+    # nan; inf gave epsilon inf
+    model = build_model("sphere", 0, 1.0, n=5)
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("the form was assembled")
+
+    monkeypatch.setattr(hessian, "assemble_tt_remainder", assemble)
+    with pytest.raises(ValueError, match="finite p"):
+        stability_verdict(model, p=p)
+    with pytest.raises(ValueError, match="finite p"):
+        hp_scale(p, model.R_norm2)
 
 
 def test_conformal_values_claimed_and_computed():

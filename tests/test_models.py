@@ -26,8 +26,9 @@ from crosscurv.models import (
     reference_constants,
     reference_mu_over_lambda,
 )
-from crosscurv.tensors import sum_by_key
-from dense_oracle import check_tensor, dense_operators, ricci
+from crosscurv.tensors import sum_by_key, sum_entries
+from dense_oracle import (check_tensor, dense_operators, kn_product,
+                          random_curvature, ricci)
 
 # family, m, n kw, n, tau, lambda, s, |R|^2, claimed closed form
 CONSTANTS = [
@@ -213,6 +214,31 @@ def test_broken_table_row_fails_the_structure_gate(monkeypatch, breakage):
     with pytest.raises(ModelValidationError,
                        match="structure operator invariants fail"):
         build_model("quaternionic", 2, 1.0)
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_planted_weyl_tensor_fails_the_criticality_gate(monkeypatch, c):
+    # sphere7 plus c/100 times an algebraic Weyl tensor W, with the frame
+    # audit waved through: W is Ricci-flat, so the Einstein gate passes,
+    # and W o W is not a multiple of g for n >= 5 (in dimension 4 it is)
+    n = 7
+    T = random_curvature(n, 11)
+    g = np.eye(n)
+    scal = np.trace(ricci(T))
+    W = T - kn_product((ricci(T) - scal / (2 * (n - 1)) * g) / (n - 2), g)
+    assert np.max(np.abs(ricci(W))) <= 1e-12 * np.max(np.abs(T))
+    build = models._curvature_nonzeros
+
+    def planted(J, c):
+        keys, vals = build(J, c)
+        return sum_entries([(keys, vals),
+                            (np.arange(n**4), 1e-2 * c * W.ravel())])
+
+    monkeypatch.setattr(models, "_curvature_nonzeros", planted)
+    monkeypatch.setattr(models.FrameAudit, "passed", lambda self, tol: True)
+    with pytest.raises(ModelValidationError,
+                       match="criticality identity fails"):
+        build_model("sphere", 0, c, n=n)
 
 
 def test_build_and_verdict_never_make_the_dense_tensor(monkeypatch):

@@ -3,8 +3,8 @@
 Every dense contraction of the tests' oracle (``dense_oracle``) is checked
 on small dimensions against a direct nested-loop evaluation of its
 defining formula, so the other tests can pin the library's entry lists
-against it; the library's curvature checks and random draws are checked
-here too.
+against it; the library's curvature checks, random draws and key pairing
+are checked here too.
 """
 
 import numpy as np
@@ -22,6 +22,7 @@ from crosscurv.tensors import (
     _project_bianchi,
     CurvTensor4,
     check_curvature_rules,
+    pairs_by_key,
     random_curvature_lambda2,
     random_symtensor,
 )
@@ -323,3 +324,19 @@ def test_cached_index_arrays_are_read_only():
     for arr in (*_pair_index(5), _pair_lookup(5), _bianchi_entries(5)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 3
+
+
+@pytest.mark.parametrize("key", [
+    np.random.default_rng(5).integers(0, 6, 40),  # repeats
+    np.random.default_rng(5).permutation(30),  # all distinct
+    np.full(9, 4),  # one repeated key
+    np.zeros(0, dtype=np.intp),  # empty
+], ids=["repeats", "distinct", "one-key", "empty"])
+def test_pairs_by_key_gives_every_equal_pair_once(key):
+    # against a double loop: each pair s <= t of equal keys, s = t
+    # included, comes back exactly once, in one of its two orders
+    s, t = pairs_by_key(key)
+    got = sorted(zip(np.minimum(s, t).tolist(), np.maximum(s, t).tolist()))
+    want = [(a, b) for a in range(key.size) for b in range(a, key.size)
+            if key[a] == key[b]]
+    assert got == want
