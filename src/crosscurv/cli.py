@@ -129,7 +129,8 @@ def memory_estimate(command: str, n: int) -> int:
 
     - every command that builds a model: ``LIST_WORDS`` n^2 for the
       nonzeros of R (about 10 n^2 of them) and what the build, the frame
-      audit and the gates hold beside them (about 300 n^2 at n = 16..128);
+      audit and the gates hold beside them; the build traced 183 n^2 at
+      hp16 and 187 n^2 at hp64 (and 439 n^2, under 1 MiB, at op2);
     - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` n^2 for the
       assembly, which holds the four slot arrays of R's nonzeros while it
       picks those it reads, then the form C relabelled onto every line

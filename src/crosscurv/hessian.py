@@ -546,9 +546,14 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     c is exactly c^2 times the one at c = sign(c), with the same rotation
     count and the same consistency decision.
 
-    Sampling: block k draws its centred uniforms, ``Generator.random``
-    minus 0.5, from its own stream, ``SeedSequence(seed).spawn(len(
-    qf.blocks))[k]`` through PCG64, one sample per row, in chunks of
+    A 1 x 1 block (b) is not sampled: every sample x refines to the unit
+    vector x / |x| = +-1, whose quotient is b and whose residual is 0, so
+    it is recorded as the quotient b with the bound 1e-12 |b|.
+
+    Sampling: block k of more rows draws its centred uniforms,
+    ``Generator.random`` minus 0.5, from its own stream,
+    ``SeedSequence(seed).spawn(len(qf.blocks))[k]`` (the child of a 1 x 1
+    block goes unused) through PCG64, one sample per row, in chunks of
     ``RAYLEIGH_CHUNK`` rows (the last one shorter), serially; the best
     quotient is kept with a strict ``<``.  At most a chunk of draws and
     its product with the block are held at once, and the certificate
@@ -576,6 +581,10 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
     for (block, _), stream in zip(qf.blocks, streams):
         spectra.append(jacobi_eigs(block))
+        if len(block) == 1:  # the refinement of any sample returns b
+            b = float(block[0, 0])
+            refined.append((b, 1e-12 * abs(b)))
+            continue
         rng = np.random.Generator(np.random.PCG64(stream))
         best_val, best = np.inf, None
         for done in range(0, samples, RAYLEIGH_CHUNK):

@@ -35,6 +35,14 @@ for the tests and the benchmark; the dense structure operators and the
 dense contractions are the tests' oracle (``tests/dense_oracle.py``).  No
 command makes either.
 
+Each structure operator is one division-algebra row repeated over the m
+coordinate lines, so every permutation of the lines commutes with the J_a
+and keeps R.  With more than four lines, the curvature rules and the
+frame audit check that symmetry exactly, on two generating permutations,
+and then read only the nonzeros on lines 0..3 (``_audited_nonzeros``): a
+key touches at most four lines, so its orbit meets them, and every
+residual is constant on the orbits.  The residuals keep their bits.
+
 Adapted basis convention: index (alpha, i) -> alpha * m + i, where alpha
 runs over the algebra units 0..tau and i over the coordinates 0..m-1.
 """
@@ -46,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,11 +238,21 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     return J
 
 
-def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray) -> tuple:
+def _coordinate_pairs(n: int, near: np.ndarray | None) -> tuple:
+    """Every pair (x, y) of the coordinates ``near``, x major, or of all n
+    coordinates when ``near`` is None."""
+    if near is None:
+        return np.divmod(np.arange(n * n), n)
+    return np.repeat(near, near.size), np.tile(near, near.size)
+
+
+def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray,
+                   near: np.ndarray | None = None) -> tuple:
     """A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> for K = (pi, s) as an
     entry list: s_x s_y at (x, y, pi x, pi y), -s_x s_y at (x, y, pi y,
-    pi x); the two cancel where x = y."""
-    x, y = np.divmod(np.arange(n * n), n)
+    pi x); the two cancel where x = y.  x and y range over the coordinates
+    ``near`` (all by default)."""
+    x, y = _coordinate_pairs(n, near)
     v = s[x] * s[y]
     return (np.concatenate([flat_index(n, (x, y, pi[x], pi[y])),
                             flat_index(n, (x, y, pi[y], pi[x]))]),
@@ -241,10 +260,11 @@ def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray) -> tuple:
 
 
 def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
-                      weight: float) -> tuple:
+                      weight: float, near: np.ndarray | None = None) -> tuple:
     """weight k (x) k for the pair form k(x, y) = <K x, y> of K = (pi, s)
-    as an entry list: weight s_x s_z at (x, pi x, z, pi z)."""
-    x, z = np.divmod(np.arange(n * n), n)
+    as an entry list: weight s_x s_z at (x, pi x, z, pi z), x and z over
+    the coordinates ``near`` (all by default)."""
+    x, z = _coordinate_pairs(n, near)
     return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
 
 
@@ -269,32 +289,102 @@ def _largest_sum(parts: list) -> float:
     return float(np.max(np.abs(sum_entries(parts)[1]), initial=0.0))
 
 
-def _invariance_gaps(model: "CurvatureModel", slots: tuple,
+class _Nonzeros(NamedTuple):
+    """Nonzeros of R that the construction gates read: their keys
+    (ascending), values and slot arrays; ``lines``, how many coordinate
+    lines the gates check, from line 0; and ``near``, the coordinates on
+    those lines, or None for all of them."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    slots: tuple
+    lines: int
+    near: np.ndarray | None
+
+    def at(self, n: int, slots) -> np.ndarray:
+        """Entries of R at four slot arrays on the lines read."""
+        return gather(self.keys, self.values, flat_index(n, slots))
+
+
+def _line_symmetric(model: "CurvatureModel", slots: tuple) -> bool:
+    """Whether R and every J_a are exactly invariant under every
+    permutation of the m coordinate lines, (alpha, i) -> (alpha, sigma i).
+
+    The transposition (0 1) and the cycle i -> i + 1 mod m generate the
+    permutations, so each is checked alone: J_a = (pi, s) commutes with
+    the coordinate permutation p when pi[p] = p[pi] and s[p] = s, and R
+    is kept when its moved keys, sorted, are ``R_keys`` and the values
+    moved with them are ``R_values``.  Every test is exact.
+    """
+    n, keys, vals = model.n, model.R_keys, model.R_values
+    m = n // (model.tau + 1)
+    alpha, line = np.divmod(np.arange(n), m)
+    for p in (alpha * m + np.where(line < 2, 1 - line, line),
+              alpha * m + (line + 1) % m):
+        if not all(np.array_equal(pi[p], p[pi]) and np.array_equal(s[p], s)
+                   for pi, s in model.J.perms):
+            return False
+        moved = flat_index(n, [p[k] for k in slots])
+        order = np.argsort(moved, kind="stable")  # merges the sorted runs
+        if not (np.array_equal(moved[order], keys)
+                and np.array_equal(vals[order], vals)):
+            return False
+    return True
+
+
+def _audited_nonzeros(model: "CurvatureModel", slots: tuple) -> _Nonzeros:
+    """The nonzeros of R that the construction gates read; ``slots`` are
+    the slot arrays of all of them.
+
+    All of them, unless there are m > 4 coordinate lines and R and the J_a
+    are invariant under every permutation of the lines
+    (``_line_symmetric``); then only those whose four slots lie on lines
+    0..3.  The restriction is exact.  A key has four slots, so it touches
+    at most four lines and its orbit under the permutations meets lines
+    0..3.  Each gate's residual is constant on the orbits, because the J_a
+    and the round tensor commute with the permutations too.  So the
+    largest residual over the keys on lines 0..3 is the largest over all
+    keys, bit for bit.
+    """
+    n = model.n
+    m = n // (model.tau + 1)
+    if m <= 4 or not _line_symmetric(model, slots):
+        return _Nonzeros(model.R_keys, model.R_values, slots, m, None)
+    near = np.arange(n) % m < 4
+    at = np.flatnonzero(near[slots[0]] & near[slots[1]] & near[slots[2]]
+                        & near[slots[3]])
+    return _Nonzeros(model.R_keys[at], model.R_values[at],
+                     tuple(k[at] for k in slots), 4, np.flatnonzero(near))
+
+
+def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
                      g: int) -> np.ndarray:
     """Residuals of the pullbacks by J_g: four-slot invariance, two-slot
     invariance, the two-slot defect and its pair-form part.
 
-    ``slots`` are the slot arrays of the nonzeros of R, and J_g is its
-    (pi, s) in ``model.J.perms``.  The pullbacks are signed permutations
-    of the nonzeros: R(J x, J y, J z, J w) is s_x s_y s_z s_w R(pi x,
-    pi y, pi z, pi w).  The two-slot pullback E = R(., ., J_g ., J_g .) -
-    R is compared with zero, with its exact defect and with the defect's
-    pair-form part.  The exact defect is c times the unit-scale integer
-    tensor
+    ``nz`` holds the nonzeros of R that are read, and J_g is its (pi, s)
+    in ``model.J.perms``.  J_g keeps each coordinate line, so the
+    pullbacks of the nonzeros on the lines read lie on them too.  The
+    pullbacks are signed permutations of the nonzeros: R(J x, J y, J z,
+    J w) is s_x s_y s_z s_w R(pi x, pi y, pi z, pi w).  The two-slot
+    pullback E = R(., ., J_g ., J_g .) - R is compared with zero, with its
+    exact defect and with the defect's pair-form part.  The exact defect
+    is c times the unit-scale integer tensor
 
         sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
 
-    summed from its entry lists.  For the associative families -J_g J_a is
-    (up to sign) another member of the family and the A terms cancel
-    pairwise, leaving the pair-form part alone; for the octonionic family
-    they do not.  Each residual is the largest |value| of one
-    ``sum_entries`` of two lists, the second negated: P - R for the
-    four-slot pullback P, E - c D for a defect D.  No key sums more than
-    two values, so these are the bits of the dense differences.
+    summed from its entry lists, built on the coordinates ``nz.near``.
+    For the associative families -J_g J_a is (up to sign) another member
+    of the family and the A terms cancel pairwise, leaving the pair-form
+    part alone; for the octonionic family they do not.  Each residual is
+    the largest |value| of one ``sum_entries`` of two lists, the second
+    negated: P - R for the four-slot pullback P, E - c D for a defect D.
+    No key sums more than two values, so these are the bits of the dense
+    differences.
     """
     n, c = model.n, model.c
-    vals, perms = model.R_values, model.J.perms
-    minus_R = (model.R_keys, -vals)
+    vals, slots, near, perms = nz.values, nz.slots, nz.near, model.J.perms
+    minus_R = (nz.keys, -vals)
     pi, s = perms[g]
     inv = np.argsort(pi)  # the entry at a moves to inv[a]
     moved = [inv[a] for a in slots]
@@ -307,9 +397,10 @@ def _invariance_gaps(model: "CurvatureModel", slots: tuple,
     del moved, sign
     others = [p for a, p in enumerate(perms) if a != g]
     composed = [compose_signed((pi, -s), p) for p in others]  # -J_g J_a
-    pairform = sum_entries([_pairform_entries(n, *p, -4.0) for p in others])
-    defect = sum_entries([_aform_entries(n, *p) for p in composed]
-                         + [(k, -v) for k, v in (_aform_entries(n, *p)
+    pairform = sum_entries([_pairform_entries(n, *p, -4.0, near)
+                            for p in others])
+    defect = sum_entries([_aform_entries(n, *p, near) for p in composed]
+                         + [(k, -v) for k, v in (_aform_entries(n, *p, near)
                                                  for p in others)]
                          + [pairform])
     return np.array([four, float(np.max(np.abs(E[1]), initial=0.0))]
@@ -338,9 +429,11 @@ class FrameAudit:
         return self.max_gated_residual() <= tol
 
 
-def _line_rules(model: "CurvatureModel", slots: tuple) -> tuple:
-    """zero_three_coordinates and single_line_round from the nonzeros."""
-    n, tau, c, vals = model.n, model.tau, model.c, model.R_values
+def _line_rules(model: "CurvatureModel", nz: _Nonzeros) -> tuple:
+    """zero_three_coordinates and single_line_round from the nonzeros
+    read, on the lines read."""
+    n, tau, c = model.n, model.tau, model.c
+    vals, slots = nz.values, nz.slots
     m = n // (tau + 1)
     # coord[x] is the coordinate line of basis index x under (alpha, i) ->
     # alpha m + i (on the sphere m = n: each direction is its own line).
@@ -351,16 +444,16 @@ def _line_rules(model: "CurvatureModel", slots: tuple) -> tuple:
     distinct = 1 + np.count_nonzero(labels[1:] != labels[:-1], axis=0)
     zero_three = float(np.max(np.abs(vals[distinct >= 3]), initial=0.0))
 
-    # single_line_round: on each coordinate line, R against 4c times the
-    # round tensor, 4c (d_xz d_yw - d_xw d_yz), which is 4c at (x, y, x, y)
-    # and -4c at (x, y, y, x), x != y.  On the sphere all lines are
+    # single_line_round: on each coordinate line read, R against 4c times
+    # the round tensor, 4c (d_xz d_yw - d_xw d_yz), which is 4c at (x, y,
+    # x, y) and -4c at (x, y, y, x), x != y.  On the sphere all lines are
     # 1-dimensional and identical: line 0 only
-    lines = m if tau else 1
+    lines = nz.lines if tau else 1
     a, b, i = (g.ravel() for g in np.indices((tau + 1, tau + 1, lines)))
     x, y = (a * m + i)[a != b], (b * m + i)[a != b]
     on_line = (labels[0] == labels[3]) & (labels[0] < lines)
     rnd = np.full(x.size, 4.0 * c)
-    single = _largest_sum([(model.R_keys[on_line], vals[on_line]),
+    single = _largest_sum([(nz.keys[on_line], vals[on_line]),
                            (flat_index(n, (x, y, x, y)), -rnd),
                            (flat_index(n, (x, y, y, x)), rnd)])
     return zero_three, single
@@ -386,23 +479,30 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
       two_slot_invariance      R(x, y, J_a z, J_a w) = R(x, y, z, w);
                                exact when tau <= 1, fails with the predicted
                                defect for the tau >= 3 families
+
+    The rules read the nonzeros that ``_audited_nonzeros`` chooses: all of
+    them, or, when m > 4 and R and the J_a are invariant under every
+    permutation of the lines, those on lines 0..3, with the entry rules
+    on the coordinates i, j < 4 and the defect lists on the coordinates
+    of lines 0..3.  Either way each residual is its maximum over all n^4
+    components, bit for bit.
     """
     n, tau, c = model.n, model.tau, model.c
     m = n // (tau + 1)
-    slots = model.R_slots
+    nz = _audited_nonzeros(model, model.R_slots)
 
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
     res["zero_three_coordinates"], res["single_line_round"] = _line_rules(
-        model, slots)
+        model, nz)
 
     # the four entry rules on the grid of unit labels a, b and coordinates
-    # i, j; basis index (alpha, i) -> alpha * m + i
-    a, b, i, j = np.indices((tau + 1, tau + 1, m, m))
+    # i, j on the lines read; basis index (alpha, i) -> alpha * m + i
+    a, b, i, j = np.indices((tau + 1, tau + 1, nz.lines, nz.lines))
     ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
 
     def deviation(at, want, mask):
-        entries = model.R_at(at)
+        entries = nz.at(n, at)
         return float(np.max(np.abs(entries[mask] - want), initial=0.0))
 
     res["same_coordinate_4c"] = deviation((ai, bi, ai, bi), 4.0 * c, a != b)
@@ -414,7 +514,7 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     # invariance rules, one pass per structure operator
     worst = np.zeros(4)
     for g in range(tau):
-        worst = np.maximum(worst, _invariance_gaps(model, slots, g))
+        worst = np.maximum(worst, _invariance_gaps(model, nz, g))
     worst4s, worst2s, worstdef, worstpair = map(float, worst)
     res["four_slot_invariance"] = worst4s
     res["two_slot_invariance"] = worst2s
@@ -451,8 +551,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     Validation gates, any failure raises ModelValidationError: the scale
     range |c| in SCALE_RANGE, structure-operator invariants (exact),
     curvature symmetries and Bianchi (``check_curvature_rules`` on the
-    nonzeros, relative to the largest entry), and four gates relative to the size of what they
-    bound, so that each decision is the same at every scale:
+    nonzeros that ``_audited_nonzeros`` chooses, relative to the largest
+    entry), and four gates relative to the size of what they bound, so
+    that each decision is the same at every scale:
 
       adapted-frame audit    gated residuals <= 1e-12 |c|
       Einstein identity      r = lam g, lam = c (3 tau + n - 1), to 1e-12 |lam|
@@ -480,9 +581,10 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
                            n=nn, tau=tau, c=float(c), R_keys=keys,
                            R_values=vals, J=J)
     slots = model.R_slots
+    nz = _audited_nonzeros(model, slots)
     try:
-        check_curvature_rules(vals, lambda order: model.R_at(
-            tuple(slots[k] for k in order)))
+        check_curvature_rules(nz.values, lambda order: nz.at(
+            nn, tuple(nz.slots[k] for k in order)))
     except ValueError as exc:
         raise ModelValidationError(f"curvature rules fail: {exc}") from exc
 

@@ -620,12 +620,50 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
     monkeypatch.setattr(hessian, "_refine_rayleigh", spy)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)
     best = _best_block_samples(qf, samples, seed)
-    assert len(starts) == len(qf.blocks)
-    for (M, x), (block, _), want in zip(starts, qf.blocks, best):
+    # the 1 x 1 blocks are not refined; every other block is, from its
+    # best sample
+    sampled = [(block, want) for (block, _), want in zip(qf.blocks, best)
+               if len(block) > 1]
+    assert 0 < len(sampled) == len(starts) < len(qf.blocks)
+    for (M, x), (block, want) in zip(starts, sampled):
         assert M is block
         assert np.array_equal(x, want)
     assert cert.rayleigh_min == qf.scale * min(
         refine(block, x)[0] for (block, _), x in zip(qf.blocks, best))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 3])
+@pytest.mark.parametrize("family,m,nkw,c", [
+    ("sphere", 0, 5, 1.0), ("sphere", 0, 9, -0.3), ("complex", 2, None, 1.0),
+    ("complex", 3, None, 1.0), ("complex", 5, None, -2.5e-5),
+    ("quaternionic", 3, None, 7.0), ("octonionic", 2, None, 1.0)])
+def test_one_row_blocks_record_what_their_sampling_gives(family, m, nkw, c,
+                                                         seed):
+    # the sampled path on every block, as it ran before 1 x 1 blocks were
+    # recorded directly: each block's best sample refined, its quotient and
+    # bound, then the smallest quotient.  A 1 x 1 block (b) refines to b
+    # with residual 0 from every sample, so the certificate is the same;
+    # cp2's minimum, -4, lies in a 1 x 1 block
+    qf = assemble_tt_remainder(build_model(family, m, c, n=nkw))
+    samples = 3_000
+    refined = []
+    for (block, _), x in zip(qf.blocks, _best_block_samples(qf, samples,
+                                                             seed)):
+        rho, y = hessian._refine_rayleigh(block, x)
+        bound = (float(np.linalg.norm(block @ y - rho * y))
+                 + 1e-12 * float(np.linalg.norm(block)))
+        if len(block) == 1:
+            b = block[0, 0]
+            assert (rho, bound) == (b, 1e-12 * abs(b))
+        refined.append((rho, bound))
+    assert any(len(block) == 1 for block, _ in qf.blocks)
+    ray_min, bound = min(refined, key=lambda found: found[0])
+    eig_min = min(float(hessian.jacobi_eigs(block).eigenvalues.min())
+                  for block, _ in qf.blocks)
+    cert = min_eigen_tt(qf, samples=samples, seed=seed)
+    assert cert.rayleigh_min == qf.scale * ray_min
+    assert cert.residual_bound == qf.scale * bound
+    assert cert.consistent == (abs(ray_min - eig_min) <= bound)
 
 
 def test_sampling_holds_no_form_sized_array():

@@ -7,6 +7,7 @@ conflict.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -98,21 +99,30 @@ def test_frame_rule_audit_gated(family, m):
     assert audit.passed(1e-12 * abs(mod.c))
 
 
+@pytest.mark.parametrize("fill", ["random", "orbit"])
 @pytest.mark.parametrize("family,m,nkw", [
     ("sphere", 0, 5), ("complex", 3, None), ("quaternionic", 3, None),
+    ("sphere", 0, 9), ("complex", 6, None), ("quaternionic", 5, None),
 ])
-def test_zero_three_coordinates_matches_dense_mask(family, m, nkw):
+def test_zero_three_coordinates_matches_dense_mask(family, m, nkw, fill,
+                                                  monkeypatch):
     # plant entries at random positions, some touching three or more
-    # coordinate lines, and compare with the mask over all n^4 components
+    # coordinate lines, and compare with the mask over all n^4 components;
+    # orbit: each entry also on every image under the permutations of the
+    # lines, so that a model with m > 4 lines is audited on lines 0..3
     mod = build_model(family, m, 1.0, n=nkw)
     R, n = mod.R.entries.copy(), mod.n
     rng = np.random.default_rng(5)
     for _ in range(6):
-        R[tuple(rng.integers(0, n, size=4))] = rng.uniform(0.1, 9.0)
+        key = rng.integers(0, n, size=4)
+        at = _line_orbit(key, n, mod.tau) if fill == "orbit" else tuple(key)
+        R[at] = rng.uniform(0.1, 9.0)
     _load(mod, R)
+    restricted = _line_restricted(monkeypatch)
     want = _zero_three_by_mask(R, n, mod.tau)
     assert want > 0
     assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
+    assert restricted == [fill == "orbit" and n // (mod.tau + 1) > 4]
 
 
 def _zero_three_by_mask(R, n, tau):
@@ -123,6 +133,42 @@ def _zero_three_by_mask(R, n, tau):
     distinct = sum(np.all([labels[a] != labels[b] for b in range(a)], axis=0)
                    for a in range(4))
     return np.max(np.abs(R[distinct >= 3]), initial=0.0)
+
+
+def _line_orbit(key, n, tau):
+    """Every image of a four-slot key under the permutations of the
+    coordinate lines, as four index arrays: coordinate (alpha, i) ->
+    alpha m + i goes to alpha m + sigma(i)."""
+    m = n // (tau + 1)
+    alpha, line = np.divmod(np.asarray(key), m)
+    touched = np.unique(line)
+    onto = np.array(list(permutations(range(m), touched.size)))
+    images = onto[:, np.searchsorted(touched, line)]
+    return tuple((alpha * m + images).T)
+
+
+def _rule_components(n, tau, i, j):
+    """One component of each entry rule, on the coordinate lines i != j:
+    same_coordinate_4c, cross_line_sectional_c, paired_plane_2c and
+    cross_quad_c at the units 0 and 1 (0 and 0 on the sphere)."""
+    b = min(tau, 1) * (n // (tau + 1))
+    ai, bi, aj, bj = i, b + i, j, b + j
+    return [(ai, bi, ai, bi), (ai, bj, ai, bj), (ai, bi, aj, bj),
+            (ai, aj, bi, bj)]
+
+
+def _line_restricted(monkeypatch):
+    """Record, for each call of the gates' choice of nonzeros, whether it
+    kept only the nonzeros on lines 0..3."""
+    choose, restricted = models._audited_nonzeros, []
+
+    def spy(model, slots):
+        nz = choose(model, slots)
+        restricted.append(nz.keys.size < model.R_keys.size)
+        return nz
+
+    monkeypatch.setattr(models, "_audited_nonzeros", spy)
+    return restricted
 
 
 def _load(mod, R):
@@ -505,35 +551,76 @@ def _invariance_rules_by_dense_loop(R, ops, c):
             "two_slot_defect": wd, "two_slot_defect_pairform": wp}
 
 
-@pytest.mark.parametrize("fill", ["dense", "sparse"])
+@pytest.mark.parametrize("fill", ["dense", "sparse", "orbit"])
 @pytest.mark.parametrize("family,m,nkw,c", [
     ("sphere", 0, 5, 1.0), ("complex", 3, None, 0.3),
     ("quaternionic", 2, None, -2.5), ("octonionic", 2, None, 1.0),
+    ("quaternionic", 5, None, 1.0), ("complex", 6, None, -0.3),
+    ("sphere", 0, 9, 7.0),
 ])
-def test_entry_rules_read_their_own_components(family, m, nkw, c, fill):
+def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
+                                               monkeypatch):
     # dense: distinct random values in every component, so a rule that
     # reads other components than its reference returns another maximum;
     # sparse: a tenth of the nonzeros dropped and 20 entries planted, so a
-    # rule that reads only the nonzeros misses the dropped ones.  Every
-    # residual of the audit must equal its reference exactly
+    # rule that reads only the nonzeros misses the dropped ones, and with
+    # m > 4 lines one component of each entry rule dropped on line 4.
+    # Both break the symmetry of the lines, so every line is read.  orbit:
+    # 12 random values, 8 at random keys and one at a component of each
+    # entry rule, each planted on every image of its key under the
+    # permutations of the lines; R stays line-symmetric, and with m > 4
+    # lines only lines 0..3 are read.  Every residual of the audit must
+    # equal its reference exactly
     mod = build_model(family, m, c, n=nkw)
+    n, tau = mod.n, mod.tau
+    lines = n // (tau + 1)
     rng = np.random.default_rng(9)
     if fill == "dense":
-        R = mod.R.entries + rng.uniform(-1.0, 1.0, (mod.n,) * 4)
-    else:
+        R = mod.R.entries + rng.uniform(-1.0, 1.0, (n,) * 4)
+    elif fill == "sparse":
         R = mod.R.entries.copy()
         flat = R.reshape(-1)
         flat[rng.choice(mod.R_keys, mod.R_keys.size // 10,
                         replace=False)] = 0.0
+        for key in _rule_components(n, tau, 4, 0) if lines > 4 else []:
+            R[key] = 0.0
         flat[rng.integers(0, flat.size, 20)] = rng.uniform(-1.0, 1.0, 20)
+    else:
+        R = mod.R.entries.copy()
+        for key in [*rng.integers(0, n, size=(8, 4)),
+                    *_rule_components(n, tau, 0, 1)]:
+            R[_line_orbit(key, n, tau)] += rng.uniform(-1.0, 1.0)
     _load(mod, R)
-    entry = _entry_rules_by_loops(R, mod.n, mod.tau, mod.c)
-    want = {"zero_three_coordinates": _zero_three_by_mask(R, mod.n, mod.tau),
+    restricted = _line_restricted(monkeypatch)
+    entry = _entry_rules_by_loops(R, n, tau, mod.c)
+    want = {"zero_three_coordinates": _zero_three_by_mask(R, n, tau),
             **entry,
             **_invariance_rules_by_dense_loop(R, dense_operators(mod.J), mod.c)}
     assert frame_rule_audit(mod).residuals == want
-    if mod.tau > 0:
+    assert restricted == [fill == "orbit" and lines > 4]
+    if tau > 0:
         assert min(entry.values()) > 0
+
+
+@pytest.mark.parametrize("family,m,nkw", [
+    ("sphere", 0, 4), ("sphere", 0, 5), ("sphere", 0, 40),
+    ("complex", 4, None), ("complex", 5, None), ("complex", 12, None),
+    ("quaternionic", 4, None), ("quaternionic", 5, None),
+    ("quaternionic", 10, None), ("octonionic", 2, None),
+])
+def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw,
+                                                          monkeypatch):
+    # the curvature rules and the frame audit each choose once; a model
+    # with m > 4 lines is line-symmetric and is read on lines 0..3, with
+    # the residuals of reading every line
+    restricted = _line_restricted(monkeypatch)
+    mod = build_model(family, m, -1.0, n=nkw)
+    lines = mod.n // (mod.tau + 1)
+    assert restricted == [lines > 4] * 2
+    monkeypatch.undo()
+    read = frame_rule_audit(mod).residuals
+    monkeypatch.setattr(models, "_line_symmetric", lambda model, slots: False)
+    assert frame_rule_audit(mod).residuals == read
 
 
 @pytest.mark.parametrize("family,m", [("complex", 2), ("quaternionic", 2),
