@@ -129,13 +129,15 @@ def memory_estimate(command: str, n: int) -> int:
 
     - every command that builds a model: ``LIST_WORDS`` n^2 for the
       nonzeros of R (about 10 n^2 of them) and what the build, the frame
-      audit and the gates hold beside them; the build traced 183 n^2 at
-      hp16 and 187 n^2 at hp64 (and 439 n^2, under 1 MiB, at op2);
+      audit and the gates hold beside them.  A model with more than four
+      lines holds only its nonzeros on lines 0..3, so this is an upper
+      bound: a ``model`` traced 296 n^2 at hp4 and 424 n^2, under 1 MiB,
+      at op2, which hold every nonzero, and 0.58 MiB at every m from 5
+      on, 19 n^2 at hp16 and 0.3 n^2 at hp128;
     - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` n^2 for the
-      assembly, which holds the four slot arrays of R's nonzeros while it
-      picks those it reads, then the form C relabelled onto every line
-      (about 3 n^2 entries) and its index arithmetic, traced at 61 n^2
-      at n = 64 and n = 96, compact and dual; and the two arrays of
+      assembly, which reads the nonzeros on lines 0..2 and the form C on
+      lines 0 and 1, so that ``certify`` traced at most 0.1 MiB above
+      ``model`` from hp5 to hp128 (2.8 MiB at op2); and the two arrays of
       ``RAYLEIGH_CHUNK`` x 8 that the sampling holds (a chunk of draws for
       a block, of at most tau + 1 <= 8 rows, and its product with the
       block);

@@ -14,43 +14,41 @@ at the first Laplace eigenvalue of the compact model.  q is evaluated in
 rationals from the exact value of c, so it is exact at every scale (0 on
 the round sphere); off integral c it is returned as the nearest float.
 
-Assembly reads the model's nonzeros of R (0.6 % of its n^4 entries at
-n = 40) and makes no array of n^4 entries.  Each basis quantity is a list
-of (row, column, value) entries of its n^2 x n^2 matrix on vec(h), of
-three kinds: sums of K (x) K over signed permutations (pi, s), namely the
-identity for |h|^2, the structure operators for the structure average G:
-h -> ht and their products for |ht|^2 = |G h|^2; the curvature action L:
-h -> B from the nonzeros of R; and products of two nonzeros of R that
-share the contracted slots for K_PAIR, RR_KN and |B|^2, which is K_PAIR
-read in another index layout.  The identity catalog applies the same G
-and L and the same pairings.  Each vec position lies on one pair
-coordinate (E_ij + E_ji)/sqrt 2 of the trace-free basis or on the
-diagonal, and the weighted entries are summed per place pair into the
-nonzeros of a form C on those n(n-1)/2 + n places.
+Assembly reads the nonzeros of R the model holds and makes no array of
+n^4 entries.  Each basis quantity is a list of (row, column, value)
+entries of its n^2 x n^2 matrix on vec(h), of three kinds: sums of K (x)
+K over signed permutations (pi, s), namely the identity for |h|^2, the
+structure operators for the structure average G: h -> ht and their
+products for |ht|^2 = |G h|^2; the curvature action L: h -> B from the
+nonzeros of R; and products of two nonzeros of R that share the
+contracted slots for K_PAIR, RR_KN and |B|^2, which is K_PAIR read in
+another index layout.  The identity catalog applies the same G and L and
+the same pairings.  Each vec position lies on one pair coordinate (E_ij +
+E_ji)/sqrt 2 of the trace-free basis or on the diagonal, and the weighted
+entries are summed per place pair into the nonzeros of a form C.
 
-C is summed only between the places on two lines.  Coordinate (alpha, i)
-lies on line i of the m lines (each coordinate of the sphere is a line).
-Each structure operator is one division-algebra row repeated over the
-lines, so a permutation of the lines commutes with every J_a and keeps
-R and C: the symmetry-adapted reduction of Faessler and Stiefel (Group
-Theoretical Methods and Their Applications, 1992, ch. 5).  No entry of C
-couples more than two lines, which the tests check against the sum over
-every pair of nonzeros.  The terms pair only the nonzeros of R whose
-free slots lie on lines 0 and 1, while the contracted slots range over
-every line, and the entries of C between places on those two lines are
-relabelled onto every line and every pair of lines by index arithmetic.
-The form on the pairs is exactly C / 2.  D, the part of C on the
-diagonal places, is then the same on every line and between every two
-lines, and on the diagonal columns of ``tt_basis``, the ladder over the
-lines times the units, it is m - 1 copies of one block and a tau x tau
-block (``_diagonal_entries``).  No model has an entry of C between the
-diagonal and a pair.  By the isotypic splitting of the trace-free tensors
-under the isotropy group (Koiso, Osaka J. Math. 17, 1980; Besse,
-Einstein Manifolds, 12.H) the form falls into blocks of at most tau + 1
-rows, only a handful of them distinct, and it is held as its distinct
-blocks and the places where each occurs.  C is built at unit scale, from
-R / |c| and the coefficients at c = sign(c), and the form is kept at that
-scale beside the factor c^2, which the certificate applies to its
+Coordinate (alpha, i) lies on line i of the m lines (each coordinate of
+the sphere is a line).  Each structure operator is one division-algebra
+row repeated over the lines, so a permutation of the lines commutes with
+every J_a and keeps R and C: the symmetry-adapted reduction of Faessler
+and Stiefel (Group Theoretical Methods and Their Applications, 1992, ch.
+5).  A nonzero of R touches at most two lines (a gate of the frame
+audit), and so does an entry of C, which the tests check against the sum
+over every pair of nonzeros.  So C is summed only between the places on
+lines 0 and 1, its contracted slots on lines 0..2, line 2 standing, with
+weight m - 2, for every line off lines 0 and 1.  The form on the pairs
+is exactly C / 2.  D, the part of C on the diagonal places, is the same
+on every line and between every two lines, and on the diagonal columns
+of ``tt_basis``, the ladder over the lines times the units, it is m - 1
+copies of one block and a tau x tau block (``_diagonal_entries``).  No
+model has an entry of C between the diagonal and a pair.  By the
+isotypic splitting of the trace-free tensors under the isotropy group
+(Koiso, Osaka J. Math. 17, 1980; Besse, Einstein Manifolds, 12.H) the
+form falls into blocks of at most tau + 1 rows, a handful of classes at
+every m, and it is held as one block per class with its occurrence
+count; their places are made on demand.  C is built at unit scale, from
+R / |c| and the coefficients at c = sign(c), and the form is kept at
+that scale beside the factor c^2, which the certificate applies to its
 results.  Every entry of C is an integer or a half-integer, so the unit
 form does not depend on the order of summation or on the scale.
 
@@ -75,11 +73,12 @@ from numbers import Rational
 import numpy as np
 
 from crosscurv.jacobi import jacobi_eigs
-from crosscurv.tensors import (_pair_index, _pair_lookup, pairs_by_key,
-                               sum_entries)
+from crosscurv.tensors import (_pair_index, _pair_lookup, flat_index,
+                               pairs_by_key, sum_entries)
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
+    _line_weights,
     compose_signed,
     einstein_constant,
     norm2_closed_claimed,
@@ -152,7 +151,8 @@ def tt_basis(n: int, tau: int) -> np.ndarray:
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple,
-                  near: np.ndarray | None = None) -> tuple:
+                  near: np.ndarray | None = None,
+                  line: np.ndarray | None = None) -> tuple:
     """Rows, columns and values of the entries of an n^2 x n^2 matrix that
     realizes one basis quantity on vec(h) of a symmetric h, row-major;
     repeated positions add up.
@@ -180,7 +180,9 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple,
     permutation lists are built only there (each J_a keeps the lines, so
     its rows are near too), and the pairing pairs only the nonzeros whose
     free slots, those that make the rows and columns, are near; the
-    contracted slots range over every coordinate.
+    contracted slots range over the nonzeros given.  With ``line``, the
+    line of each coordinate, a pair is weighted for its contracted slots
+    on lines 0..2 (``models._line_weights``).
     """
     n = model.n
     near = np.ones(n, dtype=bool) if near is None else near
@@ -204,12 +206,14 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple,
     if key not in ("K_PAIR", "RR_KN", "NORM_RRING"):
         raise KeyError(f"no quadratic-form realization for {key!r}")
     # the free slots, the contracted ones and the weight
-    (a, b), shared, weight = (((i0, i1), i2 * n + i3, 0.5) if key == "RR_KN"
-                              else ((i0, i2), i1 * n + i3, 1.0))
+    (a, b), (x, y), weight = (((i0, i1), (i2, i3), 0.5) if key == "RR_KN"
+                              else ((i0, i2), (i1, i3), 1.0))
     at = np.flatnonzero(near[a] & near[b])
-    s, t = pairs_by_key(shared[at])
+    s, t = pairs_by_key(x[at] * n + y[at])
     s, t = at[s], at[t]
     w = np.where(s == t, weight, 2 * weight) * (v[s] * v[t])
+    if line is not None:  # the weight of each nonzero's contracted slots
+        w *= _line_weights(n // (model.tau + 1), line, [a, b], [x, y])[s]
     if key != "NORM_RRING":
         return a[s] * n + a[t], b[s] * n + b[t], w
     ps, qt = a[s] * n + b[s], a[t] * n + b[t]
@@ -218,32 +222,23 @@ def _term_entries(model: CurvatureModel, key: str, nz: tuple,
             np.concatenate([w, w]))
 
 
-def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
-                     vals: np.ndarray) -> list:
-    """The connected components of the pattern of a size x size form given
-    by its nonzero entries, grouped by bit-identical block: (block, index
-    array of shape occurrences x size) in the order of first occurrence,
-    each component's indices ascending."""
-    label = np.arange(size)
+def _distinct_blocks(form: np.ndarray) -> list:
+    """The connected components of the pattern of a small dense form,
+    grouped by bit-identical block: (block, index array of shape
+    occurrences x size) in the order of first occurrence, each
+    component's indices ascending."""
+    rows, cols = np.nonzero(form)
+    label = np.arange(len(form))
     while True:  # each label falls to the smallest index of its component
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
         if np.array_equal(low, label):
             break
         label = low
-    order = np.argsort(label, kind="stable")
-    start = np.diff(label[order], prepend=-1) != 0
-    comp = np.empty(size, dtype=np.intp)  # component number of each index
-    comp[order] = np.cumsum(start) - 1
-    pos = np.empty(size, dtype=np.intp)  # its place in the component
-    pos[order] = np.arange(size) - np.flatnonzero(start)[comp[order]]
-    by_comp = np.argsort(comp[rows], kind="stable")
-    counts = np.bincount(comp[rows], minlength=np.count_nonzero(start))
     groups: dict = {}
-    for idx, at in zip(np.split(order, np.flatnonzero(start)[1:]),
-                       np.split(by_comp, np.cumsum(counts)[:-1])):
-        block = np.zeros((idx.size, idx.size))
-        block[pos[rows[at]], pos[cols[at]]] = vals[at]
+    for first in np.flatnonzero(label == np.arange(len(form))):
+        idx = np.flatnonzero(label == first)
+        block = form[np.ix_(idx, idx)]
         groups.setdefault(block.tobytes(), (block, []))[1].append(idx)
     return [(block, np.array(occ)) for block, occ in groups.values()]
 
@@ -252,21 +247,47 @@ def _distinct_blocks(size: int, rows: np.ndarray, cols: np.ndarray,
 class QuadForm:
     """Quadratic form on the trace-free symmetric basis ``tt_basis(n,
     tau)`` of one model: its distinct blocks at c = sign(c) and the factor
-    ``scale`` = c^2 that takes it to the model's scale.  Each (block, idx)
-    of ``blocks`` puts ``block`` on the rows and columns ``idx[k]`` of each
-    occurrence k; the rows of all occurrences partition range(dim)."""
+    ``scale`` = c^2 that takes it to the model's scale.  Each (block,
+    count) of ``blocks`` occurs ``count`` times; ``origins`` lists, per
+    block, the components it was read from, as (kind, pair keys x n + y
+    or diagonal places), which ``places`` puts on the basis."""
 
     n: int
     tau: int
     dim: int
     blocks: list = field(repr=False)
     scale: float = 1.0
+    origins: list = field(default_factory=list, repr=False)
+
+    def places(self) -> list:
+        """Per block, the basis rows of its occurrences, occurrences x
+        size, each row ascending, rows by first index; together they
+        partition range(dim).  A "line" component lies on line 0 and
+        occurs on every line, a "pair" one on lines 0 and 1 and occurs on
+        every two lines a < b (line 0 to a, line 1 to b), "each" is the
+        first of the m - 1 copies of A - B and "top" the tau x tau block."""
+        n, units = self.n, self.tau + 1
+        lines = n // units
+
+        def copies(kind, base):
+            if kind in ("each", "top"):
+                count = lines - 1 if kind == "each" else 1
+                return base + units * np.arange(count)[:, None]
+            a, b = ((np.arange(lines),) * 2 if kind == "line"
+                    else np.triu_indices(lines, 1))
+            x, y = (z + np.where(z % lines == 0, a[:, None], b[:, None] - 1)
+                    for z in np.divmod(base, n))
+            return _pair_lookup(n)[x, y]
+
+        rows = [np.concatenate([copies(*part) for part in parts])
+                for parts in self.origins]
+        return [r[np.argsort(r[:, 0])] for r in rows]
 
     @property
     def unit(self) -> np.ndarray:
         """The dense form at c = sign(c); a new array on every call."""
         U = np.zeros((self.dim, self.dim))
-        for block, idx in self.blocks:
+        for (block, _), idx in zip(self.blocks, self.places()):
             U[idx[:, :, None], idx[:, None, :]] = block
         return U
 
@@ -283,47 +304,14 @@ class QuadForm:
         return self.scale * float(b @ self.unit @ b)
 
 
-def _onto_every_line(model: CurvatureModel, place: np.ndarray,
-                     keys: np.ndarray, vals: np.ndarray) -> tuple:
-    """The entries of C, keys place * size + place, from its entries
-    between the places on lines 0 and 1 (see the module docstring).
-
-    An entry on line 0 alone is moved onto every line a, and one on lines
-    0 and 1 onto every pair of lines a < b (line 0 to a, line 1 to b);
-    each moved coordinate keeps its unit alpha.  The entries on line 1
-    alone are the image of those on line 0 and are dropped once that is
-    checked.  An entry that reaches another line raises ValueError, and so
-    do entries on line 1 that are not that image.
-    """
-    n = model.n
-    size = place.max() + 1
-    lines = n // (model.tau + 1)
-    ii, jj = _pair_index(n)
-    ends = (np.concatenate([ii, np.arange(n)]),
-            np.concatenate([jj, np.arange(n)]))
-    xyzw = np.stack([end[p] for p in np.divmod(keys, size) for end in ends])
-    on = xyzw % lines
-    touched = np.bitwise_or.reduce(1 << np.minimum(on, 2), axis=0)
-    if np.any(touched > 3):
-        raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
-                         "with a third line")
-
-    def moved(sel, a, b):  # the entries sel with lines 0, 1 moved to a, b
-        x = xyzw[:, sel] + np.where(on[:, sel] == 0, a, b - 1)
-        return ((place[x[:, 0] * n + x[:, 1]] * size
-                 + place[x[:, 2] * n + x[:, 3]]).ravel(),
-                np.tile(vals[sel], len(a)))
-
-    one, both = touched == 1, touched == 3
-    zero = np.zeros((1, 1, 1), dtype=np.intp)
-    if lines > 1 and sum_entries([moved(touched == 2, zero, zero),
-                                  (keys[one], -vals[one])])[0].size:
-        raise ValueError(f"{model.label}: the form on line 1 is not its "
-                         "image of line 0")
-    every = np.arange(lines).reshape(-1, 1, 1)
-    a, b = (end.reshape(-1, 1, 1) for end in np.triu_indices(lines, 1))
-    return tuple(np.concatenate(col) for col in zip(
-        moved(one, every, every), moved(both, a, b)))
+def _ordered(n: int, vec: np.ndarray) -> np.ndarray:
+    """x n + y for each vec position of (x, y) or (y, x), x <= y."""
+    x, y = np.divmod(vec, n)
+    swap = x > y
+    x[swap], y[swap] = y[swap], x[swap]
+    x *= n
+    x += y
+    return x
 
 
 def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
@@ -338,98 +326,142 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     degree 2 in c, so c^2 times the unit form is the form at c; its
     nonzero pattern is the one at c = sign(c).
 
-    Each term's weighted entries between the places on lines 0 and 1
-    (``_term_entries`` on those coordinates) are summed into the nonzeros
-    of C there, and ``_onto_every_line`` relabels them onto every line and
-    every pair of lines (see the module docstring).  An entry of C that
-    couples the diagonal with a pair raises ValueError.
+    Each term's weighted entries between the places on lines 0 and 1,
+    from the nonzeros of R whose free slots lie there and whose
+    contracted slots lie on lines 0..2 (``_term_entries``), are summed
+    into the nonzeros of C there, keyed by the coordinates of the two
+    places, and ``_split_form`` reads the blocks off them.
     """
     n = model.n
-    off = n * (n - 1) // 2
-    size = off + n
-    # the place of each vec position: its pair, or off + a on the diagonal
-    place = _pair_lookup(n).copy()
-    place[np.diag_indices(n)] = off + np.arange(n)
-    place = place.ravel()
-    near = np.arange(n) % (n // (model.tau + 1)) < 2  # lines 0 and 1
+    lines = n // (model.tau + 1)
+    line = np.arange(n) % lines
+    near = line < 2
     # the terms read only the nonzeros whose free slots are near: (i0, i1)
     # for RR_KN, (i0, i2) for K_PAIR and the columns of L
-    i0, i1, i2, i3 = model.R_slots
-    at = np.flatnonzero(near[i0] & (near[i1] | near[i2]))
-    nz = (i0[at], i1[at], i2[at], i3[at], model.R_values[at] / abs(model.c))
-    del i0, i1, i2, i3, at  # R's slot arrays, before the relabelling
+    nz = model.nz
+    i0, i1, i2, i3 = nz.slots
+    top = np.maximum(np.maximum(line[i0], line[i1]),
+                     np.maximum(line[i2], line[i3]))
+    at = np.flatnonzero(near[i0] & (near[i1] | near[i2]) & (top <= 2))
+    unit = (i0[at], i1[at], i2[at], i3[at], nz.values[at] / abs(model.c))
     C = sum_entries([])
     for key, w in weights.items():
         if w == 0:
             continue
-        rows, cols, v = _term_entries(model, key, nz, near)
-        flat = place[rows]
-        flat *= size
-        flat += place[cols]
+        rows, cols, v = _term_entries(model, key, unit, near, line)
+        flat = _ordered(n, rows)
+        del rows
+        flat *= n * n
+        flat += _ordered(n, cols)
+        del cols
         v *= float(w)
-        del rows, cols
         C = sum_entries([C, (flat, v)])  # one term's entries at a time
-        del flat, v
-    keys, vals = _onto_every_line(model, place, *C)
-    rows, cols = np.divmod(keys, size)
-    return _split_form(model, rows, cols, vals)
+    return _split_form(model, *C)
 
 
 def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
-    """Rows, columns (from the first diagonal column of ``tt_basis``) and
-    values of the nonzeros of the form on the diagonal columns, from D, the
-    part of C on the diagonal places, symmetrized.
+    """The blocks of the form on the diagonal columns of ``tt_basis``: A -
+    B, which occurs m - 1 times, and the tau x tau block U^T (A + (m - 1)
+    B) U, U = ``_ladder(tau + 1)``, from D, the part of C on the diagonal
+    places of the coordinates on lines 0 and 1 (ascending), symmetrized.
 
-    With m lines, D is A (x) I_m + B (x) (J_m - I_m): A is D on line 0 and
-    B is D between lines 0 and 1, both (tau + 1) x (tau + 1).  Each column
-    e_alpha (x) w_b, b >= 1, is orthogonal to the ones of J_m, so those of
-    one b carry the block A - B, exact where D is, and the columns u_a (x)
-    w_0 carry U^T (A + (m - 1) B) U, U = ``_ladder(tau + 1)``; no entry
-    joins two of these blocks.  B must be symmetric, as the swap of lines 0
-    and 1 keeps C; otherwise ValueError.
+    With m lines, the whole D is A (x) I_m + B (x) (J_m - I_m): A is D on
+    line 0 and B is D between lines 0 and 1, both (tau + 1) x (tau + 1).
+    Each column e_alpha (x) w_b, b >= 1, is orthogonal to the ones of J_m,
+    so those of one b carry A - B, exact where D is, and the columns u_a
+    (x) w_0 carry the tau x tau block.  B must be symmetric, as the swap
+    of lines 0 and 1 keeps C; otherwise ValueError.
     """
     units = model.tau + 1
     lines = model.n // units
+    step = min(lines, 2)
     D = 0.5 * (D + D.T)
-    A = D[::lines, ::lines]
-    B = D[::lines, 1::lines] if lines > 1 else np.zeros_like(A)
+    A = D[::step, ::step]
+    B = D[::step, 1::step] if lines > 1 else np.zeros_like(A)
     if not np.array_equal(B, B.T):
         raise ValueError(f"{model.label}: the diagonal part between lines 0 "
                          "and 1 is not symmetric")
-    each = A - B
     U = _ladder(units)
     top = U.T @ (A + (lines - 1) * B) @ U
-    top = 0.5 * (top + top.T)
-    p, q = np.nonzero(each)
-    at = units * np.arange(lines - 1)[:, None]
-    r, s = np.nonzero(top)
-    last = units * (lines - 1)
-    return (np.concatenate([(at + p).ravel(), last + r]),
-            np.concatenate([(at + q).ravel(), last + s]),
-            np.concatenate([np.tile(each[p, q], lines - 1), top[r, s]]))
+    return A - B, 0.5 * (top + top.T)
 
 
-def _split_form(model: CurvatureModel, rows: np.ndarray, cols: np.ndarray,
+def _split_form(model: CurvatureModel, keys: np.ndarray,
                 vals: np.ndarray) -> QuadForm:
-    """The form from the nonzeros (rows, cols, vals) of C, on the place
-    pairs: C / 2 on the pairs and ``_diagonal_entries`` on the diagonal
-    columns, split into ``_distinct_blocks`` together.  An entry of C that
-    couples the diagonal with a pair raises ValueError."""
-    n = model.n
-    off = n * (n - 1) // 2
-    on_pairs = rows < off
-    if np.any(on_pairs != (cols < off)):
+    """The form from the nonzeros of C between the places on lines 0 and 1,
+    keyed by the flat index of their coordinates (x, y, z, w), x <= y,
+    z <= w.  The entries on line 1 alone, checked to be the image of
+    those on line 0, are dropped.  C / 2 on the pairs of line 0 and of
+    lines 0 and 1, one copy of A - B and the tau x tau block
+    (``_diagonal_entries``) make a small form, whose components, grouped
+    by bit-identical block (``_distinct_blocks``), are the classes.  Each
+    component occurs first on lines 0 and 1, so they come in the order of
+    first occurrence in the whole form.  ValueError for an entry that
+    reaches a third line, a line 1 that is not the image of line 0, or an
+    entry between the pairs of one line and of two or between the
+    diagonal and a pair.
+    """
+    n, units = model.n, model.tau + 1
+    lines = n // units
+    xyzw = keys // n ** np.arange(3, -1, -1)[:, None] % n
+    on = xyzw % lines
+    touched = np.bitwise_or.reduce(1 << np.minimum(on, 2), axis=0)
+    if np.any(touched > 3):
+        raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
+                         "with a third line")
+    one = touched == 2  # line 1 alone, moved onto line 0
+    if lines > 1 and sum_entries([
+            (flat_index(n, xyzw[:, one] - 1), vals[one]),
+            (keys[touched == 1], -vals[touched == 1])])[0].size:
+        raise ValueError(f"{model.label}: the form on line 1 is not its "
+                         "image of line 0")
+    (x, y, z, w), on, vals = xyzw[:, ~one], on[:, ~one], vals[~one]
+    diag = x == y
+    if np.any(diag != (z == w)):
         raise ValueError(f"{model.label}: the form couples the diagonal with "
                          "an off-diagonal pair")
-    D = np.zeros((n, n))
-    D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
-    r, s, v = _diagonal_entries(model, D)
-    blocks = _distinct_blocks(
-        off + n - 1, np.concatenate([rows[on_pairs], off + r]),
-        np.concatenate([cols[on_pairs], off + s]),
-        np.concatenate([0.5 * vals[on_pairs], v]))
-    return QuadForm(n=n, tau=model.tau, dim=off + n - 1, blocks=blocks,
-                    scale=model.c * model.c)
+    if np.any(((1 << on[0] | 1 << on[1]) != (1 << on[2] | 1 << on[3]))[~diag]):
+        raise ValueError(f"{model.label}: the form couples the pairs on one "
+                         "line with those on two lines")
+    # D on the coordinates alpha m + i of lines i = 0, 1, ascending
+    step = min(lines, 2)
+    D = np.zeros((units * step, units * step))
+    D[(x[diag] // lines) * step + on[0, diag],
+      (z[diag] // lines) * step + on[2, diag]] = vals[diag]
+    each, top = _diagonal_entries(model, D)
+
+    # the small form on its places: the pairs x n + y, x < y, of line 0 and
+    # of lines 0 and 1, ascending as the basis orders them, then the first
+    # copy of A - B and the tau x tau block, at their diagonal places
+    off = n * (n - 1) // 2
+    a, b = lines * np.indices((units, units)).reshape(2, -1)
+    both = np.sort([a, b + 1], axis=0)[:, :units * units * (lines > 1)]
+    pairs = np.concatenate([(a * n + b)[a < b], both[0] * n + both[1]])
+    kind = np.repeat(["line", "pair"], [np.count_nonzero(a < b),
+                                        both.shape[1]])
+    order = np.argsort(pairs)
+    pairs, k = pairs[order], pairs.size
+    copies = units * (lines > 1)
+    base = np.concatenate([pairs, off + np.arange(copies),
+                           off + units * (lines - 1) + np.arange(units - 1)])
+    kind = np.concatenate([kind[order], ["each"] * copies,
+                           ["top"] * (units - 1)])
+    form = np.zeros((base.size, base.size))
+    form[np.searchsorted(pairs, (x * n + y)[~diag]),
+         np.searchsorted(pairs, (z * n + w)[~diag])] = 0.5 * vals[~diag]
+    # (+ 0.0 turns a signed zero into the zero of an empty place)
+    form[k:k + copies, k:k + copies] = each[:copies, :copies] + 0.0
+    form[k + copies:, k + copies:] = top + 0.0
+    count = {"line": lines, "pair": lines * (lines - 1) // 2,
+             "each": lines - 1, "top": 1}
+    blocks = _distinct_blocks(form)
+    return QuadForm(
+        n=n, tau=model.tau, dim=off + n - 1,
+        blocks=[(block, sum(count[kind[comp[0]]] for comp in idx))
+                for block, idx in blocks],
+        scale=model.c * model.c,
+        origins=[[(kind[comp[0]], base[comp]) for comp in idx]
+                 for _, idx in blocks])
 
 
 def compact_tt_coefficients(n, tau, c, R2) -> dict:
@@ -459,12 +491,15 @@ def noncompact_tt_coefficients(n, tau, c, R2) -> dict:
 
 def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
-    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|."""
+    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|,
+    summed from the nonzeros the model holds times their weights (exact,
+    as R / |c| holds small integers)."""
     display = (compact_tt_coefficients if model.compact
                else noncompact_tt_coefficients)
-    unit = model.R_values / abs(model.c)
+    unit = model.nz.values / abs(model.c)
     return assemble_quadform(model, display(
-        model.n, model.tau, math.copysign(1.0, model.c), float(unit @ unit)))
+        model.n, model.tau, math.copysign(1.0, model.c),
+        float(model.nz.weights @ (unit * unit))))
 
 
 @dataclass

@@ -583,7 +583,7 @@ def _wedge_columns(x: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _catalog_arrays(model) -> SimpleNamespace:
     """What the identity catalog reads of a model, built once per model
-    from the nonzeros of R (``R_slots``, ``R_values``) and the (pi, s) of
+    from the nonzeros of R (``R_keys``, ``R_values``) and the (pi, s) of
     the structure operators (``J.perms``), so that no trial makes an n^4
     array.  The cache is keyed on the model
     object, so a model must not be changed in place after its catalog
@@ -603,7 +603,7 @@ def _catalog_arrays(model) -> SimpleNamespace:
              compose-self-structure.
     """
     n = model.n
-    nz = (*model.R_slots, model.R_values)
+    nz = (*np.unravel_index(model.R_keys, (n,) * 4), model.R_values)
     i0, i1, i2, i3, v = nz
     ii, jj = _pair_index(n)
     N = ii.size

@@ -26,22 +26,20 @@ Einstein and criticality identities before it is returned.
 Since every J_a is a signed permutation, each term of the formula is a
 list of n^2 entries, and R is built, checked and audited as its
 nonzeros: the C-order flat indices of its nonzero entries and their
-values, about 10 n^2 of the n^4 entries (0.6 % at n = 40).  The
-pullbacks the audit takes are signed permutations of those lists, and
-each of their residuals is the largest entry of one per-key sum of lists
-(``tensors.sum_entries``), with the bits of the dense computation.  The
-dense R is scattered from the lists on first use (``CurvatureModel.R``)
-for the tests and the benchmark; the dense structure operators and the
-dense contractions are the tests' oracle (``tests/dense_oracle.py``).  No
-command makes either.
+values, about 10 n^2 of the n^4 entries.  The pullbacks the audit takes
+are signed permutations of those lists, and each of their residuals is
+the largest entry of one per-key sum of lists (``tensors.sum_entries``),
+with the bits of the dense computation.
 
 Each structure operator is one division-algebra row repeated over the m
 coordinate lines, so every permutation of the lines commutes with the J_a
-and keeps R.  With more than four lines, the curvature rules and the
-frame audit check that symmetry exactly, on two generating permutations,
-and then read only the nonzeros on lines 0..3 (``_audited_nonzeros``): a
-key touches at most four lines, so its orbit meets them, and every
-residual is constant on the orbits.  The residuals keep their bits.
+and keeps R.  With more than four lines the build checks that for the J_a
+and builds only the nonzeros on lines 0..3, each standing for its orbit
+(``_choose_nonzeros``), so a model costs the same at every m.  The whole
+list and the dense R are made on first use (``CurvatureModel.R_keys``,
+``CurvatureModel.R``) for the identity catalog, the tests and the
+benchmark; the dense structure operators and contractions are the tests'
+oracle (``tests/dense_oracle.py``).
 
 Adapted basis convention: index (alpha, i) -> alpha * m + i, where alpha
 runs over the algebra units 0..tau and i over the coordinates 0..m-1.
@@ -143,8 +141,9 @@ class JStructure:
 class CurvatureModel:
     """A validated model tensor with its derived constants.
 
-    The tensor is held as its nonzeros: ``R_keys``, the C-order flat
-    indices of its nonzero entries in ascending order, and ``R_values``.
+    The tensor is held as the nonzeros its gates and its form read, ``nz``
+    (``_choose_nonzeros``).  All of them, ``R_keys`` (C-order flat indices,
+    ascending) and ``R_values``, and the dense ``R`` are made on first use.
     """
 
     family: str
@@ -152,8 +151,7 @@ class CurvatureModel:
     n: int
     tau: int
     c: float
-    R_keys: np.ndarray = field(repr=False)
-    R_values: np.ndarray = field(repr=False)
+    nz: _Nonzeros = field(repr=False)
     J: JStructure = field(repr=False)
     lam: float = 0.0
     s: float = 0.0
@@ -161,21 +159,23 @@ class CurvatureModel:
     audit: FrameAudit | None = field(default=None, repr=False)
 
     @cached_property
+    def _R_list(self) -> tuple:
+        nz = self.nz
+        if nz.near is None:
+            return nz.keys, nz.values
+        return _curvature_nonzeros(self.J, self.c)
+
+    R_keys = property(lambda self: self._R_list[0])
+    R_values = property(lambda self: self._R_list[1])
+
+    @cached_property
     def R(self) -> CurvTensor4:
         """The dense tensor, scattered from the nonzeros on first use.
         Only the tests and the benchmark read it; no command makes it."""
+        keys, values = self._R_list  # before the n^4 array
         T = np.zeros(self.n**4)
-        T[self.R_keys] = self.R_values
+        T[keys] = values
         return CurvTensor4(T.reshape((self.n,) * 4))
-
-    @property
-    def R_slots(self) -> tuple:
-        """The four slot index arrays of the nonzeros."""
-        return np.unravel_index(self.R_keys, (self.n,) * 4)
-
-    def R_at(self, slots) -> np.ndarray:
-        """Entries of R at four slot arrays."""
-        return gather(self.R_keys, self.R_values, flat_index(self.n, slots))
 
     @property
     def compact(self) -> bool:
@@ -268,10 +268,12 @@ def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
     return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
 
 
-def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
+def _curvature_nonzeros(J: JStructure, c: float,
+                        near: np.ndarray | None = None) -> tuple:
     """Flat indices and values of the nonzeros of R: the entry lists of
     A_I, A_{J_a} and 2 w_a (x) w_a summed per key at unit scale, exact
-    zeros dropped, then times c.
+    zeros dropped, then times c.  With ``near``, whole coordinate lines,
+    only the nonzeros whose four slots are near.
 
     The unit-scale entries are small integers, so every sum is exact and
     the values are those of the dense tensor, bit for bit.
@@ -279,8 +281,8 @@ def _curvature_nonzeros(J: JStructure, c: float) -> tuple:
     n = J.n
     perms = [(np.arange(n), np.ones(n)), *J.perms]
     keys, vals = sum_entries(
-        [_aform_entries(n, *p) for p in perms]
-        + [_pairform_entries(n, *p, 2.0) for p in perms[1:]])
+        [_aform_entries(n, *p, near) for p in perms]
+        + [_pairform_entries(n, *p, 2.0, near) for p in perms[1:]])
     return keys, vals * c
 
 
@@ -290,71 +292,84 @@ def _largest_sum(parts: list) -> float:
 
 
 class _Nonzeros(NamedTuple):
-    """Nonzeros of R that the construction gates read: their keys
-    (ascending), values and slot arrays; ``lines``, how many coordinate
-    lines the gates check, from line 0; and ``near``, the coordinates on
-    those lines, or None for all of them."""
+    """Nonzeros of R: keys (ascending), values, slot arrays, ``weights``
+    (how many nonzeros of R each stands for), ``lines`` (how many lines
+    they cover, from line 0) and ``near``, the coordinates there, or None
+    for all of R's nonzeros."""
 
     keys: np.ndarray
     values: np.ndarray
     slots: tuple
+    weights: np.ndarray
     lines: int
     near: np.ndarray | None
 
     def at(self, n: int, slots) -> np.ndarray:
-        """Entries of R at four slot arrays on the lines read."""
+        """Entries of R at four slot arrays on the lines held."""
         return gather(self.keys, self.values, flat_index(n, slots))
 
 
-def _line_symmetric(model: "CurvatureModel", slots: tuple) -> bool:
-    """Whether R and every J_a are exactly invariant under every
-    permutation of the m coordinate lines, (alpha, i) -> (alpha, sigma i).
+def _nonzeros(n: int, m: int, keys: np.ndarray, values: np.ndarray,
+              near: np.ndarray | None) -> _Nonzeros:
+    """``_Nonzeros`` of all nonzeros of R (``near`` None, weight 1) or of
+    those on lines 0..3 of m: one whose slots touch exactly lines 0..k-1
+    stands for the C(m, k) of its orbit that touch k given lines, and
+    every other one, whose orbit has such a member, for none.  The slot
+    arrays are unravelled here, once."""
+    slots = np.unravel_index(keys, (n,) * 4)
+    if near is None:
+        return _Nonzeros(keys, values, slots, np.ones(keys.size), m, None)
+    touched = np.bitwise_or.reduce([1 << (k % m) for k in slots])
+    k = np.array([bin(t).count("1") for t in range(16)])[touched]
+    weights = np.where(touched + 1 == 1 << k,
+                       np.array([math.comb(m, j) for j in range(5)])[k], 0)
+    return _Nonzeros(keys, values, slots, weights.astype(float), 4, near)
+
+
+def _line_symmetric(J: JStructure) -> bool:
+    """Whether every J_a commutes exactly with every permutation of the m
+    coordinate lines, (alpha, i) -> (alpha, sigma i).
 
     The transposition (0 1) and the cycle i -> i + 1 mod m generate the
     permutations, so each is checked alone: J_a = (pi, s) commutes with
-    the coordinate permutation p when pi[p] = p[pi] and s[p] = s, and R
-    is kept when its moved keys, sorted, are ``R_keys`` and the values
-    moved with them are ``R_values``.  Every test is exact.
+    the coordinate permutation p when pi[p] = p[pi] and s[p] = s.  R is a
+    sum of products of <.,.> and the J_a, so it is then invariant too.
     """
-    n, keys, vals = model.n, model.R_keys, model.R_values
-    m = n // (model.tau + 1)
+    n = J.n
+    m = n // (J.tau + 1)
     alpha, line = np.divmod(np.arange(n), m)
-    for p in (alpha * m + np.where(line < 2, 1 - line, line),
-              alpha * m + (line + 1) % m):
-        if not all(np.array_equal(pi[p], p[pi]) and np.array_equal(s[p], s)
-                   for pi, s in model.J.perms):
-            return False
-        moved = flat_index(n, [p[k] for k in slots])
-        order = np.argsort(moved, kind="stable")  # merges the sorted runs
-        if not (np.array_equal(moved[order], keys)
-                and np.array_equal(vals[order], vals)):
-            return False
-    return True
+    return all(np.array_equal(pi[p], p[pi]) and np.array_equal(s[p], s)
+               for p in (alpha * m + np.where(line < 2, 1 - line, line) % m,
+                         alpha * m + (line + 1) % m)
+               for pi, s in J.perms)
 
 
-def _audited_nonzeros(model: "CurvatureModel", slots: tuple) -> _Nonzeros:
-    """The nonzeros of R that the construction gates read; ``slots`` are
-    the slot arrays of all of them.
+def _choose_nonzeros(J: JStructure, c: float) -> _Nonzeros:
+    """The nonzeros of R that a model holds and every gate reads: all of
+    them, or, with m > 4 lines and ``_line_symmetric``, those on lines 0..3
+    with their orbit weights.  A key touches at most four lines, so its
+    orbit meets lines 0..3, and each audit residual is constant on the
+    orbits: its largest value there is the largest over all keys."""
+    n = J.n
+    m = n // (J.tau + 1)
+    near = None
+    if m > 4 and _line_symmetric(J):
+        near = np.flatnonzero(np.arange(n) % m < 4)
+    return _nonzeros(n, m, *_curvature_nonzeros(J, c, near), near)
 
-    All of them, unless there are m > 4 coordinate lines and R and the J_a
-    are invariant under every permutation of the lines
-    (``_line_symmetric``); then only those whose four slots lie on lines
-    0..3.  The restriction is exact.  A key has four slots, so it touches
-    at most four lines and its orbit under the permutations meets lines
-    0..3.  Each gate's residual is constant on the orbits, because the J_a
-    and the round tensor commute with the permutations too.  So the
-    largest residual over the keys on lines 0..3 is the largest over all
-    keys, bit for bit.
-    """
-    n = model.n
-    m = n // (model.tau + 1)
-    if m <= 4 or not _line_symmetric(model, slots):
-        return _Nonzeros(model.R_keys, model.R_values, slots, m, None)
-    near = np.arange(n) % m < 4
-    at = np.flatnonzero(near[slots[0]] & near[slots[1]] & near[slots[2]]
-                        & near[slots[3]])
-    return _Nonzeros(model.R_keys[at], model.R_values[at],
-                     tuple(k[at] for k in slots), 4, np.flatnonzero(near))
+
+def _line_weights(lines: int, line: np.ndarray, free: list,
+                 contracted: list) -> np.ndarray:
+    """Weight of each term of a contraction of line-symmetric tensors read
+    at ``free`` indices on lines 0 and 1 with the ``contracted`` ones on
+    lines 0..2: lines - 2 where a contracted index is on line 2, which
+    stands for each line off lines 0 and 1, 0 off those lines, else 1.
+    Exact when each factor touches at most two lines, so that the
+    contracted indices reach at most one line off the free ones."""
+    top = np.max([line[k] for k in free], axis=0)
+    far = np.max([line[k] for k in contracted], axis=0)
+    return np.where((top > 1) | (far > 2), 0,
+                    np.where(far == 2, lines - 2, 1))
 
 
 def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
@@ -480,16 +495,16 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                                exact when tau <= 1, fails with the predicted
                                defect for the tau >= 3 families
 
-    The rules read the nonzeros that ``_audited_nonzeros`` chooses: all of
-    them, or, when m > 4 and R and the J_a are invariant under every
-    permutation of the lines, those on lines 0..3, with the entry rules
-    on the coordinates i, j < 4 and the defect lists on the coordinates
-    of lines 0..3.  Either way each residual is its maximum over all n^4
+    The rules read the nonzeros the model holds (``_choose_nonzeros``):
+    all of them, or, when m > 4 and the J_a commute with every permutation
+    of the lines, those on lines 0..3, with the entry rules on the
+    coordinates i, j < 4 and the defect lists on the coordinates of lines
+    0..3.  Either way each residual is its maximum over all n^4
     components, bit for bit.
     """
     n, tau, c = model.n, model.tau, model.c
     m = n // (tau + 1)
-    nz = _audited_nonzeros(model, model.R_slots)
+    nz = model.nz
 
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
@@ -545,15 +560,48 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                       reported=("two_slot_invariance", "two_slot_defect_pairform"))
 
 
+def _contractions(model: CurvatureModel) -> tuple:
+    """(near, r, chk, trace): the Ricci contraction r(a, b) = sum_i
+    R(a,i,b,i) and the self-contraction chk(a, b) = sum_ijk R(a,i,j,k)
+    R(b,i,j,k) at the coordinates ``near``: all of them, or those on lines
+    0 and 1 of a model holding lines 0..3 (``_line_weights``); and the
+    trace of chk over every coordinate.  chk sums the pairs of nonzeros
+    that share their last three slots once, then transposed."""
+    n = model.n
+    nz = model.nz
+    i0, i1, i2, i3 = nz.slots
+    vals = nz.values
+    lines = n // (model.tau + 1) if nz.near is not None else 1
+    line = np.arange(n) % lines
+    near = np.flatnonzero(line < 2)
+    k = near.size
+    loc = np.searchsorted(near, np.arange(n))
+    w = _line_weights(lines, line, [i0, i2], [i1])
+    on = np.flatnonzero((i1 == i3) & (w != 0))
+    ric = np.bincount(loc[i0[on]] * k + loc[i2[on]], weights=vals[on] * w[on],
+                      minlength=k * k).reshape(k, k)
+    w = _line_weights(lines, line, [i0], [i1, i2, i3])
+    at = np.flatnonzero(w != 0)
+    s, t = pairs_by_key(nz.keys[at] % n**3)
+    s, t = at[s], at[t]
+    chk = np.bincount(loc[i0[s]] * k + loc[i0[t]],
+                      weights=vals[s] * vals[t] * w[s],
+                      minlength=k * k).reshape(k, k)
+    # the pairs s = t, each nonzero with itself, lie on the diagonal once
+    chk += chk.T - np.diag(np.bincount(loc[i0[at]], weights=(
+        vals[at] * vals[at] * w[at]), minlength=k))
+    return near, ric, chk, lines * float(np.sum(np.diag(chk)[line[near] == 0]))
+
+
 def build_model(family: str, m: int, c: float, n: int | None = None) -> CurvatureModel:
     """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
 
     Validation gates, any failure raises ModelValidationError: the scale
     range |c| in SCALE_RANGE, structure-operator invariants (exact),
     curvature symmetries and Bianchi (``check_curvature_rules`` on the
-    nonzeros that ``_audited_nonzeros`` chooses, relative to the largest
-    entry), and four gates relative to the size of what they bound, so
-    that each decision is the same at every scale:
+    nonzeros the model holds, relative to the largest entry), and four
+    gates relative to the size of what they bound, so that each decision
+    is the same at every scale:
 
       adapted-frame audit    gated residuals <= 1e-12 |c|
       Einstein identity      r = lam g, lam = c (3 tau + n - 1), to 1e-12 |lam|
@@ -562,8 +610,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
       norm consistency       the three ways of computing |R|^2 agree to
                              1e-10 |R|^2
 
-    Every gate reads the nonzeros; no n^4 array is made.  ``R_norm2`` is
-    the sum of the squared values in key order, exact at c = +-1.
+    Every gate reads the nonzeros the model holds (``_choose_nonzeros``,
+    ``_contractions``); no n^4 array is made.  ``R_norm2`` sums the
+    squared values times their weights in key order, exact at c = +-1.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
@@ -576,12 +625,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     J = build_j_structure(family, m, n=n)
     nn = J.n
     tau = J.tau
-    keys, vals = _curvature_nonzeros(J, c)
+    nz = _choose_nonzeros(J, c)
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
-                           n=nn, tau=tau, c=float(c), R_keys=keys,
-                           R_values=vals, J=J)
-    slots = model.R_slots
-    nz = _audited_nonzeros(model, slots)
+                           n=nn, tau=tau, c=float(c), nz=nz, J=J)
     try:
         check_curvature_rules(nz.values, lambda order: nz.at(
             nn, tuple(nz.slots[k] for k in order)))
@@ -595,34 +641,23 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
             f"frame audit failed: rule {worst} residual {audit.residuals[worst]:.3e}"
         )
 
-    # the contractions from the nonzeros: Ricci r(a, b) = sum_i R(a,i,b,i),
-    # and the self-contraction from the pairs of nonzeros that share their
-    # last three slots, each pair once and then with its transpose
-    i0, i1, i2, i3 = slots
     lam = einstein_constant(nn, tau, c)
-    on = i1 == i3
-    ric = np.bincount(i0[on] * nn + i2[on], weights=vals[on],
-                      minlength=nn * nn).reshape(nn, nn)
-    eres = float(np.max(np.abs(ric - lam * np.eye(nn))))
+    near, ric, chk, norm_trace = _contractions(model)
+    eres = float(np.max(np.abs(ric - lam * np.eye(near.size))))
     if eres > 1e-12 * abs(lam):
         raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
 
-    norm_direct = float(np.sum(vals * vals))
-    s, t = pairs_by_key(keys % nn**3)
-    chk = np.bincount(i0[s] * nn + i0[t], weights=vals[s] * vals[t],
-                      minlength=nn * nn).reshape(nn, nn)
-    # the pairs s = t, each nonzero with itself, lie on the diagonal once
-    chk += chk.T - np.diag(np.bincount(i0, weights=vals * vals, minlength=nn))
-    crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(nn))))
+    vals, weights = nz.values, nz.weights
+    norm_direct = float(np.sum(weights * vals * vals))
+    crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(near.size))))
     if crit > 1e-10 * norm_direct / nn:
         raise ModelValidationError(f"criticality identity fails: residual {crit:.3e}")
 
-    # 4 tr(P^2) for the operator P on 2-vectors: the nonzeros with i0 < i1
-    # and i2 < i3 against their pair exchange
-    pair = (i0 < i1) & (i2 < i3)
-    exchanged = model.R_at((i2[pair], i3[pair], i0[pair], i1[pair]))
-    norm_operator = 4.0 * float(np.sum(vals[pair] * exchanged))
-    norm_trace = float(np.trace(chk))
+    # 4 tr(P^2) for the operator P on 2-vectors: the nonzeros against their
+    # pair exchange (by the antisymmetries, four times the sum over i0 < i1
+    # and i2 < i3)
+    exchanged = nz.at(nn, nz.slots[2:] + nz.slots[:2])
+    norm_operator = float(np.sum(weights * vals * exchanged))
     if max(abs(norm_operator - norm_direct),
            abs(norm_trace - norm_direct)) > 1e-10 * norm_direct:
         raise ModelValidationError(

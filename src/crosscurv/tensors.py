@@ -239,7 +239,8 @@ def _bianchi_sum(flat: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
-    """A symmetric pair-basis matrix with the first Bianchi sum removed.
+    """A symmetric pair-basis matrix P with the first Bianchi sum removed,
+    in place when P is C-contiguous (else in a copy).
 
     The sum ties together only the three entries P[ab,cd], P[ac,bd],
     P[ad,bc] of each 4-subset a<b<c<d (and their transposes); with two
@@ -248,24 +249,40 @@ def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
     flat n^4 inner product, where each of those off-diagonal entries
     counts 8 times, and it keeps the matrix exactly symmetric.
     """
-    out = np.array(P, dtype=float)
-    flat, e = out.reshape(-1), _bianchi_entries(n)
+    flat, e = P.reshape(-1), _bianchi_entries(n)
     t = _bianchi_sum(flat, e) / 3.0
     for row, sign in zip(e, _BIANCHI_SIGNS):
         flat[row] -= sign * t
-    return out
+    return flat.reshape(P.shape)
+
+
+#: rows of the pair-basis matrix compared at once with their transposes
+EXCHANGE_ROWS = 64
+
+
+def _lambda2_residuals(n: int, M: np.ndarray) -> tuple:
+    """The pair exchange residual max |M - M^T|, over row blocks of the
+    upper triangle against the matching column blocks (no N x N
+    temporary, the same bits), and the first Bianchi residual of the
+    pair-basis matrix M of an n-dimensional operator."""
+    N = M.shape[0]
+    exchange = max((_scale(M[r:r + EXCHANGE_ROWS, r:]
+                           - M[r:, r:r + EXCHANGE_ROWS].T)
+                    for r in range(0, N, EXCHANGE_ROWS)), default=0.0)
+    return exchange, _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(n)))
 
 
 def _check_lambda2_curvature(n: int, M: np.ndarray) -> None:
     """ValueError unless the pair-basis matrix M of an n-dimensional
     operator is an algebraic curvature tensor: pair exchange symmetry and
-    the first Bianchi identity to 1e-12 of its largest entry.  The
-    antisymmetries hold in the pair basis by construction, so this is the
-    check of ``CurvTensor4``."""
+    the first Bianchi identity to 1e-12 of its largest entry
+    (``_lambda2_residuals``).  The antisymmetries hold in the pair basis
+    by construction, so this is the check of ``CurvTensor4``."""
     tol = STRUCT_TOL * _scale(M)
-    if _scale(M - M.T) > tol:
+    exchange, bianchi = _lambda2_residuals(n, M)
+    if exchange > tol:
         raise ValueError("pair exchange symmetry fails")
-    if _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(n))) > tol:
+    if bianchi > tol:
         raise ValueError("first Bianchi identity fails")
 
 
@@ -278,8 +295,8 @@ def random_curvature_lambda2(n: int, seed) -> np.ndarray:
     stands for 8 of the n^4 entries and a diagonal one for 4, so a
     symmetric matrix is drawn with variance 1/8 off the diagonal and 1/4
     on it, (G + G^T) / 4 for a standard-normal G, and projected onto the
-    kernel of the first Bianchi sum (``_project_bianchi``).  Every draw is
-    checked (``_check_lambda2_curvature``).
+    kernel of the first Bianchi sum in place (``_project_bianchi``).
+    Every draw is checked (``_check_lambda2_curvature``).
     """
     if n < 3:
         raise ValueError("need n >= 3")

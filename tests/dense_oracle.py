@@ -9,14 +9,27 @@ symmetric 2-tensor is its n x n matrix, a rank-4 tensor its n^4 array and
 an operator on 2-vectors its matrix in the lexicographic pair basis
 ``e_i ^ e_j``, i < j.  The Kulkarni-Nomizu product and the random
 curvature tensor are checked by ``CurvTensor4``, as the library checks R.
+
+The second half keeps the paths the library took while it still held
+every nonzero of R, as oracles for the paths that read representative
+lines: R's own invariance under the permutations of the lines, the
+construction gates' contractions over the whole list, and the trace-free
+form relabelled from lines 0 and 1 onto every line and pair of lines and
+split into its components.
 """
 
 import numpy as np
 
+from crosscurv import hessian, models
 from crosscurv.tensors import (
     CurvTensor4,
     _pair_index,
+    _pair_lookup,
+    flat_index,
+    gather,
+    pairs_by_key,
     random_curvature_lambda2,
+    sum_entries,
 )
 
 
@@ -142,3 +155,193 @@ def random_curvature(n: int, seed) -> np.ndarray:
     """Seeded random algebraic curvature tensor: the 4-index array of
     ``random_curvature_lambda2``."""
     return CurvTensor4(from_lambda2(n, random_curvature_lambda2(n, seed))).entries
+
+
+# ---------------------------------------------------------------------------
+# the whole list of R's nonzeros
+# ---------------------------------------------------------------------------
+
+def line_symmetric(J, keys: np.ndarray, values: np.ndarray) -> bool:
+    """Whether the J_a and the tensor with the nonzeros (keys, values) are
+    exactly invariant under every permutation of the m coordinate lines.
+    The J half is the library's; R is kept by each of the two generating
+    permutations when its moved keys, sorted, are ``keys`` and the values
+    moved with them are ``values``."""
+    if not models._line_symmetric(J):
+        return False
+    n = J.n
+    m = n // (J.tau + 1)
+    alpha, line = np.divmod(np.arange(n), m)
+    slots = np.unravel_index(keys, (n,) * 4)
+    for p in (alpha * m + np.where(line < 2, 1 - line, line) % m,
+              alpha * m + (line + 1) % m):
+        moved = flat_index(n, [p[k] for k in slots])
+        order = np.argsort(moved, kind="stable")
+        if not (np.array_equal(moved[order], keys)
+                and np.array_equal(values[order], values)):
+            return False
+    return True
+
+
+def holding(J, keys: np.ndarray, values: np.ndarray):
+    """The nonzeros a model whose R has the nonzeros (keys, values) holds,
+    chosen on the whole list: those on lines 0..3 when there are more than
+    four lines and ``line_symmetric`` holds, else all of them."""
+    n = J.n
+    m = n // (J.tau + 1)
+    if m <= 4 or not line_symmetric(J, keys, values):
+        return models._nonzeros(n, m, keys, values, None)
+    near = np.arange(n) % m < 4
+    slots = np.unravel_index(keys, (n,) * 4)
+    at = np.flatnonzero(near[slots[0]] & near[slots[1]] & near[slots[2]]
+                        & near[slots[3]])
+    return models._nonzeros(n, m, keys[at], values[at], np.flatnonzero(near))
+
+
+def full_list_gates(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """The construction gates' sums over every nonzero (keys, vals) of R:
+    the Ricci contraction and the self-contraction as n x n arrays, and
+    |R|^2 summed directly, through the pair-basis operator and as the
+    trace of the self-contraction."""
+    i0, i1, i2, i3 = np.unravel_index(keys, (n,) * 4)
+    on = i1 == i3
+    ric = np.bincount(i0[on] * n + i2[on], weights=vals[on],
+                      minlength=n * n).reshape(n, n)
+    s, t = pairs_by_key(keys % n**3)
+    chk = np.bincount(i0[s] * n + i0[t], weights=vals[s] * vals[t],
+                      minlength=n * n).reshape(n, n)
+    chk += chk.T - np.diag(np.bincount(i0, weights=vals * vals, minlength=n))
+    pair = (i0 < i1) & (i2 < i3)
+    exchanged = gather(keys, vals, flat_index(n, (i2[pair], i3[pair],
+                                                  i0[pair], i1[pair])))
+    return (ric, chk, float(np.sum(vals * vals)),
+            4.0 * float(np.sum(vals[pair] * exchanged)), float(np.trace(chk)))
+
+
+# ---------------------------------------------------------------------------
+# the trace-free form relabelled onto every line
+# ---------------------------------------------------------------------------
+
+def distinct_blocks(size: int, rows, cols, vals) -> list:
+    """The connected components of the pattern of a size x size form given
+    by its nonzero entries, grouped by bit-identical block: (block, index
+    array of shape occurrences x size) in the order of first occurrence,
+    each component's indices ascending."""
+    label = np.arange(size)
+    while True:  # each label falls to the smallest index of its component
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    start = np.diff(label[order], prepend=-1) != 0
+    comp = np.empty(size, dtype=np.intp)
+    comp[order] = np.cumsum(start) - 1
+    pos = np.empty(size, dtype=np.intp)
+    pos[order] = np.arange(size) - np.flatnonzero(start)[comp[order]]
+    by_comp = np.argsort(comp[rows], kind="stable")
+    counts = np.bincount(comp[rows], minlength=np.count_nonzero(start))
+    groups: dict = {}
+    for idx, at in zip(np.split(order, np.flatnonzero(start)[1:]),
+                       np.split(by_comp, np.cumsum(counts)[:-1])):
+        block = np.zeros((idx.size, idx.size))
+        block[pos[rows[at]], pos[cols[at]]] = vals[at]
+        groups.setdefault(block.tobytes(), (block, []))[1].append(idx)
+    return [(block, np.array(occ)) for block, occ in groups.values()]
+
+
+def diagonal_entries(model, D: np.ndarray) -> tuple:
+    """Rows, columns (from the first diagonal column) and values of the
+    form on the diagonal columns of ``tt_basis`` from the whole n x n D,
+    symmetrized: m - 1 copies of A - B and the tau x tau block U^T (A +
+    (m - 1) B) U, A being D on line 0 and B D between lines 0 and 1."""
+    units = model.tau + 1
+    lines = model.n // units
+    D = 0.5 * (D + D.T)
+    A = D[::lines, ::lines]
+    B = D[::lines, 1::lines] if lines > 1 else np.zeros_like(A)
+    assert np.array_equal(B, B.T)
+    each = A - B
+    U = hessian._ladder(units)
+    top = U.T @ (A + (lines - 1) * B) @ U
+    top = 0.5 * (top + top.T)
+    p, q = np.nonzero(each)
+    at = units * np.arange(lines - 1)[:, None]
+    r, s = np.nonzero(top)
+    last = units * (lines - 1)
+    return (np.concatenate([(at + p).ravel(), last + r]),
+            np.concatenate([(at + q).ravel(), last + s]),
+            np.concatenate([np.tile(each[p, q], lines - 1), top[r, s]]))
+
+
+def split_form(model, rows, cols, vals) -> list:
+    """The blocks, as (block, places) in the order of first occurrence, of
+    the whole form given by the nonzeros (rows, cols, vals) of C on the
+    place pairs: C / 2 on the pairs and ``diagonal_entries`` on the
+    diagonal columns, split into ``distinct_blocks`` together."""
+    n = model.n
+    off = n * (n - 1) // 2
+    on_pairs = rows < off
+    assert np.array_equal(on_pairs, cols < off)
+    D = np.zeros((n, n))
+    D[rows[~on_pairs] - off, cols[~on_pairs] - off] = vals[~on_pairs]
+    r, s, v = diagonal_entries(model, D)
+    return distinct_blocks(
+        off + n - 1, np.concatenate([rows[on_pairs], off + r]),
+        np.concatenate([cols[on_pairs], off + s]),
+        np.concatenate([0.5 * vals[on_pairs], v]))
+
+
+def onto_every_line(model, place, keys, vals) -> tuple:
+    """The entries of C, keys place * size + place, from its entries
+    between the places on lines 0 and 1: an entry on line 0 alone moved
+    onto every line, one on lines 0 and 1 onto every pair of lines a < b
+    (line 0 to a, line 1 to b), and those on line 1 alone dropped."""
+    n = model.n
+    size = place.max() + 1
+    lines = n // (model.tau + 1)
+    ii, jj = _pair_index(n)
+    ends = (np.concatenate([ii, np.arange(n)]),
+            np.concatenate([jj, np.arange(n)]))
+    xyzw = np.stack([end[p] for p in np.divmod(keys, size) for end in ends])
+    on = xyzw % lines
+    touched = np.bitwise_or.reduce(1 << np.minimum(on, 2), axis=0)
+    assert np.all(touched <= 3)
+
+    def moved(sel, a, b):
+        x = xyzw[:, sel] + np.where(on[:, sel] == 0, a, b - 1)
+        return ((place[x[:, 0] * n + x[:, 1]] * size
+                 + place[x[:, 2] * n + x[:, 3]]).ravel(),
+                np.tile(vals[sel], len(a)))
+
+    every = np.arange(lines).reshape(-1, 1, 1)
+    a, b = (end.reshape(-1, 1, 1) for end in np.triu_indices(lines, 1))
+    return tuple(np.concatenate(col) for col in zip(
+        moved(touched == 1, every, every), moved(touched == 3, a, b)))
+
+
+def two_line_assembly(model, weights: dict) -> list:
+    """The blocks of ``assemble_quadform`` as they were summed with every
+    nonzero of R held: the terms pair the nonzeros whose free slots lie on
+    lines 0 and 1 with their contracted slots on every line, and C there
+    is relabelled onto every line and pair of lines (``onto_every_line``)
+    and split (``split_form``)."""
+    n = model.n
+    off = n * (n - 1) // 2
+    size = off + n
+    place = _pair_lookup(n).copy()
+    place[np.diag_indices(n)] = off + np.arange(n)
+    place = place.ravel()
+    near = np.arange(n) % (n // (model.tau + 1)) < 2
+    i0, i1, i2, i3 = np.unravel_index(model.R_keys, (n,) * 4)
+    at = np.flatnonzero(near[i0] & (near[i1] | near[i2]))
+    nz = (i0[at], i1[at], i2[at], i3[at], model.R_values[at] / abs(model.c))
+    C = sum_entries([])
+    for key, w in weights.items():
+        if w == 0:
+            continue
+        rows, cols, v = hessian._term_entries(model, key, nz, near)
+        C = sum_entries([C, (place[rows] * size + place[cols], v * float(w))])
+    keys, vals = onto_every_line(model, place, *C)
+    return split_form(model, *np.divmod(keys, size), vals)

@@ -4,8 +4,9 @@ The dense term matrices are checked against explicit loop sums, the
 assembled remainder and each basis quantity alone against them, the
 remainder against hand-expanded coefficient values and, bit for bit,
 against the full assembly over every pair of R's nonzeros
-(``full_assembly``), and the certified minimal eigenvalues against pinned
-constants for every compact family.
+(``full_assembly``) and against the assembly that relabelled lines 0 and
+1 onto every line (``dense_oracle.two_line_assembly``), and the certified
+minimal eigenvalues against pinned constants for every compact family.
 """
 
 import math
@@ -32,6 +33,7 @@ from crosscurv.hessian import (
     stability_verdict,
     tt_basis,
 )
+import dense_oracle
 from dense_oracle import dense_operators
 
 RNG = np.random.default_rng(7)
@@ -231,14 +233,14 @@ def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
                - b @ dense @ b) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
     # the blocks: their occurrences partition range(dim), each in
     # ascending order, and carry every nonzero of the form, bit for bit
-    assert sum(idx.size for _, idx in qf.blocks) == dim
-    places = np.concatenate([idx.ravel() for _, idx in qf.blocks])
+    assert sum(count * len(block) for block, count in qf.blocks) == dim
+    places = np.concatenate([idx.ravel() for idx in qf.places()])
     assert np.array_equal(np.sort(places), np.arange(dim))
     label = np.empty(dim, dtype=int)
-    for k, rows in enumerate(idx for _, occ in qf.blocks for idx in occ):
+    for k, rows in enumerate(idx for occ in qf.places() for idx in occ):
         label[rows] = k
-    for block, idx in qf.blocks:
-        assert idx.ndim == 2 and idx.shape[1] == len(block)
+    for (block, count), idx in zip(qf.blocks, qf.places()):
+        assert idx.shape == (count, len(block))
         assert np.all(np.diff(idx, axis=1) > 0)
         assert np.all(np.diff(idx[:, 0]) > 0)
         for rows in idx:
@@ -270,7 +272,8 @@ def full_entries(model, weights):
     The curvature terms run in batches of nonzeros that share their last
     slot, which every pair they form shares, PAIR_BATCH nonzeros each."""
     n = model.n
-    nz = (*model.R_slots, model.R_values / abs(model.c))
+    nz = (*np.unravel_index(model.R_keys, (n,) * 4),
+          model.R_values / abs(model.c))
     off = n * (n - 1) // 2
     size = off + n
     place = _pair_lookup(n).copy()
@@ -296,9 +299,9 @@ def full_entries(model, weights):
 
 
 def full_assembly(model, weights):
-    """The oracle for ``assemble_quadform``: the form split into its
-    blocks from ``full_entries``."""
-    return hessian._split_form(model, *full_entries(model, weights))
+    """The oracle for ``assemble_quadform``: the whole form split into its
+    blocks from ``full_entries``, as (block, places)."""
+    return dense_oracle.split_form(model, *full_entries(model, weights))
 
 
 def _display(model):
@@ -310,11 +313,17 @@ def _display(model):
                    float(unit @ unit))
 
 
-def _assert_same_bits(qf, want):
-    assert qf.n == want.n and qf.dim == want.dim and qf.scale == want.scale
-    assert len(qf.blocks) == len(want.blocks)
-    for (block, idx), (block0, idx0) in zip(qf.blocks, want.blocks):
+def _assert_same_bits(qf, model, want):
+    """The blocks of ``qf``, their occurrence counts, their order and
+    their places are those of the oracle's (block, places) list."""
+    n = model.n
+    assert (qf.n, qf.tau, qf.dim) == (n, model.tau, n * (n + 1) // 2 - 1)
+    assert qf.scale == model.c * model.c
+    assert len(qf.blocks) == len(want)
+    for (block, count), idx, (block0, idx0) in zip(qf.blocks, qf.places(),
+                                                   want):
         assert block.tobytes() == block0.tobytes()
+        assert count == len(idx0)
         assert np.array_equal(idx, idx0)
 
 
@@ -338,18 +347,30 @@ FOUR = [("sphere", 0, 5), ("complex", 3, None), ("quaternionic", 3, None),
 ])
 def test_assembly_equals_the_full_assembly_bit_for_bit(family, m, nkw, c,
                                                        term):
-    # the entries on lines 0 and 1, relabelled onto every line and pair of
-    # lines, are the entries the full assembly sums, so the blocks, their
-    # order and their places carry the same bits: for the remainder, and
-    # for each basis quantity on its own
+    # the blocks read on lines 0..2 are those of the whole form the full
+    # assembly sums, so the blocks, their counts, their order and their
+    # places carry the same bits: for the remainder, and for each basis
+    # quantity on its own
     model = build_model(family, m, c, n=nkw)
     if term is None:
         qf, weights = assemble_tt_remainder(model), _display(model)
     else:
         weights = {term: 1.0}
         qf = assemble_quadform(model, weights)
-    _assert_same_bits(qf, full_assembly(model, weights))
+    _assert_same_bits(qf, model, full_assembly(model, weights))
     assert max(len(block) for block, _ in qf.blocks) <= model.tau + 1
+
+
+@pytest.mark.parametrize("family,m,nkw,c", [
+    (*model, c) for model in GRID for c in (1.0, -1.0, 0.3, -2.5e-5)])
+def test_assembly_equals_the_two_line_relabelling(family, m, nkw, c):
+    # the blocks of the form read on lines 0..2, one per class with its
+    # count, against the assembly with every nonzero of R held, whose C on
+    # lines 0 and 1 was relabelled onto every line and pair of lines and
+    # split into its components: the same bytes, counts, order and places
+    model = build_model(family, m, c, n=nkw)
+    _assert_same_bits(assemble_tt_remainder(model), model,
+                      dense_oracle.two_line_assembly(model, _display(model)))
 
 
 def _diagonal_spectrum(qf):
@@ -359,7 +380,7 @@ def _diagonal_spectrum(qf):
     return np.sort(np.concatenate([
         np.repeat(np.linalg.eigvalsh(block),
                   np.count_nonzero(idx[:, 0] >= off))
-        for block, idx in qf.blocks]))
+        for (block, _), idx in zip(qf.blocks, qf.places())]))
 
 
 @pytest.mark.parametrize("family,m,nkw,c", [
@@ -389,16 +410,20 @@ def test_diagonal_blocks_have_the_spectrum_of_the_dense_ladder(family, m,
                                       ("quaternionic", 4), ("octonionic", 2)])
 def test_diagonal_split_of_any_line_symmetric_part(family, m):
     # on every model B is a multiple of the ones, which U^T B U = 0 hides;
-    # random integer A and B check each block against the dense form on
-    # the diagonal columns P of the basis
+    # random integer A and B check each block, read from D on the
+    # coordinates of lines 0 and 1, against the dense form on the diagonal
+    # columns P of the basis
     model = build_model(family, m, 1.0)
     n, units = model.n, model.tau + 1
     lines = n // units
     A, B = (x + x.T for x in RNG.integers(-5, 6, (2, units, units)))
     D = np.kron(A - B, np.eye(lines)) + np.kron(B, np.ones((lines, lines)))
-    r, s, v = hessian._diagonal_entries(model, D)
+    near = np.flatnonzero(np.arange(n) % lines < 2)
+    each, top = hessian._diagonal_entries(model, D[np.ix_(near, near)])
     got = np.zeros((n - 1, n - 1))
-    got[r, s] = v
+    for b in range(lines - 1):
+        got[b * units:(b + 1) * units, b * units:(b + 1) * units] = each
+    got[(lines - 1) * units:, (lines - 1) * units:] = top
     P = tt_basis(n, model.tau)[np.arange(n) * (n + 1), n * (n - 1) // 2:]
     assert np.linalg.norm(got - P.T @ D @ P) <= 1e-14 * np.linalg.norm(D)
 
@@ -425,6 +450,16 @@ def test_coupling_to_a_third_line_is_refused(monkeypatch):
     model = build_model("quaternionic", 3, 1.0)
     _with_entry(monkeypatch, 0, 3, 2, 5)
     with pytest.raises(ValueError, match="third line"):
+        assemble_tt_remainder(model)
+
+
+def test_coupling_of_one_line_with_two_lines_is_refused(monkeypatch):
+    # hp3: the pair (0, 3) lies on line 0 alone and the pair (0, 1) on
+    # lines 0 and 1; coupled, the block of line 0 would join those of
+    # every two lines through it
+    model = build_model("quaternionic", 3, 1.0)
+    _with_entry(monkeypatch, 0, 3, 0, 1)
+    with pytest.raises(ValueError, match="two lines"):
         assemble_tt_remainder(model)
 
 
@@ -523,8 +558,9 @@ def test_noncompact_coefficients_hp2_dual():
 
 def _same_blocks(qf, other):
     return len(qf.blocks) == len(other.blocks) and all(
-        np.array_equal(b, b2) and np.array_equal(i, i2)
-        for (b, i), (b2, i2) in zip(qf.blocks, other.blocks))
+        np.array_equal(b, b2) and k == k2 and np.array_equal(i, i2)
+        for (b, k), (b2, k2), i, i2 in zip(qf.blocks, other.blocks,
+                                          qf.places(), other.places()))
 
 
 def test_remainder_regime_guard():
@@ -753,7 +789,7 @@ def _planted_form(rel_gap: float) -> QuadForm:
         return 0.5 * (M + M.T)
 
     unit = form(rel_gap * float(np.linalg.norm(form(0.0))))
-    blocks = [(unit[np.ix_(idx, idx)], idx[None])
+    blocks = [(unit[np.ix_(idx, idx)], 1)
               for idx in (np.arange(3), np.arange(3, 5), np.arange(5, 9))]
     return QuadForm(n=4, tau=0, dim=9, blocks=blocks)
 

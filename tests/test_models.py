@@ -28,6 +28,7 @@ from crosscurv.models import (
     reference_mu_over_lambda,
 )
 from crosscurv.tensors import sum_by_key, sum_entries
+import dense_oracle
 from dense_oracle import (check_tensor, dense_operators, kn_product,
                           random_curvature, ricci)
 
@@ -109,7 +110,7 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw, fill,
     # plant entries at random positions, some touching three or more
     # coordinate lines, and compare with the mask over all n^4 components;
     # orbit: each entry also on every image under the permutations of the
-    # lines, so that a model with m > 4 lines is audited on lines 0..3
+    # lines, so that a model with m > 4 lines holds lines 0..3
     mod = build_model(family, m, 1.0, n=nkw)
     R, n = mod.R.entries.copy(), mod.n
     rng = np.random.default_rng(5)
@@ -117,12 +118,11 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw, fill,
         key = rng.integers(0, n, size=4)
         at = _line_orbit(key, n, mod.tau) if fill == "orbit" else tuple(key)
         R[at] = rng.uniform(0.1, 9.0)
-    _load(mod, R)
-    restricted = _line_restricted(monkeypatch)
+    restricted = _load(mod, R)
     want = _zero_three_by_mask(R, n, mod.tau)
     assert want > 0
     assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
-    assert restricted == [fill == "orbit" and n // (mod.tau + 1) > 4]
+    assert restricted == (fill == "orbit" and n // (mod.tau + 1) > 4)
 
 
 def _zero_three_by_mask(R, n, tau):
@@ -158,30 +158,40 @@ def _rule_components(n, tau, i, j):
 
 
 def _line_restricted(monkeypatch):
-    """Record, for each call of the gates' choice of nonzeros, whether it
+    """Record, for each call of the build's choice of nonzeros, whether it
     kept only the nonzeros on lines 0..3."""
-    choose, restricted = models._audited_nonzeros, []
+    choose, restricted = models._choose_nonzeros, []
 
-    def spy(model, slots):
-        nz = choose(model, slots)
-        restricted.append(nz.keys.size < model.R_keys.size)
+    def spy(J, c):
+        nz = choose(J, c)
+        restricted.append(nz.near is not None)
         return nz
 
-    monkeypatch.setattr(models, "_audited_nonzeros", spy)
+    monkeypatch.setattr(models, "_choose_nonzeros", spy)
     return restricted
 
 
+def _hold(mod, keys, values):
+    """Make the model hold what a build of R with the nonzeros (keys,
+    values) holds, chosen on the whole list (``dense_oracle.holding``);
+    True when that is lines 0..3."""
+    mod.nz = dense_oracle.holding(mod.J, keys, values)
+    for cached in ("_R_list", "R"):
+        mod.__dict__.pop(cached, None)
+    return mod.nz.near is not None
+
+
 def _load(mod, R):
-    """Make the nonzeros of the dense R the lists the model's audit reads."""
-    mod.R_keys = np.flatnonzero(R)
-    mod.R_values = R.ravel()[mod.R_keys]
+    """Make the model hold the nonzeros of the dense R (``_hold``)."""
+    keys = np.flatnonzero(R)
+    return _hold(mod, keys, R.ravel()[keys])
 
 
 def _plant(mod, index, value):
-    """Add value to the entry at a four-slot index of the model's lists."""
-    mod.R_keys, mod.R_values = sum_by_key(
+    """Add value to the entry at a four-slot index of the model's R."""
+    _hold(mod, *sum_by_key(
         np.append(mod.R_keys, np.ravel_multi_index(index, (mod.n,) * 4)),
-        np.append(mod.R_values, value))
+        np.append(mod.R_values, value)))
 
 
 def _pair_gram(Ks, weights, n):
@@ -273,14 +283,18 @@ def test_planted_weyl_tensor_fails_the_criticality_gate(monkeypatch, c):
     scal = np.trace(ricci(T))
     W = T - kn_product((ricci(T) - scal / (2 * (n - 1)) * g) / (n - 2), g)
     assert np.max(np.abs(ricci(W))) <= 1e-12 * np.max(np.abs(T))
+    # W breaks the symmetry of the lines, which the build takes from the
+    # J_a alone, so the model is built as one whose J_a lack it: holding
+    # every nonzero, as the whole list's symmetry check chose before
     build = models._curvature_nonzeros
 
-    def planted(J, c):
-        keys, vals = build(J, c)
+    def planted(J, c, near=None):
+        keys, vals = build(J, c, near)
         return sum_entries([(keys, vals),
                             (np.arange(n**4), 1e-2 * c * W.ravel())])
 
     monkeypatch.setattr(models, "_curvature_nonzeros", planted)
+    monkeypatch.setattr(models, "_line_symmetric", lambda J: False)
     monkeypatch.setattr(models.FrameAudit, "passed", lambda self, tol: True)
     with pytest.raises(ModelValidationError,
                        match="criticality identity fails"):
@@ -297,6 +311,32 @@ def test_build_and_verdict_never_make_the_dense_tensor(monkeypatch):
     for family, m, c in (("octonionic", 2, 1.0), ("quaternionic", 3, -1.0)):
         rep = stability_verdict(build_model(family, m, c), samples=200)
         assert rep.consistent
+
+
+def test_build_and_verdict_choose_and_unravel_once(monkeypatch):
+    # hp10: one build and verdict choose the nonzeros the gates read once,
+    # unravel slot arrays once (those of the nonzeros on lines 0..3) and
+    # never make the whole list of R's nonzeros
+    from crosscurv.hessian import stability_verdict
+
+    calls = {"choose": 0, "unravel": 0, "whole list": 0}
+    choose, unravel = models._choose_nonzeros, np.unravel_index
+    build = models._curvature_nonzeros
+
+    def counted(name, function, count=lambda *args: True):
+        def call(*args, **kwargs):
+            calls[name] += count(*args, **kwargs)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(models, "_choose_nonzeros", counted("choose", choose))
+    monkeypatch.setattr(np, "unravel_index", counted("unravel", unravel))
+    monkeypatch.setattr(models, "_curvature_nonzeros", counted(
+        "whole list", build, lambda J, c, near=None: near is None))
+    model = build_model("quaternionic", 10, 1.0)
+    stability_verdict(model, samples=200)
+    assert calls == {"choose": 1, "unravel": 1, "whole list": 0}
+    assert "_R_list" not in vars(model)
 
 
 def test_build_and_assembly_stay_under_a_quarter_n4_array():
@@ -569,7 +609,7 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
     # 12 random values, 8 at random keys and one at a component of each
     # entry rule, each planted on every image of its key under the
     # permutations of the lines; R stays line-symmetric, and with m > 4
-    # lines only lines 0..3 are read.  Every residual of the audit must
+    # lines only lines 0..3 are held.  Every residual of the audit must
     # equal its reference exactly
     mod = build_model(family, m, c, n=nkw)
     n, tau = mod.n, mod.tau
@@ -590,14 +630,13 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
         for key in [*rng.integers(0, n, size=(8, 4)),
                     *_rule_components(n, tau, 0, 1)]:
             R[_line_orbit(key, n, tau)] += rng.uniform(-1.0, 1.0)
-    _load(mod, R)
-    restricted = _line_restricted(monkeypatch)
+    restricted = _load(mod, R)
     entry = _entry_rules_by_loops(R, n, tau, mod.c)
     want = {"zero_three_coordinates": _zero_three_by_mask(R, n, tau),
             **entry,
             **_invariance_rules_by_dense_loop(R, dense_operators(mod.J), mod.c)}
     assert frame_rule_audit(mod).residuals == want
-    assert restricted == [fill == "orbit" and lines > 4]
+    assert restricted == (fill == "orbit" and lines > 4)
     if tau > 0:
         assert min(entry.values()) > 0
 
@@ -610,17 +649,91 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
 ])
 def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw,
                                                           monkeypatch):
-    # the curvature rules and the frame audit each choose once; a model
-    # with m > 4 lines is line-symmetric and is read on lines 0..3, with
-    # the residuals of reading every line
+    # the build chooses once; a model with m > 4 lines is line-symmetric
+    # and holds lines 0..3, with the residuals and |R|^2 of holding every
+    # line
     restricted = _line_restricted(monkeypatch)
     mod = build_model(family, m, -1.0, n=nkw)
     lines = mod.n // (mod.tau + 1)
-    assert restricted == [lines > 4] * 2
-    monkeypatch.undo()
-    read = frame_rule_audit(mod).residuals
-    monkeypatch.setattr(models, "_line_symmetric", lambda model, slots: False)
-    assert frame_rule_audit(mod).residuals == read
+    assert restricted == [lines > 4]
+    monkeypatch.setattr(models, "_line_symmetric", lambda J: False)
+    whole = build_model(family, m, -1.0, n=nkw)
+    assert restricted == [lines > 4, False]
+    assert frame_rule_audit(mod).residuals == whole.audit.residuals
+    assert mod.audit.residuals == whole.audit.residuals
+    assert mod.R_norm2 == whole.R_norm2
+
+
+#: the models of the oracle grid: sphere3-12, cp2-cp12, hp1-hp16 and op2
+GRID = [*(("sphere", 0, n) for n in range(3, 13)),
+        *(("complex", m, None) for m in range(2, 13)),
+        *(("quaternionic", m, None) for m in range(1, 17)),
+        ("octonionic", 2, None)]
+
+
+@pytest.mark.parametrize("family,m,nkw,c", [
+    (*model, c) for model in GRID for c in (1.0, -1.0, 0.3, -2.5e-5)])
+def test_held_lines_keep_the_whole_list_gates(family, m, nkw, c):
+    # R's own symmetry under the permutations of the lines, which the
+    # build takes from the J_a, holds on the whole list.  A model holding
+    # lines 0..3 has the audit residuals and notes of one holding every
+    # nonzero, and its contractions on lines 0 and 1 and its |R|^2 are the
+    # whole list's: bit for bit at c = +-1, where every sum is exact, and
+    # holding every nonzero; elsewhere |R|^2 is summed in another order
+    model = build_model(family, m, c, n=nkw)
+    n, lines = model.n, model.n // (model.tau + 1)
+    keys, vals = model.R_keys, model.R_values
+    assert dense_oracle.line_symmetric(model.J, keys, vals)
+    assert (model.nz.near is not None) == (lines > 4)
+    whole = CurvatureModel(family=family, m=model.m, n=n, tau=model.tau,
+                           c=model.c, nz=models._nonzeros(n, lines, keys,
+                                                          vals, None),
+                           J=model.J)
+    audit = frame_rule_audit(whole)
+    assert (audit.residuals, audit.notes) == (model.audit.residuals,
+                                              model.audit.notes)
+    ric, chk, direct, operator, trace = dense_oracle.full_list_gates(
+        n, keys, vals)
+    near, r, k, held_trace = models._contractions(model)
+    if c in (1.0, -1.0):
+        assert np.array_equal(r, ric[np.ix_(near, near)])
+        assert np.array_equal(k, chk[np.ix_(near, near)])
+        assert model.R_norm2 == direct == operator == trace == held_trace
+    else:
+        for got, want in ((r, ric), (k, chk)):
+            want = want[np.ix_(near, near)]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert abs(model.R_norm2 - direct) <= 1e-15 * direct
+    if model.nz.near is None:
+        assert model.R_norm2 == direct
+
+
+@pytest.mark.parametrize("family,m,nkw", [
+    ("sphere", 0, 7), ("complex", 6, None), ("quaternionic", 5, None)])
+def test_contractions_on_two_lines_equal_the_whole_sums(family, m, nkw):
+    # R plus integers planted on the orbits of 8 random keys that touch at
+    # most two lines stays line-symmetric, so the model holds lines 0..3;
+    # its Ricci and self-contraction on lines 0 and 1 and its weighted
+    # |R|^2 are those of the whole list, exactly
+    mod = build_model(family, m, 1.0, n=nkw)
+    R, n, tau = mod.R.entries.copy(), mod.n, mod.tau
+    lines = n // (tau + 1)
+    rng = np.random.default_rng(3)
+    planted = 0
+    while planted < 8:
+        key = rng.integers(0, n, size=4)
+        if np.unique(key % lines).size <= 2:
+            R[_line_orbit(key, n, tau)] += rng.integers(1, 4)
+            planted += 1
+    assert _load(mod, R)
+    keys = np.flatnonzero(R)
+    ric, chk, direct, _, _ = dense_oracle.full_list_gates(
+        n, keys, R.ravel()[keys])
+    near, r, k, trace = models._contractions(mod)
+    assert np.array_equal(r, ric[np.ix_(near, near)])
+    assert np.array_equal(k, chk[np.ix_(near, near)])
+    assert float(np.sum(mod.nz.weights * mod.nz.values**2)) == direct
+    assert trace == direct
 
 
 @pytest.mark.parametrize("family,m", [("complex", 2), ("quaternionic", 2),

@@ -36,9 +36,10 @@ def _plant(monkeypatch, defect: float) -> None:
     nonzeros of R."""
     build = models._curvature_nonzeros
 
-    def planted(J, c):
-        keys, vals = build(J, c)
-        rk, rv = models._aform_entries(J.n, np.arange(J.n), np.ones(J.n))
+    def planted(J, c, near=None):
+        keys, vals = build(J, c, near)
+        rk, rv = models._aform_entries(J.n, np.arange(J.n), np.ones(J.n),
+                                       near)
         return sum_by_key(np.concatenate([keys, rk]),
                           np.concatenate([vals, defect * c * rv]))
 

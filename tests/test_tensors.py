@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from crosscurv.models import build_model
 from crosscurv.tensors import (
+    _BIANCHI_SIGNS,
     _bianchi_entries,
+    _bianchi_sum,
     _check_lambda2_curvature,
+    _lambda2_residuals,
     _dense_terms,
     _pair_index,
     _pair_lookup,
@@ -282,11 +285,11 @@ def test_pair_basis_bianchi_projection(n):
     N = n * (n - 1) // 2
     G = np.random.default_rng(n).standard_normal((N, N))
     S = G + G.T
-    P = _project_bianchi(n, S)
+    P = _project_bianchi(n, S.copy())  # in place, on a copy
     assert np.array_equal(P, P.T)
     want = to_lambda2(_project_curvature(from_lambda2(n, S)))
     assert np.max(np.abs(P - want)) <= 1e-15 * np.max(np.abs(S))
-    again = _project_bianchi(n, P)
+    again = _project_bianchi(n, P.copy())
     assert np.max(np.abs(again - P)) <= 1e-15 * np.max(np.abs(P))
     draw = random_curvature_lambda2(n, seed=n)
     check_curvature_rules(*_dense_terms(from_lambda2(n, draw)))
@@ -306,6 +309,46 @@ def test_pair_basis_draw_is_checked():
     bad[9, 0] = bad[0, 9]
     with pytest.raises(ValueError, match="Bianchi"):
         _check_lambda2_curvature(n, bad)
+
+
+def _draw_with_copies(n, seed):
+    """The draw as it was made with a copying projection and the whole
+    pair exchange difference M - M^T: the matrix, and the function that
+    gave its residuals."""
+    def residuals(M):
+        flat = M.reshape(-1)
+        return (float(np.max(np.abs(M - M.T), initial=0.0)),
+                float(np.max(np.abs(_bianchi_sum(flat, _bianchi_entries(n))),
+                             initial=0.0)))
+
+    rng = np.random.default_rng(seed)
+    N = n * (n - 1) // 2
+    G = rng.standard_normal((N, N))
+    S = (G + G.T) * 0.25
+    out = np.array(S, dtype=float)
+    flat, e = out.reshape(-1), _bianchi_entries(n)
+    t = _bianchi_sum(flat, e) / 3.0
+    for row, sign in zip(e, _BIANCHI_SIGNS):
+        flat[row] -= sign * t
+    return out, residuals
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+@pytest.mark.parametrize("n", [5, 16, 40])
+def test_draw_in_place_has_the_bits_of_the_copying_draw(n, seed):
+    # the projection in place and the pair exchange residual over row
+    # blocks give the draw and both residuals bit for bit, on the draw
+    # and on a perturbed, not pair-symmetric copy of it
+    draw = random_curvature_lambda2(n, seed)
+    want, residuals = _draw_with_copies(n, seed)
+    assert draw.tobytes() == want.tobytes()
+    S = want.copy()
+    assert np.shares_memory(_project_bianchi(n, S), S)
+    noisy = draw + 1e-3 * np.random.default_rng(seed).standard_normal(
+        draw.shape)
+    for M in (draw, noisy):
+        assert _lambda2_residuals(n, M) == residuals(M)
+    assert _lambda2_residuals(n, noisy)[0] > 0
 
 
 def test_pair_basis_draw_is_the_standard_gaussian():
