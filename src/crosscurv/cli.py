@@ -31,10 +31,13 @@ configs and seeds are byte-identical.
 Input budget: a model whose estimated peak memory for the command
 (``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
 refused as a config error, exit 2, before anything is built.  ``model`` and
-``certify`` hold the nonzeros of R and no n^4 array, and are refused from
-dimension n = 1141 and n = 1041; ``verify`` and ``report`` also hold the
-identity catalog's pair-basis matrices, each of n^4 / 4 entries, and are
-refused from n = 127 (``--space sphere --n 127``, ``--space hp --m 32``).
+``certify`` hold a few MiB of nonzeros and O(n) structure arrays, far
+inside the budget; they are refused from dimension n = 55109, above
+``tensors.MAX_DIMENSION``, where the n^4 flat indices of R overflow int64
+(``models.family_dimension``).
+``verify`` and ``report`` also hold the identity catalog's pair-basis
+matrices, each of n^4 / 4 entries, and are refused from n = 127
+(``--space sphere --n 127``, ``--space hp --m 32``).
 """
 
 from __future__ import annotations
@@ -110,10 +113,12 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 
 #: ``memory_estimate``: the interpreter, numpy and small arrays
 BASE_BYTES = 128 * 2**20
-#: ``memory_estimate``: float64 words per n^2 of the nonzero stages
-LIST_WORDS = 400
-#: ``memory_estimate``: float64 words per n^2 of the form assembly
-ASSEMBLY_WORDS = 80
+#: ``memory_estimate``: float64 words of the nonzero stages of the build
+BUILD_WORDS = 2**18
+#: ``memory_estimate``: float64 words per n of the structure operators
+OPERATOR_WORDS = 32
+#: ``memory_estimate``: float64 words of the form assembly
+ASSEMBLY_WORDS = 2**19
 #: ``memory_estimate``: float64 words per n^4 of the identity catalog
 CATALOG_WORDS = 2
 
@@ -127,20 +132,23 @@ def memory_estimate(command: str, n: int) -> int:
     model of dimension n, charged for the stages the command runs, in
     float64 words:
 
-    - every command that builds a model: ``LIST_WORDS`` n^2 for the
-      nonzeros of R (about 10 n^2 of them) and what the build, the frame
-      audit and the gates hold beside them.  A model with more than four
-      lines holds only its nonzeros on lines 0..3, so this is an upper
-      bound: a ``model`` traced 296 n^2 at hp4 and 424 n^2, under 1 MiB,
-      at op2, which hold every nonzero, and 0.58 MiB at every m from 5
-      on, 19 n^2 at hp16 and 0.3 n^2 at hp128;
-    - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` n^2 for the
+    - every command that builds a model: ``BUILD_WORDS`` (2 MiB) for the
+      nonzeros of R, at most those on lines 0..3 (a model of at most four
+      lines holds all of them, and has n <= 16), and what the build, the
+      frame audit and the gates hold beside them; and ``OPERATOR_WORDS`` n
+      for the structure operators, tau signed permutations of the n
+      coordinates, and the temporaries of their invariant check.  A
+      ``model`` traced 0.58 MiB at hp4 and 0.85 MiB at op2, and about 27
+      words per n from hp2048 (n = 8192, 1.8 MiB) to hp13777 (n = 55108,
+      11.9 MiB);
+    - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` (4 MiB) for the
       assembly, which reads the nonzeros on lines 0..2 and the form C on
-      lines 0 and 1, so that ``certify`` traced at most 0.1 MiB above
-      ``model`` from hp5 to hp128 (2.8 MiB at op2); and the two arrays of
-      ``RAYLEIGH_CHUNK`` x 8 that the sampling holds (a chunk of draws for
-      a block, of at most tau + 1 <= 8 rows, and its product with the
-      block);
+      lines 0 and 1, so that ``certify`` traced at most 0.12 MiB above
+      ``model`` from hp4 to hp13777 (2.7 MiB at op2); and what the
+      sampling holds at once: three arrays of ``RAYLEIGH_CHUNK`` x 8 (a
+      chunk of draws for a block, of at most tau + 1 <= 8 rows, its
+      centred transpose and the block's product with it) and three
+      chunk-long vectors;
     - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
       catalog, which holds a few N x N pair-basis matrices of n^4 / 4
       entries (R's, a random draw, a product and its comparand and their
@@ -152,9 +160,9 @@ def memory_estimate(command: str, n: int) -> int:
 
     and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """
-    words = LIST_WORDS * n**2
+    words = BUILD_WORDS + OPERATOR_WORDS * n
     if command in ("certify", "report"):
-        words += ASSEMBLY_WORDS * n**2 + 2 * RAYLEIGH_CHUNK * 8
+        words += ASSEMBLY_WORDS + 3 * RAYLEIGH_CHUNK * (8 + 1)
     if command in ("verify", "report"):
         words += CATALOG_WORDS * n**4
     return 8 * words + BASE_BYTES

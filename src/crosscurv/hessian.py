@@ -589,10 +589,16 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     ``Generator.random`` minus 0.5, from its own stream,
     ``SeedSequence(seed).spawn(len(qf.blocks))[k]`` (the child of a 1 x 1
     block goes unused) through PCG64, one sample per row, in chunks of
-    ``RAYLEIGH_CHUNK`` rows (the last one shorter), serially; the best
-    quotient is kept with a strict ``<``.  At most a chunk of draws and
-    its product with the block are held at once, and the certificate
-    depends on ``seed`` and ``samples`` alone.  A sample only picks the
+    ``RAYLEIGH_CHUNK`` rows (the last one shorter), serially.  Each chunk
+    is evaluated one sample per column: centred and transposed in one
+    pass, multiplied by the block in one GEMM, its numerators and
+    denominators summed down the columns; the best quotient is kept with
+    a strict ``<``.  Summing a quotient in another order moves it by
+    rounding only, so the choice of the best sample depends on the order
+    only where quotients tie to rounding, on a block that is lambda I to
+    rounding.  At most a chunk of draws, its centred transpose and its
+    product with the block are held at once, and the certificate depends
+    on ``seed`` and ``samples`` alone.  A sample only picks the
     start of the refinement, which needs a nonzero component in the
     block's bottom eigenspace.  The cube's law has a positive density on
     every direction, so, as with normals, the best sample has one with
@@ -623,13 +629,13 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
         rng = np.random.Generator(np.random.PCG64(stream))
         best_val, best = np.inf, None
         for done in range(0, samples, RAYLEIGH_CHUNK):
-            V = rng.random((min(RAYLEIGH_CHUNK, samples - done), len(block)))
-            V -= 0.5
-            vals = (np.einsum("ij,ij->i", V, V @ block)
-                    / np.einsum("ij,ij->i", V, V))
+            V = np.subtract(rng.random((min(RAYLEIGH_CHUNK, samples - done),
+                                        len(block))).T, 0.5, order="C")
+            vals = (np.einsum("ij,ij->j", V, block @ V)
+                    / np.einsum("ij,ij->j", V, V))
             i = int(np.argmin(vals))
             if vals[i] < best_val:
-                best_val, best = vals[i], V[i].copy()
+                best_val, best = vals[i], V[:, i].copy()
         rho, x = _refine_rayleigh(block, best)
         refined.append((rho, float(np.linalg.norm(block @ x - rho * x))
                         + 1e-12 * float(np.linalg.norm(block))))

@@ -62,6 +62,7 @@ from crosscurv.division_algebras import (
     octonion_table,
 )
 from crosscurv.tensors import (
+    MAX_DIMENSION,
     CurvTensor4,
     check_curvature_rules,
     flat_index,
@@ -189,7 +190,9 @@ class CurvatureModel:
 
 
 def family_dimension(family: str, m: int, n: int | None = None) -> int:
-    """Dimension of one family member; ValueError if it does not exist.
+    """Dimension of one family member; ValueError if it does not exist or
+    its dimension is above ``tensors.MAX_DIMENSION`` (55108), where the
+    n^4 flat indices of R overflow int64.
 
     sphere: any n >= 3 (m ignored).  complex: n = 2m, m >= 2.
     quaternionic: n = 4m, m >= 1.  octonionic: n = 16, m = 2 only.  An
@@ -202,18 +205,24 @@ def family_dimension(family: str, m: int, n: int | None = None) -> int:
     if family == "sphere":
         if n is None or n < 3:
             raise ValueError("sphere needs an explicit dimension n >= 3")
-        return n
-    if family not in _TAU:
-        raise ValueError(f"unknown family {family!r}")
-    if n is not None:
-        raise ValueError("an explicit dimension n applies to the sphere only")
-    if family == "complex" and m < 2:
-        raise ValueError("complex family needs m >= 2")
-    if family == "quaternionic" and m < 1:
-        raise ValueError("quaternionic family needs m >= 1")
-    if family == "octonionic" and m != 2:
-        raise ValueError("octonionic family exists only for m = 2")
-    return (_TAU[family] + 1) * m
+        dim = n
+    else:
+        if family not in _TAU:
+            raise ValueError(f"unknown family {family!r}")
+        if n is not None:
+            raise ValueError("an explicit dimension n applies to the sphere "
+                             "only")
+        if family == "complex" and m < 2:
+            raise ValueError("complex family needs m >= 2")
+        if family == "quaternionic" and m < 1:
+            raise ValueError("quaternionic family needs m >= 1")
+        if family == "octonionic" and m != 2:
+            raise ValueError("octonionic family exists only for m = 2")
+        dim = (_TAU[family] + 1) * m
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension {dim} is above {MAX_DIMENSION}, the "
+                         f"largest whose n^4 flat indices fit in int64")
+    return dim
 
 
 def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:

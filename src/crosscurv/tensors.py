@@ -135,6 +135,11 @@ def _dense_terms(T: np.ndarray) -> tuple:
     return T[mask], lambda order: np.transpose(T, np.argsort(order))[mask]
 
 
+#: the largest dimension whose n^4 flat indices fit in int64:
+#: 55108^4 < 2^63 <= 55109^4
+MAX_DIMENSION = 55_108
+
+
 def flat_index(n: int, slots) -> np.ndarray:
     """C-order flat indices in an n^4 array of four slot arrays."""
     i0, i1, i2, i3 = slots

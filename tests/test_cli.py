@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import crosscurv.cli as cli
+from crosscurv import tensors
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.models import ModelValidationError
 from crosscurv.report import render_json
@@ -361,7 +362,7 @@ def test_memory_budget_refuses_before_building(monkeypatch):
         raise AssertionError("build_model called for a refused model")
 
     monkeypatch.setattr(cli, "build_model", no_build)
-    for command, n in (("model", "2000"), ("verify", "400")):
+    for command, n in (("report", "200"), ("verify", "400")):
         code, out, err = run([command, "--space", "sphere", "--n", n])
         assert code == 2
         assert out == ""
@@ -369,17 +370,30 @@ def test_memory_budget_refuses_before_building(monkeypatch):
 
 
 #: the first dimension each command refuses
-REFUSAL = {"model": 1141, "certify": 1041, "verify": 127, "report": 127}
+REFUSAL = {"model": 55109, "certify": 55109, "verify": 127, "report": 127}
 
 
 def test_memory_budget_admits_every_benchmarked_size():
     # hp10 (n = 40) is the largest model the tests and the benchmark
     # build; only verify and report hold n^4 arrays, so they are refused
-    # at a far smaller dimension than model and certify
+    # by the budget, at a far smaller dimension than model and certify,
+    # which stay inside it up to the int64 index limit
+    assert tensors.MAX_DIMENSION**4 <= 2**63 - 1 < (tensors.MAX_DIMENSION
+                                                    + 1)**4
     for command, n in REFUSAL.items():
         assert cli.memory_estimate(command, 40) <= cli.MEMORY_BUDGET_BYTES
         assert cli.memory_estimate(command, n - 1) <= cli.MEMORY_BUDGET_BYTES
-        assert cli.memory_estimate(command, n) > cli.MEMORY_BUDGET_BYTES
+        assert ((cli.memory_estimate(command, n) > cli.MEMORY_BUDGET_BYTES)
+                == (n <= tensors.MAX_DIMENSION))
+
+
+def test_dimension_above_the_index_limit_exits_2():
+    # from n = 55109 the n^4 flat indices of R overflow int64: a config
+    # error, where the build would die in numpy
+    code, out, err = run(["certify", "--space", "sphere", "--n", "55109"])
+    assert code == 2
+    assert "55108" in err and "int64" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_memory_budget_follows_the_command(monkeypatch):
@@ -396,20 +410,26 @@ def test_memory_budget_follows_the_command(monkeypatch):
             assert code == want, (command, dim, err)
 
 
-@pytest.mark.parametrize("args,n", [(["--space", "hp", "--m", "4"], 16),
-                                    (["--space", "sphere", "--n", "24"], 24)])
-def test_memory_estimate_bounds_traced_peak(args, n):
+EVERY_COMMAND = ("model", "certify", "verify", "report")
+
+
+@pytest.mark.parametrize("args,n,commands", [
+    (["--space", "hp", "--m", "4"], 16, EVERY_COMMAND),
+    (["--space", "sphere", "--n", "24"], 24, EVERY_COMMAND),
+    # verify and report are refused at this size
+    (["--space", "hp", "--m", "2048"], 8192, ("model", "certify"))])
+def test_memory_estimate_bounds_traced_peak(args, n, commands):
     # the arrays alone: the estimate less its allowance for the
     # interpreter, after one untraced run for the one-time allocations;
     # the arrays cached by dimension or model are dropped before the
     # traced run, so it builds them as a fresh process does
     import tracemalloc
 
-    from crosscurv import ledger, tensors
+    from crosscurv import ledger
 
     cached = (tensors._pair_index, tensors._pair_lookup,
               tensors._bianchi_entries, ledger._catalog_arrays)
-    for command in ("model", "certify", "verify", "report"):
+    for command in commands:
         argv = [command, *args, *FAST]
         run(argv)
         for function in cached:

@@ -625,16 +625,17 @@ def test_min_eigen_deterministic():
 def _best_block_samples(qf, samples, seed):
     """The reference for the chunked sampling: for each distinct block, its
     child stream drawn at once, one sample per row (so the chunks are
-    consecutive slices of this draw), every quotient from one GEMM, and the
+    consecutive slices of this draw), centred and transposed to one sample
+    per column, every quotient from one GEMM and two column sums, and the
     first best sample."""
     streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
     best = []
     for (block, _), stream in zip(qf.blocks, streams):
-        V = np.random.Generator(np.random.PCG64(stream)).random(
-            (samples, len(block))) - 0.5
-        vals = np.einsum("ij,ij->i", V, V @ block) / np.einsum("ij,ij->i",
+        V = np.subtract(np.random.Generator(np.random.PCG64(stream)).random(
+            (samples, len(block))).T, 0.5, order="C")
+        vals = np.einsum("ij,ij->j", V, block @ V) / np.einsum("ij,ij->j",
                                                                V, V)
-        best.append(V[np.argmin(vals)])
+        best.append(V[:, np.argmin(vals)])
     return best
 
 
@@ -666,6 +667,87 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
         assert np.array_equal(x, want)
     assert cert.rayleigh_min == qf.scale * min(
         refine(block, x)[0] for (block, _), x in zip(qf.blocks, best))
+
+
+def _row_wise_best_samples(qf, samples, seed):
+    """The row-wise evaluation the column evaluation replaced: each chunk
+    of a block's draw centred as drawn, its quotients taken one sample per
+    row, the best kept with a strict < across chunks.  A 1 x 1 block gets
+    None."""
+    chunk = hessian.RAYLEIGH_CHUNK
+    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
+    best = []
+    for (block, _), stream in zip(qf.blocks, streams):
+        if len(block) == 1:
+            best.append(None)
+            continue
+        rng = np.random.Generator(np.random.PCG64(stream))
+        best_val, x = np.inf, None
+        for done in range(0, samples, chunk):
+            V = rng.random((min(chunk, samples - done), len(block))) - 0.5
+            vals = np.einsum("ij,ij->i", V, V @ block) / np.einsum(
+                "ij,ij->i", V, V)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, x = vals[i], V[i]
+        best.append(x)
+    return best
+
+
+GUARD_MODELS = ([("quaternionic", m, None) for m in range(1, 11)]
+                + [("complex", m, None) for m in range(2, 9)]
+                + [("sphere", 0, 5), ("octonionic", 2, None)])
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+@pytest.mark.parametrize("family,m,nkw", GUARD_MODELS)
+def test_column_evaluation_keeps_the_row_wise_certificate(family, m, nkw, c,
+                                                          monkeypatch):
+    # the column evaluation sums each quotient in another order, so only a
+    # block whose quotients tie to rounding, one that is lambda I to
+    # rounding, may pick another best sample; every other block starts
+    # its refinement where the row-wise evaluation did, and the minimum,
+    # the rotations and the consistency decision stay as they were
+    qf = assemble_tt_remainder(build_model(family, m, c, n=nkw))
+    samples = 100_000
+    refine = hessian._refine_rayleigh
+    starts = []
+
+    def spy(M, x, **kw):
+        starts.append(x.copy())
+        return refine(M, x, **kw)
+
+    monkeypatch.setattr(hessian, "_refine_rayleigh", spy)
+    spectra = [hessian.jacobi_eigs(block) for block, _ in qf.blocks]
+    eig_min = min(float(spec.eigenvalues.min()) for spec in spectra)
+    compared = 0
+    for seed in (0, 7, 123456789):
+        starts.clear()
+        cert = min_eigen_tt(qf, samples=samples, seed=seed)
+        spied = iter(starts)
+        refined = []
+        for (block, _), spec, want in zip(
+                qf.blocks, spectra, _row_wise_best_samples(qf, samples, seed)):
+            if want is None:
+                b = float(block[0, 0])
+                refined.append((b, 1e-12 * abs(b)))
+                continue
+            x = next(spied)
+            eigs = spec.eigenvalues
+            if eigs.max() - eigs.min() > 1e-9 * np.linalg.norm(block):
+                assert np.array_equal(x, want), seed
+                compared += 1
+            rho, y = refine(block, want)
+            refined.append((rho, float(np.linalg.norm(block @ y - rho * y))
+                            + 1e-12 * float(np.linalg.norm(block))))
+        assert next(spied, None) is None
+        ray_min, bound = min(refined, key=lambda found: found[0])
+        assert cert.eig_min == qf.scale * eig_min
+        assert cert.rotations == sum(spec.iterations for spec in spectra)
+        assert cert.consistent == (abs(ray_min - eig_min) <= bound)
+        assert cert.consistent
+    # every block of the sphere and of hp1 (the 4-sphere) is lambda I
+    assert compared > 0 or (family, m) in {("sphere", 0), ("quaternionic", 1)}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40 + 3])
@@ -703,11 +785,13 @@ def test_one_row_blocks_record_what_their_sampling_gives(family, m, nkw, c,
 
 
 def test_sampling_holds_no_form_sized_array():
-    # hp10, dim 819: the sampling holds one chunk of draws for one block
-    # and its product with the block, at most RAYLEIGH_CHUNK x (tau + 1)
-    # floats each, beside a few chunk-long vectors and the small arrays of
-    # Jacobi and the refinement on the block.  That is below one dim x dim
-    # array, and far below one dim x chunk array.
+    # hp10, dim 819: the sampling holds at most three arrays of
+    # RAYLEIGH_CHUNK x (tau + 1) floats for one block at once (the last
+    # chunk's centred transpose while the next chunk is drawn and centred,
+    # or a centred transpose and its product with the block), beside a few
+    # chunk-long vectors and the small arrays of Jacobi and the refinement
+    # on the block.  That is below one dim x dim array, and far below one
+    # dim x chunk array.
     import tracemalloc
 
     qf = assemble_tt_remainder(build_model("quaternionic", 10, 1.0))

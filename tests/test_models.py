@@ -502,6 +502,7 @@ def test_scale_range_ends_are_admitted(c):
     ("sphere", 0, 3, 3), ("sphere", 7, 5, 5), ("complex", 2, None, 4),
     ("complex", 3, None, 6), ("quaternionic", 1, None, 4),
     ("quaternionic", 5, None, 20), ("octonionic", 2, None, 16),
+    ("sphere", 0, 55108, 55108), ("complex", 27554, None, 55108),
 ])
 def test_family_dimension(family, m, n, dim):
     assert family_dimension(family, m, n) == dim
@@ -515,6 +516,8 @@ def test_family_dimension(family, m, n, dim):
     ("octonionic", 2, 16), ("nonsense", 2, None),
     ("quaternionic", True, None), ("complex", 2.0, None),
     ("sphere", 0, 5.0), ("sphere", 0, True),
+    # above tensors.MAX_DIMENSION the n^4 flat indices overflow int64
+    ("sphere", 0, 55109), ("quaternionic", 13778, None),
 ])
 def test_family_dimension_refuses_missing_members(family, m, n):
     with pytest.raises(ValueError):
