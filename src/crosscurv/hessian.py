@@ -24,33 +24,34 @@ nonzeros of R; and products of two nonzeros of R that share the
 contracted slots for K_PAIR, RR_KN and |B|^2, which is K_PAIR read in
 another index layout.  The identity catalog applies the same G and L and
 the same pairings.  Each vec position lies on one pair coordinate (E_ij +
-E_ji)/sqrt 2 of the trace-free basis or on the diagonal, and the weighted
-entries are summed per place pair into the nonzeros of a form C.
+E_ji)/sqrt 2 of the trace-free basis or on the diagonal, its place, and
+the weighted entries are added per pair of places into a form C.
 
 Coordinate (alpha, i) lies on line i of the m lines (each coordinate of
 the sphere is a line).  Each structure operator is one division-algebra
 row repeated over the lines, so a permutation of the lines commutes with
 every J_a and keeps R and C: the symmetry-adapted reduction of Faessler
-and Stiefel (Group Theoretical Methods and Their Applications, 1992, ch.
-5).  A nonzero of R touches at most two lines (a gate of the frame
+and Stiefel (Group Theoretical Methods and Their Applications, 1992,
+ch. 5).  A nonzero of R touches at most two lines (a gate of the frame
 audit), and so does an entry of C, which the tests check against the sum
-over every pair of nonzeros.  So C is summed only between the places on
-lines 0 and 1, its contracted slots on lines 0..2, line 2 standing, with
-weight m - 2, for every line off lines 0 and 1.  The form on the pairs
-is exactly C / 2.  D, the part of C on the diagonal places, is the same
-on every line and between every two lines, and on the diagonal columns
-of ``tt_basis``, the ladder over the lines times the units, it is m - 1
-copies of one block and a tau x tau block (``_diagonal_entries``).  No
-model has an entry of C between the diagonal and a pair.  By the
-isotypic splitting of the trace-free tensors under the isotropy group
-(Koiso, Osaka J. Math. 17, 1980; Besse, Einstein Manifolds, 12.H) the
-form falls into blocks of at most tau + 1 rows, a handful of classes at
-every m, and it is held as one block per class with its occurrence
-count; their places are made on demand.  C is built at unit scale, from
-R / |c| and the coefficients at c = sign(c), and the form is kept at
-that scale beside the factor c^2, which the certificate applies to its
-results.  Every entry of C is an integer or a half-integer, so the unit
-form does not depend on the order of summation or on the scale.
+over every pair of nonzeros.  So C is one dense array on the places of
+lines 0 and 1, at most 136, its contracted slots on lines 0..2, line 2
+standing, with weight m - 2, for every line off lines 0 and 1.  The form
+on the pairs is exactly C / 2.  D, the part of C on the diagonal places,
+is the same on every line and between every two lines, and on the
+diagonal columns of ``tt_basis``, the ladder over the lines times the
+units, it is m - 1 copies of one block and a tau x tau block
+(``_diagonal_entries``).  No model has an entry of C between the diagonal
+and a pair.  By the isotypic splitting of the trace-free tensors under
+the isotropy group (Koiso, Osaka J. Math. 17, 1980; Besse, Einstein
+Manifolds, 12.H) the form falls into blocks of at most tau + 1 rows, a
+handful of classes at every m, and it is held as one block per class
+with its occurrence count; their places are made on demand.  C is built
+at unit scale, from R / |c| and the coefficients at c = sign(c), and the
+form is kept at that scale beside the factor c^2, which the certificate
+applies to its results.  Every entry of C is an integer or a
+half-integer, so the unit form does not depend on the order of summation
+or on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -73,8 +74,7 @@ from numbers import Rational
 import numpy as np
 
 from crosscurv.jacobi import jacobi_eigs
-from crosscurv.tensors import (_pair_index, _pair_lookup, flat_index,
-                               pairs_by_key, sum_entries)
+from crosscurv.tensors import _pair_index, _pair_lookup, pairs_by_key
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
@@ -304,14 +304,20 @@ class QuadForm:
         return self.scale * float(b @ self.unit @ b)
 
 
-def _ordered(n: int, vec: np.ndarray) -> np.ndarray:
-    """x n + y for each vec position of (x, y) or (y, x), x <= y."""
-    x, y = np.divmod(vec, n)
-    swap = x > y
-    x[swap], y[swap] = y[swap], x[swap]
-    x *= n
-    x += y
-    return x
+def _places(n: int, lines: int) -> tuple:
+    """The places on lines 0 and 1, numbered in ``np.triu_indices(k)``
+    order of the ranks of the k coordinates there, so that the pairs
+    ascend by x n + y: the coordinates x <= y of each place, the rank of
+    every coordinate (k off lines 0 and 1) and the (k + 1) x (k + 1)
+    table of place numbers by rank, -1 in row and column k."""
+    near = np.flatnonzero(np.arange(n) % lines < 2)
+    k = near.size
+    rank = np.full(n, k, dtype=np.int8)  # k <= 16
+    rank[near] = np.arange(k)
+    x, y = np.triu_indices(k)
+    table = np.full((k + 1, k + 1), -1)
+    table[x, y] = table[y, x] = np.arange(x.size)
+    return near[x], near[y], rank, table
 
 
 def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
@@ -328,9 +334,10 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
 
     Each term's weighted entries between the places on lines 0 and 1,
     from the nonzeros of R whose free slots lie there and whose
-    contracted slots lie on lines 0..2 (``_term_entries``), are summed
-    into the nonzeros of C there, keyed by the coordinates of the two
-    places, and ``_split_form`` reads the blocks off them.
+    contracted slots lie on lines 0..2 (``_term_entries``), are added into
+    C, one dense array on those places (``_places``), and ``_split_form``
+    reads the blocks off it.  ValueError for an entry whose row or column
+    reaches a third line.
     """
     n = model.n
     lines = n // (model.tau + 1)
@@ -344,19 +351,20 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
                      np.maximum(line[i2], line[i3]))
     at = np.flatnonzero(near[i0] & (near[i1] | near[i2]) & (top <= 2))
     unit = (i0[at], i1[at], i2[at], i3[at], nz.values[at] / abs(model.c))
-    C = sum_entries([])
+    x, _, rank, table = _places(n, lines)
+    size = x.size
+    C = np.zeros(size * size)
     for key, w in weights.items():
         if w == 0:
             continue
         rows, cols, v = _term_entries(model, key, unit, near, line)
-        flat = _ordered(n, rows)
-        del rows
-        flat *= n * n
-        flat += _ordered(n, cols)
-        del cols
-        v *= float(w)
-        C = sum_entries([C, (flat, v)])  # one term's entries at a time
-    return _split_form(model, *C)
+        rows, cols = (table[rank[vec // n], rank[vec % n]]  # their places
+                      for vec in (rows, cols))
+        if np.any(rows < 0) or np.any(cols < 0):
+            raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
+                             "with a third line")
+        C += np.bincount(rows * size + cols, v * float(w), minlength=C.size)
+    return _split_form(model, C.reshape(size, size))
 
 
 def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
@@ -386,69 +394,49 @@ def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
     return A - B, 0.5 * (top + top.T)
 
 
-def _split_form(model: CurvatureModel, keys: np.ndarray,
-                vals: np.ndarray) -> QuadForm:
-    """The form from the nonzeros of C between the places on lines 0 and 1,
-    keyed by the flat index of their coordinates (x, y, z, w), x <= y,
-    z <= w.  The entries on line 1 alone, checked to be the image of
-    those on line 0, are dropped.  C / 2 on the pairs of line 0 and of
+def _split_form(model: CurvatureModel, C: np.ndarray) -> QuadForm:
+    """The form from C, the dense array on the places on lines 0 and 1
+    (``_places``).  The block on line 1 alone, checked to be the image of
+    the one on line 0, is dropped.  C / 2 on the pairs of line 0 and of
     lines 0 and 1, one copy of A - B and the tau x tau block
     (``_diagonal_entries``) make a small form, whose components, grouped
     by bit-identical block (``_distinct_blocks``), are the classes.  Each
     component occurs first on lines 0 and 1, so they come in the order of
-    first occurrence in the whole form.  ValueError for an entry that
-    reaches a third line, a line 1 that is not the image of line 0, or an
-    entry between the pairs of one line and of two or between the
-    diagonal and a pair.
+    first occurrence in the whole form.  ValueError for a line 1 that is
+    not the image of line 0, or an entry between the diagonal and a pair
+    or between the pairs of one line and of two.
     """
     n, units = model.n, model.tau + 1
     lines = n // units
-    xyzw = keys // n ** np.arange(3, -1, -1)[:, None] % n
-    on = xyzw % lines
-    touched = np.bitwise_or.reduce(1 << np.minimum(on, 2), axis=0)
-    if np.any(touched > 3):
-        raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
-                         "with a third line")
-    one = touched == 2  # line 1 alone, moved onto line 0
-    if lines > 1 and sum_entries([
-            (flat_index(n, xyzw[:, one] - 1), vals[one]),
-            (keys[touched == 1], -vals[touched == 1])])[0].size:
+    x, y, rank, table = _places(n, lines)
+    side = 1 << x % lines | 1 << y % lines  # 1, 2: line 0, 1 alone; 3: both
+    one = np.flatnonzero(side == 2)
+    image = table[rank[x[one] - 1], rank[y[one] - 1]]
+    if not np.array_equal(C[np.ix_(one, one)], C[np.ix_(image, image)]):
         raise ValueError(f"{model.label}: the form on line 1 is not its "
                          "image of line 0")
-    (x, y, z, w), on, vals = xyzw[:, ~one], on[:, ~one], vals[~one]
     diag = x == y
-    if np.any(diag != (z == w)):
+    if np.any(C[diag[:, None] != diag]):
         raise ValueError(f"{model.label}: the form couples the diagonal with "
                          "an off-diagonal pair")
-    if np.any(((1 << on[0] | 1 << on[1]) != (1 << on[2] | 1 << on[3]))[~diag]):
+    if np.any(C[~diag[:, None] & (side[:, None] != side)]):
         raise ValueError(f"{model.label}: the form couples the pairs on one "
                          "line with those on two lines")
-    # D on the coordinates alpha m + i of lines i = 0, 1, ascending
-    step = min(lines, 2)
-    D = np.zeros((units * step, units * step))
-    D[(x[diag] // lines) * step + on[0, diag],
-      (z[diag] // lines) * step + on[2, diag]] = vals[diag]
-    each, top = _diagonal_entries(model, D)
+    each, top = _diagonal_entries(model, C[np.ix_(diag, diag)])
 
     # the small form on its places: the pairs x n + y, x < y, of line 0 and
     # of lines 0 and 1, ascending as the basis orders them, then the first
     # copy of A - B and the tau x tau block, at their diagonal places
     off = n * (n - 1) // 2
-    a, b = lines * np.indices((units, units)).reshape(2, -1)
-    both = np.sort([a, b + 1], axis=0)[:, :units * units * (lines > 1)]
-    pairs = np.concatenate([(a * n + b)[a < b], both[0] * n + both[1]])
-    kind = np.repeat(["line", "pair"], [np.count_nonzero(a < b),
-                                        both.shape[1]])
-    order = np.argsort(pairs)
-    pairs, k = pairs[order], pairs.size
+    pairs = ~diag & (side != 2)
+    k = np.count_nonzero(pairs)
     copies = units * (lines > 1)
-    base = np.concatenate([pairs, off + np.arange(copies),
+    base = np.concatenate([x[pairs] * n + y[pairs], off + np.arange(copies),
                            off + units * (lines - 1) + np.arange(units - 1)])
-    kind = np.concatenate([kind[order], ["each"] * copies,
-                           ["top"] * (units - 1)])
+    kind = np.concatenate([np.where(side[pairs] == 1, "line", "pair"),
+                           ["each"] * copies, ["top"] * (units - 1)])
     form = np.zeros((base.size, base.size))
-    form[np.searchsorted(pairs, (x * n + y)[~diag]),
-         np.searchsorted(pairs, (z * n + w)[~diag])] = 0.5 * vals[~diag]
+    form[:k, :k] = 0.5 * C[np.ix_(pairs, pairs)]
     # (+ 0.0 turns a signed zero into the zero of an empty place)
     form[k:k + copies, k:k + copies] = each[:copies, :copies] + 0.0
     form[k + copies:, k + copies:] = top + 0.0
