@@ -142,9 +142,10 @@ def memory_estimate(command: str, n: int) -> int:
       words per n from hp2048 (n = 8192, 1.8 MiB) to hp13777 (n = 55108,
       11.9 MiB);
     - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` (4 MiB) for the
-      assembly, which reads the nonzeros on lines 0..2 and the form C on
-      lines 0 and 1, so that ``certify`` traced at most 0.12 MiB above
-      ``model`` from hp4 to hp13777 (2.7 MiB at op2); and what the
+      assembly, which reads the nonzeros on lines 0..2 and holds the form
+      C as one dense array on the places of lines 0 and 1, at most 136^2
+      words, so that ``certify`` traced at most 0.12 MiB above ``model``
+      from hp4 to hp13777 (2.2 MiB at op2); and what the
       sampling holds at once: three arrays of ``RAYLEIGH_CHUNK`` x 8 (a
       chunk of draws for a block, of at most tau + 1 <= 8 rows, its
       centred transpose and the block's product with it) and three

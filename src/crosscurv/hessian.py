@@ -69,7 +69,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
 import numpy as np
 
@@ -109,6 +109,14 @@ RAYLEIGH_CHUNK = 5_000
 
 #: step budget of ``_refine_rayleigh``
 REFINE_MAX_ITER = 2000
+
+
+def _require_count(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer, not a bool, of at least
+    1: a number of samples or trials."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got "
+                         f"{value!r}")
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -602,10 +610,10 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     The rule is decided at unit scale, and the bound, times c^2, is stored
     as ``residual_bound``.
 
-    ``samples`` below 1 raises ValueError before any work is done.
+    ``samples`` that is not an integer of at least 1 (a bool is not one)
+    raises ValueError before any work is done.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _require_count("samples", samples)
     spectra, refined = [], []
     streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
     for (block, _), stream in zip(qf.blocks, streams):
@@ -752,8 +760,7 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     """
     if not 2 <= p < math.inf:
         raise ValueError("verdicts are tabulated for finite p >= 2 only")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _require_count("samples", samples)
     regime = "compact" if model.compact else "noncompact"
     qf = assemble_tt_remainder(model)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)

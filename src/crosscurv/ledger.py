@@ -80,6 +80,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from crosscurv.hessian import (
+    _require_count,
     _term_entries,
     compact_tt_coefficients,
     conformal_coefficients,
@@ -867,10 +868,10 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     nor rounding noise between tied trials picks the trial they describe;
     there are none when every scale-free residual is 0.
 
-    ``trials`` below 1 raises ValueError before any draw is made.
+    ``trials`` that is not an integer of at least 1 (a bool is not one)
+    raises ValueError before any draw is made.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _require_count("trials", trials)
     catalog = identity_catalog()
     if lemma_id not in catalog:
         raise KeyError(f"unknown identity {lemma_id!r}")

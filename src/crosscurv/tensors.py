@@ -4,8 +4,8 @@ The library holds a rank-4 tensor as its nonzeros: the C-order flat
 indices of its nonzero entries, ascending, and their values.  The
 curvature symmetries and the first Bianchi identity are checked once, on
 the nonzeros (``check_curvature_rules``); ``CurvTensor4`` applies that
-check to a dense n^4 array.  The model build, its audit and the form
-assembly add and compare entry lists through one sum, ``sum_entries``;
+check to a dense n^4 array.  The model build and its audit add and
+compare entry lists through one sum, ``sum_entries``;
 ``gather`` reads a list at given keys and ``pairs_by_key`` pairs the
 entries that share a key.  The seeded random generators draw a symmetric
 2-tensor and an algebraic curvature tensor, the latter in the pair basis

@@ -417,7 +417,9 @@ EVERY_COMMAND = ("model", "certify", "verify", "report")
     (["--space", "hp", "--m", "4"], 16, EVERY_COMMAND),
     (["--space", "sphere", "--n", "24"], 24, EVERY_COMMAND),
     # verify and report are refused at this size
-    (["--space", "hp", "--m", "2048"], 8192, ("model", "certify"))])
+    (["--space", "hp", "--m", "2048"], 8192, ("model", "certify")),
+    # op2 has the largest form on lines 0 and 1: 107 small-form places
+    (["--space", "op", "--m", "2"], 16, EVERY_COMMAND)])
 def test_memory_estimate_bounds_traced_peak(args, n, commands):
     # the arrays alone: the estimate less its allowance for the
     # interpreter, after one untraced run for the one-time allocations;

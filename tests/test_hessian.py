@@ -444,11 +444,14 @@ def _with_entry(monkeypatch, x, y, z, w):
     monkeypatch.setattr(hessian, "_term_entries", planted)
 
 
-def test_coupling_to_a_third_line_is_refused(monkeypatch):
+@pytest.mark.parametrize("entry", [(0, 3, 2, 5), (2, 5, 0, 3)],
+                         ids=["column", "row"])
+def test_coupling_to_a_third_line_is_refused(entry, monkeypatch):
     # hp3: coordinate (alpha, i) = 3 alpha + i lies on line i; the pair
-    # (0, 3) lies on line 0 and the pair (2, 5) on line 2
+    # (0, 3) lies on line 0 and the pair (2, 5) on line 2, in the column
+    # of the entry and then in its row
     model = build_model("quaternionic", 3, 1.0)
-    _with_entry(monkeypatch, 0, 3, 2, 5)
+    _with_entry(monkeypatch, *entry)
     with pytest.raises(ValueError, match="third line"):
         assemble_tt_remainder(model)
 
@@ -890,8 +893,9 @@ def test_sampling_reaches_an_integer_bottom_eigenvector(rel_gap, seed):
     assert abs(cert.rayleigh_min - cert.eig_min) <= cert.residual_bound
 
 
-@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("samples", [0, -5, 2.5, 1e3, True])
 def test_samples_below_one_are_refused_before_jacobi(samples, monkeypatch):
+    # a float or a bool is no count of samples, and is refused as early
     model = _model("cp2")
     qf = assemble_tt_remainder(model)
 

@@ -287,10 +287,11 @@ def test_input_free_identities_run_once(monkeypatch):
     out = verify_identity_numeric("norm-closed-form", _model("cp2"),
                                   trials=50, seed=5)
     assert out["trials"] == 1
-    # fewer than one trial is refused before the catalog is even read
+    # fewer than one trial, or a count that is not an integer, is refused
+    # before the catalog is even read
     monkeypatch.setattr(ledger, "identity_catalog", None)
     for lemma in ("norm-closed-form", "kn-pairing-reduction"):
-        for trials in (0, -3):
+        for trials in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="trials"):
                 verify_identity_numeric(lemma, _model("cp2"), trials=trials)
 
