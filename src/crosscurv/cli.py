@@ -133,8 +133,7 @@ def memory_estimate(command: str, n: int) -> int:
     float64 words:
 
     - every command that builds a model: ``BUILD_WORDS`` (2 MiB) for the
-      nonzeros of R, at most those on lines 0..3 (a model of at most four
-      lines holds all of them, and has n <= 16), and what the build, the
+      nonzeros of R on lines 0..min(m, 4) - 1, and what the build, the
       frame audit and the gates hold beside them; and ``OPERATOR_WORDS`` n
       for the structure operators, tau signed permutations of the n
       coordinates, and the temporaries of their invariant check.  A

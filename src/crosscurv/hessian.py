@@ -359,7 +359,8 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
                      np.maximum(line[i2], line[i3]))
     at = np.flatnonzero(near[i0] & (near[i1] | near[i2]) & (top <= 2))
     unit = (i0[at], i1[at], i2[at], i3[at], nz.values[at] / abs(model.c))
-    x, _, rank, table = _places(n, lines)
+    places = _places(n, lines)
+    x, _, rank, table = places
     size = x.size
     C = np.zeros(size * size)
     for key, w in weights.items():
@@ -372,7 +373,7 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
             raise ValueError(f"{model.label}: the form couples lines 0 and 1 "
                              "with a third line")
         C += np.bincount(rows * size + cols, v * float(w), minlength=C.size)
-    return _split_form(model, C.reshape(size, size))
+    return _split_form(model, C.reshape(size, size), places)
 
 
 def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
@@ -402,8 +403,9 @@ def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
     return A - B, 0.5 * (top + top.T)
 
 
-def _split_form(model: CurvatureModel, C: np.ndarray) -> QuadForm:
-    """The form from C, the dense array on the places on lines 0 and 1
+def _split_form(model: CurvatureModel, C: np.ndarray,
+                places: tuple) -> QuadForm:
+    """The form from C, the dense array on the ``places`` on lines 0 and 1
     (``_places``).  The block on line 1 alone, checked to be the image of
     the one on line 0, is dropped.  C / 2 on the pairs of line 0 and of
     lines 0 and 1, one copy of A - B and the tau x tau block
@@ -416,7 +418,7 @@ def _split_form(model: CurvatureModel, C: np.ndarray) -> QuadForm:
     """
     n, units = model.n, model.tau + 1
     lines = n // units
-    x, y, rank, table = _places(n, lines)
+    x, y, rank, table = places
     side = 1 << x % lines | 1 << y % lines  # 1, 2: line 0, 1 alone; 3: both
     one = np.flatnonzero(side == 2)
     image = table[rank[x[one] - 1], rank[y[one] - 1]]
@@ -487,15 +489,13 @@ def noncompact_tt_coefficients(n, tau, c, R2) -> dict:
 
 def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
-    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|,
-    summed from the nonzeros the model holds times their weights (exact,
-    as R / |c| holds small integers)."""
+    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|
+    (``_Nonzeros.unit_norm2``)."""
     display = (compact_tt_coefficients if model.compact
                else noncompact_tt_coefficients)
-    unit = model.nz.values / abs(model.c)
     return assemble_quadform(model, display(
         model.n, model.tau, math.copysign(1.0, model.c),
-        float(model.nz.weights @ (unit * unit))))
+        model.nz.unit_norm2(model.c)))
 
 
 @dataclass

@@ -33,8 +33,8 @@ with the bits of the dense computation.
 
 Each structure operator is one division-algebra row repeated over the m
 coordinate lines, so every permutation of the lines commutes with the J_a
-and keeps R.  With more than four lines the build checks that for the J_a
-and builds only the nonzeros on lines 0..3, each standing for its orbit
+and keeps R.  The build gates on that for the J_a and builds only the
+nonzeros on lines 0..min(m, 4) - 1, each standing for its orbit
 (``_choose_nonzeros``), so a model costs the same at every m.  The whole
 list and the dense R are made on first use (``CurvatureModel.R_keys``,
 ``CurvatureModel.R``) for the identity catalog, the tests and the
@@ -144,7 +144,8 @@ class CurvatureModel:
 
     The tensor is held as the nonzeros its gates and its form read, ``nz``
     (``_choose_nonzeros``).  All of them, ``R_keys`` (C-order flat indices,
-    ascending) and ``R_values``, and the dense ``R`` are made on first use.
+    ascending) and ``R_values``, are the held ones when m <= 4 and else
+    made on first use, as is the dense ``R``.
     """
 
     family: str
@@ -162,9 +163,9 @@ class CurvatureModel:
     @cached_property
     def _R_list(self) -> tuple:
         nz = self.nz
-        if nz.near is None:
+        if nz.near.size == self.n:
             return nz.keys, nz.values
-        return _curvature_nonzeros(self.J, self.c)
+        return _curvature_nonzeros(self.J, self.c, np.arange(self.n))
 
     R_keys = property(lambda self: self._R_list[0])
     R_values = property(lambda self: self._R_list[1])
@@ -247,21 +248,13 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     return J
 
 
-def _coordinate_pairs(n: int, near: np.ndarray | None) -> tuple:
-    """Every pair (x, y) of the coordinates ``near``, x major, or of all n
-    coordinates when ``near`` is None."""
-    if near is None:
-        return np.divmod(np.arange(n * n), n)
-    return np.repeat(near, near.size), np.tile(near, near.size)
-
-
 def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray,
-                   near: np.ndarray | None = None) -> tuple:
+                   near: np.ndarray) -> tuple:
     """A_K(x,y,z,w) = <Kx,z><Ky,w> - <Kx,w><Ky,z> for K = (pi, s) as an
     entry list: s_x s_y at (x, y, pi x, pi y), -s_x s_y at (x, y, pi y,
     pi x); the two cancel where x = y.  x and y range over the coordinates
-    ``near`` (all by default)."""
-    x, y = _coordinate_pairs(n, near)
+    ``near``, x major."""
+    x, y = np.repeat(near, near.size), np.tile(near, near.size)
     v = s[x] * s[y]
     return (np.concatenate([flat_index(n, (x, y, pi[x], pi[y])),
                             flat_index(n, (x, y, pi[y], pi[x]))]),
@@ -269,20 +262,19 @@ def _aform_entries(n: int, pi: np.ndarray, s: np.ndarray,
 
 
 def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
-                      weight: float, near: np.ndarray | None = None) -> tuple:
+                      weight: float, near: np.ndarray) -> tuple:
     """weight k (x) k for the pair form k(x, y) = <K x, y> of K = (pi, s)
     as an entry list: weight s_x s_z at (x, pi x, z, pi z), x and z over
-    the coordinates ``near`` (all by default)."""
-    x, z = _coordinate_pairs(n, near)
+    the coordinates ``near``, x major."""
+    x, z = np.repeat(near, near.size), np.tile(near, near.size)
     return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
 
 
-def _curvature_nonzeros(J: JStructure, c: float,
-                        near: np.ndarray | None = None) -> tuple:
-    """Flat indices and values of the nonzeros of R: the entry lists of
+def _curvature_nonzeros(J: JStructure, c: float, near: np.ndarray) -> tuple:
+    """Flat indices and values of the nonzeros of R whose four slots lie
+    on the coordinates ``near``, whole coordinate lines: the entry lists of
     A_I, A_{J_a} and 2 w_a (x) w_a summed per key at unit scale, exact
-    zeros dropped, then times c.  With ``near``, whole coordinate lines,
-    only the nonzeros whose four slots are near.
+    zeros dropped, then times c.  ``np.arange(n)`` gives every nonzero.
 
     The unit-scale entries are small integers, so every sum is exact and
     the values are those of the dense tensor, bit for bit.
@@ -303,36 +295,39 @@ def _largest_sum(parts: list) -> float:
 class _Nonzeros(NamedTuple):
     """Nonzeros of R: keys (ascending), values, slot arrays, ``weights``
     (how many nonzeros of R each stands for), ``lines`` (how many lines
-    they cover, from line 0) and ``near``, the coordinates there, or None
-    for all of R's nonzeros."""
+    they cover, from line 0) and ``near``, the coordinates there."""
 
     keys: np.ndarray
     values: np.ndarray
     slots: tuple
     weights: np.ndarray
     lines: int
-    near: np.ndarray | None
+    near: np.ndarray
 
     def at(self, n: int, slots) -> np.ndarray:
         """Entries of R at four slot arrays on the lines held."""
         return gather(self.keys, self.values, flat_index(n, slots))
 
+    def unit_norm2(self, c: float) -> float:
+        """|R / |c||^2, the squared values of R / |c| times their weights,
+        summed: an exact integer, as R / |c| holds small integers."""
+        unit = self.values / abs(c)
+        return float(self.weights @ (unit * unit))
+
 
 def _nonzeros(n: int, m: int, keys: np.ndarray, values: np.ndarray,
-              near: np.ndarray | None) -> _Nonzeros:
-    """``_Nonzeros`` of all nonzeros of R (``near`` None, weight 1) or of
-    those on lines 0..3 of m: one whose slots touch exactly lines 0..k-1
-    stands for the C(m, k) of its orbit that touch k given lines, and
-    every other one, whose orbit has such a member, for none.  The slot
-    arrays are unravelled here, once."""
+              near: np.ndarray) -> _Nonzeros:
+    """``_Nonzeros`` of the nonzeros of R on lines 0..min(m, 4) - 1: one
+    whose slots touch exactly lines 0..k-1 stands for the C(m, k) of its
+    orbit that touch k given lines, and every other one, whose orbit has
+    such a member, for none.  The slot arrays are unravelled here, once."""
     slots = np.unravel_index(keys, (n,) * 4)
-    if near is None:
-        return _Nonzeros(keys, values, slots, np.ones(keys.size), m, None)
     touched = np.bitwise_or.reduce([1 << (k % m) for k in slots])
     k = np.array([bin(t).count("1") for t in range(16)])[touched]
     weights = np.where(touched + 1 == 1 << k,
                        np.array([math.comb(m, j) for j in range(5)])[k], 0)
-    return _Nonzeros(keys, values, slots, weights.astype(float), 4, near)
+    return _Nonzeros(keys, values, slots, weights.astype(float), min(m, 4),
+                     near)
 
 
 def _line_symmetric(J: JStructure) -> bool:
@@ -354,16 +349,18 @@ def _line_symmetric(J: JStructure) -> bool:
 
 
 def _choose_nonzeros(J: JStructure, c: float) -> _Nonzeros:
-    """The nonzeros of R that a model holds and every gate reads: all of
-    them, or, with m > 4 lines and ``_line_symmetric``, those on lines 0..3
-    with their orbit weights.  A key touches at most four lines, so its
-    orbit meets lines 0..3, and each audit residual is constant on the
-    orbits: its largest value there is the largest over all keys."""
+    """The nonzeros of R that a model holds and every gate reads: those on
+    lines 0..min(m, 4) - 1, with their orbit weights, once the J_a pass
+    ``_line_symmetric`` (else ModelValidationError).  A key touches at most
+    four lines, so its orbit meets those lines, and each audit residual is
+    constant on the orbits: its largest value there is the largest over
+    all keys."""
+    if not _line_symmetric(J):
+        raise ModelValidationError("line symmetry fails: the J_a do not "
+                                   "commute with the line permutations")
     n = J.n
     m = n // (J.tau + 1)
-    near = None
-    if m > 4 and _line_symmetric(J):
-        near = np.flatnonzero(np.arange(n) % m < 4)
+    near = np.flatnonzero(np.arange(n) % m < 4)
     return _nonzeros(n, m, *_curvature_nonzeros(J, c, near), near)
 
 
@@ -504,12 +501,11 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                                exact when tau <= 1, fails with the predicted
                                defect for the tau >= 3 families
 
-    The rules read the nonzeros the model holds (``_choose_nonzeros``):
-    all of them, or, when m > 4 and the J_a commute with every permutation
-    of the lines, those on lines 0..3, with the entry rules on the
-    coordinates i, j < 4 and the defect lists on the coordinates of lines
-    0..3.  Either way each residual is its maximum over all n^4
-    components, bit for bit.
+    The rules read the nonzeros the model holds (``_choose_nonzeros``),
+    those on lines 0..min(m, 4) - 1, with the entry rules on the
+    coordinates i, j < 4 and the defect lists on the coordinates of those
+    lines.  Each residual is its maximum over all n^4 components, bit for
+    bit.
     """
     n, tau, c = model.n, model.tau, model.c
     m = n // (tau + 1)
@@ -572,15 +568,15 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
 def _contractions(model: CurvatureModel) -> tuple:
     """(near, r, chk, trace): the Ricci contraction r(a, b) = sum_i
     R(a,i,b,i) and the self-contraction chk(a, b) = sum_ijk R(a,i,j,k)
-    R(b,i,j,k) at the coordinates ``near``: all of them, or those on lines
-    0 and 1 of a model holding lines 0..3 (``_line_weights``); and the
-    trace of chk over every coordinate.  chk sums the pairs of nonzeros
-    that share their last three slots once, then transposed."""
+    R(b,i,j,k) at the coordinates ``near`` on lines 0 and 1 of the lines
+    held (``_line_weights``); and the trace of chk over every coordinate.
+    chk sums the pairs of nonzeros that share their last three slots once,
+    then transposed."""
     n = model.n
     nz = model.nz
     i0, i1, i2, i3 = nz.slots
     vals = nz.values
-    lines = n // (model.tau + 1) if nz.near is not None else 1
+    lines = n // (model.tau + 1)
     line = np.arange(n) % lines
     near = np.flatnonzero(line < 2)
     k = near.size
@@ -606,11 +602,11 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
 
     Validation gates, any failure raises ModelValidationError: the scale
-    range |c| in SCALE_RANGE, structure-operator invariants (exact),
-    curvature symmetries and Bianchi (``check_curvature_rules`` on the
-    nonzeros the model holds, relative to the largest entry), and four
-    gates relative to the size of what they bound, so that each decision
-    is the same at every scale:
+    range |c| in SCALE_RANGE, structure-operator invariants and line
+    symmetry (exact), curvature symmetries and Bianchi
+    (``check_curvature_rules`` on the nonzeros the model holds, relative
+    to the largest entry), and four gates relative to the size of what
+    they bound, so that each decision is the same at every scale:
 
       adapted-frame audit    gated residuals <= 1e-12 |c|
       Einstein identity      r = lam g, lam = c (3 tau + n - 1), to 1e-12 |lam|
@@ -620,8 +616,8 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
                              1e-10 |R|^2
 
     Every gate reads the nonzeros the model holds (``_choose_nonzeros``,
-    ``_contractions``); no n^4 array is made.  ``R_norm2`` sums the
-    squared values times their weights in key order, exact at c = +-1.
+    ``_contractions``); no n^4 array is made.  ``R_norm2`` is c^2 times
+    the exact integer ``_Nonzeros.unit_norm2``, whatever lines are held.
     """
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
@@ -656,8 +652,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     if eres > 1e-12 * abs(lam):
         raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
 
-    vals, weights = nz.values, nz.weights
-    norm_direct = float(np.sum(weights * vals * vals))
+    norm_direct = model.c * model.c * nz.unit_norm2(model.c)
     crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(near.size))))
     if crit > 1e-10 * norm_direct / nn:
         raise ModelValidationError(f"criticality identity fails: residual {crit:.3e}")
@@ -666,7 +661,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     # pair exchange (by the antisymmetries, four times the sum over i0 < i1
     # and i2 < i3)
     exchanged = nz.at(nn, nz.slots[2:] + nz.slots[:2])
-    norm_operator = float(np.sum(weights * vals * exchanged))
+    norm_operator = float(np.sum(nz.weights * nz.values * exchanged))
     if max(abs(norm_operator - norm_direct),
            abs(norm_trace - norm_direct)) > 1e-10 * norm_direct:
         raise ModelValidationError(

@@ -12,8 +12,9 @@ curvature tensor are checked by ``CurvTensor4``, as the library checks R.
 
 The second half keeps the paths the library took while it still held
 every nonzero of R, as oracles for the paths that read representative
-lines: R's own invariance under the permutations of the lines, the
-construction gates' contractions over the whole list, and the trace-free
+lines: R's own invariance under the permutations of the lines, the hold
+of every nonzero, the construction gates' contractions over the whole
+list, and the trace-free
 form relabelled from lines 0 and 1 onto every line and pair of lines and
 split into its components.
 """
@@ -183,19 +184,30 @@ def line_symmetric(J, keys: np.ndarray, values: np.ndarray) -> bool:
     return True
 
 
-def holding(J, keys: np.ndarray, values: np.ndarray):
-    """The nonzeros a model whose R has the nonzeros (keys, values) holds,
-    chosen on the whole list: those on lines 0..3 when there are more than
-    four lines and ``line_symmetric`` holds, else all of them."""
+def whole_hold(J, keys: np.ndarray, values: np.ndarray):
+    """Every nonzero (keys, values) of R, each standing for itself, on all
+    m lines: what the gates read to take their maxima over every line."""
+    n = J.n
+    return models._Nonzeros(keys, values, np.unravel_index(keys, (n,) * 4),
+                            np.ones(keys.size), n // (J.tau + 1),
+                            np.arange(n))
+
+
+def holding(J, keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The nonzeros held for an R with the nonzeros (keys, values), and
+    whether R is ``line_symmetric``: if it is, those on lines 0..min(m, 4)
+    - 1 with their orbit weights, as the build holds them; else
+    ``whole_hold``, so that the gates read every line."""
+    if not line_symmetric(J, keys, values):
+        return whole_hold(J, keys, values), False
     n = J.n
     m = n // (J.tau + 1)
-    if m <= 4 or not line_symmetric(J, keys, values):
-        return models._nonzeros(n, m, keys, values, None)
     near = np.arange(n) % m < 4
     slots = np.unravel_index(keys, (n,) * 4)
     at = np.flatnonzero(near[slots[0]] & near[slots[1]] & near[slots[2]]
                         & near[slots[3]])
-    return models._nonzeros(n, m, keys[at], values[at], np.flatnonzero(near))
+    return (models._nonzeros(n, m, keys[at], values[at], np.flatnonzero(near)),
+            True)
 
 
 def full_list_gates(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:

@@ -110,7 +110,8 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw, fill,
     # plant entries at random positions, some touching three or more
     # coordinate lines, and compare with the mask over all n^4 components;
     # orbit: each entry also on every image under the permutations of the
-    # lines, so that a model with m > 4 lines holds lines 0..3
+    # lines, so that R stays line-symmetric and lines 0..min(m, 4) - 1 are
+    # held; else every line is
     mod = build_model(family, m, 1.0, n=nkw)
     R, n = mod.R.entries.copy(), mod.n
     rng = np.random.default_rng(5)
@@ -118,11 +119,11 @@ def test_zero_three_coordinates_matches_dense_mask(family, m, nkw, fill,
         key = rng.integers(0, n, size=4)
         at = _line_orbit(key, n, mod.tau) if fill == "orbit" else tuple(key)
         R[at] = rng.uniform(0.1, 9.0)
-    restricted = _load(mod, R)
+    symmetric = _load(mod, R)
     want = _zero_three_by_mask(R, n, mod.tau)
     assert want > 0
     assert frame_rule_audit(mod).residuals["zero_three_coordinates"] == want
-    assert restricted == (fill == "orbit" and n // (mod.tau + 1) > 4)
+    assert symmetric == (fill == "orbit")
 
 
 def _zero_three_by_mask(R, n, tau):
@@ -157,28 +158,22 @@ def _rule_components(n, tau, i, j):
             (ai, aj, bi, bj)]
 
 
-def _line_restricted(monkeypatch):
-    """Record, for each call of the build's choice of nonzeros, whether it
-    kept only the nonzeros on lines 0..3."""
-    choose, restricted = models._choose_nonzeros, []
-
-    def spy(J, c):
-        nz = choose(J, c)
-        restricted.append(nz.near is not None)
-        return nz
-
-    monkeypatch.setattr(models, "_choose_nonzeros", spy)
-    return restricted
-
-
 def _hold(mod, keys, values):
-    """Make the model hold what a build of R with the nonzeros (keys,
-    values) holds, chosen on the whole list (``dense_oracle.holding``);
-    True when that is lines 0..3."""
-    mod.nz = dense_oracle.holding(mod.J, keys, values)
+    """Make the model hold the nonzeros held for an R with the nonzeros
+    (keys, values) (``dense_oracle.holding``); True when R is
+    line-symmetric, so that lines 0..min(m, 4) - 1 are held."""
+    mod.nz, symmetric = dense_oracle.holding(mod.J, keys, values)
     for cached in ("_R_list", "R"):
         mod.__dict__.pop(cached, None)
-    return mod.nz.near is not None
+    return symmetric
+
+
+def _whole(mod):
+    """A copy of the model that holds every nonzero of its R on every line
+    (``dense_oracle.whole_hold``)."""
+    return CurvatureModel(family=mod.family, m=mod.m, n=mod.n, tau=mod.tau,
+                          c=mod.c, J=mod.J, nz=dense_oracle.whole_hold(
+                              mod.J, mod.R_keys, mod.R_values))
 
 
 def _load(mod, R):
@@ -243,11 +238,13 @@ def test_nonzeros_equal_the_dense_tensor(family, m, nkw):
     ("quaternionic", 3, None),
 ])
 def test_norm_is_the_sum_over_the_nonzeros(family, m, nkw):
-    # |R|^2 sums the squared values in key order; at c = +-1 they are
-    # integers, so it is the dense square sum exactly
+    # |R|^2 is c^2 times the square sum of R / |c| over every nonzero, an
+    # integer whatever lines are held; at c = +-1 it is the dense square
+    # sum exactly
     for c in (1.0, -1.0, 0.3, -2.5):
         mod = build_model(family, m, c, n=nkw)
-        assert mod.R_norm2 == float(np.sum(mod.R_values * mod.R_values))
+        unit = mod.R_values / abs(c)
+        assert mod.R_norm2 == c * c * float(np.sum(unit * unit))
     for c in (1.0, -1.0):
         T = _dense_curvature(build_j_structure(family, m, nkw), c)
         assert build_model(family, m, c, n=nkw).R_norm2 == np.sum(T * T)
@@ -273,32 +270,58 @@ def test_broken_table_row_fails_the_structure_gate(monkeypatch, breakage):
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])
-def test_planted_weyl_tensor_fails_the_criticality_gate(monkeypatch, c):
-    # sphere7 plus c/100 times an algebraic Weyl tensor W, with the frame
-    # audit waved through: W is Ricci-flat, so the Einstein gate passes,
-    # and W o W is not a multiple of g for n >= 5 (in dimension 4 it is)
-    n = 7
+@pytest.mark.parametrize("family", ["quaternionic", "octonionic"])
+def test_planted_weyl_tensor_fails_the_criticality_gate(monkeypatch, family,
+                                                        c):
+    # hp2 or op2 plus c/100 times an algebraic Weyl tensor W, with the
+    # frame audit waved through: W is Ricci-flat, so the Einstein gate
+    # passes, and W o W is not a multiple of g for n >= 5 (in dimension 4
+    # it is).  W breaks the symmetry of the lines, which the build takes
+    # from the J_a alone; with m = 2 lines the contractions still read
+    # every nonzero
+    n = family_dimension(family, 2)
     T = random_curvature(n, 11)
     g = np.eye(n)
     scal = np.trace(ricci(T))
     W = T - kn_product((ricci(T) - scal / (2 * (n - 1)) * g) / (n - 2), g)
     assert np.max(np.abs(ricci(W))) <= 1e-12 * np.max(np.abs(T))
-    # W breaks the symmetry of the lines, which the build takes from the
-    # J_a alone, so the model is built as one whose J_a lack it: holding
-    # every nonzero, as the whole list's symmetry check chose before
     build = models._curvature_nonzeros
 
-    def planted(J, c, near=None):
+    def planted(J, c, near):
         keys, vals = build(J, c, near)
         return sum_entries([(keys, vals),
                             (np.arange(n**4), 1e-2 * c * W.ravel())])
 
     monkeypatch.setattr(models, "_curvature_nonzeros", planted)
-    monkeypatch.setattr(models, "_line_symmetric", lambda J: False)
     monkeypatch.setattr(models.FrameAudit, "passed", lambda self, tol: True)
     with pytest.raises(ModelValidationError,
                        match="criticality identity fails"):
-        build_model("sphere", 0, c, n=n)
+        build_model(family, 2, c)
+
+
+@pytest.mark.parametrize("family,m", [("complex", 3), ("complex", 6),
+                                      ("quaternionic", 2)])
+def test_structure_that_moves_the_lines_is_refused(monkeypatch, family, m):
+    # J_1 negated on line 0 alone still squares to -Id and anticommutes
+    # with the other J_a, but no longer commutes with the permutations of
+    # the lines: the held lines would not stand for the others, so the
+    # build refuses it before any nonzero is built
+    build_j, build, built = (models.build_j_structure,
+                             models._curvature_nonzeros, [])
+
+    def planted(family, m, n=None):
+        J = build_j(family, m, n)
+        pi, s = J.perms[0]
+        J.perms[0] = (pi, np.where(np.arange(J.n) % m == 0, -s, s))
+        assert J.max_structure_residual() == 0
+        return J
+
+    monkeypatch.setattr(models, "build_j_structure", planted)
+    monkeypatch.setattr(models, "_curvature_nonzeros",
+                        lambda *args: built.append(args) or build(*args))
+    with pytest.raises(ModelValidationError, match="line symmetry fails"):
+        build_model(family, m, 1.0)
+    assert built == []
 
 
 def test_build_and_verdict_never_make_the_dense_tensor(monkeypatch):
@@ -332,7 +355,7 @@ def test_build_and_verdict_choose_and_unravel_once(monkeypatch):
     monkeypatch.setattr(models, "_choose_nonzeros", counted("choose", choose))
     monkeypatch.setattr(np, "unravel_index", counted("unravel", unravel))
     monkeypatch.setattr(models, "_curvature_nonzeros", counted(
-        "whole list", build, lambda J, c, near=None: near is None))
+        "whole list", build, lambda J, c, near: near.size == J.n))
     model = build_model("quaternionic", 10, 1.0)
     stability_verdict(model, samples=200)
     assert calls == {"choose": 1, "unravel": 1, "whole list": 0}
@@ -608,12 +631,12 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
     # sparse: a tenth of the nonzeros dropped and 20 entries planted, so a
     # rule that reads only the nonzeros misses the dropped ones, and with
     # m > 4 lines one component of each entry rule dropped on line 4.
-    # Both break the symmetry of the lines, so every line is read.  orbit:
-    # 12 random values, 8 at random keys and one at a component of each
-    # entry rule, each planted on every image of its key under the
-    # permutations of the lines; R stays line-symmetric, and with m > 4
-    # lines only lines 0..3 are held.  Every residual of the audit must
-    # equal its reference exactly
+    # Both break the symmetry of the lines, so every nonzero is held and
+    # every line read (``dense_oracle.whole_hold``).  orbit: 12 random
+    # values, 8 at random keys and one at a component of each entry rule,
+    # each planted on every image of its key under the permutations of the
+    # lines; R stays line-symmetric, and only lines 0..min(m, 4) - 1 are
+    # held.  Every residual of the audit must equal its reference exactly
     mod = build_model(family, m, c, n=nkw)
     n, tau = mod.n, mod.tau
     lines = n // (tau + 1)
@@ -633,13 +656,13 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
         for key in [*rng.integers(0, n, size=(8, 4)),
                     *_rule_components(n, tau, 0, 1)]:
             R[_line_orbit(key, n, tau)] += rng.uniform(-1.0, 1.0)
-    restricted = _load(mod, R)
+    symmetric = _load(mod, R)
     entry = _entry_rules_by_loops(R, n, tau, mod.c)
     want = {"zero_three_coordinates": _zero_three_by_mask(R, n, tau),
             **entry,
             **_invariance_rules_by_dense_loop(R, dense_operators(mod.J), mod.c)}
     assert frame_rule_audit(mod).residuals == want
-    assert restricted == (fill == "orbit" and lines > 4)
+    assert symmetric == (fill == "orbit")
     if tau > 0:
         assert min(entry.values()) > 0
 
@@ -650,21 +673,21 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
     ("quaternionic", 4, None), ("quaternionic", 5, None),
     ("quaternionic", 10, None), ("octonionic", 2, None),
 ])
-def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw,
-                                                          monkeypatch):
-    # the build chooses once; a model with m > 4 lines is line-symmetric
-    # and holds lines 0..3, with the residuals and |R|^2 of holding every
-    # line
-    restricted = _line_restricted(monkeypatch)
+def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw):
+    # every model holds lines 0..min(m, 4) - 1, with the residuals of the
+    # hold of every nonzero and the |R|^2 of the whole list; on at most
+    # four lines the held list is the whole list, not built again
     mod = build_model(family, m, -1.0, n=nkw)
     lines = mod.n // (mod.tau + 1)
-    assert restricted == [lines > 4]
-    monkeypatch.setattr(models, "_line_symmetric", lambda J: False)
-    whole = build_model(family, m, -1.0, n=nkw)
-    assert restricted == [lines > 4, False]
-    assert frame_rule_audit(mod).residuals == whole.audit.residuals
-    assert mod.audit.residuals == whole.audit.residuals
-    assert mod.R_norm2 == whole.R_norm2
+    assert mod.nz.lines == min(lines, 4)
+    assert np.array_equal(mod.nz.near,
+                          np.flatnonzero(np.arange(mod.n) % lines < 4))
+    assert (mod.R_keys is mod.nz.keys) == (lines <= 4)
+    whole = frame_rule_audit(_whole(mod)).residuals
+    assert frame_rule_audit(mod).residuals == whole
+    assert mod.audit.residuals == whole
+    assert mod.R_norm2 == dense_oracle.full_list_gates(
+        mod.n, mod.R_keys, mod.R_values)[2]
 
 
 #: the models of the oracle grid: sphere3-12, cp2-cp12, hp1-hp16 and op2
@@ -679,20 +702,16 @@ GRID = [*(("sphere", 0, n) for n in range(3, 13)),
 def test_held_lines_keep_the_whole_list_gates(family, m, nkw, c):
     # R's own symmetry under the permutations of the lines, which the
     # build takes from the J_a, holds on the whole list.  A model holding
-    # lines 0..3 has the audit residuals and notes of one holding every
-    # nonzero, and its contractions on lines 0 and 1 and its |R|^2 are the
-    # whole list's: bit for bit at c = +-1, where every sum is exact, and
-    # holding every nonzero; elsewhere |R|^2 is summed in another order
+    # lines 0..min(m, 4) - 1 has the audit residuals and notes of one
+    # holding every nonzero, and its contractions on lines 0 and 1 and its
+    # |R|^2 are the whole list's: bit for bit at c = +-1, where every sum
+    # is exact; elsewhere |R|^2 is c^2 times the exact unit-scale sum
     model = build_model(family, m, c, n=nkw)
     n, lines = model.n, model.n // (model.tau + 1)
     keys, vals = model.R_keys, model.R_values
     assert dense_oracle.line_symmetric(model.J, keys, vals)
-    assert (model.nz.near is not None) == (lines > 4)
-    whole = CurvatureModel(family=family, m=model.m, n=n, tau=model.tau,
-                           c=model.c, nz=models._nonzeros(n, lines, keys,
-                                                          vals, None),
-                           J=model.J)
-    audit = frame_rule_audit(whole)
+    assert model.nz.lines == min(lines, 4)
+    audit = frame_rule_audit(_whole(model))
     assert (audit.residuals, audit.notes) == (model.audit.residuals,
                                               model.audit.notes)
     ric, chk, direct, operator, trace = dense_oracle.full_list_gates(
@@ -707,8 +726,6 @@ def test_held_lines_keep_the_whole_list_gates(family, m, nkw, c):
             want = want[np.ix_(near, near)]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert abs(model.R_norm2 - direct) <= 1e-15 * direct
-    if model.nz.near is None:
-        assert model.R_norm2 == direct
 
 
 @pytest.mark.parametrize("family,m,nkw", [

@@ -36,7 +36,7 @@ def _plant(monkeypatch, defect: float) -> None:
     nonzeros of R."""
     build = models._curvature_nonzeros
 
-    def planted(J, c, near=None):
+    def planted(J, c, near):
         keys, vals = build(J, c, near)
         rk, rv = models._aform_entries(J.n, np.arange(J.n), np.ones(J.n),
                                        near)
