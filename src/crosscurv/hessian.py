@@ -111,12 +111,13 @@ RAYLEIGH_CHUNK = 5_000
 REFINE_MAX_ITER = 2000
 
 
-def _require_count(name: str, value) -> None:
+def _require_count(name: str, value, least: int = 1) -> None:
     """ValueError unless ``value`` is an integer, not a bool, of at least
-    1: a number of samples or trials."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got "
-                         f"{value!r}")
+    ``least``: a number of samples or trials, or a seed (``least`` 0)."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -610,10 +611,12 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     The rule is decided at unit scale, and the bound, times c^2, is stored
     as ``residual_bound``.
 
-    ``samples`` that is not an integer of at least 1 (a bool is not one)
-    raises ValueError before any work is done.
+    ``samples`` that is not an integer of at least 1, or ``seed`` that is
+    not one of at least 0 (a bool is neither), raises ValueError before
+    any work is done.
     """
     _require_count("samples", samples)
+    _require_count("seed", seed, least=0)
     spectra, refined = [], []
     streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
     for (block, _), stream in zip(qf.blocks, streams):
@@ -757,10 +760,14 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     Conformal: evaluated at p = 2 for both norm sources; for p > 2 the
     absence of tabulated reference data is recorded rather than silently
     skipped.
+
+    A bad ``p``, ``samples`` or ``seed`` (as in ``min_eigen_tt``) raises
+    ValueError before the form is assembled.
     """
     if not 2 <= p < math.inf:
         raise ValueError("verdicts are tabulated for finite p >= 2 only")
     _require_count("samples", samples)
+    _require_count("seed", seed, least=0)
     regime = "compact" if model.compact else "noncompact"
     qf = assemble_tt_remainder(model)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)

@@ -868,10 +868,17 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     nor rounding noise between tied trials picks the trial they describe;
     there are none when every scale-free residual is 0.
 
-    ``trials`` that is not an integer of at least 1 (a bool is not one)
-    raises ValueError before any draw is made.
+    ``trials`` that is not an integer of at least 1, ``seed`` that is not
+    one of at least 0 (a bool is neither), or ``tol`` that is not a
+    finite positive real (nor a bool) raises ValueError before any draw
+    is made.
     """
     _require_count("trials", trials)
+    _require_count("seed", seed, least=0)
+    if (isinstance(tol, bool)
+            or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0 < tol < np.inf):
+        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
     catalog = identity_catalog()
     if lemma_id not in catalog:
         raise KeyError(f"unknown identity {lemma_id!r}")
@@ -905,7 +912,8 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
 def verify_catalog(model, trials: int = 16, seed: int = 0,
                    tol: float = 1e-8) -> list:
     """The findings of every catalog identity on a model, in catalog order
-    (``verify_identity_numeric``).  The model's catalog arrays and the
+    (``verify_identity_numeric``, whose refusals of ``trials``, ``seed``
+    and ``tol`` come before any draw).  The model's catalog arrays and the
     draw's 4-subset index arrays are released at the end, so a caller that
     goes on to other work does not hold them."""
     try:

@@ -26,10 +26,11 @@ Einstein and criticality identities before it is returned.
 Since every J_a is a signed permutation, each term of the formula is a
 list of n^2 entries, and R is built, checked and audited as its
 nonzeros: the C-order flat indices of its nonzero entries and their
-values, about 10 n^2 of the n^4 entries.  The pullbacks the audit takes
-are signed permutations of those lists, and each of their residuals is
-the largest entry of one per-key sum of lists (``tensors.sum_entries``),
-with the bits of the dense computation.
+values, about 10 n^2 of the n^4 entries.  The audit reads its entry
+rules as gathers from that list on grids of unit labels and lines.  The
+pullbacks it takes are signed permutations of the list, and each of
+their residuals is the largest entry of one per-key sum of lists
+(``tensors.sum_entries``), with the bits of the dense computation.
 
 Each structure operator is one division-algebra row repeated over the m
 coordinate lines, so every permutation of the lines commutes with the J_a
@@ -163,7 +164,7 @@ class CurvatureModel:
     @cached_property
     def _R_list(self) -> tuple:
         nz = self.nz
-        if nz.near.size == self.n:
+        if nz.lines == self.n // (self.tau + 1):
             return nz.keys, nz.values
         return _curvature_nonzeros(self.J, self.c, np.arange(self.n))
 
@@ -295,14 +296,15 @@ def _largest_sum(parts: list) -> float:
 class _Nonzeros(NamedTuple):
     """Nonzeros of R: keys (ascending), values, slot arrays, ``weights``
     (how many nonzeros of R each stands for), ``lines`` (how many lines
-    they cover, from line 0) and ``near``, the coordinates there."""
+    they cover, from line 0) and ``touches``, how many lines the four
+    slots of each touch."""
 
     keys: np.ndarray
     values: np.ndarray
     slots: tuple
     weights: np.ndarray
     lines: int
-    near: np.ndarray
+    touches: np.ndarray
 
     def at(self, n: int, slots) -> np.ndarray:
         """Entries of R at four slot arrays on the lines held."""
@@ -315,19 +317,19 @@ class _Nonzeros(NamedTuple):
         return float(self.weights @ (unit * unit))
 
 
-def _nonzeros(n: int, m: int, keys: np.ndarray, values: np.ndarray,
-              near: np.ndarray) -> _Nonzeros:
+def _nonzeros(n: int, m: int, keys: np.ndarray,
+              values: np.ndarray) -> _Nonzeros:
     """``_Nonzeros`` of the nonzeros of R on lines 0..min(m, 4) - 1: one
     whose slots touch exactly lines 0..k-1 stands for the C(m, k) of its
     orbit that touch k given lines, and every other one, whose orbit has
-    such a member, for none.  The slot arrays are unravelled here, once."""
+    such a member, for none.  The slot arrays and the number of lines each
+    one touches are made here, once."""
     slots = np.unravel_index(keys, (n,) * 4)
     touched = np.bitwise_or.reduce([1 << (k % m) for k in slots])
     k = np.array([bin(t).count("1") for t in range(16)])[touched]
     weights = np.where(touched + 1 == 1 << k,
                        np.array([math.comb(m, j) for j in range(5)])[k], 0)
-    return _Nonzeros(keys, values, slots, weights.astype(float), min(m, 4),
-                     near)
+    return _Nonzeros(keys, values, slots, weights.astype(float), min(m, 4), k)
 
 
 def _line_symmetric(J: JStructure) -> bool:
@@ -361,7 +363,7 @@ def _choose_nonzeros(J: JStructure, c: float) -> _Nonzeros:
     n = J.n
     m = n // (J.tau + 1)
     near = np.flatnonzero(np.arange(n) % m < 4)
-    return _nonzeros(n, m, *_curvature_nonzeros(J, c, near), near)
+    return _nonzeros(n, m, *_curvature_nonzeros(J, c, near))
 
 
 def _line_weights(lines: int, line: np.ndarray, free: list,
@@ -394,7 +396,8 @@ def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
 
         sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
 
-    summed from its entry lists, built on the coordinates ``nz.near``.
+    summed from its entry lists, built on the coordinates of the
+    ``nz.lines`` lines held.
     For the associative families -J_g J_a is (up to sign) another member
     of the family and the A terms cancel pairwise, leaving the pair-form
     part alone; for the octonionic family they do not.  Each residual is
@@ -404,7 +407,8 @@ def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
     differences.
     """
     n, c = model.n, model.c
-    vals, slots, near, perms = nz.values, nz.slots, nz.near, model.J.perms
+    vals, slots, perms = nz.values, nz.slots, model.J.perms
+    near = np.flatnonzero(np.arange(n) % (n // (model.tau + 1)) < nz.lines)
     minus_R = (nz.keys, -vals)
     pi, s = perms[g]
     inv = np.argsort(pi)  # the entry at a moves to inv[a]
@@ -450,44 +454,16 @@ class FrameAudit:
         return self.max_gated_residual() <= tol
 
 
-def _line_rules(model: "CurvatureModel", nz: _Nonzeros) -> tuple:
-    """zero_three_coordinates and single_line_round from the nonzeros
-    read, on the lines read."""
-    n, tau, c = model.n, model.tau, model.c
-    vals, slots = nz.values, nz.slots
-    m = n // (tau + 1)
-    # coord[x] is the coordinate line of basis index x under (alpha, i) ->
-    # alpha m + i (on the sphere m = n: each direction is its own line).
-    # The four labels of each nonzero, sorted, give their distinct count
-    # and whether all four lie on one line; off the nonzeros |R| is 0
-    coord = np.tile(np.arange(m), tau + 1)
-    labels = np.sort([coord[i] for i in slots], axis=0)
-    distinct = 1 + np.count_nonzero(labels[1:] != labels[:-1], axis=0)
-    zero_three = float(np.max(np.abs(vals[distinct >= 3]), initial=0.0))
-
-    # single_line_round: on each coordinate line read, R against 4c times
-    # the round tensor, 4c (d_xz d_yw - d_xw d_yz), which is 4c at (x, y,
-    # x, y) and -4c at (x, y, y, x), x != y.  On the sphere all lines are
-    # 1-dimensional and identical: line 0 only
-    lines = nz.lines if tau else 1
-    a, b, i = (g.ravel() for g in np.indices((tau + 1, tau + 1, lines)))
-    x, y = (a * m + i)[a != b], (b * m + i)[a != b]
-    on_line = (labels[0] == labels[3]) & (labels[0] < lines)
-    rnd = np.full(x.size, 4.0 * c)
-    single = _largest_sum([(nz.keys[on_line], vals[on_line]),
-                           (flat_index(n, (x, y, x, y)), -rnd),
-                           (flat_index(n, (x, y, y, x)), rnd)])
-    return zero_three, single
-
-
 def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     """Check the adapted-frame component rules of the model tensor.
 
     Gated rules (exact for every family):
       zero_three_coordinates   components with >= 3 distinct coordinate
                                lines vanish
-      single_line_round        restricted to one coordinate line the tensor
-                               is the constant-curvature tensor of 4c
+      single_line_round        R(e_ai, e_bi, e_ei, e_fi) = 4c (d_ae d_bf -
+                               d_af d_be): restricted to one coordinate line
+                               the tensor is the constant-curvature tensor
+                               of 4c
       same_coordinate_4c       R(e_ai, e_bi, e_ai, e_bi) = 4c, a != b
       cross_line_sectional_c   R(e_ai, e_bj, e_ai, e_bj) = c, i != j
       paired_plane_2c          R(e_ai, e_bi, e_aj, e_bj) = 2c, a != b, i != j
@@ -502,8 +478,10 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
                                defect for the tau >= 3 families
 
     The rules read the nonzeros the model holds (``_choose_nonzeros``),
-    those on lines 0..min(m, 4) - 1, with the entry rules on the
-    coordinates i, j < 4 and the defect lists on the coordinates of those
+    those on lines 0..min(m, 4) - 1, on every family alike:
+    zero_three_coordinates by the number of lines each one touches, the
+    five entry rules each as one gather over a grid of unit labels and the
+    held lines i, j, and the defect lists on the coordinates of those
     lines.  Each residual is its maximum over all n^4 components, bit for
     bit.
     """
@@ -513,18 +491,26 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
 
     res: dict[str, float] = {}
     notes: dict[str, str] = {}
-    res["zero_three_coordinates"], res["single_line_round"] = _line_rules(
-        model, nz)
+    # off the nonzeros |R| is 0
+    res["zero_three_coordinates"] = float(np.max(
+        np.abs(nz.values[nz.touches >= 3]), initial=0.0))
 
-    # the four entry rules on the grid of unit labels a, b and coordinates
-    # i, j on the lines read; basis index (alpha, i) -> alpha * m + i
-    a, b, i, j = np.indices((tau + 1, tau + 1, nz.lines, nz.lines))
-    ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
-
-    def deviation(at, want, mask):
+    def deviation(at, want, mask=True):
         entries = nz.at(n, at)
-        return float(np.max(np.abs(entries[mask] - want), initial=0.0))
+        return float(np.max(np.where(mask, np.abs(entries - want), 0.0),
+                            initial=0.0))
 
+    # the entry rules on open grids of unit labels and held lines; basis
+    # index (alpha, i) -> alpha * m + i.  On line i, R against the round
+    # tensor of 4c, 4c (d_ae d_bf - d_af d_be)
+    a, b, e, f, i = np.indices((tau + 1,) * 4 + (nz.lines,), sparse=True)
+    res["single_line_round"] = deviation(
+        tuple(u * m + i for u in (a, b, e, f)),
+        4.0 * c * ((a == e) & (b == f)) - 4.0 * c * ((a == f) & (b == e)))
+
+    a, b, i, j = np.indices((tau + 1, tau + 1, nz.lines, nz.lines),
+                            sparse=True)
+    ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
     res["same_coordinate_4c"] = deviation((ai, bi, ai, bi), 4.0 * c, a != b)
     res["cross_line_sectional_c"] = deviation((ai, bj, ai, bj), c, i != j)
     res["paired_plane_2c"] = deviation((ai, bi, aj, bj), 2.0 * c,

@@ -188,9 +188,13 @@ def whole_hold(J, keys: np.ndarray, values: np.ndarray):
     """Every nonzero (keys, values) of R, each standing for itself, on all
     m lines: what the gates read to take their maxima over every line."""
     n = J.n
-    return models._Nonzeros(keys, values, np.unravel_index(keys, (n,) * 4),
-                            np.ones(keys.size), n // (J.tau + 1),
-                            np.arange(n))
+    m = n // (J.tau + 1)
+    slots = np.unravel_index(keys, (n,) * 4)
+    # the line labels of each nonzero, sorted, give how many it touches
+    labels = np.sort([k % m for k in slots], axis=0)
+    touches = 1 + np.count_nonzero(labels[1:] != labels[:-1], axis=0)
+    return models._Nonzeros(keys, values, slots, np.ones(keys.size), m,
+                            touches)
 
 
 def holding(J, keys: np.ndarray, values: np.ndarray) -> tuple:
@@ -206,8 +210,7 @@ def holding(J, keys: np.ndarray, values: np.ndarray) -> tuple:
     slots = np.unravel_index(keys, (n,) * 4)
     at = np.flatnonzero(near[slots[0]] & near[slots[1]] & near[slots[2]]
                         & near[slots[3]])
-    return (models._nonzeros(n, m, keys[at], values[at], np.flatnonzero(near)),
-            True)
+    return models._nonzeros(n, m, keys[at], values[at]), True
 
 
 def full_list_gates(n: int, keys: np.ndarray, vals: np.ndarray) -> tuple:

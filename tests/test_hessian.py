@@ -909,6 +909,31 @@ def test_samples_below_one_are_refused_before_jacobi(samples, monkeypatch):
         stability_verdict(model, samples=samples)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, -1])
+def test_bad_seeds_are_refused_before_any_work(seed, monkeypatch):
+    # True was recorded as the seed, and 2.5 and -1 died in numpy's
+    # SeedSequence after the form was assembled
+    model = _model("cp2")
+    qf = assemble_tt_remainder(model)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(hessian, "jacobi_eigs", refuse)
+    monkeypatch.setattr(hessian, "assemble_tt_remainder", refuse)
+    with pytest.raises(ValueError, match="seed"):
+        min_eigen_tt(qf, samples=10, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        stability_verdict(model, samples=10, seed=seed)
+
+
+def test_numpy_integer_seeds_are_seeds():
+    model = _model("cp2")
+    want = stability_verdict(model, samples=50, seed=3)
+    got = stability_verdict(model, samples=50, seed=np.int64(3))
+    assert got == want
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_non_finite_p_is_refused_before_assembly(p, monkeypatch):
     # nan passed every p < 2 check and read "stable-strict" with epsilon

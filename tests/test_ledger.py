@@ -294,6 +294,25 @@ def test_input_free_identities_run_once(monkeypatch):
         for trials in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="trials"):
                 verify_identity_numeric(lemma, _model("cp2"), trials=trials)
+        for seed in (True, 2.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                verify_identity_numeric(lemma, _model("cp2"), seed=seed)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, True])
+def test_bad_tolerances_are_refused_before_any_draw(tol, monkeypatch):
+    # at hp2 curvature-action-affine has a residual of about 2e-16: nan, 0
+    # and -1 read FAIL, and inf passed every identity
+    model = _model("hp2")
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(ledger.np.random, "default_rng", draw)
+    with pytest.raises(ValueError, match="tol"):
+        verify_identity_numeric("curvature-action-affine", model, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        ledger.verify_catalog(model, tol=tol)
 
 
 # ---------------------------------------------------------------- document

@@ -563,8 +563,6 @@ def _entry_rules_by_loops(R, n, tau, c):
                              - np.einsum("xw,yz->xyzw", eye, eye))
         block = R[np.ix_(sel, sel, sel, sel)]
         worst = max(worst, float(np.max(np.abs(block - round4c))))
-        if tau == 0:
-            break
     w4 = wc = w2 = wq = 0.0
     for a in range(tau + 1):
         for b in range(tau + 1):
@@ -680,14 +678,25 @@ def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw):
     mod = build_model(family, m, -1.0, n=nkw)
     lines = mod.n // (mod.tau + 1)
     assert mod.nz.lines == min(lines, 4)
-    assert np.array_equal(mod.nz.near,
-                          np.flatnonzero(np.arange(mod.n) % lines < 4))
+    line = [k % lines for k in mod.nz.slots]
+    assert np.max(line) < min(lines, 4)
+    labels = np.sort(line, axis=0)
+    assert np.array_equal(mod.nz.touches, 1 + np.count_nonzero(
+        labels[1:] != labels[:-1], axis=0))
     assert (mod.R_keys is mod.nz.keys) == (lines <= 4)
     whole = frame_rule_audit(_whole(mod)).residuals
     assert frame_rule_audit(mod).residuals == whole
     assert mod.audit.residuals == whole
     assert mod.R_norm2 == dense_oracle.full_list_gates(
         mod.n, mod.R_keys, mod.R_values)[2]
+
+
+def test_single_line_round_reads_every_sphere_line():
+    # a value off the round tensor on line 3 of sphere5, each line one
+    # direction, is read as on any other line of any family
+    mod = build_model("sphere", 0, 1.0, n=5)
+    _plant(mod, (3, 3, 3, 3), 0.5)
+    assert frame_rule_audit(mod).residuals["single_line_round"] == 0.5
 
 
 #: the models of the oracle grid: sphere3-12, cp2-cp12, hp1-hp16 and op2
