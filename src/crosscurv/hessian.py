@@ -69,10 +69,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral, Rational
+from numbers import Integral, Rational, Real
 
 import numpy as np
 
+from crosscurv import jacobi
 from crosscurv.jacobi import jacobi_eigs
 from crosscurv.tensors import _pair_index, _pair_lookup, pairs_by_key
 from crosscurv.models import (
@@ -305,12 +306,6 @@ class QuadForm:
         """The dense form at the model's scale, ``scale * unit``; a new
         array on every call."""
         return self.scale * self.unit
-
-    def value(self, h: np.ndarray) -> float:
-        """Evaluate on a trace-free symmetric matrix via the basis."""
-        b = (tt_basis(self.n, self.tau).T
-             @ np.asarray(h, dtype=float).reshape(-1))
-        return self.scale * float(b @ self.unit @ b)
 
 
 def _places(n: int, lines: int) -> tuple:
@@ -580,7 +575,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
 
     A 1 x 1 block (b) is not sampled: every sample x refines to the unit
     vector x / |x| = +-1, whose quotient is b and whose residual is 0, so
-    it is recorded as the quotient b with the bound 1e-12 |b|.
+    it is recorded as the quotient b with the bound ``jacobi.TOL`` |b|.
 
     Sampling: block k of more rows draws its centred uniforms,
     ``Generator.random`` minus 0.5, from its own stream,
@@ -607,7 +602,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     winning block B, some eigenvalue of B lies within ||B x - rho x|| of
     rho (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
     certificate is consistent when |rho - eig_min| <= ||B x - rho x|| +
-    1e-12 ||B||_F, the second term being the Jacobi stopping tolerance.
+    ``jacobi.TOL`` ||B||_F, the second term the Jacobi stopping tolerance.
     The rule is decided at unit scale, and the bound, times c^2, is stored
     as ``residual_bound``.
 
@@ -623,7 +618,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
         spectra.append(jacobi_eigs(block))
         if len(block) == 1:  # the refinement of any sample returns b
             b = float(block[0, 0])
-            refined.append((b, 1e-12 * abs(b)))
+            refined.append((b, jacobi.TOL * abs(b)))
             continue
         rng = np.random.Generator(np.random.PCG64(stream))
         best_val, best = np.inf, None
@@ -637,7 +632,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
                 best_val, best = vals[i], V[:, i].copy()
         rho, x = _refine_rayleigh(block, best)
         refined.append((rho, float(np.linalg.norm(block @ x - rho * x))
-                        + 1e-12 * float(np.linalg.norm(block))))
+                        + jacobi.TOL * float(np.linalg.norm(block))))
     ray_min, bound = min(refined, key=lambda found: found[0])
     eigenvalues = np.concatenate([spec.eigenvalues for spec in spectra])
     eig_min, eig_max = float(eigenvalues.min()), float(eigenvalues.max())
@@ -677,21 +672,23 @@ def conformal_value(model: CurvatureModel, mu=None,
     exactly, in rationals, from the exact value of the float c at every
     scale, so its sign is exact and the round sphere gives exactly 0.  It
     is returned as a Fraction when c is integral and mu is the reference or
-    rational, and otherwise as the float nearest the exact value.
+    rational, and otherwise as the float nearest the exact value.  A mu
+    that is not a finite real >= 0, or is a bool, raises ValueError first.
     """
     if norm_source not in ("claimed", "computed"):
         raise ValueError(f"unknown norm_source {norm_source!r}")
+    if mu is not None and (isinstance(mu, bool) or not isinstance(mu, Real)
+                           or not 0 <= mu < math.inf):
+        raise ValueError(f"mu must be a finite real of at least 0, got {mu!r}")
     n, tau, c = model.n, model.tau, Fraction(model.c)
     lam = einstein_constant(n, tau, c)
     if mu is None:
         if not model.compact:
-            raise NoSpectralDataError(
-                "no spectral reference data for non-compact duals; "
-                "pass mu explicitly"
-            )
+            raise NoSpectralDataError("no spectral reference data for "
+                                      "non-compact duals; pass mu explicitly")
         mu_exact = reference_mu_over_lambda(model.family, model.m, n=n) * lam
     else:
-        mu_exact = Fraction(mu)
+        mu_exact = Fraction(mu if isinstance(mu, Rational) else float(mu))
     form = (norm2_closed_claimed if norm_source == "claimed"
             else norm2_closed_derived)
     a, b, k = conformal_coefficients(n, lam, form(n, tau, c))
@@ -703,12 +700,12 @@ def conformal_value(model: CurvatureModel, mu=None,
 
 def hp_scale(p: float, R_norm2: float) -> float:
     """Scale factor (p/2) |R|^(p-2) relating the exponent-p form to the
-    exponent-2 form at a critical model; defined for finite p >= 2.  A
-    factor beyond the double range is inf, not an OverflowError."""
+    exponent-2 form at a critical model; defined for finite p >= 2 and
+    finite R_norm2 > 0.  A factor beyond the double range is inf."""
     if not 2 <= p < math.inf:
         raise ValueError("scale factor is defined for finite p >= 2 only")
-    if R_norm2 <= 0:
-        raise ValueError("need a positive squared norm")
+    if not 0 < R_norm2 < math.inf:
+        raise ValueError("need a finite positive squared norm")
     try:
         return (p / 2.0) * R_norm2 ** ((p - 2) / 2.0)
     except OverflowError:

@@ -3,10 +3,9 @@
 Self-contained rotation-based solver: no LAPACK call decides a certificate.
 The matrices are the distinct blocks of the trace-free forms
 (``hessian.QuadForm``), none of more than tau + 1 <= 8 rows at any n, and
-the 3 x 3 Rayleigh-Ritz problems of the Rayleigh refinement.  Sweeping to a 1e-12 off-diagonal norm takes a
-handful of sweeps.
-``numpy.linalg.eigh`` appears only in the test suite as an independent
-oracle.
+the 3 x 3 Rayleigh-Ritz problems of the Rayleigh refinement.  A handful of
+the ``MAX_SWEEPS`` allowed bring the off-diagonal norm to ``TOL`` times the
+input's.  ``numpy.linalg.eigh`` is only the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Spectrum", "JacobiConvergenceError", "jacobi_eigs"]
+
+#: stopping tolerance, relative to the Frobenius norm of the input
+TOL = 1e-12
+#: sweep budget before ``JacobiConvergenceError``
+MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(ArithmeticError):
@@ -32,13 +36,13 @@ class Spectrum:
     iterations: int = 0
 
 
-def jacobi_eigs(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Spectrum:
+def jacobi_eigs(M: np.ndarray) -> Spectrum:
     """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps rows in cyclic order, annihilating each off-diagonal entry with a
     Givens rotation, until the off-diagonal Frobenius norm drops below
-    ``tol`` times the norm of the input.  Raises JacobiConvergenceError
-    with diagnostics if ``max_sweeps`` full sweeps do not converge.
+    ``TOL`` times the norm of the input.  Raises JacobiConvergenceError
+    with diagnostics if ``MAX_SWEEPS`` full sweeps do not converge.
     """
     A = np.array(M, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -54,9 +58,9 @@ def jacobi_eigs(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Spe
         return Spectrum(np.diag(A)[order], V[:, order], 0)
 
     rotations = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol * norm:
+        if off <= TOL * norm:
             break
         # skip rotations that cannot matter this sweep
         small = off / (n * n)
@@ -82,8 +86,8 @@ def jacobi_eigs(M: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Spe
     else:
         off = np.linalg.norm(A - np.diag(np.diag(A)))
         raise JacobiConvergenceError(
-            f"no convergence after {max_sweeps} sweeps: off-diagonal {off:.3e}, "
-            f"target {tol * norm:.3e}, size {n}, rotations {rotations}"
+            f"no convergence in {MAX_SWEEPS} sweeps: off-diagonal {off:.3e}, "
+            f"target {TOL * norm:.3e}, size {n}, rotations {rotations}"
         )
 
     evals = np.diag(A).copy()

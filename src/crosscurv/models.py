@@ -73,7 +73,6 @@ from crosscurv.tensors import (
 )
 
 __all__ = [
-    "FAMILIES",
     "JStructure",
     "CurvatureModel",
     "FrameAudit",
@@ -89,8 +88,6 @@ __all__ = [
     "reference_constants",
     "reference_mu_over_lambda",
 ]
-
-FAMILIES = ("sphere", "complex", "quaternionic", "octonionic")
 
 _TAU = {"sphere": 0, "complex": 1, "quaternionic": 3, "octonionic": 7}
 

@@ -189,8 +189,8 @@ def pairs_by_key(key: np.ndarray) -> tuple:
 
 def random_symtensor(n: int, seed: int, trace_free: bool = False) -> np.ndarray:
     """Seeded random symmetric 2-tensor as its matrix in the frame,
-    optionally with the trace removed.  ValueError unless the matrix is
-    symmetric, and trace-free when asked, to 1e-12 of its largest entry."""
+    optionally trace-free.  ValueError unless the matrix is symmetric, and
+    trace-free when asked, to ``STRUCT_TOL`` of its largest entry."""
     if n < 3:
         raise ValueError("need n >= 3")
     rng = np.random.default_rng(seed)
@@ -202,7 +202,7 @@ def random_symtensor(n: int, seed: int, trace_free: bool = False) -> np.ndarray:
         s -= np.trace(s) / n * np.eye(n)
     if np.max(np.abs(s - s.T)) > STRUCT_TOL * _scale(s):
         raise ValueError("random symmetric tensor is not symmetric")
-    if trace_free and abs(np.trace(s)) > 1e-12 * _scale(s):
+    if trace_free and abs(np.trace(s)) > STRUCT_TOL * _scale(s):
         raise ValueError("tensor drawn trace-free has nonzero trace")
     return s
 

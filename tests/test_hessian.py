@@ -10,6 +10,7 @@ minimal eigenvalues against pinned constants for every compact family.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crosscurv import hessian, tensors
+from crosscurv import hessian, jacobi, tensors
 from crosscurv.models import NoSpectralDataError, build_model
 from crosscurv.tensors import _pair_lookup, sum_entries
 from crosscurv.hessian import (
@@ -171,7 +172,10 @@ def test_assemble_quadform_is_weighted_sum():
     assert qf.dim == model.n * (model.n + 1) // 2 - 1
     h = _random_tt(model.n)
     want = sum(w * _term_oracle(model, k, h) for k, w in coeffs.items())
-    assert abs(qf.value(h) - want) < 1e-9 * max(1.0, abs(want))
+    # the form on the coordinates of h in the trace-free basis
+    b = tt_basis(model.n, model.tau).T @ h.reshape(-1)
+    value = qf.scale * float(b @ qf.unit @ b)
+    assert abs(value - want) < 1e-9 * max(1.0, abs(want))
 
 
 def _dense_terms(model, weights=None):
@@ -227,10 +231,12 @@ def test_assembly_from_nonzeros_equals_dense_terms_at_unit_scale(
     assert np.array_equal(M[:i.size, :i.size], 0.5 * four)
     dense = _dense_form(model, weights)
     assert np.linalg.norm(M - dense) <= 1e-15 * np.linalg.norm(dense)
-    # value(h) is h^T (B^T G B) h on the coordinates b of h in the same B
-    b = tt_basis(n, model.tau).T @ _random_tt(n).reshape(-1)
-    assert abs(qf.value((tt_basis(n, model.tau) @ b).reshape(n, n))
-               - b @ dense @ b) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
+    # on the coordinates b of a trace-free h in the same B, the form is
+    # h^T G h
+    h = _random_tt(n).reshape(-1)
+    b = tt_basis(n, model.tau).T @ h
+    assert abs(qf.scale * (b @ M @ b)
+               - h @ G @ h) <= 1e-12 * np.linalg.norm(dense) * (b @ b)
     # the blocks: their occurrences partition range(dim), each in
     # ascending order, and carry every nonzero of the form, bit for bit
     assert sum(count * len(block) for block, count in qf.blocks) == dim
@@ -787,6 +793,28 @@ def test_one_row_blocks_record_what_their_sampling_gives(family, m, nkw, c,
     assert cert.consistent == (abs(ray_min - eig_min) <= bound)
 
 
+def test_residual_bound_reads_the_jacobi_tolerance(monkeypatch):
+    # the Jacobi term of the bound is jacobi.TOL when the certificate is
+    # made: TOL |b| on a 1 x 1 record, and the residual plus TOL ||B||_F on
+    # a sampled block, refined here to its exact bottom eigenvector so
+    # that the residual is 0
+    monkeypatch.setattr(hessian, "_refine_rayleigh", lambda block, x: (
+        float(block[0, 0]), np.eye(len(block))[0]))
+    record = QuadForm(n=3, tau=0, dim=1, blocks=[(np.array([[-3.0]]), 1)],
+                      scale=4.0)
+    block = np.diag([-2.0, 1.0, 5.0])
+    norm = float(np.linalg.norm(block))
+    sampled = QuadForm(n=3, tau=0, dim=3, blocks=[(block, 1)], scale=4.0)
+    for tol in (jacobi.TOL, 1e-9):
+        monkeypatch.setattr(jacobi, "TOL", tol)
+        cert = min_eigen_tt(record, samples=10)
+        assert cert.residual_bound == 4.0 * (tol * 3.0)
+        cert = min_eigen_tt(sampled, samples=10)
+        assert cert.rayleigh_min == cert.eig_min == -8.0
+        assert cert.residual_bound == 4.0 * (tol * norm)
+        assert cert.consistent
+
+
 def test_sampling_holds_no_form_sized_array():
     # hp10, dim 819: the sampling holds at most three arrays of
     # RAYLEIGH_CHUNK x (tau + 1) floats for one block at once (the last
@@ -968,6 +996,34 @@ def test_conformal_explicit_mu_and_errors():
         conformal_value(build_model("quaternionic", 2, -1.0))
 
 
+@pytest.mark.parametrize("mu", [True, False, -1.0, -1, math.inf, math.nan,
+                                "2"])
+def test_bad_mu_is_refused_before_any_evaluation(mu, monkeypatch):
+    # a Laplace eigenvalue is a finite real >= 0: True was read as mu = 1,
+    # -1.0 gave a value, inf an OverflowError and "2" was parsed
+    model = _model("hp2")
+
+    def einstein_constant(*args):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr(hessian, "einstein_constant", einstein_constant)
+    with pytest.raises(ValueError, match="mu must be"):
+        conformal_value(model, mu=mu)
+
+
+def test_numeric_mu_types_agree():
+    # mu as a Fraction, a float and numpy scalars: Fraction() refuses a
+    # float32, which is read through its double, and an np.int64 mu gives
+    # the exact Fraction
+    model = _model("hp2")
+    exact = conformal_value(model, mu=Fraction(5, 2))
+    assert exact == Fraction(-17873, 2)
+    for mu in (2.5, np.float64(2.5), np.float32(2.5)):
+        assert conformal_value(model, mu=mu) == float(exact)
+    assert conformal_value(model, mu=np.int64(0)) == -8704
+    assert conformal_value(model, mu=0.0) == -8704.0
+
+
 def test_hp_scale():
     assert hp_scale(2, 192.0) == 1.0
     assert hp_scale(4, 192.0) == 2.0 * 192.0
@@ -976,6 +1032,11 @@ def test_hp_scale():
         hp_scale(1.5, 192.0)
     with pytest.raises(ValueError):
         hp_scale(4, 0.0)
+    # nan and inf passed the R_norm2 <= 0 test: 1.0 at p = 2, nan at p = 4
+    for p in (2, 4):
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError, match="squared norm"):
+                hp_scale(p, bad)
 
 
 def test_stability_verdict_sphere():

@@ -4,6 +4,7 @@ of the library code)."""
 import numpy as np
 import pytest
 
+from crosscurv import jacobi
 from crosscurv.jacobi import JacobiConvergenceError, jacobi_eigs
 
 
@@ -54,12 +55,13 @@ def test_rejects_bad_input():
         jacobi_eigs(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_convergence_error_when_starved():
+def test_convergence_error_when_starved(monkeypatch):
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))
     M = 0.5 * (A + A.T)
-    with pytest.raises(JacobiConvergenceError):
-        jacobi_eigs(M, max_sweeps=0)
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
+    with pytest.raises(JacobiConvergenceError, match="in 0 sweeps"):
+        jacobi_eigs(M)
 
 
 def _full_pair_sweep(M, tol=1e-12, max_sweeps=100):
