@@ -121,6 +121,17 @@ def _require_count(name: str, value, least: int = 1) -> None:
                          f"got {value!r}")
 
 
+def _require_real(name: str, value, above: bool = False) -> None:
+    """ValueError unless ``value`` is a finite ``numbers.Real``, not a bool,
+    of at least 0, or above 0 when ``above``: a Laplace eigenvalue or a
+    tolerance (``above``)."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 <= value < math.inf or (above and value == 0)):
+        raise ValueError(f"{name} must be a finite real "
+                         f"{'above' if above else 'of at least'} 0, "
+                         f"got {value!r}")
+
+
 def _ladder(n: int) -> np.ndarray:
     """The ladder on n entries as an n x (n-1) array, orthonormal columns
     orthogonal to the ones: column k - 1 is (1, ..., 1, -k, 0, ..., 0) /
@@ -501,7 +512,6 @@ class SpectralCertificate:
     rayleigh_min: float
     rotations: int
     samples: int
-    seed: int
     consistent: bool
     residual_bound: float
 
@@ -643,7 +653,6 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
         rayleigh_min=c2 * ray_min,
         rotations=sum(spec.iterations for spec in spectra),
         samples=samples,
-        seed=seed,
         consistent=abs(ray_min - eig_min) <= bound,
         residual_bound=c2 * bound,
     )
@@ -677,9 +686,8 @@ def conformal_value(model: CurvatureModel, mu=None,
     """
     if norm_source not in ("claimed", "computed"):
         raise ValueError(f"unknown norm_source {norm_source!r}")
-    if mu is not None and (isinstance(mu, bool) or not isinstance(mu, Real)
-                           or not 0 <= mu < math.inf):
-        raise ValueError(f"mu must be a finite real of at least 0, got {mu!r}")
+    if mu is not None:
+        _require_real("mu", mu)
     n, tau, c = model.n, model.tau, Fraction(model.c)
     lam = einstein_constant(n, tau, c)
     if mu is None:
@@ -728,8 +736,6 @@ def _threshold_claim(model: CurvatureModel) -> str:
 
 @dataclass
 class StabilityReport:
-    label: str
-    p: float
     regime: str
     tt_min_eig: float
     rayleigh_min: float
@@ -741,7 +747,6 @@ class StabilityReport:
     discrepancy_notes: list
     rotations: int
     samples: int
-    seed: int
     consistent: bool  # ``SpectralCertificate.consistent`` of the trace-free form
 
 
@@ -815,8 +820,6 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
         }
 
     return StabilityReport(
-        label=model.label,
-        p=p,
         regime=regime,
         tt_min_eig=cert.eig_min,
         rayleigh_min=cert.rayleigh_min,
@@ -828,6 +831,5 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
         discrepancy_notes=notes,
         rotations=cert.rotations,
         samples=cert.samples,
-        seed=seed,
         consistent=cert.consistent,
     )

@@ -53,10 +53,6 @@ def jacobi_eigs(M: np.ndarray) -> Spectrum:
     A = 0.5 * (A + A.T)
     V = np.eye(n)
     norm = np.linalg.norm(A)
-    if norm == 0.0 or n == 1:
-        order = np.argsort(np.diag(A), kind="stable")
-        return Spectrum(np.diag(A)[order], V[:, order], 0)
-
     rotations = 0
     for _ in range(MAX_SWEEPS):
         off = np.linalg.norm(A - np.diag(np.diag(A)))

@@ -30,12 +30,14 @@ pairing A7 written inline.  The checks read the same table:
 entries, and the catalog evaluators of A2 and A3 call the coefficient
 functions the table is built from, so a checked rule is the applied rule.
 
-Each chain returns the independently derived coefficient set next to the
-reference display it is checked against, with per-term match flags.  A
-mismatch is recorded as a finding; the derived set is never altered to
-force agreement.  The reference displays are the coefficient functions
-``hessian`` certifies with, called on the symbols; ``LAM_RULE`` and the
-norm closed form are the ``models`` functions.
+Each chain returns its comparison rows: per basis term, the reference
+display's coefficient, the independently derived one and their exact match
+flag (the conformal chain also keeps its derived coefficients, the
+non-compact chain the log of its dropped terms).  A mismatch is recorded as
+a finding; the derived set is never altered to force agreement.  The
+reference displays are the coefficient functions ``hessian`` certifies
+with, called on the symbols; ``LAM_RULE`` and the norm closed form are the
+``models`` functions.
 
 Every coefficient is a polynomial in c, tau, lam, mu, R2 and 1/n with
 rational coefficients, and is held as one: a ``laurent.Laurent``, a dict
@@ -81,6 +83,7 @@ import numpy as np
 
 from crosscurv.hessian import (
     _require_count,
+    _require_real,
     _term_entries,
     compact_tt_coefficients,
     conformal_coefficients,
@@ -275,12 +278,12 @@ def _rewrites() -> dict:
     }
 
 
-def _rewrite(e: LedgerExpr, name: str, log: list) -> None:
+def _rewrite(e: LedgerExpr, name: str) -> None:
     """Apply table entry ``name`` to e in place.
 
     k is e's coefficient of the first lhs term; every other lhs term of e
     must be exactly k times its lhs coefficient.  The lhs terms are removed
-    and k times the rhs is added; nothing is logged when k is 0.
+    and k times the rhs is added, which adds nothing when k is 0.
     """
     lhs, rhs = _rewrites()[name]
     first, *rest = lhs
@@ -293,7 +296,6 @@ def _rewrite(e: LedgerExpr, name: str, log: list) -> None:
     if k:
         for key, v in rhs.items():
             e.add_term(key, k * v)
-        log.append(f"{name}: {', '.join(lhs)} -> {', '.join(rhs)}")
 
 
 def _over_ring(e: LedgerExpr) -> dict:
@@ -329,7 +331,7 @@ def quadratic_completion_checks() -> dict:
     for key, name in (("completion_compact", "square completion"),
                       ("completion_berger", "Berger completion")):
         e = bracket.copy()
-        _rewrite(e, name, [])
+        _rewrite(e, name)
         out[key] = _over_ring(e)
     return out
 
@@ -381,12 +383,7 @@ def tt_display_compact() -> LedgerExpr:
 
 @dataclass
 class TTExpansion:
-    variant: str
-    a4: str
-    reduced: LedgerExpr
-    display: LedgerExpr
     comparisons: list
-    steps: list
 
 
 def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpansion:
@@ -405,27 +402,18 @@ def expand_theorem_tt(variant: str = "printed", a4: str = "printed") -> TTExpans
         raise ValueError(f"unknown variant {variant!r}")
     if a4 not in ("printed", "composed"):
         raise ValueError(f"unknown a4 reading {a4!r}")
-    rr_coeff = 1 if variant == "printed" else 2
-    steps: list[str] = [f"start: half expression, RR_KN coefficient {rr_coeff}"]
-    e = _half_expression(rr_coeff)
+    e = _half_expression(1 if variant == "printed" else 2)
     for name in ("square completion", "A1", "A3", f"A4[{a4}]", "A2[h]",
                  "A2[ht]"):
-        _rewrite(e, name, steps)
+        _rewrite(e, name)
     e = e.substituted(LAM_RULE).scaled(2)
-    steps.append("substitute lam -> c(3 tau + n - 1), double")
-    display = tt_display_compact()
-    return TTExpansion(variant=variant, a4=a4, reduced=e, display=display,
-                       comparisons=_compare(display, e), steps=steps)
+    return TTExpansion(comparisons=_compare(tt_display_compact(), e))
 
 
 @dataclass
 class ConformalExpansion:
-    assembly: str
     coefficients: LedgerExpr
-    reference: LedgerExpr
     comparisons: list
-    pieces: dict
-    notes: list
 
     def polynomial(self):
         """Value as a quadratic in mu, using Laplace pairs
@@ -451,57 +439,37 @@ def expand_theorem_conformal(assembly: str = "corrected") -> ConformalExpansion:
     if assembly not in ("corrected", "printed"):
         raise ValueError(f"unknown assembly {assembly!r}")
     c, n, tau, lam, mu, R2 = _SYMBOLS
-    notes = []
-    # variation pieces for h = f g, recorded as (DELTAF, DF, F) coefficients
-    pieces = {
-        "trace_response": LedgerExpr({"NORM_DELTAF": 2 * (n - 1)}),
-        "einstein_shift": LedgerExpr({"NORM_DF": -4 * lam * n}),
-        "norm_coupling": LedgerExpr({"NORM_F": 2 * R2}),
-        "scalar_derivative": LedgerExpr({"NORM_DF": 2 * lam * n,
-                                         "NORM_F": -n * R2}),
-        "hessian_trace": LedgerExpr({"NORM_DF": 2 * lam * n}),
-    }
     # A7: the curvature-derivative pairing equals 4 lam NORM_DF - R2 NORM_F;
-    # it enters with weight -2 in the corrected assembly, -1 in the printed.
+    # it enters with weight -2 in the corrected assembly, -1 in the printed,
+    # which keeps the exterior-pairing coefficient at its displayed value and
+    # so makes the curvature block half of the self-consistent one.
     weight = -2 if assembly == "corrected" else -1
-    pieces["curvature_block"] = LedgerExpr({
-        "NORM_DF": weight * 4 * lam,
-        "NORM_F": -weight * R2,
-    })
-    if assembly == "printed":
-        notes.append(
-            "exterior-pairing coefficient kept at its displayed value; the "
-            "curvature block is then half of the self-consistent one"
-        )
-    notes.append(
-        "the intermediate claim that the first two pieces alone make up the "
-        "mu^2 term is off (the Einstein shift is nonzero); the assembled "
-        "total is still correct because the shift cancels against the "
-        "scalar-derivative and hessian-trace pieces"
+    # variation pieces for h = f g.  The intermediate claim that the first
+    # two alone make up the mu^2 term is off (the Einstein shift is nonzero);
+    # the total is still correct because the shift cancels against the
+    # scalar-derivative and hessian-trace pieces.
+    pieces = (
+        {"NORM_DELTAF": 2 * (n - 1)},                  # trace response
+        {"NORM_DF": -4 * lam * n},                     # Einstein shift
+        {"NORM_F": 2 * R2},                            # norm coupling
+        {"NORM_DF": 2 * lam * n, "NORM_F": -n * R2},   # scalar derivative
+        {"NORM_DF": 2 * lam * n},                      # hessian trace
+        {"NORM_DF": weight * 4 * lam, "NORM_F": -weight * R2},  # curvature
     )
     total = LedgerExpr({})
-    for p in pieces.values():
-        for k, v in p.coeffs.items():
+    for p in pieces:
+        for k, v in p.items():
             total.add_term(k, v)
     reference = LedgerExpr(dict(zip(("NORM_DELTAF", "NORM_DF", "NORM_F"),
                                     conformal_coefficients(n, lam, R2))))
-    return ConformalExpansion(
-        assembly=assembly,
-        coefficients=total,
-        reference=reference,
-        comparisons=_compare(reference, total),
-        pieces=pieces,
-        notes=notes,
-    )
+    return ConformalExpansion(coefficients=total,
+                              comparisons=_compare(reference, total))
 
 
 @dataclass
 class NoncompactChain:
-    claimed: LedgerExpr
-    derived: LedgerExpr
     comparisons: list
     inequality_log: list
-    steps: list
 
 
 def noncompact_chain() -> NoncompactChain:
@@ -512,10 +480,9 @@ def noncompact_chain() -> NoncompactChain:
     The derived remainder agrees with the reference display on NORM_RRING,
     K_PAIR and RR_KN and disagrees on all three h-term coefficients.
     """
-    steps: list[str] = ["start: half expression, RR_KN kept unreduced"]
     e = _half_expression(1)
-    _rewrite(e, "Berger completion", steps)
-    _rewrite(e, "A4[printed]", steps)
+    _rewrite(e, "Berger completion")
+    _rewrite(e, "A4[printed]")
     inequality_log = []
     for term, needs in (
         ("SHIFT2", "none (a square)"),
@@ -526,21 +493,14 @@ def noncompact_chain() -> NoncompactChain:
             "term": term, "coefficient": 2 * e.pop_term(term),
             "dropped": True, "needs": needs,
         })
-        steps.append(f"drop {term}: {needs}")
     for name in ("A2[h]", "A2[ht]"):
-        _rewrite(e, name, steps)
+        _rewrite(e, name)
     e = e.substituted(LAM_RULE).scaled(2)
-    steps.append("substitute lam -> c(3 tau + n - 1), double")
 
     c, n, tau, _, _, R2 = _SYMBOLS
     claimed = LedgerExpr(noncompact_tt_coefficients(n, tau, c, R2))
-    return NoncompactChain(
-        claimed=claimed,
-        derived=e,
-        comparisons=_compare(claimed, e),
-        inequality_log=inequality_log,
-        steps=steps,
-    )
+    return NoncompactChain(comparisons=_compare(claimed, e),
+                           inequality_log=inequality_log)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +511,6 @@ def noncompact_chain() -> NoncompactChain:
 class IdentityCheck:
     id: str
     tier: str  # "required" or "report"
-    description: str
     evaluate: callable = field(repr=False)  # (model, rng) -> dict
     input_free: bool = False
 
@@ -666,6 +625,8 @@ def _residual(lhs, rhs, scale: float) -> float:
 
 
 def _ev_curvature_action_affine(model, rng):
+    """The curvature action on symmetric tensors is the affine combination
+    3c ht - c h + c tr(h) g."""
     nn = model.n
     arrays = _catalog_arrays(model)
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
@@ -678,6 +639,8 @@ def _ev_curvature_action_affine(model, rng):
 
 
 def _ev_compose_structure(model, rng):
+    """Composition with the model operator decomposes through the structure
+    pushforwards and pair forms."""
     arrays = _catalog_arrays(model)
     P1 = _unit_curvature(model.n, rng)
     rhs = P1 + 2.0 * arrays.omega @ (arrays.omega.T @ P1)
@@ -688,6 +651,8 @@ def _ev_compose_structure(model, rng):
 
 
 def _ev_compose_self_structure(model, rng):
+    """Self-composition of the model operator in terms of the paired
+    structure forms."""
     arrays = _catalog_arrays(model)
     P, om = arrays.P, arrays.omega_pairs
     rhs = model.c * (model.tau + 1) * (P + om @ (om.T @ P))
@@ -695,6 +660,7 @@ def _ev_compose_self_structure(model, rng):
 
 
 def _ev_norm_closed_form(model, rng):
+    """The closed form for the squared curvature norm."""
     claimed = norm2_closed_claimed(model.n, model.tau, model.c)
     direct = model.R_norm2
     return {
@@ -705,6 +671,8 @@ def _ev_norm_closed_form(model, rng):
 
 
 def _ev_kn_pairing_reduction(model, rng):
+    """Reduction of the exterior pairing to the curvature action plus a
+    norm multiple."""
     nn = model.n
     arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
@@ -743,6 +711,8 @@ def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
 
 
 def _ev_compose_ricci_trace(model, rng):
+    """The trace of a composed operator via structure contractions of the
+    second factor."""
     # The display weights the pairing term by 1/2; taking the trace of the
     # (verified) composition identity instead gives weight 1.  Both residuals
     # are reported; the outcome follows the display.
@@ -761,6 +731,8 @@ def _ev_compose_ricci_trace(model, rng):
 
 
 def _ev_k_pairing_closed_form(model, rng):
+    """The closed form for the quadratic curvature pairing in terms of the
+    structure average."""
     nn = model.n
     arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
@@ -778,6 +750,8 @@ def _ev_k_pairing_closed_form(model, rng):
 
 
 def _ev_tilde_norm_relation(model, rng):
+    """The pointwise relation between a tensor, its structure average, and
+    their norms."""
     h = _unit_tt(model.n, rng)
     ht = _apply(_catalog_arrays(model), "IP_H_HTILDE", h)
     t = model.tau
@@ -797,58 +771,43 @@ def identity_catalog() -> dict:
         IdentityCheck(
             id="curvature-action-affine",
             tier="required",
-            description="curvature action on symmetric tensors is the "
-                        "affine combination 3c ht - c h + c tr(h) g",
             evaluate=_ev_curvature_action_affine,
         ),
         IdentityCheck(
             id="compose-structure",
             tier="required",
-            description="composition with the model operator decomposes "
-                        "through the structure pushforwards and pair forms",
             evaluate=_ev_compose_structure,
         ),
         IdentityCheck(
             id="compose-self-structure",
             tier="required",
-            description="self-composition of the model operator in terms "
-                        "of the paired structure forms",
             evaluate=_ev_compose_self_structure,
             input_free=True,
         ),
         IdentityCheck(
             id="norm-closed-form",
             tier="required",
-            description="closed form for the squared curvature norm",
             evaluate=_ev_norm_closed_form,
             input_free=True,
         ),
         IdentityCheck(
             id="kn-pairing-reduction",
             tier="required",
-            description="reduction of the exterior pairing to the "
-                        "curvature action plus a norm multiple",
             evaluate=_ev_kn_pairing_reduction,
         ),
         IdentityCheck(
             id="compose-ricci-trace",
             tier="required",
-            description="trace of a composed operator via structure "
-                        "contractions of the second factor",
             evaluate=_ev_compose_ricci_trace,
         ),
         IdentityCheck(
             id="k-pairing-closed-form",
             tier="report",
-            description="closed form for the quadratic curvature pairing "
-                        "in terms of the structure average",
             evaluate=_ev_k_pairing_closed_form,
         ),
         IdentityCheck(
             id="tilde-norm-relation",
             tier="report",
-            description="pointwise relation between a tensor, its "
-                        "structure average, and their norms",
             evaluate=_ev_tilde_norm_relation,
         ),
     ]
@@ -876,10 +835,7 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     """
     _require_count("trials", trials)
     _require_count("seed", seed, least=0)
-    if (isinstance(tol, bool)
-            or not isinstance(tol, (int, float, np.integer, np.floating))
-            or not 0 < tol < np.inf):
-        raise ValueError(f"tol must be a finite positive real, got {tol!r}")
+    _require_real("tol", tol, above=True)
     catalog = identity_catalog()
     if lemma_id not in catalog:
         raise KeyError(f"unknown identity {lemma_id!r}")

@@ -121,7 +121,6 @@ class JStructure:
     n: int
     tau: int
     perms: list = field(repr=False)
-    family: str = "sphere"
 
     def max_structure_residual(self) -> float:
         """Largest entry of J_a^2 + Id and of J_a J_b + J_b J_a, exact on
@@ -229,7 +228,7 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     admits; validates all operator invariants."""
     nn = family_dimension(family, m, n)
     if family == "sphere":
-        return JStructure(n=nn, tau=0, perms=[], family=family)
+        return JStructure(n=nn, tau=0, perms=[])
     table, side = {"complex": (complex_table, "right"),
                    "quaternionic": (quaternion_table, "right"),
                    "octonionic": (octonion_table, "left")}[family]
@@ -239,7 +238,7 @@ def build_j_structure(family: str, m: int, n: int | None = None) -> JStructure:
     # unit u acts as row u on the unit label alpha of (alpha, i) -> alpha m + i
     perms = [((idx[u][:, None] * m + np.arange(m)).ravel(),
               np.repeat(sgn[u], m).astype(float)) for u in range(1, len(idx))]
-    J = JStructure(n=nn, tau=len(perms), perms=perms, family=family)
+    J = JStructure(n=nn, tau=len(perms), perms=perms)
     res = J.max_structure_residual()
     if res != 0:
         raise ModelValidationError(f"structure operator invariants fail: {res:.3e}")

@@ -73,6 +73,8 @@ CONFIG_ERRORS = [
     ["certify", "--space", "cp", "--m", "2", "--p", "nan"],
     ["certify", "--space", "cp", "--m", "2", "--p", "inf"],
     ["verify", "--space", "cp", "--m", "2", "--tol", "nan"],
+    ["verify", "--space", "cp", "--m", "2", "--tol", "0"],
+    ["verify", "--space", "cp", "--m", "2", "--trials", "0"],
     ["certify", "--space", "hp", "--m", "1", "--seed", "-1"],
 ]
 

@@ -64,6 +64,16 @@ def test_convergence_error_when_starved(monkeypatch):
         jacobi_eigs(M)
 
 
+@pytest.mark.parametrize("M", [[[np.nan]], [[np.inf]],
+                               [[np.nan, 1.0], [1.0, 1.0]]])
+def test_non_finite_input_does_not_converge(M):
+    # a 1 x 1 input takes the sweep loop like any other, so a non-finite
+    # one raises as a larger one does and never returns a NaN spectrum
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(JacobiConvergenceError, match="no convergence"):
+            jacobi_eigs(np.array(M))
+
+
 def _full_pair_sweep(M, tol=1e-12, max_sweeps=100):
     """The cyclic sweep over every pair (p, q), kept as the reference for
     the component-restricted sweep: eigenvalues and rotation count."""

@@ -9,6 +9,7 @@ trips a test.
 """
 
 import contextlib
+from fractions import Fraction
 import io
 import json
 from pathlib import Path
@@ -313,6 +314,19 @@ def test_bad_tolerances_are_refused_before_any_draw(tol, monkeypatch):
         verify_identity_numeric("curvature-action-affine", model, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         ledger.verify_catalog(model, tol=tol)
+
+
+def test_fraction_tolerance_reads_as_its_float():
+    # a tolerance is any finite real above 0, as mu is: a Fraction tol
+    # gives the findings of the float it equals
+    model = _model("hp2")
+    for lemma in ("curvature-action-affine", "kn-pairing-reduction"):
+        exact = verify_identity_numeric(lemma, model, trials=3,
+                                        tol=Fraction(1, 10**8))
+        float_tol = verify_identity_numeric(lemma, model, trials=3, tol=1e-8)
+        assert exact.pop("tol") == Fraction(1, 10**8)
+        float_tol.pop("tol")
+        assert exact == float_tol
 
 
 # ---------------------------------------------------------------- document
