@@ -146,9 +146,9 @@ def memory_estimate(command: str, n: int) -> int:
       words, so that ``certify`` traced at most 0.12 MiB above ``model``
       from hp4 to hp13777 (2.2 MiB at op2); and what the
       sampling holds at once: three arrays of ``RAYLEIGH_CHUNK`` x 8 (a
-      chunk of draws for a block, of at most tau + 1 <= 8 rows, its
-      centred transpose and the block's product with it) and three
-      chunk-long vectors;
+      chunk of the form's draws, as wide as its widest block of at most
+      tau + 1 <= 8 rows, its centred transpose and one block's product
+      with its leading rows) and three chunk-long vectors;
     - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
       catalog, which holds a few N x N pair-basis matrices of n^4 / 4
       entries (R's, a random draw, a product and its comparand and their

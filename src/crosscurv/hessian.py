@@ -105,7 +105,7 @@ __all__ = [
 TERM_KEYS = ("NORM_H", "IP_H_HTILDE", "NORM_HTILDE", "IP_RRING_H",
              "NORM_RRING", "K_PAIR", "RR_KN")
 
-#: Rayleigh samples drawn at once for one block in ``min_eigen_tt``
+#: Rayleigh samples drawn at once for every block in ``min_eigen_tt``
 RAYLEIGH_CHUNK = 5_000
 
 #: step budget of ``_refine_rayleigh``
@@ -587,21 +587,24 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     vector x / |x| = +-1, whose quotient is b and whose residual is 0, so
     it is recorded as the quotient b with the bound ``jacobi.TOL`` |b|.
 
-    Sampling: block k of more rows draws its centred uniforms,
-    ``Generator.random`` minus 0.5, from its own stream,
-    ``SeedSequence(seed).spawn(len(qf.blocks))[k]`` (the child of a 1 x 1
-    block goes unused) through PCG64, one sample per row, in chunks of
-    ``RAYLEIGH_CHUNK`` rows (the last one shorter), serially.  Each chunk
-    is evaluated one sample per column: centred and transposed in one
-    pass, multiplied by the block in one GEMM, its numerators and
-    denominators summed down the columns; the best quotient is kept with
-    a strict ``<``.  Summing a quotient in another order moves it by
-    rounding only, so the choice of the best sample depends on the order
-    only where quotients tie to rounding, on a block that is lambda I to
-    rounding.  At most a chunk of draws, its centred transpose and its
-    product with the block are held at once, and the certificate depends
-    on ``seed`` and ``samples`` alone.  A sample only picks the
-    start of the refinement, which needs a nonzero component in the
+    Sampling: the form draws one stream, ``SeedSequence(seed)`` through
+    PCG64, and only if it has a block of more than one row.  It draws its
+    centred uniforms, ``Generator.random`` minus 0.5, in chunks of
+    ``RAYLEIGH_CHUNK`` samples (the last one shorter), serially, each
+    sample as wide as the widest sampled block.  Each chunk is centred and
+    transposed in one pass to one sample per column, and every sampled
+    block reads its samples from the leading ``len(block)`` rows of it:
+    the block multiplies them in one GEMM, its numerators and denominators
+    are summed down the columns, and its best quotient is kept with a
+    strict ``<``.  The leading coordinates of a sample of the cube are a
+    sample of the smaller cube, so each block is sampled as by a draw of
+    its own.  Summing a quotient in another order moves it by rounding
+    only, so the choice of the best sample depends on the order only
+    where quotients tie to rounding, on a block that is lambda I to
+    rounding.  At most a chunk of draws, its centred transpose and one
+    block's product with it are held at once, and the certificate depends
+    on ``seed`` and ``samples`` alone.  A sample only picks the start of
+    the refinement, which needs a nonzero component in the
     block's bottom eigenspace.  The cube's law has a positive density on
     every direction, so, as with normals, the best sample has one with
     probability one; a uniform costs a fraction of a normal.  Discrete
@@ -622,25 +625,31 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     """
     _require_count("samples", samples)
     _require_count("seed", seed, least=0)
-    spectra, refined = [], []
-    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
-    for (block, _), stream in zip(qf.blocks, streams):
-        spectra.append(jacobi_eigs(block))
+    spectra = [jacobi_eigs(block) for block, _ in qf.blocks]
+    sampled = [block for block, _ in qf.blocks if len(block) > 1]
+    best_vals, best = [np.inf] * len(sampled), [None] * len(sampled)
+    if sampled:
+        width = max(len(block) for block in sampled)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed)))
+        for done in range(0, samples, RAYLEIGH_CHUNK):
+            V = np.subtract(rng.random((min(RAYLEIGH_CHUNK, samples - done),
+                                        width)).T, 0.5, order="C")
+            for k, block in enumerate(sampled):
+                U = V[:len(block)]
+                vals = (np.einsum("ij,ij->j", U, block @ U)
+                        / np.einsum("ij,ij->j", U, U))
+                i = int(np.argmin(vals))
+                if vals[i] < best_vals[k]:
+                    best_vals[k], best[k] = vals[i], U[:, i].copy()
+    starts = iter(best)
+    refined = []
+    for block, _ in qf.blocks:
         if len(block) == 1:  # the refinement of any sample returns b
             b = float(block[0, 0])
             refined.append((b, jacobi.TOL * abs(b)))
             continue
-        rng = np.random.Generator(np.random.PCG64(stream))
-        best_val, best = np.inf, None
-        for done in range(0, samples, RAYLEIGH_CHUNK):
-            V = np.subtract(rng.random((min(RAYLEIGH_CHUNK, samples - done),
-                                        len(block))).T, 0.5, order="C")
-            vals = (np.einsum("ij,ij->j", V, block @ V)
-                    / np.einsum("ij,ij->j", V, V))
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val, best = vals[i], V[:, i].copy()
-        rho, x = _refine_rayleigh(block, best)
+        rho, x = _refine_rayleigh(block, next(starts))
         refined.append((rho, float(np.linalg.norm(block @ x - rho * x))
                         + jacobi.TOL * float(np.linalg.norm(block))))
     ray_min, bound = min(refined, key=lambda found: found[0])

@@ -42,12 +42,16 @@ def jacobi_eigs(M: np.ndarray) -> Spectrum:
     Sweeps rows in cyclic order, annihilating each off-diagonal entry with a
     Givens rotation, until the off-diagonal Frobenius norm drops below
     ``TOL`` times the norm of the input.  Raises JacobiConvergenceError
-    with diagnostics if ``MAX_SWEEPS`` full sweeps do not converge.
+    with diagnostics if ``MAX_SWEEPS`` full sweeps do not converge, and
+    at once, before any sweep, on an input with a NaN or infinite entry.
     """
     A = np.array(M, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("jacobi_eigs needs a square matrix")
     n = A.shape[0]
+    if not np.isfinite(A).all():
+        raise JacobiConvergenceError(
+            f"no convergence: non-finite input, size {n}, rotations 0")
     if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("jacobi_eigs needs a symmetric matrix")
     A = 0.5 * (A + A.T)

@@ -623,6 +623,21 @@ def test_sphere_remainder_is_scalar():
     assert cert.rotations == 0
 
 
+def test_one_row_blocks_only_draw_nothing(monkeypatch):
+    # every block of sphere5 is 1 x 1, so the form draws no stream
+    qf = assemble_tt_remainder(_model("sphere5"))
+    assert all(len(block) == 1 for block, _ in qf.blocks)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was constructed")
+
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, refuse)
+    cert = min_eigen_tt(qf, samples=100_000, seed=7)
+    assert cert.rayleigh_min == cert.eig_min == 25.5
+    assert cert.consistent
+
+
 def test_min_eigen_deterministic():
     qf = assemble_tt_remainder(_model("cp2"))
     a = min_eigen_tt(qf, samples=5_000, seed=3)
@@ -631,17 +646,24 @@ def test_min_eigen_deterministic():
     assert a.eig_min == b.eig_min
 
 
+def _shared_draw(qf, samples, seed):
+    """The form's one stream drawn at once: ``samples`` rows as wide as its
+    widest block, so every chunk is a consecutive slice of this draw and
+    every block reads its leading columns."""
+    width = max(len(block) for block, _ in qf.blocks)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed))).random((samples, width))
+
+
 def _best_block_samples(qf, samples, seed):
-    """The reference for the chunked sampling: for each distinct block, its
-    child stream drawn at once, one sample per row (so the chunks are
-    consecutive slices of this draw), centred and transposed to one sample
-    per column, every quotient from one GEMM and two column sums, and the
-    first best sample."""
-    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
+    """The reference for the chunked sampling: for each distinct block, the
+    leading columns of the form's one draw, centred and transposed to one
+    sample per column, every quotient from one GEMM and two column sums,
+    and the first best sample."""
+    draw = _shared_draw(qf, samples, seed)
     best = []
-    for (block, _), stream in zip(qf.blocks, streams):
-        V = np.subtract(np.random.Generator(np.random.PCG64(stream)).random(
-            (samples, len(block))).T, 0.5, order="C")
+    for block, _ in qf.blocks:
+        V = np.subtract(draw[:, :len(block)].T, 0.5, order="C")
         vals = np.einsum("ij,ij->j", V, block @ V) / np.einsum("ij,ij->j",
                                                                V, V)
         best.append(V[:, np.argmin(vals)])
@@ -680,20 +702,19 @@ def test_blockwise_sampling_matches_dense_oracle(key, samples, seed,
 
 def _row_wise_best_samples(qf, samples, seed):
     """The row-wise evaluation the column evaluation replaced: each chunk
-    of a block's draw centred as drawn, its quotients taken one sample per
-    row, the best kept with a strict < across chunks.  A 1 x 1 block gets
-    None."""
+    of a block's leading columns of the form's one draw centred as drawn,
+    its quotients taken one sample per row, the best kept with a strict <
+    across chunks.  A 1 x 1 block gets None."""
     chunk = hessian.RAYLEIGH_CHUNK
-    streams = np.random.SeedSequence(seed).spawn(len(qf.blocks))
+    draw = _shared_draw(qf, samples, seed)
     best = []
-    for (block, _), stream in zip(qf.blocks, streams):
+    for block, _ in qf.blocks:
         if len(block) == 1:
             best.append(None)
             continue
-        rng = np.random.Generator(np.random.PCG64(stream))
         best_val, x = np.inf, None
         for done in range(0, samples, chunk):
-            V = rng.random((min(chunk, samples - done), len(block))) - 0.5
+            V = draw[done:done + chunk, :len(block)] - 0.5
             vals = np.einsum("ij,ij->i", V, V @ block) / np.einsum(
                 "ij,ij->i", V, V)
             i = int(np.argmin(vals))

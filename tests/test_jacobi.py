@@ -67,11 +67,23 @@ def test_convergence_error_when_starved(monkeypatch):
 @pytest.mark.parametrize("M", [[[np.nan]], [[np.inf]],
                                [[np.nan, 1.0], [1.0, 1.0]]])
 def test_non_finite_input_does_not_converge(M):
-    # a 1 x 1 input takes the sweep loop like any other, so a non-finite
-    # one raises as a larger one does and never returns a NaN spectrum
+    # a non-finite input, 1 x 1 or larger, raises and never returns a NaN
+    # spectrum
     with np.errstate(invalid="ignore"):
         with pytest.raises(JacobiConvergenceError, match="no convergence"):
             jacobi_eigs(np.array(M))
+
+
+@pytest.mark.parametrize("M", [[[np.nan]], [[np.inf]],
+                               [[np.nan, 1.0], [1.0, 1.0]],
+                               [[np.nan, 0.0], [0.0, 1.0]]])
+def test_non_finite_input_is_refused_before_any_sweep(M):
+    # under the suite's warnings-as-errors, with no errstate, the refusal
+    # comes before any arithmetic on the entries could warn, and no
+    # rotation is made
+    refusal = "no convergence: non-finite input, .*rotations 0$"
+    with pytest.raises(JacobiConvergenceError, match=refusal):
+        jacobi_eigs(np.array(M))
 
 
 def _full_pair_sweep(M, tol=1e-12, max_sweeps=100):
