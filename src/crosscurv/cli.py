@@ -154,9 +154,10 @@ def memory_estimate(command: str, n: int) -> int:
       entries (R's, a random draw, a product and its comparand and their
       temporaries), the index arrays of the 4-subsets the draw's Bianchi
       projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
-      lists (of order tau n^3).  With every cache empty the catalog
-      traced 1.44 n^4 at n = 40, 56 and 64, and a whole ``verify``, model
-      included, 1.7 to 2.0 n^4 at n = 24..56;
+      lists (of order tau n^3).  A catalog call holds its model's
+      arrays only while it runs.  With the caches by dimension empty the
+      catalog traced 1.7 n^4 at n = 40, 56 and 64, and a whole
+      ``verify``, model included, 1.7 to 1.75 n^4 at n = 24..56;
 
     and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """

@@ -155,8 +155,10 @@ def tt_basis(n: int, tau: int) -> np.ndarray:
     over the units, the diagonal columns are e_alpha (x) w_b for b =
     1..m-1, alpha = 0..tau, and then u_a (x) w_0 for a = 1..tau.  For the
     sphere (tau = 0) they are ``_ladder(n)``, bit for bit.  Shape (n^2,
-    n(n+1)/2 - 1).
+    n(n+1)/2 - 1).  ValueError unless n is a positive multiple of tau + 1.
     """
+    if not (n > 0 and tau >= 0 and n % (tau + 1) == 0):
+        raise ValueError(f"n = {n} is not a positive multiple of tau + 1")
     off = n * (n - 1) // 2
     B = np.zeros((n * n, off + n - 1))
     i, j = _pair_index(n)
@@ -772,11 +774,10 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     absence of tabulated reference data is recorded rather than silently
     skipped.
 
-    A bad ``p``, ``samples`` or ``seed`` (as in ``min_eigen_tt``) raises
-    ValueError before the form is assembled.
+    A bad ``p`` (``hp_scale``), ``samples`` or ``seed`` (as in
+    ``min_eigen_tt``) raises ValueError before the form is assembled.
     """
-    if not 2 <= p < math.inf:
-        raise ValueError("verdicts are tabulated for finite p >= 2 only")
+    scale = hp_scale(p, model.R_norm2)
     _require_count("samples", samples)
     _require_count("seed", seed, least=0)
     regime = "compact" if model.compact else "noncompact"
@@ -788,7 +789,7 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
         notes.append("rayleigh sample fell below the jacobi minimum")
 
     if cert.eig_min > 0:
-        eps = hp_scale(p, model.R_norm2) * cert.eig_min
+        eps = scale * cert.eig_min
         tt_verdict = "stable-strict"
     else:
         eps = None

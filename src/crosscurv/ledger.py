@@ -59,10 +59,11 @@ The identity catalog at the bottom pairs each named identity with an
 independent numeric evaluator on concrete models; ``verify_identity_numeric``
 drives random trials and reports PASS/FAIL without aborting on failure.
 The evaluators read a model only through the nonzeros of R and the (pi, s)
-of its structure operators, from arrays built once per model
-(``_catalog_arrays``; the curvature action and structure average are the
-trace-free form's maps), and work in the pair basis of 2-vectors: a random
-curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
+of its structure operators, from arrays that one call of
+``verify_identity_numeric`` builds on first read and holds only while it
+runs (``_CatalogArrays``; the curvature action and structure average are
+the trace-free form's maps), and work in the pair basis of 2-vectors: a
+random curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
 So no trial makes an n^4 array.  The products with R's pair-basis matrix
 P are dense GEMMs of about n^6 / 8 steps; at n = 16, 40 and 64 each took
 less time than one O(n^4) draw.
@@ -76,8 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from types import SimpleNamespace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -511,7 +511,7 @@ def noncompact_chain() -> NoncompactChain:
 class IdentityCheck:
     id: str
     tier: str  # "required" or "report"
-    evaluate: callable = field(repr=False)  # (model, rng) -> dict
+    evaluate: callable = field(repr=False)  # (model, arrays, rng) -> dict
     input_free: bool = False
 
 
@@ -540,58 +540,65 @@ def _wedge_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _catalog_arrays(model) -> SimpleNamespace:
-    """What the identity catalog reads of a model, built once per model
+class _CatalogArrays:
+    """What the identity catalog reads of a model, for one call of
+    ``verify_identity_numeric``.  Each part is built on its first read
     from the nonzeros of R (``R_keys``, ``R_values``) and the (pi, s) of
     the structure operators (``J.perms``), so that no trial makes an n^4
-    array.  The cache is keyed on the model object, so a model must not be
-    changed in place after its catalog runs.  The arrays:
+    array, and is dropped with the object when the call returns:
 
-    terms    the entry lists (rows, columns, values) on vec(h) that the
+    terms(key)
+             the entry lists (rows, columns, values) on vec(h) that the
              trace-free form is assembled from (``hessian._term_entries``),
              at the model's scale: the curvature action L (IP_RRING_H) and
              the structure average G (IP_H_HTILDE), which ``_apply``
              applies to h, and the K_PAIR and RR_KN pairings;
     P        the pair-basis matrix of R, scattered from its nonzeros;
-    push     per J, the pushforward on 2-vectors, a signed permutation of
-             the pairs, as (src, sign): (Lambda^2 J) X = sign X[src] by rows;
-    omega    the N x tau matrix of the pair vectors of the J^T;
-    omega_pairs
-             the N x tau (tau + 1) / 2 matrix of the unit-pair forms of
-             compose-self-structure.
+    structure
+             per J, the pushforward on 2-vectors, a signed permutation of
+             the pairs, as (src, sign): (Lambda^2 J) X = sign X[src] by
+             rows; and omega, the N x tau matrix of the pair vectors of
+             the J^T.
     """
-    n = model.n
-    nz = (*np.unravel_index(model.R_keys, (n,) * 4), model.R_values)
-    i0, i1, i2, i3, v = nz
-    ii, jj = _pair_index(n)
-    N = ii.size
-    pair = _pair_lookup(n)
-    upper = (i0 < i1) & (i2 < i3)
-    rows, cols = pair[i0[upper], i1[upper]], pair[i2[upper], i3[upper]]
-    vals = v[upper]
-    P = np.zeros((N, N))
-    P[rows, cols] = vals
-    push, omega = [], np.zeros((N, model.tau))
-    for a, (pi, s) in enumerate(model.J.perms):
-        src, sign = np.empty(N, dtype=np.intp), np.empty(N)
-        dest = pair[pi[ii], pi[jj]]
-        src[dest] = np.arange(N)
-        sign[dest] = s[ii] * s[jj] * np.where(pi[ii] < pi[jj], 1.0, -1.0)
-        push.append((src, sign))
-        W = np.zeros((n, n))
-        W[np.arange(n), pi] = s  # J^T[x, pi x] = s_x
-        omega[:, a] = W[ii, jj]
-    m = n // (model.tau + 1)
-    units = [(a, b) for a in range(model.tau + 1)
-             for b in range(a + 1, model.tau + 1)]
-    omega_pairs = np.zeros((N, len(units)))
-    for k, (a, b) in enumerate(units):
-        omega_pairs[pair[a * m + np.arange(m), b * m + np.arange(m)], k] = 1.0
-    terms = {key: _term_entries(model, key, nz)
-             for key in ("IP_RRING_H", "IP_H_HTILDE", "K_PAIR", "RR_KN")}
-    return SimpleNamespace(N=N, terms=terms, P=P, push=push, omega=omega,
-                           omega_pairs=omega_pairs)
+
+    def __init__(self, model):
+        self.model = model
+        self._terms: dict = {}
+
+    def terms(self, key: str) -> tuple:
+        if key not in self._terms:
+            self._terms[key] = _term_entries(self.model, key, self._nz)
+        return self._terms[key]
+
+    @cached_property
+    def _nz(self) -> tuple:
+        n = self.model.n
+        return (*np.unravel_index(self.model.R_keys, (n,) * 4),
+                self.model.R_values)
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        i0, i1, i2, i3, v = self._nz
+        n, pair = self.model.n, _pair_lookup(self.model.n)
+        upper = (i0 < i1) & (i2 < i3)
+        P = np.zeros((n * (n - 1) // 2,) * 2)
+        P[pair[i0[upper], i1[upper]], pair[i2[upper], i3[upper]]] = v[upper]
+        return P
+
+    @cached_property
+    def structure(self) -> tuple:
+        ii, jj = _pair_index(self.model.n)
+        pair, N = _pair_lookup(self.model.n), ii.size
+        push, omega = [], np.zeros((N, self.model.tau))
+        for a, (pi, s) in enumerate(self.model.J.perms):
+            src, sign = np.empty(N, dtype=np.intp), np.empty(N)
+            dest = pair[pi[ii], pi[jj]]
+            src[dest] = np.arange(N)
+            sign[dest] = s[ii] * s[jj] * np.where(pi[ii] < pi[jj], 1.0, -1.0)
+            push.append((src, sign))
+            # J^T[x, pi x] = s_x, read at the pairs x < pi x
+            omega[:, a] = np.where(pi[ii] == jj, s[ii], 0.0)
+        return push, omega
 
 
 def _apply(arrays, key: str, h: np.ndarray) -> np.ndarray:
@@ -599,7 +606,7 @@ def _apply(arrays, key: str, h: np.ndarray) -> np.ndarray:
     symmetrized: the curvature action B (IP_RRING_H) or the structure
     average ht (IP_H_HTILDE), whose dense copies are ``r_ring`` and
     ``tilde`` in the tests' oracle (``tests/dense_oracle.py``)."""
-    rows, cols, w = arrays.terms[key]
+    rows, cols, w = arrays.terms(key)
     n = h.shape[0]
     out = np.bincount(rows, weights=w * h.ravel()[cols], minlength=n * n)
     out = out.reshape(n, n)
@@ -608,7 +615,7 @@ def _apply(arrays, key: str, h: np.ndarray) -> np.ndarray:
 
 def _pairing(arrays, key: str, h: np.ndarray) -> float:
     """The K_PAIR or RR_KN pairing of h with itself, from its entry list."""
-    rows, cols, w = arrays.terms[key]
+    rows, cols, w = arrays.terms(key)
     flat = h.ravel()
     return float(w @ (flat[rows] * flat[cols]))
 
@@ -624,11 +631,10 @@ def _residual(lhs, rhs, scale: float) -> float:
     return gap / max(scale, float(np.max(np.abs(lhs))))
 
 
-def _ev_curvature_action_affine(model, rng):
+def _ev_curvature_action_affine(model, arrays, rng):
     """The curvature action on symmetric tensors is the affine combination
     3c ht - c h + c tr(h) g."""
     nn = model.n
-    arrays = _catalog_arrays(model)
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
     h = h / np.sqrt(np.sum(h * h))
     lhs = _apply(arrays, "IP_RRING_H", h)
@@ -638,28 +644,33 @@ def _ev_curvature_action_affine(model, rng):
     return {"residual": _residual(lhs, rhs, abs(model.c))}
 
 
-def _ev_compose_structure(model, rng):
+def _ev_compose_structure(model, arrays, rng):
     """Composition with the model operator decomposes through the structure
     pushforwards and pair forms."""
-    arrays = _catalog_arrays(model)
     P1 = _unit_curvature(model.n, rng)
-    rhs = P1 + 2.0 * arrays.omega @ (arrays.omega.T @ P1)
-    for src, sign in arrays.push:
+    push, omega = arrays.structure
+    rhs = P1 + 2.0 * omega @ (omega.T @ P1)
+    for src, sign in push:
         rhs += sign[:, None] * P1[src]
     rhs *= model.c
     return {"residual": _residual(arrays.P @ P1, rhs, abs(model.c))}
 
 
-def _ev_compose_self_structure(model, rng):
+def _ev_compose_self_structure(model, arrays, rng):
     """Self-composition of the model operator in terms of the paired
-    structure forms."""
-    arrays = _catalog_arrays(model)
-    P, om = arrays.P, arrays.omega_pairs
-    rhs = model.c * (model.tau + 1) * (P + om @ (om.T @ P))
+    structure forms: the N x tau (tau + 1) / 2 matrix om of the unit-pair
+    forms, which pair the lines of units a < b."""
+    t1, pair = model.tau + 1, _pair_lookup(model.n)
+    m = model.n // t1
+    units = [(a, b) for a in range(t1) for b in range(a + 1, t1)]
+    P, om = arrays.P, np.zeros((arrays.P.shape[0], len(units)))
+    for k, (a, b) in enumerate(units):
+        om[pair[a * m + np.arange(m), b * m + np.arange(m)], k] = 1.0
+    rhs = model.c * t1 * (P + om @ (om.T @ P))
     return {"residual": _residual(P @ P, rhs, model.c**2)}
 
 
-def _ev_norm_closed_form(model, rng):
+def _ev_norm_closed_form(model, arrays, rng):
     """The closed form for the squared curvature norm."""
     claimed = norm2_closed_claimed(model.n, model.tau, model.c)
     direct = model.R_norm2
@@ -670,11 +681,10 @@ def _ev_norm_closed_form(model, rng):
     }
 
 
-def _ev_kn_pairing_reduction(model, rng):
+def _ev_kn_pairing_reduction(model, arrays, rng):
     """Reduction of the exterior pairing to the curvature action plus a
     norm multiple."""
     nn = model.n
-    arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
     lhs = _pairing(arrays, "RR_KN", h)
     on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
@@ -684,7 +694,8 @@ def _ev_kn_pairing_reduction(model, rng):
             "lhs": lhs, "rhs": rhs}
 
 
-def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
+def _ricci_trace_terms(model, arrays, P1: np.ndarray,
+                       x: np.ndarray) -> tuple:
     """The terms of compose-ricci-trace for the curvature tensor R1 with
     the pair-basis matrix P1 and a vector x: x Ric(R o R1) x, x Ric(R1) x,
     sum_J sum_a R1(x, e_a, J x, J e_a) and sum_J sum_a R1(x, J x, e_a,
@@ -695,11 +706,10 @@ def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
     and sum_a (x ^ e_a) P1 (x ^ e_a); in the first J-sum y ^ J e_a is
     s_a y ^ e_{pi a} for y = J x, and the second is 2 (x ^ y) P1 omega_J.
     """
-    arrays = _catalog_arrays(model)
     ii, jj = _pair_index(model.n)
     X = _wedge_columns(x)
     Z = P1 @ X
-    P1_omega = P1 @ arrays.omega
+    P1_omega = P1 @ arrays.structure[1]
     sum1 = sum2 = 0.0
     for a, (pi, s) in enumerate(model.J.perms):
         y = np.empty_like(x)
@@ -710,7 +720,7 @@ def _ricci_trace_terms(model, P1: np.ndarray, x: np.ndarray) -> tuple:
             sum1, sum2)
 
 
-def _ev_compose_ricci_trace(model, rng):
+def _ev_compose_ricci_trace(model, arrays, rng):
     """The trace of a composed operator via structure contractions of the
     second factor."""
     # The display weights the pairing term by 1/2; taking the trace of the
@@ -720,7 +730,7 @@ def _ev_compose_ricci_trace(model, rng):
     P1 = _unit_curvature(nn, rng)
     x = rng.standard_normal(nn)
     x /= np.linalg.norm(x)
-    lhs, ricci1, sum1, sum2 = _ricci_trace_terms(model, P1, x)
+    lhs, ricci1, sum1, sum2 = _ricci_trace_terms(model, arrays, P1, x)
     base = model.c * ricci1
     rhs = base + model.c * (sum1 + 0.5 * sum2)
     rhs_corrected = base + model.c * (sum1 + sum2)
@@ -730,11 +740,10 @@ def _ev_compose_ricci_trace(model, rng):
     }
 
 
-def _ev_k_pairing_closed_form(model, rng):
+def _ev_k_pairing_closed_form(model, arrays, rng):
     """The closed form for the quadratic curvature pairing in terms of the
     structure average."""
     nn = model.n
-    arrays = _catalog_arrays(model)
     h = _unit_tt(nn, rng)
     lhs = _pairing(arrays, "K_PAIR", h)
     hplus = _apply(arrays, "IP_H_HTILDE", h) + h
@@ -749,11 +758,11 @@ def _ev_k_pairing_closed_form(model, rng):
     }
 
 
-def _ev_tilde_norm_relation(model, rng):
+def _ev_tilde_norm_relation(model, arrays, rng):
     """The pointwise relation between a tensor, its structure average, and
     their norms."""
     h = _unit_tt(model.n, rng)
-    ht = _apply(_catalog_arrays(model), "IP_H_HTILDE", h)
+    ht = _apply(arrays, "IP_H_HTILDE", h)
     t = model.tau
     lhs = t * float(np.sum(h * h)) + 2 * t * float(np.sum(h * ht))
     rhs = float(np.sum(ht * ht))
@@ -768,48 +777,21 @@ def identity_catalog() -> dict:
     report: failures are recorded as findings only.
     """
     entries = [
-        IdentityCheck(
-            id="curvature-action-affine",
-            tier="required",
-            evaluate=_ev_curvature_action_affine,
-        ),
-        IdentityCheck(
-            id="compose-structure",
-            tier="required",
-            evaluate=_ev_compose_structure,
-        ),
-        IdentityCheck(
-            id="compose-self-structure",
-            tier="required",
-            evaluate=_ev_compose_self_structure,
-            input_free=True,
-        ),
-        IdentityCheck(
-            id="norm-closed-form",
-            tier="required",
-            evaluate=_ev_norm_closed_form,
-            input_free=True,
-        ),
-        IdentityCheck(
-            id="kn-pairing-reduction",
-            tier="required",
-            evaluate=_ev_kn_pairing_reduction,
-        ),
-        IdentityCheck(
-            id="compose-ricci-trace",
-            tier="required",
-            evaluate=_ev_compose_ricci_trace,
-        ),
-        IdentityCheck(
-            id="k-pairing-closed-form",
-            tier="report",
-            evaluate=_ev_k_pairing_closed_form,
-        ),
-        IdentityCheck(
-            id="tilde-norm-relation",
-            tier="report",
-            evaluate=_ev_tilde_norm_relation,
-        ),
+        IdentityCheck("curvature-action-affine", "required",
+                      _ev_curvature_action_affine),
+        IdentityCheck("compose-structure", "required", _ev_compose_structure),
+        IdentityCheck("compose-self-structure", "required",
+                      _ev_compose_self_structure, input_free=True),
+        IdentityCheck("norm-closed-form", "required", _ev_norm_closed_form,
+                      input_free=True),
+        IdentityCheck("kn-pairing-reduction", "required",
+                      _ev_kn_pairing_reduction),
+        IdentityCheck("compose-ricci-trace", "required",
+                      _ev_compose_ricci_trace),
+        IdentityCheck("k-pairing-closed-form", "report",
+                      _ev_k_pairing_closed_form),
+        IdentityCheck("tilde-norm-relation", "report",
+                      _ev_tilde_norm_relation),
     ]
     return {e.id: e for e in entries}
 
@@ -829,9 +811,9 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     ``trials`` that is not an integer of at least 1, ``seed`` that is not
     one of at least 0 (a bool is neither), or ``tol`` that is not a
     finite positive real (nor a bool) raises ValueError before any draw
-    is made.  A direct call leaves ``_catalog_arrays`` and
-    ``_bianchi_entries`` filled (88 MiB at hp16, traced); ``verify_catalog``
-    clears both.
+    is made.  The call holds the model's catalog arrays
+    (``_CatalogArrays``) and the draw's 4-subset index arrays only while it
+    runs: it returns holding nothing of model size.
     """
     _require_count("trials", trials)
     _require_count("seed", seed, least=0)
@@ -842,7 +824,11 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     entry = catalog[lemma_id]
     rng = np.random.default_rng(seed)
     runs = 1 if entry.input_free else trials
-    outs = [entry.evaluate(model, rng) for _ in range(runs)]
+    arrays = _CatalogArrays(model)
+    try:
+        outs = [entry.evaluate(model, arrays, rng) for _ in range(runs)]
+    finally:
+        _bianchi_entries.cache_clear()
     worst = max(out["residual"] for out in outs)
     free = [out.get("residual_rescaled", out["residual"]) for out in outs]
     worst_free = max(free)
@@ -870,13 +856,9 @@ def verify_catalog(model, trials: int = 16, seed: int = 0,
                    tol: float = 1e-8) -> list:
     """The findings of every catalog identity on a model, in catalog order
     (``verify_identity_numeric``, whose refusals of ``trials``, ``seed``
-    and ``tol`` come before any draw).  The model's catalog arrays and the
-    draw's 4-subset index arrays are released at the end, so a caller that
-    goes on to other work does not hold them."""
-    try:
-        return [verify_identity_numeric(name, model, trials=trials,
-                                        seed=seed, tol=tol)
-                for name in identity_catalog()]
-    finally:
-        _catalog_arrays.cache_clear()
-        _bianchi_entries.cache_clear()
+    and ``tol`` come before any draw).  Each call holds the model's
+    catalog arrays only while it runs, so a caller that goes on to other
+    work does not hold them."""
+    return [verify_identity_numeric(name, model, trials=trials, seed=seed,
+                                    tol=tol)
+            for name in identity_catalog()]

@@ -425,14 +425,12 @@ EVERY_COMMAND = ("model", "certify", "verify", "report")
 def test_memory_estimate_bounds_traced_peak(args, n, commands):
     # the arrays alone: the estimate less its allowance for the
     # interpreter, after one untraced run for the one-time allocations;
-    # the arrays cached by dimension or model are dropped before the
-    # traced run, so it builds them as a fresh process does
+    # the arrays cached by dimension are dropped before the traced run, so
+    # it builds them as a fresh process does
     import tracemalloc
 
-    from crosscurv import ledger
-
     cached = (tensors._pair_index, tensors._pair_lookup,
-              tensors._bianchi_entries, ledger._catalog_arrays)
+              tensors._bianchi_entries)
     for command in commands:
         argv = [command, *args, *FAST]
         run(argv)

@@ -73,6 +73,15 @@ def test_tt_basis_of_the_sphere_is_the_diagonal_ladder(n):
     assert tt_basis(n, 0).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n,tau", [(5, 1), (0, 0), (6, 3), (-4, 1),
+                                   (4, -1)])
+def test_tt_basis_refuses_a_dimension_off_its_lines(n, tau):
+    # the coordinates split into tau + 1 units of n / (tau + 1) lines; any
+    # other shape is refused by name, not by numpy's reshape or allocation
+    with pytest.raises(ValueError, match="positive multiple of tau"):
+        tt_basis(n, tau)
+
+
 def test_tt_dimension_octonionic_plane():
     # n = 16 gives 16*17/2 - 1 = 135 trace-free directions
     assert tt_basis(16, 7).shape[1] == 135

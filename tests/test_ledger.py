@@ -274,7 +274,8 @@ def test_tied_trials_report_the_first_trials_details():
     # are those of the first trial, not of the one rounding favours
     model, rng = _model("cp3"), np.random.default_rng(5)
     evaluate = identity_catalog()["k-pairing-closed-form"].evaluate
-    trials = [evaluate(model, rng) for _ in range(8)]
+    arrays = ledger._CatalogArrays(model)
+    trials = [evaluate(model, arrays, rng) for _ in range(8)]
     free = [t["residual_rescaled"] for t in trials]
     assert max(free) - min(free) <= 1e-14 * max(free)
     assert len({t["lhs"] for t in trials}) == 8
