@@ -47,7 +47,8 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import RAYLEIGH_CHUNK, stability_verdict
+from crosscurv.hessian import (RAYLEIGH_CHUNK, _require_count, _require_real,
+                               hp_scale, stability_verdict)
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -154,10 +155,10 @@ def memory_estimate(command: str, n: int) -> int:
       entries (R's, a random draw, a product and its comparand and their
       temporaries), the index arrays of the 4-subsets the draw's Bianchi
       projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
-      lists (of order tau n^3).  A catalog call holds its model's
-      arrays only while it runs.  With the caches by dimension empty the
-      catalog traced 1.7 n^4 at n = 40, 56 and 64, and a whole
-      ``verify``, model included, 1.7 to 1.75 n^4 at n = 24..56;
+      lists (of order tau n^3).  A catalog call owns every table it reads,
+      and ``tensors`` keeps nothing between calls: the catalog traced 1.7
+      n^4 at n = 40, 56 and 64, and a whole ``verify``, model included,
+      1.7 to 1.75 n^4 at n = 24..56;
 
     and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
     """
@@ -240,20 +241,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 f"{need / 2**30:.1f} GiB, above the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
             )
-    for key in ("c", "p", "tol"):
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"--{key} must be finite, got {cfg[key]}")
+    if not math.isfinite(cfg["c"]):
+        raise ConfigError(f"--c must be finite, got {cfg['c']}")
     if cfg["c"] <= 0:
         raise ConfigError("--c is a positive magnitude; use --sign for "
                           "the non-compact dual")
-    if cfg["p"] < 2:
-        raise ConfigError("--p must be at least 2")
-    if cfg["trials"] < 1:
-        raise ConfigError("--trials must be positive")
-    if cfg["seed"] < 0:
-        raise ConfigError(f"--seed must be non-negative, got {cfg['seed']}")
-    if cfg["tol"] <= 0:
-        raise ConfigError("--tol must be positive")
+    try:
+        hp_scale(cfg["p"], 1.0)
+        _require_count("--trials", cfg["trials"])
+        _require_count("--seed", cfg["seed"], least=0)
+        _require_real("--tol", cfg["tol"], above=True)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg["out"]:
         folder = os.path.dirname(os.path.abspath(cfg["out"]))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):

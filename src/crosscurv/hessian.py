@@ -75,7 +75,7 @@ import numpy as np
 
 from crosscurv import jacobi
 from crosscurv.jacobi import jacobi_eigs
-from crosscurv.tensors import _pair_index, _pair_lookup, pairs_by_key
+from crosscurv.tensors import _pair_lookup, pairs_by_key
 from crosscurv.models import (
     CurvatureModel,
     NoSpectralDataError,
@@ -161,7 +161,7 @@ def tt_basis(n: int, tau: int) -> np.ndarray:
         raise ValueError(f"n = {n} is not a positive multiple of tau + 1")
     off = n * (n - 1) // 2
     B = np.zeros((n * n, off + n - 1))
-    i, j = _pair_index(n)
+    i, j = np.triu_indices(n, 1)
     pos = np.arange(off)
     B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
     lines = n // (tau + 1)
@@ -290,7 +290,7 @@ class QuadForm:
         every two lines a < b (line 0 to a, line 1 to b), "each" is the
         first of the m - 1 copies of A - B and "top" the tau x tau block."""
         n, units = self.n, self.tau + 1
-        lines = n // units
+        lines, pair = n // units, _pair_lookup(n)
 
         def copies(kind, base):
             if kind in ("each", "top"):
@@ -300,7 +300,7 @@ class QuadForm:
                     else np.triu_indices(lines, 1))
             x, y = (z + np.where(z % lines == 0, a[:, None], b[:, None] - 1)
                     for z in np.divmod(base, n))
-            return _pair_lookup(n)[x, y]
+            return pair[x, y]
 
         rows = [np.concatenate([copies(*part) for part in parts])
                 for parts in self.origins]

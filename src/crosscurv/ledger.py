@@ -64,9 +64,10 @@ of its structure operators, from arrays that one call of
 runs (``_CatalogArrays``; the curvature action and structure average are
 the trace-free form's maps), and work in the pair basis of 2-vectors: a
 random curvature tensor is drawn there (``tensors.random_curvature_lambda2``).
-So no trial makes an n^4 array.  The products with R's pair-basis matrix
-P are dense GEMMs of about n^6 / 8 steps; at n = 16, 40 and 64 each took
-less time than one O(n^4) draw.
+So no trial makes an n^4 array, and ``tensors`` keeps nothing between
+calls: the call owns its pair and 4-subset tables too.  The products with
+R's pair-basis matrix P are dense GEMMs of about n^6 / 8 steps; at n = 16,
+40 and 64 each took less time than one O(n^4) draw.
 Both sides of an identity of degree k in c scale as |c|^k, and its residual
 is relative to max(|c|^k, max |lhs|) (``_residual``), so residuals and
 outcomes are the same at every curvature scale.  The one exception is the
@@ -93,7 +94,6 @@ from crosscurv.laurent import GENERATORS, Laurent
 from crosscurv.models import einstein_constant, norm2_closed_claimed
 from crosscurv.tensors import (
     _bianchi_entries,
-    _pair_index,
     _pair_lookup,
     random_curvature_lambda2,
     random_symtensor,
@@ -520,20 +520,19 @@ def _unit_tt(nn: int, rng: np.random.Generator):
     return h / np.sqrt(np.sum(h * h))
 
 
-def _unit_curvature(nn: int, rng: np.random.Generator):
+def _unit_curvature(arrays, rng: np.random.Generator):
     """The pair-basis matrix P1 of a random curvature tensor R1 of unit
-    norm: |R1|^2 = 4 |P1|^2."""
+    norm, |R1|^2 = 4 |P1|^2, drawn with the call's Bianchi table."""
     seed = int(rng.integers(0, 2**31))
-    P1 = random_curvature_lambda2(nn, seed=seed)
+    P1 = random_curvature_lambda2(arrays.model.n, seed=seed,
+                                  entries=arrays.bianchi)
     return P1 / (2.0 * np.linalg.norm(P1))
 
 
-def _wedge_columns(x: np.ndarray) -> np.ndarray:
-    """The N x n matrix whose column a is x ^ e_a in the pair basis:
-    x_i at the pair (i, a) for i < a, -x_j at the pair (a, j) for a < j."""
-    n = x.size
-    ii, jj = _pair_index(n)
-    out = np.zeros((ii.size, n))
+def _wedge_columns(x: np.ndarray, ii, jj) -> np.ndarray:
+    """The N x n matrix whose column a is x ^ e_a in the basis of the pairs
+    ii < jj: x_i at the pair (i, a) for i < a, -x_j at (a, j) for a < j."""
+    out = np.zeros((ii.size, x.size))
     at = np.arange(ii.size)
     out[at, jj] = x[ii]
     out[at, ii] = -x[jj]
@@ -553,6 +552,9 @@ class _CatalogArrays:
              at the model's scale: the curvature action L (IP_RRING_H) and
              the structure average G (IP_H_HTILDE), which ``_apply``
              applies to h, and the K_PAIR and RR_KN pairings;
+    pairs, lookup, bianchi
+             the pairs i < j, the n x n pair numbers and the draws'
+             4-subset table (``tensors._pair_lookup``, ``_bianchi_entries``);
     P        the pair-basis matrix of R, scattered from its nonzeros;
     structure
              per J, the pushforward on 2-vectors, a signed permutation of
@@ -576,10 +578,14 @@ class _CatalogArrays:
         return (*np.unravel_index(self.model.R_keys, (n,) * 4),
                 self.model.R_values)
 
+    pairs = cached_property(lambda self: np.triu_indices(self.model.n, 1))
+    lookup = cached_property(lambda self: _pair_lookup(self.model.n))
+    bianchi = cached_property(lambda self: _bianchi_entries(self.model.n))
+
     @cached_property
     def P(self) -> np.ndarray:
         i0, i1, i2, i3, v = self._nz
-        n, pair = self.model.n, _pair_lookup(self.model.n)
+        n, pair = self.model.n, self.lookup
         upper = (i0 < i1) & (i2 < i3)
         P = np.zeros((n * (n - 1) // 2,) * 2)
         P[pair[i0[upper], i1[upper]], pair[i2[upper], i3[upper]]] = v[upper]
@@ -587,8 +593,8 @@ class _CatalogArrays:
 
     @cached_property
     def structure(self) -> tuple:
-        ii, jj = _pair_index(self.model.n)
-        pair, N = _pair_lookup(self.model.n), ii.size
+        (ii, jj), pair = self.pairs, self.lookup
+        N = ii.size
         push, omega = [], np.zeros((N, self.model.tau))
         for a, (pi, s) in enumerate(self.model.J.perms):
             src, sign = np.empty(N, dtype=np.intp), np.empty(N)
@@ -647,7 +653,7 @@ def _ev_curvature_action_affine(model, arrays, rng):
 def _ev_compose_structure(model, arrays, rng):
     """Composition with the model operator decomposes through the structure
     pushforwards and pair forms."""
-    P1 = _unit_curvature(model.n, rng)
+    P1 = _unit_curvature(arrays, rng)
     push, omega = arrays.structure
     rhs = P1 + 2.0 * omega @ (omega.T @ P1)
     for src, sign in push:
@@ -660,7 +666,7 @@ def _ev_compose_self_structure(model, arrays, rng):
     """Self-composition of the model operator in terms of the paired
     structure forms: the N x tau (tau + 1) / 2 matrix om of the unit-pair
     forms, which pair the lines of units a < b."""
-    t1, pair = model.tau + 1, _pair_lookup(model.n)
+    t1, pair = model.tau + 1, arrays.lookup
     m = model.n // t1
     units = [(a, b) for a in range(t1) for b in range(a + 1, t1)]
     P, om = arrays.P, np.zeros((arrays.P.shape[0], len(units)))
@@ -706,15 +712,15 @@ def _ricci_trace_terms(model, arrays, P1: np.ndarray,
     and sum_a (x ^ e_a) P1 (x ^ e_a); in the first J-sum y ^ J e_a is
     s_a y ^ e_{pi a} for y = J x, and the second is 2 (x ^ y) P1 omega_J.
     """
-    ii, jj = _pair_index(model.n)
-    X = _wedge_columns(x)
+    ii, jj = arrays.pairs
+    X = _wedge_columns(x, ii, jj)
     Z = P1 @ X
     P1_omega = P1 @ arrays.structure[1]
     sum1 = sum2 = 0.0
     for a, (pi, s) in enumerate(model.J.perms):
         y = np.empty_like(x)
         y[pi] = s * x
-        sum1 += float(np.sum(_wedge_columns(y)[:, pi] * s * Z))
+        sum1 += float(np.sum(_wedge_columns(y, ii, jj)[:, pi] * s * Z))
         sum2 += 2.0 * float((x[ii] * y[jj] - x[jj] * y[ii]) @ P1_omega[:, a])
     return (float(np.sum(arrays.P @ X * Z)), float(np.sum(X * Z)),
             sum1, sum2)
@@ -727,7 +733,7 @@ def _ev_compose_ricci_trace(model, arrays, rng):
     # (verified) composition identity instead gives weight 1.  Both residuals
     # are reported; the outcome follows the display.
     nn = model.n
-    P1 = _unit_curvature(nn, rng)
+    P1 = _unit_curvature(arrays, rng)
     x = rng.standard_normal(nn)
     x /= np.linalg.norm(x)
     lhs, ricci1, sum1, sum2 = _ricci_trace_terms(model, arrays, P1, x)
@@ -811,9 +817,9 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     ``trials`` that is not an integer of at least 1, ``seed`` that is not
     one of at least 0 (a bool is neither), or ``tol`` that is not a
     finite positive real (nor a bool) raises ValueError before any draw
-    is made.  The call holds the model's catalog arrays
-    (``_CatalogArrays``) and the draw's 4-subset index arrays only while it
-    runs: it returns holding nothing of model size.
+    is made.  The call owns every table it reads (``_CatalogArrays``), the
+    pair and 4-subset tables included: it returns holding nothing of model
+    size, and no cache is left to clear.
     """
     _require_count("trials", trials)
     _require_count("seed", seed, least=0)
@@ -825,10 +831,7 @@ def verify_identity_numeric(lemma_id: str, model, trials: int = 16,
     rng = np.random.default_rng(seed)
     runs = 1 if entry.input_free else trials
     arrays = _CatalogArrays(model)
-    try:
-        outs = [entry.evaluate(model, arrays, rng) for _ in range(runs)]
-    finally:
-        _bianchi_entries.cache_clear()
+    outs = [entry.evaluate(model, arrays, rng) for _ in range(runs)]
     worst = max(out["residual"] for out in outs)
     free = [out.get("residual_rescaled", out["residual"]) for out in outs]
     worst_free = max(free)

@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -581,7 +581,8 @@ def _contractions(model: CurvatureModel) -> tuple:
 
 
 def build_model(family: str, m: int, c: float, n: int | None = None) -> CurvatureModel:
-    """Build and validate a model tensor.  c > 0 compact, c < 0 dual.
+    """Build and validate a model tensor at ``float(c)``: c > 0 compact,
+    c < 0 dual; ValueError first for a c that is a bool or not a Real.
 
     Validation gates, any failure raises ModelValidationError: the scale
     range |c| in SCALE_RANGE, structure-operator invariants and line
@@ -601,6 +602,9 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     ``_contractions``); no n^4 array is made.  ``R_norm2`` is c^2 times
     the exact integer ``_Nonzeros.unit_norm2``, whatever lines are held.
     """
+    if isinstance(c, bool) or not isinstance(c, Real):
+        raise ValueError(f"curvature scale c must be a real number, got {c!r}")
+    c = float(c)
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
     low, high = SCALE_RANGE
@@ -614,7 +618,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     tau = J.tau
     nz = _choose_nonzeros(J, c)
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
-                           n=nn, tau=tau, c=float(c), nz=nz, J=J)
+                           n=nn, tau=tau, c=c, nz=nz, J=J)
     try:
         check_curvature_rules(nz.values, lambda order: nz.at(
             nn, tuple(nz.slots[k] for k in order)))

@@ -11,6 +11,9 @@ entries that share a key.  The seeded random generators draw a symmetric
 2-tensor and an algebraic curvature tensor, the latter in the pair basis
 (``random_curvature_lambda2``).
 
+The module keeps nothing between calls: its index tables are built by
+the call that reads them, or passed in by one that draws many times.
+
 The dense contractions are not here.  Those the second variation is
 built from (the curvature action, the structure average, the K and
 exterior pairings) are computed once, as entry lists
@@ -30,7 +33,6 @@ Conventions, fixed once:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -66,23 +68,12 @@ class CurvTensor4:
         check_curvature_rules(*_dense_terms(self.entries))
 
 
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only first and second indices of the lexicographic pairs i<j."""
-    ii, jj = np.triu_indices(n, k=1)
-    ii.flags.writeable = jj.flags.writeable = False
-    return ii, jj
-
-
-@lru_cache(maxsize=None)
 def _pair_lookup(n: int) -> np.ndarray:
-    """The read-only n x n array of pair numbers: [i, j] and [j, i] hold
-    the place of the pair i<j in the lexicographic basis (the diagonal
-    holds 0)."""
-    ii, jj = _pair_index(n)
+    """The n x n array of pair numbers: [i, j] and [j, i] hold the place
+    of the pair i<j in the lexicographic basis (the diagonal holds 0)."""
+    ii, jj = np.triu_indices(n, 1)
     out = np.zeros((n, n), dtype=np.intp)
     out[ii, jj] = out[jj, ii] = np.arange(ii.size)
-    out.flags.writeable = False
     return out
 
 
@@ -207,7 +198,6 @@ def random_symtensor(n: int, seed: int, trace_free: bool = False) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=1)
 def _bianchi_entries(n: int) -> np.ndarray:
     """Flat positions in the N x N pair-basis matrix of the entries that
     the first Bianchi identity ties together, one column per 4-subset
@@ -215,7 +205,7 @@ def _bianchi_entries(n: int) -> np.ndarray:
     [ad,bc] and rows 3, 4, 5 their transposes.  The columns of each a are
     filled from the 3-subsets b<c<d above it, a suffix of the 3-subsets in
     lexicographic order, so beside the result only O(n^3) words are
-    held.  Read-only."""
+    held."""
     ar = np.arange(n)
     b, c, d = np.nonzero((ar[:, None, None] < ar[:, None]) & (ar[:, None] < ar))
     pair, N = _pair_lookup(n), n * (n - 1) // 2
@@ -230,7 +220,6 @@ def _bianchi_entries(n: int) -> np.ndarray:
             out[row, at:at + tb.size] = p * N + q
             out[row + 3, at:at + tb.size] = q * N + p
         at += tb.size
-    out.flags.writeable = False
     return out
 
 
@@ -243,9 +232,10 @@ def _bianchi_sum(flat: np.ndarray, e: np.ndarray) -> np.ndarray:
     return flat[e[0]] - flat[e[1]] + flat[e[2]]
 
 
-def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
+def _project_bianchi(e: np.ndarray, P: np.ndarray) -> np.ndarray:
     """A symmetric pair-basis matrix P with the first Bianchi sum removed,
-    in place when P is C-contiguous (else in a copy).
+    in place when P is C-contiguous (else in a copy); ``e`` is its
+    ``_bianchi_entries`` table.
 
     The sum ties together only the three entries P[ab,cd], P[ac,bd],
     P[ad,bc] of each 4-subset a<b<c<d (and their transposes); with two
@@ -254,7 +244,7 @@ def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
     flat n^4 inner product, where each of those off-diagonal entries
     counts 8 times, and it keeps the matrix exactly symmetric.
     """
-    flat, e = P.reshape(-1), _bianchi_entries(n)
+    flat = P.reshape(-1)
     t = _bianchi_sum(flat, e) / 3.0
     for row, sign in zip(e, _BIANCHI_SIGNS):
         flat[row] -= sign * t
@@ -265,33 +255,33 @@ def _project_bianchi(n: int, P: np.ndarray) -> np.ndarray:
 EXCHANGE_ROWS = 64
 
 
-def _lambda2_residuals(n: int, M: np.ndarray) -> tuple:
+def _lambda2_residuals(e: np.ndarray, M: np.ndarray) -> tuple:
     """The pair exchange residual max |M - M^T|, over row blocks of the
     upper triangle against the matching column blocks (no N x N
     temporary, the same bits), and the first Bianchi residual of the
-    pair-basis matrix M of an n-dimensional operator."""
+    pair-basis matrix M at its ``_bianchi_entries`` table ``e``."""
     N = M.shape[0]
     exchange = max((_scale(M[r:r + EXCHANGE_ROWS, r:]
                            - M[r:, r:r + EXCHANGE_ROWS].T)
                     for r in range(0, N, EXCHANGE_ROWS)), default=0.0)
-    return exchange, _scale(_bianchi_sum(M.reshape(-1), _bianchi_entries(n)))
+    return exchange, _scale(_bianchi_sum(M.reshape(-1), e))
 
 
-def _check_lambda2_curvature(n: int, M: np.ndarray) -> None:
-    """ValueError unless the pair-basis matrix M of an n-dimensional
-    operator is an algebraic curvature tensor: pair exchange symmetry and
+def _check_lambda2_curvature(e: np.ndarray, M: np.ndarray) -> None:
+    """ValueError unless the pair-basis matrix M, with the 4-subset table
+    ``e``, is an algebraic curvature tensor: pair exchange symmetry and
     the first Bianchi identity to 1e-12 of its largest entry
     (``_lambda2_residuals``).  The antisymmetries hold in the pair basis
     by construction, so this is the check of ``CurvTensor4``."""
     tol = STRUCT_TOL * _scale(M)
-    exchange, bianchi = _lambda2_residuals(n, M)
+    exchange, bianchi = _lambda2_residuals(e, M)
     if exchange > tol:
         raise ValueError("pair exchange symmetry fails")
     if bianchi > tol:
         raise ValueError("first Bianchi identity fails")
 
 
-def random_curvature_lambda2(n: int, seed) -> np.ndarray:
+def random_curvature_lambda2(n: int, seed, entries=None) -> np.ndarray:
     """Seeded random algebraic curvature tensor as the matrix of its
     pair-basis operator.
 
@@ -301,7 +291,8 @@ def random_curvature_lambda2(n: int, seed) -> np.ndarray:
     symmetric matrix is drawn with variance 1/8 off the diagonal and 1/4
     on it, (G + G^T) / 4 for a standard-normal G, and projected onto the
     kernel of the first Bianchi sum in place (``_project_bianchi``).
-    Every draw is checked (``_check_lambda2_curvature``).
+    Every draw is checked (``_check_lambda2_curvature``).  Both read
+    ``entries``, ``_bianchi_entries(n)`` unless passed: the same draw.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -311,6 +302,8 @@ def random_curvature_lambda2(n: int, seed) -> np.ndarray:
     S = G + G.T
     del G
     S *= 0.25
-    P = _project_bianchi(n, S)
-    _check_lambda2_curvature(n, P)
+    if entries is None:  # built once G is gone, so it never sits beside it
+        entries = _bianchi_entries(n)
+    P = _project_bianchi(entries, S)
+    _check_lambda2_curvature(entries, P)
     return P

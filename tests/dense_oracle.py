@@ -24,7 +24,6 @@ import numpy as np
 from crosscurv import hessian, models
 from crosscurv.tensors import (
     CurvTensor4,
-    _pair_index,
     _pair_lookup,
     flat_index,
     gather,
@@ -58,7 +57,7 @@ def kn_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def to_lambda2(T: np.ndarray) -> np.ndarray:
     """A curvature-type tensor as an operator on 2-vectors."""
-    ii, jj = _pair_index(T.shape[0])
+    ii, jj = np.triu_indices(T.shape[0], 1)
     return T[ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
 
 
@@ -68,7 +67,7 @@ def from_lambda2(n: int, M: np.ndarray) -> np.ndarray:
     It is antisymmetric in both index pairs by construction, and pair
     symmetric only when M is symmetric.
     """
-    ii, jj = _pair_index(n)
+    ii, jj = np.triu_indices(n, 1)
     T = np.zeros((n, n, n, n))
     T[ii[:, None], jj[:, None], ii[None, :], jj[None, :]] = M
     T[jj[:, None], ii[:, None], ii[None, :], jj[None, :]] = -M
@@ -138,7 +137,7 @@ def tilde(h: np.ndarray, J) -> np.ndarray:
 
 def lambda2_pushforward(A: np.ndarray) -> np.ndarray:
     """Matrix of the induced map on 2-vectors: e_i ^ e_j -> A e_i ^ A e_j."""
-    ii, jj = _pair_index(A.shape[0])
+    ii, jj = np.triu_indices(A.shape[0], 1)
     # entry [(a,b),(c,d)] = A[a,c] A[b,d] - A[b,c] A[a,d]
     return (
         A[ii[:, None], ii[None, :]] * A[jj[:, None], jj[None, :]]
@@ -148,7 +147,7 @@ def lambda2_pushforward(A: np.ndarray) -> np.ndarray:
 
 def pair_vector(w: np.ndarray) -> np.ndarray:
     """Coordinates of an antisymmetric matrix in the pair basis."""
-    ii, jj = _pair_index(w.shape[0])
+    ii, jj = np.triu_indices(w.shape[0], 1)
     return w[ii, jj]
 
 
@@ -316,7 +315,7 @@ def onto_every_line(model, place, keys, vals) -> tuple:
     n = model.n
     size = place.max() + 1
     lines = n // (model.tau + 1)
-    ii, jj = _pair_index(n)
+    ii, jj = np.triu_indices(n, 1)
     ends = (np.concatenate([ii, np.arange(n)]),
             np.concatenate([jj, np.arange(n)]))
     xyzw = np.stack([end[p] for p in np.divmod(keys, size) for end in ends])

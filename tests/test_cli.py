@@ -425,17 +425,13 @@ EVERY_COMMAND = ("model", "certify", "verify", "report")
 def test_memory_estimate_bounds_traced_peak(args, n, commands):
     # the arrays alone: the estimate less its allowance for the
     # interpreter, after one untraced run for the one-time allocations;
-    # the arrays cached by dimension are dropped before the traced run, so
-    # it builds them as a fresh process does
+    # nothing is kept between runs, so the traced run builds every table
+    # as a fresh process does
     import tracemalloc
 
-    cached = (tensors._pair_index, tensors._pair_lookup,
-              tensors._bianchi_entries)
     for command in commands:
         argv = [command, *args, *FAST]
         run(argv)
-        for function in cached:
-            function.cache_clear()
         tracemalloc.start()
         try:
             code, _, _ = run(argv)

@@ -496,6 +496,31 @@ def test_non_finite_scale_is_refused(c):
         build_model("quaternionic", 1, c)
 
 
+@pytest.mark.parametrize("c", [True, False, np.True_, "1", 1j, None],
+                         ids=["True", "False", "numpy-True", "str",
+                              "complex", "None"])
+def test_scale_that_is_not_a_real_is_refused_before_any_work(monkeypatch, c):
+    def boom(*a, **k):
+        raise AssertionError("built a structure for a refused scale")
+    monkeypatch.setattr(models, "build_j_structure", boom)
+    with pytest.raises(ValueError, match="must be a real number"):
+        build_model("sphere", 0, c, n=5)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(-5, 2),
+                               np.float64(-0.5), np.float32(0.1),
+                               np.int64(2), 3, 0.1, -1 / 3],
+                         ids=["Fraction", "negative-Fraction", "float64",
+                              "float32", "int64", "int", "float",
+                              "negative-float"])
+def test_a_real_scale_builds_the_model_of_its_float(c):
+    got, want = (build_model("sphere", 0, x, n=5) for x in (c, float(c)))
+    assert type(got.c) is float and got.c == float(c) == want.c
+    assert got.R_keys.tobytes() == want.R_keys.tobytes()
+    assert got.R_values.tobytes() == want.R_values.tobytes()
+    assert model_constants(got) == model_constants(want)
+
+
 def test_overflowing_norm_is_refused():
     # R itself is finite at c = 1e200; its squared norm is not
     with pytest.raises(ModelValidationError):

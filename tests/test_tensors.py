@@ -20,7 +20,6 @@ from crosscurv.tensors import (
     _check_lambda2_curvature,
     _lambda2_residuals,
     _dense_terms,
-    _pair_index,
     _pair_lookup,
     _project_bianchi,
     CurvTensor4,
@@ -285,11 +284,12 @@ def test_pair_basis_bianchi_projection(n):
     N = n * (n - 1) // 2
     G = np.random.default_rng(n).standard_normal((N, N))
     S = G + G.T
-    P = _project_bianchi(n, S.copy())  # in place, on a copy
+    e = _bianchi_entries(n)
+    P = _project_bianchi(e, S.copy())  # in place, on a copy
     assert np.array_equal(P, P.T)
     want = to_lambda2(_project_curvature(from_lambda2(n, S)))
     assert np.max(np.abs(P - want)) <= 1e-15 * np.max(np.abs(S))
-    again = _project_bianchi(n, P.copy())
+    again = _project_bianchi(e, P.copy())
     assert np.max(np.abs(again - P)) <= 1e-15 * np.max(np.abs(P))
     draw = random_curvature_lambda2(n, seed=n)
     check_curvature_rules(*_dense_terms(from_lambda2(n, draw)))
@@ -297,18 +297,19 @@ def test_pair_basis_bianchi_projection(n):
 
 def test_pair_basis_draw_is_checked():
     n = 6
+    e = _bianchi_entries(n)
     P = random_curvature_lambda2(n, seed=1)
-    _check_lambda2_curvature(n, P)
+    _check_lambda2_curvature(e, P)
     skew = P.copy()
     skew[0, 1] += 1e-9 * np.max(np.abs(P))
     with pytest.raises(ValueError, match="pair exchange"):
-        _check_lambda2_curvature(n, skew)
+        _check_lambda2_curvature(e, skew)
     # [01,23] is one entry of the Bianchi triple of the subset {0, 1, 2, 3}
     bad = P.copy()
     bad[0, 9] += 1e-9 * np.max(np.abs(P))
     bad[9, 0] = bad[0, 9]
     with pytest.raises(ValueError, match="Bianchi"):
-        _check_lambda2_curvature(n, bad)
+        _check_lambda2_curvature(e, bad)
 
 
 def _draw_with_copies(n, seed):
@@ -338,17 +339,20 @@ def _draw_with_copies(n, seed):
 def test_draw_in_place_has_the_bits_of_the_copying_draw(n, seed):
     # the projection in place and the pair exchange residual over row
     # blocks give the draw and both residuals bit for bit, on the draw
-    # and on a perturbed, not pair-symmetric copy of it
+    # and on a perturbed, not pair-symmetric copy of it; a passed Bianchi
+    # table gives the same draw
     draw = random_curvature_lambda2(n, seed)
     want, residuals = _draw_with_copies(n, seed)
     assert draw.tobytes() == want.tobytes()
+    e = _bianchi_entries(n)
+    assert random_curvature_lambda2(n, seed, e).tobytes() == want.tobytes()
     S = want.copy()
-    assert np.shares_memory(_project_bianchi(n, S), S)
+    assert np.shares_memory(_project_bianchi(e, S), S)
     noisy = draw + 1e-3 * np.random.default_rng(seed).standard_normal(
         draw.shape)
     for M in (draw, noisy):
-        assert _lambda2_residuals(n, M) == residuals(M)
-    assert _lambda2_residuals(n, noisy)[0] > 0
+        assert _lambda2_residuals(e, M) == residuals(M)
+    assert _lambda2_residuals(e, noisy)[0] > 0
 
 
 def test_pair_basis_draw_is_the_standard_gaussian():
@@ -361,12 +365,33 @@ def test_pair_basis_draw_is_the_standard_gaussian():
     assert abs(np.mean(norms) - dim) <= 5.0 * np.sqrt(2.0 * dim / draws)
 
 
-def test_cached_index_arrays_are_read_only():
-    # the caches hand the same arrays to every caller, so a write into one
-    # would change every later model and form of that dimension
-    for arr in (*_pair_index(5), _pair_lookup(5), _bianchi_entries(5)):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 3
+@pytest.mark.parametrize("table", [_pair_lookup, _bianchi_entries])
+def test_index_tables_are_new_on_every_call(table):
+    # nothing is shared between calls, so a write into one table leaves
+    # the next call's table as it was
+    want = table(5).copy()
+    table(5)[0] = 3
+    assert np.array_equal(table(5), want)
+
+
+def test_a_direct_draw_returns_holding_nothing():
+    # the draw's Bianchi table, about n^4 / 4 words (4.2 MiB at n = 40),
+    # is built for the call and dropped with it; a smaller draw first
+    # makes the one-time allocations
+    import gc
+    import tracemalloc
+
+    random_curvature_lambda2(5, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        random_curvature_lambda2(40, 0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 0.1 * 2**20
 
 
 @pytest.mark.parametrize("key", [
