@@ -467,6 +467,15 @@ EVERY_DOCUMENT = [*((c, "json", c) for c in ("model", "certify", "verify",
           ("cp4_dual", ["--space", "cp", "--m", "4", "--sign", "noncompact"]),
       ]
       for command in ("certify", "report")),
+    # off c = +-1: op2 at c = 0.3 and hp2-dual at |c| = 1e6 pin the json
+    # document of every command
+    *(pytest.param(command, "json", name, args, id=f"{name}-{command}")
+      for name, args in [
+          ("op2_c0.3", ["--space", "op", "--m", "2", "--c", "0.3"]),
+          ("hp2_dual_c1e6", ["--space", "hp", "--m", "2", "--sign",
+                             "noncompact", "--c", "1e6"]),
+      ]
+      for command in ("model", "certify", "verify", "report")),
 ])
 def test_numeric_documents_are_pinned(command, fmt, name, args):
     code, out, err = run([command, *args, "--format", fmt, "--seed", "3"])
