@@ -266,10 +266,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _constants_block(model) -> dict:
     block = model_constants(model)
     audit = model.audit
-    block["frame_audit"] = {k: audit.residuals[k] for k in audit.gated}
-    block["frame_audit_reported"] = {
-        k: audit.residuals[k] for k in audit.reported
-    }
+    # the audit reads R at c = sign(c); at c its residuals are |c| times those
+    block["frame_audit"], block["frame_audit_reported"] = (
+        {k: audit.residuals[k] * abs(model.c) for k in rules}
+        for rules in (audit.gated, audit.reported))
     if audit.notes:
         block["frame_audit_notes"] = audit.notes
     return block

@@ -47,11 +47,11 @@ the isotropy group (Koiso, Osaka J. Math. 17, 1980; Besse, Einstein
 Manifolds, 12.H) the form falls into blocks of at most tau + 1 rows, a
 handful of classes at every m, and it is held as one block per class
 with its occurrence count; their places are made on demand.  C is built
-at unit scale, from R / |c| and the coefficients at c = sign(c), and the
-form is kept at that scale beside the factor c^2, which the certificate
-applies to its results.  Every entry of C is an integer or a
-half-integer, so the unit form does not depend on the order of summation
-or on the scale.
+at unit scale, from the R at c = sign(c) that the model holds and the
+coefficients there, and the form is kept at that scale beside the factor
+c^2, which the certificate applies to its results.  Every entry of C is
+an integer or a half-integer, so the unit form does not depend on the
+order of summation or on the scale.
 
 The certified trace-free coefficients follow the reference display.
 ``compact_tt_coefficients``, ``noncompact_tt_coefficients`` and
@@ -342,12 +342,11 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     basis.
 
     The form is assembled at unit scale and kept there, with c^2 as its
-    ``scale``.  The curvature terms read the unit-scale nonzeros R / |c|
-    (the small integers of the tensor at c = sign(c); the division is
-    exact at every scale tested), and ``weights`` maps basis quantities to
-    their weights at c = sign(c).  The coefficient sets are homogeneous of
-    degree 2 in c, so c^2 times the unit form is the form at c; its
-    nonzero pattern is the one at c = sign(c).
+    ``scale``.  The curvature terms read the nonzeros the model holds, the
+    small integers of the tensor at c = sign(c), and ``weights`` maps
+    basis quantities to their weights at c = sign(c).  The coefficient
+    sets are homogeneous of degree 2 in c, so c^2 times the unit form is
+    the form at c; its nonzero pattern is the one at c = sign(c).
 
     Each term's weighted entries between the places on lines 0 and 1,
     from the nonzeros of R whose free slots lie there and whose
@@ -367,7 +366,7 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
     top = np.maximum(np.maximum(line[i0], line[i1]),
                      np.maximum(line[i2], line[i3]))
     at = np.flatnonzero(near[i0] & (near[i1] | near[i2]) & (top <= 2))
-    unit = (i0[at], i1[at], i2[at], i3[at], nz.values[at] / abs(model.c))
+    unit = (i0[at], i1[at], i2[at], i3[at], nz.values[at])
     places = _places(n, lines)
     x, _, rank, table = places
     size = x.size
@@ -498,13 +497,12 @@ def noncompact_tt_coefficients(n, tau, c, R2) -> dict:
 
 def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
     """Trace-free remainder form for the sign of the model's curvature
-    scale: the display evaluated at c = sign(c) and the |R|^2 of R / |c|
+    scale: the display evaluated at c = sign(c) and the |R|^2 there
     (``_Nonzeros.unit_norm2``)."""
     display = (compact_tt_coefficients if model.compact
                else noncompact_tt_coefficients)
     return assemble_quadform(model, display(
-        model.n, model.tau, math.copysign(1.0, model.c),
-        model.nz.unit_norm2(model.c)))
+        model.n, model.tau, model.sign, model.nz.unit_norm2()))
 
 
 @dataclass

@@ -68,10 +68,11 @@ So no trial makes an n^4 array, and ``tensors`` keeps nothing between
 calls: the call owns its pair and 4-subset tables too.  The products with
 R's pair-basis matrix P are dense GEMMs of about n^6 / 8 steps; at n = 16,
 40 and 64 each took less time than one O(n^4) draw.
-Both sides of an identity of degree k in c scale as |c|^k, and its residual
-is relative to max(|c|^k, max |lhs|) (``_residual``), so residuals and
-outcomes are the same at every curvature scale.  The one exception is the
-literal k-pairing display, which pairs a degree-2 side with a degree-0 one.
+The catalog runs on the model at c = sign(c) (``CurvatureModel.R_unit``),
+where a residual is relative to max(1, max |lhs|) (``_residual``), so
+residuals and outcomes are the same at every scale; |c|^k is applied only
+to the values a finding prints.  The one exception is the literal k-pairing
+display, which pairs a degree-2 side with a degree-0 one.
 """
 
 from __future__ import annotations
@@ -540,16 +541,16 @@ def _wedge_columns(x: np.ndarray, ii, jj) -> np.ndarray:
 
 
 class _CatalogArrays:
-    """What the identity catalog reads of a model, for one call of
-    ``verify_identity_numeric``.  Each part is built on its first read
-    from the nonzeros of R (``R_keys``, ``R_values``) and the (pi, s) of
+    """What the identity catalog reads of a model at c = sign(c), for one
+    call of ``verify_identity_numeric``.  Each part is built on its first
+    read from the nonzeros of R there (``R_unit``) and the (pi, s) of
     the structure operators (``J.perms``), so that no trial makes an n^4
     array, and is dropped with the object when the call returns:
 
     terms(key)
              the entry lists (rows, columns, values) on vec(h) that the
-             trace-free form is assembled from (``hessian._term_entries``),
-             at the model's scale: the curvature action L (IP_RRING_H) and
+             trace-free form is assembled from (``hessian._term_entries``):
+             the curvature action L (IP_RRING_H) and
              the structure average G (IP_H_HTILDE), which ``_apply``
              applies to h, and the K_PAIR and RR_KN pairings;
     pairs, lookup, bianchi
@@ -574,9 +575,8 @@ class _CatalogArrays:
 
     @cached_property
     def _nz(self) -> tuple:
-        n = self.model.n
-        return (*np.unravel_index(self.model.R_keys, (n,) * 4),
-                self.model.R_values)
+        keys, values = self.model.R_unit
+        return (*np.unravel_index(keys, (self.model.n,) * 4), values)
 
     pairs = cached_property(lambda self: np.triu_indices(self.model.n, 1))
     lookup = cached_property(lambda self: _pair_lookup(self.model.n))
@@ -626,15 +626,11 @@ def _pairing(arrays, key: str, h: np.ndarray) -> float:
     return float(w @ (flat[rows] * flat[cols]))
 
 
-def _residual(lhs, rhs, scale: float) -> float:
-    """max |lhs - rhs| relative to max(scale, max |lhs|).
-
-    ``scale`` is the natural size of an identity of degree k in c, |c|^k,
-    so a residual, and with it the outcome, is the same at every curvature
-    scale; at c = +-1 the divisor is max(1, max |lhs|).
-    """
+def _residual(lhs, rhs) -> float:
+    """max |lhs - rhs| relative to max(1, max |lhs|), on the sides of an
+    identity at c = sign(c)."""
     gap = float(np.max(np.abs(np.subtract(lhs, rhs))))
-    return gap / max(scale, float(np.max(np.abs(lhs))))
+    return gap / max(1.0, float(np.max(np.abs(lhs))))
 
 
 def _ev_curvature_action_affine(model, arrays, rng):
@@ -644,10 +640,10 @@ def _ev_curvature_action_affine(model, arrays, rng):
     h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
     h = h / np.sqrt(np.sum(h * h))
     lhs = _apply(arrays, "IP_RRING_H", h)
-    on_ht, on_h, on_trace = _curvature_action_coefficients(model.c)
+    on_ht, on_h, on_trace = _curvature_action_coefficients(model.sign)
     rhs = (on_ht * _apply(arrays, "IP_H_HTILDE", h) + on_h * h
            + on_trace * np.trace(h) * np.eye(nn))
-    return {"residual": _residual(lhs, rhs, abs(model.c))}
+    return {"residual": _residual(lhs, rhs)}
 
 
 def _ev_compose_structure(model, arrays, rng):
@@ -658,8 +654,8 @@ def _ev_compose_structure(model, arrays, rng):
     rhs = P1 + 2.0 * omega @ (omega.T @ P1)
     for src, sign in push:
         rhs += sign[:, None] * P1[src]
-    rhs *= model.c
-    return {"residual": _residual(arrays.P @ P1, rhs, abs(model.c))}
+    rhs *= model.sign
+    return {"residual": _residual(arrays.P @ P1, rhs)}
 
 
 def _ev_compose_self_structure(model, arrays, rng):
@@ -672,18 +668,18 @@ def _ev_compose_self_structure(model, arrays, rng):
     P, om = arrays.P, np.zeros((arrays.P.shape[0], len(units)))
     for k, (a, b) in enumerate(units):
         om[pair[a * m + np.arange(m), b * m + np.arange(m)], k] = 1.0
-    rhs = model.c * t1 * (P + om @ (om.T @ P))
-    return {"residual": _residual(P @ P, rhs, model.c**2)}
+    rhs = model.sign * t1 * (P + om @ (om.T @ P))
+    return {"residual": _residual(P @ P, rhs)}
 
 
 def _ev_norm_closed_form(model, arrays, rng):
     """The closed form for the squared curvature norm."""
-    claimed = norm2_closed_claimed(model.n, model.tau, model.c)
-    direct = model.R_norm2
+    n, tau = model.n, model.tau
     return {
-        "residual": _residual(direct, claimed, model.c**2),
-        "direct": direct,
-        "closed_form": claimed,
+        "residual": _residual(model.nz.unit_norm2(),
+                              norm2_closed_claimed(n, tau)),
+        "direct": model.R_norm2,
+        "closed_form": norm2_closed_claimed(n, tau, model.c),
     }
 
 
@@ -693,11 +689,11 @@ def _ev_kn_pairing_reduction(model, arrays, rng):
     nn = model.n
     h = _unit_tt(nn, rng)
     lhs = _pairing(arrays, "RR_KN", h)
-    on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.c)
+    on_b, on_norm = _kn_reduction_coefficients(nn, model.tau, model.sign)
     B = _apply(arrays, "IP_RRING_H", h)
     rhs = on_b * float(np.sum(B * h)) + on_norm  # |h|^2 = 1
-    return {"residual": _residual(lhs, rhs, model.c**2),
-            "lhs": lhs, "rhs": rhs}
+    c2 = model.c * model.c
+    return {"residual": _residual(lhs, rhs), "lhs": c2 * lhs, "rhs": c2 * rhs}
 
 
 def _ricci_trace_terms(model, arrays, P1: np.ndarray,
@@ -737,12 +733,12 @@ def _ev_compose_ricci_trace(model, arrays, rng):
     x = rng.standard_normal(nn)
     x /= np.linalg.norm(x)
     lhs, ricci1, sum1, sum2 = _ricci_trace_terms(model, arrays, P1, x)
-    base = model.c * ricci1
-    rhs = base + model.c * (sum1 + 0.5 * sum2)
-    rhs_corrected = base + model.c * (sum1 + sum2)
+    base = model.sign * ricci1
+    rhs = base + model.sign * (sum1 + 0.5 * sum2)
+    rhs_corrected = base + model.sign * (sum1 + sum2)
     return {
-        "residual": _residual(lhs, rhs, abs(model.c)),
-        "residual_corrected": _residual(lhs, rhs_corrected, abs(model.c)),
+        "residual": _residual(lhs, rhs),
+        "residual_corrected": _residual(lhs, rhs_corrected),
     }
 
 
@@ -755,12 +751,13 @@ def _ev_k_pairing_closed_form(model, arrays, rng):
     hplus = _apply(arrays, "IP_H_HTILDE", h) + h
     base = ((nn + 10 * (model.tau + 1)) * float(np.sum(hplus * hplus))
             + 4.0 * np.trace(hplus) ** 2)
-    # lhs has degree 2 in c and the literal display degree 0, so only the
-    # rescaled residual is the same at every scale
+    # the pairing has degree 2 in c and the literal display degree 0: the
+    # literal residual is taken at c, the rescaled one at c = sign(c)
+    c2 = model.c * model.c
     return {
-        "residual": _residual(lhs, base, model.c**2),
-        "residual_rescaled": _residual(lhs, model.c**2 * base, model.c**2),
-        "lhs": lhs,
+        "residual": abs(c2 * lhs - base) / max(c2, c2 * abs(lhs)),
+        "residual_rescaled": _residual(lhs, base),
+        "lhs": c2 * lhs,
     }
 
 

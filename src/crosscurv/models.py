@@ -21,7 +21,10 @@ The curvature tensor itself comes from one closed formula,
                                + 2 <J_a x,y><J_a z,w> ) ]
 
 and every constructed model is gated on an adapted-frame audit plus the
-Einstein and criticality identities before it is returned.
+Einstein and criticality identities before it is returned.  R is c times
+a tensor of small integers, the one at c = sign(c), which a model holds
+and its gates read: each gate is an exact equality.  |c| is applied only
+to what is reported at c (``R_values``, ``R``, ``R_norm2``, lambda).
 
 Since every J_a is a signed permutation, each term of the formula is a
 list of n^2 entries, and R is built, checked and audited as its
@@ -139,10 +142,10 @@ class JStructure:
 class CurvatureModel:
     """A validated model tensor with its derived constants.
 
-    The tensor is held as the nonzeros its gates and its form read, ``nz``
-    (``_choose_nonzeros``).  All of them, ``R_keys`` (C-order flat indices,
-    ascending) and ``R_values``, are the held ones when m <= 4 and else
-    made on first use, as is the dense ``R``.
+    The tensor is held at c = sign(c) as the nonzeros its gates and form
+    read, ``nz`` (``_choose_nonzeros``); all of them, ``R_unit``, are the
+    held ones when m <= 4 and else made on first use.  ``R_keys``,
+    ``R_values`` and the dense ``R`` are the tensor at c.
     """
 
     family: str
@@ -158,20 +161,21 @@ class CurvatureModel:
     audit: FrameAudit | None = field(default=None, repr=False)
 
     @cached_property
-    def _R_list(self) -> tuple:
+    def R_unit(self) -> tuple:
+        """Keys and values of every nonzero of R at c = sign(c)."""
         nz = self.nz
         if nz.lines == self.n // (self.tau + 1):
             return nz.keys, nz.values
-        return _curvature_nonzeros(self.J, self.c, np.arange(self.n))
+        return _curvature_nonzeros(self.J, self.sign, np.arange(self.n))
 
-    R_keys = property(lambda self: self._R_list[0])
-    R_values = property(lambda self: self._R_list[1])
+    R_keys = property(lambda self: self.R_unit[0])
+    R_values = property(lambda self: self.R_unit[1] * abs(self.c))
 
     @cached_property
     def R(self) -> CurvTensor4:
         """The dense tensor, scattered from the nonzeros on first use.
         Only the tests and the benchmark read it; no command makes it."""
-        keys, values = self._R_list  # before the n^4 array
+        keys, values = self.R_keys, self.R_values  # before the n^4 array
         T = np.zeros(self.n**4)
         T[keys] = values
         return CurvTensor4(T.reshape((self.n,) * 4))
@@ -179,6 +183,10 @@ class CurvatureModel:
     @property
     def compact(self) -> bool:
         return self.c > 0
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.c > 0 else -1
 
     @property
     def label(self) -> str:
@@ -267,21 +275,21 @@ def _pairform_entries(n: int, pi: np.ndarray, s: np.ndarray,
     return flat_index(n, (x, pi[x], z, pi[z])), weight * s[x] * s[z]
 
 
-def _curvature_nonzeros(J: JStructure, c: float, near: np.ndarray) -> tuple:
-    """Flat indices and values of the nonzeros of R whose four slots lie
-    on the coordinates ``near``, whole coordinate lines: the entry lists of
-    A_I, A_{J_a} and 2 w_a (x) w_a summed per key at unit scale, exact
-    zeros dropped, then times c.  ``np.arange(n)`` gives every nonzero.
+def _curvature_nonzeros(J: JStructure, sign: int, near: np.ndarray) -> tuple:
+    """Flat indices and values of the nonzeros of R at c = sign = +-1
+    whose four slots lie on the coordinates ``near``, whole coordinate
+    lines: the entry lists of A_I, A_{J_a} and 2 w_a (x) w_a summed per
+    key, exact zeros dropped.  ``np.arange(n)`` gives every nonzero.
 
-    The unit-scale entries are small integers, so every sum is exact and
-    the values are those of the dense tensor, bit for bit.
+    The entries are small integers, so every sum is exact; they are
+    returned as integers.
     """
     n = J.n
     perms = [(np.arange(n), np.ones(n)), *J.perms]
     keys, vals = sum_entries(
         [_aform_entries(n, *p, near) for p in perms]
         + [_pairform_entries(n, *p, 2.0, near) for p in perms[1:]])
-    return keys, vals * c
+    return keys, vals.astype(np.int64) * sign
 
 
 def _largest_sum(parts: list) -> float:
@@ -290,10 +298,10 @@ def _largest_sum(parts: list) -> float:
 
 
 class _Nonzeros(NamedTuple):
-    """Nonzeros of R: keys (ascending), values, slot arrays, ``weights``
-    (how many nonzeros of R each stands for), ``lines`` (how many lines
-    they cover, from line 0) and ``touches``, how many lines the four
-    slots of each touch."""
+    """Nonzeros of R at c = sign(c): keys (ascending), small integer
+    values, slot arrays, ``weights`` (how many nonzeros of R each stands
+    for), ``lines`` (how many lines they cover, from line 0) and
+    ``touches``, how many lines the four slots of each touch."""
 
     keys: np.ndarray
     values: np.ndarray
@@ -306,11 +314,10 @@ class _Nonzeros(NamedTuple):
         """Entries of R at four slot arrays on the lines held."""
         return gather(self.keys, self.values, flat_index(n, slots))
 
-    def unit_norm2(self, c: float) -> float:
-        """|R / |c||^2, the squared values of R / |c| times their weights,
-        summed: an exact integer, as R / |c| holds small integers."""
-        unit = self.values / abs(c)
-        return float(self.weights @ (unit * unit))
+    def unit_norm2(self) -> float:
+        """|R|^2 at c = sign(c), the squared values times their weights,
+        summed: an exact integer, as the values are small integers."""
+        return float(self.weights @ (self.values * self.values))
 
 
 def _nonzeros(n: int, m: int, keys: np.ndarray,
@@ -346,20 +353,20 @@ def _line_symmetric(J: JStructure) -> bool:
                for pi, s in J.perms)
 
 
-def _choose_nonzeros(J: JStructure, c: float) -> _Nonzeros:
-    """The nonzeros of R that a model holds and every gate reads: those on
-    lines 0..min(m, 4) - 1, with their orbit weights, once the J_a pass
-    ``_line_symmetric`` (else ModelValidationError).  A key touches at most
-    four lines, so its orbit meets those lines, and each audit residual is
-    constant on the orbits: its largest value there is the largest over
-    all keys."""
+def _choose_nonzeros(J: JStructure, sign: int) -> _Nonzeros:
+    """The nonzeros of R at c = sign that a model holds and every gate
+    reads: those on lines 0..min(m, 4) - 1, with their orbit weights, once
+    the J_a pass ``_line_symmetric`` (else ModelValidationError).  A key
+    touches at most four lines, so its orbit meets those lines, and each
+    audit residual is constant on the orbits: its largest value there is
+    the largest over all keys."""
     if not _line_symmetric(J):
         raise ModelValidationError("line symmetry fails: the J_a do not "
                                    "commute with the line permutations")
     n = J.n
     m = n // (J.tau + 1)
     near = np.flatnonzero(np.arange(n) % m < 4)
-    return _nonzeros(n, m, *_curvature_nonzeros(J, c, near))
+    return _nonzeros(n, m, *_curvature_nonzeros(J, sign, near))
 
 
 def _line_weights(lines: int, line: np.ndarray, free: list,
@@ -387,8 +394,8 @@ def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
     pullbacks are signed permutations of the nonzeros: R(J x, J y, J z,
     J w) is s_x s_y s_z s_w R(pi x, pi y, pi z, pi w).  The two-slot
     pullback E = R(., ., J_g ., J_g .) - R is compared with zero, with its
-    exact defect and with the defect's pair-form part.  The exact defect
-    is c times the unit-scale integer tensor
+    exact defect and with the defect's pair-form part.  At c = sign(c),
+    where R is held, the exact defect is sign(c) times the integer tensor
 
         sum_{a != g} [A(-J_g J_a) - A(J_a)] - 4 sum_{a != g} w_a (x) w_a,
 
@@ -398,11 +405,10 @@ def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
     of the family and the A terms cancel pairwise, leaving the pair-form
     part alone; for the octonionic family they do not.  Each residual is
     the largest |value| of one ``sum_entries`` of two lists, the second
-    negated: P - R for the four-slot pullback P, E - c D for a defect D.
-    No key sums more than two values, so these are the bits of the dense
-    differences.
+    negated: P - R for the four-slot pullback P, E - sign(c) D for a
+    defect D.  Every value is a small integer, so each residual is exact.
     """
-    n, c = model.n, model.c
+    n = model.n
     vals, slots, perms = nz.values, nz.slots, model.J.perms
     near = np.flatnonzero(np.arange(n) % (n // (model.tau + 1)) < nz.lines)
     minus_R = (nz.keys, -vals)
@@ -425,7 +431,7 @@ def _invariance_gaps(model: "CurvatureModel", nz: _Nonzeros,
                                                  for p in others)]
                          + [pairform])
     return np.array([four, float(np.max(np.abs(E[1]), initial=0.0))]
-                    + [_largest_sum([E, (k, -c * v)])
+                    + [_largest_sum([E, (k, -model.sign * v)])
                        for k, v in (defect, pairform)])
 
 
@@ -446,8 +452,8 @@ class FrameAudit:
     def max_gated_residual(self) -> float:
         return max(self.residuals[k] for k in self.gated)
 
-    def passed(self, tol: float) -> bool:
-        return self.max_gated_residual() <= tol
+    def passed(self) -> bool:
+        return self.max_gated_residual() == 0
 
 
 def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
@@ -479,9 +485,11 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     five entry rules each as one gather over a grid of unit labels and the
     held lines i, j, and the defect lists on the coordinates of those
     lines.  Each residual is its maximum over all n^4 components, bit for
-    bit.
+    bit.  They read the held tensor at c = sign(c), of small integers, so
+    each residual is exact, a gated rule holds when it is 0, and the
+    residual at c is |c| times it.
     """
-    n, tau, c = model.n, model.tau, model.c
+    n, tau, sign = model.n, model.tau, model.sign
     m = n // (tau + 1)
     nz = model.nz
 
@@ -498,20 +506,20 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
 
     # the entry rules on open grids of unit labels and held lines; basis
     # index (alpha, i) -> alpha * m + i.  On line i, R against the round
-    # tensor of 4c, 4c (d_ae d_bf - d_af d_be)
+    # tensor of 4c, 4c (d_ae d_bf - d_af d_be), at c = sign
     a, b, e, f, i = np.indices((tau + 1,) * 4 + (nz.lines,), sparse=True)
     res["single_line_round"] = deviation(
         tuple(u * m + i for u in (a, b, e, f)),
-        4.0 * c * ((a == e) & (b == f)) - 4.0 * c * ((a == f) & (b == e)))
+        4 * sign * ((a == e) & (b == f)) - 4 * sign * ((a == f) & (b == e)))
 
     a, b, i, j = np.indices((tau + 1, tau + 1, nz.lines, nz.lines),
                             sparse=True)
     ai, bi, aj, bj = a * m + i, b * m + i, a * m + j, b * m + j
-    res["same_coordinate_4c"] = deviation((ai, bi, ai, bi), 4.0 * c, a != b)
-    res["cross_line_sectional_c"] = deviation((ai, bj, ai, bj), c, i != j)
-    res["paired_plane_2c"] = deviation((ai, bi, aj, bj), 2.0 * c,
-                                       (a != b) & (i != j))
-    res["cross_quad_c"] = deviation((ai, aj, bi, bj), c, (a != b) & (i != j))
+    res["same_coordinate_4c"] = deviation((ai, bi, ai, bi), 4 * sign, a != b)
+    res["cross_line_sectional_c"] = deviation((ai, bj, ai, bj), sign, i != j)
+    apart = (a != b) & (i != j)
+    res["paired_plane_2c"] = deviation((ai, bi, aj, bj), 2 * sign, apart)
+    res["cross_quad_c"] = deviation((ai, aj, bi, bj), sign, apart)
 
     # invariance rules, one pass per structure operator
     worst = np.zeros(4)
@@ -522,12 +530,12 @@ def frame_rule_audit(model: "CurvatureModel") -> FrameAudit:
     res["two_slot_invariance"] = worst2s
     res["two_slot_defect"] = worstdef
     res["two_slot_defect_pairform"] = worstpair
-    if tau >= 3 and worst2s > 1e-12 * abs(c):
+    if tau >= 3 and worst2s > 0:
         notes["two_slot_invariance"] = (
             "two-slot pullback is not an invariance for this family; the "
             "deviation equals the predicted defect exactly"
         )
-    if tau == 7 and worstpair > 1e-12 * abs(c):
+    if tau == 7 and worstpair > 0:
         notes["two_slot_defect_pairform"] = (
             "the pair-form reduction of the defect relies on closure of "
             "structure compositions and fails for the octonionic family"
@@ -588,23 +596,26 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     range |c| in SCALE_RANGE, structure-operator invariants and line
     symmetry (exact), curvature symmetries and Bianchi
     (``check_curvature_rules`` on the nonzeros the model holds, relative
-    to the largest entry), and four gates relative to the size of what
-    they bound, so that each decision is the same at every scale:
+    to the largest entry), and four gates read at c = sign(c), where every
+    entry of R is a small integer and every sum they take is exact, so
+    each is an exact equality and its decision is the same at every scale:
 
-      adapted-frame audit    gated residuals <= 1e-12 |c|
-      Einstein identity      r = lam g, lam = c (3 tau + n - 1), to 1e-12 |lam|
-      criticality identity   self-contraction = (|R|^2 / n) g to
-                             1e-10 |R|^2 / n
-      norm consistency       the three ways of computing |R|^2 agree to
-                             1e-10 |R|^2
+      adapted-frame audit    every gated residual is 0
+      Einstein identity      r = lam_1 g, lam_1 = sign(c) (3 tau + n - 1)
+      criticality identity   n times the self-contraction = |R|_1^2 g
+      norm consistency       the three ways of computing |R|_1^2 agree
 
     Every gate reads the nonzeros the model holds (``_choose_nonzeros``,
     ``_contractions``); no n^4 array is made.  ``R_norm2`` is c^2 times
-    the exact integer ``_Nonzeros.unit_norm2``, whatever lines are held.
+    the exact integer |R|_1^2 (``_Nonzeros.unit_norm2``), whatever lines
+    are held.
     """
     if isinstance(c, bool) or not isinstance(c, Real):
         raise ValueError(f"curvature scale c must be a real number, got {c!r}")
-    c = float(c)
+    try:
+        c = float(c)
+    except OverflowError:  # a Real beyond the float range
+        c = math.inf
     if c == 0 or not math.isfinite(c):
         raise ValueError(f"curvature scale c must be finite and nonzero, got {c}")
     low, high = SCALE_RANGE
@@ -616,7 +627,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     J = build_j_structure(family, m, n=n)
     nn = J.n
     tau = J.tau
-    nz = _choose_nonzeros(J, c)
+    nz = _choose_nonzeros(J, 1 if c > 0 else -1)
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
                            n=nn, tau=tau, c=c, nz=nz, J=J)
     try:
@@ -626,38 +637,32 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
         raise ModelValidationError(f"curvature rules fail: {exc}") from exc
 
     audit = model.audit = frame_rule_audit(model)
-    if not audit.passed(1e-12 * abs(c)):
+    if not audit.passed():
         worst = max(audit.gated, key=lambda k: audit.residuals[k])
         raise ModelValidationError(
             f"frame audit failed: rule {worst} residual {audit.residuals[worst]:.3e}"
         )
 
-    lam = einstein_constant(nn, tau, c)
     near, ric, chk, norm_trace = _contractions(model)
-    eres = float(np.max(np.abs(ric - lam * np.eye(near.size))))
-    if eres > 1e-12 * abs(lam):
-        raise ModelValidationError(f"Einstein identity fails: residual {eres:.3e}")
-
-    norm_direct = model.c * model.c * nz.unit_norm2(model.c)
-    crit = float(np.max(np.abs(chk - (norm_direct / nn) * np.eye(near.size))))
-    if crit > 1e-10 * norm_direct / nn:
-        raise ModelValidationError(f"criticality identity fails: residual {crit:.3e}")
-
+    eye = np.eye(near.size)
+    norm1 = nz.unit_norm2()
     # 4 tr(P^2) for the operator P on 2-vectors: the nonzeros against their
     # pair exchange (by the antisymmetries, four times the sum over i0 < i1
     # and i2 < i3)
     exchanged = nz.at(nn, nz.slots[2:] + nz.slots[:2])
     norm_operator = float(np.sum(nz.weights * nz.values * exchanged))
-    if max(abs(norm_operator - norm_direct),
-           abs(norm_trace - norm_direct)) > 1e-10 * norm_direct:
-        raise ModelValidationError(
-            "norm consistency fails: "
-            f"{norm_direct} vs {norm_operator} vs {norm_trace}"
-        )
+    lam1 = einstein_constant(nn, tau, model.sign)
+    gaps = {"Einstein identity": ric - lam1 * eye,
+            "criticality identity": nn * chk - norm1 * eye,
+            "norm consistency": np.array([norm_operator, norm_trace]) - norm1}
+    for gate, gap in gaps.items():
+        if np.any(gap != 0):
+            raise ModelValidationError(
+                f"{gate} fails: residual {np.max(np.abs(gap)):.3e}")
 
-    model.lam = lam
-    model.s = nn * lam
-    model.R_norm2 = norm_direct
+    model.lam = einstein_constant(nn, tau, c)
+    model.s = nn * model.lam
+    model.R_norm2 = c * c * norm1
     return model
 
 
@@ -788,9 +793,7 @@ def model_constants(model: CurvatureModel) -> dict:
         "computed_flag": ref["computed_flag"],
     }
     out["claimed_matches_direct"] = (
-        abs(out["R_norm2_closed_claimed"] - model.R_norm2)
-        <= 1e-10 * model.R_norm2
-    )
+        norm2_closed_claimed(n, tau) == model.nz.unit_norm2())
     if model.compact:
         mu_ratio = ref["mu_over_lambda"]
         out["mu_over_lambda"] = mu_ratio

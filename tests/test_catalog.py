@@ -3,9 +3,10 @@
 The catalog reads a model only through the nonzeros of R and the (pi, s)
 of the structure operators.  Each of its contractions is pinned here to
 1e-13 relative against its dense copy in the tests' oracle
-(``dense_oracle``), on the dense R and the dense structure operators, at
-c = +-1 and at c = 1e3.  The catalog reads the entry lists the
-trace-free form is assembled from: its curvature action and structure
+(``dense_oracle``), on the dense R at c = sign(c), which the catalog
+reads whatever |c|, and the dense structure operators, at c = +-1 and at
+c = 1e3.  The catalog reads the entry lists the trace-free form is
+assembled from: its curvature action and structure
 average are the form's maps L and G, and the K_PAIR and RR_KN pairings
 sum their own lists, so a fault in those lists cannot hide in both the
 form and the catalog; a planted one fails curvature-action-affine.  No
@@ -54,17 +55,17 @@ def _model(key: str, c: float):
     return build_model(family, m, c, n=n)
 
 
-def _close(got, want, scale: float) -> bool:
-    """max |got - want| within TOL of max(scale, max |want|)."""
+def _close(got, want) -> bool:
+    """max |got - want| within TOL of max(1, max |want|)."""
     gap = float(np.max(np.abs(np.subtract(got, want))))
-    return gap <= TOL * max(scale, float(np.max(np.abs(want))))
+    return gap <= TOL * max(1.0, float(np.max(np.abs(want))))
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0, 1e3])
 @pytest.mark.parametrize("key", sorted(MODELS))
 def test_sparse_contractions_equal_the_dense_ones(key, c):
     model = _model(key, c)
-    n, R = model.n, model.R.entries
+    n, R = model.n, _model(key, np.sign(c)).R.entries
     arrays = ledger._CatalogArrays(model)
     rng = np.random.default_rng(17)
     h = random_symtensor(n, rng)
@@ -72,15 +73,12 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
     P1 = ledger._unit_curvature(arrays, rng)
     X = rng.standard_normal((P1.shape[0], 3))
 
-    assert _close(ledger._apply(arrays, "IP_RRING_H", h), r_ring(R, h),
-                  abs(c))
-    assert _close(ledger._pairing(arrays, "K_PAIR", h), k_pairing(R, h), c * c)
-    assert _close(ledger._pairing(arrays, "RR_KN", h), rr_kn_pairing(R, h),
-                  c * c)
+    assert _close(ledger._apply(arrays, "IP_RRING_H", h), r_ring(R, h))
+    assert _close(ledger._pairing(arrays, "K_PAIR", h), k_pairing(R, h))
+    assert _close(ledger._pairing(arrays, "RR_KN", h), rr_kn_pairing(R, h))
     P = to_lambda2(R)
     assert np.array_equal(arrays.P, P)
-    assert _close(ledger._apply(arrays, "IP_H_HTILDE", h),
-                  tilde(h, model.J), 1.0)
+    assert _close(ledger._apply(arrays, "IP_H_HTILDE", h), tilde(h, model.J))
     push, omega = arrays.structure
     for J, (src, sign), om in zip(dense_operators(model.J), push, omega.T):
         assert np.array_equal(sign[:, None] * X[src],
@@ -98,8 +96,8 @@ def test_sparse_contractions_equal_the_dense_ones(key, c):
         sum2 += np.einsum("i,j,la,ijal->", x, y, J, R1)
     want = (x @ composed @ x, x @ ricci(R1) @ x, sum1, sum2)
     got = ledger._ricci_trace_terms(model, arrays, P1, x)
-    for g, w, scale in zip(got, want, (abs(c), 1.0, 1.0, 1.0)):
-        assert _close(g, w, scale)
+    for g, w in zip(got, want):
+        assert _close(g, w)
 
 
 def test_the_catalog_releases_its_arrays():
