@@ -43,6 +43,8 @@ matrices, each of n^4 / 4 entries, and are refused from n = 127
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys
@@ -354,6 +356,23 @@ def run(cfg: dict) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand on ``argv`` (``sys.argv[1:]`` when None) and
+    return its exit status: 0 success, 2 config error, 3 model-validation
+    failure, 4 required-identity failure (``verify``), 5 numeric failure.
+    An argument argparse cannot parse raises ``SystemExit(2)``.
+
+    ``main`` registers ``gc.freeze`` to run at interpreter exit, replacing
+    any earlier registration, so it runs once per process however often
+    ``main`` is called.  Finalization then skips the cyclic collections
+    over the objects numpy and crosscurv hold, which free only memory the
+    process is about to return; in a cold command they took about 20 ms.
+    Nothing printed depends on them: the document is written before
+    ``main`` returns, and the interpreter still flushes stdout at exit.
+    A library caller of ``main`` keeps its collector as it was until its
+    own exit.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return run(resolve_config(args))

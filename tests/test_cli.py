@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, config resolution, output formats."""
 
+import atexit
 import contextlib
+import gc
 import io
 import json
 from pathlib import Path
@@ -56,6 +58,25 @@ def test_verify_fails_on_every_projective_family(space, m):
 def test_ledger_and_report_exit_clean():
     assert run(["ledger"])[0] == 0
     assert run(["report", "--space", "hp", "--m", "2", *FAST])[0] == 0
+
+
+def test_main_registers_one_exit_freeze_and_keeps_the_collector(monkeypatch):
+    # a registry with atexit's semantics: unregister drops every copy
+    registered = []
+
+    def unregister(func):
+        registered[:] = [f for f in registered if f != func]
+
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    enabled = gc.isenabled()
+    codes = [run(argv)[0] for argv in (["model", "--space", "cp", "--m", "2"],
+                                       ["model", "--space", "sphere"],
+                                       ["bogus"])]
+    assert codes == [0, 2, 2]
+    assert gc.isenabled() == enabled
+    assert gc.get_freeze_count() == 0
+    assert registered == [gc.freeze]
 
 
 CONFIG_ERRORS = [

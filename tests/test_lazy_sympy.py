@@ -1,4 +1,5 @@
-"""No command loads sympy or a thread pool.
+"""No command loads sympy or a thread pool; every command freezes the
+collector at exit.
 
 Each case runs in a fresh interpreter.  ``import crosscurv`` and every
 command, the symbolic ones (ledger, report) included, must leave sympy
@@ -7,6 +8,13 @@ sympy is only the tests' oracle.  So must every ledger chain variant and
 check called from the API.  ``concurrent.futures`` must stay unloaded after
 the import and after every command: the certificate runs serially, and the
 module would cost a cold start a few milliseconds.
+
+A command registers ``gc.freeze`` to run at exit, so finalization skips the
+collections over what numpy and crosscurv hold.  Each script registers its
+own exit handler first; atexit runs handlers last in, first out, so that
+handler reads the freeze count after crosscurv's.  Importing the library
+registers nothing.  The documents a cold command writes, to stdout or to
+``--out``, are the pinned ones.
 """
 
 import os
@@ -20,7 +28,12 @@ import crosscurv
 
 SRC = str(Path(crosscurv.__file__).resolve().parents[1])
 
-SCRIPT = """
+FROZEN_AT_EXIT = """
+import atexit, gc
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+"""
+
+SCRIPT = FROZEN_AT_EXIT + """
 import contextlib, io, sys
 import crosscurv
 import crosscurv.cli
@@ -46,16 +59,31 @@ str(quadratic_completion_checks())
 print("sympy" in sys.modules)
 """
 
+IMPORT_ONLY = FROZEN_AT_EXIT + """
+import crosscurv
+import crosscurv.cli
+"""
+
+#: what the installed ``crosscurv`` script runs
+ENTRY_POINT = "import sys; from crosscurv.cli import main; sys.exit(main())"
+
 HP2 = ["--space", "hp", "--m", "2", "--trials", "2", "--format", "json"]
+OP2 = ["--space", "op", "--m", "2", "--seed", "3", "--format", "json"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _run(*args) -> list:
+def _python(*args) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", *args], env=env,
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()
+    return subprocess.run([sys.executable, "-c", *args], env=env,
+                          capture_output=True)
+
+
+def _run(*args) -> list:
+    proc = _python(*args)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().splitlines()
 
 
 @pytest.mark.parametrize("argv,exit_code", [
@@ -66,9 +94,29 @@ def _run(*args) -> list:
     (["report", *HP2], 0),
 ], ids=["model", "verify", "certify", "ledger", "report"])
 def test_no_command_loads_sympy(argv, exit_code):
-    after_import, after_command = _run(SCRIPT, *argv)
+    after_import, after_command, frozen_at_exit = _run(SCRIPT, *argv)
     assert after_import == "False False"
     assert after_command == f"{exit_code} False False"
+    assert frozen_at_exit == "True"
+
+
+def test_importing_the_library_registers_no_exit_hook():
+    assert _run(IMPORT_ONLY) == ["False"]
+
+
+def test_cold_report_writes_the_pinned_document(tmp_path):
+    out = tmp_path / "report_op2.json"
+    proc = _python(ENTRY_POINT, "report", *OP2, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b""
+    assert out.read_bytes() == (GOLDEN / "report_op2.json").read_bytes()
+
+
+def test_cold_verify_prints_the_pinned_document():
+    proc = _python(ENTRY_POINT, "verify", *OP2)
+    # verify exits 4 on every model: the required tier holds false displays
+    assert proc.returncode == 4, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "verify_op2.json").read_bytes()
 
 
 def test_ledger_chains_and_checks_do_not_load_sympy():
