@@ -43,7 +43,6 @@ from crosscurv.ledger import (
     expand_theorem_tt,
     identity_catalog,
     noncompact_chain,
-    quadratic_completion_checks,
     verify_catalog,
     verify_identity_numeric,
 )
@@ -57,7 +56,6 @@ from crosscurv.hessian import (
     hp_scale,
     min_eigen_tt,
     stability_verdict,
-    tt_basis,
 )
 from crosscurv.report import ReportDocument
 

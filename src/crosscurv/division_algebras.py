@@ -10,8 +10,10 @@ which keeps the whole construction exact.  Row u of a table is left
 multiplication by e_u as a signed permutation, x -> e_u x sending e_j to
 sgn[u, j] e_{idx[u, j]}; the rows of the imaginary units square to -Id
 and anticommute pairwise (Clifford relations), which the tests certify
-directly from the tables.  The structure operators of the curvature
-models are these rows, repeated over the coordinates.
+directly from the tables, and agree with the product of two coefficient
+vectors under the table (``multiply`` in ``tests/dense_oracle.py``).  The
+structure operators of the curvature models are these rows, repeated
+over the coordinates.
 
 Doubling rule on pairs, with x* the standard conjugation:
 
@@ -28,7 +30,6 @@ __all__ = [
     "complex_table",
     "quaternion_table",
     "octonion_table",
-    "multiply",
 ]
 
 
@@ -84,17 +85,3 @@ def quaternion_table() -> tuple[np.ndarray, np.ndarray]:
 
 def octonion_table() -> tuple[np.ndarray, np.ndarray]:
     return cayley_dickson_double(*quaternion_table())
-
-
-def multiply(
-    x: np.ndarray, y: np.ndarray, idx: np.ndarray, sgn: np.ndarray
-) -> np.ndarray:
-    """Product of two coefficient vectors under the given table."""
-    n = idx.shape[0]
-    out = np.zeros(n)
-    for i in range(n):
-        if x[i] == 0.0:
-            continue
-        for j in range(n):
-            out[idx[i, j]] += sgn[i, j] * x[i] * y[j]
-    return out

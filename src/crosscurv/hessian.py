@@ -39,8 +39,8 @@ lines 0 and 1, at most 136, its contracted slots on lines 0..2, line 2
 standing, with weight m - 2, for every line off lines 0 and 1.  The form
 on the pairs is exactly C / 2.  D, the part of C on the diagonal places,
 is the same on every line and between every two lines, and on the
-diagonal columns of ``tt_basis``, the ladder over the lines times the
-units, it is m - 1 copies of one block and a tau x tau block
+diagonal columns of the trace-free basis, the ladder over the lines times
+the units, it is m - 1 copies of one block and a tau x tau block
 (``_diagonal_entries``).  No model has an entry of C between the diagonal
 and a pair.  By the isotypic splitting of the trace-free tensors under
 the isotropy group (Koiso, Osaka J. Math. 17, 1980; Besse, Einstein
@@ -91,7 +91,6 @@ __all__ = [
     "QuadForm",
     "SpectralCertificate",
     "StabilityReport",
-    "tt_basis",
     "assemble_quadform",
     "assemble_tt_remainder",
     "min_eigen_tt",
@@ -142,35 +141,6 @@ def _ladder(n: int) -> np.ndarray:
     L = np.triu(np.ones((n, n - 1))) / s
     L[k, k - 1] = -k / s
     return L
-
-
-def tt_basis(n: int, tau: int) -> np.ndarray:
-    """Orthonormal basis of trace-free symmetric 2-tensors, vectorized, for
-    a model of dimension n with tau structure operators.
-
-    Columns are row-major vec's: first the off-diagonal pair tensors
-    (E_ij + E_ji)/sqrt(2) for i < j, then the diagonal ones.  Coordinate
-    (alpha, i), on line i of m = n / (tau + 1), is alpha m + i; with w =
-    (1/sqrt m, ``_ladder(m)``) over the lines and u = ``_ladder(tau + 1)``
-    over the units, the diagonal columns are e_alpha (x) w_b for b =
-    1..m-1, alpha = 0..tau, and then u_a (x) w_0 for a = 1..tau.  For the
-    sphere (tau = 0) they are ``_ladder(n)``, bit for bit.  Shape (n^2,
-    n(n+1)/2 - 1).  ValueError unless n is a positive multiple of tau + 1.
-    """
-    if not (n > 0 and tau >= 0 and n % (tau + 1) == 0):
-        raise ValueError(f"n = {n} is not a positive multiple of tau + 1")
-    off = n * (n - 1) // 2
-    B = np.zeros((n * n, off + n - 1))
-    i, j = np.triu_indices(n, 1)
-    pos = np.arange(off)
-    B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
-    lines = n // (tau + 1)
-    per_line = np.kron(np.eye(tau + 1), _ladder(lines))
-    per_line = per_line.reshape(n, tau + 1, lines - 1).transpose(0, 2, 1)
-    B[np.arange(n) * (n + 1), off:] = np.hstack([
-        per_line.reshape(n, -1),
-        np.kron(_ladder(tau + 1), np.full((lines, 1), 1 / np.sqrt(lines)))])
-    return B
 
 
 def _term_entries(model: CurvatureModel, key: str, nz: tuple,
@@ -268,9 +238,11 @@ def _distinct_blocks(form: np.ndarray) -> list:
 
 @dataclass(eq=False)
 class QuadForm:
-    """Quadratic form on the trace-free symmetric basis ``tt_basis(n,
-    tau)`` of one model: its distinct blocks at c = sign(c) and the factor
-    ``scale`` = c^2 that takes it to the model's scale.  Each (block,
+    """Quadratic form on an orthonormal basis of the trace-free symmetric
+    2-tensors of one model, the pair tensors (E_ij + E_ji)/sqrt 2, i < j,
+    ascending by i n + j, and then the diagonal columns of
+    ``_diagonal_entries``: its distinct blocks at c = sign(c) and the
+    factor ``scale`` = c^2 that takes it to the model's scale.  Each (block,
     count) of ``blocks`` occurs ``count`` times; ``origins`` lists, per
     block, the components it was read from, as (kind, pair keys x n + y
     or diagonal places), which ``places`` puts on the basis."""
@@ -385,10 +357,15 @@ def assemble_quadform(model: CurvatureModel, weights: dict) -> QuadForm:
 
 
 def _diagonal_entries(model: CurvatureModel, D: np.ndarray) -> tuple:
-    """The blocks of the form on the diagonal columns of ``tt_basis``: A -
-    B, which occurs m - 1 times, and the tau x tau block U^T (A + (m - 1)
-    B) U, U = ``_ladder(tau + 1)``, from D, the part of C on the diagonal
-    places of the coordinates on lines 0 and 1 (ascending), symmetrized.
+    """The blocks of the form on the diagonal columns of the trace-free
+    basis: A - B, which occurs m - 1 times, and the tau x tau block U^T (A
+    + (m - 1) B) U, U = ``_ladder(tau + 1)``, from D, the part of C on the
+    diagonal places of the coordinates on lines 0 and 1 (ascending),
+    symmetrized.  Coordinate (alpha, i), on line i of the m lines, is
+    alpha m + i.  With w = (1/sqrt m, ``_ladder(m)``) over the lines and
+    the columns u_a of U over the units, the diagonal columns are e_alpha
+    (x) w_b for b = 1..m-1, alpha = 0..tau, and then u_a (x) w_0 for a =
+    1..tau; for the sphere (tau = 0) they are ``_ladder(n)``.
 
     With m lines, the whole D is A (x) I_m + B (x) (J_m - I_m): A is D on
     line 0 and B is D between lines 0 and 1, both (tau + 1) x (tau + 1).
@@ -508,7 +485,6 @@ def assemble_tt_remainder(model: CurvatureModel) -> QuadForm:
 @dataclass
 class SpectralCertificate:
     eig_min: float
-    eig_max: float
     rayleigh_min: float
     rotations: int
     samples: int
@@ -574,8 +550,8 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     seeded random directions of the block's size sample its Rayleigh
     quotient; the best sample is refined by projected descent
     (``_refine_rayleigh``) on the block.  ``rotations`` sums the Jacobi
-    rotations, ``eig_min`` and ``eig_max`` are taken over all block
-    eigenvalues, and ``rayleigh_min`` is the smallest refined quotient.
+    rotations, ``eig_min`` is taken over all block eigenvalues, and
+    ``rayleigh_min`` is the smallest refined quotient.
     Every occurrence of a block has the block's spectrum, so these are
     those of the whole form; no dense form is built.  All of it runs at
     unit scale; the eigenvalues, the refined quotient and the residual
@@ -653,12 +629,11 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
         refined.append((rho, float(np.linalg.norm(block @ x - rho * x))
                         + jacobi.TOL * float(np.linalg.norm(block))))
     ray_min, bound = min(refined, key=lambda found: found[0])
-    eigenvalues = np.concatenate([spec.eigenvalues for spec in spectra])
-    eig_min, eig_max = float(eigenvalues.min()), float(eigenvalues.max())
+    eig_min = float(np.concatenate([spec.eigenvalues
+                                    for spec in spectra]).min())
     c2 = qf.scale
     return SpectralCertificate(
         eig_min=c2 * eig_min,
-        eig_max=c2 * eig_max,
         rayleigh_min=c2 * ray_min,
         rotations=sum(spec.iterations for spec in spectra),
         samples=samples,
@@ -745,7 +720,6 @@ def _threshold_claim(model: CurvatureModel) -> str:
 
 @dataclass
 class StabilityReport:
-    regime: str
     tt_min_eig: float
     rayleigh_min: float
     epsilon: float | None
@@ -778,7 +752,6 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
     scale = hp_scale(p, model.R_norm2)
     _require_count("samples", samples)
     _require_count("seed", seed, least=0)
-    regime = "compact" if model.compact else "noncompact"
     qf = assemble_tt_remainder(model)
     cert = min_eigen_tt(qf, samples=samples, seed=seed)
     flags: list[str] = []
@@ -828,7 +801,6 @@ def stability_verdict(model: CurvatureModel, p: float = 2, seed: int = 0,
         }
 
     return StabilityReport(
-        regime=regime,
         tt_min_eig=cert.eig_min,
         rayleigh_min=cert.rayleigh_min,
         epsilon=eps,

@@ -25,10 +25,11 @@ curvature action A2, the exterior-pairing reduction A3, the two readings
 of the composed trace A4, and the square and Berger completions.  One
 function, ``_rewrite``, applies an entry.  The conformal chain applies no
 rewrite: it sums its variation pieces, with the curvature-derivative
-pairing A7 written inline.  The checks read the same table:
-``quadratic_completion_checks`` verifies both completions from their
-entries, and the catalog evaluators of A2 and A3 call the coefficient
-functions the table is built from, so a checked rule is the applied rule.
+pairing A7 written inline.  The checks read the same table: the tests
+verify both completions from their entries (``quadratic_completion_checks``
+in ``tests/dense_oracle.py``), and the catalog evaluators of A2 and A3
+call the coefficient functions the table is built from, so a checked rule
+is the applied rule.
 
 Each chain returns its comparison rows: per basis term, the reference
 display's coefficient, the independently derived one and their exact match
@@ -115,7 +116,6 @@ __all__ = [
     "identity_catalog",
     "verify_identity_numeric",
     "verify_catalog",
-    "quadratic_completion_checks",
 ]
 
 
@@ -168,9 +168,6 @@ class LedgerExpr:
             if v := Laurent.of(v):
                 clean[k] = v
         self.coeffs = clean
-
-    def copy(self) -> "LedgerExpr":
-        return LedgerExpr(dict(self.coeffs))
 
     def add_term(self, key: str, coeff) -> None:
         if key not in BASIS:
@@ -252,7 +249,7 @@ def _rewrites() -> dict:
     """The rewrite table: name -> (lhs, rhs), each a dict of basis id ->
     coefficient, read as lhs = rhs.  The first lhs term has coefficient 1.
 
-    The chains apply these entries through ``_rewrite`` and
+    The chains apply these entries through ``_rewrite``, and the tests'
     ``quadratic_completion_checks`` verifies the two completions from the
     same entries.  A2 is used only inside inner products against h and ht,
     never on NORM_RRING.  A3 fails numerically on every model (catalog entry
@@ -297,44 +294,6 @@ def _rewrite(e: LedgerExpr, name: str) -> None:
     if k:
         for key, v in rhs.items():
             e.add_term(key, k * v)
-
-
-def _over_ring(e: LedgerExpr) -> dict:
-    """e expanded over the abstract quadratic ring in (A, B, h), by the
-    definitions of the basis quantities; keys are the monomials AA, AB, AH,
-    BB, BH, HH, and zero monomials drop."""
-    lam = SYM["lam"]
-    shift = {"AA": 1, "AB": -3, "BB": Fraction(9, 4)}  # |A - (3/2) B|^2
-    ring = {
-        "NORM_DDH": {"AA": 1},
-        "IP_DDH_RRING": {"AB": 1},
-        "NORM_RRING": {"BB": 1},
-        "IP_DDH_H": {"AH": 1},
-        "IP_RRING_H": {"BH": 1},
-        "NORM_DDH_SHIFT": shift,
-        "SHIFT2": {**shift, "AH": 2 * lam, "BH": -3 * lam, "HH": lam**2},
-        "BERGER_IP": {"AH": 1, "BH": -1, "HH": lam},
-    }
-    out: dict = {}
-    for key, k in e.coeffs.items():
-        for mono, v in ring[key].items():
-            out[mono] = out.get(mono, 0) + k * v
-    return {mono: v for mono, v in out.items() if v}
-
-
-def quadratic_completion_checks() -> dict:
-    """Exact verification of the two square completions of the rewrite
-    table: each is applied to the bracket of the half expression and both
-    sides are expanded over the quadratic ring in (A, B, h) (``_over_ring``).
-    Returns the bracket and both completions for test assertions."""
-    bracket = LedgerExpr(_bracket())
-    out = {"bracket": _over_ring(bracket)}
-    for key, name in (("completion_compact", "square completion"),
-                      ("completion_berger", "Berger completion")):
-        e = bracket.copy()
-        _rewrite(e, name)
-        out[key] = _over_ring(e)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,21 @@ of every nonzero, the construction gates' contractions over the whole
 list, and the trace-free
 form relabelled from lines 0 and 1 onto every line and pair of lines and
 split into its components.
+
+The last part holds references that no command reads: the trace-free
+basis ``tt_basis`` that the assembled form is checked against, the
+product ``multiply`` of two vectors under a division-algebra table, and
+``quadratic_completion_checks``, the exact check of the two square
+completions of the ledger's rewrite table.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from crosscurv import hessian, models
+from crosscurv.hessian import _ladder
+from crosscurv.ledger import SYM, LedgerExpr, _bracket, _rewrite
 from crosscurv.tensors import (
     CurvTensor4,
     _pair_lookup,
@@ -267,9 +277,10 @@ def distinct_blocks(size: int, rows, cols, vals) -> list:
 
 def diagonal_entries(model, D: np.ndarray) -> tuple:
     """Rows, columns (from the first diagonal column) and values of the
-    form on the diagonal columns of ``tt_basis`` from the whole n x n D,
-    symmetrized: m - 1 copies of A - B and the tau x tau block U^T (A +
-    (m - 1) B) U, A being D on line 0 and B D between lines 0 and 1."""
+    form on the diagonal columns of ``tt_basis`` (below) from the whole n
+    x n D, symmetrized: m - 1 copies of A - B and the tau x tau block U^T
+    (A + (m - 1) B) U, A being D on line 0 and B D between lines 0 and
+    1."""
     units = model.tau + 1
     lines = model.n // units
     D = 0.5 * (D + D.T)
@@ -359,3 +370,88 @@ def two_line_assembly(model, weights: dict) -> list:
         C = sum_entries([C, (place[rows] * size + place[cols], v * float(w))])
     keys, vals = onto_every_line(model, place, *C)
     return split_form(model, *np.divmod(keys, size), vals)
+
+
+# ---------------------------------------------------------------------------
+# references that only the tests read
+# ---------------------------------------------------------------------------
+
+def tt_basis(n: int, tau: int) -> np.ndarray:
+    """Orthonormal basis of trace-free symmetric 2-tensors, vectorized, for
+    a model of dimension n with tau structure operators.
+
+    Columns are row-major vec's: first the off-diagonal pair tensors
+    (E_ij + E_ji)/sqrt(2) for i < j, then the diagonal ones.  Coordinate
+    (alpha, i), on line i of m = n / (tau + 1), is alpha m + i; with w =
+    (1/sqrt m, ``_ladder(m)``) over the lines and u = ``_ladder(tau + 1)``
+    over the units, the diagonal columns are e_alpha (x) w_b for b =
+    1..m-1, alpha = 0..tau, and then u_a (x) w_0 for a = 1..tau.  For the
+    sphere (tau = 0) they are ``_ladder(n)``, bit for bit.  Shape (n^2,
+    n(n+1)/2 - 1).  ValueError unless n is a positive multiple of tau + 1.
+    """
+    if not (n > 0 and tau >= 0 and n % (tau + 1) == 0):
+        raise ValueError(f"n = {n} is not a positive multiple of tau + 1")
+    off = n * (n - 1) // 2
+    B = np.zeros((n * n, off + n - 1))
+    i, j = np.triu_indices(n, 1)
+    pos = np.arange(off)
+    B[i * n + j, pos] = B[j * n + i, pos] = 1.0 / np.sqrt(2.0)
+    lines = n // (tau + 1)
+    per_line = np.kron(np.eye(tau + 1), _ladder(lines))
+    per_line = per_line.reshape(n, tau + 1, lines - 1).transpose(0, 2, 1)
+    B[np.arange(n) * (n + 1), off:] = np.hstack([
+        per_line.reshape(n, -1),
+        np.kron(_ladder(tau + 1), np.full((lines, 1), 1 / np.sqrt(lines)))])
+    return B
+
+
+def multiply(
+    x: np.ndarray, y: np.ndarray, idx: np.ndarray, sgn: np.ndarray
+) -> np.ndarray:
+    """Product of two coefficient vectors under the given table."""
+    n = idx.shape[0]
+    out = np.zeros(n)
+    for i in range(n):
+        if x[i] == 0.0:
+            continue
+        for j in range(n):
+            out[idx[i, j]] += sgn[i, j] * x[i] * y[j]
+    return out
+
+
+def _over_ring(e: LedgerExpr) -> dict:
+    """e expanded over the abstract quadratic ring in (A, B, h), by the
+    definitions of the basis quantities; keys are the monomials AA, AB, AH,
+    BB, BH, HH, and zero monomials drop."""
+    lam = SYM["lam"]
+    shift = {"AA": 1, "AB": -3, "BB": Fraction(9, 4)}  # |A - (3/2) B|^2
+    ring = {
+        "NORM_DDH": {"AA": 1},
+        "IP_DDH_RRING": {"AB": 1},
+        "NORM_RRING": {"BB": 1},
+        "IP_DDH_H": {"AH": 1},
+        "IP_RRING_H": {"BH": 1},
+        "NORM_DDH_SHIFT": shift,
+        "SHIFT2": {**shift, "AH": 2 * lam, "BH": -3 * lam, "HH": lam**2},
+        "BERGER_IP": {"AH": 1, "BH": -1, "HH": lam},
+    }
+    out: dict = {}
+    for key, k in e.coeffs.items():
+        for mono, v in ring[key].items():
+            out[mono] = out.get(mono, 0) + k * v
+    return {mono: v for mono, v in out.items() if v}
+
+
+def quadratic_completion_checks() -> dict:
+    """Exact verification of the two square completions of the rewrite
+    table: each is applied to the bracket of the half expression and both
+    sides are expanded over the quadratic ring in (A, B, h) (``_over_ring``).
+    Returns the bracket and both completions for test assertions."""
+    bracket = LedgerExpr(_bracket())
+    out = {"bracket": _over_ring(bracket)}
+    for key, name in (("completion_compact", "square completion"),
+                      ("completion_berger", "Berger completion")):
+        e = LedgerExpr(dict(bracket.coeffs))
+        _rewrite(e, name)
+        out[key] = _over_ring(e)
+    return out

@@ -255,6 +255,15 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"space=hp\xff\n")
+    code, out, err = run(["model", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: config file {cfg} is not UTF-8")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,text", [
     ("model", "space=cp\nm=2\nformat=xml\n"),
     ("ledger", "space=xx\n"),

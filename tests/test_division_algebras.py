@@ -6,13 +6,12 @@ import pytest
 from crosscurv.division_algebras import (
     cayley_dickson_double,
     complex_table,
-    multiply,
     octonion_table,
     quaternion_table,
     real_table,
 )
 from crosscurv.models import build_j_structure
-from dense_oracle import dense_operators
+from dense_oracle import dense_operators, multiply
 
 TABLES = {
     1: real_table,

@@ -32,10 +32,9 @@ from crosscurv.hessian import (
     min_eigen_tt,
     noncompact_tt_coefficients,
     stability_verdict,
-    tt_basis,
 )
 import dense_oracle
-from dense_oracle import dense_operators
+from dense_oracle import dense_operators, tt_basis
 
 RNG = np.random.default_rng(7)
 
@@ -1073,7 +1072,6 @@ def test_stability_verdict_sphere():
     sr = stability_verdict(_model("sphere5"), samples=2_000)
     assert sr.tt_verdict == "stable-strict"
     assert abs(sr.epsilon - 25.5) < 1e-9
-    assert sr.regime == "compact"
     assert sr.verdict_flags == ["conformal direction exactly neutral"]
     assert sr.conformal["claimed"] == 0
 
@@ -1096,7 +1094,6 @@ def test_stability_verdict_op2_discrepancy_note():
 def test_stability_verdict_noncompact():
     sr = stability_verdict(build_model("quaternionic", 2, -1.0),
                            samples=2_000)
-    assert sr.regime == "noncompact"
     assert sr.tt_verdict == "stable-strict"
     assert abs(sr.epsilon - 456.0) < 1e-8
     assert sr.conformal == {"note": "no spectral reference data for "

@@ -4,8 +4,8 @@ collector at exit.
 Each case runs in a fresh interpreter.  ``import crosscurv`` and every
 command, the symbolic ones (ledger, report) included, must leave sympy
 unloaded: the ledger computes on its own exact Laurent polynomials, and
-sympy is only the tests' oracle.  So must every ledger chain variant and
-check called from the API.  ``concurrent.futures`` must stay unloaded after
+sympy is only the tests' oracle.  So must every ledger chain variant
+called from the API.  ``concurrent.futures`` must stay unloaded after
 the import and after every command: the certificate runs serially, and the
 module would cost a cold start a few milliseconds.
 
@@ -46,8 +46,7 @@ print(code, "sympy" in sys.modules, "concurrent.futures" in sys.modules)
 CHAINS = """
 import sys
 from crosscurv.ledger import (a4_variants, expand_theorem_conformal,
-                              expand_theorem_tt, noncompact_chain,
-                              quadratic_completion_checks)
+                              expand_theorem_tt, noncompact_chain)
 for variant in ("printed", "doubled_rr"):
     for a4 in ("printed", "composed"):
         str(expand_theorem_tt(variant, a4).comparisons)
@@ -55,7 +54,6 @@ for assembly in ("corrected", "printed"):
     str(expand_theorem_conformal(assembly).polynomial())
 str(noncompact_chain().inequality_log)
 str(a4_variants())
-str(quadratic_completion_checks())
 print("sympy" in sys.modules)
 """
 

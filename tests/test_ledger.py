@@ -30,7 +30,6 @@ from crosscurv.ledger import (
     expand_theorem_tt,
     identity_catalog,
     noncompact_chain,
-    quadratic_completion_checks,
     verify_identity_numeric,
 )
 from crosscurv.hessian import (
@@ -43,6 +42,7 @@ from crosscurv.models import (
     norm2_closed_claimed,
     reference_mu_over_lambda,
 )
+from dense_oracle import quadratic_completion_checks
 
 c, n, tau, lam, mu, R2 = sp.symbols("c n tau lam mu R2")
 S = sp.sympify
