@@ -12,10 +12,10 @@ Subcommands:
   report   everything above in one document; failed identities and an
            inconsistent certificate are recorded in it, not in the exit code
 
-Flags: --space {sphere,cp,hp,op} --m INT --n INT (sphere only)
---sign {compact,noncompact} --c FLOAT (positive magnitude) --p FLOAT
---trials INT --seed INT --tol FLOAT --format {json,csv,text} --out PATH
---config PATH.
+Flags (before or after the subcommand): --space {sphere,cp,hp,op} --m
+INT --n INT (sphere only) --sign {compact,noncompact} --c FLOAT
+(positive magnitude) --p FLOAT --trials INT --seed INT --tol FLOAT
+--format {json,csv,text} --out PATH --config PATH.
 
 A config file holds key=value lines ('#' starts a comment); command-line
 flags override file values.  File values are checked like flags, against
@@ -178,22 +178,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="curvature-model construction, identity verification, "
                     "and stability certification",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (helptext, _) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=helptext)
-        for key, (kind, _, allowed) in OPTIONS.items():
-            p.add_argument(f"--{key}", type=kind, choices=allowed,
-                           help="positive curvature-scale magnitude"
-                           if key == "c" else None)
-        p.add_argument("--config", default=None,
-                       help="key=value file; flags override it")
+    ap.add_argument("command", choices=SUBCOMMANDS, help="; ".join(
+        f"{name}: {helptext}" for name, (helptext, _) in SUBCOMMANDS.items()))
+    for key, (kind, _, allowed) in OPTIONS.items():
+        ap.add_argument(f"--{key}", type=kind, choices=allowed,
+                        help="positive curvature-scale magnitude"
+                        if key == "c" else None)
+    ap.add_argument("--config", default=None,
+                    help="key=value file; flags override it")
     return ap
 
 
 def _read_config_file(path: str) -> dict:
     values: dict = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

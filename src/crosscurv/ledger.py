@@ -69,7 +69,8 @@ So no trial makes an n^4 array, and ``tensors`` keeps nothing between
 calls: the call owns its pair and 4-subset tables too.  The products with
 R's pair-basis matrix P are dense GEMMs of about n^6 / 8 steps; at n = 16,
 40 and 64 each took less time than one O(n^4) draw.
-The catalog runs on the model at c = sign(c) (``CurvatureModel.R_unit``),
+The catalog runs on the model at c = sign(c), reading the keys, slot
+arrays and values of R's nonzeros there (``CurvatureModel.R_unit``),
 where a residual is relative to max(1, max |lhs|) (``_residual``), so
 residuals and outcomes are the same at every scale; |c|^k is applied only
 to the values a finding prints.  The one exception is the literal k-pairing
@@ -502,9 +503,10 @@ def _wedge_columns(x: np.ndarray, ii, jj) -> np.ndarray:
 class _CatalogArrays:
     """What the identity catalog reads of a model at c = sign(c), for one
     call of ``verify_identity_numeric``.  Each part is built on its first
-    read from the nonzeros of R there (``R_unit``) and the (pi, s) of
-    the structure operators (``J.perms``), so that no trial makes an n^4
-    array, and is dropped with the object when the call returns:
+    read from the slot arrays and values of R's nonzeros there, which
+    the model holds (``R_unit``), and the (pi, s) of the structure
+    operators (``J.perms``), so that no trial makes an n^4 array, and is
+    dropped with the object when the call returns:
 
     terms(key)
              the entry lists (rows, columns, values) on vec(h) that the
@@ -529,13 +531,10 @@ class _CatalogArrays:
 
     def terms(self, key: str) -> tuple:
         if key not in self._terms:
-            self._terms[key] = _term_entries(self.model, key, self._nz)
+            _, slots, values = self.model.R_unit
+            self._terms[key] = _term_entries(self.model, key,
+                                             (*slots, values))
         return self._terms[key]
-
-    @cached_property
-    def _nz(self) -> tuple:
-        keys, values = self.model.R_unit
-        return (*np.unravel_index(keys, (self.model.n,) * 4), values)
 
     pairs = cached_property(lambda self: np.triu_indices(self.model.n, 1))
     lookup = cached_property(lambda self: _pair_lookup(self.model.n))
@@ -543,7 +542,7 @@ class _CatalogArrays:
 
     @cached_property
     def P(self) -> np.ndarray:
-        i0, i1, i2, i3, v = self._nz
+        _, (i0, i1, i2, i3), v = self.model.R_unit
         n, pair = self.model.n, self.lookup
         upper = (i0 < i1) & (i2 < i3)
         P = np.zeros((n * (n - 1) // 2,) * 2)

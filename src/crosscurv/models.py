@@ -24,23 +24,23 @@ and every constructed model is gated on an adapted-frame audit plus the
 Einstein and criticality identities before it is returned.  R is c times
 a tensor of small integers, the one at c = sign(c), which a model holds
 and its gates read: each gate is an exact equality.  |c| is applied only
-to what is reported at c (``R_values``, ``R``, ``R_norm2``, lambda).
+to what is reported at c (``R``, ``R_norm2``, lambda).
 
 Since every J_a is a signed permutation, each term of the formula is a
 list of n^2 entries, and R is built, checked and audited as its
-nonzeros: the C-order flat indices of its nonzero entries and their
-values, about 10 n^2 of the n^4 entries.  The audit reads its entry
-rules as gathers from that list on grids of unit labels and lines.  The
-pullbacks it takes are signed permutations of the list, and each of
-their residuals is the largest entry of one per-key sum of lists
-(``tensors.sum_entries``), with the bits of the dense computation.
+nonzeros: the C-order flat indices of its nonzero entries, their slot
+arrays and their values, about 10 n^2 of the n^4 entries.  The audit
+reads its entry rules as gathers from that list on grids of unit labels
+and lines.  The pullbacks it takes are signed permutations of the list,
+and each of their residuals is the largest entry of one per-key sum of
+lists (``tensors.sum_entries``), with the bits of the dense computation.
 
 Each structure operator is one division-algebra row repeated over the m
 coordinate lines, so every permutation of the lines commutes with the J_a
 and keeps R.  The build gates on that for the J_a and builds only the
 nonzeros on lines 0..min(m, 4) - 1, each standing for its orbit
 (``_choose_nonzeros``), so a model costs the same at every m.  The whole
-list and the dense R are made on first use (``CurvatureModel.R_keys``,
+list and the dense R are made on first use (``CurvatureModel.R_unit``,
 ``CurvatureModel.R``) for the identity catalog, the tests and the
 benchmark; the dense structure operators and contractions are the tests'
 oracle (``tests/dense_oracle.py``).
@@ -144,8 +144,8 @@ class CurvatureModel:
 
     The tensor is held at c = sign(c) as the nonzeros its gates and form
     read, ``nz`` (``_choose_nonzeros``); all of them, ``R_unit``, are the
-    held ones when m <= 4 and else made on first use.  ``R_keys``,
-    ``R_values`` and the dense ``R`` are the tensor at c.
+    held ones when m <= 4 and else made on first use.  The dense ``R`` is
+    the tensor at c.
     """
 
     family: str
@@ -162,20 +162,22 @@ class CurvatureModel:
 
     @cached_property
     def R_unit(self) -> tuple:
-        """Keys and values of every nonzero of R at c = sign(c)."""
+        """Keys, slot arrays and values of every nonzero of R at
+        c = sign(c)."""
         nz = self.nz
         if nz.lines == self.n // (self.tau + 1):
-            return nz.keys, nz.values
-        return _curvature_nonzeros(self.J, self.sign, np.arange(self.n))
-
-    R_keys = property(lambda self: self.R_unit[0])
-    R_values = property(lambda self: self.R_unit[1] * abs(self.c))
+            return nz.keys, nz.slots, nz.values
+        keys, values = _curvature_nonzeros(self.J, self.sign,
+                                           np.arange(self.n))
+        return keys, np.unravel_index(keys, (self.n,) * 4), values
 
     @cached_property
     def R(self) -> CurvTensor4:
-        """The dense tensor, scattered from the nonzeros on first use.
-        Only the tests and the benchmark read it; no command makes it."""
-        keys, values = self.R_keys, self.R_values  # before the n^4 array
+        """The dense tensor, scattered from the nonzeros at |c| on first
+        use.  Only the tests and the benchmark read it; no command makes
+        it."""
+        keys, _, values = self.R_unit
+        values = values * abs(self.c)  # before the n^4 array
         T = np.zeros(self.n**4)
         T[keys] = values
         return CurvTensor4(T.reshape((self.n,) * 4))
@@ -631,8 +633,7 @@ def build_model(family: str, m: int, c: float, n: int | None = None) -> Curvatur
     model = CurvatureModel(family=family, m=(m if family != "sphere" else 0),
                            n=nn, tau=tau, c=c, nz=nz, J=J)
     try:
-        check_curvature_rules(nz.values, lambda order: nz.at(
-            nn, tuple(nz.slots[k] for k in order)))
+        check_curvature_rules(nn, nz.keys, nz.slots, nz.values)
     except ValueError as exc:
         raise ModelValidationError(f"curvature rules fail: {exc}") from exc
 

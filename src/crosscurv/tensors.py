@@ -1,15 +1,15 @@
 """Multilinear algebra at a single tangent space in an orthonormal frame.
 
-The library holds a rank-4 tensor as its nonzeros: the C-order flat
-indices of its nonzero entries, ascending, and their values.  The
-curvature symmetries and the first Bianchi identity are checked once, on
-the nonzeros (``check_curvature_rules``); ``CurvTensor4`` applies that
-check to a dense n^4 array.  The model build and its audit add and
-compare entry lists through one sum, ``sum_entries``;
-``gather`` reads a list at given keys and ``pairs_by_key`` pairs the
-entries that share a key.  The seeded random generators draw a symmetric
-2-tensor and an algebraic curvature tensor, the latter in the pair basis
-(``random_curvature_lambda2``).
+The library holds a rank-4 tensor as its entry list: the C-order flat
+indices of its nonzero entries, ascending, their four slot arrays and
+their values.  The curvature symmetries and the first Bianchi identity
+are checked once, on that list (``check_curvature_rules``);
+``CurvTensor4`` applies that check to the list of a dense n^4 array.
+The model build and its audit add and compare entry lists through one
+sum, ``sum_entries``; ``gather`` reads a list at given keys and
+``pairs_by_key`` pairs the entries that share a key.  The seeded random
+generators draw a symmetric 2-tensor and an algebraic curvature tensor,
+the latter in the pair basis (``random_curvature_lambda2``).
 
 The module keeps nothing between calls: its index tables are built by
 the call that reads them, or passed in by one that draws many times.
@@ -65,7 +65,10 @@ class CurvTensor4:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 4 or len(set(self.entries.shape)) != 1:
             raise ValueError("CurvTensor4 needs an n^4 array")
-        check_curvature_rules(*_dense_terms(self.entries))
+        keys = np.flatnonzero(self.entries)
+        check_curvature_rules(len(self.entries), keys,
+                              np.unravel_index(keys, self.entries.shape),
+                              self.entries.ravel()[keys])
 
 
 def _pair_lookup(n: int) -> np.ndarray:
@@ -90,40 +93,29 @@ CURVATURE_RULES = (
 )
 
 
-def _rule_residual(terms, values, term_at) -> float:
-    """Residual of one rule of ``CURVATURE_RULES`` from the nonzero
-    entries ``values`` of T; ``term_at(order)`` gives T(x[order]) at the
-    same nonzeros x, in the same order.
+def check_curvature_rules(n: int, keys, slots, values) -> None:
+    """ValueError, with the rule's message, unless the n^4 tensor T with
+    the entry list ``keys`` (C-order flat indices, ascending), ``slots``
+    (their four index arrays) and ``values`` meets every rule of
+    ``CURVATURE_RULES`` to 1e-12 of its largest entry.  The rules run in
+    order and the first one that fails is reported.
 
-    The residual is evaluated at the nonzeros alone, and that is its
-    maximum over all n^4 entries.  Each rule's slot orders form a group
-    (an involution, or the cyclic shift of the last three slots), and
-    wherever the residual is nonzero off the nonzeros of T some entry of
-    its orbit is a nonzero of T, where the residual has the same size:
+    Each term T(x[order]) is gathered at the permuted slots of the same
+    entries x, so a residual is evaluated at the entries alone, and that
+    is its maximum over all n^4 entries.  Each rule's slot orders form a
+    group (an involution, or the cyclic shift of the last three slots),
+    and wherever the residual is nonzero off the entries of T some entry
+    of its orbit is an entry of T, where the residual has the same size:
     the terms that are 0 there add exactly.
     """
-    total = values
-    for op, order in terms:
-        total = op(total, term_at(order))
-    return float(np.max(np.abs(total), initial=0.0))
-
-
-def check_curvature_rules(values, term_at) -> None:
-    """ValueError, with the rule's message, unless the tensor with the
-    nonzero entries ``values`` meets every rule of ``CURVATURE_RULES`` to
-    1e-12 of its largest entry; ``term_at`` as in ``_rule_residual``.  The
-    rules run in order and the first one that fails is reported."""
     tol = STRUCT_TOL * _scale(values)
     for message, terms in CURVATURE_RULES:
-        if _rule_residual(terms, values, term_at) > tol:
+        total = values
+        for op, order in terms:
+            total = op(total, gather(keys, values, flat_index(
+                n, tuple(slots[k] for k in order))))
+        if _scale(total) > tol:
             raise ValueError(message)
-
-
-def _dense_terms(T: np.ndarray) -> tuple:
-    """The nonzero entries of a dense T and their ``term_at``: each term
-    is a transpose of T read through the same mask."""
-    mask = T != 0
-    return T[mask], lambda order: np.transpose(T, np.argsort(order))[mask]
 
 
 #: the largest dimension whose n^4 flat indices fit in int64:

@@ -359,9 +359,9 @@ def two_line_assembly(model, weights: dict) -> list:
     place[np.diag_indices(n)] = off + np.arange(n)
     place = place.ravel()
     near = np.arange(n) % (n // (model.tau + 1)) < 2
-    i0, i1, i2, i3 = np.unravel_index(model.R_keys, (n,) * 4)
+    _, (i0, i1, i2, i3), values = model.R_unit
     at = np.flatnonzero(near[i0] & (near[i1] | near[i2]))
-    nz = (i0[at], i1[at], i2[at], i3[at], model.R_values[at] / abs(model.c))
+    nz = (i0[at], i1[at], i2[at], i3[at], values[at].astype(float))
     C = sum_entries([])
     for key, w in weights.items():
         if w == 0:

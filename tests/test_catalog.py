@@ -113,7 +113,7 @@ def test_the_catalog_releases_its_arrays():
 
     ledger.verify_catalog(_model("hp1", 1.0), trials=1)
     model = build_model("quaternionic", 10, 1.0)
-    model.R_keys
+    model.R_unit
     gc.collect()
     tracemalloc.start()
     try:
@@ -132,6 +132,26 @@ def test_the_catalog_releases_its_arrays():
     want = [ledger.verify_identity_numeric(name, model, trials=2, seed=5)
             for name in names]
     assert found == want and one == want[names.index("compose-structure")]
+
+
+@pytest.mark.parametrize("family,m,most", [("octonionic", 2, 0),
+                                           ("quaternionic", 5, 1)])
+def test_the_catalog_decodes_the_keys_of_r_at_most_once(monkeypatch,
+                                                        family, m, most):
+    # on at most four lines the catalog reads the slot arrays the model
+    # holds and decodes no key; on more it decodes the whole list once,
+    # which the model keeps for every identity
+    model = build_model(family, m, 1.0)
+    calls = []
+    unravel = np.unravel_index
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unravel(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unravel_index", counted)
+    ledger.verify_catalog(model, trials=1)
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize("dropped", ["IP_H_HTILDE", "IP_RRING_H"])

@@ -264,6 +264,34 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
     assert "Traceback" not in err
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path):
+    # a UTF-8 file that begins with the byte-order mark, as some editors
+    # write it, gives the document of the same file without the mark
+    text = b"space=hp\nm=2\nformat=json\n"
+    docs = []
+    for name, data in (("plain.cfg", text),
+                       ("bom.cfg", b"\xef\xbb\xbf" + text)):
+        cfg = tmp_path / name
+        cfg.write_bytes(data)
+        code, out, err = run(["model", "--config", str(cfg)])
+        assert code == 0 and err == ""
+        docs.append(out)
+    assert docs[0] == docs[1]
+
+
+def test_options_may_come_before_the_command():
+    args = ["--space", "cp", "--m", "2", "--format", "json"]
+    assert run(["model", *args]) == run([*args, "model"])
+
+
+def test_help_lists_each_command():
+    code, out, _ = run(["--help"])
+    assert code == 0
+    flat = " ".join(out.split())
+    for name, (helptext, _) in cli.SUBCOMMANDS.items():
+        assert f"{name}: {helptext}" in flat
+
+
 @pytest.mark.parametrize("command,text", [
     ("model", "space=cp\nm=2\nformat=xml\n"),
     ("ledger", "space=xx\n"),

@@ -286,8 +286,8 @@ def full_entries(model, weights):
     The curvature terms run in batches of nonzeros that share their last
     slot, which every pair they form shares, PAIR_BATCH nonzeros each."""
     n = model.n
-    nz = (*np.unravel_index(model.R_keys, (n,) * 4),
-          model.R_values / abs(model.c))
+    _, slots, values = model.R_unit
+    nz = (*slots, values.astype(float))
     off = n * (n - 1) // 2
     size = off + n
     place = _pair_lookup(n).copy()
@@ -322,7 +322,7 @@ def _display(model):
     """The weights ``assemble_tt_remainder`` passes to the assembly."""
     display = (compact_tt_coefficients if model.compact
                else noncompact_tt_coefficients)
-    unit = model.R_values / abs(model.c)
+    unit = model.R_unit[2]
     return display(model.n, model.tau, math.copysign(1.0, model.c),
                    float(unit @ unit))
 

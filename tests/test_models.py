@@ -170,9 +170,10 @@ def _hold(mod, keys, values):
 def _whole(mod):
     """A copy of the model that holds every nonzero of its R at c = sign(c)
     on every line (``dense_oracle.whole_hold``)."""
+    keys, _, values = mod.R_unit
     return CurvatureModel(family=mod.family, m=mod.m, n=mod.n, tau=mod.tau,
-                          c=mod.c, J=mod.J, nz=dense_oracle.whole_hold(
-                              mod.J, *mod.R_unit))
+                          c=mod.c, J=mod.J,
+                          nz=dense_oracle.whole_hold(mod.J, keys, values))
 
 
 def _load(mod, R):
@@ -184,7 +185,7 @@ def _load(mod, R):
 def _plant(mod, index, value):
     """Add value to the entry at a four-slot index of the model's R at
     c = sign(c)."""
-    keys, values = mod.R_unit
+    keys, _, values = mod.R_unit
     _hold(mod, *sum_by_key(
         np.append(keys, np.ravel_multi_index(index, (mod.n,) * 4)),
         np.append(values, value)))
@@ -229,8 +230,10 @@ def test_nonzeros_equal_the_dense_tensor(family, m, nkw):
     for c in (1.0, -1.0, 0.3, -0.3, 2.5, -2.5):
         mod = build_model(family, m, c, n=nkw)
         T = _dense_curvature(mod.J, c)
-        assert np.array_equal(mod.R_keys, np.flatnonzero(T)), c
-        assert np.array_equal(mod.R_values, T.ravel()[mod.R_keys]), c
+        keys, slots, unit = mod.R_unit
+        assert np.array_equal(keys, np.flatnonzero(T)), c
+        assert np.array_equal(slots, np.unravel_index(keys, T.shape)), c
+        assert np.array_equal(unit * abs(c), T.ravel()[keys]), c
         assert np.array_equal(mod.R.entries, T), c
 
 
@@ -244,7 +247,7 @@ def test_norm_is_the_sum_over_the_nonzeros(family, m, nkw):
     # sum exactly
     for c in (1.0, -1.0, 0.3, -2.5):
         mod = build_model(family, m, c, n=nkw)
-        unit = mod.R_values / abs(c)
+        unit = mod.R_unit[2]  # R / |c|
         assert mod.R_norm2 == c * c * float(np.sum(unit * unit))
     for c in (1.0, -1.0):
         T = _dense_curvature(build_j_structure(family, m, nkw), c)
@@ -529,8 +532,9 @@ def test_scale_that_is_not_a_real_is_refused_before_any_work(monkeypatch, c):
 def test_a_real_scale_builds_the_model_of_its_float(c):
     got, want = (build_model("sphere", 0, x, n=5) for x in (c, float(c)))
     assert type(got.c) is float and got.c == float(c) == want.c
-    assert got.R_keys.tobytes() == want.R_keys.tobytes()
-    assert got.R_values.tobytes() == want.R_values.tobytes()
+    (keys, _, unit), (keys0, _, unit0) = got.R_unit, want.R_unit
+    assert keys.tobytes() == keys0.tobytes()
+    assert (unit * abs(got.c)).tobytes() == (unit0 * abs(want.c)).tobytes()
     assert model_constants(got) == model_constants(want)
 
 
@@ -684,8 +688,8 @@ def test_entry_rules_read_their_own_components(family, m, nkw, c, fill,
     elif fill == "sparse":
         R = mod.R.entries / abs(c)
         flat = R.reshape(-1)
-        flat[rng.choice(mod.R_keys, mod.R_keys.size // 10,
-                        replace=False)] = 0.0
+        keys = mod.R_unit[0]
+        flat[rng.choice(keys, keys.size // 10, replace=False)] = 0.0
         for key in _rule_components(n, tau, 4, 0) if lines > 4 else []:
             R[key] = 0.0
         flat[rng.integers(0, flat.size, 20)] = rng.uniform(-1.0, 1.0, 20)
@@ -724,12 +728,13 @@ def test_gates_read_lines_zero_to_three_of_more_than_four(family, m, nkw):
     labels = np.sort(line, axis=0)
     assert np.array_equal(mod.nz.touches, 1 + np.count_nonzero(
         labels[1:] != labels[:-1], axis=0))
-    assert (mod.R_keys is mod.nz.keys) == (lines <= 4)
+    keys, slots, values = mod.R_unit
+    assert (keys is mod.nz.keys) == (slots is mod.nz.slots) == (lines <= 4)
     whole = frame_rule_audit(_whole(mod)).residuals
     assert frame_rule_audit(mod).residuals == whole
     assert mod.audit.residuals == whole
     assert mod.R_norm2 == dense_oracle.full_list_gates(
-        mod.n, mod.R_keys, mod.R_values)[2]
+        mod.n, keys, values * abs(mod.c))[2]
 
 
 def test_single_line_round_reads_every_sphere_line():
@@ -758,7 +763,7 @@ def test_held_lines_keep_the_whole_list_gates(family, m, nkw, c):
     # there is exact; |R|^2 at c is c^2 times that exact sum
     model = build_model(family, m, c, n=nkw)
     n, lines = model.n, model.n // (model.tau + 1)
-    keys, vals = model.R_unit
+    keys, _, vals = model.R_unit
     assert dense_oracle.line_symmetric(model.J, keys, vals)
     assert model.nz.lines == min(lines, 4)
     audit = frame_rule_audit(_whole(model))

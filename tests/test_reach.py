@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # located without importing it, so that the scan sees its import
 PACKAGE = Path(importlib.util.find_spec("crosscurv").origin).resolve().parent
 
-#: the first seven stay while the benchmark reads the dense tensor and the
+#: the first six stay while the benchmark reads the dense tensor and the
 #: dense form; ROADMAP item 4a retires both reads
 BENCH = "bench/run.py reads model.R.entries and qf.matrix"
 #: module.qualname -> why the function stays though nothing in the scan
@@ -47,7 +47,6 @@ UNREACHED = {
     "models.CurvatureModel.R": f"the dense tensor; {BENCH}",
     "tensors.CurvTensor4.__post_init__":
         f"the check of the dense tensor CurvatureModel.R makes; {BENCH}",
-    "tensors._dense_terms": f"the terms that check reads; {BENCH}",
     "hessian.QuadForm.places":
         f"the basis rows of each block, for QuadForm.unit; {BENCH}",
     "hessian.QuadForm.places.<locals>.copies":

@@ -19,9 +19,9 @@ from crosscurv.tensors import (
     _bianchi_sum,
     _check_lambda2_curvature,
     _lambda2_residuals,
-    _dense_terms,
     _pair_lookup,
     _project_bianchi,
+    CURVATURE_RULES,
     CurvTensor4,
     check_curvature_rules,
     pairs_by_key,
@@ -56,6 +56,13 @@ def _rand_R(n):
     return random_curvature(n, RNG)
 
 
+def _entry_list(T):
+    """The arguments of ``check_curvature_rules`` for a dense n^4 T: n and
+    the flat indices, slot arrays and values of its nonzeros."""
+    keys = np.flatnonzero(T)
+    return len(T), keys, np.unravel_index(keys, T.shape), T.ravel()[keys]
+
+
 def test_curvtensor_validation():
     n = 4
     R = _rand_R(n)
@@ -65,7 +72,51 @@ def test_curvtensor_validation():
     bad[0, 1, 2, 3] += 1e-3
     with pytest.raises(ValueError):
         CurvTensor4(bad)
-    check_curvature_rules(*_dense_terms(R))
+    check_curvature_rules(*_entry_list(R))
+
+
+#: the slot orders that make the defect of each rule meet the rules
+#: before it: the first pair's and the second pair's antisymmetry and the
+#: pair exchange, each an involution, with the sign that keeps the rule
+_KEPT = ((np.subtract, (1, 0, 2, 3)), (np.subtract, (0, 1, 3, 2)),
+         (np.add, (2, 3, 0, 1)))
+
+
+@pytest.mark.parametrize("rule", range(len(CURVATURE_RULES)))
+def test_each_rule_refuses_its_planted_defect(rule):
+    # sphere4 plus 0.5 at (0, 1, 2, 3), where it is 0, and at its images
+    # under the rules before this one: those rules still hold, so the
+    # entry list is refused by this rule, by name
+    T = build_model("sphere", 0, 1.0, n=4).R.entries.copy()
+    D = np.zeros_like(T)
+    D[0, 1, 2, 3] = 0.5
+    for op, order in _KEPT[:rule]:
+        D = op(D, np.transpose(D, order))
+    with pytest.raises(ValueError, match=CURVATURE_RULES[rule][0]):
+        check_curvature_rules(*_entry_list(T + D))
+
+
+def test_a_defect_at_a_zero_entry_is_refused_dense_and_as_a_list():
+    # T[0, 1, 2, 3] is set and T[1, 0, 2, 3] left at 0, which the list
+    # does not hold: the dense check and the list call refuse it alike
+    T = build_model("sphere", 0, 1.0, n=4).R.entries.copy()
+    assert T[0, 1, 2, 3] == T[1, 0, 2, 3] == 0
+    T[0, 1, 2, 3] = 1.0
+    message = CURVATURE_RULES[0][0]
+    with pytest.raises(ValueError, match=message):
+        CurvTensor4(T)
+    with pytest.raises(ValueError, match=message):
+        check_curvature_rules(*_entry_list(T))
+
+
+def test_the_whole_list_of_a_model_on_more_than_four_lines_passes():
+    # hp5 holds lines 0..3; its whole list is made apart and meets every
+    # rule at c = sign(c)
+    model = build_model("quaternionic", 5, -1.0)
+    keys, slots, values = model.R_unit
+    assert model.nz.lines == 4 and keys is not model.nz.keys
+    assert keys.size > model.nz.keys.size
+    check_curvature_rules(model.n, keys, slots, values)
 
 
 def test_curvtensor_tolerance_is_relative_to_its_entries():
@@ -254,7 +305,7 @@ def test_pair_vector_and_pushforward_against_model():
 def test_random_curvature_satisfies_bianchi(n, seed):
     rng = np.random.default_rng(seed)
     R = random_curvature(n, rng)
-    check_curvature_rules(*_dense_terms(R))
+    check_curvature_rules(*_entry_list(R))
 
 
 @settings(max_examples=15, deadline=None)
@@ -292,7 +343,7 @@ def test_pair_basis_bianchi_projection(n):
     again = _project_bianchi(e, P.copy())
     assert np.max(np.abs(again - P)) <= 1e-15 * np.max(np.abs(P))
     draw = random_curvature_lambda2(n, seed=n)
-    check_curvature_rules(*_dense_terms(from_lambda2(n, draw)))
+    check_curvature_rules(*_entry_list(from_lambda2(n, draw)))
 
 
 def test_pair_basis_draw_is_checked():
