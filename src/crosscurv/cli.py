@@ -30,14 +30,13 @@ configs and seeds are byte-identical.
 
 Input budget: a model whose estimated peak memory for the command
 (``memory_estimate``) exceeds ``MEMORY_BUDGET_BYTES`` (4 GiB, fixed) is
-refused as a config error, exit 2, before anything is built.  ``model`` and
-``certify`` hold a few MiB of nonzeros and O(n) structure arrays, far
-inside the budget; they are refused from dimension n = 55109, above
+refused as a config error, exit 2, before anything is built.  Only the
+identity catalog of ``verify`` and ``report`` grows as n^4, and those two
+are refused from n = 127 (``--space sphere --n 127``, ``--space hp --m
+32``).  Every other stage holds O(n) words, and ``model`` and ``certify``
+are refused from dimension n = 55109 instead, above
 ``tensors.MAX_DIMENSION``, where the n^4 flat indices of R overflow int64
 (``models.family_dimension``).
-``verify`` and ``report`` also hold the identity catalog's pair-basis
-matrices, each of n^4 / 4 entries, and are refused from n = 127
-(``--space sphere --n 127``, ``--space hp --m 32``).
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ import math
 import os
 import sys
 
-from crosscurv.hessian import (RAYLEIGH_CHUNK, _require_count, _require_real,
-                               hp_scale, stability_verdict)
+from crosscurv.hessian import (_require_count, _require_real, hp_scale,
+                               stability_verdict)
 from crosscurv.jacobi import JacobiConvergenceError
 from crosscurv.ledger import (
     expand_theorem_conformal,
@@ -116,12 +115,6 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 
 #: ``memory_estimate``: the interpreter, numpy and small arrays
 BASE_BYTES = 128 * 2**20
-#: ``memory_estimate``: float64 words of the nonzero stages of the build
-BUILD_WORDS = 2**18
-#: ``memory_estimate``: float64 words per n of the structure operators
-OPERATOR_WORDS = 32
-#: ``memory_estimate``: float64 words of the form assembly
-ASSEMBLY_WORDS = 2**19
 #: ``memory_estimate``: float64 words per n^4 of the identity catalog
 CATALOG_WORDS = 2
 
@@ -132,44 +125,23 @@ class ConfigError(ValueError):
 
 def memory_estimate(command: str, n: int) -> int:
     """Upper estimate, in bytes, of the peak memory of ``command`` on a
-    model of dimension n, charged for the stages the command runs, in
-    float64 words:
+    model of dimension n: ``BASE_BYTES``, and for ``verify`` and ``report``
+    ``CATALOG_WORDS`` n^4 float64 words for the identity catalog.
 
-    - every command that builds a model: ``BUILD_WORDS`` (2 MiB) for the
-      nonzeros of R on lines 0..min(m, 4) - 1, and what the build, the
-      frame audit and the gates hold beside them; and ``OPERATOR_WORDS`` n
-      for the structure operators, tau signed permutations of the n
-      coordinates, and the temporaries of their invariant check.  A
-      ``model`` traced 0.58 MiB at hp4 and 0.85 MiB at op2, and about 27
-      words per n from hp2048 (n = 8192, 1.8 MiB) to hp13777 (n = 55108,
-      11.9 MiB);
-    - ``certify`` and ``report``: ``ASSEMBLY_WORDS`` (4 MiB) for the
-      assembly, which reads the nonzeros on lines 0..2 and holds the form
-      C as one dense array on the places of lines 0 and 1, at most 136^2
-      words, so that ``certify`` traced at most 0.12 MiB above ``model``
-      from hp4 to hp13777 (2.2 MiB at op2); and what the
-      sampling holds at once: three arrays of ``RAYLEIGH_CHUNK`` x 8 (a
-      chunk of the form's draws, as wide as its widest block of at most
-      tau + 1 <= 8 rows, its centred transpose and one block's product
-      with its leading rows) and three chunk-long vectors;
-    - ``verify`` and ``report``: ``CATALOG_WORDS`` n^4 for the identity
-      catalog, which holds a few N x N pair-basis matrices of n^4 / 4
-      entries (R's, a random draw, a product and its comparand and their
-      temporaries), the index arrays of the 4-subsets the draw's Bianchi
-      projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
-      lists (of order tau n^3).  A catalog call owns every table it reads,
-      and ``tensors`` keeps nothing between calls: the catalog traced 1.7
-      n^4 at n = 40, 56 and 64, and a whole ``verify``, model included,
-      1.7 to 1.75 n^4 at n = 24..56;
-
-    and ``BASE_BYTES`` for the interpreter, numpy and the small arrays.
+    The catalog holds a few N x N pair-basis matrices of n^4 / 4 entries
+    (R's, a random draw, a product and its comparand and their
+    temporaries), the index arrays of the 4-subsets the draw's Bianchi
+    projection reads (six of n^4 / 24) and the K_PAIR and RR_KN entry
+    lists (of order tau n^3).  A catalog call owns every table it reads:
+    the catalog traced 1.7 n^4 at n = 40, 56 and 64, and a whole
+    ``verify``, model included, 1.7 to 1.75 n^4 at n = 24..56.  Every
+    other stage holds O(n) words, and n is capped by
+    ``tensors.MAX_DIMENSION``: ``certify`` traced 3.0 MiB at op2 and 11.9
+    MiB at hp13777 (n = 55108), inside ``BASE_BYTES``.
     """
-    words = BUILD_WORDS + OPERATOR_WORDS * n
-    if command in ("certify", "report"):
-        words += ASSEMBLY_WORDS + 3 * RAYLEIGH_CHUNK * (8 + 1)
     if command in ("verify", "report"):
-        words += CATALOG_WORDS * n**4
-    return 8 * words + BASE_BYTES
+        return 8 * CATALOG_WORDS * n**4 + BASE_BYTES
+    return BASE_BYTES
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -563,26 +563,26 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     vector x / |x| = +-1, whose quotient is b and whose residual is 0, so
     it is recorded as the quotient b with the bound ``jacobi.TOL`` |b|.
 
-    Sampling: the form draws one stream, ``SeedSequence(seed)`` through
-    PCG64, and only if it has a block of more than one row.  It draws its
-    centred uniforms, ``Generator.random`` minus 0.5, in chunks of
-    ``RAYLEIGH_CHUNK`` samples (the last one shorter), serially, each
-    sample as wide as the widest sampled block.  Each chunk is centred and
-    transposed in one pass to one sample per column, and every sampled
-    block reads its samples from the leading ``len(block)`` rows of it:
-    the block multiplies them in one GEMM, its numerators and denominators
-    are summed down the columns, and its best quotient is kept with a
-    strict ``<``.  The leading coordinates of a sample of the cube are a
-    sample of the smaller cube, so each block is sampled as by a draw of
-    its own.  Summing a quotient in another order moves it by rounding
-    only, so the choice of the best sample depends on the order only
-    where quotients tie to rounding, on a block that is lambda I to
-    rounding.  At most a chunk of draws, its centred transpose and one
-    block's product with it are held at once, and the certificate depends
-    on ``seed`` and ``samples`` alone.  A sample only picks the start of
-    the refinement, which needs a nonzero component in the
-    block's bottom eigenspace.  The cube's law has a positive density on
-    every direction, so, as with normals, the best sample has one with
+    Sampling: the form draws one stream, ``np.random.default_rng(seed)``
+    (PCG64 seeded through ``SeedSequence(seed)``), and only if it has a
+    block of more than one row.  It draws its centred uniforms,
+    ``Generator.random`` minus 0.5, in chunks of ``RAYLEIGH_CHUNK`` samples
+    (the last one shorter), serially, each sample as wide as the widest
+    sampled block.  Each chunk is centred and transposed in one pass to one
+    sample per column, and every sampled block reads its samples from the
+    leading ``len(block)`` rows of it: the block multiplies them in one
+    GEMM, its numerators and denominators are summed down the columns, and
+    its best quotient is kept with a strict ``<``.  The leading coordinates
+    of a sample of the cube are a sample of the smaller cube, so each block
+    is sampled as by a draw of its own.  Summing a quotient in another
+    order moves it by rounding only, so the choice of the best sample
+    depends on the order only where quotients tie to rounding, on a block
+    that is lambda I to rounding.  At most a chunk of draws, its centred
+    transpose and one block's product with it are held at once, and the
+    certificate depends on ``seed`` and ``samples`` alone.  A sample only
+    picks the start of the refinement, which needs a nonzero component in
+    the block's bottom eigenspace.  The cube's law has a positive density
+    on every direction, so, as with normals, the best sample has one with
     probability one; a uniform costs a fraction of a normal.  Discrete
     draws (random signs, small integers) would not do: they can all be
     orthogonal to an integer eigenvector such as (e_1 - e_2)/sqrt 2.
@@ -606,8 +606,7 @@ def min_eigen_tt(qf: QuadForm, samples: int = 100_000,
     best_vals, best = [np.inf] * len(sampled), [None] * len(sampled)
     if sampled:
         width = max(len(block) for block in sampled)
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed)))
+        rng = np.random.default_rng(seed)
         for done in range(0, samples, RAYLEIGH_CHUNK):
             V = np.subtract(rng.random((min(RAYLEIGH_CHUNK, samples - done),
                                         width)).T, 0.5, order="C")

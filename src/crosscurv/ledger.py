@@ -476,8 +476,9 @@ class IdentityCheck:
     input_free: bool = False
 
 
-def _unit_tt(nn: int, rng: np.random.Generator):
-    h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=True)
+def _unit_tt(nn: int, rng: np.random.Generator, trace_free: bool = True):
+    h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)),
+                         trace_free=trace_free)
     return h / np.sqrt(np.sum(h * h))
 
 
@@ -595,8 +596,7 @@ def _ev_curvature_action_affine(model, arrays, rng):
     """The curvature action on symmetric tensors is the affine combination
     3c ht - c h + c tr(h) g."""
     nn = model.n
-    h = random_symtensor(nn, seed=int(rng.integers(0, 2**31)), trace_free=False)
-    h = h / np.sqrt(np.sum(h * h))
+    h = _unit_tt(nn, rng, trace_free=False)
     lhs = _apply(arrays, "IP_RRING_H", h)
     on_ht, on_h, on_trace = _curvature_action_coefficients(model.sign)
     rhs = (on_ht * _apply(arrays, "IP_H_HTILDE", h) + on_h * h

@@ -12,7 +12,7 @@ deterministic work counters (rotation counts, sample counts) instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +22,6 @@ from crosscurv.laurent import Laurent
 __all__ = ["ReportDocument", "emit_value", "render_json", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
-
-#: fixed top-level section order
-SECTIONS = ("config", "model_constants", "lemma_findings",
-            "ledger_comparisons", "certification", "timing")
 
 
 def _format_float(x: float) -> str:
@@ -85,7 +81,8 @@ def _csv_cell(v) -> str:
 
 @dataclass
 class ReportDocument:
-    """Ordered result document for one command invocation."""
+    """Ordered result document for one command invocation; the JSON
+    sections follow the order of the fields."""
 
     config: dict = field(default_factory=dict)
     model_constants: dict = field(default_factory=dict)
@@ -93,15 +90,6 @@ class ReportDocument:
     ledger_comparisons: list = field(default_factory=list)
     certification: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
-
-    def payload(self) -> dict:
-        out = {"schema_version": SCHEMA_VERSION}
-        for key in SECTIONS:
-            out[key] = getattr(self, key)
-        return out
-
-    def to_json(self) -> str:
-        return render_json(self.payload())
 
     def csv_rows(self) -> list:
         rows = [("kind", "id", "model", "value", "threshold", "outcome")]
@@ -132,10 +120,6 @@ class ReportDocument:
                     rows.append(("certificate", f"conformal_{key}", label,
                                  v, 0.0, outcome))
         return rows
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(_csv_cell(c) for c in row)
-                         for row in self.csv_rows()) + "\n"
 
     def to_text(self) -> str:
         lines = []
@@ -208,9 +192,12 @@ class ReportDocument:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return self.to_json()
+            return render_json({"schema_version": SCHEMA_VERSION,
+                                **{f.name: getattr(self, f.name)
+                                   for f in fields(self)}})
         if fmt == "csv":
-            return self.to_csv()
+            return "\n".join(",".join(_csv_cell(c) for c in row)
+                             for row in self.csv_rows()) + "\n"
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format {fmt!r}")

@@ -639,7 +639,7 @@ def test_one_row_blocks_only_draw_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a generator was constructed")
 
-    for name in ("SeedSequence", "PCG64", "Generator"):
+    for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
         monkeypatch.setattr(np.random, name, refuse)
     cert = min_eigen_tt(qf, samples=100_000, seed=7)
     assert cert.rayleigh_min == cert.eig_min == 25.5
